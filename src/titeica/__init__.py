@@ -16,13 +16,11 @@ from .errors import (
     DomainError,
     GeometryError,
     InconclusiveError,
-    OracleError,
     RegularityError,
     SignatureError,
     SingularPointError,
     UsageError,
 )
-from .fdcheck import FDSettings, fd_jet
 from .invariants import (
     EPS_SINGULAR,
     FundamentalForms,
@@ -76,7 +74,6 @@ __all__ = [
     "DomainError",
     "EPS_SINGULAR",
     "EUCLIDEAN",
-    "FDSettings",
     "FundamentalForms",
     "GeometryError",
     "InconclusiveError",
@@ -85,7 +82,6 @@ __all__ = [
     "Metric2",
     "MetricPair",
     "MINKOWSKI",
-    "OracleError",
     "OrientedVolumes",
     "RegularityError",
     "RunConfig",
@@ -104,7 +100,6 @@ __all__ = [
     "constant",
     "coord_change",
     "eval_surface",
-    "fd_jet",
     "fundamental_forms",
     "gaussian_curvature",
     "grid_points",

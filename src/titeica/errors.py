@@ -28,10 +28,6 @@ class CatalogError(GeometryError, LookupError):
     """Unknown catalog entry."""
 
 
-class OracleError(GeometryError):
-    """The finite-difference oracle could not produce an estimate."""
-
-
 class InconclusiveError(GeometryError):
     """Too many grid points were skipped to issue a classification verdict."""
 

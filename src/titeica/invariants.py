@@ -1,21 +1,37 @@
 """Pointwise surface invariants under a chosen ambient bilinear form.
 
-Everything here is computed from a :class:`SurfaceJet`:
+Everything here comes from one pass over a :class:`SurfaceJet`.  Let
+S = diag(signature) be the ambient form, <v, w> = v^T S w, and
+c = f_x x f_y the Euclidean cross product of the tangent rows.  The pass
+computes
 
-* fundamental forms E, F, G (tangent inner products) and L, M, N
-  (second derivatives against the unit normal),
-* Gaussian curvature K,
-* the distance d from the origin to the affine tangent plane,
-* the four oriented volumes Vx, Vy, Vxy (second-derivative row over the
-  tangent rows) and V (position row over the tangent rows),
-* the ratio K/d^4 and the residual between its curvature/distance route
-  and its pure oriented-volume route (VxVy - Vxy^2)/V^4.
+* the first fundamental form E, F, G = <f_x, f_x>, <f_x, f_y>, <f_y, f_y>
+  and its determinant EG - F^2,
+* nn = c^T S c,
+* the four oriented volumes Vx, Vy, Vxy, V = det(row; f_x; f_y) for
+  row = f_xx, f_yy, f_xy and the position f, each as the dot product
+  row . c,
 
-The normal is built from the Euclidean cross product c = f_x x f_y by
-applying the ambient signature componentwise, n = S c.  That vector is
-ambient-orthogonal to the tangent plane for both signatures; normalizing
-by sqrt(|<n,n>|) and carrying sign(<n,n>) into K reproduces the classical
-values on the unit Minkowski hyperboloid (K = -1, d = 1).
+and derives from them
+
+* L, M, N = (Vx, Vxy, Vy) / sqrt(|nn|),
+* K = sign(nn) (LN - M^2) / (EG - F^2),
+* d = |V| / sqrt(|nn|), the distance from the origin to the affine
+  tangent plane,
+* the ratio K/d^4.
+
+The normal is n = S c: it is ambient-orthogonal to the tangent plane for
+both signatures, <n, n> = nn and <row, n> = row . c because S^2 = I.
+Normalizing by sqrt(|nn|) and carrying sign(nn) into K reproduces the
+classical values on the unit Minkowski hyperboloid (K = -1, d = 1).
+
+Since EG - F^2 = det(S) nn, substituting gives the pure oriented-volume
+route K/d^4 = det(S) (Vx Vy - Vxy^2) / V^4, with det(S) = +1 for the
+Euclidean and -1 for the Minkowski form; :func:`identity_residual`
+measures the gap between the two routes.
+
+A point is singular when |EG - F^2|, then |nn|, then d is at most
+EPS_SINGULAR; the first failing test names the error raised.
 """
 
 from __future__ import annotations
@@ -24,9 +40,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-import numpy as np
-
-from .errors import RegularityError, SignatureError, SingularPointError
+from .errors import GeometryError, RegularityError, SignatureError, SingularPointError
 from .surfaces import EUCLIDEAN, AmbientForm, SurfaceJet
 
 __all__ = [
@@ -34,7 +48,6 @@ __all__ = [
     "FundamentalForms",
     "OrientedVolumes",
     "InvariantReport",
-    "det3",
     "fundamental_forms",
     "gaussian_curvature",
     "tangent_distance",
@@ -67,139 +80,106 @@ class OrientedVolumes(NamedTuple):
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """Full per-point bundle used by reports and tests."""
+    """K, d and K/d^4 at one point: the values a grid scan records."""
 
-    E: float
-    F: float
-    G: float
-    L: float
-    M: float
-    N: float
     K: float
     d: float
-    Vx: float
-    Vy: float
-    Vxy: float
-    V: float
     ratio: float
-    identity_residual: Optional[float]
 
 
-def det3(r0, r1, r2) -> float:
-    """Determinant of the 3x3 matrix with rows r0, r1, r2."""
-    return float(
-        r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
-        - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
-        + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0])
-    )
+class _Core(NamedTuple):
+    """What one pass yields at a point.  On a degenerate frame ``fault``
+    holds the error to raise and the derived fields are None."""
+
+    vols: OrientedVolumes
+    fault: Optional[GeometryError]
+    forms: Optional[FundamentalForms] = None
+    K: Optional[float] = None
+    d: Optional[float] = None
+
+    def regular(self) -> "_Core":
+        if self.fault is not None:
+            raise self.fault
+        return self
+
+    def ratio(self) -> float:
+        d = self.regular().d
+        if d <= EPS_SINGULAR:
+            raise SingularPointError(f"tangent plane passes through the origin (d = {d:g})")
+        return self.K / d**4
 
 
-def _frame(sj: SurfaceJet, amb: AmbientForm):
-    """Shared scaffolding: tangent form, normal, and its self-inner-product."""
+def _dot(r, c) -> float:
+    return r[0] * c[0] + r[1] * c[1] + r[2] * c[2]
+
+
+def _core(sj: SurfaceJet, amb: AmbientForm) -> _Core:
+    """The single pass over a point; never raises."""
+    (x0, x1, x2), (y0, y1, y2) = sj.f_x, sj.f_y
     e = amb.inner(sj.f_x, sj.f_x)
     f = amb.inner(sj.f_x, sj.f_y)
     g = amb.inner(sj.f_y, sj.f_y)
+    # numpy.cross operand order: tests/frame_reference.py holds every
+    # derived float bitwise to the frame built with it.
+    c = (x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0)
+    vols = OrientedVolumes(_dot(sj.f_xx, c), _dot(sj.f_yy, c), _dot(sj.f_xy, c), _dot(sj.f, c))
     disc = e * g - f * f
     if abs(disc) <= EPS_SINGULAR:
-        raise RegularityError(f"degenerate tangent plane (EG - F^2 = {disc:g})")
-    n = amb.apply(np.cross(sj.f_x, sj.f_y))
-    nn = amb.inner(n, n)
+        return _Core(vols, RegularityError(f"degenerate tangent plane (EG - F^2 = {disc:g})"))
+    nn = amb.inner(c, c)
     if abs(nn) <= EPS_SINGULAR:
-        raise SignatureError(f"normal vector is null under the {amb.name} form")
-    return e, f, g, disc, n, nn
+        return _Core(vols, SignatureError(f"normal vector is null under the {amb.name} form"))
+    scale = 1.0 / math.sqrt(abs(nn))
+    forms = FundamentalForms(e, f, g, vols.Vx * scale, vols.Vxy * scale, vols.Vy * scale)
+    sign = 1.0 if nn > 0.0 else -1.0
+    k = sign * (forms.L * forms.N - forms.M * forms.M) / disc
+    d = abs(vols.V) / math.sqrt(abs(nn))
+    return _Core(vols, None, forms, k, d)
 
 
 def fundamental_forms(sj: SurfaceJet, amb: AmbientForm) -> FundamentalForms:
-    e, f, g, _, n, nn = _frame(sj, amb)
-    scale = 1.0 / math.sqrt(abs(nn))
-    return FundamentalForms(
-        E=e,
-        F=f,
-        G=g,
-        L=amb.inner(sj.f_xx, n) * scale,
-        M=amb.inner(sj.f_xy, n) * scale,
-        N=amb.inner(sj.f_yy, n) * scale,
-    )
+    return _core(sj, amb).regular().forms
 
 
 def gaussian_curvature(sj: SurfaceJet, amb: AmbientForm) -> float:
     """K = sign(<n,n>) (LN - M^2) / (EG - F^2)."""
-    e, f, g, disc, n, nn = _frame(sj, amb)
-    scale = 1.0 / math.sqrt(abs(nn))
-    l = amb.inner(sj.f_xx, n) * scale
-    m = amb.inner(sj.f_xy, n) * scale
-    nu = amb.inner(sj.f_yy, n) * scale
-    sign = 1.0 if nn > 0.0 else -1.0
-    return sign * (l * nu - m * m) / disc
+    return _core(sj, amb).regular().K
 
 
 def tangent_distance(sj: SurfaceJet, amb: AmbientForm) -> float:
     """Distance from the origin to the affine tangent plane,
     |<f, n>| / sqrt(|<n, n>|)."""
-    _, _, _, _, n, nn = _frame(sj, amb)
-    return abs(amb.inner(sj.f, n)) / math.sqrt(abs(nn))
+    return _core(sj, amb).regular().d
 
 
 def oriented_volumes(sj: SurfaceJet) -> OrientedVolumes:
     """Signed volumes of the parallelepipeds spanned by (row; f_x; f_y)
     with row = f_xx, f_yy, f_xy and the position f."""
-    return OrientedVolumes(
-        Vx=det3(sj.f_xx, sj.f_x, sj.f_y),
-        Vy=det3(sj.f_yy, sj.f_x, sj.f_y),
-        Vxy=det3(sj.f_xy, sj.f_x, sj.f_y),
-        V=det3(sj.f, sj.f_x, sj.f_y),
-    )
+    return _core(sj, EUCLIDEAN).vols
 
 
 def titeica_ratio(sj: SurfaceJet, amb: AmbientForm) -> float:
     """The ratio K/d^4 via curvature and tangent distance."""
-    d = tangent_distance(sj, amb)
-    if d <= EPS_SINGULAR:
-        raise SingularPointError(f"tangent plane passes through the origin (d = {d:g})")
-    return gaussian_curvature(sj, amb) / d**4
+    return _core(sj, amb).ratio()
 
 
-def identity_residual(sj: SurfaceJet) -> float:
-    """|K/d^4 - (Vx Vy - Vxy^2)/V^4| with both sides computed
-    independently (Euclidean ambient).  On regular points this stays
-    below 1e-9 * max(1, |ratio|)."""
-    vols = oriented_volumes(sj)
-    if abs(vols.V) <= EPS_SINGULAR:
-        raise SingularPointError(f"position volume vanishes (V = {vols.V:g})")
-    ratio = titeica_ratio(sj, EUCLIDEAN)
-    volume_route = (vols.Vx * vols.Vy - vols.Vxy**2) / vols.V**4
-    return abs(ratio - volume_route)
+def identity_residual(sj: SurfaceJet, amb: AmbientForm = EUCLIDEAN) -> float:
+    """|K/d^4 - det(S) (Vx Vy - Vxy^2)/V^4| with the left side from the
+    curvature route and the right side from the volumes alone.  On
+    regular points this stays below 1e-9 * max(1, |ratio|)."""
+    p = _core(sj, amb)
+    v = p.vols
+    if abs(v.V) <= EPS_SINGULAR:
+        raise SingularPointError(f"position volume vanishes (V = {v.V:g})")
+    s0, s1, s2 = amb.signature
+    return abs(p.ratio() - s0 * s1 * s2 * (v.Vx * v.Vy - v.Vxy**2) / v.V**4)
 
 
 def point_invariants(sj: SurfaceJet, amb: AmbientForm) -> InvariantReport:
-    """Assemble the full invariant bundle at one point.
+    """K, d and K/d^4 at one point from one pass.
 
-    Raises the singularity errors of its constituents; grid drivers catch
-    those and record the point as skipped.
+    Raises the singularity errors of the pass; grid drivers catch those
+    and record the point as skipped.
     """
-    forms = fundamental_forms(sj, amb)
-    k = gaussian_curvature(sj, amb)
-    d = tangent_distance(sj, amb)
-    vols = oriented_volumes(sj)
-    if d <= EPS_SINGULAR:
-        raise SingularPointError(f"tangent plane passes through the origin (d = {d:g})")
-    ratio = k / d**4
-    residual = None
-    if amb is EUCLIDEAN and abs(vols.V) > EPS_SINGULAR:
-        residual = abs(ratio - (vols.Vx * vols.Vy - vols.Vxy**2) / vols.V**4)
-    return InvariantReport(
-        E=forms.E,
-        F=forms.F,
-        G=forms.G,
-        L=forms.L,
-        M=forms.M,
-        N=forms.N,
-        K=k,
-        d=d,
-        Vx=vols.Vx,
-        Vy=vols.Vy,
-        Vxy=vols.Vxy,
-        V=vols.V,
-        ratio=ratio,
-        identity_residual=residual,
-    )
+    p = _core(sj, amb)
+    return InvariantReport(p.K, p.d, p.ratio())

@@ -19,13 +19,11 @@ reproduces the disk metric rather than presuming it.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from . import jet
 from .errors import CatalogError, DomainError, RegularityError, SignatureError, UsageError
-from .invariants import det3
 from .jet import Jet2, constant, seed_xy
 from .surfaces import Box, grid_points
 
@@ -42,7 +40,6 @@ __all__ = [
     "metrics_agree",
     "check_pair",
     "metric",
-    "metric_names",
     "coord_change",
     "metric_pair",
     "pair_names",
@@ -59,10 +56,6 @@ class Metric2:
     name: str
     components: Components
     domain: Box
-
-    def with_domain(self, domain: Box) -> "Metric2":
-        """Same formula on a different sampling box."""
-        return dataclasses.replace(self, domain=domain)
 
 
 @dataclass(frozen=True)
@@ -98,6 +91,15 @@ def metric_values(m: Metric2, p: tuple[float, float]) -> tuple[float, float, flo
         )
     g11, g12, g22 = m.components(constant(x), constant(y))
     return g11.val, g12.val, g22.val
+
+
+def det3(r0, r1, r2) -> float:
+    """Determinant of the 3x3 matrix with rows r0, r1, r2."""
+    return float(
+        r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
+        - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
+        + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0])
+    )
 
 
 def brioschi_curvature(m: Metric2, p: tuple[float, float]) -> float:
@@ -292,10 +294,6 @@ def metric(name: str, domain: Optional[Box] = None) -> Metric2:
         raise CatalogError(f"unknown metric '{name}'; available: {', '.join(sorted(_METRICS))}")
     components, box, _ = entry
     return Metric2(name, components, domain or box)
-
-
-def metric_names() -> list[str]:
-    return sorted(_METRICS)
 
 
 def metric_entries() -> list[tuple[str, str]]:

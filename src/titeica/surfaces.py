@@ -82,26 +82,25 @@ class AmbientForm:
         s = self.signature
         return float(s[0] * v[0] * w[0] + s[1] * v[1] * w[1] + s[2] * v[2] * w[2])
 
-    def apply(self, v) -> np.ndarray:
-        """Componentwise signature scaling of a 3-vector."""
-        s = self.signature
-        return np.array([s[0] * v[0], s[1] * v[1], s[2] * v[2]])
-
 
 EUCLIDEAN = AmbientForm((1, 1, 1), "euclidean")
 MINKOWSKI = AmbientForm((-1, 1, 1), "minkowski")
 
 
+Vec3 = tuple[float, float, float]
+
+
 @dataclass(frozen=True, eq=False)
 class SurfaceJet:
-    """Position and first/second partial derivatives at one parameter point."""
+    """Position and first/second partial derivatives at one parameter
+    point, each a float triple."""
 
-    f: np.ndarray
-    f_x: np.ndarray
-    f_y: np.ndarray
-    f_xx: np.ndarray
-    f_xy: np.ndarray
-    f_yy: np.ndarray
+    f: Vec3
+    f_x: Vec3
+    f_y: Vec3
+    f_xx: Vec3
+    f_xy: Vec3
+    f_yy: Vec3
 
 
 Evaluator = Callable[[Jet2, Jet2], Union[Jet2, tuple[Jet2, Jet2, Jet2]]]
@@ -146,12 +145,12 @@ def eval_surface(s: SurfaceDef, x: float, y: float) -> SurfaceJet:
         )
     cx, cy, cz = parametric_jets(s, *seed_xy(x, y))
     return SurfaceJet(
-        f=np.array([cx.val, cy.val, cz.val]),
-        f_x=np.array([cx.dx, cy.dx, cz.dx]),
-        f_y=np.array([cx.dy, cy.dy, cz.dy]),
-        f_xx=np.array([cx.dxx, cy.dxx, cz.dxx]),
-        f_xy=np.array([cx.dxy, cy.dxy, cz.dxy]),
-        f_yy=np.array([cx.dyy, cy.dyy, cz.dyy]),
+        f=(cx.val, cy.val, cz.val),
+        f_x=(cx.dx, cy.dx, cz.dx),
+        f_y=(cx.dy, cy.dy, cz.dy),
+        f_xx=(cx.dxx, cy.dxx, cz.dxx),
+        f_xy=(cx.dxy, cy.dxy, cz.dxy),
+        f_yy=(cx.dyy, cy.dyy, cz.dyy),
     )
 
 

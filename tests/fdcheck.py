@@ -4,8 +4,7 @@ Central differences on a 9-point stencil, with separate steps for first
 and second derivatives (the optimal step scales like eps^(1/3) for first
 derivatives and eps^(1/4) for second ones in double precision).  This
 module exists so the test suite can validate the forward-mode jets
-against an unrelated computation; nothing in the production paths uses
-it.
+against an unrelated computation.
 """
 
 from __future__ import annotations
@@ -14,10 +13,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import OracleError
-from .jet import Jet2
+from titeica.jet import Jet2
 
-__all__ = ["FDSettings", "fd_jet"]
+__all__ = ["FDSettings", "OracleError", "fd_jet"]
+
+
+class OracleError(Exception):
+    """The finite-difference oracle could not produce an estimate."""
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from titeica.errors import OracleError
-from titeica.fdcheck import FDSettings, fd_jet
+from fdcheck import FDSettings, OracleError, fd_jet
 from titeica.jet import seed_xy
 
 

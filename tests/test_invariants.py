@@ -135,6 +135,13 @@ def test_identity_residual_sphere_radius_two():
     assert abs(titeica_ratio(sj, EUCLIDEAN) - 1.0 / 64.0) <= 1e-9
 
 
+def test_identity_residual_minkowski_sphere():
+    # K/d^4 = det(S) (Vx Vy - Vxy^2)/V^4 with det(S) = -1
+    s = catalog("minkowski-sphere")
+    for x, y in grid_points(s.domain, 20, 20):
+        assert identity_residual(eval_surface(s, x, y), MINKOWSKI) <= 1e-12
+
+
 def test_volume_route_matches_on_random_polynomials():
     rng = np.random.default_rng(13)
     for _ in range(100):
@@ -194,10 +201,18 @@ def test_saddle_has_negative_ratio():
 
 
 def test_point_invariants_bundle():
-    inv = point_invariants(eval_surface(catalog("titeica-xyz"), 1.0, 1.0), EUCLIDEAN)
-    assert (inv.Vx, inv.Vy, inv.Vxy, inv.V) == (2.0, 2.0, 1.0, 3.0)
+    # u = 1/(xy) at (1, 1): c = f_x x f_y = (1, 1, 1), K = 1/3, d = sqrt(3)
+    sj = eval_surface(catalog("titeica-xyz"), 1.0, 1.0)
+    inv = point_invariants(sj, EUCLIDEAN)
+    assert abs(inv.K - 1.0 / 3.0) <= 1e-15
+    assert abs(inv.d - math.sqrt(3.0)) <= 1e-15
     assert abs(inv.ratio - 1.0 / 27.0) <= 1e-15
-    assert inv.identity_residual is not None and inv.identity_residual <= 1e-12
+    assert (inv.K, inv.d, inv.ratio) == (
+        gaussian_curvature(sj, EUCLIDEAN),
+        tangent_distance(sj, EUCLIDEAN),
+        titeica_ratio(sj, EUCLIDEAN),
+    )
     mink = point_invariants(eval_surface(catalog("minkowski-sphere"), 0.7, 1.1), MINKOWSKI)
-    assert mink.identity_residual is None
+    assert abs(mink.K + 1.0) <= 1e-9
+    assert abs(mink.d - 1.0) <= 1e-10
     assert abs(mink.ratio + 1.0) <= 1e-9

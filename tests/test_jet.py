@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import exprgen
+from fdcheck import FDSettings, fd_jet
 from titeica import jet
 from titeica.errors import DomainError
-from titeica.fdcheck import FDSettings, fd_jet
 from titeica.jet import Jet2, constant, seed_x, seed_xy, seed_y
 
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from fdcheck import fd_jet
 from titeica.errors import CatalogError, DomainError
-from titeica.fdcheck import fd_jet
 from titeica.invariants import fundamental_forms
 from titeica.jet import seed_xy
 from titeica.surfaces import (
