@@ -18,11 +18,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import RegularityError, SignatureError, SingularPointError
 from .invariants import oriented_volumes, titeica_ratio
 from .jet import Jet2
+from .metrics import det3
 from .surfaces import EUCLIDEAN, SurfaceDef, eval_surface, parametric_jets
 
 __all__ = ["CentroAffineMap", "apply_map", "verify_scaling", "ScalingPoint", "ScalingReport"]
@@ -30,28 +29,30 @@ __all__ = ["CentroAffineMap", "apply_map", "verify_scaling", "ScalingPoint", "Sc
 MIN_DET = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CentroAffineMap:
-    """Invertible 3x3 real matrix acting on surfaces by row vector x matrix."""
+    """Invertible 3x3 real matrix (3 float row tuples) acting on surfaces by row vector x matrix."""
 
-    matrix: np.ndarray
+    matrix: tuple[tuple[float, float, float], ...]
     det: float
 
     @classmethod
-    def of(cls, entries) -> "CentroAffineMap":
-        m = np.array(entries, dtype=float).reshape(3, 3)
-        d = float(np.linalg.det(m))
+    def of(cls, rows) -> "CentroAffineMap":
+        m = tuple(tuple(float(v) for v in row) for row in rows)
+        if len(m) != 3 or any(len(row) != 3 or not all(map(math.isfinite, row)) for row in m):
+            raise ValueError(f"centro-affine matrix must be 3 rows of 3 finite entries, got {m}")
+        d = det3(*m)
         if abs(d) <= MIN_DET:
             raise ValueError(f"centro-affine matrix must be invertible, |det| = {abs(d):g}")
-        m.flags.writeable = False
         return cls(m, d)
 
     @classmethod
     def identity(cls) -> "CentroAffineMap":
-        return cls.of(np.eye(3))
+        return cls.of(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
 
     def __matmul__(self, other: "CentroAffineMap") -> "CentroAffineMap":
-        return CentroAffineMap.of(self.matrix @ other.matrix)
+        cols = tuple(zip(*other.matrix))
+        return self.of([[r[0] * c[0] + r[1] * c[1] + r[2] * c[2] for c in cols] for r in self.matrix])
 
 
 def apply_map(s: SurfaceDef, a: CentroAffineMap) -> SurfaceDef:
@@ -64,11 +65,10 @@ def apply_map(s: SurfaceDef, a: CentroAffineMap) -> SurfaceDef:
         raise SignatureError(
             f"centro-affine action requires a Euclidean-ambient surface, got '{s.ambient.name}'"
         )
-    m = a.matrix
 
     def image(jx: Jet2, jy: Jet2):
         c0, c1, c2 = parametric_jets(s, jx, jy)
-        return tuple(c0 * m[0, k] + c1 * m[1, k] + c2 * m[2, k] for k in range(3))
+        return tuple(c0 * a0 + c1 * a1 + c2 * a2 for a0, a1, a2 in zip(*a.matrix))
 
     return SurfaceDef(f"{s.name}|mapped", "parametric", image, s.domain, EUCLIDEAN)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import sys
@@ -164,8 +165,8 @@ def _validate(config: RunConfig) -> None:
     nx, ny = config.grid
     if nx < 2 or ny < 2:
         raise UsageError(f"grid: both axes need at least 2 points, got {nx} x {ny}")
-    if config.tolerance <= 0.0:
-        raise UsageError(f"tolerance: must be positive, got {config.tolerance}")
+    if not 0.0 < config.tolerance < math.inf:
+        raise UsageError(f"tolerance: must be positive and finite, got {config.tolerance}")
     if config.format not in ("text", "json", "csv"):
         raise UsageError(f"format: expected text, json or csv, got '{config.format}'")
     if config.command in ("invariants", "classify", "transform-check") and not config.surface:
@@ -242,7 +243,7 @@ def _cmd_classify(config: RunConfig):
 def _cmd_transform_check(config: RunConfig):
     s = catalog(config.surface, **config.params)
     try:
-        a = CentroAffineMap.of(config.matrix)
+        a = CentroAffineMap.of([config.matrix[i:i + 3] for i in (0, 3, 6)])
     except ValueError as exc:
         raise UsageError(f"matrix: {exc}") from exc
     nx, ny = config.grid
@@ -335,15 +336,15 @@ def _fmt(v) -> str:
 
 
 def _json_text(value, indent: int = 0) -> str:
-    # json.dumps formats floats with repr(); the report contract is 17
-    # significant digits, so emit the document by hand.
+    # json.dumps writes floats with repr() and inf/nan as bare tokens; the report
+    # contract is 17 significant digits and strict JSON, so emit the document by hand.
     pad = "  " * indent
     if value is None:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return format(value, ".17g")
+        return format(value, ".17g") if math.isfinite(value) else "null"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
@@ -476,10 +477,9 @@ def _parse_params(pairs) -> dict:
 
 def _parse_matrix(text: str) -> tuple[float, ...]:
     try:
-        entries = tuple(float(tok) for tok in text.replace(" ", "").split(",") if tok)
+        return tuple(float(tok) for tok in text.replace(" ", "").split(",") if tok)
     except ValueError as exc:
         raise UsageError(f"matrix: could not parse '{text}'") from exc
-    return entries
 
 
 def _build_parser() -> argparse.ArgumentParser:

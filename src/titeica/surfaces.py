@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
-import numpy as np
-
 from . import jet
 from .errors import CatalogError, DomainError
 from .jet import Jet2, constant, seed_xy
@@ -64,11 +62,16 @@ def grid_points(box: Box, nx: int, ny: int) -> list[tuple[float, float]]:
     box width so every point is strictly interior."""
     if nx < 2 or ny < 2:
         raise ValueError(f"grid needs at least 2 points per axis, got {nx} x {ny}")
-    mx = 0.01 * (box.x1 - box.x0)
-    my = 0.01 * (box.y1 - box.y0)
-    xs = np.linspace(box.x0 + mx, box.x1 - mx, nx)
-    ys = np.linspace(box.y0 + my, box.y1 - my, ny)
-    return [(float(x), float(y)) for y in ys for x in xs]
+    xs = _inset_axis(box.x0, box.x1, nx)
+    return [(x, y) for y in _inset_axis(box.y0, box.y1, ny) for x in xs]
+
+
+def _inset_axis(lo: float, hi: float, n: int) -> list[float]:
+    # The floats of an endpoint-inclusive linspace: a + i*step, then b exactly.
+    m = 0.01 * (hi - lo)
+    a, b = lo + m, hi - m
+    step = (b - a) / (n - 1)
+    return [a + i * step for i in range(n - 1)] + [b]
 
 
 @dataclass(frozen=True)

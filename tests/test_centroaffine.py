@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,49 @@ def test_construction_rejects_singular():
         CentroAffineMap.of([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
     with pytest.raises(ValueError):
         CentroAffineMap.of(np.eye(3) * 1e-5)  # det = 1e-15
+
+
+def test_construction_rejects_non_finite_entries():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite entries"):
+            CentroAffineMap.of([[bad, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def well_conditioned(rng):
+    return np.eye(3) + 0.25 * rng.normal(size=(3, 3))
+
+
+def assert_float_rows(a):
+    assert type(a.matrix) is tuple and len(a.matrix) == 3
+    for row in a.matrix:
+        assert type(row) is tuple and len(row) == 3
+        assert all(type(v) is float for v in row)
+
+
+def test_matrix_is_tuple_of_float_rows():
+    assert_float_rows(CentroAffineMap.of([[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    assert_float_rows(CentroAffineMap.of(np.diag([2.0, 1.0, 1.0])))
+    assert_float_rows(CentroAffineMap.identity())
+    assert_float_rows(CentroAffineMap.identity() @ CentroAffineMap.of(2.0 * np.eye(3)))
+
+
+def test_det_matches_numpy():
+    assert CentroAffineMap.of(2.0 * np.eye(3)).det == 8.0
+    rng = np.random.default_rng(59)
+    for _ in range(500):
+        m = well_conditioned(rng) * 10.0 ** rng.uniform(-3.0, 3.0)
+        ref = np.linalg.det(m)
+        assert abs(CentroAffineMap.of(m).det - ref) <= 1e-12 * abs(ref)
+
+
+def test_product_matches_numpy():
+    rng = np.random.default_rng(61)
+    for _ in range(500):
+        a, b = well_conditioned(rng), well_conditioned(rng)
+        ref = a @ b
+        # relative to |a| @ |b|, the scale of each entry's rounding error
+        bound = 1e-15 * (np.abs(a) @ np.abs(b))
+        assert np.all(np.abs(np.array((CentroAffineMap.of(a) @ CentroAffineMap.of(b)).matrix) - ref) <= bound)
 
 
 def test_identity_action_is_exact():

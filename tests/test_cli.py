@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import titeica
 from titeica.cli import RunConfig, classify, main, parse_config, run, scan_grid
 from titeica.errors import InconclusiveError, UsageError
 from titeica.surfaces import catalog
@@ -101,6 +105,66 @@ def test_cli_transform_check_rejects_bad_matrix(capsys):
         "--matrix", "1,0,0,0,1,0,1,1,0",
     ]) == 2
     assert "matrix" in capsys.readouterr().err
+    for entries in ("nan,0,0,0,1,0,0,0,1", "1,0,0,0,inf,0,0,0,1"):
+        assert main(["transform-check", "--surface", "paraboloid", "--matrix", entries]) == 2
+        assert capsys.readouterr().err.startswith("error: matrix: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--surface", "sphere-origin", "--tol", "nan"],
+    ["transform-check", "--surface", "titeica-xyz", "--matrix", "2,0,0,0,1,0,0,0,1", "--tol", "inf"],
+    ["--config", "{config}"],
+])
+def test_cli_rejects_non_finite_tolerance(argv, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"command": "classify", "surface": "sphere-origin", "tolerance": float("nan")}))
+    assert main([a.format(config=cfg) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tolerance: ")
+
+
+def test_json_report_is_strict_json(capsys):
+    # every point of the plane is skipped, so the maxima have no finite value
+    assert main([
+        "transform-check", "--surface", "plane", "--matrix", "2,0,0,0,1,0,0,0,1", "--format", "json",
+    ]) == 1
+
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    summary = json.loads(capsys.readouterr().out, parse_constant=refuse)["summary"]
+    assert summary["points_evaluated"] == 0
+    assert summary["max_ratio_residual"] is None
+
+
+BLOCK_NUMPY = """
+import json, sys
+
+class BlockNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "numpy":
+            raise ImportError("numpy is blocked")
+
+sys.meta_path.insert(0, BlockNumpy())
+import titeica
+from titeica.cli import main
+
+codes = [
+    main(["classify", "--surface", "titeica-xyz", "--grid", "5", "5"]),
+    main(["transform-check", "--surface", "titeica-xyz", "--matrix", "2,0,0,0,1,0,0,0,1", "--grid", "5", "5"]),
+    main(["metric-check", "--pair", "disk:minkowski-sphere", "--grid", "5", "5"]),
+]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}), file=sys.stderr)
+"""
+
+
+def test_package_runs_without_numpy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(titeica.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", BLOCK_NUMPY], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1]) == {"codes": [0, 0, 0], "numpy": False}
 
 
 def test_cli_metric_check_chain():

@@ -7,6 +7,7 @@ from fdcheck import fd_jet
 from titeica.errors import CatalogError, DomainError
 from titeica.invariants import fundamental_forms
 from titeica.jet import seed_xy
+from titeica.metrics import metric, metric_entries, metric_pair, pair_names
 from titeica.surfaces import (
     EUCLIDEAN,
     MINKOWSKI,
@@ -119,6 +120,39 @@ def test_grid_is_row_major_and_inset():
     assert pts[-1] == (0.99, 0.99)
     with pytest.raises(ValueError):
         grid_points(Box(0.0, 1.0, 0.0, 1.0), 1, 5)
+
+
+def linspace_grid(box, nx, ny):
+    """Reference grid: the 1% inset axes built with numpy.linspace."""
+    mx = 0.01 * (box.x1 - box.x0)
+    my = 0.01 * (box.y1 - box.y0)
+    xs = np.linspace(box.x0 + mx, box.x1 - mx, nx)
+    ys = np.linspace(box.y0 + my, box.y1 - my, ny)
+    return [(float(x), float(y)) for y in ys for x in xs]
+
+
+def test_grid_matches_linspace_on_catalog_domains():
+    boxes = [catalog(name).domain for name in catalog_names()]
+    boxes += [catalog(name, R=r).domain for name in ("sphere-origin", "sphere-translated") for r in (1e-3, 2.0)]
+    boxes += [metric(name).domain for name, _ in metric_entries()]
+    boxes += [metric_pair(name).sample_box for name in pair_names()]
+    for box in boxes:
+        for nx, ny in ((2, 2), (20, 20), (37, 23), (3, 300)):
+            assert grid_points(box, nx, ny) == linspace_grid(box, nx, ny), (box, nx, ny)
+
+
+def test_grid_matches_linspace_on_random_boxes():
+    rng = np.random.default_rng(53)
+    for _ in range(300):
+        x0, y0 = rng.uniform(-1.0, 1.0, size=2) * 10.0 ** rng.uniform(-3.0, 3.0, size=2)
+        wx, wy = 10.0 ** rng.uniform(-6.0, 4.0, size=2)
+        box = Box(float(x0), float(x0 + wx), float(y0), float(y0 + wy))
+        nx, ny = (int(n) for n in rng.integers(2, 301, size=2))
+        if rng.random() < 0.5:
+            nx = min(nx, 8)  # one short axis keeps the grid small; the other spans 2..300
+        else:
+            ny = min(ny, 8)
+        assert grid_points(box, nx, ny) == linspace_grid(box, nx, ny), (box, nx, ny)
 
 
 def test_ambient_forms():
