@@ -10,7 +10,6 @@ pullback equivalences between the constant-curvature models
 """
 
 from .centroaffine import CentroAffineMap, ScalingReport, apply_map, verify_scaling
-from .cli import ClassifyVerdict, RunConfig, classify, run, scan_grid
 from .errors import (
     CatalogError,
     DomainError,
@@ -69,7 +68,6 @@ __all__ = [
     "Box",
     "CatalogError",
     "CentroAffineMap",
-    "ClassifyVerdict",
     "CoordChange",
     "DomainError",
     "EPS_SINGULAR",
@@ -84,7 +82,6 @@ __all__ = [
     "MINKOWSKI",
     "OrientedVolumes",
     "RegularityError",
-    "RunConfig",
     "ScalingReport",
     "SignatureError",
     "SingularPointError",
@@ -96,7 +93,6 @@ __all__ = [
     "catalog",
     "catalog_names",
     "check_pair",
-    "classify",
     "constant",
     "coord_change",
     "eval_surface",
@@ -110,8 +106,6 @@ __all__ = [
     "oriented_volumes",
     "point_invariants",
     "pullback",
-    "run",
-    "scan_grid",
     "seed_x",
     "seed_xy",
     "seed_y",

@@ -26,7 +26,7 @@ import os
 import statistics
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .centroaffine import CentroAffineMap, verify_scaling
@@ -130,30 +130,45 @@ def _verdict_from_records(name, records, grid, tol) -> ClassifyVerdict:
 # Run configuration
 
 
+def _grid(value) -> tuple[int, int]:
+    grid = tuple(int(v) for v in value)
+    if len(grid) != 2:
+        raise ValueError(f"expected two integers, got {value}")
+    return grid
+
+
+def _matrix(value) -> tuple[float, ...]:
+    if isinstance(value, str):
+        value = [tok for tok in value.replace(" ", "").split(",") if tok]
+    return tuple(float(v) for v in value)
+
+
+def _params(value) -> dict:
+    return {str(k): float(v) for k, v in dict(value).items()}
+
+
+def _field(convert, **default):
+    return field(metadata={"convert": convert}, **default)
+
+
 @dataclass
 class RunConfig:
-    command: str
-    surface: Optional[str] = None
-    params: dict = field(default_factory=dict)
-    pair: Optional[str] = None
-    grid: tuple[int, int] = DEFAULT_GRID
-    matrix: Optional[tuple[float, ...]] = None
-    tolerance: float = DEFAULT_TOL
-    format: str = "text"
-    output: Optional[str] = None
+    """One run.  Each field is a config-file key and the argparse dest of
+    its flag; its ``convert`` turns a flag string or a JSON value into the
+    field's type."""
 
-    def echo(self) -> dict:
-        return {
-            "command": self.command,
-            "surface": self.surface,
-            "params": dict(self.params),
-            "pair": self.pair,
-            "grid": list(self.grid),
-            "matrix": list(self.matrix) if self.matrix is not None else None,
-            "tolerance": self.tolerance,
-            "format": self.format,
-            "output": self.output,
-        }
+    command: str = _field(str)
+    surface: Optional[str] = _field(str, default=None)
+    params: dict = _field(_params, default_factory=dict)
+    pair: Optional[str] = _field(str, default=None)
+    grid: tuple[int, int] = _field(_grid, default=DEFAULT_GRID)
+    matrix: Optional[tuple[float, ...]] = _field(_matrix, default=None)
+    tolerance: float = _field(float, default=DEFAULT_TOL)
+    format: str = _field(str, default="text")
+    output: Optional[str] = _field(str, default=None)
+
+
+_CONVERTERS = {f.name: f.metadata["convert"] for f in fields(RunConfig)}
 
 
 _COMMANDS = ("catalog", "invariants", "classify", "transform-check", "metric-check")
@@ -203,41 +218,23 @@ def _cmd_catalog(config: RunConfig):
     return 0, _report(config, results, summary)
 
 
-def _surface_records(config: RunConfig):
-    s = catalog(config.surface, **config.params)
-    records = scan_grid(s, config.grid)
-    rows = [
-        {"x": r.x, "y": r.y, "K": r.K, "d": r.d, "ratio": r.ratio, "skipped": r.skipped}
-        for r in records
-    ]
-    return s, records, rows
-
-
 def _cmd_invariants(config: RunConfig):
-    _, records, rows = _surface_records(config)
-    evaluated = [r for r in records if r.skipped is None]
+    records = scan_grid(catalog(config.surface, **config.params), config.grid)
+    ratios = [r.ratio for r in records if r.skipped is None]
     summary = {
-        "points_evaluated": len(evaluated),
-        "points_skipped": len(records) - len(evaluated),
-        "ratio_min": min((r.ratio for r in evaluated), default=None),
-        "ratio_max": max((r.ratio for r in evaluated), default=None),
+        "points_evaluated": len(ratios),
+        "points_skipped": len(records) - len(ratios),
+        "ratio_min": min(ratios, default=None),
+        "ratio_max": max(ratios, default=None),
     }
-    return 0, _report(config, rows, summary)
+    return 0, _report(config, [vars(r) for r in records], summary)
 
 
 def _cmd_classify(config: RunConfig):
-    s, records, rows = _surface_records(config)
+    s = catalog(config.surface, **config.params)
+    records = scan_grid(s, config.grid)
     verdict = _verdict_from_records(s.name, records, config.grid, config.tolerance)
-    summary = {
-        "surface": verdict.surface,
-        "is_titeica": verdict.is_titeica,
-        "ratio_constant": verdict.ratio_constant,
-        "spread": verdict.spread,
-        "points_evaluated": verdict.points_evaluated,
-        "points_skipped": verdict.points_skipped,
-        "tolerance": verdict.tolerance,
-    }
-    return 0, _report(config, rows, summary)
+    return 0, _report(config, [vars(r) for r in records], vars(verdict))
 
 
 def _cmd_transform_check(config: RunConfig):
@@ -248,19 +245,6 @@ def _cmd_transform_check(config: RunConfig):
         raise UsageError(f"matrix: {exc}") from exc
     nx, ny = config.grid
     report = verify_scaling(s, a, grid_points(s.domain, nx, ny), config.tolerance)
-    rows = [
-        {
-            "x": p.x,
-            "y": p.y,
-            "ratio_before": p.ratio_before,
-            "ratio_after": p.ratio_after,
-            "ratio_residual": p.ratio_residual,
-            "volume_residual": p.volume_residual,
-            "numerator_residual": p.numerator_residual,
-            "skipped": p.skipped,
-        }
-        for p in report.points
-    ]
     summary = {
         "surface": report.surface,
         "det": report.det,
@@ -273,26 +257,14 @@ def _cmd_transform_check(config: RunConfig):
         "tolerance": report.tol,
         "passed": report.passed,
     }
-    return (0 if report.passed else 1), _report(config, rows, summary)
+    return (0 if report.passed else 1), _report(config, [vars(p) for p in report.points], summary)
 
 
 def _cmd_metric_check(config: RunConfig):
     pair = metric_pair(config.pair)
     nx, ny = config.grid
     check = check_pair(pair, nx, ny, config.tolerance)
-    rows = []
-    for label, rep in check.variants:
-        for p in rep.points:
-            rows.append(
-                {
-                    "variant": label,
-                    "x": p.x,
-                    "y": p.y,
-                    "diff_g11": p.diff_g11,
-                    "diff_g12": p.diff_g12,
-                    "diff_g22": p.diff_g22,
-                }
-            )
+    rows = [{"variant": label, **vars(p)} for label, rep in check.variants for p in rep.points]
     summary = {
         "pair": check.pair,
         "variants": {label: {"max_diff": rep.max_diff, "passed": rep.passed} for label, rep in check.variants},
@@ -306,7 +278,7 @@ def _cmd_metric_check(config: RunConfig):
 def _report(config: RunConfig, results, summary) -> dict:
     return {
         "command": config.command,
-        "config": config.echo(),
+        "config": {k: list(v) if isinstance(v, tuple) else v for k, v in vars(config).items()},
         "results": results,
         "summary": summary,
     }
@@ -462,33 +434,20 @@ def run(config: RunConfig) -> int:
 # Argument parsing
 
 
-def _parse_params(pairs) -> dict:
-    params = {}
-    for item in pairs:
-        key, sep, value = item.partition("=")
-        if not sep or not key:
-            raise UsageError(f"param: expected KEY=VALUE, got '{item}'")
-        try:
-            params[key] = float(value)
-        except ValueError as exc:
-            raise UsageError(f"param: value of '{key}' is not a number: '{value}'") from exc
-    return params
-
-
-def _parse_matrix(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.replace(" ", "").split(",") if tok)
-    except ValueError as exc:
-        raise UsageError(f"matrix: could not parse '{text}'") from exc
+def _key_value(item: str) -> tuple[str, str]:
+    key, sep, value = item.partition("=")
+    if not sep or not key:
+        raise UsageError(f"params: expected KEY=VALUE, got '{item}'")
+    return key, value
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="JSON config file; flags override file values")
-    common.add_argument("--grid", nargs=2, type=int, metavar=("NX", "NY"),
+    common.add_argument("--grid", nargs=2, metavar=("NX", "NY"),
                         default=argparse.SUPPRESS, help="sample grid size (default 20 20)")
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
+    common.add_argument("--tol", dest="tolerance", metavar="TOL", default=argparse.SUPPRESS,
                         help="tolerance (default 1e-8)")
     common.add_argument("--format", choices=("text", "json", "csv"),
                         default=argparse.SUPPRESS, help="report format (default text)")
@@ -503,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     surface = argparse.ArgumentParser(add_help=False)
     surface.add_argument("--surface", default=argparse.SUPPRESS, help="catalog surface name")
-    surface.add_argument("--param", action="append", default=argparse.SUPPRESS,
+    surface.add_argument("--param", dest="params", action="append", default=argparse.SUPPRESS,
                          metavar="KEY=VALUE", help="surface parameter (repeatable)")
 
     sub = parser.add_subparsers(dest="command")
@@ -524,11 +483,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = {
-    "command", "surface", "params", "pair", "grid", "matrix", "tolerance", "format", "output",
-}
-
-
 def _load_config_file(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -539,57 +493,34 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"config: '{path}' is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"config: '{path}' must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - set(_CONVERTERS)
     if unknown:
         raise UsageError(f"config: unknown field(s) {sorted(unknown)} in '{path}'")
     return data
 
 
 def parse_config(argv=None) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
-    provided = {k: v for k, v in vars(ns).items() if v is not None}
-
-    file_cfg = {}
-    if provided.get("config"):
-        file_cfg = _load_config_file(provided["config"])
-
-    command = provided.get("command") or file_cfg.get("command")
-    if not command:
+    """Merge the given flags over the config file's object and convert
+    every value with its field's converter.  A null or absent value takes
+    the field's default; ``--param`` items merge key by key over the
+    file's ``params``."""
+    flags = vars(_build_parser().parse_args(argv))
+    if "params" in flags:
+        flags["params"] = dict(map(_key_value, flags["params"]))
+    file_values = _load_config_file(flags.pop("config")) if "config" in flags else {}
+    values = {}
+    for source in (file_values, flags):
+        for name, value in source.items():
+            if value is None:
+                continue
+            try:
+                value = _CONVERTERS[name](value)
+            except (TypeError, ValueError) as exc:
+                raise UsageError(f"{name}: {exc}") from exc
+            values[name] = {**values.get("params", {}), **value} if name == "params" else value
+    if "command" not in values:
         raise UsageError("command: no command given (on the command line or in the config file)")
-
-    def pick(flag_key, file_key, default):
-        if flag_key in provided:
-            return provided[flag_key]
-        if file_key in file_cfg:
-            return file_cfg[file_key]
-        return default
-
-    params = dict(file_cfg.get("params") or {})
-    if "param" in provided:
-        params.update(_parse_params(provided["param"]))
-    params = {str(k): float(v) for k, v in params.items()}
-
-    matrix = pick("matrix", "matrix", None)
-    if isinstance(matrix, str):
-        matrix = _parse_matrix(matrix)
-    elif isinstance(matrix, list):
-        matrix = tuple(float(v) for v in matrix)
-
-    grid = pick("grid", "grid", list(DEFAULT_GRID))
-    if len(grid) != 2:
-        raise UsageError(f"grid: expected two integers, got {grid}")
-
-    return RunConfig(
-        command=command,
-        surface=pick("surface", "surface", None),
-        params=params,
-        pair=pick("pair", "pair", None),
-        grid=(int(grid[0]), int(grid[1])),
-        matrix=matrix,
-        tolerance=float(pick("tol", "tolerance", DEFAULT_TOL)),
-        format=pick("format", "format", "text"),
-        output=pick("output", "output", None),
-    )
+    return RunConfig(**values)
 
 
 def main(argv=None) -> int:

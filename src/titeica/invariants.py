@@ -31,7 +31,9 @@ Euclidean and -1 for the Minkowski form; :func:`identity_residual`
 measures the gap between the two routes.
 
 A point is singular when |EG - F^2|, then |nn|, then d is at most
-EPS_SINGULAR; the first failing test names the error raised.
+EPS_SINGULAR; the first failing test names the error raised.  So is a
+point whose K, d or K/d^4 is not finite (d^4 beyond float range counts
+as not finite).
 """
 
 from __future__ import annotations
@@ -103,10 +105,16 @@ class _Core(NamedTuple):
         return self
 
     def ratio(self) -> float:
-        d = self.regular().d
+        k, d = self.regular().K, self.d
         if d <= EPS_SINGULAR:
             raise SingularPointError(f"tangent plane passes through the origin (d = {d:g})")
-        return self.K / d**4
+        try:
+            ratio = k / d**4
+        except OverflowError:
+            ratio = math.nan
+        if not all(map(math.isfinite, (k, d, ratio))):
+            raise SingularPointError(f"non-finite K/d^4 (K = {k:g}, d = {d:g})")
+        return ratio
 
 
 def _dot(r, c) -> float:

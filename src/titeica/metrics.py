@@ -85,10 +85,7 @@ class MetricPair:
 def metric_values(m: Metric2, p: tuple[float, float]) -> tuple[float, float, float]:
     """Component values of the metric at a point of its domain."""
     x, y = p
-    if not m.domain.contains(x, y):
-        raise DomainError(
-            f"point ({x:g}, {y:g}) outside domain {m.domain.describe()} of metric '{m.name}'"
-        )
+    m.domain.require(x, y, "metric", m.name)
     g11, g12, g22 = m.components(constant(x), constant(y))
     return g11.val, g12.val, g22.val
 
@@ -110,10 +107,7 @@ def brioschi_curvature(m: Metric2, p: tuple[float, float]) -> float:
     come from evaluating the components on coordinate seeds.
     """
     x, y = p
-    if not m.domain.contains(x, y):
-        raise DomainError(
-            f"point ({x:g}, {y:g}) outside domain {m.domain.describe()} of metric '{m.name}'"
-        )
+    m.domain.require(x, y, "metric", m.name)
     e, f, g = m.components(*seed_xy(x, y))
     disc = e.val * g.val - f.val * f.val
     if e.val <= 0.0 or disc <= 0.0:
@@ -135,11 +129,7 @@ def pullback(m: Metric2, change: CoordChange, p: tuple[float, float]) -> tuple[f
     """Components at p of the metric induced through the coordinate
     change: J^T G(phi(p)) J, with J the Jacobian of phi read off its jets."""
     x, y = p
-    if not change.domain.contains(x, y):
-        raise DomainError(
-            f"point ({x:g}, {y:g}) outside domain {change.domain.describe()} "
-            f"of coordinate change '{change.name}'"
-        )
+    change.domain.require(x, y, "coordinate change", change.name)
     u, v = change.mapping(*seed_xy(x, y))
     if not m.domain.contains(u.val, v.val):
         raise DomainError(

@@ -56,6 +56,12 @@ class Box:
     def describe(self) -> str:
         return f"[{self.x0:g}, {self.x1:g}] x [{self.y0:g}, {self.y1:g}]"
 
+    def require(self, x: float, y: float, kind: str, name: str) -> None:
+        """Raise :class:`DomainError` unless (x, y) is strictly inside the
+        domain of the named object (a surface, metric or coordinate change)."""
+        if not self.contains(x, y):
+            raise DomainError(f"point ({x:g}, {y:g}) outside domain {self.describe()} of {kind} '{name}'")
+
 
 def grid_points(box: Box, nx: int, ny: int) -> list[tuple[float, float]]:
     """Row-major sample grid over the box, endpoints inset by 1% of the
@@ -142,10 +148,7 @@ def eval_surface(s: SurfaceDef, x: float, y: float) -> SurfaceJet:
     f_y = (0, 1, u_y), f_** = (0, 0, u_**) holds bitwise because the
     coordinate jets are exact seeds.
     """
-    if not s.domain.contains(x, y):
-        raise DomainError(
-            f"point ({x:g}, {y:g}) outside domain {s.domain.describe()} of surface '{s.name}'"
-        )
+    s.domain.require(x, y, "surface", s.name)
     cx, cy, cz = parametric_jets(s, *seed_xy(x, y))
     return SurfaceJet(
         f=(cx.val, cy.val, cz.val),

@@ -35,6 +35,15 @@ def test_classify_withholds_verdict_when_grid_is_singular():
         classify(catalog("plane"))
 
 
+@pytest.mark.parametrize("radius", [1e100, 1e200])
+def test_non_finite_ratio_is_a_skipped_point(radius, capsys):
+    # R = 1e100 takes d^4 beyond float range; R = 1e200 makes R^2 inf, so K and d are nan or inf
+    records = scan_grid(catalog("sphere-origin", R=radius), grid=(4, 4))
+    assert all(r.skipped.startswith("non-finite") and r.ratio is None for r in records)
+    assert main(["classify", "--surface", "sphere-origin", "--param", f"R={radius}"]) == 1
+    assert capsys.readouterr().err.startswith("inconclusive: 400/400 grid points")
+
+
 def test_scan_grid_records_skip_reasons():
     records = scan_grid(catalog("plane"), grid=(3, 3))
     assert len(records) == 9
@@ -250,6 +259,46 @@ def test_config_file_with_flag_override(tmp_path):
     assert code == 0
     report = read_json(out)
     assert abs(report["summary"]["ratio_constant"] - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tolerance", "abc"),
+    ("matrix", [[2, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    ("grid", 5),
+    ("params", [1]),
+])
+def test_config_file_value_that_cannot_be_converted(field, value, tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({
+        "command": "transform-check", "surface": "titeica-xyz", "matrix": "2,0,0,0,1,0,0,0,1", field: value,
+    }))
+    assert main(["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field}: ")
+
+
+def test_common_flags_apply_before_the_subcommand(capsys):
+    argv = ["classify", "--surface", "sphere-translated", "--grid", "4", "3", "--format", "json"]
+    assert main(argv) == 0
+    after = json.loads(capsys.readouterr().out)
+    assert after["summary"]["is_titeica"] is False
+    assert main(["--tol", "10", "--grid", "4", "3", "--format", "json", *argv[:3]]) == 0
+    before = json.loads(capsys.readouterr().out)
+    assert before["config"]["tolerance"] == 10.0
+    assert before["config"]["grid"] == [4, 3]
+    assert before["summary"]["is_titeica"] is True
+    assert before["results"] == after["results"]
+
+
+def test_module_entry_point_runs_cleanly():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(titeica.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "titeica.cli", "catalog"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "titeica-xyz" in proc.stdout
 
 
 def test_config_file_unknown_field(tmp_path):

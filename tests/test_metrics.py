@@ -106,6 +106,20 @@ def test_pullback_domain_error_carries_both_points():
     assert "image" in msg and "(2.9, 0.35)" in msg
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda m, c: metric_values(m, (0.0, -1.0)),
+     "point (0, -1) outside domain [-1, 1] x [0.5, 3] of metric 'half-plane'"),
+    (lambda m, c: brioschi_curvature(m, (0.0, -1.0)),
+     "point (0, -1) outside domain [-1, 1] x [0.5, 3] of metric 'half-plane'"),
+    (lambda m, c: pullback(m, c, (-5.0, 0.5)),
+     "point (-5, 0.5) outside domain [0.1, 3] x [0.3, 1.2] of coordinate change 'pseudosphere-to-half-plane'"),
+])
+def test_point_outside_domain_names_the_box_and_its_owner(call, message):
+    with pytest.raises(DomainError) as err:
+        call(metric("half-plane"), coord_change("pseudosphere-to-half-plane"))
+    assert str(err.value) == message
+
+
 def test_metrics_agree_identity_comparison():
     m = metric("half-plane")
     report = metrics_agree(m, m, grid_points(m.domain, 5, 5), 1e-12)
