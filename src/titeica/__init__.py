@@ -58,6 +58,7 @@ from .surfaces import (
     catalog_names,
     eval_surface,
     grid_points,
+    parametric,
 )
 
 __version__ = "0.1.0"
@@ -104,6 +105,7 @@ __all__ = [
     "metric_pair",
     "metrics_agree",
     "oriented_volumes",
+    "parametric",
     "point_invariants",
     "pullback",
     "seed_x",

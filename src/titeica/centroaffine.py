@@ -1,15 +1,18 @@
 """Centro-affine actions on surfaces and verification of the scaling law.
 
 A centro-affine map multiplies the row-vector immersion by an invertible
-3x3 matrix A, component k of the image being sum_i f_i a_ik.  Under this
-action, at matched parameter points,
+3x3 matrix A, component k of the image being sum_i f_i a_ik.  A is
+linear, so every partial derivative of the image is the source's times A
+too: :meth:`CentroAffineMap.act` maps an evaluated jet row by row.  Under
+this action, at matched parameter points,
 
 * the ratio K/d^4 scales by 1/det(A)^2,
 * the position volume scales by det(A),
 * the curvature numerator Vx Vy - Vxy^2 scales by det(A)^2.
 
 :func:`verify_scaling` measures all three numerically over a list of
-points and reports per-point residuals.
+points, evaluating the surface once per point, and reports per-point
+residuals.
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ from typing import Optional
 
 from .errors import RegularityError, SignatureError, SingularPointError
 from .invariants import oriented_volumes, titeica_ratio
-from .jet import Jet2
 from .metrics import det3
-from .surfaces import EUCLIDEAN, SurfaceDef, eval_surface, parametric_jets
+from .surfaces import EUCLIDEAN, SurfaceDef, SurfaceJet, eval_surface
 
 __all__ = ["CentroAffineMap", "apply_map", "verify_scaling", "ScalingPoint", "ScalingReport"]
 
@@ -54,23 +56,35 @@ class CentroAffineMap:
         cols = tuple(zip(*other.matrix))
         return self.of([[r[0] * c[0] + r[1] * c[1] + r[2] * c[2] for c in cols] for r in self.matrix])
 
+    def act(self, sj: SurfaceJet) -> SurfaceJet:
+        """The jet of f . A: A is linear, so every row of the jet (position
+        and each partial derivative) is multiplied by A."""
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = self.matrix
 
-def apply_map(s: SurfaceDef, a: CentroAffineMap) -> SurfaceDef:
-    """Image surface (x, y) -> f(x, y) . A on the same parameter domain.
+        def row(r):
+            r0, r1, r2 = r
+            return (
+                r0 * a00 + r1 * a10 + r2 * a20,
+                r0 * a01 + r1 * a11 + r2 * a21,
+                r0 * a02 + r1 * a12 + r2 * a22,
+            )
 
-    The scaling law is a Euclidean statement, so only Euclidean-ambient
-    surfaces are accepted.
-    """
+        return SurfaceJet(row(sj.f), row(sj.f_x), row(sj.f_y), row(sj.f_xx), row(sj.f_xy), row(sj.f_yy))
+
+
+def _require_euclidean(s: SurfaceDef) -> None:
+    # The scaling law is a Euclidean statement.
     if s.ambient is not EUCLIDEAN:
         raise SignatureError(
             f"centro-affine action requires a Euclidean-ambient surface, got '{s.ambient.name}'"
         )
 
-    def image(jx: Jet2, jy: Jet2):
-        c0, c1, c2 = parametric_jets(s, jx, jy)
-        return tuple(c0 * a0 + c1 * a1 + c2 * a2 for a0, a1, a2 in zip(*a.matrix))
 
-    return SurfaceDef(f"{s.name}|mapped", "parametric", image, s.domain, EUCLIDEAN)
+def apply_map(s: SurfaceDef, a: CentroAffineMap) -> SurfaceDef:
+    """Image surface (x, y) -> f(x, y) . A on the same parameter domain.
+    Only Euclidean-ambient surfaces are accepted."""
+    _require_euclidean(s)
+    return SurfaceDef(f"{s.name}|mapped", lambda x, y: a.act(s.patch(x, y)), s.domain, EUCLIDEAN)
 
 
 @dataclass(frozen=True)
@@ -87,18 +101,21 @@ class ScalingPoint:
 
 @dataclass(frozen=True)
 class ScalingReport:
-    """Per-point and aggregate residuals of the three scaling identities."""
+    """Aggregate and per-point residuals of the three scaling identities;
+    the fields before ``points`` are the transform-check summary, in its
+    order."""
 
     surface: str
     det: float
-    tol: float
-    points: tuple[ScalingPoint, ...]
-    n_evaluated: int
-    n_skipped: int
+    scale_factor: float
     max_ratio_residual: float
     max_volume_residual: float
     max_numerator_residual: float
+    points_evaluated: int
+    points_skipped: int
+    tolerance: float
     passed: bool
+    points: tuple[ScalingPoint, ...]
 
 
 def verify_scaling(s: SurfaceDef, a: CentroAffineMap, points, tol: float) -> ScalingReport:
@@ -109,13 +126,13 @@ def verify_scaling(s: SurfaceDef, a: CentroAffineMap, points, tol: float) -> Sca
     volume.  Singular points are recorded as skipped; a run where every
     point was skipped fails.
     """
-    image = apply_map(s, a)
+    _require_euclidean(s)
     det2 = a.det * a.det
     rows: list[ScalingPoint] = []
     for x, y in points:
         try:
             sj = eval_surface(s, x, y)
-            tj = eval_surface(image, x, y)
+            tj = a.act(sj)
             before = titeica_ratio(sj, EUCLIDEAN)
             after = titeica_ratio(tj, EUCLIDEAN)
         except (SingularPointError, RegularityError, SignatureError) as exc:
@@ -140,12 +157,13 @@ def verify_scaling(s: SurfaceDef, a: CentroAffineMap, points, tol: float) -> Sca
     return ScalingReport(
         surface=s.name,
         det=a.det,
-        tol=tol,
-        points=tuple(rows),
-        n_evaluated=len(evaluated),
-        n_skipped=len(rows) - len(evaluated),
+        scale_factor=1.0 / a.det**2,
         max_ratio_residual=max_r,
         max_volume_residual=max_v,
         max_numerator_residual=max_n,
+        points_evaluated=len(evaluated),
+        points_skipped=len(rows) - len(evaluated),
+        tolerance=tol,
         passed=passed,
+        points=tuple(rows),
     )

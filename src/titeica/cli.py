@@ -48,11 +48,6 @@ __all__ = ["PointRecord", "ClassifyVerdict", "RunConfig", "scan_grid", "classify
 DEFAULT_GRID = (20, 20)
 DEFAULT_TOL = 1e-8
 
-# Spread is measured relative to the median ratio (floored to keep the
-# zero-ratio case finite), so the verdict is invariant under uniform
-# rescaling of the ratio.
-REL_SPREAD_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class PointRecord:
@@ -113,8 +108,12 @@ def _verdict_from_records(name, records, grid, tol) -> ClassifyVerdict:
         raise InconclusiveError(
             f"{skipped}/{total} grid points of '{name}' were singular; verdict withheld"
         )
+    # Spread relative to the median ratio, so the verdict does not change
+    # when the ratio is rescaled (a centro-affine map scales it by 1/det^2).
+    # A zero median has spread 0 if every ratio is 0 and inf otherwise.
     median = statistics.median(ratios)
-    spread = max(abs(r - median) for r in ratios) / max(REL_SPREAD_FLOOR, abs(median))
+    deviation = max(abs(r - median) for r in ratios)
+    spread = deviation / abs(median) if median else (math.inf if deviation else 0.0)
     return ClassifyVerdict(
         surface=name,
         is_titeica=spread <= tol,
@@ -132,7 +131,7 @@ def _verdict_from_records(name, records, grid, tol) -> ClassifyVerdict:
 
 def _grid(value) -> tuple[int, int]:
     grid = tuple(int(v) for v in value)
-    if len(grid) != 2:
+    if len(grid) != 2 or any(g != v for g, v in zip(grid, value) if not isinstance(v, str)):
         raise ValueError(f"expected two integers, got {value}")
     return grid
 
@@ -245,19 +244,9 @@ def _cmd_transform_check(config: RunConfig):
         raise UsageError(f"matrix: {exc}") from exc
     nx, ny = config.grid
     report = verify_scaling(s, a, grid_points(s.domain, nx, ny), config.tolerance)
-    summary = {
-        "surface": report.surface,
-        "det": report.det,
-        "scale_factor": 1.0 / report.det**2,
-        "max_ratio_residual": report.max_ratio_residual,
-        "max_volume_residual": report.max_volume_residual,
-        "max_numerator_residual": report.max_numerator_residual,
-        "points_evaluated": report.n_evaluated,
-        "points_skipped": report.n_skipped,
-        "tolerance": report.tol,
-        "passed": report.passed,
-    }
-    return (0 if report.passed else 1), _report(config, [vars(p) for p in report.points], summary)
+    summary = dict(vars(report))
+    points = summary.pop("points")
+    return (0 if report.passed else 1), _report(config, [vars(p) for p in points], summary)
 
 
 def _cmd_metric_check(config: RunConfig):

@@ -33,12 +33,14 @@ measures the gap between the two routes.
 A point is singular when |EG - F^2|, then |nn|, then d is at most
 EPS_SINGULAR; the first failing test names the error raised.  So is a
 point whose K, d or K/d^4 is not finite (d^4 beyond float range counts
-as not finite).
+as not finite), or whose K/d^4 underflows: K is not 0 but |K/d^4| is
+below the smallest normal float.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -114,6 +116,8 @@ class _Core(NamedTuple):
             ratio = math.nan
         if not all(map(math.isfinite, (k, d, ratio))):
             raise SingularPointError(f"non-finite K/d^4 (K = {k:g}, d = {d:g})")
+        if k != 0.0 and abs(ratio) < sys.float_info.min:
+            raise SingularPointError(f"K/d^4 underflows (K = {k:g}, d = {d:g})")
         return ratio
 
 

@@ -1,10 +1,10 @@
 """Surface patches, ambient bilinear forms and the built-in catalog.
 
-A surface is either a Monge patch (graph of u over the parameter plane,
-so the immersion is (x, y, u(x, y))) or a general parametric patch with
-three coordinate functions.  Evaluation feeds coordinate seeds through
-the evaluator, which yields the position together with all first and
-second partial derivatives as a :class:`SurfaceJet`.
+A surface is a patch: a function from a parameter point to its
+:class:`SurfaceJet`, the position together with all first and second
+partial derivatives.  :func:`parametric` builds one from three coordinate
+functions written on :class:`~titeica.jet.Jet2` seeds; a Monge patch, the
+graph of u over the parameter plane, is the immersion (x, y, u(x, y)).
 
 The catalog holds the concrete surfaces exercised by the verification
 commands; every entry picks a domain box that stays away from coordinate
@@ -14,7 +14,7 @@ singularities (sphere equator, pseudosphere cusp, hyperboloid axis).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 from . import jet
 from .errors import CatalogError, DomainError
@@ -28,7 +28,7 @@ __all__ = [
     "MINKOWSKI",
     "SurfaceJet",
     "SurfaceDef",
-    "parametric_jets",
+    "parametric",
     "eval_surface",
     "catalog",
     "catalog_names",
@@ -112,52 +112,47 @@ class SurfaceJet:
     f_yy: Vec3
 
 
-Evaluator = Callable[[Jet2, Jet2], Union[Jet2, tuple[Jet2, Jet2, Jet2]]]
+Patch = Callable[[float, float], SurfaceJet]
 
 
 @dataclass(frozen=True)
 class SurfaceDef:
-    """A named patch: evaluator, parameter domain and ambient form.
-
-    For kind "monge" the evaluator returns the single height jet u(x, y);
-    for kind "parametric" it returns the three coordinate jets.
-    """
+    """A named patch: the map from a parameter point to its jet, the
+    parameter domain and the ambient form."""
 
     name: str
-    kind: str
-    evaluator: Evaluator
+    patch: Patch
     domain: Box
     ambient: AmbientForm
 
-    def __post_init__(self):
-        if self.kind not in ("monge", "parametric"):
-            raise ValueError(f"unknown surface kind {self.kind!r}")
 
+def parametric(coords: Callable[[Jet2, Jet2], tuple[Jet2, Jet2, Jet2]]) -> Patch:
+    """The patch of the immersion whose coordinate jets ``coords`` returns
+    at seeded parameters.
 
-def parametric_jets(s: SurfaceDef, jx: Jet2, jy: Jet2) -> tuple[Jet2, Jet2, Jet2]:
-    """Coordinate jets of the immersion at seeded parameters."""
-    if s.kind == "monge":
-        return jx, jy, s.evaluator(jx, jy)
-    return s.evaluator(jx, jy)
+    A Monge patch is ``parametric(lambda x, y: (x, y, u(x, y)))``: its
+    first two coordinates are the exact seeds, so f_x = (1, 0, u_x),
+    f_y = (0, 1, u_y) and f_** = (0, 0, u_**) hold bitwise.
+    """
+
+    def patch(x: float, y: float) -> SurfaceJet:
+        cx, cy, cz = coords(*seed_xy(x, y))
+        return SurfaceJet(
+            f=(cx.val, cy.val, cz.val),
+            f_x=(cx.dx, cy.dx, cz.dx),
+            f_y=(cx.dy, cy.dy, cz.dy),
+            f_xx=(cx.dxx, cy.dxx, cz.dxx),
+            f_xy=(cx.dxy, cy.dxy, cz.dxy),
+            f_yy=(cx.dyy, cy.dyy, cz.dyy),
+        )
+
+    return patch
 
 
 def eval_surface(s: SurfaceDef, x: float, y: float) -> SurfaceJet:
-    """Evaluate the patch strictly inside its domain.
-
-    For a Monge patch the structural pattern f_x = (1, 0, u_x),
-    f_y = (0, 1, u_y), f_** = (0, 0, u_**) holds bitwise because the
-    coordinate jets are exact seeds.
-    """
+    """Evaluate the patch strictly inside its domain."""
     s.domain.require(x, y, "surface", s.name)
-    cx, cy, cz = parametric_jets(s, *seed_xy(x, y))
-    return SurfaceJet(
-        f=(cx.val, cy.val, cz.val),
-        f_x=(cx.dx, cy.dx, cz.dx),
-        f_y=(cx.dy, cy.dy, cz.dy),
-        f_xx=(cx.dxx, cy.dxx, cz.dxx),
-        f_xy=(cx.dxy, cy.dxy, cz.dxy),
-        f_yy=(cx.dyy, cy.dyy, cz.dyy),
-    )
+    return s.patch(x, y)
 
 
 # --------------------------------------------------------------------------
@@ -180,8 +175,7 @@ def _make_sphere_origin(p: dict) -> SurfaceDef:
     half = 0.42 * r  # square inscribed in the disk x^2 + y^2 <= (0.6 R)^2
     return SurfaceDef(
         "sphere-origin",
-        "monge",
-        lambda x, y: _sphere_height(r * r, x, y),
+        parametric(lambda x, y: (x, y, _sphere_height(r * r, x, y))),
         Box(-half, half, -half, half),
         EUCLIDEAN,
     )
@@ -192,8 +186,7 @@ def _make_sphere_translated(p: dict) -> SurfaceDef:
     half = 0.42 * r
     return SurfaceDef(
         "sphere-translated",
-        "monge",
-        lambda x, y: _sphere_height(r * r, x, y) + c,
+        parametric(lambda x, y: (x, y, _sphere_height(r * r, x, y) + c)),
         Box(-half, half, -half, half),
         EUCLIDEAN,
     )
@@ -202,8 +195,7 @@ def _make_sphere_translated(p: dict) -> SurfaceDef:
 def _make_titeica_xyz(p: dict) -> SurfaceDef:
     return SurfaceDef(
         "titeica-xyz",
-        "monge",
-        lambda x, y: 1.0 / (x * y),
+        parametric(lambda x, y: (x, y, 1.0 / (x * y))),
         Box(0.5, 2.0, 0.5, 2.0),
         EUCLIDEAN,
     )
@@ -212,8 +204,7 @@ def _make_titeica_xyz(p: dict) -> SurfaceDef:
 def _make_paraboloid(p: dict) -> SurfaceDef:
     return SurfaceDef(
         "paraboloid",
-        "monge",
-        lambda x, y: x * x + y * y,
+        parametric(lambda x, y: (x, y, x * x + y * y)),
         Box(-1.0, 1.0, -1.0, 1.0),
         EUCLIDEAN,
     )
@@ -227,8 +218,7 @@ def _tractrix_revolution(t: Jet2, theta: Jet2) -> tuple[Jet2, Jet2, Jet2]:
 def _make_pseudosphere(p: dict) -> SurfaceDef:
     return SurfaceDef(
         "pseudosphere",
-        "parametric",
-        _tractrix_revolution,
+        parametric(_tractrix_revolution),
         Box(0.5, 2.0, 0.1, 3.0),
         EUCLIDEAN,
     )
@@ -242,8 +232,7 @@ def _forward_hyperboloid(u1: Jet2, u2: Jet2) -> tuple[Jet2, Jet2, Jet2]:
 def _make_minkowski_sphere(p: dict) -> SurfaceDef:
     return SurfaceDef(
         "minkowski-sphere",
-        "parametric",
-        _forward_hyperboloid,
+        parametric(_forward_hyperboloid),
         Box(0.3, 2.0, 0.1, 3.0),
         MINKOWSKI,
     )
@@ -252,8 +241,7 @@ def _make_minkowski_sphere(p: dict) -> SurfaceDef:
 def _make_plane(p: dict) -> SurfaceDef:
     return SurfaceDef(
         "plane",
-        "monge",
-        lambda x, y: constant(0.0),
+        parametric(lambda x, y: (x, y, constant(0.0))),
         Box(-1.0, 1.0, -1.0, 1.0),
         EUCLIDEAN,
     )

@@ -6,7 +6,7 @@ from titeica import jet
 from titeica.centroaffine import CentroAffineMap
 from titeica.errors import GeometryError
 from titeica.invariants import tangent_distance
-from titeica.surfaces import EUCLIDEAN, Box, SurfaceDef, eval_surface
+from titeica.surfaces import EUCLIDEAN, Box, SurfaceDef, SurfaceJet, eval_surface, parametric
 
 
 def random_polynomial_patch(rng, degree=4, coeff_range=2.0, name="poly"):
@@ -23,7 +23,21 @@ def random_polynomial_patch(rng, degree=4, coeff_range=2.0, name="poly"):
             acc = acc + jet.pow_int(x, i) * jet.pow_int(y, j) * c
         return acc
 
-    return SurfaceDef(name, "monge", height, Box(-1.0, 1.0, -1.0, 1.0), EUCLIDEAN)
+    return SurfaceDef(name, parametric(lambda x, y: (x, y, height(x, y))), Box(-1.0, 1.0, -1.0, 1.0), EUCLIDEAN)
+
+
+def jet2_image(sj, a):
+    """Reference for ``a.act(sj)``: the jet of f . A by Jet2 arithmetic.
+
+    The coordinate jets c0, c1, c2 are read back from the rows of ``sj``
+    and each image coordinate is the Jet2 combination c0*a0 + c1*a1 + c2*a2
+    over a column of A, the way a surface evaluator would form it.
+    """
+    rows = (sj.f, sj.f_x, sj.f_y, sj.f_xx, sj.f_xy, sj.f_yy)
+    c0, c1, c2 = (jet.Jet2(*(r[k] for r in rows)) for k in range(3))
+    image = [c0 * a0 + c1 * a1 + c2 * a2 for a0, a1, a2 in zip(*a.matrix)]
+    fields = ("val", "dx", "dy", "dxx", "dxy", "dyy")
+    return SurfaceJet(*(tuple(getattr(c, name) for c in image) for name in fields))
 
 
 def random_regular_point(rng, surface, min_distance=1e-2, max_tries=200):

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_map, random_orthogonal, random_regular_point
+from helpers import jet2_image, random_map, random_orthogonal, random_regular_point
 from titeica.centroaffine import CentroAffineMap, apply_map, verify_scaling
 from titeica.cli import classify
 from titeica.errors import SignatureError
 from titeica.invariants import oriented_volumes, titeica_ratio
-from titeica.surfaces import EUCLIDEAN, catalog, eval_surface, grid_points
+from titeica.surfaces import EUCLIDEAN, catalog, catalog_names, eval_surface, grid_points
 
 
 def test_construction_rejects_singular():
@@ -59,6 +59,35 @@ def test_product_matches_numpy():
         # relative to |a| @ |b|, the scale of each entry's rounding error
         bound = 1e-15 * (np.abs(a) @ np.abs(b))
         assert np.all(np.abs(np.array((CentroAffineMap.of(a) @ CentroAffineMap.of(b)).matrix) - ref) <= bound)
+
+
+JET_ROWS = ("f", "f_x", "f_y", "f_xx", "f_xy", "f_yy")
+
+
+@pytest.mark.parametrize("entries", [
+    "2,0,0,0,2,0,0,0,2",
+    "0.001,0,0,0,0.001,0,0,0,0.001",
+    "1.3,0.2,-0.4,0.1,0.9,0.3,-0.2,0.5,1.1",
+    "0.7,-1.2,0.3,2.1,0.4,-0.6,0.05,0.9,1.7",
+    "-1,0,0,0,1,0,0,0,1",
+    "0,1,0,1,0,0,0,0,-1",
+])
+def test_action_on_jets_matches_jet2_image(entries):
+    # == treats 0.0 and -0.0 as equal: a Jet2 product adds val * 0.0 terms
+    values = [float(v) for v in entries.split(",")]
+    a = CentroAffineMap.of([values[i:i + 3] for i in (0, 3, 6)])
+    for name in catalog_names():
+        s = catalog(name)
+        if s.ambient is not EUCLIDEAN:
+            continue
+        image = apply_map(s, a)
+        for x, y in grid_points(s.domain, 13, 11):
+            acted = a.act(eval_surface(s, x, y))
+            reference = jet2_image(eval_surface(s, x, y), a)
+            mapped = eval_surface(image, x, y)
+            for row in JET_ROWS:
+                assert getattr(acted, row) == getattr(reference, row), (name, x, y, row)
+                assert getattr(mapped, row) == getattr(acted, row), (name, x, y, row)
 
 
 def test_identity_action_is_exact():
@@ -196,5 +225,5 @@ def test_all_skipped_run_fails():
     s = catalog("plane")  # every tangent plane passes through the origin
     report = verify_scaling(s, CentroAffineMap.identity(), grid_points(s.domain, 3, 3), 1e-8)
     assert not report.passed
-    assert report.n_evaluated == 0
-    assert report.n_skipped == 9
+    assert report.points_evaluated == 0
+    assert report.points_skipped == 9

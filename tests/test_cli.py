@@ -44,6 +44,35 @@ def test_non_finite_ratio_is_a_skipped_point(radius, capsys):
     assert capsys.readouterr().err.startswith("inconclusive: 400/400 grid points")
 
 
+@pytest.mark.parametrize("radius", [1e52, 1e60])
+def test_underflowing_ratio_is_a_skipped_point(radius, capsys):
+    # K/d^4 = R^-6 is subnormal at R = 1e52 and rounds to 0 at R = 1e60
+    records = scan_grid(catalog("sphere-origin", R=radius), grid=(4, 4))
+    assert all(r.skipped.startswith("K/d^4 underflows") and r.ratio is None for r in records)
+    assert main(["classify", "--surface", "sphere-origin", "--param", f"R={radius}"]) == 1
+    assert capsys.readouterr().err.startswith("inconclusive: 400/400 grid points")
+
+
+def test_smallest_normal_ratios_are_evaluated():
+    verdict = classify(catalog("sphere-origin", R=1e50))
+    assert verdict.is_titeica
+    assert verdict.points_evaluated == 400
+    assert abs(verdict.ratio_constant - 1e-300) <= 1e-9 * 1e-300
+
+
+def test_classify_verdict_does_not_depend_on_scale():
+    # sphere-translated with R = c = 10^k is the image of the R = c = 1
+    # sphere under 10^k I, which scales the ratio by 10^-6k
+    base = classify(catalog("sphere-translated", R=1.0, c=1.0))
+    for k in range(5):
+        verdict = classify(catalog("sphere-translated", R=10.0**k, c=10.0**k))
+        assert not verdict.is_titeica
+        assert abs(verdict.spread - base.spread) <= 1e-12 * base.spread
+    large = classify(catalog("sphere-origin", R=1e3))
+    assert large.is_titeica
+    assert abs(large.ratio_constant - 1e-18) <= 1e-9 * 1e-18
+
+
 def test_scan_grid_records_skip_reasons():
     records = scan_grid(catalog("plane"), grid=(3, 3))
     assert len(records) == 9
@@ -103,6 +132,15 @@ def test_cli_transform_check_fails_on_absurd_tolerance():
         "--matrix", "2,0,0,0,1,0,0,0,1", "--tol", "1e-300",
     ])
     assert code == 1
+
+
+def test_cli_transform_check_refuses_non_euclidean_surface(capsys):
+    argv = ["transform-check", "--surface", "minkowski-sphere", "--matrix", "2,0,0,0,1,0,0,0,1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("verification error: centro-affine action requires a "
+                            "Euclidean-ambient surface, got 'minkowski'\n")
 
 
 def test_cli_transform_check_rejects_bad_matrix(capsys):
@@ -266,6 +304,7 @@ def test_config_file_with_flag_override(tmp_path):
     ("matrix", [[2, 0, 0], [0, 1, 0], [0, 0, 1]]),
     ("grid", 5),
     ("params", [1]),
+    ("grid", [2.9, 3]),
 ])
 def test_config_file_value_that_cannot_be_converted(field, value, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
@@ -276,6 +315,12 @@ def test_config_file_value_that_cannot_be_converted(field, value, tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {field}: ")
+
+
+def test_config_file_grid_takes_integral_numbers(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"command": "classify", "surface": "sphere-origin", "grid": [3.0, 3]}))
+    assert parse_config(["--config", str(cfg)]).grid == (3, 3)
 
 
 def test_common_flags_apply_before_the_subcommand(capsys):

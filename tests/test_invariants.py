@@ -23,6 +23,7 @@ from titeica.surfaces import (
     catalog,
     eval_surface,
     grid_points,
+    parametric,
 )
 
 
@@ -125,7 +126,7 @@ def test_identity_residual_cubic_patch():
     def height(x, y):
         return jet.pow_int(x, 3) + 2.0 * x * (y * y) - y
 
-    s = SurfaceDef("cubic", "monge", height, Box(-1, 1, -1, 1), EUCLIDEAN)
+    s = SurfaceDef("cubic", parametric(lambda x, y: (x, y, height(x, y))), Box(-1, 1, -1, 1), EUCLIDEAN)
     assert identity_residual(eval_surface(s, 0.3, 0.7)) <= 1e-10
 
 
@@ -173,7 +174,7 @@ def test_parametrization_independence_of_sphere():
         sa = jet.sin(a)
         return sa * jet.cos(b), sa * jet.sin(b), jet.cos(a)
 
-    chart = SurfaceDef("sphere-angular", "parametric", angular, Box(0.05, 0.5, 0.05, 1.5), EUCLIDEAN)
+    chart = SurfaceDef("sphere-angular", parametric(angular), Box(0.05, 0.5, 0.05, 1.5), EUCLIDEAN)
     monge = catalog("sphere-origin", R=1.0)
     rng = np.random.default_rng(23)
     for _ in range(25):
@@ -192,7 +193,7 @@ def test_saddle_has_negative_ratio():
     def height(x, y):
         return x * x - y * y
 
-    s = SurfaceDef("saddle", "monge", height, Box(-1, 1, -1, 1), EUCLIDEAN)
+    s = SurfaceDef("saddle", parametric(lambda x, y: (x, y, height(x, y))), Box(-1, 1, -1, 1), EUCLIDEAN)
     for x, y in [(0.2, 0.1), (-0.3, 0.15), (0.05, 0.25), (0.4, -0.1)]:
         sj = eval_surface(s, x, y)
         vols = oriented_volumes(sj)
