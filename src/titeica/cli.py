@@ -27,6 +27,7 @@ import statistics
 import sys
 import tempfile
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii as _json_string  # what json.dumps(str) returns
 from typing import Optional
 
 from .centroaffine import CentroAffineMap, verify_scaling
@@ -49,7 +50,7 @@ DEFAULT_GRID = (20, 20)
 DEFAULT_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass
 class PointRecord:
     x: float
     y: float
@@ -81,7 +82,7 @@ def scan_grid(s: SurfaceDef, grid: tuple[int, int] = DEFAULT_GRID) -> list[Point
         except (SingularPointError, RegularityError, SignatureError) as exc:
             records.append(PointRecord(x, y, skipped=str(exc)))
             continue
-        records.append(PointRecord(x, y, K=inv.K, d=inv.d, ratio=inv.ratio))
+        records.append(PointRecord(x, y, inv.K, inv.d, inv.ratio))
     return records
 
 
@@ -130,6 +131,10 @@ def _verdict_from_records(name, records, grid, tol) -> ClassifyVerdict:
 
 
 def _grid(value) -> tuple[int, int]:
+    # A flag value is a list of two strings; a config-file string such as
+    # "34" would otherwise be read digit by digit.
+    if isinstance(value, str):
+        raise ValueError(f"expected two integers, got {value!r}")
     grid = tuple(int(v) for v in value)
     if len(grid) != 2 or any(g != v for g, v in zip(grid, value) if not isinstance(v, str)):
         raise ValueError(f"expected two integers, got {value}")
@@ -287,36 +292,37 @@ _HANDLERS = {
 
 
 def _fmt(v) -> str:
+    if isinstance(v, float):
+        return format(v, ".17g")
     if v is None:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return format(v, ".17g")
     return str(v)
 
 
 def _json_text(value, indent: int = 0) -> str:
     # json.dumps writes floats with repr() and inf/nan as bare tokens; the report
     # contract is 17 significant digits and strict JSON, so emit the document by hand.
-    pad = "  " * indent
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    # The tests run from the most frequent type (a float cell) down.
     if isinstance(value, float):
         return format(value, ".17g") if math.isfinite(value) else "null"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return json.dumps(value)
+    pad = "  " * indent
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {_json_text(v, indent + 1)}" for k, v in value.items()
+            f"{pad}  {_json_string(str(k))}: {_json_text(v, indent + 1)}" for k, v in value.items()
         )
         return "{\n" + inner + "\n" + pad + "}"
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return _json_string(value)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"

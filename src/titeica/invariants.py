@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import GeometryError, RegularityError, SignatureError, SingularPointError
@@ -82,8 +81,7 @@ class OrientedVolumes(NamedTuple):
     V: float
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """K, d and K/d^4 at one point: the values a grid scan records."""
 
     K: float
@@ -114,7 +112,7 @@ class _Core(NamedTuple):
             ratio = k / d**4
         except OverflowError:
             ratio = math.nan
-        if not all(map(math.isfinite, (k, d, ratio))):
+        if not (math.isfinite(k) and math.isfinite(d) and math.isfinite(ratio)):
             raise SingularPointError(f"non-finite K/d^4 (K = {k:g}, d = {d:g})")
         if k != 0.0 and abs(ratio) < sys.float_info.min:
             raise SingularPointError(f"K/d^4 underflows (K = {k:g}, d = {d:g})")
@@ -128,9 +126,11 @@ def _dot(r, c) -> float:
 def _core(sj: SurfaceJet, amb: AmbientForm) -> _Core:
     """The single pass over a point; never raises."""
     (x0, x1, x2), (y0, y1, y2) = sj.f_x, sj.f_y
-    e = amb.inner(sj.f_x, sj.f_x)
-    f = amb.inner(sj.f_x, sj.f_y)
-    g = amb.inner(sj.f_y, sj.f_y)
+    # AmbientForm.inner, spelled out with the same operand order.
+    s0, s1, s2 = amb.signature
+    e = float(s0 * x0 * x0 + s1 * x1 * x1 + s2 * x2 * x2)
+    f = float(s0 * x0 * y0 + s1 * x1 * y1 + s2 * x2 * y2)
+    g = float(s0 * y0 * y0 + s1 * y1 * y1 + s2 * y2 * y2)
     # numpy.cross operand order: tests/frame_reference.py holds every
     # derived float bitwise to the frame built with it.
     c = (x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0)
@@ -138,7 +138,8 @@ def _core(sj: SurfaceJet, amb: AmbientForm) -> _Core:
     disc = e * g - f * f
     if abs(disc) <= EPS_SINGULAR:
         return _Core(vols, RegularityError(f"degenerate tangent plane (EG - F^2 = {disc:g})"))
-    nn = amb.inner(c, c)
+    c0, c1, c2 = c
+    nn = float(s0 * c0 * c0 + s1 * c1 * c1 + s2 * c2 * c2)
     if abs(nn) <= EPS_SINGULAR:
         return _Core(vols, SignatureError(f"normal vector is null under the {amb.name} form"))
     scale = 1.0 / math.sqrt(abs(nn))

@@ -21,7 +21,8 @@ is safe to spread over any number of threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -45,9 +46,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Jet2:
-    """Value, gradient and symmetric Hessian of a scalar in (x, y)."""
+class Jet2(NamedTuple):
+    """Value, gradient and symmetric Hessian of a scalar in (x, y).
+
+    An immutable named tuple of six floats: it compares and hashes by
+    value and has no order.  The operators below replace tuple
+    concatenation and repetition with jet arithmetic; a jet combined with
+    anything but a jet or a real number raises TypeError.
+    """
 
     val: float
     dx: float = 0.0
@@ -56,18 +62,17 @@ class Jet2:
     dxy: float = 0.0
     dyy: float = 0.0
 
+    # numpy scalars defer to the jet's reflected operators instead of
+    # broadcasting over its six fields.
+    __array_ufunc__ = None
+
     def __add__(self, other):
         o = _lift(other)
         if o is None:
-            return NotImplemented
-        return Jet2(
-            self.val + o.val,
-            self.dx + o.dx,
-            self.dy + o.dy,
-            self.dxx + o.dxx,
-            self.dxy + o.dxy,
-            self.dyy + o.dyy,
-        )
+            raise _refused("+", other)
+        a0, a1, a2, a3, a4, a5 = self
+        b0, b1, b2, b3, b4, b5 = o
+        return _new(Jet2, (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5))
 
     __radd__ = __add__
 
@@ -75,39 +80,34 @@ class Jet2:
         o = _lift(other)
         if o is None:
             return NotImplemented
-        return Jet2(
-            self.val - o.val,
-            self.dx - o.dx,
-            self.dy - o.dy,
-            self.dxx - o.dxx,
-            self.dxy - o.dxy,
-            self.dyy - o.dyy,
-        )
+        return _sub(self, o)
 
     def __rsub__(self, other):
         o = _lift(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return _sub(o, self)
 
     def __neg__(self):
-        return Jet2(-self.val, -self.dx, -self.dy, -self.dxx, -self.dxy, -self.dyy)
+        a0, a1, a2, a3, a4, a5 = self
+        return _new(Jet2, (-a0, -a1, -a2, -a3, -a4, -a5))
 
     def __mul__(self, other):
         # Grouped so that a*b and b*a agree bitwise (addition of the same
         # products in commuted operand order).
         o = _lift(other)
         if o is None:
-            return NotImplemented
-        a, b = self, o
-        return Jet2(
-            a.val * b.val,
-            a.dx * b.val + a.val * b.dx,
-            a.dy * b.val + a.val * b.dy,
-            (a.dxx * b.val + a.val * b.dxx) + 2.0 * (a.dx * b.dx),
-            (a.dxy * b.val + a.val * b.dxy) + (a.dx * b.dy + a.dy * b.dx),
-            (a.dyy * b.val + a.val * b.dyy) + 2.0 * (a.dy * b.dy),
-        )
+            raise _refused("*", other)
+        a0, a1, a2, a3, a4, a5 = self
+        b0, b1, b2, b3, b4, b5 = o
+        return _new(Jet2, (
+            a0 * b0,
+            a1 * b0 + a0 * b1,
+            a2 * b0 + a0 * b2,
+            (a3 * b0 + a0 * b3) + 2.0 * (a1 * b1),
+            (a4 * b0 + a0 * b4) + (a1 * b2 + a2 * b1),
+            (a5 * b0 + a0 * b5) + 2.0 * (a2 * b2),
+        ))
 
     __rmul__ = __mul__
 
@@ -115,28 +115,13 @@ class Jet2:
         o = _lift(other)
         if o is None:
             return NotImplemented
-        if o.val == 0.0:
-            raise DomainError("division by a jet with value 0")
-        # Quotient rule, written around q = a/b so the second-order terms
-        # reuse the already-computed first-order ones.
-        iw = 1.0 / o.val
-        q = self.val * iw
-        qx = (self.dx - q * o.dx) * iw
-        qy = (self.dy - q * o.dy) * iw
-        return Jet2(
-            q,
-            qx,
-            qy,
-            (self.dxx - 2.0 * qx * o.dx - q * o.dxx) * iw,
-            (self.dxy - qx * o.dy - qy * o.dx - q * o.dxy) * iw,
-            (self.dyy - 2.0 * qy * o.dy - q * o.dyy) * iw,
-        )
+        return _div(self, o)
 
     def __rtruediv__(self, other):
         o = _lift(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return _div(o, self)
 
     def __pow__(self, exponent):
         if isinstance(exponent, int):
@@ -145,28 +130,73 @@ class Jet2:
             return _pow_real(self, exponent)
         return NotImplemented
 
+    def _unordered(self, other):
+        # Jets have no order.  Returning NotImplemented would let tuple
+        # order compare a jet with a tuple field by field.
+        raise TypeError("Jet2 values have no order")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+
+_new = tuple.__new__
+
 
 def _lift(v):
+    """The six fields of a jet or of a real constant; None otherwise."""
     if isinstance(v, Jet2):
         return v
-    if isinstance(v, (int, float)):
-        return Jet2(float(v))
+    # float and int first: the numbers.Real test is an ABC lookup.
+    if isinstance(v, (float, int, numbers.Real)):
+        return (float(v), 0.0, 0.0, 0.0, 0.0, 0.0)
     return None
+
+
+def _refused(op: str, v) -> TypeError:
+    # + and * raise instead of returning NotImplemented: Python would then
+    # fall back to tuple concatenation or repetition.
+    return TypeError(f"unsupported operand type for {op} with a Jet2: '{type(v).__name__}'")
+
+
+def _sub(a, b) -> Jet2:
+    a0, a1, a2, a3, a4, a5 = a
+    b0, b1, b2, b3, b4, b5 = b
+    return _new(Jet2, (a0 - b0, a1 - b1, a2 - b2, a3 - b3, a4 - b4, a5 - b5))
+
+
+def _div(a, b) -> Jet2:
+    a0, a1, a2, a3, a4, a5 = a
+    b0, b1, b2, b3, b4, b5 = b
+    if b0 == 0.0:
+        raise DomainError("division by a jet with value 0")
+    # Quotient rule, written around q = a/b so the second-order terms
+    # reuse the already-computed first-order ones.
+    iw = 1.0 / b0
+    q = a0 * iw
+    qx = (a1 - q * b1) * iw
+    qy = (a2 - q * b2) * iw
+    return _new(Jet2, (
+        q,
+        qx,
+        qy,
+        (a3 - 2.0 * qx * b1 - q * b3) * iw,
+        (a4 - qx * b2 - qy * b1 - q * b4) * iw,
+        (a5 - 2.0 * qy * b2 - q * b5) * iw,
+    ))
 
 
 def constant(c: float) -> Jet2:
     """Jet of a constant: all derivative fields are zero."""
-    return Jet2(float(c))
+    return _new(Jet2, (float(c), 0.0, 0.0, 0.0, 0.0, 0.0))
 
 
 def seed_x(v: float) -> Jet2:
     """Jet of the first coordinate at value v (dx = 1, everything else 0)."""
-    return Jet2(float(v), dx=1.0)
+    return _new(Jet2, (float(v), 1.0, 0.0, 0.0, 0.0, 0.0))
 
 
 def seed_y(v: float) -> Jet2:
     """Jet of the second coordinate at value v (dy = 1, everything else 0)."""
-    return Jet2(float(v), dy=1.0)
+    return _new(Jet2, (float(v), 0.0, 1.0, 0.0, 0.0, 0.0))
 
 
 def seed_xy(x: float, y: float) -> tuple[Jet2, Jet2]:
@@ -177,14 +207,15 @@ def seed_xy(x: float, y: float) -> tuple[Jet2, Jet2]:
 def _chain(a: Jet2, val: float, d1: float, d2: float) -> Jet2:
     # Chain rule through second order for a scalar map with derivatives
     # d1, d2 at a.val.
-    return Jet2(
+    _, ax, ay, axx, axy, ayy = a
+    return _new(Jet2, (
         val,
-        d1 * a.dx,
-        d1 * a.dy,
-        d1 * a.dxx + d2 * (a.dx * a.dx),
-        d1 * a.dxy + d2 * (a.dx * a.dy),
-        d1 * a.dyy + d2 * (a.dy * a.dy),
-    )
+        d1 * ax,
+        d1 * ay,
+        d1 * axx + d2 * (ax * ax),
+        d1 * axy + d2 * (ax * ay),
+        d1 * ayy + d2 * (ay * ay),
+    ))
 
 
 def sin(a: Jet2) -> Jet2:

@@ -13,8 +13,9 @@ singularities (sphere equator, pseudosphere cusp, hyperboloid axis).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import jet
 from .errors import CatalogError, DomainError
@@ -99,8 +100,7 @@ MINKOWSKI = AmbientForm((-1, 1, 1), "minkowski")
 Vec3 = tuple[float, float, float]
 
 
-@dataclass(frozen=True, eq=False)
-class SurfaceJet:
+class SurfaceJet(NamedTuple):
     """Position and first/second partial derivatives at one parameter
     point, each a float triple."""
 
@@ -111,6 +111,8 @@ class SurfaceJet:
     f_xy: Vec3
     f_yy: Vec3
 
+
+_new = tuple.__new__
 
 Patch = Callable[[float, float], SurfaceJet]
 
@@ -137,14 +139,9 @@ def parametric(coords: Callable[[Jet2, Jet2], tuple[Jet2, Jet2, Jet2]]) -> Patch
 
     def patch(x: float, y: float) -> SurfaceJet:
         cx, cy, cz = coords(*seed_xy(x, y))
-        return SurfaceJet(
-            f=(cx.val, cy.val, cz.val),
-            f_x=(cx.dx, cy.dx, cz.dx),
-            f_y=(cx.dy, cy.dy, cz.dy),
-            f_xx=(cx.dxx, cy.dxx, cz.dxx),
-            f_xy=(cx.dxy, cy.dxy, cz.dxy),
-            f_yy=(cx.dyy, cy.dyy, cz.dyy),
-        )
+        # Row i of the jet is field i of the three coordinate jets:
+        # f = (cx.val, cy.val, cz.val), f_x = (cx.dx, cy.dx, cz.dx), ...
+        return _new(SurfaceJet, zip(cx, cy, cz))
 
     return patch
 
@@ -290,7 +287,8 @@ def catalog(name: str, **params: float) -> SurfaceDef:
     """Build a named catalog surface.
 
     Unknown names raise :class:`CatalogError` listing the valid ones;
-    invalid parameters (unknown keys, non-positive radii) raise ValueError.
+    invalid parameters (unknown keys, non-finite values, non-positive
+    radii) raise ValueError.
     """
     entry = _CATALOG.get(name)
     if entry is None:
@@ -304,6 +302,9 @@ def catalog(name: str, **params: float) -> SurfaceDef:
             f"accepted: {sorted(entry.defaults) or 'none'}"
         )
     merged = {**entry.defaults, **{k: float(v) for k, v in params.items()}}
+    for k, v in merged.items():
+        if not math.isfinite(v):
+            raise ValueError(f"surface '{name}': parameter {k} must be finite, got {v}")
     if "R" in merged and merged["R"] <= 0.0:
         raise ValueError(f"surface '{name}': radius R must be positive, got {merged['R']}")
     return entry.build(merged)

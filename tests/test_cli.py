@@ -113,6 +113,20 @@ def test_cli_bad_param_syntax():
     assert main(["classify", "--surface", "sphere-origin", "--param", "R"]) == 2
 
 
+@pytest.mark.parametrize("key, value", [("c", "nan"), ("c", "-inf"), ("R", "nan"), ("R", "inf")])
+def test_non_finite_surface_parameter_is_refused(key, value, tmp_path, capsys):
+    message = f"error: surface 'sphere-translated': parameter {key} must be finite, got {float(value)}\n"
+    argv = ["classify", "--surface", "sphere-translated", "--param", f"{key}={value}"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", message)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"command": "classify", "surface": "sphere-translated", "params": {key: value}}))
+    assert main(["--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", message)
+    with pytest.raises(ValueError, match="must be finite"):
+        catalog("sphere-translated", **{key: float(value)})
+
+
 def test_cli_transform_check_pass(tmp_path):
     out = tmp_path / "scale.json"
     code = main([
@@ -305,6 +319,7 @@ def test_config_file_with_flag_override(tmp_path):
     ("grid", 5),
     ("params", [1]),
     ("grid", [2.9, 3]),
+    ("grid", "34"),
 ])
 def test_config_file_value_that_cannot_be_converted(field, value, tmp_path, capsys):
     cfg = tmp_path / "bad.json"

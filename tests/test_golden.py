@@ -1,10 +1,14 @@
 """Report bytes pinned to golden files.
 
 Each file under ``tests/golden/`` is the stdout of ``main(argv)`` for the
-argv beside its name.  The surfaces and the pair use only arithmetic and
-``sqrt``, so the bytes do not depend on the platform's ``sin``, ``cosh``
-or ``atanh``.  A deliberate change of report bytes rewrites the file from
-the new output and says why in CHANGES.md.
+argv beside its name.  The first five use only arithmetic and ``sqrt``,
+so their bytes do not depend on the platform's math library.  The other
+three pin the jet paths through ``sin``, ``cos``, ``sinh``, ``cosh``,
+``tanh``, ``atan`` and ``atanh`` (pseudosphere, the Minkowski sphere and
+the disk-to-hyperboloid pullback); their last digits follow the C
+library's ``libm`` (they were written with glibc on x86-64).  A
+deliberate change of report bytes rewrites the file from the new output
+and says why in CHANGES.md.
 """
 
 import os
@@ -29,6 +33,15 @@ GOLDEN = {
     ],
     "metric-check-half-plane-disk.json": [
         "metric-check", "--pair", "half-plane:disk", "--format", "json", "--grid", "3", "3",
+    ],
+    "classify-pseudosphere.json": [
+        "classify", "--surface", "pseudosphere", "--format", "json", "--grid", "5", "4",
+    ],
+    "invariants-minkowski-sphere.txt": [
+        "invariants", "--surface", "minkowski-sphere", "--grid", "4", "3",
+    ],
+    "metric-check-disk-minkowski-sphere.csv": [
+        "metric-check", "--pair", "disk:minkowski-sphere", "--format", "csv", "--grid", "3", "3",
     ],
 }
 

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -142,3 +143,39 @@ def test_random_compositions_match_oracle():
             assert abs(got - want) <= 1e-8 * max(1.0, abs(want)), expr
         for got, want in ((fd.dxx, j.dxx), (fd.dxy, j.dxy), (fd.dyy, j.dyy)):
             assert abs(got - want) <= 1e-5 * max(1.0, abs(want)), expr
+
+
+def test_jet_is_an_immutable_value():
+    j = Jet2(1.5, 2.0, -1.0, 0.25, 0.0, 3.0)
+    with pytest.raises(AttributeError):
+        j.dx = 0.0
+    with pytest.raises(AttributeError):
+        j.extra = 0.0
+    same = Jet2(1.5, 2.0, -1.0, 0.25, 0.0, 3.0)
+    assert j == same and hash(j) == hash(same) and len({j, same}) == 1
+    assert j != Jet2(1.5, 2.0, -1.0, 0.25, 0.0, 2.0)
+    for other in (same, (1.0,), 1.0):
+        with pytest.raises(TypeError):
+            j < other
+        with pytest.raises(TypeError):
+            other >= j
+    assert repr(seed_x(2.0)) == "Jet2(val=2.0, dx=1.0, dy=0.0, dxx=0.0, dxy=0.0, dyy=0.0)"
+
+
+@pytest.mark.parametrize("other", ["a", None, (1.0,)], ids=["str", "None", "tuple"])
+@pytest.mark.parametrize("combine", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_jet_refuses_a_non_number_operand_on_either_side(combine, other):
+    # (1.0,) + jet must not concatenate into a 7-tuple
+    j = seed_x(2.0)
+    with pytest.raises(TypeError):
+        combine(j, other)
+    with pytest.raises(TypeError):
+        combine(other, j)
+
+
+def test_numpy_scalars_combine_like_floats():
+    j = seed_x(2.0)
+    for c in (np.float64(3.0), np.int64(3)):
+        assert c * j == j * c == 3.0 * j
+        assert c + j == j + c == 3.0 + j
+        assert c - j == 3.0 - j and c / j == 3.0 / j
