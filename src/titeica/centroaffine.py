@@ -11,8 +11,10 @@ this action, at matched parameter points,
 * the curvature numerator Vx Vy - Vxy^2 scales by det(A)^2.
 
 :func:`verify_scaling` measures all three numerically over a list of
-points, evaluating the surface once per point, and reports per-point
-residuals.
+points and reports per-point residuals.  It evaluates the surface once
+per point and makes one invariant pass on each side of the map: the
+ratio and the oriented volumes of the source jet come from one pass, and
+those of its image from another.
 """
 
 from __future__ import annotations
@@ -22,13 +24,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import RegularityError, SignatureError, SingularPointError
-from .invariants import oriented_volumes, titeica_ratio
+from .invariants import _core
 from .metrics import det3
 from .surfaces import EUCLIDEAN, SurfaceDef, SurfaceJet, eval_surface
 
 __all__ = ["CentroAffineMap", "apply_map", "verify_scaling", "ScalingPoint", "ScalingReport"]
 
 MIN_DET = 1e-12
+
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -60,16 +64,14 @@ class CentroAffineMap:
         """The jet of f . A: A is linear, so every row of the jet (position
         and each partial derivative) is multiplied by A."""
         (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = self.matrix
-
-        def row(r):
-            r0, r1, r2 = r
-            return (
+        return _new(SurfaceJet, [
+            (
                 r0 * a00 + r1 * a10 + r2 * a20,
                 r0 * a01 + r1 * a11 + r2 * a21,
                 r0 * a02 + r1 * a12 + r2 * a22,
             )
-
-        return SurfaceJet(row(sj.f), row(sj.f_x), row(sj.f_y), row(sj.f_xx), row(sj.f_xy), row(sj.f_yy))
+            for r0, r1, r2 in sj
+        ])
 
 
 def _require_euclidean(s: SurfaceDef) -> None:
@@ -87,7 +89,7 @@ def apply_map(s: SurfaceDef, a: CentroAffineMap) -> SurfaceDef:
     return SurfaceDef(f"{s.name}|mapped", lambda x, y: a.act(s.patch(x, y)), s.domain, EUCLIDEAN)
 
 
-@dataclass(frozen=True)
+@dataclass
 class ScalingPoint:
     x: float
     y: float
@@ -132,16 +134,16 @@ def verify_scaling(s: SurfaceDef, a: CentroAffineMap, points, tol: float) -> Sca
     for x, y in points:
         try:
             sj = eval_surface(s, x, y)
-            tj = a.act(sj)
-            before = titeica_ratio(sj, EUCLIDEAN)
-            after = titeica_ratio(tj, EUCLIDEAN)
+            source = _core(sj, EUCLIDEAN)
+            before = source.ratio()
+            image = _core(a.act(sj), EUCLIDEAN)
+            after = image.ratio()
         except (SingularPointError, RegularityError, SignatureError) as exc:
             rows.append(ScalingPoint(x, y, skipped=str(exc)))
             continue
         predicted = before / det2
         ratio_res = abs(after - predicted) / max(1.0, abs(predicted))
-        vols = oriented_volumes(sj)
-        ivols = oriented_volumes(tj)
+        vols, ivols = source.vols, image.vols
         v_pred = a.det * vols.V
         volume_res = abs(ivols.V - v_pred) / max(1e-300, abs(v_pred))
         num_pred = det2 * (vols.Vx * vols.Vy - vols.Vxy**2)

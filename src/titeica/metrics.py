@@ -19,6 +19,7 @@ reproduces the disk metric rather than presuming it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -148,7 +149,7 @@ def pullback(m: Metric2, change: CoordChange, p: tuple[float, float]) -> tuple[f
     return h11, h12, h22
 
 
-@dataclass(frozen=True)
+@dataclass
 class AgreePoint:
     x: float
     y: float
@@ -174,9 +175,21 @@ def metrics_agree(
     tol: float,
 ) -> AgreeReport:
     """Max componentwise difference between a metric and either another
-    metric or a pullback, over a list of points."""
+    metric or a pullback, over a list of points.  A difference that is
+    not a number makes ``max_diff`` NaN and the comparison fail."""
     if not grid:
         raise UsageError("metrics_agree needs a non-empty grid")
+    return _agree(reference.name, candidate, ((p, metric_values(reference, p)) for p in grid), tol)
+
+
+def _agree(
+    reference: str,
+    candidate: Union[Metric2, tuple[Metric2, CoordChange]],
+    samples,
+    tol: float,
+) -> AgreeReport:
+    """The comparison of :func:`metrics_agree` over ``samples``, pairs of
+    a point and the reference components there."""
     if isinstance(candidate, Metric2):
         label = candidate.name
         def values(p):
@@ -189,13 +202,15 @@ def metrics_agree(
 
     rows = []
     worst = 0.0
-    for p in grid:
-        r11, r12, r22 = metric_values(reference, p)
+    for p, (r11, r12, r22) in samples:
         c11, c12, c22 = values(p)
         d11, d12, d22 = abs(c11 - r11), abs(c12 - r12), abs(c22 - r22)
+        # max() never picks a NaN, but keeps one it starts from
         worst = max(worst, d11, d12, d22)
+        if math.isnan(d11 + d12 + d22):
+            worst = math.nan
         rows.append(AgreePoint(p[0], p[1], d11, d12, d22))
-    return AgreeReport(reference.name, label, tol, tuple(rows), worst, worst <= tol)
+    return AgreeReport(reference, label, tol, tuple(rows), worst, worst <= tol)
 
 
 @dataclass(frozen=True)
@@ -209,12 +224,14 @@ class PairCheck:
 
 def check_pair(pair: MetricPair, nx: int, ny: int, tol: float) -> PairCheck:
     """Run every change variant of the pair over an nx x ny sample grid
-    and record which variants reproduce the source metric."""
+    and record which variants reproduce the source metric.  The source
+    metric is evaluated once per point and shared by the variants."""
     grid = grid_points(pair.sample_box, nx, ny)
+    samples = [(p, metric_values(pair.source, p)) for p in grid]
     variants = []
     matching = []
     for label, change in pair.changes:
-        report = metrics_agree(pair.source, (pair.target, change), grid, tol)
+        report = _agree(pair.source.name, (pair.target, change), samples, tol)
         variants.append((label, report))
         if report.passed:
             matching.append(label)

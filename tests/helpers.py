@@ -3,9 +3,9 @@
 import numpy as np
 
 from titeica import jet
-from titeica.centroaffine import CentroAffineMap
-from titeica.errors import GeometryError
-from titeica.invariants import tangent_distance
+from titeica.centroaffine import CentroAffineMap, ScalingPoint
+from titeica.errors import GeometryError, RegularityError, SignatureError, SingularPointError
+from titeica.invariants import oriented_volumes, tangent_distance, titeica_ratio
 from titeica.surfaces import EUCLIDEAN, Box, SurfaceDef, SurfaceJet, eval_surface, parametric
 
 
@@ -38,6 +38,36 @@ def jet2_image(sj, a):
     image = [c0 * a0 + c1 * a1 + c2 * a2 for a0, a1, a2 in zip(*a.matrix)]
     fields = ("val", "dx", "dy", "dxx", "dxy", "dyy")
     return SurfaceJet(*(tuple(getattr(c, name) for c in image) for name in fields))
+
+
+def scaling_reference(s, a, points):
+    """Reference rows for ``verify_scaling``: four separate views per
+    point, ``titeica_ratio`` and ``oriented_volumes`` on the source jet
+    and on its image ``a.act(sj)``, with the residual expressions of the
+    library."""
+    det2 = a.det * a.det
+    rows = []
+    for x, y in points:
+        try:
+            sj = eval_surface(s, x, y)
+            tj = a.act(sj)
+            before = titeica_ratio(sj, EUCLIDEAN)
+            after = titeica_ratio(tj, EUCLIDEAN)
+        except (SingularPointError, RegularityError, SignatureError) as exc:
+            rows.append(ScalingPoint(x, y, skipped=str(exc)))
+            continue
+        predicted = before / det2
+        vols = oriented_volumes(sj)
+        ivols = oriented_volumes(tj)
+        v_pred = a.det * vols.V
+        num_pred = det2 * (vols.Vx * vols.Vy - vols.Vxy**2)
+        rows.append(ScalingPoint(
+            x, y, before, after,
+            abs(after - predicted) / max(1.0, abs(predicted)),
+            abs(ivols.V - v_pred) / max(1e-300, abs(v_pred)),
+            abs(ivols.Vx * ivols.Vy - ivols.Vxy**2 - num_pred) / max(1.0, abs(num_pred)),
+        ))
+    return rows
 
 
 def random_regular_point(rng, surface, min_distance=1e-2, max_tries=200):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import jet2_image, random_map, random_orthogonal, random_regular_point
+from helpers import jet2_image, random_map, random_orthogonal, random_regular_point, scaling_reference
+from titeica import centroaffine, invariants
 from titeica.centroaffine import CentroAffineMap, apply_map, verify_scaling
-from titeica.cli import classify
+from titeica.cli import classify, main
 from titeica.errors import SignatureError
 from titeica.invariants import oriented_volumes, titeica_ratio
 from titeica.surfaces import EUCLIDEAN, catalog, catalog_names, eval_surface, grid_points
@@ -63,19 +64,26 @@ def test_product_matches_numpy():
 
 JET_ROWS = ("f", "f_x", "f_y", "f_xx", "f_xy", "f_yy")
 
-
-@pytest.mark.parametrize("entries", [
+# stretch, tiny (every titeica-xyz point singular), two general maps
+# (non-Monge jets) and a reflection
+MATRICES = [
     "2,0,0,0,2,0,0,0,2",
     "0.001,0,0,0,0.001,0,0,0,0.001",
     "1.3,0.2,-0.4,0.1,0.9,0.3,-0.2,0.5,1.1",
     "0.7,-1.2,0.3,2.1,0.4,-0.6,0.05,0.9,1.7",
     "-1,0,0,0,1,0,0,0,1",
-    "0,1,0,1,0,0,0,0,-1",
-])
+]
+
+
+def map_of(entries):
+    values = [float(v) for v in entries.split(",")]
+    return CentroAffineMap.of([values[i:i + 3] for i in (0, 3, 6)])
+
+
+@pytest.mark.parametrize("entries", MATRICES + ["0,1,0,1,0,0,0,0,-1"])
 def test_action_on_jets_matches_jet2_image(entries):
     # == treats 0.0 and -0.0 as equal: a Jet2 product adds val * 0.0 terms
-    values = [float(v) for v in entries.split(",")]
-    a = CentroAffineMap.of([values[i:i + 3] for i in (0, 3, 6)])
+    a = map_of(entries)
     for name in catalog_names():
         s = catalog(name)
         if s.ambient is not EUCLIDEAN:
@@ -219,6 +227,34 @@ def test_classification_invariant_under_unimodular_maps():
 def test_apply_map_requires_euclidean_ambient():
     with pytest.raises(SignatureError):
         apply_map(catalog("minkowski-sphere"), CentroAffineMap.identity())
+
+
+@pytest.mark.parametrize("entries", MATRICES)
+def test_verify_scaling_matches_four_separate_views(entries):
+    a = map_of(entries)
+    for name in catalog_names():
+        s = catalog(name)
+        if s.ambient is not EUCLIDEAN:
+            continue
+        points = grid_points(s.domain, 13, 11)
+        assert list(verify_scaling(s, a, points, 1e-8).points) == scaling_reference(s, a, points), name
+
+
+def test_transform_check_makes_one_invariant_pass_per_side(monkeypatch, tmp_path):
+    passes = []
+    core = invariants._core
+
+    def counting_core(sj, amb):
+        passes.append(amb)
+        return core(sj, amb)
+
+    monkeypatch.setattr(invariants, "_core", counting_core)
+    monkeypatch.setattr(centroaffine, "_core", counting_core)
+    argv = ["transform-check", "--surface", "paraboloid", "--matrix", "2,0,0,0,1,0,0,0,1",
+            "--grid", "5", "4", "--output", str(tmp_path / "report.txt")]
+    assert main(argv) == 0
+    assert len(passes) == 2 * 5 * 4
+    assert all(amb is EUCLIDEAN for amb in passes)
 
 
 def test_all_skipped_run_fails():

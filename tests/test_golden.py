@@ -1,14 +1,17 @@
 """Report bytes pinned to golden files.
 
 Each file under ``tests/golden/`` is the stdout of ``main(argv)`` for the
-argv beside its name.  The first five use only arithmetic and ``sqrt``,
-so their bytes do not depend on the platform's math library.  The other
-three pin the jet paths through ``sin``, ``cos``, ``sinh``, ``cosh``,
-``tanh``, ``atan`` and ``atanh`` (pseudosphere, the Minkowski sphere and
-the disk-to-hyperboloid pullback); their last digits follow the C
-library's ``libm`` (they were written with glibc on x86-64).  A
-deliberate change of report bytes rewrites the file from the new output
-and says why in CHANGES.md.
+argv beside its name.  Six of them use only arithmetic and ``sqrt``, so
+their bytes do not depend on the platform's math library: the catalog,
+classify and transform-check on titeica-xyz, invariants on
+sphere-origin, transform-check on the paraboloid and the half-plane to
+disk pullback.  The other five pin the jet paths through ``sin``,
+``cos``, ``sinh``, ``cosh``, ``tanh``, ``atan`` and ``atanh``:
+classify and transform-check on the pseudosphere, invariants on the
+Minkowski sphere and the disk-to-hyperboloid pullback in CSV and JSON.
+Their last digits follow the C library's ``libm`` (they were written
+with glibc on x86-64).  A deliberate change of report bytes rewrites the
+file from the new output and says why in CHANGES.md.
 """
 
 import os
@@ -42,6 +45,20 @@ GOLDEN = {
     ],
     "metric-check-disk-minkowski-sphere.csv": [
         "metric-check", "--pair", "disk:minkowski-sphere", "--format", "csv", "--grid", "3", "3",
+    ],
+    # every point skipped: null maxima
+    "transform-check-titeica-xyz-small.json": [
+        "transform-check", "--surface", "titeica-xyz",
+        "--matrix", "0.001,0,0,0,0.001,0,0,0,0.001", "--format", "json", "--grid", "4", "4",
+    ],
+    # a general map: jets that are not of Monge form
+    "transform-check-pseudosphere.csv": [
+        "transform-check", "--surface", "pseudosphere",
+        "--matrix", "0.7,-1.2,0.3,2.1,0.4,-0.6,0.05,0.9,1.7", "--format", "csv", "--grid", "4", "3",
+    ],
+    # the summary block of two change variants
+    "metric-check-disk-minkowski-sphere.json": [
+        "metric-check", "--pair", "disk:minkowski-sphere", "--format", "json", "--grid", "3", "3",
     ],
 }
 

@@ -1,14 +1,18 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from titeica import metrics
+from titeica.cli import main
 from titeica.errors import CatalogError, DomainError, SignatureError, UsageError
 from titeica.invariants import fundamental_forms
 from titeica.jet import constant, seed_xy
 from titeica.metrics import (
     CoordChange,
     Metric2,
+    MetricPair,
     brioschi_curvature,
     check_pair,
     coord_change,
@@ -16,6 +20,7 @@ from titeica.metrics import (
     metric_pair,
     metric_values,
     metrics_agree,
+    pair_names,
     pullback,
 )
 from titeica.surfaces import MINKOWSKI, Box, catalog, eval_surface, grid_points
@@ -130,6 +135,62 @@ def test_metrics_agree_empty_grid():
     m = metric("half-plane")
     with pytest.raises(UsageError):
         metrics_agree(m, m, [], 1e-9)
+
+
+def nan_at_positive_x(x, y):
+    # the flat metric, except that g11 is not a number where x > 0
+    return constant(math.nan if x.val > 0.0 else 1.0), constant(0.0), constant(1.0)
+
+
+@pytest.mark.parametrize("grid", [[(-0.5, 0.0), (0.5, 0.0)], [(0.5, 0.0), (-0.5, 0.0)]])
+def test_metrics_agree_fails_on_a_nan_difference(grid):
+    candidate = Metric2("nan-g11", nan_at_positive_x, Box(-1.0, 1.0, -1.0, 1.0))
+    report = metrics_agree(metric("euclidean"), candidate, grid, 1e-9)
+    assert math.isnan(report.max_diff)
+    assert report.passed is False
+
+
+def test_metric_check_writes_a_nan_max_diff_as_null(monkeypatch, tmp_path):
+    flat = metric("euclidean")
+    identity = CoordChange("identity", lambda x, y: (x, y), flat.domain)
+    pair = MetricPair("flat:nan", flat, Metric2("nan-g11", nan_at_positive_x, flat.domain),
+                      (("identity", identity),), flat.domain)
+    monkeypatch.setitem(metrics._PAIRS, "flat:nan", pair)
+    out = tmp_path / "report.json"
+    assert main(["metric-check", "--pair", "flat:nan", "--format", "json", "--output", str(out)]) == 1
+    with open(out) as fh:
+        summary = json.load(fh)["summary"]
+    assert summary["variants"]["identity"] == {"max_diff": None, "passed": False}
+
+
+@pytest.mark.parametrize("name", pair_names())
+def test_check_pair_variants_equal_separate_metrics_agree_calls(name):
+    pair = metric_pair(name)
+    check = check_pair(pair, 13, 11, 1e-8)
+    grid = grid_points(pair.sample_box, 13, 11)
+    expected = tuple(
+        (label, metrics_agree(pair.source, (pair.target, change), grid, 1e-8)) for label, change in pair.changes
+    )
+    assert check.variants == expected
+
+
+def test_check_pair_evaluates_the_source_once_per_point():
+    calls = []
+
+    def counting_flat(x, y):
+        calls.append((x.val, y.val))
+        return constant(1.0), constant(0.0), constant(1.0)
+
+    box = Box(-1.0, 1.0, -1.0, 1.0)
+    flat = metric("euclidean")
+    changes = (
+        ("identity", CoordChange("identity", lambda x, y: (x, y), box)),
+        ("swap", CoordChange("swap", lambda x, y: (y, x), box)),
+    )
+    pair = MetricPair("counting:flat", Metric2("counting", counting_flat, box), flat, changes, box)
+    check = check_pair(pair, 4, 3, 1e-12)
+    assert check.matching == ("identity", "swap")
+    assert len(calls) == 4 * 3
 
 
 def test_curvature_is_a_pullback_invariant():
