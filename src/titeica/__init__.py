@@ -22,14 +22,16 @@ from .errors import (
 )
 from .invariants import (
     EPS_SINGULAR,
+    ClassifyVerdict,
     FundamentalForms,
-    InvariantReport,
     OrientedVolumes,
+    PointRecord,
+    classify,
     fundamental_forms,
     gaussian_curvature,
     identity_residual,
     oriented_volumes,
-    point_invariants,
+    scan_grid,
     tangent_distance,
     titeica_ratio,
 )
@@ -69,6 +71,7 @@ __all__ = [
     "Box",
     "CatalogError",
     "CentroAffineMap",
+    "ClassifyVerdict",
     "CoordChange",
     "DomainError",
     "EPS_SINGULAR",
@@ -76,12 +79,12 @@ __all__ = [
     "FundamentalForms",
     "GeometryError",
     "InconclusiveError",
-    "InvariantReport",
     "Jet2",
     "Metric2",
     "MetricPair",
     "MINKOWSKI",
     "OrientedVolumes",
+    "PointRecord",
     "RegularityError",
     "ScalingReport",
     "SignatureError",
@@ -94,6 +97,7 @@ __all__ = [
     "catalog",
     "catalog_names",
     "check_pair",
+    "classify",
     "constant",
     "coord_change",
     "eval_surface",
@@ -106,8 +110,8 @@ __all__ = [
     "metrics_agree",
     "oriented_volumes",
     "parametric",
-    "point_invariants",
     "pullback",
+    "scan_grid",
     "seed_x",
     "seed_xy",
     "seed_y",

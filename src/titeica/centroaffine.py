@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import RegularityError, SignatureError, SingularPointError
-from .invariants import _core
+from .errors import SignatureError, SingularPointError
+from .invariants import _core, _sweep
 from .metrics import det3
 from .surfaces import EUCLIDEAN, SurfaceDef, SurfaceJet, eval_surface
 
@@ -125,41 +125,48 @@ def verify_scaling(s: SurfaceDef, a: CentroAffineMap, points, tol: float) -> Sca
 
     Residuals are relative: |after - predicted| / max(1, |predicted|) for
     the ratio and the numerator, |after - predicted| / |predicted| for the
-    volume.  Singular points are recorded as skipped; a run where every
-    point was skipped fails.
+    volume.  Singular points, and points whose curvature numerator leaves
+    float range, are recorded as skipped; a run where every point was
+    skipped fails.
     """
     _require_euclidean(s)
     det2 = a.det * a.det
-    rows: list[ScalingPoint] = []
-    for x, y in points:
-        try:
-            sj = eval_surface(s, x, y)
-            source = _core(sj, EUCLIDEAN)
-            before = source.ratio()
-            image = _core(a.act(sj), EUCLIDEAN)
-            after = image.ratio()
-        except (SingularPointError, RegularityError, SignatureError) as exc:
-            rows.append(ScalingPoint(x, y, skipped=str(exc)))
-            continue
+
+    def evaluate(x, y):
+        sj = eval_surface(s, x, y)
+        source = _core(sj, EUCLIDEAN)
+        before = source.ratio()
+        image = _core(a.act(sj), EUCLIDEAN)
+        after = image.ratio()
         predicted = before / det2
         ratio_res = abs(after - predicted) / max(1.0, abs(predicted))
         vols, ivols = source.vols, image.vols
         v_pred = a.det * vols.V
         volume_res = abs(ivols.V - v_pred) / max(1e-300, abs(v_pred))
-        num_pred = det2 * (vols.Vx * vols.Vy - vols.Vxy**2)
-        num_after = ivols.Vx * ivols.Vy - ivols.Vxy**2
+        try:
+            num_pred = det2 * (vols.Vx * vols.Vy - vols.Vxy**2)
+            num_after = ivols.Vx * ivols.Vy - ivols.Vxy**2
+        except OverflowError:  # a Vxy**2 past float range
+            num_pred = num_after = math.inf
+        if not (math.isfinite(num_pred) and math.isfinite(num_after)):
+            raise SingularPointError(f"non-finite Vx Vy - Vxy^2 (det = {a.det:g})")
         numerator_res = abs(num_after - num_pred) / max(1.0, abs(num_pred))
-        rows.append(ScalingPoint(x, y, before, after, ratio_res, volume_res, numerator_res))
+        return ScalingPoint(x, y, before, after, ratio_res, volume_res, numerator_res)
 
+    rows = _sweep(points, evaluate, ScalingPoint)
     evaluated = [r for r in rows if r.skipped is None]
     max_r = max((r.ratio_residual for r in evaluated), default=math.inf)
     max_v = max((r.volume_residual for r in evaluated), default=math.inf)
     max_n = max((r.numerator_residual for r in evaluated), default=math.inf)
     passed = bool(evaluated) and max_r <= tol and max_v <= tol and max_n <= tol
+    try:
+        scale_factor = 1.0 / a.det**2  # not det2: x**2 and x*x can differ in the last bit
+    except OverflowError:
+        scale_factor = 1.0 / a.det / a.det
     return ScalingReport(
         surface=s.name,
         det=a.det,
-        scale_factor=1.0 / a.det**2,
+        scale_factor=scale_factor,
         max_ratio_residual=max_r,
         max_volume_residual=max_v,
         max_numerator_residual=max_n,

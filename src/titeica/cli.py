@@ -1,4 +1,5 @@
-"""Command-line driver and grid-level classification.
+"""Command-line driver: parses a run configuration, dispatches it to the
+library and renders the report.
 
 Commands
 --------
@@ -23,7 +24,6 @@ import argparse
 import json
 import math
 import os
-import statistics
 import sys
 import tempfile
 from dataclasses import dataclass, field, fields
@@ -31,100 +31,12 @@ from json.encoder import encode_basestring_ascii as _json_string  # what json.du
 from typing import Optional
 
 from .centroaffine import CentroAffineMap, verify_scaling
-from .errors import (
-    CatalogError,
-    GeometryError,
-    InconclusiveError,
-    RegularityError,
-    SignatureError,
-    SingularPointError,
-    UsageError,
-)
-from .invariants import point_invariants
+from .errors import CatalogError, GeometryError, InconclusiveError, UsageError
+from .invariants import DEFAULT_GRID, DEFAULT_TOL, classify, scan_grid
 from .metrics import check_pair, metric_entries, metric_pair, pair_names
-from .surfaces import SurfaceDef, catalog, catalog_entries, eval_surface, grid_points
+from .surfaces import catalog, catalog_entries, grid_points
 
-__all__ = ["PointRecord", "ClassifyVerdict", "RunConfig", "scan_grid", "classify", "run", "main"]
-
-DEFAULT_GRID = (20, 20)
-DEFAULT_TOL = 1e-8
-
-
-@dataclass
-class PointRecord:
-    x: float
-    y: float
-    K: Optional[float] = None
-    d: Optional[float] = None
-    ratio: Optional[float] = None
-    skipped: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class ClassifyVerdict:
-    surface: str
-    is_titeica: bool
-    ratio_constant: float
-    spread: float
-    points_evaluated: int
-    points_skipped: int
-    tolerance: float
-
-
-def scan_grid(s: SurfaceDef, grid: tuple[int, int] = DEFAULT_GRID) -> list[PointRecord]:
-    """Evaluate K, d and K/d^4 over the surface's domain grid, recording
-    singular points as skipped with their reason."""
-    nx, ny = grid
-    records = []
-    for x, y in grid_points(s.domain, nx, ny):
-        try:
-            inv = point_invariants(eval_surface(s, x, y), s.ambient)
-        except (SingularPointError, RegularityError, SignatureError) as exc:
-            records.append(PointRecord(x, y, skipped=str(exc)))
-            continue
-        records.append(PointRecord(x, y, inv.K, inv.d, inv.ratio))
-    return records
-
-
-def classify(
-    s: SurfaceDef,
-    grid: tuple[int, int] = DEFAULT_GRID,
-    tol: float = DEFAULT_TOL,
-) -> ClassifyVerdict:
-    """Decide whether K/d^4 is constant over the grid.
-
-    The verdict compares the relative spread around the median ratio with
-    tol.  If more than 25% of the grid is singular the verdict is
-    withheld via :class:`InconclusiveError`.
-    """
-    records = scan_grid(s, grid)
-    return _verdict_from_records(s.name, records, grid, tol)
-
-
-def _verdict_from_records(name, records, grid, tol) -> ClassifyVerdict:
-    ratios = [r.ratio for r in records if r.skipped is None]
-    total = grid[0] * grid[1]
-    skipped = total - len(ratios)
-    if skipped > 0.25 * total:
-        raise InconclusiveError(
-            f"{skipped}/{total} grid points of '{name}' were singular; verdict withheld"
-        )
-    # Spread relative to the median ratio, so the verdict does not change
-    # when the ratio is rescaled (a centro-affine map scales it by 1/det^2).
-    # A zero median has spread 0 if every ratio is 0 and inf otherwise.
-    median = statistics.median(ratios)
-    deviation = max(abs(r - median) for r in ratios)
-    spread = deviation / abs(median) if median else (math.inf if deviation else 0.0)
-    return ClassifyVerdict(
-        surface=name,
-        is_titeica=spread <= tol,
-        ratio_constant=median,
-        spread=spread,
-        points_evaluated=len(ratios),
-        points_skipped=skipped,
-        tolerance=tol,
-    )
-
+__all__ = ["RunConfig", "run", "main"]
 
 # --------------------------------------------------------------------------
 # Run configuration
@@ -235,10 +147,8 @@ def _cmd_invariants(config: RunConfig):
 
 
 def _cmd_classify(config: RunConfig):
-    s = catalog(config.surface, **config.params)
-    records = scan_grid(s, config.grid)
-    verdict = _verdict_from_records(s.name, records, config.grid, config.tolerance)
-    return 0, _report(config, [vars(r) for r in records], vars(verdict))
+    verdict = classify(catalog(config.surface, **config.params), config.grid, config.tolerance)
+    return 0, _report(config, *_rows_and_summary(verdict))
 
 
 def _cmd_transform_check(config: RunConfig):
@@ -247,11 +157,8 @@ def _cmd_transform_check(config: RunConfig):
         a = CentroAffineMap.of([config.matrix[i:i + 3] for i in (0, 3, 6)])
     except ValueError as exc:
         raise UsageError(f"matrix: {exc}") from exc
-    nx, ny = config.grid
-    report = verify_scaling(s, a, grid_points(s.domain, nx, ny), config.tolerance)
-    summary = dict(vars(report))
-    points = summary.pop("points")
-    return (0 if report.passed else 1), _report(config, [vars(p) for p in points], summary)
+    report = verify_scaling(s, a, grid_points(s.domain, *config.grid), config.tolerance)
+    return (0 if report.passed else 1), _report(config, *_rows_and_summary(report))
 
 
 def _cmd_metric_check(config: RunConfig):
@@ -267,6 +174,12 @@ def _cmd_metric_check(config: RunConfig):
         "passed": check.passed,
     }
     return (0 if check.passed else 1), _report(config, rows, summary)
+
+
+def _rows_and_summary(report):
+    """A report's ``points`` as rows, and the fields before them as the summary."""
+    summary = dict(vars(report))
+    return [vars(p) for p in summary.pop("points")], summary
 
 
 def _report(config: RunConfig, results, summary) -> dict:
@@ -395,6 +308,10 @@ def _emit(text: str, output: Optional[str]) -> None:
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".titeica-", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp makes the file 0600; open(output, "w") would honour the umask.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_path, 0o666 & ~umask)
         os.replace(tmp_path, output)
     except OSError as exc:
         if tmp_path is not None and os.path.exists(tmp_path):

@@ -35,34 +35,47 @@ EPS_SINGULAR; the first failing test names the error raised.  So is a
 point whose K, d or K/d^4 is not finite (d^4 beyond float range counts
 as not finite), or whose K/d^4 underflows: K is not 0 but |K/d^4| is
 below the smallest normal float.
+
+The grid commands (:func:`scan_grid`, :func:`classify` and
+``centroaffine.verify_scaling``) walk their points through one sweep,
+``_sweep``: a point that raises one of the singularity errors in ``_SKIP``
+is recorded as skipped with its message, and any other error propagates.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .errors import GeometryError, RegularityError, SignatureError, SingularPointError
-from .surfaces import EUCLIDEAN, AmbientForm, SurfaceJet
+from .errors import GeometryError, InconclusiveError, RegularityError, SignatureError, SingularPointError
+from .surfaces import EUCLIDEAN, AmbientForm, SurfaceDef, SurfaceJet, eval_surface, grid_points
 
 __all__ = [
     "EPS_SINGULAR",
+    "ClassifyVerdict",
     "FundamentalForms",
     "OrientedVolumes",
-    "InvariantReport",
+    "PointRecord",
     "fundamental_forms",
     "gaussian_curvature",
     "tangent_distance",
     "oriented_volumes",
     "titeica_ratio",
     "identity_residual",
-    "point_invariants",
+    "scan_grid",
+    "classify",
 ]
 
 # Threshold on |V|, d and EG - F^2 below which a point is treated as
 # singular and must be skipped (never silently dropped) by callers.
 EPS_SINGULAR = 1e-9
+
+DEFAULT_GRID = (20, 20)
+DEFAULT_TOL = 1e-8
+
+_SKIP = (SingularPointError, RegularityError, SignatureError)
 
 
 class FundamentalForms(NamedTuple):
@@ -79,14 +92,6 @@ class OrientedVolumes(NamedTuple):
     Vy: float
     Vxy: float
     V: float
-
-
-class InvariantReport(NamedTuple):
-    """K, d and K/d^4 at one point: the values a grid scan records."""
-
-    K: float
-    d: float
-    ratio: float
 
 
 class _Core(NamedTuple):
@@ -188,11 +193,81 @@ def identity_residual(sj: SurfaceJet, amb: AmbientForm = EUCLIDEAN) -> float:
     return abs(p.ratio() - s0 * s1 * s2 * (v.Vx * v.Vy - v.Vxy**2) / v.V**4)
 
 
-def point_invariants(sj: SurfaceJet, amb: AmbientForm) -> InvariantReport:
-    """K, d and K/d^4 at one point from one pass.
+# --------------------------------------------------------------------------
+# Grid sweeps
 
-    Raises the singularity errors of the pass; grid drivers catch those
-    and record the point as skipped.
+
+def _sweep(points, evaluate, record) -> list:
+    """``evaluate(x, y)`` at each point, in order; a point that raises one
+    of ``_SKIP`` becomes ``record(x, y, skipped=<the error's message>)``."""
+    rows = []
+    for x, y in points:
+        try:
+            rows.append(evaluate(x, y))
+        except _SKIP as exc:
+            rows.append(record(x, y, skipped=str(exc)))
+    return rows
+
+
+@dataclass
+class PointRecord:
+    x: float
+    y: float
+    K: Optional[float] = None
+    d: Optional[float] = None
+    ratio: Optional[float] = None
+    skipped: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class ClassifyVerdict:
+    """The fields before ``points`` are the classify summary, in its order."""
+
+    surface: str
+    is_titeica: bool
+    ratio_constant: float
+    spread: float
+    points_evaluated: int
+    points_skipped: int
+    tolerance: float
+    points: tuple[PointRecord, ...]
+
+
+def scan_grid(s: SurfaceDef, grid: tuple[int, int] = DEFAULT_GRID) -> list[PointRecord]:
+    """Evaluate K, d and K/d^4 over the surface's domain grid, recording
+    singular points as skipped with their reason."""
+
+    def evaluate(x, y):
+        p = _core(eval_surface(s, x, y), s.ambient)
+        return PointRecord(x, y, p.K, p.d, p.ratio())
+
+    return _sweep(grid_points(s.domain, *grid), evaluate, PointRecord)
+
+
+def classify(
+    s: SurfaceDef,
+    grid: tuple[int, int] = DEFAULT_GRID,
+    tol: float = DEFAULT_TOL,
+) -> ClassifyVerdict:
+    """Decide whether K/d^4 is constant over the grid.
+
+    The verdict compares the relative spread around the median ratio with
+    tol.  If more than 25% of the grid is singular the verdict is
+    withheld via :class:`InconclusiveError`.
     """
-    p = _core(sj, amb)
-    return InvariantReport(p.K, p.d, p.ratio())
+    records = scan_grid(s, grid)
+    ratios = sorted(r.ratio for r in records if r.skipped is None)
+    n, total = len(ratios), len(records)
+    skipped = total - n
+    if skipped > 0.25 * total:
+        raise InconclusiveError(
+            f"{skipped}/{total} grid points of '{s.name}' were singular; verdict withheld"
+        )
+    # Spread relative to the median ratio, so the verdict does not change
+    # when the ratio is rescaled (a centro-affine map scales it by 1/det^2).
+    # A zero median has spread 0 if every ratio is 0 and inf otherwise.
+    # The median is statistics.median's midpoint, float for float.
+    median = ratios[n // 2] if n % 2 else (ratios[n // 2 - 1] + ratios[n // 2]) / 2
+    deviation = max(abs(r - median) for r in ratios)
+    spread = deviation / abs(median) if median else (math.inf if deviation else 0.0)
+    return ClassifyVerdict(s.name, spread <= tol, median, spread, n, skipped, tol, tuple(records))

@@ -160,9 +160,6 @@ class AgreePoint:
 
 @dataclass(frozen=True)
 class AgreeReport:
-    reference: str
-    candidate: str
-    tol: float
     points: tuple[AgreePoint, ...]
     max_diff: float
     passed: bool
@@ -179,11 +176,10 @@ def metrics_agree(
     not a number makes ``max_diff`` NaN and the comparison fail."""
     if not grid:
         raise UsageError("metrics_agree needs a non-empty grid")
-    return _agree(reference.name, candidate, ((p, metric_values(reference, p)) for p in grid), tol)
+    return _agree(candidate, ((p, metric_values(reference, p)) for p in grid), tol)
 
 
 def _agree(
-    reference: str,
     candidate: Union[Metric2, tuple[Metric2, CoordChange]],
     samples,
     tol: float,
@@ -191,12 +187,10 @@ def _agree(
     """The comparison of :func:`metrics_agree` over ``samples``, pairs of
     a point and the reference components there."""
     if isinstance(candidate, Metric2):
-        label = candidate.name
         def values(p):
             return metric_values(candidate, p)
     else:
         target, change = candidate
-        label = f"{target.name} via {change.name}"
         def values(p):
             return pullback(target, change, p)
 
@@ -210,7 +204,7 @@ def _agree(
         if math.isnan(d11 + d12 + d22):
             worst = math.nan
         rows.append(AgreePoint(p[0], p[1], d11, d12, d22))
-    return AgreeReport(reference, label, tol, tuple(rows), worst, worst <= tol)
+    return AgreeReport(tuple(rows), worst, worst <= tol)
 
 
 @dataclass(frozen=True)
@@ -231,7 +225,7 @@ def check_pair(pair: MetricPair, nx: int, ny: int, tol: float) -> PairCheck:
     variants = []
     matching = []
     for label, change in pair.changes:
-        report = _agree(pair.source.name, (pair.target, change), samples, tol)
+        report = _agree((pair.target, change), samples, tol)
         variants.append((label, report))
         if report.passed:
             matching.append(label)

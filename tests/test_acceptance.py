@@ -12,8 +12,9 @@ import numpy as np
 import exprgen
 from fdcheck import FDSettings, fd_jet
 from helpers import random_map, random_orthogonal, random_polynomial_patch, random_regular_point
+from titeica import classify
 from titeica.centroaffine import apply_map, verify_scaling
-from titeica.cli import classify, main
+from titeica.cli import main
 from titeica.invariants import (
     fundamental_forms,
     gaussian_curvature,

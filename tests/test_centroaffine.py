@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from helpers import jet2_image, random_map, random_orthogonal, random_regular_point, scaling_reference
-from titeica import centroaffine, invariants
+from titeica import centroaffine, classify, invariants
 from titeica.centroaffine import CentroAffineMap, apply_map, verify_scaling
-from titeica.cli import classify, main
+from titeica.cli import main
 from titeica.errors import SignatureError
 from titeica.invariants import oriented_volumes, titeica_ratio
 from titeica.surfaces import EUCLIDEAN, catalog, catalog_names, eval_surface, grid_points
@@ -255,6 +255,26 @@ def test_transform_check_makes_one_invariant_pass_per_side(monkeypatch, tmp_path
     assert main(argv) == 0
     assert len(passes) == 2 * 5 * 4
     assert all(amb is EUCLIDEAN for amb in passes)
+
+
+def test_overflowing_maps_are_reported_not_raised(capsys):
+    # det = 1e200: det**2 is past float range, so the scale factor is (1/det)/det.
+    s = catalog("titeica-xyz")
+    a = CentroAffineMap.of([[1e100, 0, 0], [0, 1e100, 0], [0, 0, 1]])
+    report = verify_scaling(s, a, grid_points(s.domain, 3, 3), 1e-8)
+    assert report.scale_factor == 1.0 / a.det / a.det
+    assert not report.passed
+    # det^2 is a float, but the image's Vxy^2 is not: each point is skipped.
+    s = catalog("sphere-origin", R=1e-3)
+    a = CentroAffineMap.of(np.eye(3) * 4.7e50)
+    report = verify_scaling(s, a, grid_points(s.domain, 3, 3), 1e-8)
+    assert report.scale_factor == 1.0 / a.det**2
+    assert report.points_skipped == 9
+    assert all(p.skipped.startswith("non-finite") for p in report.points)
+    argv = ["transform-check", "--surface", "sphere-origin", "--param", "R=1e-3",
+            "--matrix", "4.7e50,0,0,0,4.7e50,0,0,0,4.7e50", "--grid", "3", "3"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_all_skipped_run_fails():

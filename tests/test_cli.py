@@ -1,12 +1,14 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 
 import pytest
 
 import titeica
-from titeica.cli import RunConfig, classify, main, parse_config, run, scan_grid
+from titeica import classify, scan_grid
+from titeica.cli import RunConfig, main, parse_config, run
 from titeica.errors import InconclusiveError, UsageError
 from titeica.surfaces import catalog
 
@@ -365,6 +367,44 @@ def test_config_file_unknown_field(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"command": "catalog", "gridd": [3, 3]}))
     assert main(["--config", str(cfg)]) == 2
+
+
+def test_output_file_takes_the_umask_mode(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    argv = ["classify", "--surface", "sphere-origin", "--grid", "3", "3", "--output", str(out)]
+    old = os.umask(0o022)
+    try:
+        assert main(argv) == 0  # a new report
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+        assert main(argv) == 0  # over a 0644 report
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+        os.umask(0o027)
+        assert main(argv) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    finally:
+        os.umask(old)
+    assert [p.name for p in tmp_path.iterdir()] == ["v.json"]
+
+
+IMPORT_PACKAGE = """
+import sys
+before = set(sys.modules)
+import titeica
+print(*sorted(set(sys.modules) - before))
+"""
+
+
+def test_import_titeica_loads_no_cli_modules():
+    # Compared with the modules the bare interpreter (site included) has
+    # already loaded, so only what the import adds counts.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(titeica.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PACKAGE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "titeica.invariants" in added
+    assert not added & {"statistics", "argparse", "json", "titeica.cli"}
 
 
 def test_unwritable_output_path(capsys):

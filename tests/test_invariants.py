@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from helpers import random_polynomial_patch, random_regular_point
-from titeica import jet
-from titeica.errors import SingularPointError
+from titeica import CentroAffineMap, classify, jet, scan_grid, verify_scaling
+from titeica.errors import DomainError, SingularPointError
 from titeica.invariants import (
     fundamental_forms,
     gaussian_curvature,
     identity_residual,
     oriented_volumes,
-    point_invariants,
     tangent_distance,
     titeica_ratio,
 )
@@ -204,16 +203,39 @@ def test_saddle_has_negative_ratio():
 def test_point_invariants_bundle():
     # u = 1/(xy) at (1, 1): c = f_x x f_y = (1, 1, 1), K = 1/3, d = sqrt(3)
     sj = eval_surface(catalog("titeica-xyz"), 1.0, 1.0)
-    inv = point_invariants(sj, EUCLIDEAN)
-    assert abs(inv.K - 1.0 / 3.0) <= 1e-15
-    assert abs(inv.d - math.sqrt(3.0)) <= 1e-15
-    assert abs(inv.ratio - 1.0 / 27.0) <= 1e-15
-    assert (inv.K, inv.d, inv.ratio) == (
-        gaussian_curvature(sj, EUCLIDEAN),
-        tangent_distance(sj, EUCLIDEAN),
-        titeica_ratio(sj, EUCLIDEAN),
-    )
-    mink = point_invariants(eval_surface(catalog("minkowski-sphere"), 0.7, 1.1), MINKOWSKI)
-    assert abs(mink.K + 1.0) <= 1e-9
-    assert abs(mink.d - 1.0) <= 1e-10
-    assert abs(mink.ratio + 1.0) <= 1e-9
+    k, d, ratio = (gaussian_curvature(sj, EUCLIDEAN), tangent_distance(sj, EUCLIDEAN),
+                   titeica_ratio(sj, EUCLIDEAN))
+    assert abs(k - 1.0 / 3.0) <= 1e-15
+    assert abs(d - math.sqrt(3.0)) <= 1e-15
+    assert abs(ratio - 1.0 / 27.0) <= 1e-15
+    h = eval_surface(catalog("minkowski-sphere"), 0.7, 1.1)
+    assert abs(gaussian_curvature(h, MINKOWSKI) + 1.0) <= 1e-9
+    assert abs(tangent_distance(h, MINKOWSKI) - 1.0) <= 1e-10
+    assert abs(titeica_ratio(h, MINKOWSKI) + 1.0) <= 1e-9
+    # A grid scan's record holds exactly the views' values at its point.
+    for name in ("titeica-xyz", "minkowski-sphere"):
+        s = catalog(name)
+        records = scan_grid(s, (4, 3))
+        assert len(records) == 12 and all(r.skipped is None for r in records)
+        for r in records:
+            sj = eval_surface(s, r.x, r.y)
+            assert (r.K, r.d, r.ratio) == (
+                gaussian_curvature(sj, s.ambient),
+                tangent_distance(sj, s.ambient),
+                titeica_ratio(sj, s.ambient),
+            )
+
+
+def test_sweeps_skip_only_singular_points():
+    # 1/(x - xm) divides by a zero jet at the middle column: a DomainError,
+    # which is not a singular point, so every grid command raises it.
+    s = catalog("titeica-xyz")
+    points = grid_points(s.domain, 3, 3)
+    xm = points[4][0]
+    holed = SurfaceDef("holed", parametric(lambda x, y: (x, y, 1.0 / (x - xm))), s.domain, EUCLIDEAN)
+    with pytest.raises(DomainError):
+        scan_grid(holed, (3, 3))
+    with pytest.raises(DomainError):
+        classify(holed, (3, 3))
+    with pytest.raises(DomainError):
+        verify_scaling(holed, CentroAffineMap.identity(), points, 1e-8)
