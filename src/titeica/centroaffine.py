@@ -20,8 +20,7 @@ those of its image from another.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import SignatureError, SingularPointError
 from .invariants import _core, _sweep
@@ -35,8 +34,7 @@ MIN_DET = 1e-12
 _new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class CentroAffineMap:
+class CentroAffineMap(NamedTuple):
     """Invertible 3x3 real matrix (3 float row tuples) acting on surfaces by row vector x matrix."""
 
     matrix: tuple[tuple[float, float, float], ...]
@@ -89,8 +87,7 @@ def apply_map(s: SurfaceDef, a: CentroAffineMap) -> SurfaceDef:
     return SurfaceDef(f"{s.name}|mapped", lambda x, y: a.act(s.patch(x, y)), s.domain, EUCLIDEAN)
 
 
-@dataclass
-class ScalingPoint:
+class ScalingPoint(NamedTuple):
     x: float
     y: float
     ratio_before: Optional[float] = None
@@ -101,8 +98,7 @@ class ScalingPoint:
     skipped: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class ScalingReport:
+class ScalingReport(NamedTuple):
     """Aggregate and per-point residuals of the three scaling identities;
     the fields before ``points`` are the transform-check summary, in its
     order."""
@@ -151,7 +147,7 @@ def verify_scaling(s: SurfaceDef, a: CentroAffineMap, points, tol: float) -> Sca
         if not (math.isfinite(num_pred) and math.isfinite(num_after)):
             raise SingularPointError(f"non-finite Vx Vy - Vxy^2 (det = {a.det:g})")
         numerator_res = abs(num_after - num_pred) / max(1.0, abs(num_pred))
-        return ScalingPoint(x, y, before, after, ratio_res, volume_res, numerator_res)
+        return _new(ScalingPoint, (x, y, before, after, ratio_res, volume_res, numerator_res, None))
 
     rows = _sweep(points, evaluate, ScalingPoint)
     evaluated = [r for r in rows if r.skipped is None]

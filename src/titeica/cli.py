@@ -21,19 +21,16 @@ failure or an inconclusive classification, 2 on configuration errors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, fields
-from json.encoder import encode_basestring_ascii as _json_string  # what json.dumps(str) returns
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .centroaffine import CentroAffineMap, verify_scaling
+from .centroaffine import CentroAffineMap, ScalingPoint, verify_scaling
 from .errors import CatalogError, GeometryError, InconclusiveError, UsageError
-from .invariants import DEFAULT_GRID, DEFAULT_TOL, classify, scan_grid
-from .metrics import check_pair, metric_entries, metric_pair, pair_names
+from .invariants import DEFAULT_GRID, DEFAULT_TOL, PointRecord, classify, scan_grid
+from .metrics import AgreePoint, check_pair, metric_entries, metric_pair, pair_names
 from .surfaces import catalog, catalog_entries, grid_points
 
 __all__ = ["RunConfig", "run", "main"]
@@ -63,28 +60,34 @@ def _params(value) -> dict:
     return {str(k): float(v) for k, v in dict(value).items()}
 
 
-def _field(convert, **default):
-    return field(metadata={"convert": convert}, **default)
+class _RunFields(NamedTuple):
+    command: str
+    surface: Optional[str] = None
+    params: Optional[dict] = None  # a fresh {} in every RunConfig
+    pair: Optional[str] = None
+    grid: tuple[int, int] = DEFAULT_GRID
+    matrix: Optional[tuple[float, ...]] = None
+    tolerance: float = DEFAULT_TOL
+    format: str = "text"
+    output: Optional[str] = None
 
 
-@dataclass
-class RunConfig:
+class RunConfig(_RunFields):
     """One run.  Each field is a config-file key and the argparse dest of
-    its flag; its ``convert`` turns a flag string or a JSON value into the
-    field's type."""
+    its flag; its entry in ``_CONVERTERS`` turns a flag string or a JSON
+    value into the field's type."""
 
-    command: str = _field(str)
-    surface: Optional[str] = _field(str, default=None)
-    params: dict = _field(_params, default_factory=dict)
-    pair: Optional[str] = _field(str, default=None)
-    grid: tuple[int, int] = _field(_grid, default=DEFAULT_GRID)
-    matrix: Optional[tuple[float, ...]] = _field(_matrix, default=None)
-    tolerance: float = _field(float, default=DEFAULT_TOL)
-    format: str = _field(str, default="text")
-    output: Optional[str] = _field(str, default=None)
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "RunConfig":
+        config = super().__new__(cls, *args, **kwargs)
+        return config if config.params is not None else config._replace(params={})
 
 
-_CONVERTERS = {f.name: f.metadata["convert"] for f in fields(RunConfig)}
+_CONVERTERS = dict(
+    command=str, surface=str, params=_params, pair=str, grid=_grid,
+    matrix=_matrix, tolerance=float, format=str, output=str,
+)
 
 
 _COMMANDS = ("catalog", "invariants", "classify", "transform-check", "metric-check")
@@ -112,26 +115,30 @@ def _validate(config: RunConfig) -> None:
 
 
 # --------------------------------------------------------------------------
-# Command handlers: each returns (exit_code, report dict)
+# Command handlers: each returns (exit_code, report)
+
+
+class _Report(NamedTuple):
+    """A report: every row is a tuple under the one header ``columns``."""
+
+    command: str
+    config: dict
+    columns: tuple[str, ...]
+    rows: list
+    summary: dict
 
 
 def _cmd_catalog(config: RunConfig):
-    results = []
+    rows = []
     for name, description, defaults in catalog_entries():
         params = ", ".join(f"{k}={v:g}" for k, v in sorted(defaults.items())) or "-"
-        results.append(
-            {"kind": "surface", "name": name, "parameters": params, "description": description}
-        )
+        rows.append(("surface", name, params, description))
     for name, description in metric_entries():
-        results.append(
-            {"kind": "metric", "name": name, "parameters": "-", "description": description}
-        )
+        rows.append(("metric", name, "-", description))
     for name in pair_names():
-        results.append(
-            {"kind": "metric-pair", "name": name, "parameters": "-", "description": "pullback equality check"}
-        )
-    summary = {"entries": len(results)}
-    return 0, _report(config, results, summary)
+        rows.append(("metric-pair", name, "-", "pullback equality check"))
+    summary = {"entries": len(rows)}
+    return 0, _report(config, ("kind", "name", "parameters", "description"), rows, summary)
 
 
 def _cmd_invariants(config: RunConfig):
@@ -143,12 +150,12 @@ def _cmd_invariants(config: RunConfig):
         "ratio_min": min(ratios, default=None),
         "ratio_max": max(ratios, default=None),
     }
-    return 0, _report(config, [vars(r) for r in records], summary)
+    return 0, _report(config, PointRecord._fields, records, summary)
 
 
 def _cmd_classify(config: RunConfig):
     verdict = classify(catalog(config.surface, **config.params), config.grid, config.tolerance)
-    return 0, _report(config, *_rows_and_summary(verdict))
+    return 0, _report(config, *_split(verdict, PointRecord))
 
 
 def _cmd_transform_check(config: RunConfig):
@@ -158,14 +165,14 @@ def _cmd_transform_check(config: RunConfig):
     except ValueError as exc:
         raise UsageError(f"matrix: {exc}") from exc
     report = verify_scaling(s, a, grid_points(s.domain, *config.grid), config.tolerance)
-    return (0 if report.passed else 1), _report(config, *_rows_and_summary(report))
+    return (0 if report.passed else 1), _report(config, *_split(report, ScalingPoint))
 
 
 def _cmd_metric_check(config: RunConfig):
     pair = metric_pair(config.pair)
     nx, ny = config.grid
     check = check_pair(pair, nx, ny, config.tolerance)
-    rows = [{"variant": label, **vars(p)} for label, rep in check.variants for p in rep.points]
+    rows = [(label, *p) for label, rep in check.variants for p in rep.points]
     summary = {
         "pair": check.pair,
         "variants": {label: {"max_diff": rep.max_diff, "passed": rep.passed} for label, rep in check.variants},
@@ -173,22 +180,19 @@ def _cmd_metric_check(config: RunConfig):
         "tolerance": check.tol,
         "passed": check.passed,
     }
-    return (0 if check.passed else 1), _report(config, rows, summary)
+    return (0 if check.passed else 1), _report(config, ("variant", *AgreePoint._fields), rows, summary)
 
 
-def _rows_and_summary(report):
-    """A report's ``points`` as rows, and the fields before them as the summary."""
-    summary = dict(vars(report))
-    return [vars(p) for p in summary.pop("points")], summary
+def _split(report, record):
+    """A report's ``points`` as rows under ``record``'s fields, and the
+    fields before them as the summary."""
+    *head, points = report
+    return record._fields, points, dict(zip(report._fields, head))
 
 
-def _report(config: RunConfig, results, summary) -> dict:
-    return {
-        "command": config.command,
-        "config": {k: list(v) if isinstance(v, tuple) else v for k, v in vars(config).items()},
-        "results": results,
-        "summary": summary,
-    }
+def _report(config: RunConfig, columns, rows, summary) -> _Report:
+    settings = {k: list(v) if isinstance(v, tuple) else v for k, v in zip(config._fields, config)}
+    return _Report(config.command, settings, columns, rows, summary)
 
 
 _HANDLERS = {
@@ -214,20 +218,17 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _json_text(value, indent: int = 0) -> str:
+def _json_text(value, indent: int, string) -> str:
     # json.dumps writes floats with repr() and inf/nan as bare tokens; the report
     # contract is 17 significant digits and strict JSON, so emit the document by hand.
+    # ``string`` is json's own string encoder.
     # The tests run from the most frequent type (a float cell) down.
     if isinstance(value, float):
         return format(value, ".17g") if math.isfinite(value) else "null"
-    pad = "  " * indent
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = ",\n".join(
-            f"{pad}  {_json_string(str(k))}: {_json_text(v, indent + 1)}" for k, v in value.items()
+        return _json_object(
+            [(string(str(k)), _json_text(v, indent + 1, string)) for k, v in value.items()], indent
         )
-        return "{\n" + inner + "\n" + pad + "}"
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -235,29 +236,52 @@ def _json_text(value, indent: int = 0) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
-        return _json_string(value)
+        return string(value)
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = ",\n".join(f"{pad}  {_json_text(v, indent + 1)}" for v in value)
-        return "[\n" + inner + "\n" + pad + "]"
+        return _json_array([_json_text(v, indent + 1, string) for v in value], indent)
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _render_json(report: dict) -> str:
-    return _json_text(report) + "\n"
+def _json_object(members, indent: int) -> str:
+    """An object from (encoded key, encoded value) pairs."""
+    if not members:
+        return "{}"
+    pad = "  " * indent
+    return "{\n" + ",\n".join(f"{pad}  {k}: {v}" for k, v in members) + "\n" + pad + "}"
 
 
-def _render_csv(report: dict) -> str:
-    rows = report["results"]
-    if not rows:
+def _json_array(items, indent: int) -> str:
+    """An array from encoded items."""
+    if not items:
+        return "[]"
+    pad = "  " * indent
+    return "[\n" + ",\n".join(f"{pad}  {v}" for v in items) + "\n" + pad + "]"
+
+
+def _render_json(report: _Report) -> str:
+    # json is imported by the runs that write or read it, not by every run.
+    from json.encoder import encode_basestring_ascii as string  # what json.dumps(str) returns
+
+    keys = [string(c) for c in report.columns]
+    results = [
+        _json_object([(k, _json_text(v, 3, string)) for k, v in zip(keys, row)], 2) for row in report.rows
+    ]
+    return _json_object([
+        ('"command"', string(report.command)),
+        ('"config"', _json_text(report.config, 1, string)),
+        ('"results"', _json_array(results, 1)),
+        ('"summary"', _json_text(report.summary, 1, string)),
+    ], 0) + "\n"
+
+
+def _render_csv(report: _Report) -> str:
+    if not report.rows:
         return ""
-    columns = list(rows[0].keys())
-    lines = [",".join(columns)]
-    for row in rows:
+    lines = [",".join(report.columns)]
+    for row in report.rows:
         cells = []
-        for c in columns:
-            cell = _fmt(row.get(c))
+        for v in row:
+            cell = _fmt(v)
             if "," in cell or '"' in cell:
                 cell = '"' + cell.replace('"', '""') + '"'
             cells.append(cell)
@@ -265,19 +289,17 @@ def _render_csv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_text(report: dict) -> str:
-    lines = [f"command: {report['command']}"]
-    cfg = report["config"]
+def _render_text(report: _Report) -> str:
+    lines = [f"command: {report.command}"]
+    cfg = report.config
     for key in ("surface", "params", "pair", "grid", "matrix", "tolerance"):
         if cfg.get(key) not in (None, {}, []):
             lines.append(f"{key}: {cfg[key]}")
-    rows = report["results"]
-    if rows:
-        columns = list(rows[0].keys())
+    if report.rows:
         lines.append("")
-        lines.append("  ".join(f"{c:>22}" for c in columns))
-        for row in rows:
-            lines.append("  ".join(f"{_fmt(row.get(c)):>22}" for c in columns))
+        lines.append("  ".join(f"{c:>22}" for c in report.columns))
+        for row in report.rows:
+            lines.append("  ".join(f"{_fmt(v):>22}" for v in row))
     lines.append("")
     lines.append("summary:")
 
@@ -290,7 +312,7 @@ def _render_text(report: dict) -> str:
         else:
             lines.append(f"{pad}{key}: {_fmt(value)}")
 
-    for k, v in report["summary"].items():
+    for k, v in report.summary.items():
         emit(k, v, 1)
     return "\n".join(lines) + "\n"
 
@@ -327,7 +349,7 @@ def run(config: RunConfig) -> int:
         text = _RENDERERS[config.format](report)
         _emit(text, config.output)
         if config.output is not None:
-            status = report["summary"].get("passed")
+            status = report.summary.get("passed")
             print(f"wrote {config.format} report to {config.output}"
                   + ("" if status is None else f" ({'PASS' if status else 'FAIL'})"))
         return exit_code
@@ -396,6 +418,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str) -> dict:
+    import json  # only a run with --config reads JSON
+
     try:
         with open(path) as fh:
             data = json.load(fh)

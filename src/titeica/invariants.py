@@ -31,10 +31,11 @@ Euclidean and -1 for the Minkowski form; :func:`identity_residual`
 measures the gap between the two routes.
 
 A point is singular when |EG - F^2|, then |nn|, then d is at most
-EPS_SINGULAR; the first failing test names the error raised.  So is a
-point whose K, d or K/d^4 is not finite (d^4 beyond float range counts
-as not finite), or whose K/d^4 underflows: K is not 0 but |K/d^4| is
-below the smallest normal float.
+EPS_SINGULAR, or when EG - F^2 or nn is not finite (an overflowing
+normal would otherwise read as d = 0); the first failing test names the
+error raised.  So is a point whose K, d or K/d^4 is not finite (d^4
+beyond float range counts as not finite), or whose K/d^4 underflows: K
+is not 0 but |K/d^4| is below the smallest normal float.
 
 The grid commands (:func:`scan_grid`, :func:`classify` and
 ``centroaffine.verify_scaling``) walk their points through one sweep,
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import GeometryError, InconclusiveError, RegularityError, SignatureError, SingularPointError
@@ -76,6 +76,10 @@ DEFAULT_GRID = (20, 20)
 DEFAULT_TOL = 1e-8
 
 _SKIP = (SingularPointError, RegularityError, SignatureError)
+
+# Builds a per-point record without the argument binding of its generated
+# __new__; every field is given, in order.
+_new = tuple.__new__
 
 
 class FundamentalForms(NamedTuple):
@@ -143,10 +147,14 @@ def _core(sj: SurfaceJet, amb: AmbientForm) -> _Core:
     disc = e * g - f * f
     if abs(disc) <= EPS_SINGULAR:
         return _Core(vols, RegularityError(f"degenerate tangent plane (EG - F^2 = {disc:g})"))
+    if not math.isfinite(disc):
+        return _Core(vols, SingularPointError(f"non-finite EG - F^2 = {disc:g}"))
     c0, c1, c2 = c
     nn = float(s0 * c0 * c0 + s1 * c1 * c1 + s2 * c2 * c2)
     if abs(nn) <= EPS_SINGULAR:
         return _Core(vols, SignatureError(f"normal vector is null under the {amb.name} form"))
+    if not math.isfinite(nn):
+        return _Core(vols, SingularPointError(f"non-finite normal (<n, n> = {nn:g})"))
     scale = 1.0 / math.sqrt(abs(nn))
     forms = FundamentalForms(e, f, g, vols.Vx * scale, vols.Vxy * scale, vols.Vy * scale)
     sign = 1.0 if nn > 0.0 else -1.0
@@ -209,8 +217,7 @@ def _sweep(points, evaluate, record) -> list:
     return rows
 
 
-@dataclass
-class PointRecord:
+class PointRecord(NamedTuple):
     x: float
     y: float
     K: Optional[float] = None
@@ -219,8 +226,7 @@ class PointRecord:
     skipped: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class ClassifyVerdict:
+class ClassifyVerdict(NamedTuple):
     """The fields before ``points`` are the classify summary, in its order."""
 
     surface: str
@@ -237,9 +243,11 @@ def scan_grid(s: SurfaceDef, grid: tuple[int, int] = DEFAULT_GRID) -> list[Point
     """Evaluate K, d and K/d^4 over the surface's domain grid, recording
     singular points as skipped with their reason."""
 
+    amb = s.ambient
+
     def evaluate(x, y):
-        p = _core(eval_surface(s, x, y), s.ambient)
-        return PointRecord(x, y, p.K, p.d, p.ratio())
+        p = _core(eval_surface(s, x, y), amb)
+        return _new(PointRecord, (x, y, p.K, p.d, p.ratio(), None))
 
     return _sweep(grid_points(s.domain, *grid), evaluate, PointRecord)
 

@@ -20,8 +20,7 @@ reproduces the disk metric rather than presuming it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from . import jet
 from .errors import CatalogError, DomainError, RegularityError, SignatureError, UsageError
@@ -46,12 +45,13 @@ __all__ = [
     "pair_names",
 ]
 
+_new = tuple.__new__
+
 Components = Callable[[Jet2, Jet2], tuple[Jet2, Jet2, Jet2]]
 Mapping2 = Callable[[Jet2, Jet2], tuple[Jet2, Jet2]]
 
 
-@dataclass(frozen=True)
-class Metric2:
+class Metric2(NamedTuple):
     """Riemannian metric on a rectangular coordinate box."""
 
     name: str
@@ -59,8 +59,7 @@ class Metric2:
     domain: Box
 
 
-@dataclass(frozen=True)
-class CoordChange:
+class CoordChange(NamedTuple):
     """Jet-evaluable coordinate change (x, y) -> (u, v)."""
 
     name: str
@@ -68,8 +67,7 @@ class CoordChange:
     domain: Box
 
 
-@dataclass(frozen=True)
-class MetricPair:
+class MetricPair(NamedTuple):
     """A claimed pullback equality: source = change* target.
 
     ``changes`` holds one or more labelled variants of the coordinate
@@ -149,8 +147,7 @@ def pullback(m: Metric2, change: CoordChange, p: tuple[float, float]) -> tuple[f
     return h11, h12, h22
 
 
-@dataclass
-class AgreePoint:
+class AgreePoint(NamedTuple):
     x: float
     y: float
     diff_g11: float
@@ -158,8 +155,7 @@ class AgreePoint:
     diff_g22: float
 
 
-@dataclass(frozen=True)
-class AgreeReport:
+class AgreeReport(NamedTuple):
     points: tuple[AgreePoint, ...]
     max_diff: float
     passed: bool
@@ -203,12 +199,11 @@ def _agree(
         worst = max(worst, d11, d12, d22)
         if math.isnan(d11 + d12 + d22):
             worst = math.nan
-        rows.append(AgreePoint(p[0], p[1], d11, d12, d22))
+        rows.append(_new(AgreePoint, (p[0], p[1], d11, d12, d22)))
     return AgreeReport(tuple(rows), worst, worst <= tol)
 
 
-@dataclass(frozen=True)
-class PairCheck:
+class PairCheck(NamedTuple):
     pair: str
     tol: float
     variants: tuple[tuple[str, AgreeReport], ...]

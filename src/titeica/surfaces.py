@@ -14,7 +14,7 @@ singularities (sphere equator, pseudosphere cusp, hyperboloid axis).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 from typing import Callable, NamedTuple
 
 from . import jet
@@ -37,22 +37,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Box:
-    """Open rectangular parameter domain (x0, x1) x (y0, y1)."""
+_new = tuple.__new__
 
+
+class _BoxFields(NamedTuple):
     x0: float
     x1: float
     y0: float
     y1: float
 
-    def __post_init__(self):
-        if not (self.x0 < self.x1 and self.y0 < self.y1):
-            raise ValueError(f"degenerate box [{self.x0}, {self.x1}] x [{self.y0}, {self.y1}]")
+
+class Box(_BoxFields):
+    """Open rectangular parameter domain (x0, x1) x (y0, y1)."""
+
+    __slots__ = ()
+
+    def __new__(cls, x0: float, x1: float, y0: float, y1: float) -> "Box":
+        if not (x0 < x1 and y0 < y1):
+            raise ValueError(f"degenerate box [{x0}, {x1}] x [{y0}, {y1}]")
+        return _new(cls, (x0, x1, y0, y1))
 
     def contains(self, x: float, y: float) -> bool:
         """Strict interior membership."""
-        return self.x0 < x < self.x1 and self.y0 < y < self.y1
+        x0, x1, y0, y1 = self
+        return x0 < x < x1 and y0 < y < y1
 
     def describe(self) -> str:
         return f"[{self.x0:g}, {self.x1:g}] x [{self.y0:g}, {self.y1:g}]"
@@ -81,8 +89,7 @@ def _inset_axis(lo: float, hi: float, n: int) -> list[float]:
     return [a + i * step for i in range(n - 1)] + [b]
 
 
-@dataclass(frozen=True)
-class AmbientForm:
+class AmbientForm(NamedTuple):
     """Diagonal bilinear form on 3-space, fixed by its signature."""
 
     signature: tuple[int, int, int]
@@ -112,13 +119,10 @@ class SurfaceJet(NamedTuple):
     f_yy: Vec3
 
 
-_new = tuple.__new__
-
 Patch = Callable[[float, float], SurfaceJet]
 
 
-@dataclass(frozen=True)
-class SurfaceDef:
+class SurfaceDef(NamedTuple):
     """A named patch: the map from a parameter point to its jet, the
     parameter domain and the ambient form."""
 
@@ -156,8 +160,7 @@ def eval_surface(s: SurfaceDef, x: float, y: float) -> SurfaceJet:
 # Catalog
 
 
-@dataclass(frozen=True)
-class _Entry:
+class _Entry(NamedTuple):
     build: Callable[[dict], SurfaceDef]
     defaults: dict
     description: str
@@ -288,7 +291,7 @@ def catalog(name: str, **params: float) -> SurfaceDef:
 
     Unknown names raise :class:`CatalogError` listing the valid ones;
     invalid parameters (unknown keys, non-finite values, non-positive
-    radii) raise ValueError.
+    radii, radii whose square is not a normal float) raise ValueError.
     """
     entry = _CATALOG.get(name)
     if entry is None:
@@ -305,8 +308,14 @@ def catalog(name: str, **params: float) -> SurfaceDef:
     for k, v in merged.items():
         if not math.isfinite(v):
             raise ValueError(f"surface '{name}': parameter {k} must be finite, got {v}")
-    if "R" in merged and merged["R"] <= 0.0:
-        raise ValueError(f"surface '{name}': radius R must be positive, got {merged['R']}")
+    if "R" in merged:
+        r = merged["R"]
+        if r <= 0.0:
+            raise ValueError(f"surface '{name}': radius R must be positive, got {r}")
+        # The sphere patches take sqrt(R^2 - x^2 - y^2); a subnormal R^2
+        # loses the digits that keep that argument positive.
+        if r * r < sys.float_info.min:
+            raise ValueError(f"surface '{name}': radius R is too small, R^2 is not a normal float, got {r}")
     return entry.build(merged)
 
 

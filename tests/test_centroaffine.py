@@ -277,6 +277,26 @@ def test_overflowing_maps_are_reported_not_raised(capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("diagonal", [(1e100, 1e100, 1.0), (1e160, 1e-160, 1.0)])
+def test_overflowing_normal_is_a_non_finite_skip(diagonal):
+    # The image's tangent rows are finite but EG - F^2 and <n, n> overflow;
+    # an infinite <n, n> would make d read 0, as if the plane met the origin.
+    s = catalog("titeica-xyz")
+    report = verify_scaling(s, CentroAffineMap.of(np.diag(diagonal)), grid_points(s.domain, 3, 3), 1e-8)
+    assert report.points_skipped == 9
+    assert all(p.skipped.startswith("non-finite") for p in report.points)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the curvature route's EG - F^2 loses about "
+                   "8 digits under an ill-conditioned unimodular map; the volume route does not")
+@pytest.mark.parametrize("surface, k", [("paraboloid", 1e-4), ("titeica-xyz", 1e-5), ("sphere-origin", 1e-5)])
+def test_ill_conditioned_unimodular_map_passes(surface, k):
+    s = catalog(surface)
+    a = CentroAffineMap.of(np.diag([k, 1.0, 1.0 / k]))
+    report = verify_scaling(s, a, grid_points(s.domain, 20, 20), 1e-8)
+    assert report.max_ratio_residual <= 1e-8
+
+
 def test_all_skipped_run_fails():
     s = catalog("plane")  # every tangent plane passes through the origin
     report = verify_scaling(s, CentroAffineMap.identity(), grid_points(s.domain, 3, 3), 1e-8)

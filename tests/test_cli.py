@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import titeica
-from titeica import classify, scan_grid
+from titeica import classify, cli, scan_grid
 from titeica.cli import RunConfig, main, parse_config, run
 from titeica.errors import InconclusiveError, UsageError
 from titeica.surfaces import catalog
@@ -391,20 +391,24 @@ import sys
 before = set(sys.modules)
 import titeica
 print(*sorted(set(sys.modules) - before))
+import titeica.cli
+print(*sorted(set(sys.modules) - before))
 """
 
 
 def test_import_titeica_loads_no_cli_modules():
     # Compared with the modules the bare interpreter (site included) has
-    # already loaded, so only what the import adds counts.
+    # already loaded, so only what the import adds counts.  dataclasses
+    # (which loads inspect) and json cost every fresh process start-up time.
     src = os.path.dirname(os.path.dirname(os.path.abspath(titeica.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", IMPORT_PACKAGE], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    added = set(proc.stdout.split())
-    assert "titeica.invariants" in added
-    assert not added & {"statistics", "argparse", "json", "titeica.cli"}
+    by_package, by_cli = (set(line.split()) for line in proc.stdout.splitlines())
+    assert "titeica.invariants" in by_package and "titeica.cli" in by_cli
+    assert not by_package & {"statistics", "argparse", "json", "titeica.cli"}
+    assert not by_cli & {"dataclasses", "inspect", "json"}
 
 
 def test_unwritable_output_path(capsys):
@@ -422,6 +426,14 @@ def test_run_validates_config():
     assert run(RunConfig(command="classify", surface="plane", tolerance=-1.0)) == 2
     assert run(RunConfig(command="metric-check")) == 2
     assert run(RunConfig(command="transform-check", surface="plane")) == 2
+
+
+def test_every_config_field_has_one_converter():
+    assert tuple(cli._CONVERTERS) == RunConfig._fields
+    first, second = RunConfig("catalog"), RunConfig(command="catalog")
+    assert first == second and first.params == {}
+    assert first.params is not second.params
+    assert RunConfig("catalog", params={"R": 2.0}).params == {"R": 2.0}
 
 
 def test_parse_config_requires_command():

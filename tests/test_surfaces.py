@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -68,6 +69,12 @@ def test_bad_params():
         catalog("sphere-origin", R=-1.0)
     with pytest.raises(ValueError):
         catalog("paraboloid", R=1.0)
+    # R^2 below the smallest normal float: the cap's sqrt argument underflows
+    for name in ("sphere-origin", "sphere-translated"):
+        for r in (1e-200, 1e-160, math.nextafter(math.sqrt(sys.float_info.min), 0.0)):
+            with pytest.raises(ValueError, match=f"surface '{name}': radius R is too small"):
+                catalog(name, R=r)
+        catalog(name, R=math.sqrt(sys.float_info.min))
 
 
 def test_minkowski_sphere_lies_on_unit_shell():
