@@ -39,13 +39,22 @@ __all__ = ["RunConfig", "run", "main"]
 # Run configuration
 
 
+def _float(value) -> float:
+    # float(True) is 1.0: a JSON true or false in a config file is no number.
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value}")
+    return float(value)
+
+
 def _grid(value) -> tuple[int, int]:
     # A flag value is a list of two strings; a config-file string such as
-    # "34" would otherwise be read digit by digit.
+    # "34" would otherwise be read digit by digit, and a true as 1.
     if isinstance(value, str):
         raise ValueError(f"expected two integers, got {value!r}")
     grid = tuple(int(v) for v in value)
-    if len(grid) != 2 or any(g != v for g, v in zip(grid, value) if not isinstance(v, str)):
+    if len(grid) != 2 or any(
+        isinstance(v, bool) or g != v for g, v in zip(grid, value) if not isinstance(v, str)
+    ):
         raise ValueError(f"expected two integers, got {value}")
     return grid
 
@@ -53,11 +62,11 @@ def _grid(value) -> tuple[int, int]:
 def _matrix(value) -> tuple[float, ...]:
     if isinstance(value, str):
         value = [tok for tok in value.replace(" ", "").split(",") if tok]
-    return tuple(float(v) for v in value)
+    return tuple(_float(v) for v in value)
 
 
 def _params(value) -> dict:
-    return {str(k): float(v) for k, v in dict(value).items()}
+    return {str(k): _float(v) for k, v in dict(value).items()}
 
 
 class _RunFields(NamedTuple):
@@ -86,7 +95,7 @@ class RunConfig(_RunFields):
 
 _CONVERTERS = dict(
     command=str, surface=str, params=_params, pair=str, grid=_grid,
-    matrix=_matrix, tolerance=float, format=str, output=str,
+    matrix=_matrix, tolerance=_float, format=str, output=str,
 )
 
 
@@ -222,7 +231,6 @@ def _json_text(value, indent: int, string) -> str:
     # json.dumps writes floats with repr() and inf/nan as bare tokens; the report
     # contract is 17 significant digits and strict JSON, so emit the document by hand.
     # ``string`` is json's own string encoder.
-    # The tests run from the most frequent type (a float cell) down.
     if isinstance(value, float):
         return format(value, ".17g") if math.isfinite(value) else "null"
     if isinstance(value, dict):
@@ -262,30 +270,40 @@ def _render_json(report: _Report) -> str:
     # json is imported by the runs that write or read it, not by every run.
     from json.encoder import encode_basestring_ascii as string  # what json.dumps(str) returns
 
-    keys = [string(c) for c in report.columns]
-    results = [
-        _json_object([(k, _json_text(v, 3, string)) for k, v in zip(keys, row)], 2) for row in report.rows
+    # The results array is one "%" template, built once per report from the
+    # key lines every row shares, and filled with all the cells at once.  A
+    # finite float cell is written inline; any other cell (None, str, bool,
+    # int, nan, inf, a float subclass) goes through _json_text, which keeps
+    # the null and escaping rules.
+    keys = [string(c).replace("%", "%%") for c in report.columns]
+    row = "    {\n" + ",\n".join(f"      {k}: %s" for k in keys) + "\n    }"
+    cells = [
+        f"{v:.17g}" if type(v) is float and v - v == 0.0 else _json_text(v, 3, string)
+        for r in report.rows for v in r
     ]
+    results = "[\n" + ",\n".join([row] * len(report.rows)) % tuple(cells) + "\n  ]" if report.rows else "[]"
     return _json_object([
         ('"command"', string(report.command)),
         ('"config"', _json_text(report.config, 1, string)),
-        ('"results"', _json_array(results, 1)),
+        ('"results"', results),
         ('"summary"', _json_text(report.summary, 1, string)),
     ], 0) + "\n"
+
+
+def _csv_cell(v) -> str:
+    cell = _fmt(v)
+    if "," in cell or '"' in cell:
+        cell = '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def _render_csv(report: _Report) -> str:
     if not report.rows:
         return ""
     lines = [",".join(report.columns)]
+    # A float's .17g text holds no "," or '"', so it needs no quoting test.
     for row in report.rows:
-        cells = []
-        for v in row:
-            cell = _fmt(v)
-            if "," in cell or '"' in cell:
-                cell = '"' + cell.replace('"', '""') + '"'
-            cells.append(cell)
-        lines.append(",".join(cells))
+        lines.append(",".join([f"{v:.17g}" if type(v) is float else _csv_cell(v) for v in row]))
     return "\n".join(lines) + "\n"
 
 

@@ -143,7 +143,7 @@ def _core(sj: SurfaceJet, amb: AmbientForm) -> _Core:
     # numpy.cross operand order: tests/frame_reference.py holds every
     # derived float bitwise to the frame built with it.
     c = (x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0)
-    vols = OrientedVolumes(_dot(sj.f_xx, c), _dot(sj.f_yy, c), _dot(sj.f_xy, c), _dot(sj.f, c))
+    vols = _new(OrientedVolumes, (_dot(sj.f_xx, c), _dot(sj.f_yy, c), _dot(sj.f_xy, c), _dot(sj.f, c)))
     disc = e * g - f * f
     if abs(disc) <= EPS_SINGULAR:
         return _Core(vols, RegularityError(f"degenerate tangent plane (EG - F^2 = {disc:g})"))
@@ -156,11 +156,11 @@ def _core(sj: SurfaceJet, amb: AmbientForm) -> _Core:
     if not math.isfinite(nn):
         return _Core(vols, SingularPointError(f"non-finite normal (<n, n> = {nn:g})"))
     scale = 1.0 / math.sqrt(abs(nn))
-    forms = FundamentalForms(e, f, g, vols.Vx * scale, vols.Vxy * scale, vols.Vy * scale)
+    forms = _new(FundamentalForms, (e, f, g, vols.Vx * scale, vols.Vxy * scale, vols.Vy * scale))
     sign = 1.0 if nn > 0.0 else -1.0
     k = sign * (forms.L * forms.N - forms.M * forms.M) / disc
     d = abs(vols.V) / math.sqrt(abs(nn))
-    return _Core(vols, None, forms, k, d)
+    return _new(_Core, (vols, None, forms, k, d))
 
 
 def fundamental_forms(sj: SurfaceJet, amb: AmbientForm) -> FundamentalForms:

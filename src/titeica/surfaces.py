@@ -68,7 +68,8 @@ class Box(_BoxFields):
     def require(self, x: float, y: float, kind: str, name: str) -> None:
         """Raise :class:`DomainError` unless (x, y) is strictly inside the
         domain of the named object (a surface, metric or coordinate change)."""
-        if not self.contains(x, y):
+        x0, x1, y0, y1 = self
+        if not (x0 < x < x1 and y0 < y < y1):
             raise DomainError(f"point ({x:g}, {y:g}) outside domain {self.describe()} of {kind} '{name}'")
 
 

@@ -1,4 +1,6 @@
-"""Shared test utilities: random patches, points and matrices."""
+"""Shared test utilities: random patches, points and matrices, and a NaN metric pair."""
+
+import math
 
 import numpy as np
 
@@ -6,6 +8,7 @@ from titeica import jet
 from titeica.centroaffine import CentroAffineMap, ScalingPoint
 from titeica.errors import GeometryError, RegularityError, SignatureError, SingularPointError
 from titeica.invariants import oriented_volumes, tangent_distance, titeica_ratio
+from titeica.metrics import CoordChange, Metric2, MetricPair, metric
 from titeica.surfaces import EUCLIDEAN, Box, SurfaceDef, SurfaceJet, eval_surface, parametric
 
 
@@ -101,3 +104,17 @@ def random_orthogonal(rng, det_sign=1.0):
     if np.sign(np.linalg.det(q)) != np.sign(det_sign):
         q[:, 0] = -q[:, 0]
     return CentroAffineMap.of(q)
+
+
+def nan_at_positive_x(x, y):
+    # the flat metric, except that g11 is not a number where x > 0
+    return jet.constant(math.nan if x.val > 0.0 else 1.0), jet.constant(0.0), jet.constant(1.0)
+
+
+def nan_metric_pair():
+    """The flat metric against ``nan_at_positive_x`` under the identity:
+    its agreement rows hold NaN differences."""
+    flat = metric("euclidean")
+    identity = CoordChange("identity", lambda x, y: (x, y), flat.domain)
+    return MetricPair("flat:nan", flat, Metric2("nan-g11", nan_at_positive_x, flat.domain),
+                      (("identity", identity),), flat.domain)

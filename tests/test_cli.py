@@ -334,6 +334,24 @@ def test_config_file_value_that_cannot_be_converted(field, value, tmp_path, caps
     assert captured.err.startswith(f"error: {field}: ")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tolerance", True),
+    ("grid", [3, True]),
+    ("matrix", [True, 0, 0, 0, True, 0, 0, 0, True]),
+    ("params", {"R": True}),
+])
+def test_config_file_boolean_is_not_a_number(field, value, tmp_path, capsys):
+    # float(True) and int(True) are 1: the run would take a true for 1.
+    cfg = tmp_path / "bool.json"
+    cfg.write_text(json.dumps({
+        "command": "transform-check", "surface": "sphere-origin", "matrix": "2,0,0,0,1,0,0,0,1", field: value,
+    }))
+    assert main(["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field}: ") and "True" in captured.err
+
+
 def test_config_file_grid_takes_integral_numbers(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"command": "classify", "surface": "sphere-origin", "grid": [3.0, 3]}))

@@ -1,14 +1,16 @@
 """Report bytes pinned to golden files.
 
 Each file under ``tests/golden/`` is the stdout of ``main(argv)`` for the
-argv beside its name.  Six of them use only arithmetic and ``sqrt``, so
-their bytes do not depend on the platform's math library: the catalog,
-classify and transform-check on titeica-xyz, invariants on
-sphere-origin, transform-check on the paraboloid and the half-plane to
-disk pullback.  The other five pin the jet paths through ``sin``,
-``cos``, ``sinh``, ``cosh``, ``tanh``, ``atan`` and ``atanh``:
-classify and transform-check on the pseudosphere, invariants on the
-Minkowski sphere and the disk-to-hyperboloid pullback in CSV and JSON.
+argv beside its name.  Eight of them use only arithmetic and ``sqrt``,
+so their bytes do not depend on the platform's math library: the
+catalog, classify and transform-check on titeica-xyz, invariants on
+sphere-origin (at R = 2, and at R = 1e100 in CSV and JSON, where every
+row is skipped with a non-finite K/d^4), transform-check on the
+paraboloid and the half-plane to disk pullback.  The other five pin the
+jet paths through ``sin``, ``cos``, ``sinh``, ``cosh``, ``tanh``,
+``atan`` and ``atanh``: classify and transform-check on the
+pseudosphere, invariants on the Minkowski sphere and the
+disk-to-hyperboloid pullback in CSV and JSON.
 Their last digits follow the C library's ``libm`` (they were written
 with glibc on x86-64).  A deliberate change of report bytes rewrites the
 file from the new output and says why in CHANGES.md.
@@ -55,6 +57,13 @@ GOLDEN = {
     "transform-check-pseudosphere.csv": [
         "transform-check", "--surface", "pseudosphere",
         "--matrix", "0.7,-1.2,0.3,2.1,0.4,-0.6,0.05,0.9,1.7", "--format", "csv", "--grid", "4", "3",
+    ],
+    # every row skipped: null cells in JSON, empty cells and a quoted reason in CSV
+    "invariants-sphere-origin-skipped.csv": [
+        "invariants", "--surface", "sphere-origin", "--param", "R=1e100", "--format", "csv", "--grid", "3", "2",
+    ],
+    "invariants-sphere-origin-skipped.json": [
+        "invariants", "--surface", "sphere-origin", "--param", "R=1e100", "--format", "json", "--grid", "3", "2",
     ],
     # the summary block of two change variants
     "metric-check-disk-minkowski-sphere.json": [

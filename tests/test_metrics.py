@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import nan_at_positive_x, nan_metric_pair
 from titeica import metrics
 from titeica.cli import main
 from titeica.errors import CatalogError, DomainError, SignatureError, UsageError
@@ -137,11 +138,6 @@ def test_metrics_agree_empty_grid():
         metrics_agree(m, m, [], 1e-9)
 
 
-def nan_at_positive_x(x, y):
-    # the flat metric, except that g11 is not a number where x > 0
-    return constant(math.nan if x.val > 0.0 else 1.0), constant(0.0), constant(1.0)
-
-
 @pytest.mark.parametrize("grid", [[(-0.5, 0.0), (0.5, 0.0)], [(0.5, 0.0), (-0.5, 0.0)]])
 def test_metrics_agree_fails_on_a_nan_difference(grid):
     candidate = Metric2("nan-g11", nan_at_positive_x, Box(-1.0, 1.0, -1.0, 1.0))
@@ -151,11 +147,7 @@ def test_metrics_agree_fails_on_a_nan_difference(grid):
 
 
 def test_metric_check_writes_a_nan_max_diff_as_null(monkeypatch, tmp_path):
-    flat = metric("euclidean")
-    identity = CoordChange("identity", lambda x, y: (x, y), flat.domain)
-    pair = MetricPair("flat:nan", flat, Metric2("nan-g11", nan_at_positive_x, flat.domain),
-                      (("identity", identity),), flat.domain)
-    monkeypatch.setitem(metrics._PAIRS, "flat:nan", pair)
+    monkeypatch.setitem(metrics._PAIRS, "flat:nan", nan_metric_pair())
     out = tmp_path / "report.json"
     assert main(["metric-check", "--pair", "flat:nan", "--format", "json", "--output", str(out)]) == 1
     with open(out) as fh:
