@@ -13,8 +13,8 @@ this action, at matched parameter points,
 :func:`verify_scaling` measures all three numerically over a list of
 points and reports per-point residuals.  It evaluates the surface once
 per point and makes one invariant pass on each side of the map: the
-ratio and the oriented volumes of the source jet come from one pass, and
-those of its image from another.
+ratio, the position volume and the numerator of the source jet come from
+one pass, and those of its image from another.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import math
 from typing import NamedTuple, Optional
 
 from .errors import SignatureError, SingularPointError
-from .invariants import _core, _sweep
-from .metrics import det3
+from .invariants import _core, _sweep, det3
 from .surfaces import EUCLIDEAN, SurfaceDef, SurfaceJet, eval_surface
 
 __all__ = ["CentroAffineMap", "apply_map", "verify_scaling", "ScalingPoint", "ScalingReport"]
@@ -136,14 +135,10 @@ def verify_scaling(s: SurfaceDef, a: CentroAffineMap, points, tol: float) -> Sca
         after = image.ratio()
         predicted = before / det2
         ratio_res = abs(after - predicted) / max(1.0, abs(predicted))
-        vols, ivols = source.vols, image.vols
-        v_pred = a.det * vols.V
-        volume_res = abs(ivols.V - v_pred) / max(1e-300, abs(v_pred))
-        try:
-            num_pred = det2 * (vols.Vx * vols.Vy - vols.Vxy**2)
-            num_after = ivols.Vx * ivols.Vy - ivols.Vxy**2
-        except OverflowError:  # a Vxy**2 past float range
-            num_pred = num_after = math.inf
+        v_pred = a.det * source.vols.V
+        volume_res = abs(image.vols.V - v_pred) / max(1e-300, abs(v_pred))
+        num_pred = det2 * source.num
+        num_after = image.num
         if not (math.isfinite(num_pred) and math.isfinite(num_after)):
             raise SingularPointError(f"non-finite Vx Vy - Vxy^2 (det = {a.det:g})")
         numerator_res = abs(num_after - num_pred) / max(1.0, abs(num_pred))

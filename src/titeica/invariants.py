@@ -1,41 +1,37 @@
 """Pointwise surface invariants under a chosen ambient bilinear form.
 
-Everything here comes from one pass over a :class:`SurfaceJet`.  Let
-S = diag(signature) be the ambient form, <v, w> = v^T S w, and
-c = f_x x f_y the Euclidean cross product of the tangent rows.  The pass
-computes
+Everything here comes from one pass over a :class:`SurfaceJet`, in the
+paper's representation.  Let S = diag(signature) be the ambient form,
+<v, w> = v^T S w, and c = f_x x f_y the Euclidean cross product of the
+tangent rows.  The pass computes
 
-* the first fundamental form E, F, G = <f_x, f_x>, <f_x, f_y>, <f_y, f_y>
-  and its determinant EG - F^2,
-* nn = c^T S c,
 * the four oriented volumes Vx, Vy, Vxy, V = det(row; f_x; f_y) for
-  row = f_xx, f_yy, f_xy and the position f, each as the dot product
-  row . c,
+  row = f_xx, f_yy, f_xy and the position f, each as row . c,
+* nn = c^T S c and num = det(S) (Vx Vy - Vxy^2), with det(S) = +1 for
+  the Euclidean and -1 for the Minkowski form,
 
-and derives from them
-
-* L, M, N = (Vx, Vxy, Vy) / sqrt(|nn|),
-* K = sign(nn) (LN - M^2) / (EG - F^2),
-* d = |V| / sqrt(|nn|), the distance from the origin to the affine
-  tangent plane,
-* the ratio K/d^4.
+and derives K = num / nn^2, the distance d = |V| / sqrt(|nn|) from the
+origin to the affine tangent plane, and the ratio K/d^4 = num / V^4.
 
 The normal is n = S c: it is ambient-orthogonal to the tangent plane for
 both signatures, <n, n> = nn and <row, n> = row . c because S^2 = I.
-Normalizing by sqrt(|nn|) and carrying sign(nn) into K reproduces the
-classical values on the unit Minkowski hyperboloid (K = -1, d = 1).
+Two identities remove the first fundamental form.  Lagrange's identity
+gives EG - F^2 = det(S) nn; with L, M, N = (Vx, Vxy, Vy) / sqrt(|nn|),
+LN - M^2 = (Vx Vy - Vxy^2) / |nn|.  So the classical
+K = sign(nn) (LN - M^2) / (EG - F^2) is num / nn^2, and carrying sign(nn)
+reproduces K = -1, d = 1 on the unit Minkowski hyperboloid.  E, F and G
+appear only in :func:`fundamental_forms`, and EG - F^2 only in
+:func:`identity_residual`, which measures the classical route against
+the pass.
 
-Since EG - F^2 = det(S) nn, substituting gives the pure oriented-volume
-route K/d^4 = det(S) (Vx Vy - Vxy^2) / V^4, with det(S) = +1 for the
-Euclidean and -1 for the Minkowski form; :func:`identity_residual`
-measures the gap between the two routes.
-
-A point is singular when |EG - F^2|, then |nn|, then d is at most
-EPS_SINGULAR, or when EG - F^2 or nn is not finite (an overflowing
-normal would otherwise read as d = 0); the first failing test names the
-error raised.  So is a point whose K, d or K/d^4 is not finite (d^4
-beyond float range counts as not finite), or whose K/d^4 underflows: K
-is not 0 but |K/d^4| is below the smallest normal float.
+A point is singular when |c|^2 (EG - F^2 for the Euclidean form) is at
+most EPS_SINGULAR, when nn is not finite (an overflowing normal would
+otherwise read as d = 0), or when |nn|, then d, is at most EPS_SINGULAR;
+the first failing test names the error raised.  So is a point whose K,
+d or K/d^4 is not finite, or whose K/d^4 underflows: num is not 0 but
+|K/d^4| is below the smallest normal float.  Where V^4 is beyond float
+range the quotient is taken as num / V^2 / V^2, and counts as not finite
+if it is not a normal float.
 
 The grid commands (:func:`scan_grid`, :func:`classify` and
 ``centroaffine.verify_scaling``) walk their points through one sweep,
@@ -68,7 +64,7 @@ __all__ = [
     "classify",
 ]
 
-# Threshold on |V|, d and EG - F^2 below which a point is treated as
+# Threshold on |f_x x f_y|^2, |<n, n>| and d below which a point is treated as
 # singular and must be skipped (never silently dropped) by callers.
 EPS_SINGULAR = 1e-9
 
@@ -104,7 +100,8 @@ class _Core(NamedTuple):
 
     vols: OrientedVolumes
     fault: Optional[GeometryError]
-    forms: Optional[FundamentalForms] = None
+    nn: Optional[float] = None
+    num: Optional[float] = None
     K: Optional[float] = None
     d: Optional[float] = None
 
@@ -117,13 +114,15 @@ class _Core(NamedTuple):
         k, d = self.regular().K, self.d
         if d <= EPS_SINGULAR:
             raise SingularPointError(f"tangent plane passes through the origin (d = {d:g})")
-        try:
-            ratio = k / d**4
+        v = self.vols.V
+        try:  # |nn| and d above EPS_SINGULAR keep V^4 above 1e-55
+            ratio = self.num / v**4
         except OverflowError:
-            ratio = math.nan
+            ratio = self.num / (v * v) / (v * v)
+            ratio = ratio if abs(ratio) >= sys.float_info.min else math.nan
         if not (math.isfinite(k) and math.isfinite(d) and math.isfinite(ratio)):
             raise SingularPointError(f"non-finite K/d^4 (K = {k:g}, d = {d:g})")
-        if k != 0.0 and abs(ratio) < sys.float_info.min:
+        if self.num != 0.0 and abs(ratio) < sys.float_info.min:
             raise SingularPointError(f"K/d^4 underflows (K = {k:g}, d = {d:g})")
         return ratio
 
@@ -132,43 +131,49 @@ def _dot(r, c) -> float:
     return r[0] * c[0] + r[1] * c[1] + r[2] * c[2]
 
 
+def _cross(a, b) -> tuple[float, float, float]:
+    # numpy.cross operand order: tests/frame_reference.py holds the volumes
+    # and d bitwise to the frame built with it.
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def det3(r0, r1, r2) -> float:
+    """Determinant of the 3x3 matrix with rows r0, r1, r2, as r0 . (r1 x r2)."""
+    return _dot(r0, _cross(r1, r2))
+
+
 def _core(sj: SurfaceJet, amb: AmbientForm) -> _Core:
     """The single pass over a point; never raises."""
-    (x0, x1, x2), (y0, y1, y2) = sj.f_x, sj.f_y
-    # AmbientForm.inner, spelled out with the same operand order.
-    s0, s1, s2 = amb.signature
-    e = float(s0 * x0 * x0 + s1 * x1 * x1 + s2 * x2 * x2)
-    f = float(s0 * x0 * y0 + s1 * x1 * y1 + s2 * x2 * y2)
-    g = float(s0 * y0 * y0 + s1 * y1 * y1 + s2 * y2 * y2)
-    # numpy.cross operand order: tests/frame_reference.py holds every
-    # derived float bitwise to the frame built with it.
-    c = (x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0)
+    c = _cross(sj.f_x, sj.f_y)
     vols = _new(OrientedVolumes, (_dot(sj.f_xx, c), _dot(sj.f_yy, c), _dot(sj.f_xy, c), _dot(sj.f, c)))
-    disc = e * g - f * f
-    if abs(disc) <= EPS_SINGULAR:
-        return _Core(vols, RegularityError(f"degenerate tangent plane (EG - F^2 = {disc:g})"))
-    if not math.isfinite(disc):
-        return _Core(vols, SingularPointError(f"non-finite EG - F^2 = {disc:g}"))
-    c0, c1, c2 = c
-    nn = float(s0 * c0 * c0 + s1 * c1 * c1 + s2 * c2 * c2)
-    if abs(nn) <= EPS_SINGULAR:
-        return _Core(vols, SignatureError(f"normal vector is null under the {amb.name} form"))
+    cc = _dot(c, c)
+    if cc <= EPS_SINGULAR:
+        return _Core(vols, RegularityError(f"degenerate tangent plane (|f_x x f_y|^2 = {cc:g})"))
+    nn = amb.inner(c, c)
     if not math.isfinite(nn):
         return _Core(vols, SingularPointError(f"non-finite normal (<n, n> = {nn:g})"))
-    scale = 1.0 / math.sqrt(abs(nn))
-    forms = _new(FundamentalForms, (e, f, g, vols.Vx * scale, vols.Vxy * scale, vols.Vy * scale))
-    sign = 1.0 if nn > 0.0 else -1.0
-    k = sign * (forms.L * forms.N - forms.M * forms.M) / disc
-    d = abs(vols.V) / math.sqrt(abs(nn))
-    return _new(_Core, (vols, None, forms, k, d))
+    if abs(nn) <= EPS_SINGULAR:
+        return _Core(vols, SignatureError(f"normal vector is null under the {amb.name} form"))
+    vx, vy, vxy, v = vols
+    s0, s1, s2 = amb.signature
+    num = s0 * s1 * s2 * (vx * vy - vxy * vxy)
+    return _new(_Core, (vols, None, nn, num, num / (nn * nn), abs(v) / math.sqrt(abs(nn))))
 
 
 def fundamental_forms(sj: SurfaceJet, amb: AmbientForm) -> FundamentalForms:
-    return _core(sj, amb).regular().forms
+    """E, F, G = <f_x, f_x>, <f_x, f_y>, <f_y, f_y> and L, M, N =
+    (Vx, Vxy, Vy) / sqrt(|nn|) from the pass."""
+    p = _core(sj, amb).regular()
+    scale = 1.0 / math.sqrt(abs(p.nn))
+    fx, fy, v = sj.f_x, sj.f_y, p.vols
+    return FundamentalForms(amb.inner(fx, fx), amb.inner(fx, fy), amb.inner(fy, fy),
+                            v.Vx * scale, v.Vxy * scale, v.Vy * scale)
 
 
 def gaussian_curvature(sj: SurfaceJet, amb: AmbientForm) -> float:
-    """K = sign(<n,n>) (LN - M^2) / (EG - F^2)."""
+    """K = det(S) (Vx Vy - Vxy^2) / <n, n>^2, which is
+    sign(<n,n>) (LN - M^2) / (EG - F^2)."""
     return _core(sj, amb).regular().K
 
 
@@ -185,20 +190,21 @@ def oriented_volumes(sj: SurfaceJet) -> OrientedVolumes:
 
 
 def titeica_ratio(sj: SurfaceJet, amb: AmbientForm) -> float:
-    """The ratio K/d^4 via curvature and tangent distance."""
+    """The ratio K/d^4 = det(S) (Vx Vy - Vxy^2) / V^4."""
     return _core(sj, amb).ratio()
 
 
 def identity_residual(sj: SurfaceJet, amb: AmbientForm = EUCLIDEAN) -> float:
-    """|K/d^4 - det(S) (Vx Vy - Vxy^2)/V^4| with the left side from the
-    curvature route and the right side from the volumes alone.  On
-    regular points this stays below 1e-9 * max(1, |ratio|)."""
+    """|sign(<n,n>) (LN - M^2) / (EG - F^2) / d^4 - K/d^4|, the classical
+    curvature route through :func:`fundamental_forms` against the ratio
+    of the pass.  It is inf where EG - F^2 has cancelled to 0, and on the
+    catalog and random patches it stays below 1e-9 * max(1, |ratio|)."""
     p = _core(sj, amb)
-    v = p.vols
-    if abs(v.V) <= EPS_SINGULAR:
-        raise SingularPointError(f"position volume vanishes (V = {v.V:g})")
-    s0, s1, s2 = amb.signature
-    return abs(p.ratio() - s0 * s1 * s2 * (v.Vx * v.Vy - v.Vxy**2) / v.V**4)
+    ratio = p.ratio()
+    e, f, g, l, m, n = fundamental_forms(sj, amb)
+    disc = e * g - f * f
+    sign = 1.0 if p.nn > 0.0 else -1.0
+    return abs(sign * (l * n - m * m) / disc / p.d**2 / p.d**2 - ratio) if disc else math.inf
 
 
 # --------------------------------------------------------------------------

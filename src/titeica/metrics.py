@@ -24,6 +24,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 from . import jet
 from .errors import CatalogError, DomainError, RegularityError, SignatureError, UsageError
+from .invariants import det3
 from .jet import Jet2, constant, seed_xy
 from .surfaces import Box, grid_points
 
@@ -87,15 +88,6 @@ def metric_values(m: Metric2, p: tuple[float, float]) -> tuple[float, float, flo
     m.domain.require(x, y, "metric", m.name)
     g11, g12, g22 = m.components(constant(x), constant(y))
     return g11.val, g12.val, g22.val
-
-
-def det3(r0, r1, r2) -> float:
-    """Determinant of the 3x3 matrix with rows r0, r1, r2."""
-    return float(
-        r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
-        - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
-        + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0])
-    )
 
 
 def brioschi_curvature(m: Metric2, p: tuple[float, float]) -> float:

@@ -3,7 +3,10 @@
 Every public function rebuilds the frame (tangent form, normal n = S c
 with c = numpy.cross(f_x, f_y), and <n, n>) on its own, and the oriented
 volumes are explicit 3x3 determinants.  The one-pass core in
-``titeica.invariants`` must agree with it bitwise, errors included.
+``titeica.invariants`` must agree with it bitwise on the volumes, the
+fundamental forms and d, and raise the same error at every point.  K and
+K/d^4 here take the classical route through EG - F^2; the core's values
+are held to ``tests/exact.py`` instead.
 """
 
 import math
@@ -27,9 +30,10 @@ def _frame(sj, amb):
     f = amb.inner(sj.f_x, sj.f_y)
     g = amb.inner(sj.f_y, sj.f_y)
     disc = e * g - f * f
-    if abs(disc) <= EPS_SINGULAR:
-        raise RegularityError(f"degenerate tangent plane (EG - F^2 = {disc:g})")
     c = np.cross(sj.f_x, sj.f_y)
+    cc = float(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
+    if cc <= EPS_SINGULAR:
+        raise RegularityError(f"degenerate tangent plane (|f_x x f_y|^2 = {cc:g})")
     s = amb.signature
     n = np.array([s[0] * c[0], s[1] * c[1], s[2] * c[2]])
     nn = amb.inner(n, n)

@@ -279,7 +279,7 @@ def test_overflowing_maps_are_reported_not_raised(capsys):
 
 @pytest.mark.parametrize("diagonal", [(1e100, 1e100, 1.0), (1e160, 1e-160, 1.0)])
 def test_overflowing_normal_is_a_non_finite_skip(diagonal):
-    # The image's tangent rows are finite but EG - F^2 and <n, n> overflow;
+    # The image's tangent rows are finite but |f_x x f_y|^2 and <n, n> overflow;
     # an infinite <n, n> would make d read 0, as if the plane met the origin.
     s = catalog("titeica-xyz")
     report = verify_scaling(s, CentroAffineMap.of(np.diag(diagonal)), grid_points(s.domain, 3, 3), 1e-8)
@@ -287,10 +287,20 @@ def test_overflowing_normal_is_a_non_finite_skip(diagonal):
     assert all(p.skipped.startswith("non-finite") for p in report.points)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the curvature route's EG - F^2 loses about "
-                   "8 digits under an ill-conditioned unimodular map; the volume route does not")
+def test_ratio_is_evaluated_where_only_v4_overflows():
+    # under 1e30 I the image's V is about 1e90: V^4 is past float range,
+    # K/d^4 = num / V^2 / V^2 about 1e-180 is not
+    s = catalog("titeica-xyz")
+    a = CentroAffineMap.of(np.eye(3) * 1e30)
+    report = verify_scaling(s, a, grid_points(s.domain, 5, 5), 1e-8)
+    assert report.points_evaluated == 25
+    assert all(abs(p.ratio_after / p.ratio_before * 1e180 - 1.0) <= 1e-14 for p in report.points)
+
+
 @pytest.mark.parametrize("surface, k", [("paraboloid", 1e-4), ("titeica-xyz", 1e-5), ("sphere-origin", 1e-5)])
 def test_ill_conditioned_unimodular_map_passes(surface, k):
+    # det = 1 at condition number 1/k^2: the curvature route's EG - F^2
+    # lost about 8 digits here, the volume ratio loses none
     s = catalog(surface)
     a = CentroAffineMap.of(np.diag([k, 1.0, 1.0 / k]))
     report = verify_scaling(s, a, grid_points(s.domain, 20, 20), 1e-8)

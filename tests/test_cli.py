@@ -142,10 +142,24 @@ def test_cli_transform_check_pass(tmp_path):
     assert report["summary"]["passed"] is True
 
 
+def test_cli_transform_check_power_of_two_stretch_is_exact(tmp_path):
+    # diag(2, 1, 1) doubles every volume exactly, so the ratio quarters
+    # exactly and all three residuals are 0
+    out = tmp_path / "stretch.json"
+    argv = ["transform-check", "--surface", "paraboloid", "--matrix", "2,0,0,0,1,0,0,0,1",
+            "--format", "json", "--output", str(out)]
+    assert main(argv) == 0
+    summary = read_json(out)["summary"]
+    assert summary["points_evaluated"] == 400
+    residuals = [summary[f"max_{name}_residual"] for name in ("ratio", "volume", "numerator")]
+    assert residuals == [0, 0, 0]
+
+
 def test_cli_transform_check_fails_on_absurd_tolerance():
+    # a general map: diag(2, 1, 1) would give residuals of exactly 0
     code = main([
         "transform-check", "--surface", "paraboloid",
-        "--matrix", "2,0,0,0,1,0,0,0,1", "--tol", "1e-300",
+        "--matrix", "1.3,0.2,-0.4,0.1,0.9,0.3,-0.2,0.5,1.1", "--tol", "1e-300",
     ])
     assert code == 1
 

@@ -1,13 +1,16 @@
 """The one-pass invariant core against the three-frame reference.
 
-Values are compared by repr, which is == plus the sign of zero; errors by
-type and message.
+Volumes, fundamental forms and d are compared by repr, which is == plus
+the sign of zero; errors by type and message, at every point.  K and K/d^4
+are held to the exact invariants of ``tests/exact.py``: the core takes
+them from the volumes, the reference through EG - F^2.
 """
 
 import numpy as np
 import pytest
 
 import frame_reference as ref
+from exact import exact_invariants, relative_error
 from helpers import random_polynomial_patch
 from titeica import invariants
 from titeica.errors import RegularityError, SignatureError
@@ -22,7 +25,9 @@ from titeica.surfaces import (
 )
 
 AMBIENTS = (EUCLIDEAN, MINKOWSKI)
-VIEWS = ("fundamental_forms", "gaussian_curvature", "tangent_distance", "titeica_ratio")
+BITWISE_VIEWS = ("fundamental_forms", "tangent_distance")
+# relative error bounds against the exact value (measured: 1.2e-13, 1.7e-14)
+EXACT_VIEWS = (("gaussian_curvature", "K", 1e-12), ("titeica_ratio", "ratio", 1e-13))
 
 
 def outcome(fn, *args):
@@ -35,9 +40,19 @@ def outcome(fn, *args):
 def assert_matches_reference(sj):
     assert outcome(invariants.oriented_volumes, sj) == outcome(ref.oriented_volumes, sj)
     for amb in AMBIENTS:
-        for name in VIEWS:
+        for name in BITWISE_VIEWS:
             got = outcome(getattr(invariants, name), sj, amb)
             assert got == outcome(getattr(ref, name), sj, amb), (name, amb.name)
+        exact = None
+        for name, field, bound in EXACT_VIEWS:
+            want = outcome(getattr(ref, name), sj, amb)
+            if isinstance(want, tuple):
+                assert outcome(getattr(invariants, name), sj, amb) == want, (name, amb.name)
+                continue
+            got = getattr(invariants, name)(sj, amb)
+            exact = exact or exact_invariants(sj, amb)
+            want = getattr(exact, field)
+            assert relative_error(got, want) <= bound, (name, amb.name, got, float(want))
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -64,8 +79,7 @@ def test_degenerate_frames_raise_like_reference():
     with pytest.raises(RegularityError):
         ref.fundamental_forms(parallel, EUCLIDEAN)
     assert_matches_reference(parallel)
-    # c = f_x x f_y = (k, k, 0) is null under (-,+,+) while rounding in
-    # EG - F^2 leaves it just above the threshold
+    # c = f_x x f_y = (k, k, 0) is null under (-,+,+) but not Euclidean-null
     null_normal = _jet((0.5, -0.5, 101.3), (2.0, -2.0, 99.7))
     with pytest.raises(SignatureError):
         ref.fundamental_forms(null_normal, MINKOWSKI)

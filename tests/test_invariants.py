@@ -5,7 +5,7 @@ import pytest
 
 from helpers import random_polynomial_patch, random_regular_point
 from titeica import CentroAffineMap, classify, jet, scan_grid, verify_scaling
-from titeica.errors import DomainError, SingularPointError
+from titeica.errors import DomainError, RegularityError, SingularPointError
 from titeica.invariants import (
     fundamental_forms,
     gaussian_curvature,
@@ -19,6 +19,7 @@ from titeica.surfaces import (
     MINKOWSKI,
     Box,
     SurfaceDef,
+    SurfaceJet,
     catalog,
     eval_surface,
     grid_points,
@@ -140,6 +141,24 @@ def test_identity_residual_minkowski_sphere():
     s = catalog("minkowski-sphere")
     for x, y in grid_points(s.domain, 20, 20):
         assert identity_residual(eval_surface(s, x, y), MINKOWSKI) <= 1e-12
+
+
+def test_identity_residual_raises_the_pass_fault_on_a_degenerate_frame():
+    # f_y = 2 f_x: every volume is 0, but the fault is the frame, not V
+    sj = SurfaceJet((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), (2.0, 4.0, 6.0), (0.5, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 2.0))
+    for amb in (EUCLIDEAN, MINKOWSKI):
+        with pytest.raises(RegularityError, match="degenerate tangent plane"):
+            titeica_ratio(sj, amb)
+        with pytest.raises(RegularityError, match="degenerate tangent plane"):
+            identity_residual(sj, amb)
+
+
+def test_frame_whose_first_form_cancels_is_regular():
+    # |f_x x f_y|^2 = 1e-8, but EG - F^2 rounds to 0: the ratio needs no
+    # first form, and the classical route has no digits left
+    sj = SurfaceJet((0.0, 0.0, 1.0), (1e4, 0.0, 0.0), (1e4, 1e-8, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.5), (0.0, 0.0, 2.0))
+    assert abs(titeica_ratio(sj, EUCLIDEAN) - 1.75e8) <= 1e-14 * 1.75e8
+    assert identity_residual(sj) == math.inf
 
 
 def test_volume_route_matches_on_random_polynomials():
