@@ -138,10 +138,10 @@ def verify_scaling(s: SurfaceDef, a: CentroAffineMap, points, tol: float) -> Sca
         v_pred = a.det * source.vols.V
         volume_res = abs(image.vols.V - v_pred) / max(1e-300, abs(v_pred))
         num_pred = det2 * source.num
-        num_after = image.num
-        if not (math.isfinite(num_pred) and math.isfinite(num_after)):
+        # image.num is finite: image.ratio() found K = num / nn^2 finite.
+        if not math.isfinite(num_pred):
             raise SingularPointError(f"non-finite Vx Vy - Vxy^2 (det = {a.det:g})")
-        numerator_res = abs(num_after - num_pred) / max(1.0, abs(num_pred))
+        numerator_res = abs(image.num - num_pred) / max(1.0, abs(num_pred))
         return _new(ScalingPoint, (x, y, before, after, ratio_res, volume_res, numerator_res, None))
 
     rows = _sweep(points, evaluate, ScalingPoint)

@@ -99,18 +99,15 @@ _CONVERTERS = dict(
 )
 
 
-_COMMANDS = ("catalog", "invariants", "classify", "transform-check", "metric-check")
-
-
 def _validate(config: RunConfig) -> None:
-    if config.command not in _COMMANDS:
+    if config.command not in _HANDLERS:
         raise UsageError(f"command: unknown command '{config.command}'")
     nx, ny = config.grid
     if nx < 2 or ny < 2:
         raise UsageError(f"grid: both axes need at least 2 points, got {nx} x {ny}")
     if not 0.0 < config.tolerance < math.inf:
         raise UsageError(f"tolerance: must be positive and finite, got {config.tolerance}")
-    if config.format not in ("text", "json", "csv"):
+    if config.format not in _RENDERERS:
         raise UsageError(f"format: expected text, json or csv, got '{config.format}'")
     if config.command in ("invariants", "classify", "transform-check") and not config.surface:
         raise UsageError(f"surface: required for the {config.command} command")
@@ -401,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS, help="sample grid size (default 20 20)")
     common.add_argument("--tol", dest="tolerance", metavar="TOL", default=argparse.SUPPRESS,
                         help="tolerance (default 1e-8)")
-    common.add_argument("--format", choices=("text", "json", "csv"),
+    common.add_argument("--format", choices=tuple(_RENDERERS),
                         default=argparse.SUPPRESS, help="report format (default text)")
     common.add_argument("--output", default=argparse.SUPPRESS,
                         help="write the report to this path (atomic)")

@@ -27,11 +27,10 @@ the pass.
 A point is singular when |c|^2 (EG - F^2 for the Euclidean form) is at
 most EPS_SINGULAR, when nn is not finite (an overflowing normal would
 otherwise read as d = 0), or when |nn|, then d, is at most EPS_SINGULAR;
-the first failing test names the error raised.  So is a point whose K,
-d or K/d^4 is not finite, or whose K/d^4 underflows: num is not 0 but
-|K/d^4| is below the smallest normal float.  Where V^4 is beyond float
-range the quotient is taken as num / V^2 / V^2, and counts as not finite
-if it is not a normal float.
+the pass raises at the first failing test.  So is a point whose K, d or
+K/d^4 is not finite, or whose K/d^4 underflows: num is not 0 but |K/d^4|
+is below the smallest normal float.  Where V^4 is beyond float range the
+quotient is taken as num / V^2 / V^2.
 
 The grid commands (:func:`scan_grid`, :func:`classify` and
 ``centroaffine.verify_scaling``) walk their points through one sweep,
@@ -45,7 +44,7 @@ import math
 import sys
 from typing import NamedTuple, Optional
 
-from .errors import GeometryError, InconclusiveError, RegularityError, SignatureError, SingularPointError
+from .errors import InconclusiveError, RegularityError, SignatureError, SingularPointError
 from .surfaces import EUCLIDEAN, AmbientForm, SurfaceDef, SurfaceJet, eval_surface, grid_points
 
 __all__ = [
@@ -95,23 +94,16 @@ class OrientedVolumes(NamedTuple):
 
 
 class _Core(NamedTuple):
-    """What one pass yields at a point.  On a degenerate frame ``fault``
-    holds the error to raise and the derived fields are None."""
+    """What one pass yields at a regular point."""
 
     vols: OrientedVolumes
-    fault: Optional[GeometryError]
-    nn: Optional[float] = None
-    num: Optional[float] = None
-    K: Optional[float] = None
-    d: Optional[float] = None
-
-    def regular(self) -> "_Core":
-        if self.fault is not None:
-            raise self.fault
-        return self
+    nn: float
+    num: float
+    K: float
+    d: float
 
     def ratio(self) -> float:
-        k, d = self.regular().K, self.d
+        k, d = self.K, self.d
         if d <= EPS_SINGULAR:
             raise SingularPointError(f"tangent plane passes through the origin (d = {d:g})")
         v = self.vols.V
@@ -119,7 +111,6 @@ class _Core(NamedTuple):
             ratio = self.num / v**4
         except OverflowError:
             ratio = self.num / (v * v) / (v * v)
-            ratio = ratio if abs(ratio) >= sys.float_info.min else math.nan
         if not (math.isfinite(k) and math.isfinite(d) and math.isfinite(ratio)):
             raise SingularPointError(f"non-finite K/d^4 (K = {k:g}, d = {d:g})")
         if self.num != 0.0 and abs(ratio) < sys.float_info.min:
@@ -143,50 +134,58 @@ def det3(r0, r1, r2) -> float:
     return _dot(r0, _cross(r1, r2))
 
 
-def _core(sj: SurfaceJet, amb: AmbientForm) -> _Core:
-    """The single pass over a point; never raises."""
+def _volumes(sj: SurfaceJet):
+    """c = f_x x f_y and the four oriented volumes row . c."""
     c = _cross(sj.f_x, sj.f_y)
-    vols = _new(OrientedVolumes, (_dot(sj.f_xx, c), _dot(sj.f_yy, c), _dot(sj.f_xy, c), _dot(sj.f, c)))
+    return c, _new(OrientedVolumes, (_dot(sj.f_xx, c), _dot(sj.f_yy, c), _dot(sj.f_xy, c), _dot(sj.f, c)))
+
+
+def _core(sj: SurfaceJet, amb: AmbientForm) -> _Core:
+    """The single pass over a point; raises where a singularity test fails."""
+    c, vols = _volumes(sj)
     cc = _dot(c, c)
     if cc <= EPS_SINGULAR:
-        return _Core(vols, RegularityError(f"degenerate tangent plane (|f_x x f_y|^2 = {cc:g})"))
+        raise RegularityError(f"degenerate tangent plane (|f_x x f_y|^2 = {cc:g})")
     nn = amb.inner(c, c)
     if not math.isfinite(nn):
-        return _Core(vols, SingularPointError(f"non-finite normal (<n, n> = {nn:g})"))
+        raise SingularPointError(f"non-finite normal (<n, n> = {nn:g})")
     if abs(nn) <= EPS_SINGULAR:
-        return _Core(vols, SignatureError(f"normal vector is null under the {amb.name} form"))
+        raise SignatureError(f"normal vector is null under the {amb.name} form")
     vx, vy, vxy, v = vols
     s0, s1, s2 = amb.signature
     num = s0 * s1 * s2 * (vx * vy - vxy * vxy)
-    return _new(_Core, (vols, None, nn, num, num / (nn * nn), abs(v) / math.sqrt(abs(nn))))
+    return _new(_Core, (vols, nn, num, num / (nn * nn), abs(v) / math.sqrt(abs(nn))))
 
 
-def fundamental_forms(sj: SurfaceJet, amb: AmbientForm) -> FundamentalForms:
-    """E, F, G = <f_x, f_x>, <f_x, f_y>, <f_y, f_y> and L, M, N =
-    (Vx, Vxy, Vy) / sqrt(|nn|) from the pass."""
-    p = _core(sj, amb).regular()
+def _forms(sj: SurfaceJet, amb: AmbientForm, p: _Core) -> FundamentalForms:
     scale = 1.0 / math.sqrt(abs(p.nn))
     fx, fy, v = sj.f_x, sj.f_y, p.vols
     return FundamentalForms(amb.inner(fx, fx), amb.inner(fx, fy), amb.inner(fy, fy),
                             v.Vx * scale, v.Vxy * scale, v.Vy * scale)
 
 
+def fundamental_forms(sj: SurfaceJet, amb: AmbientForm) -> FundamentalForms:
+    """E, F, G = <f_x, f_x>, <f_x, f_y>, <f_y, f_y> and L, M, N =
+    (Vx, Vxy, Vy) / sqrt(|nn|) from the pass."""
+    return _forms(sj, amb, _core(sj, amb))
+
+
 def gaussian_curvature(sj: SurfaceJet, amb: AmbientForm) -> float:
     """K = det(S) (Vx Vy - Vxy^2) / <n, n>^2, which is
     sign(<n,n>) (LN - M^2) / (EG - F^2)."""
-    return _core(sj, amb).regular().K
+    return _core(sj, amb).K
 
 
 def tangent_distance(sj: SurfaceJet, amb: AmbientForm) -> float:
     """Distance from the origin to the affine tangent plane,
     |<f, n>| / sqrt(|<n, n>|)."""
-    return _core(sj, amb).regular().d
+    return _core(sj, amb).d
 
 
 def oriented_volumes(sj: SurfaceJet) -> OrientedVolumes:
     """Signed volumes of the parallelepipeds spanned by (row; f_x; f_y)
     with row = f_xx, f_yy, f_xy and the position f."""
-    return _core(sj, EUCLIDEAN).vols
+    return _volumes(sj)[1]
 
 
 def titeica_ratio(sj: SurfaceJet, amb: AmbientForm) -> float:
@@ -196,12 +195,13 @@ def titeica_ratio(sj: SurfaceJet, amb: AmbientForm) -> float:
 
 def identity_residual(sj: SurfaceJet, amb: AmbientForm = EUCLIDEAN) -> float:
     """|sign(<n,n>) (LN - M^2) / (EG - F^2) / d^4 - K/d^4|, the classical
-    curvature route through :func:`fundamental_forms` against the ratio
-    of the pass.  It is inf where EG - F^2 has cancelled to 0, and on the
-    catalog and random patches it stays below 1e-9 * max(1, |ratio|)."""
+    curvature route through the forms of :func:`fundamental_forms`
+    against the ratio, both from one pass.  It is inf where EG - F^2 has
+    cancelled to 0, and on the catalog and random patches it stays below
+    1e-9 * max(1, |ratio|)."""
     p = _core(sj, amb)
     ratio = p.ratio()
-    e, f, g, l, m, n = fundamental_forms(sj, amb)
+    e, f, g, l, m, n = _forms(sj, amb, p)
     disc = e * g - f * f
     sign = 1.0 if p.nn > 0.0 else -1.0
     return abs(sign * (l * n - m * m) / disc / p.d**2 / p.d**2 - ratio) if disc else math.inf

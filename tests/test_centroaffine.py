@@ -277,6 +277,18 @@ def test_overflowing_maps_are_reported_not_raised(capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_overflowing_predicted_numerator_is_a_non_finite_skip():
+    # At the middle point f = (0, 0, 0.1) and K/d^4 = 100: det^2 is past float
+    # range, so det^2 (Vx Vy - Vxy^2) is too, while the image's ratio
+    # 100 / det^2 = 1e-307 is still a normal float.
+    s = catalog("sphere-translated", R=10.0, c=-9.9)
+    a = CentroAffineMap.of(np.eye(3) * 10**51.5)
+    report = verify_scaling(s, a, grid_points(s.domain, 3, 3), 1e-8)
+    assert report.points_skipped == 9
+    assert report.points[4].skipped == "non-finite Vx Vy - Vxy^2 (det = 3.16228e+154)"
+    assert all(p.skipped.startswith("K/d^4 underflows") for i, p in enumerate(report.points) if i != 4)
+
+
 @pytest.mark.parametrize("diagonal", [(1e100, 1e100, 1.0), (1e160, 1e-160, 1.0)])
 def test_overflowing_normal_is_a_non_finite_skip(diagonal):
     # The image's tangent rows are finite but |f_x x f_y|^2 and <n, n> overflow;

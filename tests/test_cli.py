@@ -37,18 +37,20 @@ def test_classify_withholds_verdict_when_grid_is_singular():
         classify(catalog("plane"))
 
 
-@pytest.mark.parametrize("radius", [1e100, 1e200])
+@pytest.mark.parametrize("radius", [1e200])
 def test_non_finite_ratio_is_a_skipped_point(radius, capsys):
-    # R = 1e100 takes d^4 beyond float range; R = 1e200 makes R^2 inf, so K and d are nan or inf
+    # R = 1e200 makes R^2 inf, so K and d are nan or inf
     records = scan_grid(catalog("sphere-origin", R=radius), grid=(4, 4))
     assert all(r.skipped.startswith("non-finite") and r.ratio is None for r in records)
     assert main(["classify", "--surface", "sphere-origin", "--param", f"R={radius}"]) == 1
     assert capsys.readouterr().err.startswith("inconclusive: 400/400 grid points")
 
 
-@pytest.mark.parametrize("radius", [1e52, 1e60])
+@pytest.mark.parametrize("radius", [1e52, 1e60, 1e100])
 def test_underflowing_ratio_is_a_skipped_point(radius, capsys):
-    # K/d^4 = R^-6 is subnormal at R = 1e52 and rounds to 0 at R = 1e60
+    # K/d^4 = R^-6 is subnormal at R = 1e52 and rounds to 0 at R = 1e60; at
+    # R = 1e100, K = 1e-200 and d = 1e100 are finite but V^4 overflows, and
+    # num / V^2 / V^2 rounds to 0
     records = scan_grid(catalog("sphere-origin", R=radius), grid=(4, 4))
     assert all(r.skipped.startswith("K/d^4 underflows") and r.ratio is None for r in records)
     assert main(["classify", "--surface", "sphere-origin", "--param", f"R={radius}"]) == 1
@@ -399,6 +401,22 @@ def test_config_file_unknown_field(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"command": "catalog", "gridd": [3, 3]}))
     assert main(["--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "error: config: cannot read '{path}': "),
+    ('{"command": "catalog",', "error: config: '{path}' is not valid JSON: "),
+    ('["catalog"]', "error: config: '{path}' must hold a JSON object\n"),
+    ('{"command": "catalog", "format": "xml"}', "error: format: expected text, json or csv, got 'xml'\n"),
+], ids=["unreadable", "invalid-json", "array", "unknown-format"])
+def test_config_file_that_cannot_be_used(text, message, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert main(["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message.format(path=cfg))
 
 
 def test_output_file_takes_the_umask_mode(tmp_path, capsys):

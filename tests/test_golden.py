@@ -5,7 +5,7 @@ argv beside its name.  Eight of them use only arithmetic and ``sqrt``,
 so their bytes do not depend on the platform's math library: the
 catalog, classify and transform-check on titeica-xyz, invariants on
 sphere-origin (at R = 2, and at R = 1e100 in CSV and JSON, where every
-row is skipped with a non-finite K/d^4), transform-check on the
+row is skipped with an underflowing K/d^4), transform-check on the
 paraboloid and the half-plane to disk pullback.  The other five pin the
 jet paths through ``sin``, ``cos``, ``sinh``, ``cosh``, ``tanh``,
 ``atan`` and ``atanh``: classify and transform-check on the

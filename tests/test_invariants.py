@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import random_polynomial_patch, random_regular_point
-from titeica import CentroAffineMap, classify, jet, scan_grid, verify_scaling
+from titeica import CentroAffineMap, classify, invariants, jet, scan_grid, verify_scaling
 from titeica.errors import DomainError, RegularityError, SingularPointError
 from titeica.invariants import (
     fundamental_forms,
@@ -151,6 +151,19 @@ def test_identity_residual_raises_the_pass_fault_on_a_degenerate_frame():
             titeica_ratio(sj, amb)
         with pytest.raises(RegularityError, match="degenerate tangent plane"):
             identity_residual(sj, amb)
+
+
+def test_identity_residual_makes_one_pass(monkeypatch):
+    passes = []
+    core = invariants._core
+
+    def counting_core(sj, amb):
+        passes.append(amb)
+        return core(sj, amb)
+
+    monkeypatch.setattr(invariants, "_core", counting_core)
+    assert identity_residual(eval_surface(catalog("minkowski-sphere"), 0.7, 1.1), MINKOWSKI) <= 1e-12
+    assert passes == [MINKOWSKI]
 
 
 def test_frame_whose_first_form_cancels_is_regular():

@@ -36,6 +36,7 @@ def test_product_rule_xy():
 
 def test_addition_linearity():
     assert_jet(constant(1.0) + seed_x(4.0), (5, 1, 0, 0, 0, 0))
+    assert_jet(-(seed_x(4.0) * seed_y(2.0)), (-8, -2, -4, 0, -1, 0))
 
 
 def test_reciprocal_of_product():
@@ -89,6 +90,7 @@ def test_pow_int_against_oracle():
         (jet.pow_int(x, 3), lambda a, b: a**3),
         (jet.pow_int(x, -2), lambda a, b: a**-2),
         (jet.pow_int(x, 0), lambda a, b: 1.0),
+        (x**3, lambda a, b: a**3),
     ]
     for j, fn in cases:
         fd = fd_jet(fn, (0.7, 0.0))
@@ -100,6 +102,8 @@ def test_pow_int_negative_base():
     j = jet.pow_int(seed_x(-1.5), -2)
     fd = fd_jet(lambda a, b: a**-2, (-1.5, 0.0))
     assert abs(fd.dxx - j.dxx) <= 1e-5 * max(1.0, abs(j.dxx))
+    with pytest.raises(DomainError, match="zero base with negative exponent -2"):
+        jet.pow_int(seed_x(0.0), -2)
 
 
 def test_fractional_power_requires_positive_base():
@@ -163,7 +167,7 @@ def test_jet_is_an_immutable_value():
 
 
 @pytest.mark.parametrize("other", ["a", None, (1.0,)], ids=["str", "None", "tuple"])
-@pytest.mark.parametrize("combine", [operator.add, operator.sub, operator.mul, operator.truediv])
+@pytest.mark.parametrize("combine", [operator.add, operator.sub, operator.mul, operator.truediv, operator.pow])
 def test_jet_refuses_a_non_number_operand_on_either_side(combine, other):
     # (1.0,) + jet must not concatenate into a 7-tuple
     j = seed_x(2.0)

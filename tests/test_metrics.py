@@ -7,7 +7,7 @@ import pytest
 from helpers import nan_at_positive_x, nan_metric_pair
 from titeica import metrics
 from titeica.cli import main
-from titeica.errors import CatalogError, DomainError, SignatureError, UsageError
+from titeica.errors import CatalogError, DomainError, RegularityError, SignatureError, UsageError
 from titeica.invariants import fundamental_forms
 from titeica.jet import constant, seed_xy
 from titeica.metrics import (
@@ -78,6 +78,10 @@ def test_pullback_through_identity():
         pulled = pullback(m, change, p)
         for a, b in zip(direct, pulled):
             assert abs(a - b) <= 1e-14
+    # (x, y) -> (x, y0) keeps the point but collapses the second direction
+    frozen = CoordChange("frozen-y", lambda x, y: (x, constant(y.val)), m.domain)
+    with pytest.raises(RegularityError, match="'frozen-y' has singular Jacobian"):
+        pullback(m, frozen, p)
 
 
 def test_pullback_pseudosphere_from_half_plane():

@@ -58,7 +58,7 @@ def configs():
         if catalog(name).ambient.name == "euclidean":
             for m in MATRICES:
                 yield RunConfig("transform-check", surface=name, grid=GRID, matrix=m)
-    # every point skipped with a non-finite K/d^4
+    # every point skipped with an underflowing K/d^4
     yield RunConfig("invariants", surface="sphere-origin", params={"R": 1e100}, grid=GRID)
     for name in pair_names():
         yield RunConfig("metric-check", pair=name, grid=GRID)

@@ -75,6 +75,9 @@ def test_bad_params():
             with pytest.raises(ValueError, match=f"surface '{name}': radius R is too small"):
                 catalog(name, R=r)
         catalog(name, R=math.sqrt(sys.float_info.min))
+    for bounds in ((0.0, 0.0, -1.0, 1.0), (-1.0, 1.0, 2.0, 1.0)):
+        with pytest.raises(ValueError, match="degenerate box"):
+            Box(*bounds)
 
 
 def test_minkowski_sphere_lies_on_unit_shell():
