@@ -43,7 +43,6 @@ from .metrics import (
     MetricPair,
     brioschi_curvature,
     check_pair,
-    coord_change,
     metric,
     metric_pair,
     metrics_agree,
@@ -99,7 +98,6 @@ __all__ = [
     "check_pair",
     "classify",
     "constant",
-    "coord_change",
     "eval_surface",
     "fundamental_forms",
     "gaussian_curvature",

@@ -65,6 +65,13 @@ def _matrix(value) -> tuple[float, ...]:
     return tuple(_float(v) for v in value)
 
 
+def _str(value) -> str:
+    # str() would take any JSON value: a list as an output path, 5 as a name.
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value}")
+    return value
+
+
 def _params(value) -> dict:
     return {str(k): _float(v) for k, v in dict(value).items()}
 
@@ -94,8 +101,8 @@ class RunConfig(_RunFields):
 
 
 _CONVERTERS = dict(
-    command=str, surface=str, params=_params, pair=str, grid=_grid,
-    matrix=_matrix, tolerance=_float, format=str, output=str,
+    command=_str, surface=_str, params=_params, pair=_str, grid=_grid,
+    matrix=_matrix, tolerance=_float, format=_str, output=_str,
 )
 
 
@@ -121,7 +128,7 @@ def _validate(config: RunConfig) -> None:
 
 
 # --------------------------------------------------------------------------
-# Command handlers: each returns (exit_code, report)
+# Command handlers: each returns its report
 
 
 class _Report(NamedTuple):
@@ -144,7 +151,7 @@ def _cmd_catalog(config: RunConfig):
     for name in pair_names():
         rows.append(("metric-pair", name, "-", "pullback equality check"))
     summary = {"entries": len(rows)}
-    return 0, _report(config, ("kind", "name", "parameters", "description"), rows, summary)
+    return _report(config, ("kind", "name", "parameters", "description"), rows, summary)
 
 
 def _cmd_invariants(config: RunConfig):
@@ -156,12 +163,12 @@ def _cmd_invariants(config: RunConfig):
         "ratio_min": min(ratios, default=None),
         "ratio_max": max(ratios, default=None),
     }
-    return 0, _report(config, PointRecord._fields, records, summary)
+    return _report(config, PointRecord._fields, records, summary)
 
 
 def _cmd_classify(config: RunConfig):
     verdict = classify(catalog(config.surface, **config.params), config.grid, config.tolerance)
-    return 0, _report(config, *_split(verdict, PointRecord))
+    return _report(config, *_split(verdict, PointRecord))
 
 
 def _cmd_transform_check(config: RunConfig):
@@ -171,22 +178,21 @@ def _cmd_transform_check(config: RunConfig):
     except ValueError as exc:
         raise UsageError(f"matrix: {exc}") from exc
     report = verify_scaling(s, a, grid_points(s.domain, *config.grid), config.tolerance)
-    return (0 if report.passed else 1), _report(config, *_split(report, ScalingPoint))
+    return _report(config, *_split(report, ScalingPoint))
 
 
 def _cmd_metric_check(config: RunConfig):
-    pair = metric_pair(config.pair)
-    nx, ny = config.grid
-    check = check_pair(pair, nx, ny, config.tolerance)
-    rows = [(label, *p) for label, rep in check.variants for p in rep.points]
+    variants = check_pair(metric_pair(config.pair), *config.grid, config.tolerance)
+    matching = [label for label, rep in variants if rep.passed]
+    rows = [(label, *p) for label, rep in variants for p in rep.points]
     summary = {
-        "pair": check.pair,
-        "variants": {label: {"max_diff": rep.max_diff, "passed": rep.passed} for label, rep in check.variants},
-        "matching_variant": check.matching[0] if check.matching else None,
-        "tolerance": check.tol,
-        "passed": check.passed,
+        "pair": config.pair,
+        "variants": {label: {"max_diff": rep.max_diff, "passed": rep.passed} for label, rep in variants},
+        "matching_variant": matching[0] if matching else None,
+        "tolerance": config.tolerance,
+        "passed": bool(matching),
     }
-    return (0 if check.passed else 1), _report(config, ("variant", *AgreePoint._fields), rows, summary)
+    return _report(config, ("variant", *AgreePoint._fields), rows, summary)
 
 
 def _split(report, record):
@@ -360,14 +366,14 @@ def run(config: RunConfig) -> int:
     """Execute one command and emit its report.  Returns the exit status."""
     try:
         _validate(config)
-        exit_code, report = _HANDLERS[config.command](config)
+        report = _HANDLERS[config.command](config)
         text = _RENDERERS[config.format](report)
         _emit(text, config.output)
         if config.output is not None:
             status = report.summary.get("passed")
             print(f"wrote {config.format} report to {config.output}"
                   + ("" if status is None else f" ({'PASS' if status else 'FAIL'})"))
-        return exit_code
+        return 0 if report.summary.get("passed", True) else 1
     except (UsageError, CatalogError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -34,14 +34,12 @@ __all__ = [
     "MetricPair",
     "AgreePoint",
     "AgreeReport",
-    "PairCheck",
     "brioschi_curvature",
     "pullback",
     "metric_values",
     "metrics_agree",
     "check_pair",
     "metric",
-    "coord_change",
     "metric_pair",
     "pair_names",
 ]
@@ -79,7 +77,6 @@ class MetricPair(NamedTuple):
     source: Metric2
     target: Metric2
     changes: tuple[tuple[str, CoordChange], ...]
-    sample_box: Box
 
 
 def metric_values(m: Metric2, p: tuple[float, float]) -> tuple[float, float, float]:
@@ -195,28 +192,12 @@ def _agree(
     return AgreeReport(tuple(rows), worst, worst <= tol)
 
 
-class PairCheck(NamedTuple):
-    pair: str
-    tol: float
-    variants: tuple[tuple[str, AgreeReport], ...]
-    matching: tuple[str, ...]
-    passed: bool
-
-
-def check_pair(pair: MetricPair, nx: int, ny: int, tol: float) -> PairCheck:
-    """Run every change variant of the pair over an nx x ny sample grid
-    and record which variants reproduce the source metric.  The source
-    metric is evaluated once per point and shared by the variants."""
-    grid = grid_points(pair.sample_box, nx, ny)
-    samples = [(p, metric_values(pair.source, p)) for p in grid]
-    variants = []
-    matching = []
-    for label, change in pair.changes:
-        report = _agree((pair.target, change), samples, tol)
-        variants.append((label, report))
-        if report.passed:
-            matching.append(label)
-    return PairCheck(pair.name, tol, tuple(variants), tuple(matching), bool(matching))
+def check_pair(pair: MetricPair, nx: int, ny: int, tol: float) -> tuple[tuple[str, AgreeReport], ...]:
+    """Run every change variant of the pair over an nx x ny grid on the
+    source metric's domain: one (label, report) pair per variant.  The
+    source metric is evaluated once per point and shared by the variants."""
+    samples = [(p, metric_values(pair.source, p)) for p in grid_points(pair.source.domain, nx, ny)]
+    return tuple((label, _agree((pair.target, change), samples, tol)) for label, change in pair.changes)
 
 
 # --------------------------------------------------------------------------
@@ -255,6 +236,7 @@ def _minkowski_sphere_components(u1: Jet2, u2: Jet2):
 
 _PSEUDOSPHERE_BOX = Box(0.1, 3.0, 0.3, 1.2)
 _HALF_PLANE_BOX = Box(-1.0, 1.0, 0.5, 3.0)
+_HALF_PLANE_STRIP = Box(-1.0, 1.0, 1.5, 3.0)
 _DISK_BOX = Box(0.15, 0.55, 0.15, 0.55)
 _MINKOWSKI_BOX = Box(0.3, 2.0, 0.1, 3.0)
 
@@ -306,63 +288,34 @@ def _to_hyperboloid_squared(y1: Jet2, y2: Jet2):
     return 2.0 * jet.atanh(y1 * y1 + y2 * y2), jet.atan(y2 / y1)
 
 
-_CHANGES: dict[str, tuple[Mapping2, Box]] = {
-    "pseudosphere-to-half-plane": (_to_half_plane, _PSEUDOSPHERE_BOX),
-    "half-plane-to-disk": (_to_disk, Box(-1.0, 1.0, 1.5, 3.0)),
-    "disk-to-hyperboloid-radius": (_to_hyperboloid_radius, _DISK_BOX),
-    "disk-to-hyperboloid-squared-radius": (_to_hyperboloid_squared, _DISK_BOX),
-}
-
-
-def coord_change(name: str) -> CoordChange:
-    entry = _CHANGES.get(name)
-    if entry is None:
-        raise CatalogError(f"unknown coordinate change '{name}'; available: {', '.join(sorted(_CHANGES))}")
-    mapping, box = entry
-    return CoordChange(name, mapping, box)
-
-
-def _build_pairs() -> dict[str, MetricPair]:
-    # Target boxes are enlarged just enough to cover the image of the
-    # sampled source box.  The half-plane -> disk map sends the sampled
-    # strip to the exterior of the unit circle, where the disk formula is
-    # still regular and positive-definite, so the disk target for that
-    # pair lives on an exterior box.
-    pseudosphere = metric("pseudosphere")
-    half_plane_wide = metric("half-plane", Box(0.05, 3.05, 1.0, 3.5))
-    half_plane_strip = metric("half-plane", Box(-1.0, 1.0, 1.5, 3.0))
-    disk_exterior = metric("disk", Box(-2.1, 2.1, -5.3, -1.6))
-    disk_quadrant = metric("disk")
-    minkowski_wide = metric("minkowski-sphere", Box(0.05, 2.2, 0.1, 1.5))
-    return {
-        "pseudosphere:half-plane": MetricPair(
-            "pseudosphere:half-plane",
-            source=pseudosphere,
-            target=half_plane_wide,
-            changes=(("standard", coord_change("pseudosphere-to-half-plane")),),
-            sample_box=pseudosphere.domain,
+# Target boxes are enlarged just enough to cover the image of the sampled
+# source box.  The half-plane -> disk map sends the sampled strip to the
+# exterior of the unit circle, where the disk formula is still regular and
+# positive-definite, so the disk target for that pair lives on an exterior box.
+_PAIRS: dict[str, MetricPair] = {pair.name: pair for pair in (
+    MetricPair(
+        "pseudosphere:half-plane",
+        metric("pseudosphere"),
+        metric("half-plane", Box(0.05, 3.05, 1.0, 3.5)),
+        (("standard", CoordChange("pseudosphere-to-half-plane", _to_half_plane, _PSEUDOSPHERE_BOX)),),
+    ),
+    MetricPair(
+        "half-plane:disk",
+        metric("half-plane", _HALF_PLANE_STRIP),
+        metric("disk", Box(-2.1, 2.1, -5.3, -1.6)),
+        (("standard", CoordChange("half-plane-to-disk", _to_disk, _HALF_PLANE_STRIP)),),
+    ),
+    MetricPair(
+        "disk:minkowski-sphere",
+        metric("disk"),
+        metric("minkowski-sphere", Box(0.05, 2.2, 0.1, 1.5)),
+        (
+            ("radius", CoordChange("disk-to-hyperboloid-radius", _to_hyperboloid_radius, _DISK_BOX)),
+            ("squared-radius",
+             CoordChange("disk-to-hyperboloid-squared-radius", _to_hyperboloid_squared, _DISK_BOX)),
         ),
-        "half-plane:disk": MetricPair(
-            "half-plane:disk",
-            source=half_plane_strip,
-            target=disk_exterior,
-            changes=(("standard", coord_change("half-plane-to-disk")),),
-            sample_box=half_plane_strip.domain,
-        ),
-        "disk:minkowski-sphere": MetricPair(
-            "disk:minkowski-sphere",
-            source=disk_quadrant,
-            target=minkowski_wide,
-            changes=(
-                ("radius", coord_change("disk-to-hyperboloid-radius")),
-                ("squared-radius", coord_change("disk-to-hyperboloid-squared-radius")),
-            ),
-            sample_box=disk_quadrant.domain,
-        ),
-    }
-
-
-_PAIRS = _build_pairs()
+    ),
+)}
 
 
 def metric_pair(name: str) -> MetricPair:

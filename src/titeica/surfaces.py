@@ -121,6 +121,7 @@ class SurfaceJet(NamedTuple):
 
 
 Patch = Callable[[float, float], SurfaceJet]
+Coords = Callable[[Jet2, Jet2], tuple[Jet2, Jet2, Jet2]]
 
 
 class SurfaceDef(NamedTuple):
@@ -133,7 +134,7 @@ class SurfaceDef(NamedTuple):
     ambient: AmbientForm
 
 
-def parametric(coords: Callable[[Jet2, Jet2], tuple[Jet2, Jet2, Jet2]]) -> Patch:
+def parametric(coords: Coords) -> Patch:
     """The patch of the immersion whose coordinate jets ``coords`` returns
     at seeded parameters.
 
@@ -162,53 +163,22 @@ def eval_surface(s: SurfaceDef, x: float, y: float) -> SurfaceJet:
 
 
 class _Entry(NamedTuple):
-    build: Callable[[dict], SurfaceDef]
-    defaults: dict
+    """A catalog row: ``shape(**params)`` is the pair (coordinate
+    functions bound to the parameters, domain box)."""
+
+    shape: Callable[..., tuple[Coords, Box]]
     description: str
+    defaults: dict = {}  # never mutated
+    ambient: AmbientForm = EUCLIDEAN
 
 
 def _sphere_height(rr: float, x: Jet2, y: Jet2) -> Jet2:
     return jet.sqrt(constant(rr) - x * x - y * y)
 
 
-def _make_sphere_origin(p: dict) -> SurfaceDef:
-    r = p["R"]
+def _cap_box(r: float) -> Box:
     half = 0.42 * r  # square inscribed in the disk x^2 + y^2 <= (0.6 R)^2
-    return SurfaceDef(
-        "sphere-origin",
-        parametric(lambda x, y: (x, y, _sphere_height(r * r, x, y))),
-        Box(-half, half, -half, half),
-        EUCLIDEAN,
-    )
-
-
-def _make_sphere_translated(p: dict) -> SurfaceDef:
-    r, c = p["R"], p["c"]
-    half = 0.42 * r
-    return SurfaceDef(
-        "sphere-translated",
-        parametric(lambda x, y: (x, y, _sphere_height(r * r, x, y) + c)),
-        Box(-half, half, -half, half),
-        EUCLIDEAN,
-    )
-
-
-def _make_titeica_xyz(p: dict) -> SurfaceDef:
-    return SurfaceDef(
-        "titeica-xyz",
-        parametric(lambda x, y: (x, y, 1.0 / (x * y))),
-        Box(0.5, 2.0, 0.5, 2.0),
-        EUCLIDEAN,
-    )
-
-
-def _make_paraboloid(p: dict) -> SurfaceDef:
-    return SurfaceDef(
-        "paraboloid",
-        parametric(lambda x, y: (x, y, x * x + y * y)),
-        Box(-1.0, 1.0, -1.0, 1.0),
-        EUCLIDEAN,
-    )
+    return Box(-half, half, -half, half)
 
 
 def _tractrix_revolution(t: Jet2, theta: Jet2) -> tuple[Jet2, Jet2, Jet2]:
@@ -216,72 +186,41 @@ def _tractrix_revolution(t: Jet2, theta: Jet2) -> tuple[Jet2, Jet2, Jet2]:
     return sech * jet.cos(theta), sech * jet.sin(theta), t - jet.tanh(t)
 
 
-def _make_pseudosphere(p: dict) -> SurfaceDef:
-    return SurfaceDef(
-        "pseudosphere",
-        parametric(_tractrix_revolution),
-        Box(0.5, 2.0, 0.1, 3.0),
-        EUCLIDEAN,
-    )
-
-
 def _forward_hyperboloid(u1: Jet2, u2: Jet2) -> tuple[Jet2, Jet2, Jet2]:
     sh = jet.sinh(u1)
     return jet.cosh(u1), sh * jet.cos(u2), sh * jet.sin(u2)
 
 
-def _make_minkowski_sphere(p: dict) -> SurfaceDef:
-    return SurfaceDef(
-        "minkowski-sphere",
-        parametric(_forward_hyperboloid),
-        Box(0.3, 2.0, 0.1, 3.0),
-        MINKOWSKI,
-    )
-
-
-def _make_plane(p: dict) -> SurfaceDef:
-    return SurfaceDef(
-        "plane",
-        parametric(lambda x, y: (x, y, constant(0.0))),
-        Box(-1.0, 1.0, -1.0, 1.0),
-        EUCLIDEAN,
-    )
-
-
 _CATALOG: dict[str, _Entry] = {
     "sphere-origin": _Entry(
-        _make_sphere_origin,
-        {"R": 1.0},
+        lambda R: (lambda x, y: (x, y, _sphere_height(R * R, x, y)), _cap_box(R)),
         "sphere of radius R centered at the origin (Monge cap)",
+        {"R": 1.0},
     ),
     "sphere-translated": _Entry(
-        _make_sphere_translated,
-        {"R": 1.0, "c": 1.0},
+        lambda R, c: (lambda x, y: (x, y, _sphere_height(R * R, x, y) + c), _cap_box(R)),
         "sphere of radius R shifted by c along the third axis",
+        {"R": 1.0, "c": 1.0},
     ),
     "titeica-xyz": _Entry(
-        _make_titeica_xyz,
-        {},
+        lambda: (lambda x, y: (x, y, 1.0 / (x * y)), Box(0.5, 2.0, 0.5, 2.0)),
         "graph of u = 1/(xy): the classical constant-ratio surface",
     ),
     "paraboloid": _Entry(
-        _make_paraboloid,
-        {},
+        lambda: (lambda x, y: (x, y, x * x + y * y), Box(-1.0, 1.0, -1.0, 1.0)),
         "graph of u = x^2 + y^2",
     ),
     "pseudosphere": _Entry(
-        _make_pseudosphere,
-        {},
+        lambda: (_tractrix_revolution, Box(0.5, 2.0, 0.1, 3.0)),
         "tractrix of revolution (constant curvature -1), parameters (t, theta)",
     ),
     "minkowski-sphere": _Entry(
-        _make_minkowski_sphere,
-        {},
+        lambda: (_forward_hyperboloid, Box(0.3, 2.0, 0.1, 3.0)),
         "forward unit hyperboloid sheet under the (-,+,+) form, parameters (u1, u2)",
+        ambient=MINKOWSKI,
     ),
     "plane": _Entry(
-        _make_plane,
-        {},
+        lambda: (lambda x, y: (x, y, constant(0.0)), Box(-1.0, 1.0, -1.0, 1.0)),
         "flat patch u = 0 (tangent planes through the origin everywhere)",
     ),
 }
@@ -292,7 +231,7 @@ def catalog(name: str, **params: float) -> SurfaceDef:
 
     Unknown names raise :class:`CatalogError` listing the valid ones;
     invalid parameters (unknown keys, non-finite values, non-positive
-    radii, radii whose square is not a normal float) raise ValueError.
+    radii, radii whose square is not a finite normal float) raise ValueError.
     """
     entry = _CATALOG.get(name)
     if entry is None:
@@ -314,10 +253,14 @@ def catalog(name: str, **params: float) -> SurfaceDef:
         if r <= 0.0:
             raise ValueError(f"surface '{name}': radius R must be positive, got {r}")
         # The sphere patches take sqrt(R^2 - x^2 - y^2); a subnormal R^2
-        # loses the digits that keep that argument positive.
+        # loses the digits that keep that argument positive, and an
+        # infinite one makes it inf - inf = nan on the cap's grid.
         if r * r < sys.float_info.min:
             raise ValueError(f"surface '{name}': radius R is too small, R^2 is not a normal float, got {r}")
-    return entry.build(merged)
+        if r * r == math.inf:
+            raise ValueError(f"surface '{name}': radius R is too large, R^2 overflows, got {r}")
+    coords, box = entry.shape(**merged)
+    return SurfaceDef(name, parametric(coords), box, entry.ambient)
 
 
 def catalog_names() -> list[str]:

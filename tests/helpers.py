@@ -117,4 +117,4 @@ def nan_metric_pair():
     flat = metric("euclidean")
     identity = CoordChange("identity", lambda x, y: (x, y), flat.domain)
     return MetricPair("flat:nan", flat, Metric2("nan-g11", nan_at_positive_x, flat.domain),
-                      (("identity", identity),), flat.domain)
+                      (("identity", identity),))

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import stat
 import subprocess
 import sys
@@ -7,7 +9,7 @@ import sys
 import pytest
 
 import titeica
-from titeica import classify, cli, scan_grid
+from titeica import EUCLIDEAN, SurfaceDef, classify, cli, parametric, scan_grid, surfaces
 from titeica.cli import RunConfig, main, parse_config, run
 from titeica.errors import InconclusiveError, UsageError
 from titeica.surfaces import catalog
@@ -39,11 +41,16 @@ def test_classify_withholds_verdict_when_grid_is_singular():
 
 @pytest.mark.parametrize("radius", [1e200])
 def test_non_finite_ratio_is_a_skipped_point(radius, capsys):
-    # R = 1e200 makes R^2 inf, so K and d are nan or inf
-    records = scan_grid(catalog("sphere-origin", R=radius), grid=(4, 4))
+    # R = 1e200 makes R^2 inf, so K and d are nan or inf.  catalog() and the
+    # command line refuse such a radius, so the cap is built from its row.
+    coords, box = surfaces._CATALOG["sphere-origin"].shape(R=radius)
+    cap = SurfaceDef("sphere-origin", parametric(coords), box, EUCLIDEAN)
+    records = scan_grid(cap, grid=(4, 4))
     assert all(r.skipped.startswith("non-finite") and r.ratio is None for r in records)
-    assert main(["classify", "--surface", "sphere-origin", "--param", f"R={radius}"]) == 1
-    assert capsys.readouterr().err.startswith("inconclusive: 400/400 grid points")
+    with pytest.raises(InconclusiveError, match="^400/400 grid points"):
+        classify(cap)
+    assert main(["classify", "--surface", "sphere-origin", "--param", f"R={radius}"]) == 2
+    assert capsys.readouterr().err.startswith("error: surface 'sphere-origin': radius R is too large")
 
 
 @pytest.mark.parametrize("radius", [1e52, 1e60, 1e100])
@@ -338,8 +345,12 @@ def test_config_file_with_flag_override(tmp_path):
     ("params", [1]),
     ("grid", [2.9, 3]),
     ("grid", "34"),
+    ("output", ["a", "b"]),
+    ("surface", 5),
+    ("pair", 5),
 ])
-def test_config_file_value_that_cannot_be_converted(field, value, tmp_path, capsys):
+def test_config_file_value_that_cannot_be_converted(field, value, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({
         "command": "transform-check", "surface": "titeica-xyz", "matrix": "2,0,0,0,1,0,0,0,1", field: value,
@@ -348,6 +359,7 @@ def test_config_file_value_that_cannot_be_converted(field, value, tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {field}: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
 
 @pytest.mark.parametrize("field, value", [
@@ -459,6 +471,15 @@ def test_import_titeica_loads_no_cli_modules():
     assert "titeica.invariants" in by_package and "titeica.cli" in by_cli
     assert not by_package & {"statistics", "argparse", "json", "titeica.cli"}
     assert not by_cli & {"dataclasses", "inspect", "json"}
+
+
+def test_public_names_resolve():
+    modules = [titeica] + [
+        importlib.import_module(f"titeica.{info.name}") for info in pkgutil.iter_modules(titeica.__path__)
+    ]
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], module.__name__
 
 
 def test_unwritable_output_path(capsys):

@@ -16,7 +16,6 @@ from titeica.metrics import (
     MetricPair,
     brioschi_curvature,
     check_pair,
-    coord_change,
     metric,
     metric_pair,
     metric_values,
@@ -86,30 +85,28 @@ def test_pullback_through_identity():
 
 def test_pullback_pseudosphere_from_half_plane():
     pair = metric_pair("pseudosphere:half-plane")
-    grid = grid_points(pair.sample_box, 10, 5)
+    grid = grid_points(pair.source.domain, 10, 5)
     report = metrics_agree(pair.source, (pair.target, pair.changes[0][1]), grid, 1e-10)
     assert report.passed, report.max_diff
 
 
 def test_pullback_half_plane_from_disk():
     pair = metric_pair("half-plane:disk")
-    grid = grid_points(pair.sample_box, 10, 5)
+    grid = grid_points(pair.source.domain, 10, 5)
     report = metrics_agree(pair.source, (pair.target, pair.changes[0][1]), grid, 1e-9)
     assert report.passed, report.max_diff
 
 
 def test_disk_change_variants_are_distinguished():
-    check = check_pair(metric_pair("disk:minkowski-sphere"), 10, 5, 1e-8)
-    assert check.passed
-    assert check.matching == ("radius",)
-    reports = dict(check.variants)
+    reports = dict(check_pair(metric_pair("disk:minkowski-sphere"), 10, 5, 1e-8))
+    assert [label for label, rep in reports.items() if rep.passed] == ["radius"]
     assert reports["radius"].max_diff <= 1e-8
     assert reports["squared-radius"].max_diff > 1e-3
 
 
 def test_pullback_domain_error_carries_both_points():
     m = metric("half-plane")  # image of the change leaves this small box
-    change = coord_change("pseudosphere-to-half-plane")
+    change = metric_pair("pseudosphere:half-plane").changes[0][1]
     with pytest.raises(DomainError) as err:
         pullback(m, change, (2.9, 0.35))
     msg = str(err.value)
@@ -126,7 +123,7 @@ def test_pullback_domain_error_carries_both_points():
 ])
 def test_point_outside_domain_names_the_box_and_its_owner(call, message):
     with pytest.raises(DomainError) as err:
-        call(metric("half-plane"), coord_change("pseudosphere-to-half-plane"))
+        call(metric("half-plane"), metric_pair("pseudosphere:half-plane").changes[0][1])
     assert str(err.value) == message
 
 
@@ -162,12 +159,12 @@ def test_metric_check_writes_a_nan_max_diff_as_null(monkeypatch, tmp_path):
 @pytest.mark.parametrize("name", pair_names())
 def test_check_pair_variants_equal_separate_metrics_agree_calls(name):
     pair = metric_pair(name)
-    check = check_pair(pair, 13, 11, 1e-8)
-    grid = grid_points(pair.sample_box, 13, 11)
+    variants = check_pair(pair, 13, 11, 1e-8)
+    grid = grid_points(pair.source.domain, 13, 11)
     expected = tuple(
         (label, metrics_agree(pair.source, (pair.target, change), grid, 1e-8)) for label, change in pair.changes
     )
-    assert check.variants == expected
+    assert variants == expected
 
 
 def test_check_pair_evaluates_the_source_once_per_point():
@@ -183,9 +180,9 @@ def test_check_pair_evaluates_the_source_once_per_point():
         ("identity", CoordChange("identity", lambda x, y: (x, y), box)),
         ("swap", CoordChange("swap", lambda x, y: (y, x), box)),
     )
-    pair = MetricPair("counting:flat", Metric2("counting", counting_flat, box), flat, changes, box)
-    check = check_pair(pair, 4, 3, 1e-12)
-    assert check.matching == ("identity", "swap")
+    pair = MetricPair("counting:flat", Metric2("counting", counting_flat, box), flat, changes)
+    variants = check_pair(pair, 4, 3, 1e-12)
+    assert [label for label, rep in variants if rep.passed] == ["identity", "swap"]
     assert len(calls) == 4 * 3
 
 
@@ -196,7 +193,7 @@ def test_curvature_is_a_pullback_invariant():
     for name in ("pseudosphere:half-plane", "half-plane:disk", "disk:minkowski-sphere"):
         pair = metric_pair(name)
         label, change = pair.changes[0]
-        box = pair.sample_box
+        box = pair.source.domain
         for _ in range(50):
             x = float(rng.uniform(box.x0 + 0.02 * (box.x1 - box.x0), box.x1 - 0.02 * (box.x1 - box.x0)))
             y = float(rng.uniform(box.y0 + 0.02 * (box.y1 - box.y0), box.y1 - 0.02 * (box.y1 - box.y0)))
@@ -222,5 +219,3 @@ def test_unknown_metric_and_pair():
         metric("torus")
     with pytest.raises(CatalogError):
         metric_pair("torus:plane")
-    with pytest.raises(CatalogError):
-        coord_change("nowhere")

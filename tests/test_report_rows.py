@@ -78,12 +78,12 @@ def check_rows(report):
 
 @pytest.mark.parametrize("config", configs(), ids=lambda c: " ".join(map(str, filter(None, c[:6]))))
 def test_rows_match_the_general_encoder(config):
-    check_rows(cli._HANDLERS[config.command](config)[1])
+    check_rows(cli._HANDLERS[config.command](config))
 
 
 def test_nan_rows_match_the_general_encoder(monkeypatch):
     monkeypatch.setitem(metrics._PAIRS, "flat:nan", nan_metric_pair())
-    report = cli._HANDLERS["metric-check"](RunConfig("metric-check", pair="flat:nan", grid=GRID))[1]
+    report = cli._HANDLERS["metric-check"](RunConfig("metric-check", pair="flat:nan", grid=GRID))
     assert any(isinstance(v, float) and math.isnan(v) for row in report.rows for v in row)
     check_rows(report)
 

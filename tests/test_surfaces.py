@@ -75,6 +75,11 @@ def test_bad_params():
             with pytest.raises(ValueError, match=f"surface '{name}': radius R is too small"):
                 catalog(name, R=r)
         catalog(name, R=math.sqrt(sys.float_info.min))
+        # R^2 above the largest float: the cap's sqrt argument is inf - inf = nan
+        for r in (1e155, math.nextafter(math.sqrt(sys.float_info.max), math.inf)):
+            with pytest.raises(ValueError, match=f"surface '{name}': radius R is too large"):
+                catalog(name, R=r)
+        catalog(name, R=math.sqrt(sys.float_info.max))
     for bounds in ((0.0, 0.0, -1.0, 1.0), (-1.0, 1.0, 2.0, 1.0)):
         with pytest.raises(ValueError, match="degenerate box"):
             Box(*bounds)
@@ -140,7 +145,7 @@ def test_grid_matches_linspace_on_catalog_domains():
     boxes = [catalog(name).domain for name in catalog_names()]
     boxes += [catalog(name, R=r).domain for name in ("sphere-origin", "sphere-translated") for r in (1e-3, 2.0)]
     boxes += [metric(name).domain for name, _ in metric_entries()]
-    boxes += [metric_pair(name).sample_box for name in pair_names()]
+    boxes += [metric_pair(name).source.domain for name in pair_names()]
     for box in boxes:
         for nx, ny in ((2, 2), (20, 20), (37, 23), (3, 300)):
             assert grid_points(box, nx, ny) == linspace_grid(box, nx, ny), (box, nx, ny)
