@@ -7,113 +7,52 @@ transformations scale the ratio by 1/det^2, classifies surfaces by
 constancy of the ratio (Titeica surfaces), and checks the classical
 pullback equivalences between the constant-curvature models
 (pseudosphere, Poincare half-plane and disk, Minkowski sphere).
+
+``import titeica`` loads no submodule: a public name imports the
+submodule that defines it on first use (PEP 562), so a run compiles only
+the modules it uses.
 """
 
-from .centroaffine import CentroAffineMap, ScalingReport, apply_map, verify_scaling
-from .errors import (
-    CatalogError,
-    DomainError,
-    GeometryError,
-    InconclusiveError,
-    RegularityError,
-    SignatureError,
-    SingularPointError,
-    UsageError,
-)
-from .invariants import (
-    EPS_SINGULAR,
-    ClassifyVerdict,
-    FundamentalForms,
-    OrientedVolumes,
-    PointRecord,
-    classify,
-    fundamental_forms,
-    gaussian_curvature,
-    identity_residual,
-    oriented_volumes,
-    scan_grid,
-    tangent_distance,
-    titeica_ratio,
-)
-from .jet import Jet2, constant, seed_x, seed_xy, seed_y
-from .metrics import (
-    AgreeReport,
-    CoordChange,
-    Metric2,
-    MetricPair,
-    brioschi_curvature,
-    check_pair,
-    metric,
-    metric_pair,
-    metrics_agree,
-    pullback,
-)
-from .surfaces import (
-    EUCLIDEAN,
-    MINKOWSKI,
-    AmbientForm,
-    Box,
-    SurfaceDef,
-    SurfaceJet,
-    catalog,
-    catalog_names,
-    eval_surface,
-    grid_points,
-    parametric,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AgreeReport",
-    "AmbientForm",
-    "Box",
-    "CatalogError",
-    "CentroAffineMap",
-    "ClassifyVerdict",
-    "CoordChange",
-    "DomainError",
-    "EPS_SINGULAR",
-    "EUCLIDEAN",
-    "FundamentalForms",
-    "GeometryError",
-    "InconclusiveError",
-    "Jet2",
-    "Metric2",
-    "MetricPair",
-    "MINKOWSKI",
-    "OrientedVolumes",
-    "PointRecord",
-    "RegularityError",
-    "ScalingReport",
-    "SignatureError",
-    "SingularPointError",
-    "SurfaceDef",
-    "SurfaceJet",
-    "UsageError",
-    "apply_map",
-    "brioschi_curvature",
-    "catalog",
-    "catalog_names",
-    "check_pair",
-    "classify",
-    "constant",
-    "eval_surface",
-    "fundamental_forms",
-    "gaussian_curvature",
-    "grid_points",
-    "identity_residual",
-    "metric",
-    "metric_pair",
-    "metrics_agree",
-    "oriented_volumes",
-    "parametric",
-    "pullback",
-    "scan_grid",
-    "seed_x",
-    "seed_xy",
-    "seed_y",
-    "tangent_distance",
-    "titeica_ratio",
-    "verify_scaling",
-]
+# Each submodule and the public names it gives the package.
+_NAMES = {
+    "centroaffine": ("CentroAffineMap", "ScalingReport", "apply_map", "verify_scaling"),
+    "errors": (
+        "CatalogError", "DomainError", "GeometryError", "InconclusiveError",
+        "RegularityError", "SignatureError", "SingularPointError", "UsageError",
+    ),
+    "invariants": (
+        "EPS_SINGULAR", "ClassifyVerdict", "FundamentalForms", "OrientedVolumes", "PointRecord",
+        "classify", "fundamental_forms", "gaussian_curvature", "identity_residual",
+        "oriented_volumes", "scan_grid", "tangent_distance", "titeica_ratio",
+    ),
+    "jet": ("Jet2", "constant", "seed_x", "seed_xy", "seed_y"),
+    "metrics": (
+        "AgreeReport", "CoordChange", "Metric2", "MetricPair", "brioschi_curvature",
+        "check_pair", "metric", "metric_pair", "metrics_agree", "pullback",
+    ),
+    "surfaces": (
+        "EUCLIDEAN", "MINKOWSKI", "AmbientForm", "Box", "SurfaceDef", "SurfaceJet",
+        "catalog", "catalog_names", "eval_surface", "grid_points", "parametric",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _NAMES:  # the import binds the submodule as a package attribute
+        return _import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_NAMES, *_MODULE_OF})

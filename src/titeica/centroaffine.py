@@ -23,8 +23,8 @@ import math
 from typing import NamedTuple, Optional
 
 from .errors import SignatureError, SingularPointError
-from .invariants import _core, _sweep, det3
-from .surfaces import EUCLIDEAN, SurfaceDef, SurfaceJet, eval_surface
+from .invariants import _core, _sweep
+from .surfaces import EUCLIDEAN, SurfaceDef, SurfaceJet, det3, eval_surface
 
 __all__ = ["CentroAffineMap", "apply_map", "verify_scaling", "ScalingPoint", "ScalingReport"]
 

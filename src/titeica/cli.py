@@ -27,11 +27,8 @@ import sys
 import tempfile
 from typing import NamedTuple, Optional
 
-from .centroaffine import CentroAffineMap, ScalingPoint, verify_scaling
 from .errors import CatalogError, GeometryError, InconclusiveError, UsageError
-from .invariants import DEFAULT_GRID, DEFAULT_TOL, PointRecord, classify, scan_grid
-from .metrics import AgreePoint, check_pair, metric_entries, metric_pair, pair_names
-from .surfaces import catalog, catalog_entries, grid_points
+from .surfaces import DEFAULT_GRID, DEFAULT_TOL, catalog, catalog_entries, grid_points
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -73,7 +70,10 @@ def _str(value) -> str:
 
 
 def _params(value) -> dict:
-    return {str(k): _float(v) for k, v in dict(value).items()}
+    # dict() would take any iterable of pairs: ["R2"] as {"R": "2"}.
+    if not isinstance(value, dict):
+        raise ValueError(f"expected an object, got {value}")
+    return {str(k): _float(v) for k, v in value.items()}
 
 
 class _RunFields(NamedTuple):
@@ -128,7 +128,8 @@ def _validate(config: RunConfig) -> None:
 
 
 # --------------------------------------------------------------------------
-# Command handlers: each returns its report
+# Command handlers: each returns its report, and imports the modules it
+# runs, so that a process compiles only those
 
 
 class _Report(NamedTuple):
@@ -142,6 +143,8 @@ class _Report(NamedTuple):
 
 
 def _cmd_catalog(config: RunConfig):
+    from .metrics import metric_entries, pair_names
+
     rows = []
     for name, description, defaults in catalog_entries():
         params = ", ".join(f"{k}={v:g}" for k, v in sorted(defaults.items())) or "-"
@@ -155,6 +158,8 @@ def _cmd_catalog(config: RunConfig):
 
 
 def _cmd_invariants(config: RunConfig):
+    from .invariants import PointRecord, scan_grid
+
     records = scan_grid(catalog(config.surface, **config.params), config.grid)
     ratios = [r.ratio for r in records if r.skipped is None]
     summary = {
@@ -167,11 +172,15 @@ def _cmd_invariants(config: RunConfig):
 
 
 def _cmd_classify(config: RunConfig):
+    from .invariants import PointRecord, classify
+
     verdict = classify(catalog(config.surface, **config.params), config.grid, config.tolerance)
     return _report(config, *_split(verdict, PointRecord))
 
 
 def _cmd_transform_check(config: RunConfig):
+    from .centroaffine import CentroAffineMap, ScalingPoint, verify_scaling
+
     s = catalog(config.surface, **config.params)
     try:
         a = CentroAffineMap.of([config.matrix[i:i + 3] for i in (0, 3, 6)])
@@ -182,6 +191,8 @@ def _cmd_transform_check(config: RunConfig):
 
 
 def _cmd_metric_check(config: RunConfig):
+    from .metrics import AgreePoint, check_pair, metric_pair
+
     variants = check_pair(metric_pair(config.pair), *config.grid, config.tolerance)
     matching = [label for label, rep in variants if rep.passed]
     rows = [(label, *p) for label, rep in variants for p in rep.points]
@@ -433,8 +444,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="9 row-major entries, comma separated")
     mc = sub.add_parser("metric-check", parents=[common],
                         help="pullback equality for a metric pair")
+    # metrics.pair_names(), written out so that the parser imports no metrics
     mc.add_argument("--pair", default=argparse.SUPPRESS,
-                    help=f"one of: {', '.join(pair_names())}")
+                    help="one of: disk:minkowski-sphere, half-plane:disk, pseudosphere:half-plane")
     return parser
 
 

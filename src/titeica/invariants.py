@@ -45,7 +45,18 @@ import sys
 from typing import NamedTuple, Optional
 
 from .errors import InconclusiveError, RegularityError, SignatureError, SingularPointError
-from .surfaces import EUCLIDEAN, AmbientForm, SurfaceDef, SurfaceJet, eval_surface, grid_points
+from .surfaces import (
+    DEFAULT_GRID,
+    DEFAULT_TOL,
+    EUCLIDEAN,
+    AmbientForm,
+    SurfaceDef,
+    SurfaceJet,
+    _cross,
+    _dot,
+    eval_surface,
+    grid_points,
+)
 
 __all__ = [
     "EPS_SINGULAR",
@@ -66,9 +77,6 @@ __all__ = [
 # Threshold on |f_x x f_y|^2, |<n, n>| and d below which a point is treated as
 # singular and must be skipped (never silently dropped) by callers.
 EPS_SINGULAR = 1e-9
-
-DEFAULT_GRID = (20, 20)
-DEFAULT_TOL = 1e-8
 
 _SKIP = (SingularPointError, RegularityError, SignatureError)
 
@@ -116,22 +124,6 @@ class _Core(NamedTuple):
         if self.num != 0.0 and abs(ratio) < sys.float_info.min:
             raise SingularPointError(f"K/d^4 underflows (K = {k:g}, d = {d:g})")
         return ratio
-
-
-def _dot(r, c) -> float:
-    return r[0] * c[0] + r[1] * c[1] + r[2] * c[2]
-
-
-def _cross(a, b) -> tuple[float, float, float]:
-    # numpy.cross operand order: tests/frame_reference.py holds the volumes
-    # and d bitwise to the frame built with it.
-    (a0, a1, a2), (b0, b1, b2) = a, b
-    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-
-
-def det3(r0, r1, r2) -> float:
-    """Determinant of the 3x3 matrix with rows r0, r1, r2, as r0 . (r1 x r2)."""
-    return _dot(r0, _cross(r1, r2))
 
 
 def _volumes(sj: SurfaceJet):

@@ -24,9 +24,8 @@ from typing import Callable, NamedTuple, Optional, Union
 
 from . import jet
 from .errors import CatalogError, DomainError, RegularityError, SignatureError, UsageError
-from .invariants import det3
 from .jet import Jet2, constant, seed_xy
-from .surfaces import Box, grid_points
+from .surfaces import Box, det3, grid_points
 
 __all__ = [
     "Metric2",

@@ -73,6 +73,10 @@ class Box(_BoxFields):
             raise DomainError(f"point ({x:g}, {y:g}) outside domain {self.describe()} of {kind} '{name}'")
 
 
+DEFAULT_GRID = (20, 20)
+DEFAULT_TOL = 1e-8
+
+
 def grid_points(box: Box, nx: int, ny: int) -> list[tuple[float, float]]:
     """Row-major sample grid over the box, endpoints inset by 1% of the
     box width so every point is strictly interior."""
@@ -103,6 +107,22 @@ class AmbientForm(NamedTuple):
 
 EUCLIDEAN = AmbientForm((1, 1, 1), "euclidean")
 MINKOWSKI = AmbientForm((-1, 1, 1), "minkowski")
+
+
+def _dot(r, c) -> float:
+    return r[0] * c[0] + r[1] * c[1] + r[2] * c[2]
+
+
+def _cross(a, b) -> tuple[float, float, float]:
+    # numpy.cross operand order: tests/frame_reference.py holds the volumes
+    # and d bitwise to the frame built with it.
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def det3(r0, r1, r2) -> float:
+    """Determinant of the 3x3 matrix with rows r0, r1, r2, as r0 . (r1 x r2)."""
+    return _dot(r0, _cross(r1, r2))
 
 
 Vec3 = tuple[float, float, float]

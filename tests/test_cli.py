@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -18,6 +19,15 @@ from titeica.surfaces import catalog
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def python_child(*args, cwd=None):
+    """``python *args`` in a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(titeica.__file__)))
+    proc = subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=src), cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 def test_classify_function_sphere():
@@ -246,10 +256,7 @@ print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}), file=sys.st
 
 
 def test_package_runs_without_numpy():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(titeica.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", BLOCK_NUMPY], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    proc = python_child("-c", BLOCK_NUMPY)
     assert json.loads(proc.stderr.splitlines()[-1]) == {"codes": [0, 0, 0], "numpy": False}
 
 
@@ -362,6 +369,15 @@ def test_config_file_value_that_cannot_be_converted(field, value, tmp_path, monk
     assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
 
+@pytest.mark.parametrize("params", [["R2"], [["R", 2]]], ids=["string", "pairs"])
+def test_config_file_params_must_be_an_object(params, tmp_path, capsys):
+    # dict() took both for {"R": 2}: the run classified a sphere of radius 2.
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"command": "classify", "surface": "sphere-origin", "params": params}))
+    assert main(["--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", f"error: params: expected an object, got {params}\n")
+
+
 @pytest.mark.parametrize("field, value", [
     ("tolerance", True),
     ("grid", [3, True]),
@@ -400,11 +416,7 @@ def test_common_flags_apply_before_the_subcommand(capsys):
 
 
 def test_module_entry_point_runs_cleanly():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(titeica.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "titeica.cli", "catalog"], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0
+    proc = python_child("-m", "titeica.cli", "catalog")
     assert proc.stderr == ""
     assert "titeica-xyz" in proc.stdout
 
@@ -460,17 +472,82 @@ print(*sorted(set(sys.modules) - before))
 
 def test_import_titeica_loads_no_cli_modules():
     # Compared with the modules the bare interpreter (site included) has
-    # already loaded, so only what the import adds counts.  dataclasses
-    # (which loads inspect) and json cost every fresh process start-up time.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(titeica.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PACKAGE], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    by_package, by_cli = (set(line.split()) for line in proc.stdout.splitlines())
-    assert "titeica.invariants" in by_package and "titeica.cli" in by_cli
-    assert not by_package & {"statistics", "argparse", "json", "titeica.cli"}
+    # already loaded, so only what the import adds counts.  A submodule
+    # loads on first use of one of its names, and dataclasses (which loads
+    # inspect) and json cost every fresh process start-up time.
+    by_package, by_cli = (set(line.split()) for line in python_child("-c", IMPORT_PACKAGE).stdout.splitlines())
+    assert [m for m in by_package if m.startswith("titeica.")] == [] and "titeica.cli" in by_cli
+    assert not by_package & {"statistics", "argparse", "json"}
     assert not by_cli & {"dataclasses", "inspect", "json"}
+
+
+COMMAND_MODULES = """
+import sys
+from titeica.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("titeica.")))
+"""
+
+
+@pytest.mark.parametrize("argv, status, modules", [
+    (["classify", "--surface", "titeica-xyz"], 0, "invariants"),
+    (["invariants", "--surface", "titeica-xyz"], 0, "invariants"),
+    (["--config", "classify.json"], 0, "invariants"),
+    (["transform-check", "--surface", "titeica-xyz", "--matrix", "2,0,0,0,1,0,0,0,1"], 0,
+     "invariants centroaffine"),
+    (["catalog"], 0, "metrics"),
+    (["metric-check", "--pair", "half-plane:disk"], 0, "metrics"),
+    (["classify", "--surface", "titeica-xyz", "--tol", "0"], 2, ""),
+], ids=["classify", "invariants", "config-classify", "transform-check", "catalog", "metric-check", "bad-tol"])
+def test_each_command_loads_only_the_modules_it_runs(argv, status, modules, tmp_path):
+    (tmp_path / "classify.json").write_text(json.dumps({"command": "classify", "surface": "sphere-origin"}))
+    code, *loaded = python_child("-c", COMMAND_MODULES, *argv, cwd=tmp_path).stdout.splitlines()[-1].split()
+    expected = {"cli", "errors", "jet", "surfaces", *modules.split()}
+    assert (int(code), set(loaded)) == (status, {f"titeica.{m}" for m in expected})
+
+
+LAZY_PACKAGE = """
+import json
+import titeica
+report = {"not_listed": sorted(set(titeica.__all__) - set(dir(titeica)))}
+report["metrics"] = titeica.metrics.__name__
+names = {}
+exec("from titeica import *", names)
+report["not_bound"] = sorted(set(titeica.__all__) - set(names))
+try:
+    titeica.nowhere
+except AttributeError as exc:
+    report["unknown"] = str(exc)
+print(json.dumps(report))
+"""
+
+
+def test_lazy_package_names():
+    assert json.loads(python_child("-c", LAZY_PACKAGE).stdout) == {
+        "not_listed": [],
+        "metrics": "titeica.metrics",
+        "not_bound": [],
+        "unknown": "module 'titeica' has no attribute 'nowhere'",
+    }
+
+
+def test_readme_library_block():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme) as fh:
+        block = fh.read().split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    names, values = {}, []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):  # the lines whose value a comment gives
+            values.append(eval(compile(ast.Expression(stmt.value), "README.md", "eval"), names))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), names)
+    f_x, ratio, hyperboloid_ratio, residual, sphere_ratio, passed = values
+    assert f_x == (1.0, 0.0, -1.0)
+    assert ratio == pytest.approx(1 / 27, rel=1e-12)
+    assert hyperboloid_ratio == pytest.approx(-1.0, rel=1e-12)
+    assert residual < 1e-14
+    assert sphere_ratio == pytest.approx(1 / 64, rel=1e-9)
+    assert passed is True
 
 
 def test_public_names_resolve():

@@ -12,8 +12,11 @@ jet paths through ``sin``, ``cos``, ``sinh``, ``cosh``, ``tanh``,
 pseudosphere, invariants on the Minkowski sphere and the
 disk-to-hyperboloid pullback in CSV and JSON.
 Their last digits follow the C library's ``libm`` (they were written
-with glibc on x86-64).  A deliberate change of report bytes rewrites the
-file from the new output and says why in CHANGES.md.
+with glibc on x86-64).  The six ``help*.txt`` files pin the ``--help``
+text of the parser and of each subcommand at 80 columns; their layout
+follows the ``argparse`` of the Python that wrote them (3.11).  A
+deliberate change of report or help bytes rewrites the file from the new
+output and says why in CHANGES.md.
 """
 
 import os
@@ -21,6 +24,7 @@ import os
 import pytest
 
 from titeica.cli import main
+from titeica.metrics import pair_names
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -69,11 +73,23 @@ GOLDEN = {
     "metric-check-disk-minkowski-sphere.json": [
         "metric-check", "--pair", "disk:minkowski-sphere", "--format", "json", "--grid", "3", "3",
     ],
+    "help.txt": ["--help"],
+    **{f"help-{command}.txt": [command, "--help"]
+       for command in ("catalog", "invariants", "classify", "transform-check", "metric-check")},
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_report_matches_golden_file(name, capsys):
+def test_report_matches_golden_file(name, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps help text to
     main(GOLDEN[name])
     with open(os.path.join(GOLDEN_DIR, name), newline="") as fh:
         assert capsys.readouterr().out == fh.read()
+
+
+def test_pair_help_lists_every_metric_pair(capsys):
+    # The --pair help is a literal, so that building the parser imports no
+    # metrics; it must name exactly the pairs metric_pair accepts.
+    assert main(["metric-check", "--help"]) == 0
+    words = " ".join(capsys.readouterr().out.split())
+    assert words.endswith("--pair PAIR one of: " + ", ".join(pair_names()))
