@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 # Each submodule and the public names it gives the package.
 _NAMES = {
-    "centroaffine": ("CentroAffineMap", "ScalingReport", "apply_map", "verify_scaling"),
+    "centroaffine": ("CentroAffineMap", "ScalingPoint", "ScalingReport", "apply_map", "verify_scaling"),
     "errors": (
         "CatalogError", "DomainError", "GeometryError", "InconclusiveError",
         "RegularityError", "SignatureError", "SingularPointError", "UsageError",
@@ -31,12 +31,12 @@ _NAMES = {
     ),
     "jet": ("Jet2", "constant", "seed_x", "seed_xy", "seed_y"),
     "metrics": (
-        "AgreeReport", "CoordChange", "Metric2", "MetricPair", "brioschi_curvature",
-        "check_pair", "metric", "metric_pair", "metrics_agree", "pullback",
+        "AgreePoint", "AgreeReport", "Metric2", "MetricPair", "brioschi_curvature",
+        "check_pair", "metric", "metric_pair", "metric_values", "pair_names", "pullback",
     ),
     "surfaces": (
         "EUCLIDEAN", "MINKOWSKI", "AmbientForm", "Box", "SurfaceDef", "SurfaceJet",
-        "catalog", "catalog_names", "eval_surface", "grid_points", "parametric",
+        "catalog", "catalog_entries", "catalog_names", "eval_surface", "grid_points", "parametric",
     ),
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}

@@ -45,17 +45,11 @@ class CentroAffineMap(NamedTuple):
         if len(m) != 3 or any(len(row) != 3 or not all(map(math.isfinite, row)) for row in m):
             raise ValueError(f"centro-affine matrix must be 3 rows of 3 finite entries, got {m}")
         d = det3(*m)
+        if not math.isfinite(d):
+            raise ValueError(f"centro-affine matrix must have a finite determinant, got {d}")
         if abs(d) <= MIN_DET:
             raise ValueError(f"centro-affine matrix must be invertible, |det| = {abs(d):g}")
         return cls(m, d)
-
-    @classmethod
-    def identity(cls) -> "CentroAffineMap":
-        return cls.of(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
-
-    def __matmul__(self, other: "CentroAffineMap") -> "CentroAffineMap":
-        cols = tuple(zip(*other.matrix))
-        return self.of([[r[0] * c[0] + r[1] * c[1] + r[2] * c[2] for c in cols] for r in self.matrix])
 
     def act(self, sj: SurfaceJet) -> SurfaceJet:
         """The jet of f . A: A is linear, so every row of the jet (position

@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "GeometryError",
+    "DomainError",
+    "SingularPointError",
+    "RegularityError",
+    "SignatureError",
+    "CatalogError",
+    "InconclusiveError",
+    "UsageError",
+]
+
 
 class GeometryError(Exception):
     """Base class for every error raised by this package."""

@@ -20,23 +20,21 @@ reproduces the disk metric rather than presuming it.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 from . import jet
-from .errors import CatalogError, DomainError, RegularityError, SignatureError, UsageError
+from .errors import CatalogError, DomainError, RegularityError, SignatureError
 from .jet import Jet2, constant, seed_xy
 from .surfaces import Box, det3, grid_points
 
 __all__ = [
     "Metric2",
-    "CoordChange",
     "MetricPair",
     "AgreePoint",
     "AgreeReport",
     "brioschi_curvature",
     "pullback",
     "metric_values",
-    "metrics_agree",
     "check_pair",
     "metric",
     "metric_pair",
@@ -57,25 +55,19 @@ class Metric2(NamedTuple):
     domain: Box
 
 
-class CoordChange(NamedTuple):
-    """Jet-evaluable coordinate change (x, y) -> (u, v)."""
-
-    name: str
-    mapping: Mapping2
-    domain: Box
-
-
 class MetricPair(NamedTuple):
     """A claimed pullback equality: source = change* target.
 
     ``changes`` holds one or more labelled variants of the coordinate
-    change; the pair check runs all of them and reports which match.
+    change, each a jet-evaluable mapping (x, y) -> (u, v) from the
+    source's coordinates to the target's; the pair check runs all of them
+    and reports which match.
     """
 
     name: str
     source: Metric2
     target: Metric2
-    changes: tuple[tuple[str, CoordChange], ...]
+    changes: tuple[tuple[str, Mapping2], ...]
 
 
 def metric_values(m: Metric2, p: tuple[float, float]) -> tuple[float, float, float]:
@@ -112,23 +104,23 @@ def brioschi_curvature(m: Metric2, p: tuple[float, float]) -> float:
     return (det3(*m1) - det3(*m2)) / (disc * disc)
 
 
-def pullback(m: Metric2, change: CoordChange, p: tuple[float, float]) -> tuple[float, float, float]:
+def pullback(m: Metric2, mapping: Mapping2, p: tuple[float, float]) -> tuple[float, float, float]:
     """Components at p of the metric induced through the coordinate
     change: J^T G(phi(p)) J, with J the Jacobian of phi read off its jets."""
     x, y = p
-    change.domain.require(x, y, "coordinate change", change.name)
-    u, v = change.mapping(*seed_xy(x, y))
+    u, v = mapping(*seed_xy(x, y))
     if not m.domain.contains(u.val, v.val):
         raise DomainError(
-            f"image ({u.val:g}, {v.val:g}) of ({x:g}, {y:g}) under '{change.name}' "
+            f"image ({u.val:g}, {v.val:g}) of ({x:g}, {y:g}) "
             f"lies outside domain {m.domain.describe()} of metric '{m.name}'"
         )
     jdet = u.dx * v.dy - u.dy * v.dx
     if abs(jdet) <= 1e-12:
         raise RegularityError(
-            f"coordinate change '{change.name}' has singular Jacobian at ({x:g}, {y:g})"
+            f"coordinate change into metric '{m.name}' has singular Jacobian at ({x:g}, {y:g})"
         )
-    g11, g12, g22 = metric_values(m, (u.val, v.val))
+    e, f, g = m.components(constant(u.val), constant(v.val))
+    g11, g12, g22 = e.val, f.val, g.val
     h11 = g11 * u.dx * u.dx + 2.0 * g12 * u.dx * v.dx + g22 * v.dx * v.dx
     h12 = g11 * u.dx * u.dy + g12 * (u.dx * v.dy + u.dy * v.dx) + g22 * v.dx * v.dy
     h22 = g11 * u.dy * u.dy + 2.0 * g12 * u.dy * v.dy + g22 * v.dy * v.dy
@@ -149,54 +141,28 @@ class AgreeReport(NamedTuple):
     passed: bool
 
 
-def metrics_agree(
-    reference: Metric2,
-    candidate: Union[Metric2, tuple[Metric2, CoordChange]],
-    grid,
-    tol: float,
-) -> AgreeReport:
-    """Max componentwise difference between a metric and either another
-    metric or a pullback, over a list of points.  A difference that is
-    not a number makes ``max_diff`` NaN and the comparison fail."""
-    if not grid:
-        raise UsageError("metrics_agree needs a non-empty grid")
-    return _agree(candidate, ((p, metric_values(reference, p)) for p in grid), tol)
-
-
-def _agree(
-    candidate: Union[Metric2, tuple[Metric2, CoordChange]],
-    samples,
-    tol: float,
-) -> AgreeReport:
-    """The comparison of :func:`metrics_agree` over ``samples``, pairs of
-    a point and the reference components there."""
-    if isinstance(candidate, Metric2):
-        def values(p):
-            return metric_values(candidate, p)
-    else:
-        target, change = candidate
-        def values(p):
-            return pullback(target, change, p)
-
-    rows = []
-    worst = 0.0
-    for p, (r11, r12, r22) in samples:
-        c11, c12, c22 = values(p)
-        d11, d12, d22 = abs(c11 - r11), abs(c12 - r12), abs(c22 - r22)
-        # max() never picks a NaN, but keeps one it starts from
-        worst = max(worst, d11, d12, d22)
-        if math.isnan(d11 + d12 + d22):
-            worst = math.nan
-        rows.append(_new(AgreePoint, (p[0], p[1], d11, d12, d22)))
-    return AgreeReport(tuple(rows), worst, worst <= tol)
-
-
 def check_pair(pair: MetricPair, nx: int, ny: int, tol: float) -> tuple[tuple[str, AgreeReport], ...]:
     """Run every change variant of the pair over an nx x ny grid on the
-    source metric's domain: one (label, report) pair per variant.  The
-    source metric is evaluated once per point and shared by the variants."""
+    source metric's domain: one (label, report) pair per variant, with the
+    max componentwise difference between the source metric and the
+    pullback of the target.  The source metric is evaluated once per
+    point and shared by the variants.  A difference that is not a number
+    makes the variant's ``max_diff`` NaN and the variant fail."""
     samples = [(p, metric_values(pair.source, p)) for p in grid_points(pair.source.domain, nx, ny)]
-    return tuple((label, _agree((pair.target, change), samples, tol)) for label, change in pair.changes)
+    variants = []
+    for label, mapping in pair.changes:
+        rows = []
+        worst = 0.0
+        for p, (r11, r12, r22) in samples:
+            c11, c12, c22 = pullback(pair.target, mapping, p)
+            d11, d12, d22 = abs(c11 - r11), abs(c12 - r12), abs(c22 - r22)
+            # max() never picks a NaN, but keeps one it starts from
+            worst = max(worst, d11, d12, d22)
+            if math.isnan(d11 + d12 + d22):
+                worst = math.nan
+            rows.append(_new(AgreePoint, (p[0], p[1], d11, d12, d22)))
+        variants.append((label, AgreeReport(tuple(rows), worst, worst <= tol)))
+    return tuple(variants)
 
 
 # --------------------------------------------------------------------------
@@ -233,24 +199,18 @@ def _minkowski_sphere_components(u1: Jet2, u2: Jet2):
     return constant(1.0), constant(0.0), sh * sh
 
 
-_PSEUDOSPHERE_BOX = Box(0.1, 3.0, 0.3, 1.2)
-_HALF_PLANE_BOX = Box(-1.0, 1.0, 0.5, 3.0)
-_HALF_PLANE_STRIP = Box(-1.0, 1.0, 1.5, 3.0)
-_DISK_BOX = Box(0.15, 0.55, 0.15, 0.55)
-_MINKOWSKI_BOX = Box(0.3, 2.0, 0.1, 3.0)
-
 _METRICS: dict[str, tuple[Components, Box, str]] = {
     "euclidean": (_euclidean_components, Box(-1.0, 1.0, -1.0, 1.0), "flat plane metric"),
     "pseudosphere": (
         _pseudosphere_components,
-        _PSEUDOSPHERE_BOX,
+        Box(0.1, 3.0, 0.3, 1.2),
         "tractrix-of-revolution surface metric in angle coordinates",
     ),
-    "half-plane": (_half_plane_components, _HALF_PLANE_BOX, "Poincare upper half-plane"),
-    "disk": (_disk_components, _DISK_BOX, "Poincare disk (quadrant annulus box)"),
+    "half-plane": (_half_plane_components, Box(-1.0, 1.0, 0.5, 3.0), "Poincare upper half-plane"),
+    "disk": (_disk_components, Box(0.15, 0.55, 0.15, 0.55), "Poincare disk (quadrant annulus box)"),
     "minkowski-sphere": (
         _minkowski_sphere_components,
-        _MINKOWSKI_BOX,
+        Box(0.3, 2.0, 0.1, 3.0),
         "metric induced on the unit Minkowski hyperboloid",
     ),
 }
@@ -296,23 +256,19 @@ _PAIRS: dict[str, MetricPair] = {pair.name: pair for pair in (
         "pseudosphere:half-plane",
         metric("pseudosphere"),
         metric("half-plane", Box(0.05, 3.05, 1.0, 3.5)),
-        (("standard", CoordChange("pseudosphere-to-half-plane", _to_half_plane, _PSEUDOSPHERE_BOX)),),
+        (("standard", _to_half_plane),),
     ),
     MetricPair(
         "half-plane:disk",
-        metric("half-plane", _HALF_PLANE_STRIP),
+        metric("half-plane", Box(-1.0, 1.0, 1.5, 3.0)),
         metric("disk", Box(-2.1, 2.1, -5.3, -1.6)),
-        (("standard", CoordChange("half-plane-to-disk", _to_disk, _HALF_PLANE_STRIP)),),
+        (("standard", _to_disk),),
     ),
     MetricPair(
         "disk:minkowski-sphere",
         metric("disk"),
         metric("minkowski-sphere", Box(0.05, 2.2, 0.1, 1.5)),
-        (
-            ("radius", CoordChange("disk-to-hyperboloid-radius", _to_hyperboloid_radius, _DISK_BOX)),
-            ("squared-radius",
-             CoordChange("disk-to-hyperboloid-squared-radius", _to_hyperboloid_squared, _DISK_BOX)),
-        ),
+        (("radius", _to_hyperboloid_radius), ("squared-radius", _to_hyperboloid_squared)),
     ),
 )}
 

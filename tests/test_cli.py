@@ -559,6 +559,30 @@ def test_public_names_resolve():
         assert missing == [], module.__name__
 
 
+# The elementary functions of titeica.jet are reached as titeica.jet.sin and so on.
+JET_FUNCTIONS = {"sin", "cos", "exp", "log", "sqrt", "sinh", "cosh", "tanh", "atan", "atanh", "pow_int"}
+
+
+def test_every_library_name_is_a_package_name():
+    # Each library submodule's __all__, less the jet functions, is exactly
+    # its row of the package's name table.  titeica.cli is the command line,
+    # and its names are reached through it.
+    names = {}
+    for info in pkgutil.iter_modules(titeica.__path__):
+        if info.name != "cli":
+            names[info.name] = set(importlib.import_module(f"titeica.{info.name}").__all__) - JET_FUNCTIONS
+    assert names == {module: set(row) for module, row in titeica._NAMES.items()}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_pyproject_version_is_the_package_version():
+    import tomllib
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == titeica.__version__
+
+
 def test_unwritable_output_path(capsys):
     code = main([
         "classify", "--surface", "sphere-origin",
@@ -566,6 +590,16 @@ def test_unwritable_output_path(capsys):
     ])
     assert code == 2
     assert "cannot write report" in capsys.readouterr().err
+
+
+def test_output_that_is_a_directory_leaves_no_temporary_file(tmp_path, capsys):
+    # The report is written to a temporary file beside the output, which
+    # cannot replace a directory; the temporary file is then removed.
+    (tmp_path / "report.txt").mkdir()
+    code = main(["classify", "--surface", "sphere-origin", "--output", str(tmp_path / "report.txt")])
+    assert code == 2
+    assert "cannot write report" in capsys.readouterr().err
+    assert list(tmp_path.glob(".titeica-*.tmp")) == []
 
 
 def test_run_validates_config():

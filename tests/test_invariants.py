@@ -270,4 +270,4 @@ def test_sweeps_skip_only_singular_points():
     with pytest.raises(DomainError):
         classify(holed, (3, 3))
     with pytest.raises(DomainError):
-        verify_scaling(holed, CentroAffineMap.identity(), points, 1e-8)
+        verify_scaling(holed, CentroAffineMap.of(np.eye(3)), points, 1e-8)

@@ -4,14 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import nan_at_positive_x, nan_metric_pair
+from helpers import nan_metric_pair
 from titeica import metrics
 from titeica.cli import main
-from titeica.errors import CatalogError, DomainError, RegularityError, SignatureError, UsageError
+from titeica.errors import CatalogError, DomainError, RegularityError, SignatureError
 from titeica.invariants import fundamental_forms
 from titeica.jet import constant, seed_xy
 from titeica.metrics import (
-    CoordChange,
     Metric2,
     MetricPair,
     brioschi_curvature,
@@ -19,7 +18,6 @@ from titeica.metrics import (
     metric,
     metric_pair,
     metric_values,
-    metrics_agree,
     pair_names,
     pullback,
 )
@@ -71,29 +69,23 @@ def test_brioschi_rejects_indefinite_metric():
 
 def test_pullback_through_identity():
     m = metric("pseudosphere")
-    change = CoordChange("identity", lambda x, y: (x, y), m.domain)
     for p in grid_points(m.domain, 5, 5):
         direct = metric_values(m, p)
-        pulled = pullback(m, change, p)
+        pulled = pullback(m, lambda x, y: (x, y), p)
         for a, b in zip(direct, pulled):
             assert abs(a - b) <= 1e-14
     # (x, y) -> (x, y0) keeps the point but collapses the second direction
-    frozen = CoordChange("frozen-y", lambda x, y: (x, constant(y.val)), m.domain)
-    with pytest.raises(RegularityError, match="'frozen-y' has singular Jacobian"):
-        pullback(m, frozen, p)
+    with pytest.raises(RegularityError, match="singular Jacobian"):
+        pullback(m, lambda x, y: (x, constant(y.val)), p)
 
 
 def test_pullback_pseudosphere_from_half_plane():
-    pair = metric_pair("pseudosphere:half-plane")
-    grid = grid_points(pair.source.domain, 10, 5)
-    report = metrics_agree(pair.source, (pair.target, pair.changes[0][1]), grid, 1e-10)
+    (_, report), = check_pair(metric_pair("pseudosphere:half-plane"), 10, 5, 1e-10)
     assert report.passed, report.max_diff
 
 
 def test_pullback_half_plane_from_disk():
-    pair = metric_pair("half-plane:disk")
-    grid = grid_points(pair.source.domain, 10, 5)
-    report = metrics_agree(pair.source, (pair.target, pair.changes[0][1]), grid, 1e-9)
+    (_, report), = check_pair(metric_pair("half-plane:disk"), 10, 5, 1e-9)
     assert report.passed, report.max_diff
 
 
@@ -119,7 +111,7 @@ def test_pullback_domain_error_carries_both_points():
     (lambda m, c: brioschi_curvature(m, (0.0, -1.0)),
      "point (0, -1) outside domain [-1, 1] x [0.5, 3] of metric 'half-plane'"),
     (lambda m, c: pullback(m, c, (-5.0, 0.5)),
-     "point (-5, 0.5) outside domain [0.1, 3] x [0.3, 1.2] of coordinate change 'pseudosphere-to-half-plane'"),
+     "image (-5, 2.08583) of (-5, 0.5) lies outside domain [-1, 1] x [0.5, 3] of metric 'half-plane'"),
 ])
 def test_point_outside_domain_names_the_box_and_its_owner(call, message):
     with pytest.raises(DomainError) as err:
@@ -127,22 +119,16 @@ def test_point_outside_domain_names_the_box_and_its_owner(call, message):
     assert str(err.value) == message
 
 
-def test_metrics_agree_identity_comparison():
-    m = metric("half-plane")
-    report = metrics_agree(m, m, grid_points(m.domain, 5, 5), 1e-12)
-    assert report.passed and report.max_diff == 0.0
-
-
-def test_metrics_agree_empty_grid():
-    m = metric("half-plane")
-    with pytest.raises(UsageError):
-        metrics_agree(m, m, [], 1e-9)
-
-
-@pytest.mark.parametrize("grid", [[(-0.5, 0.0), (0.5, 0.0)], [(0.5, 0.0), (-0.5, 0.0)]])
-def test_metrics_agree_fails_on_a_nan_difference(grid):
-    candidate = Metric2("nan-g11", nan_at_positive_x, Box(-1.0, 1.0, -1.0, 1.0))
-    report = metrics_agree(metric("euclidean"), candidate, grid, 1e-9)
+@pytest.mark.parametrize("mirror", [False, True], ids=["nan-last", "nan-first"])
+def test_check_pair_fails_on_a_nan_difference(mirror):
+    # The target's g11 is NaN at x > 0, which on the 2 x 2 grid is the
+    # second and the last point; the mirror change (x, y) -> (-x, y) moves
+    # the NaNs to the first and the third.
+    pair = nan_metric_pair()
+    if mirror:
+        pair = pair._replace(changes=(("mirror", lambda x, y: (-x, y)),))
+    (_, report), = check_pair(pair, 2, 2, 1e-9)
+    assert [math.isnan(p.diff_g11) for p in report.points] == [mirror, not mirror] * 2
     assert math.isnan(report.max_diff)
     assert report.passed is False
 
@@ -157,14 +143,19 @@ def test_metric_check_writes_a_nan_max_diff_as_null(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("name", pair_names())
-def test_check_pair_variants_equal_separate_metrics_agree_calls(name):
+def test_check_pair_rows_equal_direct_pullbacks(name):
     pair = metric_pair(name)
     variants = check_pair(pair, 13, 11, 1e-8)
     grid = grid_points(pair.source.domain, 13, 11)
-    expected = tuple(
-        (label, metrics_agree(pair.source, (pair.target, change), grid, 1e-8)) for label, change in pair.changes
-    )
-    assert variants == expected
+    assert [label for label, _ in variants] == [label for label, _ in pair.changes]
+    for (_, report), (_, mapping) in zip(variants, pair.changes):
+        rows = []
+        for p in grid:
+            pulled = pullback(pair.target, mapping, p)
+            rows.append((*p, *(abs(c - r) for c, r in zip(pulled, metric_values(pair.source, p)))))
+        assert report.points == tuple(rows)
+        assert report.max_diff == max(max(row[2:]) for row in rows)
+        assert report.passed is (report.max_diff <= 1e-8)
 
 
 def test_check_pair_evaluates_the_source_once_per_point():
@@ -176,14 +167,34 @@ def test_check_pair_evaluates_the_source_once_per_point():
 
     box = Box(-1.0, 1.0, -1.0, 1.0)
     flat = metric("euclidean")
-    changes = (
-        ("identity", CoordChange("identity", lambda x, y: (x, y), box)),
-        ("swap", CoordChange("swap", lambda x, y: (y, x), box)),
-    )
+    changes = (("identity", lambda x, y: (x, y)), ("swap", lambda x, y: (y, x)))
     pair = MetricPair("counting:flat", Metric2("counting", counting_flat, box), flat, changes)
     variants = check_pair(pair, 4, 3, 1e-12)
     assert [label for label, rep in variants if rep.passed] == ["identity", "swap"]
     assert len(calls) == 4 * 3
+
+
+def test_check_pair_tests_each_point_against_each_box_once(monkeypatch):
+    # One source-box test per point, and one target-box test of its image
+    # per variant.
+    boxes = []
+    require, contains = Box.require, Box.contains
+
+    def counting_require(box, x, y, kind, name):
+        boxes.append(box)
+        return require(box, x, y, kind, name)
+
+    def counting_contains(box, x, y):
+        boxes.append(box)
+        return contains(box, x, y)
+
+    monkeypatch.setattr(Box, "require", counting_require)
+    monkeypatch.setattr(Box, "contains", counting_contains)
+    pair = metric_pair("disk:minkowski-sphere")
+    check_pair(pair, 4, 3, 1e-8)
+    assert boxes.count(pair.source.domain) == 4 * 3
+    assert boxes.count(pair.target.domain) == 4 * 3 * len(pair.changes)
+    assert len(boxes) == 4 * 3 * (1 + len(pair.changes))
 
 
 def test_curvature_is_a_pullback_invariant():
@@ -192,12 +203,12 @@ def test_curvature_is_a_pullback_invariant():
     rng = np.random.default_rng(53)
     for name in ("pseudosphere:half-plane", "half-plane:disk", "disk:minkowski-sphere"):
         pair = metric_pair(name)
-        label, change = pair.changes[0]
+        label, mapping = pair.changes[0]
         box = pair.source.domain
         for _ in range(50):
             x = float(rng.uniform(box.x0 + 0.02 * (box.x1 - box.x0), box.x1 - 0.02 * (box.x1 - box.x0)))
             y = float(rng.uniform(box.y0 + 0.02 * (box.y1 - box.y0), box.y1 - 0.02 * (box.y1 - box.y0)))
-            u, v = change.mapping(*seed_xy(x, y))
+            u, v = mapping(*seed_xy(x, y))
             k_source = brioschi_curvature(pair.source, (x, y))
             k_target = brioschi_curvature(pair.target, (u.val, v.val))
             assert abs(k_source - k_target) <= 1e-6, name
