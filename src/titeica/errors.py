@@ -32,7 +32,7 @@ class RegularityError(GeometryError):
 
 class SignatureError(GeometryError):
     """The ambient bilinear form misbehaves here: non-positive-definite
-    metric, null normal vector, or a form the operation does not support."""
+    metric or null normal vector."""
 
 
 class CatalogError(GeometryError, LookupError):

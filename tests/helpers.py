@@ -45,17 +45,17 @@ def jet2_image(sj, a):
 
 def scaling_reference(s, a, points):
     """Reference rows for ``verify_scaling``: four separate views per
-    point, ``titeica_ratio`` and ``oriented_volumes`` on the source jet
-    and on its image ``a.act(sj)``, with the residual expressions of the
-    library."""
+    point, ``titeica_ratio`` under ``s.ambient`` and ``oriented_volumes``
+    on the source jet and on its image ``a.act(sj)``, with the residual
+    expressions of the library."""
     det2 = a.det * a.det
     rows = []
     for x, y in points:
         try:
             sj = eval_surface(s, x, y)
             tj = a.act(sj)
-            before = titeica_ratio(sj, EUCLIDEAN)
-            after = titeica_ratio(tj, EUCLIDEAN)
+            before = titeica_ratio(sj, s.ambient)
+            after = titeica_ratio(tj, s.ambient)
         except (SingularPointError, RegularityError, SignatureError) as exc:
             rows.append(ScalingPoint(x, y, skipped=str(exc)))
             continue

@@ -95,7 +95,7 @@ def test_criterion_04_and_05_scaling_law():
     rng = np.random.default_rng(101)
     worst_ratio = 0.0
     worst_volume = 0.0
-    for name in ("paraboloid", "titeica-xyz"):
+    for name in ("paraboloid", "titeica-xyz", "minkowski-sphere"):
         s = catalog(name)
         for _ in range(20):
             a = random_map(rng)
@@ -105,7 +105,7 @@ def test_criterion_04_and_05_scaling_law():
             worst_ratio = max(worst_ratio, rep.max_ratio_residual)
             worst_volume = max(worst_volume, rep.max_volume_residual)
     report(
-        "criterion 4: ratio scales by det^-2 within 1e-8 (20 random maps x 2 surfaces)",
+        "criterion 4: ratio scales by det^-2 within 1e-8 (20 random maps x 3 surfaces)",
         worst_ratio <= 1e-8,
         f"max residual {worst_ratio:.2e}",
     )

@@ -7,7 +7,6 @@ from helpers import jet2_image, random_map, random_orthogonal, random_regular_po
 from titeica import centroaffine, classify, invariants
 from titeica.centroaffine import CentroAffineMap, apply_map, verify_scaling
 from titeica.cli import main
-from titeica.errors import SignatureError
 from titeica.invariants import oriented_volumes, titeica_ratio
 from titeica.surfaces import EUCLIDEAN, catalog, catalog_names, eval_surface, grid_points
 
@@ -85,8 +84,6 @@ def test_action_on_jets_matches_jet2_image(entries):
     a = map_of(entries)
     for name in catalog_names():
         s = catalog(name)
-        if s.ambient is not EUCLIDEAN:
-            continue
         image = apply_map(s, a)
         for x, y in grid_points(s.domain, 13, 11):
             acted = a.act(eval_surface(s, x, y))
@@ -204,7 +201,7 @@ def test_rotation_leaves_ratio_unchanged():
 
 def test_classification_invariant_under_unimodular_maps():
     rng = np.random.default_rng(47)
-    for name, params in (("titeica-xyz", {}), ("sphere-origin", {"R": 1.0})):
+    for name, params in (("titeica-xyz", {}), ("sphere-origin", {"R": 1.0}), ("minkowski-sphere", {})):
         s = catalog(name, **params)
         base = classify(s, grid=(10, 10), tol=1e-8)
         assert base.is_titeica
@@ -223,23 +220,17 @@ def test_classification_invariant_under_unimodular_maps():
     assert not classify(image, grid=(10, 10), tol=1e-8).is_titeica
 
 
-def test_apply_map_requires_euclidean_ambient():
-    with pytest.raises(SignatureError):
-        apply_map(catalog("minkowski-sphere"), CentroAffineMap.of(np.eye(3)))
-
-
 @pytest.mark.parametrize("entries", MATRICES)
 def test_verify_scaling_matches_four_separate_views(entries):
     a = map_of(entries)
     for name in catalog_names():
         s = catalog(name)
-        if s.ambient is not EUCLIDEAN:
-            continue
         points = grid_points(s.domain, 13, 11)
         assert list(verify_scaling(s, a, points, 1e-8).points) == scaling_reference(s, a, points), name
 
 
-def test_transform_check_makes_one_invariant_pass_per_side(monkeypatch, tmp_path):
+@pytest.mark.parametrize("surface", ["paraboloid", "minkowski-sphere"])
+def test_transform_check_makes_one_invariant_pass_per_side(surface, monkeypatch, tmp_path):
     passes = []
     core = invariants._core
 
@@ -249,11 +240,12 @@ def test_transform_check_makes_one_invariant_pass_per_side(monkeypatch, tmp_path
 
     monkeypatch.setattr(invariants, "_core", counting_core)
     monkeypatch.setattr(centroaffine, "_core", counting_core)
-    argv = ["transform-check", "--surface", "paraboloid", "--matrix", "2,0,0,0,1,0,0,0,1",
+    argv = ["transform-check", "--surface", surface, "--matrix", "2,0,0,0,1,0,0,0,1",
             "--grid", "5", "4", "--output", str(tmp_path / "report.txt")]
     assert main(argv) == 0
     assert len(passes) == 2 * 5 * 4
-    assert all(amb is EUCLIDEAN for amb in passes)
+    s = catalog(surface)
+    assert all(amb is s.ambient for amb in passes)
 
 
 def test_overflowing_maps_are_reported_not_raised(capsys):

@@ -183,15 +183,6 @@ def test_cli_transform_check_fails_on_absurd_tolerance():
     assert code == 1
 
 
-def test_cli_transform_check_refuses_non_euclidean_surface(capsys):
-    argv = ["transform-check", "--surface", "minkowski-sphere", "--matrix", "2,0,0,0,1,0,0,0,1"]
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("verification error: centro-affine action requires a "
-                            "Euclidean-ambient surface, got 'minkowski'\n")
-
-
 def test_cli_transform_check_rejects_bad_matrix(capsys):
     assert main([
         "transform-check", "--surface", "paraboloid", "--matrix", "1,2,3",

@@ -6,17 +6,18 @@ so their bytes do not depend on the platform's math library: the
 catalog, classify and transform-check on titeica-xyz, invariants on
 sphere-origin (at R = 2, and at R = 1e100 in CSV and JSON, where every
 row is skipped with an underflowing K/d^4), transform-check on the
-paraboloid and the half-plane to disk pullback.  The other five pin the
+paraboloid and the half-plane to disk pullback.  The other six pin the
 jet paths through ``sin``, ``cos``, ``sinh``, ``cosh``, ``tanh``,
 ``atan`` and ``atanh``: classify and transform-check on the
-pseudosphere, invariants on the Minkowski sphere and the
-disk-to-hyperboloid pullback in CSV and JSON.
+pseudosphere, invariants and transform-check on the Minkowski sphere and
+the disk-to-hyperboloid pullback in CSV and JSON.
 Their last digits follow the C library's ``libm`` (they were written
 with glibc on x86-64).  The six ``help*.txt`` files pin the ``--help``
 text of the parser and of each subcommand at 80 columns; their layout
 follows the ``argparse`` of the Python that wrote them (3.11).  A
 deliberate change of report or help bytes rewrites the file from the new
-output and says why in CHANGES.md.
+output and says why in CHANGES.md.  The directory holds exactly the
+files named in ``GOLDEN``, so an orphaned or unpinned file fails.
 """
 
 import os
@@ -69,6 +70,11 @@ GOLDEN = {
     "invariants-sphere-origin-skipped.json": [
         "invariants", "--surface", "sphere-origin", "--param", "R=1e100", "--format", "json", "--grid", "3", "2",
     ],
+    # a Minkowski-ambient surface: source and image read under its form
+    "transform-check-minkowski-sphere.json": [
+        "transform-check", "--surface", "minkowski-sphere",
+        "--matrix", "1.5,0.2,0,0,1,0.3,0.1,0,0.8", "--format", "json", "--grid", "4", "3",
+    ],
     # the summary block of two change variants
     "metric-check-disk-minkowski-sphere.json": [
         "metric-check", "--pair", "disk:minkowski-sphere", "--format", "json", "--grid", "3", "3",
@@ -85,6 +91,10 @@ def test_report_matches_golden_file(name, capsys, monkeypatch):
     main(GOLDEN[name])
     with open(os.path.join(GOLDEN_DIR, name), newline="") as fh:
         assert capsys.readouterr().out == fh.read()
+
+
+def test_golden_directory_holds_exactly_the_pinned_files():
+    assert sorted(os.listdir(GOLDEN_DIR)) == sorted(GOLDEN)
 
 
 def test_pair_help_lists_every_metric_pair(capsys):

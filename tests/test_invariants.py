@@ -21,6 +21,7 @@ from titeica.surfaces import (
     SurfaceDef,
     SurfaceJet,
     catalog,
+    catalog_names,
     eval_surface,
     grid_points,
     parametric,
@@ -141,6 +142,26 @@ def test_identity_residual_minkowski_sphere():
     s = catalog("minkowski-sphere")
     for x, y in grid_points(s.domain, 20, 20):
         assert identity_residual(eval_surface(s, x, y), MINKOWSKI) <= 1e-12
+
+
+def test_ratio_depends_on_the_form_only_through_its_sign():
+    # num / V^4 with num = det(S) (Vx Vy - Vxy^2): the two readings are
+    # bitwise negatives, signed zeros included
+    jets = [eval_surface(catalog(name), x, y)
+            for name in catalog_names() for x, y in grid_points(catalog(name).domain, 30, 30)]
+    rng = np.random.default_rng(53)
+    for _ in range(200):
+        s = random_polynomial_patch(rng)
+        jets += [eval_surface(s, x, y) for x, y in grid_points(s.domain, 3, 3)]
+    compared = 0
+    for sj in jets:
+        try:
+            mink, eucl = titeica_ratio(sj, MINKOWSKI), titeica_ratio(sj, EUCLIDEAN)
+        except invariants._SKIP:
+            continue
+        assert mink == -eucl and math.copysign(1.0, mink) == -math.copysign(1.0, eucl), (mink, eucl)
+        compared += 1
+    assert compared == len(jets) - 30 * 30  # only the plane's points are skipped
 
 
 def test_identity_residual_raises_the_pass_fault_on_a_degenerate_frame():

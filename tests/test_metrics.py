@@ -112,7 +112,7 @@ def test_pullback_domain_error_carries_both_points():
      "point (0, -1) outside domain [-1, 1] x [0.5, 3] of metric 'half-plane'"),
     (lambda m, c: pullback(m, c, (-5.0, 0.5)),
      "image (-5, 2.08583) of (-5, 0.5) lies outside domain [-1, 1] x [0.5, 3] of metric 'half-plane'"),
-])
+], ids=["metric_values", "brioschi_curvature", "pullback"])
 def test_point_outside_domain_names_the_box_and_its_owner(call, message):
     with pytest.raises(DomainError) as err:
         call(metric("half-plane"), metric_pair("pseudosphere:half-plane").changes[0][1])

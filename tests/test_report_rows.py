@@ -16,7 +16,7 @@ from helpers import nan_metric_pair
 from titeica import cli, metrics
 from titeica.cli import RunConfig
 from titeica.metrics import pair_names
-from titeica.surfaces import catalog, catalog_entries
+from titeica.surfaces import catalog_entries
 
 GRID = (4, 3)
 
@@ -55,9 +55,8 @@ def configs():
     yield RunConfig("catalog")
     for name, _, _ in catalog_entries():
         yield RunConfig("invariants", surface=name, grid=GRID)
-        if catalog(name).ambient.name == "euclidean":
-            for m in MATRICES:
-                yield RunConfig("transform-check", surface=name, grid=GRID, matrix=m)
+        for m in MATRICES:
+            yield RunConfig("transform-check", surface=name, grid=GRID, matrix=m)
     # every point skipped with an underflowing K/d^4
     yield RunConfig("invariants", surface="sphere-origin", params={"R": 1e100}, grid=GRID)
     for name in pair_names():
