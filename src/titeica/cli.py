@@ -24,7 +24,7 @@ import argparse
 import math
 import os
 import sys
-import tempfile
+from itertools import chain
 from typing import NamedTuple, Optional
 
 from .errors import CatalogError, GeometryError, InconclusiveError, UsageError
@@ -280,22 +280,44 @@ def _json_array(items, indent: int) -> str:
     return "[\n" + ",\n".join(f"{pad}  {v}" for v in items) + "\n" + pad + "]"
 
 
+def _cells(report: _Report, encode) -> tuple:
+    """The encoded cells of every row, row by row, for one "%" template.
+
+    The pass goes column by column.  A finite float is written inline as
+    its .17g text, the same in every format; any other cell goes through
+    ``encode``.  The grid coordinates x and y repeat a few values, so in
+    those columns a nonzero float is encoded once per distinct value; a
+    zero is encoded every time, because 0.0 and -0.0 are one dict key.
+    """
+    columns = []
+    for name, column in zip(report.columns, zip(*report.rows)):
+        if name in ("x", "y"):
+            # Floats only: True and 1 would share 1.0's key.
+            distinct = {v for v in column if type(v) is float and v}
+            memo = {v: f"{v:.17g}" if v - v == 0.0 else encode(v) for v in distinct}
+            columns.append([memo[v] if type(v) is float and v else encode(v) for v in column])
+        else:
+            columns.append([f"{v:.17g}" if type(v) is float and v - v == 0.0 else encode(v) for v in column])
+    return tuple(chain.from_iterable(zip(*columns)))
+
+
+def _fill(row: str, separator: str, report: _Report, encode) -> str:
+    """The report's rows, each the "%" template ``row`` filled with its
+    cells, joined by ``separator``."""
+    return separator.join([row] * len(report.rows)) % _cells(report, encode)
+
+
 def _render_json(report: _Report) -> str:
     # json is imported by the runs that write or read it, not by every run.
     from json.encoder import encode_basestring_ascii as string  # what json.dumps(str) returns
 
-    # The results array is one "%" template, built once per report from the
-    # key lines every row shares, and filled with all the cells at once.  A
-    # finite float cell is written inline; any other cell (None, str, bool,
-    # int, nan, inf, a float subclass) goes through _json_text, which keeps
-    # the null and escaping rules.
+    # The row template is built once per report from the key lines every
+    # row shares.
     keys = [string(c).replace("%", "%%") for c in report.columns]
     row = "    {\n" + ",\n".join(f"      {k}: %s" for k in keys) + "\n    }"
-    cells = [
-        f"{v:.17g}" if type(v) is float and v - v == 0.0 else _json_text(v, 3, string)
-        for r in report.rows for v in r
-    ]
-    results = "[\n" + ",\n".join([row] * len(report.rows)) % tuple(cells) + "\n  ]" if report.rows else "[]"
+    results = "[]"
+    if report.rows:
+        results = "[\n" + _fill(row, ",\n", report, lambda v: _json_text(v, 3, string)) + "\n  ]"
     return _json_object([
         ('"command"', string(report.command)),
         ('"config"', _json_text(report.config, 1, string)),
@@ -314,11 +336,8 @@ def _csv_cell(v) -> str:
 def _render_csv(report: _Report) -> str:
     if not report.rows:
         return ""
-    lines = [",".join(report.columns)]
-    # A float's .17g text holds no "," or '"', so it needs no quoting test.
-    for row in report.rows:
-        lines.append(",".join([f"{v:.17g}" if type(v) is float else _csv_cell(v) for v in row]))
-    return "\n".join(lines) + "\n"
+    header = ",".join(report.columns)
+    return header + "\n" + _fill(",".join(["%s"] * len(report.columns)), "\n", report, _csv_cell) + "\n"
 
 
 def _render_text(report: _Report) -> str:
@@ -330,8 +349,7 @@ def _render_text(report: _Report) -> str:
     if report.rows:
         lines.append("")
         lines.append("  ".join(f"{c:>22}" for c in report.columns))
-        for row in report.rows:
-            lines.append("  ".join(f"{_fmt(v):>22}" for v in row))
+        lines.append(_fill("  ".join(["%22s"] * len(report.columns)), "\n", report, _fmt))
     lines.append("")
     lines.append("summary:")
 
@@ -359,13 +377,12 @@ def _emit(text: str, output: Optional[str]) -> None:
     directory = os.path.dirname(os.path.abspath(output))
     tmp_path = None
     try:
-        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".titeica-", suffix=".tmp")
+        path = os.path.join(directory, f".titeica-{os.urandom(8).hex()}.tmp")
+        # Mode 0666 less the umask, as open(output, "w") would create it.
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp_path = path  # ours to remove from here on
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        # mkstemp makes the file 0600; open(output, "w") would honour the umask.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp_path, 0o666 & ~umask)
         os.replace(tmp_path, output)
     except OSError as exc:
         if tmp_path is not None and os.path.exists(tmp_path):

@@ -52,8 +52,6 @@ from .surfaces import (
     AmbientForm,
     SurfaceDef,
     SurfaceJet,
-    _cross,
-    _dot,
     eval_surface,
     grid_points,
 )
@@ -127,24 +125,33 @@ class _Core(NamedTuple):
 
 
 def _volumes(sj: SurfaceJet):
-    """c = f_x x f_y and the four oriented volumes row . c."""
-    c = _cross(sj.f_x, sj.f_y)
-    return c, _new(OrientedVolumes, (_dot(sj.f_xx, c), _dot(sj.f_yy, c), _dot(sj.f_xy, c), _dot(sj.f, c)))
+    """c = f_x x f_y and the four oriented volumes row . c, written out
+    (no helper calls: this runs once per grid point)."""
+    (f0, f1, f2), (a0, a1, a2), (b0, b1, b2), (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = sj
+    # numpy.cross operand order: tests/frame_reference.py holds the volumes
+    # and d bitwise to the frame built with it.
+    c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    return (c0, c1, c2), _new(OrientedVolumes, (
+        p0 * c0 + p1 * c1 + p2 * c2,  # f_xx
+        r0 * c0 + r1 * c1 + r2 * c2,  # f_yy
+        q0 * c0 + q1 * c1 + q2 * c2,  # f_xy
+        f0 * c0 + f1 * c1 + f2 * c2,  # f
+    ))
 
 
 def _core(sj: SurfaceJet, amb: AmbientForm) -> _Core:
     """The single pass over a point; raises where a singularity test fails."""
-    c, vols = _volumes(sj)
-    cc = _dot(c, c)
+    (c0, c1, c2), vols = _volumes(sj)
+    cc = c0 * c0 + c1 * c1 + c2 * c2
     if cc <= EPS_SINGULAR:
         raise RegularityError(f"degenerate tangent plane (|f_x x f_y|^2 = {cc:g})")
-    nn = amb.inner(c, c)
+    s0, s1, s2 = amb.signature
+    nn = float(s0 * c0 * c0 + s1 * c1 * c1 + s2 * c2 * c2)  # as amb.inner(c, c)
     if not math.isfinite(nn):
         raise SingularPointError(f"non-finite normal (<n, n> = {nn:g})")
     if abs(nn) <= EPS_SINGULAR:
         raise SignatureError(f"normal vector is null under the {amb.name} form")
     vx, vy, vxy, v = vols
-    s0, s1, s2 = amb.signature
     num = s0 * s1 * s2 * (vx * vy - vxy * vxy)
     return _new(_Core, (vols, nn, num, num / (nn * nn), abs(v) / math.sqrt(abs(nn))))
 

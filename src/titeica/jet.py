@@ -67,7 +67,7 @@ class Jet2(NamedTuple):
     __array_ufunc__ = None
 
     def __add__(self, other):
-        o = _lift(other)
+        o = other if type(other) is Jet2 else _lift(other)
         if o is None:
             raise _refused("+", other)
         a0, a1, a2, a3, a4, a5 = self
@@ -77,7 +77,7 @@ class Jet2(NamedTuple):
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _lift(other)
+        o = other if type(other) is Jet2 else _lift(other)
         if o is None:
             return NotImplemented
         return _sub(self, o)
@@ -95,7 +95,7 @@ class Jet2(NamedTuple):
     def __mul__(self, other):
         # Grouped so that a*b and b*a agree bitwise (addition of the same
         # products in commuted operand order).
-        o = _lift(other)
+        o = other if type(other) is Jet2 else _lift(other)
         if o is None:
             raise _refused("*", other)
         a0, a1, a2, a3, a4, a5 = self
@@ -112,7 +112,7 @@ class Jet2(NamedTuple):
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _lift(other)
+        o = other if type(other) is Jet2 else _lift(other)
         if o is None:
             return NotImplemented
         return _div(self, o)
@@ -142,7 +142,8 @@ _new = tuple.__new__
 
 
 def _lift(v):
-    """The six fields of a jet or of a real constant; None otherwise."""
+    """The six fields of a jet or of a real constant; None otherwise.  The
+    operators pass a Jet2 operand through without this call."""
     if isinstance(v, Jet2):
         return v
     # float and int first: the numbers.Real test is an ABC lookup.
@@ -200,8 +201,9 @@ def seed_y(v: float) -> Jet2:
 
 
 def seed_xy(x: float, y: float) -> tuple[Jet2, Jet2]:
-    """Coordinate seeds for evaluating an expression at the point (x, y)."""
-    return seed_x(x), seed_y(y)
+    """Coordinate seeds for evaluating an expression at the point (x, y):
+    ``(seed_x(x), seed_y(y))``."""
+    return _new(Jet2, (float(x), 1.0, 0.0, 0.0, 0.0, 0.0)), _new(Jet2, (float(y), 0.0, 1.0, 0.0, 0.0, 0.0))
 
 
 def _chain(a: Jet2, val: float, d1: float, d2: float) -> Jet2:

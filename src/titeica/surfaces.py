@@ -114,8 +114,6 @@ def _dot(r, c) -> float:
 
 
 def _cross(a, b) -> tuple[float, float, float]:
-    # numpy.cross operand order: tests/frame_reference.py holds the volumes
-    # and d bitwise to the frame built with it.
     (a0, a1, a2), (b0, b1, b2) = a, b
     return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 

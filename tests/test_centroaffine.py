@@ -310,6 +310,22 @@ def test_ill_conditioned_unimodular_map_passes(surface, k):
     assert report.max_ratio_residual <= 1e-8
 
 
+@pytest.mark.parametrize("radius", [
+    1.0,
+    pytest.param(1e3, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 3: the ratio residual is absolute below 1 and reads 1.4e-19")),
+])
+def test_ratio_residual_catches_a_wrong_law(radius):
+    # The general matrix with det replaced by sqrt|det|: its map predicts
+    # K/d^4 scaling by 1/det, not 1/det^2.
+    good = map_of("1.5,0.2,0,0,1,0.3,0.1,0,0.8")
+    wrong = CentroAffineMap(good.matrix, math.copysign(math.sqrt(abs(good.det)), good.det))
+    s = catalog("sphere-origin", R=radius)
+    report = verify_scaling(s, wrong, grid_points(s.domain, 5, 4), 1e-8)
+    assert not report.passed and report.max_volume_residual > 1e-8  # relative: 0.098 at every R
+    assert report.max_ratio_residual > 1e-8  # 0.14 at R = 1
+
+
 def test_all_skipped_run_fails():
     s = catalog("plane")  # every tangent plane passes through the origin
     report = verify_scaling(s, CentroAffineMap.of(np.eye(3)), grid_points(s.domain, 3, 3), 1e-8)

@@ -451,6 +451,22 @@ def test_output_file_takes_the_umask_mode(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["v.json"]
 
 
+def test_output_leaves_the_process_umask_alone(tmp_path, capsys, monkeypatch):
+    # Setting the umask to read it would give files that another thread
+    # creates meanwhile mode 0666; the kernel applies it to the new file.
+    def umask(mask):
+        raise AssertionError("os.umask called")
+
+    argv = ["invariants", "--surface", "sphere-origin", "--grid", "3", "3", "--format", "csv"]
+    assert main(argv) == 0
+    report = capsys.readouterr().out
+    monkeypatch.setattr(os, "umask", umask)
+    out = tmp_path / "v.csv"
+    assert main([*argv, "--output", str(out)]) == 0
+    assert out.read_text() == report
+    assert [p.name for p in tmp_path.iterdir()] == ["v.csv"]
+
+
 IMPORT_PACKAGE = """
 import sys
 before = set(sys.modules)

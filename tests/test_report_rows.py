@@ -1,9 +1,11 @@
-"""Report rows: the JSON and CSV renderers write each row from text built
-once per report, and must give the bytes of the general encoder.
+"""Report rows: the JSON, CSV and text renderers fill each row from one
+template built per report, with cells encoded column by column (the x and
+y columns once per distinct value), and must give the bytes of the
+general encoders.
 
 The references below render every cell on its own: JSON as
 ``_json_object`` over ``_json_text`` of the row's cells, CSV as ``_fmt``
-and the quoting rule.
+and the quoting rule, text as ``_fmt`` right-aligned to 22.
 """
 
 import json
@@ -51,6 +53,17 @@ def reference_csv(report):
     return "\n".join(lines) + "\n"
 
 
+def reference_text(report):
+    text = cli._render_text(report._replace(rows=[]))
+    if not report.rows:
+        return text
+    lines = ["  ".join(f"{c:>22}" for c in report.columns)]
+    lines += ["  ".join(f"{cli._fmt(v):>22}" for v in row) for row in report.rows]
+    # Without rows the report goes from its config lines and a blank line
+    # straight to the summary.
+    return text.replace("\n\nsummary:\n", "\n\n" + "\n".join(lines) + "\n\nsummary:\n", 1)
+
+
 def configs():
     yield RunConfig("catalog")
     for name, _, _ in catalog_entries():
@@ -67,6 +80,7 @@ def check_rows(report):
     text = cli._render_json(report)
     assert text == reference_json(report)
     assert cli._render_csv(report) == reference_csv(report)
+    assert cli._render_text(report) == reference_text(report)
     results = json.loads(text)["results"]
     assert len(results) == len(report.rows)
     for row, obj in zip(report.rows, results):
@@ -116,6 +130,28 @@ def test_edge_cells():
         'nan,inf,-inf,-0,none,text,bool,int,float,100%\n'
         'nan,inf,-inf,-0,,"say ""x, y""",true,3,0.10000000000000001,2.5\n'
     )
+
+    # The x and y columns encode a nonzero float once per distinct value:
+    # 0.0 and -0.0 (one dict key) next to each other in both orders,
+    # non-finite values, repeated and unrepeated values, and a bool and an
+    # int equal to a float beside it.
+    coordinates = [
+        (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, 0.0), (0.5, 0.0),
+        (math.nan, math.inf), (-math.inf, math.nan), (0.25, 0.5), (0.5, 0.25),
+        (1.0, True), (True, 1.0), (3, 2 / 3), (1e-300, -1e-300),
+    ]
+    xs = ["0", "-0", "-0", "0", "0.5", "nan", "-inf", "0.25", "0.5", "1", "true", "3", "1e-300"]
+    ys = ["-0", "0", "-0", "0", "0", "inf", "nan", "0.5", "0.25", "true", "1", "0.66666666666666663", "-1e-300"]
+    report = cli._Report("invariants", {}, ("x", "y", "ratio"), [(x, y, 0.5) for x, y in coordinates], {})
+    check_rows(report)
+    csv = [line.split(",") for line in cli._render_csv(report).splitlines()[1:]]
+    assert csv == [[x, y, "0.5"] for x, y in zip(xs, ys)]
+    text = cli._render_text(report).splitlines()[3:-2]  # the row lines
+    assert [[line[i:i + 22].strip() for i in (0, 24, 48)] for line in text] == [[x, y, "0.5"] for x, y in zip(xs, ys)]
+    null = {"nan": "null", "inf": "null", "-inf": "null"}
+    json_lines = cli._render_json(report).splitlines()
+    assert [v.split(": ")[1] for v in json_lines if v.startswith('      "x": ')] == [null.get(x, x) + "," for x in xs]
+    assert [v.split(": ")[1] for v in json_lines if v.startswith('      "y": ')] == [null.get(y, y) + "," for y in ys]
 
 
 def test_empty_rows():
