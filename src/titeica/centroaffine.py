@@ -127,8 +127,8 @@ def verify_scaling(s: SurfaceDef, a: CentroAffineMap, points, tol: float) -> Sca
         after = image.ratio()
         predicted = before / det2
         ratio_res = abs(after - predicted) / max(1.0, abs(predicted))
-        v_pred = a.det * source.vols.V
-        volume_res = abs(image.vols.V - v_pred) / max(1e-300, abs(v_pred))
+        v_pred = a.det * source.V
+        volume_res = abs(image.V - v_pred) / max(1e-300, abs(v_pred))
         num_pred = det2 * source.num
         # image.num is finite: image.ratio() found K = num / nn^2 finite.
         if not math.isfinite(num_pred):

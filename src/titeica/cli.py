@@ -374,16 +374,22 @@ def _emit(text: str, output: Optional[str]) -> None:
     if output is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(output))
     tmp_path = None
     try:
-        path = os.path.join(directory, f".titeica-{os.urandom(8).hex()}.tmp")
+        if os.path.exists(output) and not os.path.isfile(output):
+            # A device or FIFO is written in place (a rename would replace
+            # it); a directory fails to open.
+            with open(output, "w") as fh:
+                fh.write(text)
+            return
+        target = os.path.realpath(output)  # a link survives; its target gets the report
+        path = os.path.join(os.path.dirname(target), f".titeica-{os.urandom(8).hex()}.tmp")
         # Mode 0666 less the umask, as open(output, "w") would create it.
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         tmp_path = path  # ours to remove from here on
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        os.replace(tmp_path, output)
+        os.replace(tmp_path, target)
     except OSError as exc:
         if tmp_path is not None and os.path.exists(tmp_path):
             os.unlink(tmp_path)

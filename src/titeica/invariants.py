@@ -3,7 +3,7 @@
 Everything here comes from one pass over a :class:`SurfaceJet`, in the
 paper's representation.  Let S = diag(signature) be the ambient form,
 <v, w> = v^T S w, and c = f_x x f_y the Euclidean cross product of the
-tangent rows.  The pass computes
+tangent rows.  The pass, ``_core``, writes out c and then
 
 * the four oriented volumes Vx, Vy, Vxy, V = det(row; f_x; f_y) for
   row = f_xx, f_yy, f_xy and the position f, each as row . c,
@@ -12,6 +12,7 @@ tangent rows.  The pass computes
 
 and derives K = num / nn^2, the distance d = |V| / sqrt(|nn|) from the
 origin to the affine tangent plane, and the ratio K/d^4 = num / V^4.
+:func:`oriented_volumes` is the four determinants, each one ``det3``.
 
 The normal is n = S c: it is ambient-orthogonal to the tangent plane for
 both signatures, <n, n> = nn and <row, n> = row . c because S^2 = I.
@@ -52,6 +53,7 @@ from .surfaces import (
     AmbientForm,
     SurfaceDef,
     SurfaceJet,
+    det3,
     eval_surface,
     grid_points,
 )
@@ -102,7 +104,10 @@ class OrientedVolumes(NamedTuple):
 class _Core(NamedTuple):
     """What one pass yields at a regular point."""
 
-    vols: OrientedVolumes
+    Vx: float
+    Vy: float
+    Vxy: float
+    V: float
     nn: float
     num: float
     K: float
@@ -112,7 +117,7 @@ class _Core(NamedTuple):
         k, d = self.K, self.d
         if d <= EPS_SINGULAR:
             raise SingularPointError(f"tangent plane passes through the origin (d = {d:g})")
-        v = self.vols.V
+        v = self.V
         try:  # |nn| and d above EPS_SINGULAR keep V^4 above 1e-55
             ratio = self.num / v**4
         except OverflowError:
@@ -124,24 +129,13 @@ class _Core(NamedTuple):
         return ratio
 
 
-def _volumes(sj: SurfaceJet):
-    """c = f_x x f_y and the four oriented volumes row . c, written out
-    (no helper calls: this runs once per grid point)."""
+def _core(sj: SurfaceJet, amb: AmbientForm) -> _Core:
+    """The single pass over a point, written out (no helper calls: this
+    runs once per grid point); raises where a singularity test fails."""
     (f0, f1, f2), (a0, a1, a2), (b0, b1, b2), (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = sj
     # numpy.cross operand order: tests/frame_reference.py holds the volumes
     # and d bitwise to the frame built with it.
     c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
-    return (c0, c1, c2), _new(OrientedVolumes, (
-        p0 * c0 + p1 * c1 + p2 * c2,  # f_xx
-        r0 * c0 + r1 * c1 + r2 * c2,  # f_yy
-        q0 * c0 + q1 * c1 + q2 * c2,  # f_xy
-        f0 * c0 + f1 * c1 + f2 * c2,  # f
-    ))
-
-
-def _core(sj: SurfaceJet, amb: AmbientForm) -> _Core:
-    """The single pass over a point; raises where a singularity test fails."""
-    (c0, c1, c2), vols = _volumes(sj)
     cc = c0 * c0 + c1 * c1 + c2 * c2
     if cc <= EPS_SINGULAR:
         raise RegularityError(f"degenerate tangent plane (|f_x x f_y|^2 = {cc:g})")
@@ -151,16 +145,19 @@ def _core(sj: SurfaceJet, amb: AmbientForm) -> _Core:
         raise SingularPointError(f"non-finite normal (<n, n> = {nn:g})")
     if abs(nn) <= EPS_SINGULAR:
         raise SignatureError(f"normal vector is null under the {amb.name} form")
-    vx, vy, vxy, v = vols
+    vx = p0 * c0 + p1 * c1 + p2 * c2  # f_xx
+    vy = r0 * c0 + r1 * c1 + r2 * c2  # f_yy
+    vxy = q0 * c0 + q1 * c1 + q2 * c2  # f_xy
+    v = f0 * c0 + f1 * c1 + f2 * c2  # f
     num = s0 * s1 * s2 * (vx * vy - vxy * vxy)
-    return _new(_Core, (vols, nn, num, num / (nn * nn), abs(v) / math.sqrt(abs(nn))))
+    return _new(_Core, (vx, vy, vxy, v, nn, num, num / (nn * nn), abs(v) / math.sqrt(abs(nn))))
 
 
 def _forms(sj: SurfaceJet, amb: AmbientForm, p: _Core) -> FundamentalForms:
     scale = 1.0 / math.sqrt(abs(p.nn))
-    fx, fy, v = sj.f_x, sj.f_y, p.vols
+    fx, fy = sj.f_x, sj.f_y
     return FundamentalForms(amb.inner(fx, fx), amb.inner(fx, fy), amb.inner(fy, fy),
-                            v.Vx * scale, v.Vxy * scale, v.Vy * scale)
+                            p.Vx * scale, p.Vxy * scale, p.Vy * scale)
 
 
 def fundamental_forms(sj: SurfaceJet, amb: AmbientForm) -> FundamentalForms:
@@ -184,7 +181,9 @@ def tangent_distance(sj: SurfaceJet, amb: AmbientForm) -> float:
 def oriented_volumes(sj: SurfaceJet) -> OrientedVolumes:
     """Signed volumes of the parallelepipeds spanned by (row; f_x; f_y)
     with row = f_xx, f_yy, f_xy and the position f."""
-    return _volumes(sj)[1]
+    fx, fy = sj.f_x, sj.f_y
+    return OrientedVolumes(det3(sj.f_xx, fx, fy), det3(sj.f_yy, fx, fy),
+                           det3(sj.f_xy, fx, fy), det3(sj.f, fx, fy))
 
 
 def titeica_ratio(sj: SurfaceJet, amb: AmbientForm) -> float:

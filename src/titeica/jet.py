@@ -142,10 +142,8 @@ _new = tuple.__new__
 
 
 def _lift(v):
-    """The six fields of a jet or of a real constant; None otherwise.  The
-    operators pass a Jet2 operand through without this call."""
-    if isinstance(v, Jet2):
-        return v
+    """The six fields of a real constant; None otherwise.  The operators
+    pass a Jet2 operand through without this call."""
     # float and int first: the numbers.Real test is an ABC lookup.
     if isinstance(v, (float, int, numbers.Real)):
         return (float(v), 0.0, 0.0, 0.0, 0.0, 0.0)

@@ -109,18 +109,11 @@ EUCLIDEAN = AmbientForm((1, 1, 1), "euclidean")
 MINKOWSKI = AmbientForm((-1, 1, 1), "minkowski")
 
 
-def _dot(r, c) -> float:
-    return r[0] * c[0] + r[1] * c[1] + r[2] * c[2]
-
-
-def _cross(a, b) -> tuple[float, float, float]:
-    (a0, a1, a2), (b0, b1, b2) = a, b
-    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-
-
 def det3(r0, r1, r2) -> float:
-    """Determinant of the 3x3 matrix with rows r0, r1, r2, as r0 . (r1 x r2)."""
-    return _dot(r0, _cross(r1, r2))
+    """Determinant of the 3x3 matrix with rows r0, r1, r2, as r0 . (r1 x r2)
+    with the cross product in numpy.cross operand order."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = r0, r1, r2
+    return a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2) + a2 * (b0 * c1 - b1 * c0)
 
 
 Vec3 = tuple[float, float, float]

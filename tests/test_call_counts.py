@@ -2,11 +2,11 @@
 
 A helper call costs far more than the arithmetic it wraps, and a grid
 pays it once per point, so these bounds pin the per-point work: the
-cross and dot products are written out in ``invariants._volumes``, jet
+cross and dot products are written out in ``invariants._core``, jet
 arithmetic on two jets lifts neither operand, and ``seed_xy`` builds both
-seeds itself.  The counts are exact for a given interpreter (13.45 and
-20.4 on CPython 3.11, where a helper in the hot path puts them back at
-23.45 and 39.4); the bounds leave room only for fixed per-grid calls.
+seeds itself.  The counts are exact for a given interpreter (12.45 and
+18.4 on CPython 3.11, where one more helper call per point puts them at
+13.45 and 20.4); the bounds leave room only for fixed per-grid calls.
 """
 
 import sys
@@ -51,7 +51,7 @@ def verify_paraboloid():
     return lambda: verify_scaling(s, a, points, 1e-8)
 
 
-@pytest.mark.parametrize("make_run, bound", [(scan_titeica_xyz, 14), (verify_paraboloid, 21)],
+@pytest.mark.parametrize("make_run, bound", [(scan_titeica_xyz, 13), (verify_paraboloid, 19)],
                          ids=["scan_grid", "verify_scaling"])
 def test_calls_per_grid_point(make_run, bound):
     assert calls_per_point(make_run(), GRID[0] * GRID[1]) <= bound

@@ -599,9 +599,42 @@ def test_unwritable_output_path(capsys):
     assert "cannot write report" in capsys.readouterr().err
 
 
+CSV_RUN = ["classify", "--surface", "sphere-origin", "--grid", "3", "3", "--format", "csv"]
+
+
+def test_output_through_a_link_writes_its_target(tmp_path, capsys):
+    # CSV: a JSON report echoes the --output path, so it would differ from stdout.
+    assert main(CSV_RUN) == 0
+    report = capsys.readouterr().out
+    target, link = tmp_path / "report.csv", tmp_path / "latest.csv"
+    target.write_text("an older report\n")
+    link.symlink_to(target)
+    assert main(CSV_RUN + ["--output", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == report
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["latest.csv", "report.csv"]
+
+
+def test_output_to_a_fifo_reaches_its_reader(tmp_path, capsys):
+    # The read end is open (and non-blocking) before the run, so opening the
+    # write end does not wait; a FIFO renamed away would leave it reading b"".
+    assert main(CSV_RUN) == 0
+    report = capsys.readouterr().out.encode()
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(CSV_RUN + ["--output", str(fifo)]) == 0
+        assert os.read(fd, 1 << 16) == report
+    finally:
+        os.close(fd)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["report.fifo"]
+
+
 def test_output_that_is_a_directory_leaves_no_temporary_file(tmp_path, capsys):
-    # The report is written to a temporary file beside the output, which
-    # cannot replace a directory; the temporary file is then removed.
+    # An existing path that is not a regular file is opened in place, with
+    # no temporary file; a directory fails to open.
     (tmp_path / "report.txt").mkdir()
     code = main(["classify", "--surface", "sphere-origin", "--output", str(tmp_path / "report.txt")])
     assert code == 2

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import random_polynomial_patch, random_regular_point
 from titeica import CentroAffineMap, classify, invariants, jet, scan_grid, verify_scaling
-from titeica.errors import DomainError, RegularityError, SingularPointError
+from titeica.errors import DomainError, RegularityError, SignatureError, SingularPointError
 from titeica.invariants import (
     fundamental_forms,
     gaussian_curvature,
@@ -162,6 +162,17 @@ def test_ratio_depends_on_the_form_only_through_its_sign():
         assert mink == -eucl and math.copysign(1.0, mink) == -math.copysign(1.0, eucl), (mink, eucl)
         compared += 1
     assert compared == len(jets) - 30 * 30  # only the plane's points are skipped
+
+
+@pytest.mark.xfail(strict=True, raises=SignatureError,
+                   reason="ROADMAP item 6: the ratio needs no normal, but a null normal skips it")
+def test_ratio_under_a_null_minkowski_normal():
+    # At (0.5, 0) the paraboloid's normal is null under the Minkowski form
+    # (nn = 0 exactly), yet K/d^4 = det(S) (Vx Vy - Vxy^2) / V^4 never reads nn.
+    sj = eval_surface(catalog("paraboloid"), 0.5, 0.0)
+    assert oriented_volumes(sj) == (2.0, 2.0, 0.0, -0.25)
+    assert titeica_ratio(sj, EUCLIDEAN) == 1024.0
+    assert titeica_ratio(sj, MINKOWSKI) == -1024.0
 
 
 def test_identity_residual_raises_the_pass_fault_on_a_degenerate_frame():
