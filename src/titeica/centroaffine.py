@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 
 from .errors import SingularPointError
 from .invariants import _core, _sweep
-from .surfaces import SurfaceDef, SurfaceJet, det3, eval_surface
+from .surfaces import SurfaceDef, SurfaceJet, _for_sweep, det3, eval_surface
 
 __all__ = ["CentroAffineMap", "apply_map", "verify_scaling", "ScalingPoint", "ScalingReport"]
 
@@ -116,11 +116,11 @@ def verify_scaling(s: SurfaceDef, a: CentroAffineMap, points, tol: float) -> Sca
     numerator leaves float range, are recorded as skipped; a run where
     every point was skipped fails.
     """
-    amb = s.ambient
+    amb, swept = s.ambient, _for_sweep(s)
     det2 = a.det * a.det
 
     def evaluate(x, y):
-        sj = eval_surface(s, x, y)
+        sj = eval_surface(swept, x, y)
         source = _core(sj, amb)
         before = source.ratio()
         image = _core(a.act(sj), amb)

@@ -9,10 +9,11 @@ classify         constant-ratio verdict for a surface over its grid
 transform-check  scaling law under a centro-affine matrix
 metric-check     pullback equality for a named metric pair
 
-Reports are emitted as text, JSON or CSV.  File output is atomic (write
-to a temporary file, then rename) and byte-deterministic for identical
-configurations: the grid enumeration order is fixed and every float is
-formatted with 17 significant digits.
+Reports are emitted as text, JSON or CSV.  Output to a new or regular
+file is atomic (write to a temporary file, then rename); this process's
+own stdout, a device or a FIFO is written in place.  Reports are
+byte-deterministic for identical configurations: the grid enumeration
+order is fixed and every float is formatted with 17 significant digits.
 
 Exit status: 0 on success or a passing check, 1 on a verification
 failure or an inconclusive classification, 2 on configuration errors.
@@ -371,7 +372,11 @@ _RENDERERS = {"text": _render_text, "json": _render_json, "csv": _render_csv}
 
 
 def _emit(text: str, output: Optional[str]) -> None:
-    if output is None:
+    try:  # a path to this process's own stdout, such as /dev/stdout under a redirect
+        own = output is not None and os.path.samestat(os.stat(output), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):  # no such path, or a stdout with no descriptor
+        own = False
+    if output is None or own:
         sys.stdout.write(text)
         return
     tmp_path = None
@@ -441,7 +446,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=tuple(_RENDERERS),
                         default=argparse.SUPPRESS, help="report format (default text)")
     common.add_argument("--output", default=argparse.SUPPRESS,
-                        help="write the report to this path (atomic)")
+                        help="write the report to this path (atomically if it is a new or "
+                             "regular file other than stdout)")
 
     parser = argparse.ArgumentParser(
         prog="titeica",

@@ -35,8 +35,9 @@ quotient is taken as num / V^2 / V^2.
 
 The grid commands (:func:`scan_grid`, :func:`classify` and
 ``centroaffine.verify_scaling``) walk their points through one sweep,
-``_sweep``: a point that raises one of the singularity errors in ``_SKIP``
-is recorded as skipped with its message, and any other error propagates.
+``_sweep``, evaluating the patch ``surfaces._for_sweep`` gives: a point
+that raises one of the singularity errors in ``_SKIP`` is recorded as
+skipped with its message, and any other error propagates.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .surfaces import (
     AmbientForm,
     SurfaceDef,
     SurfaceJet,
+    _for_sweep,
     det3,
     eval_surface,
     grid_points,
@@ -247,10 +249,10 @@ def scan_grid(s: SurfaceDef, grid: tuple[int, int] = DEFAULT_GRID) -> list[Point
     """Evaluate K, d and K/d^4 over the surface's domain grid, recording
     singular points as skipped with their reason."""
 
-    amb = s.ambient
+    amb, swept = s.ambient, _for_sweep(s)
 
     def evaluate(x, y):
-        p = _core(eval_surface(s, x, y), amb)
+        p = _core(eval_surface(swept, x, y), amb)
         return _new(PointRecord, (x, y, p.K, p.d, p.ratio(), None))
 
     return _sweep(grid_points(s.domain, *grid), evaluate, PointRecord)

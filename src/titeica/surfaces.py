@@ -5,6 +5,12 @@ A surface is a patch: a function from a parameter point to its
 partial derivatives.  :func:`parametric` builds one from three coordinate
 functions written on :class:`~titeica.jet.Jet2` seeds; a Monge patch, the
 graph of u over the parameter plane, is the immersion (x, y, u(x, y)).
+A grid sweep (``scan_grid``, ``classify``, ``verify_scaling``) replays a
+trace of those functions: from the second point on a line x = const or
+y = const it keeps the values that depend on that coordinate alone until
+the sweep ends, and at a point whose two lines are both kept it runs only
+the mixed ones (on the pseudosphere at 20 x 20, 10.7 Python calls per
+point instead of 23).
 
 The catalog holds the concrete surfaces exercised by the verification
 commands; every entry picks a domain box that stays away from coordinate
@@ -152,6 +158,13 @@ def parametric(coords: Coords) -> Patch:
     A Monge patch is ``parametric(lambda x, y: (x, y, u(x, y)))``: its
     first two coordinates are the exact seeds, so f_x = (1, 0, u_x),
     f_y = (0, 1, u_y) and f_** = (0, 0, u_**) hold bitwise.
+
+    ``coords`` is traced once, and a grid sweep replays what it recorded
+    (:func:`_replayer`).  So ``coords`` may touch its arguments only
+    through jet arithmetic and ``titeica.jet`` functions, and must not
+    catch their errors.  One that reads a jet's fields, compares, hashes,
+    tests or iterates a jet, or raises while traced, is called at every
+    point of a sweep instead.
     """
 
     def patch(x: float, y: float) -> SurfaceJet:
@@ -160,7 +173,74 @@ def parametric(coords: Coords) -> Patch:
         # f = (cx.val, cy.val, cz.val), f_x = (cx.dx, cy.dx, cz.dx), ...
         return _new(SurfaceJet, zip(cx, cy, cz))
 
+    try:
+        patch.sweep = _replayer(coords)
+    except Exception:  # it read, compared, hashed, tested or iterated a jet, or raised
+        pass
     return patch
+
+
+def _replayer(coords: Coords) -> Callable[[], Patch]:
+    """Trace ``coords``; return a factory of sweep evaluators.  Values sit
+    in one list per point: [x-only | y-only | mixed nodes | constants].
+    Where the x-only values of x or the y-only ones of y are not kept, an
+    evaluator replays every node in program order, then keeps those of a
+    line met before; elsewhere it replays the mixed nodes alone.  So each
+    point gives the jet, or raises the error, of a call of ``coords``."""
+    tape: list = []
+    outputs = coords(jet._node(tape, None), jet._node(tape, None))
+    axes = [1, 2]  # bit 1: depends on x, bit 2: on y
+    for _, operands in tape[2:]:
+        bits = [axes[o.index] for o in operands if type(o) is jet._Traced]  # one or two
+        axes.append(bits[0] | bits[-1])
+    slot = {k: i for i, k in enumerate(sorted(range(len(tape)), key=axes.__getitem__))}  # stable
+    nx, ny, n = axes.count(1), axes.count(2), len(tape)
+    consts: list = []
+
+    def ref(o) -> int:
+        if type(o) is jet._Traced:
+            return slot[o.index]
+        consts.append(o)
+        return n + len(consts) - 1
+
+    a, b, c = (ref(o) for o in outputs if type(o) in (jet._Traced, Jet2))  # else ValueError
+    nodes = [(slot[k], fn, ref(ops[0]), ref(ops[1]) if len(ops) == 2 else None)
+             for k, (fn, ops) in enumerate(tape) if fn is not None]
+    mixed = [node for node in nodes if node[0] >= nx + ny]
+    fresh, rest = [None] * n + consts, [None] * (n - nx - ny) + consts
+
+    def start() -> Patch:
+        xs, ys = {}, {}
+
+        def patch(x: float, y: float) -> SurfaceJet:
+            kx, ky = x or repr(x), y or repr(y)  # 0.0 and -0.0 seed different jets
+            xv, yv = xs.get(kx), ys.get(ky)
+            program = mixed if xv and yv else nodes
+            if program is nodes:
+                v = [*fresh]
+                v[0], v[nx] = seed_xy(x, y)
+            else:
+                v = [*xv, *yv, *rest]
+            for k, fn, i, j in program:
+                v[k] = fn(v[i]) if j is None else fn(v[i], v[j])
+            # A line's values are kept from its second point on: points that
+            # share no line (say, random ones) then keep nothing but keys.
+            if not xv:
+                xs[kx] = () if xv is None else v[:nx]
+            if not yv:
+                ys[ky] = () if yv is None else v[nx:nx + ny]
+            return _new(SurfaceJet, zip(v[a], v[b], v[c]))
+
+        return patch
+
+    return start
+
+
+def _for_sweep(s: SurfaceDef) -> SurfaceDef:
+    """``s`` for one sweep: a traced patch becomes a fresh evaluator of its
+    tape, whose kept values go with the returned surface."""
+    start = getattr(s.patch, "sweep", None)
+    return s if start is None else s._replace(patch=start())
 
 
 def eval_surface(s: SurfaceDef, x: float, y: float) -> SurfaceJet:

@@ -3,10 +3,13 @@
 A helper call costs far more than the arithmetic it wraps, and a grid
 pays it once per point, so these bounds pin the per-point work: the
 cross and dot products are written out in ``invariants._core``, jet
-arithmetic on two jets lifts neither operand, and ``seed_xy`` builds both
-seeds itself.  The counts are exact for a given interpreter (12.45 and
-18.4 on CPython 3.11, where one more helper call per point puts them at
-13.45 and 20.4); the bounds leave room only for fixed per-grid calls.
+arithmetic on two jets lifts neither operand, ``seed_xy`` builds both
+seeds itself, and a sweep replays only the mixed nodes of a traced patch
+where it keeps the values of the point's two lines.  The counts are exact
+for a given interpreter (11.35, 16.7 and 10.6925 on CPython 3.11; 12.45,
+18.4 and 23.02 before sweeps replayed the patch's tape); the first two
+bounds leave room only for fixed per-grid calls, and the third fails if
+the pseudosphere's one-axis pieces run at every point again.
 """
 
 import sys
@@ -51,7 +54,15 @@ def verify_paraboloid():
     return lambda: verify_scaling(s, a, points, 1e-8)
 
 
-@pytest.mark.parametrize("make_run, bound", [(scan_titeica_xyz, 13), (verify_paraboloid, 19)],
-                         ids=["scan_grid", "verify_scaling"])
-def test_calls_per_grid_point(make_run, bound):
-    assert calls_per_point(make_run(), GRID[0] * GRID[1]) <= bound
+def scan_pseudosphere():
+    s = catalog("pseudosphere")
+    return lambda: scan_grid(s, (20, 20))
+
+
+@pytest.mark.parametrize("make_run, points, bound", [
+    (scan_titeica_xyz, GRID[0] * GRID[1], 13),
+    (verify_paraboloid, GRID[0] * GRID[1], 19),
+    (scan_pseudosphere, 400, 13),
+], ids=["scan_grid", "verify_scaling", "scan_grid_pseudosphere"])
+def test_calls_per_grid_point(make_run, points, bound):
+    assert calls_per_point(make_run(), points) <= bound

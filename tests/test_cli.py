@@ -632,6 +632,24 @@ def test_output_to_a_fifo_reaches_its_reader(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["report.fifo"]
 
 
+def test_output_to_own_stdout_appends_to_its_file(tmp_path, capsys):
+    # --output /dev/stdout under `>> out.txt`: the report goes through stdout,
+    # so the earlier line stays and the confirmation line follows the report.
+    assert main(["classify", "--surface", "titeica-xyz", "--grid", "2", "2", "--format", "csv"]) == 0
+    report = capsys.readouterr().out
+    out = tmp_path / "out.txt"
+    out.write_text("an earlier line\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(titeica.__file__)))
+    with open(out, "a") as fh:
+        proc = subprocess.run(
+            [sys.executable, "-m", "titeica.cli", "classify", "--surface", "titeica-xyz", "--grid", "2", "2",
+             "--format", "csv", "--output", "/dev/stdout"],
+            env=dict(os.environ, PYTHONPATH=src), stdout=fh, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text() == f"an earlier line\n{report}wrote csv report to /dev/stdout\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
 def test_output_that_is_a_directory_leaves_no_temporary_file(tmp_path, capsys):
     # An existing path that is not a regular file is opened in place, with
     # no temporary file; a directory fails to open.
