@@ -16,7 +16,8 @@ byte-deterministic for identical configurations: the grid enumeration
 order is fixed and every float is formatted with 17 significant digits.
 
 Exit status: 0 on success or a passing check, 1 on a verification
-failure or an inconclusive classification, 2 on configuration errors.
+failure, an inconclusive classification or a stdout whose reader has
+gone, 2 on configuration errors.
 """
 
 from __future__ import annotations
@@ -126,6 +127,8 @@ def _validate(config: RunConfig) -> None:
             raise UsageError(f"matrix: expected 9 row-major entries, got {len(config.matrix)}")
     if config.command == "metric-check" and not config.pair:
         raise UsageError("pair: required for the metric-check command")
+    if config.output == "":
+        raise UsageError("output: the path is empty")
 
 
 # --------------------------------------------------------------------------
@@ -529,7 +532,15 @@ def main(argv=None) -> int:
         return 2
     except SystemExit as exc:  # argparse --help or syntax errors
         return int(exc.code or 0)
-    return run(config)
+    try:
+        status = run(config)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout is gone (``titeica ... | head -1``).  Stdout
+        # now points at the null device, so the flush at exit cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

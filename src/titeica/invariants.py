@@ -35,9 +35,10 @@ quotient is taken as num / V^2 / V^2.
 
 The grid commands (:func:`scan_grid`, :func:`classify` and
 ``centroaffine.verify_scaling``) walk their points through one sweep,
-``_sweep``, evaluating the patch ``surfaces._for_sweep`` gives: a point
-that raises one of the singularity errors in ``_SKIP`` is recorded as
-skipped with its message, and any other error propagates.
+``_sweep``.  It evaluates the patch ``surfaces._for_sweep`` gives, which
+for a catalog surface keeps each line's one-axis part.  A point that
+raises one of the singularity errors in ``_SKIP`` is recorded as skipped
+with its message, and any other error propagates.
 """
 
 from __future__ import annotations

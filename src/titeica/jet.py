@@ -15,16 +15,13 @@ Typical use::
     u.dx, u.dxy     # exact du/dx and d2u/dxdy at (1, 2)
 
 Jets are immutable and every operation is a pure function, so evaluation
-is safe to spread over any number of threads.  On stand-in jets (seeds
-made by ``_node``) the operators and elementary functions record what
-they would compute instead, which ``surfaces.parametric`` replays.
+is safe to spread over any number of threads.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import operator
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -153,35 +150,6 @@ def _lift(v):
     return None
 
 
-def _recorder(fn, reflected: bool):
-    return lambda a, b: _node(a.tape, fn, b, a) if reflected else _node(a.tape, fn, a, b)
-
-
-class _Traced(Jet2):
-    """Stand-in for a jet while a function of jets is traced: jet
-    operators and elementary functions record a node on ``tape``; any
-    other use (a field, comparing, hashing, testing, iterating) raises."""
-
-    def _refuse(self, *args):
-        raise TypeError("a traced jet is reached only through jet arithmetic")
-
-    __iter__ = __len__ = __getitem__ = __contains__ = __bool__ = __eq__ = __ne__ = __hash__ = _refuse
-    __add__, __radd__ = _recorder(operator.add, False), _recorder(operator.add, True)
-    __sub__, __rsub__ = _recorder(operator.sub, False), _recorder(operator.sub, True)
-    __mul__, __rmul__ = _recorder(operator.mul, False), _recorder(operator.mul, True)
-    __truediv__, __rtruediv__ = _recorder(operator.truediv, False), _recorder(operator.truediv, True)
-    __pow__ = _recorder(operator.pow, False)
-    __neg__ = lambda a: _node(a.tape, operator.neg, a)
-
-
-def _node(tape: list, fn, *operands) -> _Traced:
-    """Record ``fn(*operands)`` on the tape (a seed has no ``fn``)."""
-    t = _new(_Traced, ())
-    t.tape, t.index = tape, len(tape)
-    tape.append((fn, operands))
-    return t
-
-
 def _refused(op: str, v) -> TypeError:
     # + and * raise instead of returning NotImplemented: Python would then
     # fall back to tuple concatenation or repetition.
@@ -251,29 +219,21 @@ def _chain(a: Jet2, val: float, d1: float, d2: float) -> Jet2:
 
 
 def sin(a: Jet2) -> Jet2:
-    if type(a) is _Traced:
-        return _node(a.tape, sin, a)
     s, c = math.sin(a.val), math.cos(a.val)
     return _chain(a, s, c, -s)
 
 
 def cos(a: Jet2) -> Jet2:
-    if type(a) is _Traced:
-        return _node(a.tape, cos, a)
     s, c = math.sin(a.val), math.cos(a.val)
     return _chain(a, c, -s, -c)
 
 
 def exp(a: Jet2) -> Jet2:
-    if type(a) is _Traced:
-        return _node(a.tape, exp, a)
     e = math.exp(a.val)
     return _chain(a, e, e, e)
 
 
 def log(a: Jet2) -> Jet2:
-    if type(a) is _Traced:
-        return _node(a.tape, log, a)
     v = a.val
     if v <= 0.0:
         raise DomainError(f"log: argument {v!r} not in (0, inf)")
@@ -282,8 +242,6 @@ def log(a: Jet2) -> Jet2:
 
 
 def sqrt(a: Jet2) -> Jet2:
-    if type(a) is _Traced:
-        return _node(a.tape, sqrt, a)
     v = a.val
     if v <= 0.0:
         raise DomainError(f"sqrt: argument {v!r} not in (0, inf)")
@@ -293,38 +251,28 @@ def sqrt(a: Jet2) -> Jet2:
 
 
 def sinh(a: Jet2) -> Jet2:
-    if type(a) is _Traced:
-        return _node(a.tape, sinh, a)
     s, c = math.sinh(a.val), math.cosh(a.val)
     return _chain(a, s, c, s)
 
 
 def cosh(a: Jet2) -> Jet2:
-    if type(a) is _Traced:
-        return _node(a.tape, cosh, a)
     s, c = math.sinh(a.val), math.cosh(a.val)
     return _chain(a, c, s, c)
 
 
 def tanh(a: Jet2) -> Jet2:
-    if type(a) is _Traced:
-        return _node(a.tape, tanh, a)
     t = math.tanh(a.val)
     sech2 = 1.0 - t * t
     return _chain(a, t, sech2, -2.0 * t * sech2)
 
 
 def atan(a: Jet2) -> Jet2:
-    if type(a) is _Traced:
-        return _node(a.tape, atan, a)
     v = a.val
     d1 = 1.0 / (1.0 + v * v)
     return _chain(a, math.atan(v), d1, -2.0 * v * d1 * d1)
 
 
 def atanh(a: Jet2) -> Jet2:
-    if type(a) is _Traced:
-        return _node(a.tape, atanh, a)
     v = a.val
     if not -1.0 < v < 1.0:
         raise DomainError(f"atanh: argument {v!r} not in (-1, 1)")
@@ -334,8 +282,6 @@ def atanh(a: Jet2) -> Jet2:
 
 def pow_int(a: Jet2, n: int) -> Jet2:
     """Integer power a**n; negative bases are fine for integer exponents."""
-    if type(a) is _Traced:
-        return _node(a.tape, pow_int, a, n)
     if n == 0:
         return _chain(a, 1.0, 0.0, 0.0)
     if n == 1:

@@ -1,4 +1,5 @@
-"""Shared test utilities: random patches, points and matrices, and a NaN metric pair."""
+"""Shared test utilities: random patches, points and matrices, a NaN metric pair and
+the outcome of a patch call."""
 
 import math
 
@@ -27,6 +28,14 @@ def random_polynomial_patch(rng, degree=4, coeff_range=2.0, name="poly"):
         return acc
 
     return SurfaceDef(name, parametric(lambda x, y: (x, y, height(x, y))), Box(-1.0, 1.0, -1.0, 1.0), EUCLIDEAN)
+
+
+def outcome(patch, x, y):
+    """``repr`` of the jet at (x, y), or the error's type and message."""
+    try:
+        return repr(patch(x, y))
+    except Exception as exc:  # every error must match, whatever its type
+        return type(exc).__name__, str(exc)
 
 
 def jet2_image(sj, a):

@@ -4,12 +4,13 @@ A helper call costs far more than the arithmetic it wraps, and a grid
 pays it once per point, so these bounds pin the per-point work: the
 cross and dot products are written out in ``invariants._core``, jet
 arithmetic on two jets lifts neither operand, ``seed_xy`` builds both
-seeds itself, and a sweep replays only the mixed nodes of a traced patch
-where it keeps the values of the point's two lines.  The counts are exact
-for a given interpreter (11.35, 16.7 and 10.6925 on CPython 3.11; 12.45,
-18.4 and 23.02 before sweeps replayed the patch's tape); the first two
+seeds itself, and a sweep of a catalog row computes a line's one-axis
+part only until it keeps it, so where it keeps both lines of a point it
+runs the row's ``mix`` alone.  The counts are exact for a given
+interpreter (11.65, 17.4 and 10.5325 on CPython 3.11; the pseudosphere
+takes 25.03 where its patch is called at every point); the first two
 bounds leave room only for fixed per-grid calls, and the third fails if
-the pseudosphere's one-axis pieces run at every point again.
+the pseudosphere's one-axis parts run at every point again.
 """
 
 import sys

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import titeica
-from titeica import EUCLIDEAN, SurfaceDef, classify, cli, parametric, scan_grid, surfaces
+from titeica import EUCLIDEAN, SurfaceDef, classify, cli, scan_grid, surfaces
 from titeica.cli import RunConfig, main, parse_config, run
 from titeica.errors import InconclusiveError, UsageError
 from titeica.surfaces import catalog
@@ -53,8 +53,8 @@ def test_classify_withholds_verdict_when_grid_is_singular():
 def test_non_finite_ratio_is_a_skipped_point(radius, capsys):
     # R = 1e200 makes R^2 inf, so K and d are nan or inf.  catalog() and the
     # command line refuse such a radius, so the cap is built from its row.
-    coords, box = surfaces._CATALOG["sphere-origin"].shape(R=radius)
-    cap = SurfaceDef("sphere-origin", parametric(coords), box, EUCLIDEAN)
+    *parts, box = surfaces._CATALOG["sphere-origin"].shape(R=radius)
+    cap = SurfaceDef("sphere-origin", surfaces._by_lines(*parts), box, EUCLIDEAN)
     records = scan_grid(cap, grid=(4, 4))
     assert all(r.skipped.startswith("non-finite") and r.ratio is None for r in records)
     with pytest.raises(InconclusiveError, match="^400/400 grid points"):
@@ -658,6 +658,38 @@ def test_output_that_is_a_directory_leaves_no_temporary_file(tmp_path, capsys):
     assert code == 2
     assert "cannot write report" in capsys.readouterr().err
     assert list(tmp_path.glob(".titeica-*.tmp")) == []
+
+
+def test_empty_output_is_refused(tmp_path, capsys, monkeypatch):
+    # "" would resolve to the working directory: the temporary file went to
+    # the directory above it, and the rename onto the directory failed.
+    work = tmp_path / "work"
+    work.mkdir()
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"command": "classify", "surface": "titeica-xyz", "output": ""}))
+    before = os.stat(tmp_path).st_mtime_ns
+    monkeypatch.chdir(work)
+    for argv in (["classify", "--surface", "titeica-xyz", "--output", ""], ["--config", str(config)]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: output: the path is empty\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json", "work"]
+    assert list(work.iterdir()) == [] and os.stat(tmp_path).st_mtime_ns == before
+
+
+@pytest.mark.parametrize("output", [[], ["--output", "/dev/stdout"]], ids=["stdout", "output-to-stdout"])
+def test_closed_stdout_ends_quietly(output):
+    # The pipe's read end is closed before the child writes, as when
+    # `titeica ... | head -1` has exited: status 1 and nothing on stderr.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(titeica.__file__)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "titeica.cli", "classify", "--surface", "titeica-xyz", "--grid", "2", "2", *output],
+            env=dict(os.environ, PYTHONPATH=src), stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_run_validates_config():

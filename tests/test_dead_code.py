@@ -1,11 +1,14 @@
-"""No dead code in the package: every import is used, and every private
-module-level function or class is referenced somewhere in the package.
+"""No dead code in the package: every import is used, every private
+module-level function or class is referenced somewhere in the package,
+and every name a module-level assignment binds is read somewhere in the
+package or listed in an ``__all__``.
 
-Both checks read the source with ``ast``.  A name counts as used in a
+The checks read the source with ``ast``.  A name counts as used in a
 module if it is read there as a name or listed in a literal ``__all__``;
 ``from __future__ import annotations`` binds nothing.  A private name
-(one leading underscore, not a dunder) counts as referenced if any module
-of the package reads it as a name or as an attribute.
+(one leading underscore, not a dunder), and any name a module-level
+assignment binds, counts as referenced if any module of the package reads
+it as a name or as an attribute, or lists it in ``__all__``.
 """
 
 import ast
@@ -35,18 +38,23 @@ def imported_names(tree):
                 yield alias.asname or alias.name, node.lineno
 
 
-def used_names(tree):
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def listed_names(tree):
+    """The entries of a literal module-level ``__all__``."""
     for node in tree.body:
         if (isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
                 and isinstance(node.value, (ast.List, ast.Tuple))):
-            used.update(elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
-    return used
+            yield from (elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
+
+
+def used_names(tree):
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | set(listed_names(tree))
 
 
 def referenced_names(tree):
-    names = used_names(tree)
+    """Names the module reads, as a name or as an attribute, or lists in ``__all__``."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     names.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    names.update(listed_names(tree))
     return names
 
 
@@ -72,4 +80,27 @@ def test_every_private_function_and_class_is_referenced():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and is_private(node.name) and node.name not in referenced
     ]
+    assert dead == []
+
+
+def assigned_names(tree):
+    """Every name bound by a module-level assignment, dunders aside."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and not (name.id.startswith("__") and name.id.endswith("__")):
+                    yield name.id
+
+
+def test_every_module_level_assignment_is_read():
+    trees = {module: parse(module) for module in MODULES}
+    referenced = set().union(*map(referenced_names, trees.values()))
+    dead = [f"{module}: {name}" for module, tree in trees.items() for name in assigned_names(tree)
+            if name not in referenced]
     assert dead == []

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from fdcheck import fd_jet
+from helpers import outcome
+from titeica import jet
 from titeica.errors import CatalogError, DomainError
 from titeica.invariants import fundamental_forms
+from titeica.jet import constant
 from titeica.metrics import metric, metric_entries, metric_pair, pair_names
 from titeica.surfaces import (
     EUCLIDEAN,
@@ -16,6 +19,7 @@ from titeica.surfaces import (
     catalog_names,
     eval_surface,
     grid_points,
+    parametric,
 )
 
 
@@ -169,3 +173,49 @@ def test_ambient_forms():
     assert EUCLIDEAN.inner([1, 2, 3], [1, 2, 3]) == 14.0
     assert MINKOWSKI.inner([1, 2, 3], [1, 2, 3]) == 12.0
     assert MINKOWSKI.inner([1, 0, 0], [1, 0, 0]) == -1.0
+
+
+# Each catalog row's coordinates as one function of both seeds, the way the
+# rows were written before they were split into an x part, a y part and a mix.
+def _sphere_height(rr, x, y):
+    return jet.sqrt(constant(rr) - x * x - y * y)
+
+
+def _tractrix_revolution(t, theta):
+    sech = 1.0 / jet.cosh(t)
+    return sech * jet.cos(theta), sech * jet.sin(theta), t - jet.tanh(t)
+
+
+def _forward_hyperboloid(u1, u2):
+    sh = jet.sinh(u1)
+    return jet.cosh(u1), sh * jet.cos(u2), sh * jet.sin(u2)
+
+
+UNSPLIT = {
+    "sphere-origin": lambda R=1.0: lambda x, y: (x, y, _sphere_height(R * R, x, y)),
+    "sphere-translated": lambda R=1.0, c=1.0: lambda x, y: (x, y, _sphere_height(R * R, x, y) + c),
+    "titeica-xyz": lambda: lambda x, y: (x, y, 1.0 / (x * y)),
+    "paraboloid": lambda: lambda x, y: (x, y, x * x + y * y),
+    "pseudosphere": lambda: _tractrix_revolution,
+    "minkowski-sphere": lambda: _forward_hyperboloid,
+    "plane": lambda: lambda x, y: (x, y, constant(0.0)),
+}
+
+
+@pytest.mark.parametrize("name, params", [(name, {}) for name in sorted(UNSPLIT)] + [
+    ("sphere-origin", {"R": 1e-3}),
+    ("sphere-origin", {"R": 1e3}),
+    ("sphere-translated", {"R": 1e-3}),
+    ("sphere-translated", {"R": 1e3}),
+    ("sphere-translated", {"c": 2.0}),
+])
+def test_catalog_rows_match_their_unsplit_coordinates(name, params):
+    assert set(UNSPLIT) == set(catalog_names())
+    s = catalog(name, **params)
+    reference = parametric(UNSPLIT[name](**params))
+    zeros = [(x, y) for x in (0.0, -0.0, 0.25) for y in (0.0, -0.0, 0.25)]
+    points = grid_points(s.domain, 37, 23) + zeros
+    expected = [outcome(reference, x, y) for x, y in points]
+    assert [outcome(s.patch, x, y) for x, y in points] == expected
+    swept = s.patch.sweep()
+    assert [outcome(swept, x, y) for x, y in points] == expected

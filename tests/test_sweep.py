@@ -1,22 +1,22 @@
-"""A grid sweep replays the tape ``parametric`` traced, bitwise.
+"""A grid sweep of a catalog row gives what a call gives, bitwise.
 
-``surfaces._for_sweep`` gives a traced patch an evaluator that keeps the
-values of its x-only nodes per x and of its y-only nodes per y, from the
+A catalog row states its coordinates as ``mix(*xpart(x), *ypart(y))``
+(``surfaces._by_lines``).  ``surfaces._for_sweep`` gives its patch an
+evaluator that keeps the x part per x and the y part per y, from the
 second point on that line.  Whatever the order of the points, each one
 must give the jet (compared by ``repr``, so that -0.0 and every last bit
-count) or the error, with its message, that a call of ``coords`` gives
-there.
+count) or the error, with its message, that a call of the patch gives
+there.  A ``parametric`` patch has no such evaluator and is called at
+every point.
 """
 
 import random
 import tracemalloc
 
-import numpy as np
 import pytest
 
-from exprgen import eval_jet, random_expr
-from helpers import random_polynomial_patch
-from titeica import jet
+from helpers import outcome
+from titeica import jet, surfaces
 from titeica.invariants import _SKIP, PointRecord, _core, scan_grid
 from titeica.surfaces import (
     EUCLIDEAN,
@@ -31,16 +31,8 @@ from titeica.surfaces import (
 )
 
 
-def outcome(patch, x, y):
-    """``repr`` of the jet at (x, y), or the error's type and message."""
-    try:
-        return repr(patch(x, y))
-    except Exception as exc:  # every error must match, whatever its type
-        return type(exc).__name__, str(exc)
-
-
 def assert_sweep_matches_calls(patch, points):
-    assert hasattr(patch, "sweep"), "the patch was expected to be traced"
+    assert hasattr(patch, "sweep"), "the patch was expected to come from a catalog row"
     swept = patch.sweep()
     assert [outcome(swept, x, y) for x, y in points] == [outcome(patch, x, y) for x, y in points]
 
@@ -81,68 +73,34 @@ def test_signed_zeros_are_different_lines(name):
     assert repr(patch.sweep()(-0.0, 0.25).f[0]) == "-0.0"
 
 
-def test_random_polynomial_patches():
-    rng = np.random.default_rng(19)
-    for _ in range(5):
-        s = random_polynomial_patch(rng)
-        points = grid_points(s.domain, 9, 7)
-        assert_sweep_matches_calls(s.patch, points + points[::-1])
+def raising_row():
+    """A row whose x part, y part and mix each raise on part of a grid:
+    log x for x <= 0, sqrt y for y <= 0 and 1/(x - y) where x = y."""
+    return surfaces._by_lines(
+        lambda x: (x, jet.log(x)),
+        lambda y: (y, jet.sqrt(y)),
+        lambda x, lx, y, ry: (x, y, lx * ry / (x - y)),
+    )
 
 
-def test_random_expression_patches():
-    # Points in [-2, 2]^2 and the trees' log, sqrt, atanh, divisions and
-    # negative powers: many points raise DomainError, which must match too.
-    # A tree whose constant part raises (atanh of a constant beyond 1) raises
-    # while traced, so its patch is called at every point instead.
-    rng = np.random.default_rng(1919)
-    axis = [-2.0, -1.0, -0.0, 0.0, 0.5, 1.25, 2.0]
+def test_sweep_of_a_raising_row_matches_calls():
+    axis = [-1.0, -0.0, 0.0, 0.5, 1.0, 2.0]
     points = [(x, y) for y in axis for x in axis]
-    traced = 0
-    for _ in range(40):
-        trees = [random_expr(rng, int(rng.integers(1, 4))) for _ in range(3)]
-        patch = parametric(lambda x, y, t=trees: tuple(eval_jet(e, x, y) for e in t))
-        if hasattr(patch, "sweep"):
-            traced += 1
-            assert_sweep_matches_calls(patch, points + points[::-1])
-    assert traced >= 35
-
-
-def test_failing_mixed_node_before_failing_x_only_node():
-    # At x = -1 the mixed sqrt fails before the x-only log of x + 0.5: a
-    # call and the sweep both raise the sqrt's message.
-    def coords(x, y):
-        mixed = jet.sqrt(y - x + 0.5)
-        return x, mixed, jet.log(x + 2.0) * jet.log(x + 0.5)
-
-    patch = parametric(coords)
-    points = [(-1.0, -2.0), (-1.0, 1.0), (1.0, 1.0), (1.0, 1.5), (0.0, 0.0), (0.25, 0.0), (1.0, 0.0), (-1.0, -2.0)]
+    patch = raising_row()
+    called = [outcome(patch, x, y) for x, y in points]
+    errors = {o[1].partition(":")[0] for o in called if isinstance(o, tuple)}
+    assert errors == {"log", "sqrt", "division by a jet with value 0"}
+    assert any(isinstance(o, str) for o in called)
     assert_sweep_matches_calls(patch, points)
-    swept = patch.sweep()
-    got = [outcome(swept, x, y) for x, y in points]
-    assert got[0] == got[7] == ("DomainError", "sqrt: argument -0.5 not in (0, inf)")
-    assert got[1] == ("DomainError", "log: argument -0.5 not in (0, inf)")
-    # (1, 0): the values of x = 1 and of y = 0 were kept at (1, 1.5) and
-    # (0.25, 0), so the mixed nodes alone run, and the sqrt fails.
-    assert got[6] == ("DomainError", "sqrt: argument -0.5 not in (0, inf)")
-
-
-def test_a_point_that_raises_keeps_nothing():
-    # x = 1 is met a second time at (1, 0), which fails at the mixed sqrt
-    # before the x-only log of x + 2 has run.  Had that replay's x-only
-    # values been kept, the second (1, 1), whose x and y are then both
-    # known, would read the log's unset slot.
-    def coords(x, y):
-        mixed = jet.sqrt(y - x + 0.5)
-        return x, mixed, jet.log(x + 2.0)
-
-    points = [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0), (0.0, 0.0)]
-    assert_sweep_matches_calls(parametric(coords), points)
+    shuffled = points * 3
+    random.Random(20).shuffle(shuffled)
+    assert_sweep_matches_calls(patch, shuffled)
 
 
 def test_points_that_share_no_line_keep_no_values():
-    # Values are kept from a line's second point on, so a sweep over points
+    # Parts are kept from a line's second point on, so a sweep over points
     # with distinct x and y holds only their keys (a 0.33 MB peak here;
-    # keeping every line's values from its first point took 2.6 MB).
+    # keeping every line's part from its first point took 2.5 MB).
     patch = catalog("pseudosphere").patch
     points = [(0.5 + i * 1e-4, 0.1 + i * 1e-4) for i in range(2000)]
     swept = patch.sweep()
@@ -156,7 +114,7 @@ def test_points_that_share_no_line_keep_no_values():
     assert peak < 1_000_000
 
 
-def test_untraceable_coords_run_at_every_point():
+def test_a_parametric_patch_is_called_at_every_point():
     def reads_a_field(x, y):
         return x, y, x * y + jet.constant(x.val * x.val)
 
@@ -167,9 +125,14 @@ def test_untraceable_coords_run_at_every_point():
         return x, y, (x or y) * y
 
     for coords in (reads_a_field, compares_jets, tests_a_jet):
-        s = SurfaceDef("untraced", parametric(coords), Box(0.5, 2.0, 0.5, 2.0), EUCLIDEAN)
+        s = SurfaceDef("custom", parametric(coords), Box(0.5, 2.0, 0.5, 2.0), EUCLIDEAN)
         assert not hasattr(s.patch, "sweep") and _for_sweep(s) is s
         points = grid_points(s.domain, 5, 4) + [(1.0, 1.0)]
         called = [repr(SurfaceJet(*zip(*coords(*jet.seed_xy(x, y))))) for x, y in points]
         assert [outcome(s.patch, x, y) for x, y in points] == called
         assert repr(scan_grid(s, (5, 4))) == repr(called_rows(s, (5, 4)))
+
+    seen = []
+    counted = parametric(lambda x, y: seen.append((x.val, y.val)) or reads_a_field(x, y))
+    scan_grid(SurfaceDef("counted", counted, Box(0.5, 2.0, 0.5, 2.0), EUCLIDEAN), (5, 4))
+    assert seen == grid_points(Box(0.5, 2.0, 0.5, 2.0), 5, 4)
