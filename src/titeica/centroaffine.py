@@ -15,10 +15,10 @@ only as the sign det(S), so the law holds under either form; source and
 image are both read under the surface's own form.
 
 :func:`verify_scaling` measures all three numerically over a list of
-points and reports per-point residuals.  It evaluates the surface once
-per point and makes one invariant pass on each side of the map: the
-ratio, the position volume and the numerator of the source jet come from
-one pass, and those of its image from another.
+points and reports per-point residuals.  It walks the points through
+``invariants._sweep`` and makes one invariant pass on each side of the
+map: the ratio, the position volume and the numerator of the source jet
+come from one pass, and those of its image from another.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 
 from .errors import SingularPointError
 from .invariants import _core, _sweep
-from .surfaces import SurfaceDef, SurfaceJet, _for_sweep, det3, eval_surface
+from .surfaces import SurfaceDef, SurfaceJet, det3
 
 __all__ = ["CentroAffineMap", "apply_map", "verify_scaling", "ScalingPoint", "ScalingReport"]
 
@@ -111,16 +111,15 @@ def verify_scaling(s: SurfaceDef, a: CentroAffineMap, points, tol: float) -> Sca
     The volume residual is relative, |after - predicted| / |predicted|.
     The ratio and numerator residuals are |after - predicted| /
     max(1, |predicted|): relative above 1 but absolute below it, where
-    even a wrong law can read as a small residual (ROADMAP item 3).
+    even a wrong law can read as a small residual (ROADMAP item 1).
     Singular points, and points whose curvature
     numerator leaves float range, are recorded as skipped; a run where
     every point was skipped fails.
     """
-    amb, swept = s.ambient, _for_sweep(s)
+    amb = s.ambient
     det2 = a.det * a.det
 
-    def evaluate(x, y):
-        sj = eval_surface(swept, x, y)
+    def evaluate(x, y, sj):
         source = _core(sj, amb)
         before = source.ratio()
         image = _core(a.act(sj), amb)
@@ -136,7 +135,7 @@ def verify_scaling(s: SurfaceDef, a: CentroAffineMap, points, tol: float) -> Sca
         numerator_res = abs(image.num - num_pred) / max(1.0, abs(num_pred))
         return _new(ScalingPoint, (x, y, before, after, ratio_res, volume_res, numerator_res, None))
 
-    rows = _sweep(points, evaluate, ScalingPoint)
+    rows = _sweep(s, points, evaluate, ScalingPoint)
     evaluated = [r for r in rows if r.skipped is None]
     max_r = max((r.ratio_residual for r in evaluated), default=math.inf)
     max_v = max((r.volume_residual for r in evaluated), default=math.inf)

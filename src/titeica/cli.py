@@ -438,6 +438,15 @@ def _key_value(item: str) -> tuple[str, str]:
     return key, value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Lets the OSError of writing help or a usage error through, as
+    argparse did before 3.11, so a closed stdout reaches :func:`main`."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS,
@@ -452,7 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write the report to this path (atomically if it is a new or "
                              "regular file other than stdout)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="titeica",
         description="Surface invariant K/d^4: classification, scaling-law and metric checks.",
         parents=[common],
@@ -526,14 +535,13 @@ def parse_config(argv=None) -> RunConfig:
 
 def main(argv=None) -> int:
     try:
-        config = parse_config(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SystemExit as exc:  # argparse --help or syntax errors
-        return int(exc.code or 0)
-    try:
-        status = run(config)
+        try:
+            status = run(parse_config(argv))
+        except UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            status = 2
+        except SystemExit as exc:  # argparse --help or syntax errors
+            status = int(exc.code or 0)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader of stdout is gone (``titeica ... | head -1``).  Stdout

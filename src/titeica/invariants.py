@@ -35,10 +35,7 @@ quotient is taken as num / V^2 / V^2.
 
 The grid commands (:func:`scan_grid`, :func:`classify` and
 ``centroaffine.verify_scaling``) walk their points through one sweep,
-``_sweep``.  It evaluates the patch ``surfaces._for_sweep`` gives, which
-for a catalog surface keeps each line's one-axis part.  A point that
-raises one of the singularity errors in ``_SKIP`` is recorded as skipped
-with its message, and any other error propagates.
+``_sweep``, whose docstring describes the walk.
 """
 
 from __future__ import annotations
@@ -55,9 +52,7 @@ from .surfaces import (
     AmbientForm,
     SurfaceDef,
     SurfaceJet,
-    _for_sweep,
     det3,
-    eval_surface,
     grid_points,
 )
 
@@ -212,13 +207,19 @@ def identity_residual(sj: SurfaceJet, amb: AmbientForm = EUCLIDEAN) -> float:
 # Grid sweeps
 
 
-def _sweep(points, evaluate, record) -> list:
-    """``evaluate(x, y)`` at each point, in order; a point that raises one
-    of ``_SKIP`` becomes ``record(x, y, skipped=<the error's message>)``."""
+def _sweep(s: SurfaceDef, points, evaluate, record) -> list:
+    """The one walk of a grid command over ``s``: at each point, in order,
+    check that it is inside the box (a DomainError propagates), then give
+    ``evaluate(x, y, jet)`` for the jet of the patch's per-sweep evaluator
+    (``s.patch.sweep()``, see ``surfaces._by_lines``) or, lacking one, of
+    the patch.  A point that raises one of ``_SKIP`` becomes
+    ``record(x, y, skipped=<the error's message>)``; other errors propagate."""
+    patch = s.patch.sweep() if hasattr(s.patch, "sweep") else s.patch
     rows = []
     for x, y in points:
         try:
-            rows.append(evaluate(x, y))
+            s.domain.require(x, y, "surface", s.name)
+            rows.append(evaluate(x, y, patch(x, y)))
         except _SKIP as exc:
             rows.append(record(x, y, skipped=str(exc)))
     return rows
@@ -250,13 +251,13 @@ def scan_grid(s: SurfaceDef, grid: tuple[int, int] = DEFAULT_GRID) -> list[Point
     """Evaluate K, d and K/d^4 over the surface's domain grid, recording
     singular points as skipped with their reason."""
 
-    amb, swept = s.ambient, _for_sweep(s)
+    amb = s.ambient
 
-    def evaluate(x, y):
-        p = _core(eval_surface(swept, x, y), amb)
+    def evaluate(x, y, sj):
+        p = _core(sj, amb)
         return _new(PointRecord, (x, y, p.K, p.d, p.ratio(), None))
 
-    return _sweep(grid_points(s.domain, *grid), evaluate, PointRecord)
+    return _sweep(s, grid_points(s.domain, *grid), evaluate, PointRecord)
 
 
 def classify(

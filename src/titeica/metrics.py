@@ -169,10 +169,6 @@ def check_pair(pair: MetricPair, nx: int, ny: int, tol: float) -> tuple[tuple[st
 # Catalog
 
 
-def _euclidean_components(x: Jet2, y: Jet2):
-    return constant(1.0), constant(0.0), constant(1.0)
-
-
 def _pseudosphere_components(x1: Jet2, x2: Jet2):
     # sin^2(x2) dx1^2 + cot^2(x2) dx2^2
     s = jet.sin(x2)
@@ -200,7 +196,6 @@ def _minkowski_sphere_components(u1: Jet2, u2: Jet2):
 
 
 _METRICS: dict[str, tuple[Components, Box, str]] = {
-    "euclidean": (_euclidean_components, Box(-1.0, 1.0, -1.0, 1.0), "flat plane metric"),
     "pseudosphere": (
         _pseudosphere_components,
         Box(0.1, 3.0, 0.3, 1.2),

@@ -2,20 +2,18 @@
 
 A surface is a patch: a function from a parameter point to its
 :class:`SurfaceJet`, the position together with all first and second
-partial derivatives.  :func:`parametric` builds one from three coordinate
-functions written on :class:`~titeica.jet.Jet2` seeds; a Monge patch, the
-graph of u over the parameter plane, is the immersion (x, y, u(x, y)).
+partial derivatives.  Every patch built here is a row
+``mix(*xpart(x), *ypart(y))`` (:func:`_by_lines`, which also describes
+how a grid sweep evaluates it), where a part holds the jets that depend
+on one parameter alone: R^2 - x^2 and y^2 on a cap, sech t, t - tanh t,
+cos theta and sin theta on the pseudosphere.  :func:`parametric` is the
+row with no parts, from three coordinate functions written on
+:class:`~titeica.jet.Jet2` seeds; a Monge patch, the graph of u over the
+parameter plane, is the immersion (x, y, u(x, y)).
 
 The catalog holds the concrete surfaces exercised by the verification
 commands; every entry picks a domain box that stays away from coordinate
 singularities (sphere equator, pseudosphere cusp, hyperboloid axis).
-Each row states its coordinates as ``mix(*xpart(x), *ypart(y))``, where
-a part holds the jets that depend on one parameter alone: R^2 - x^2 and
-y^2 on a cap, sech t, t - tanh t, cos theta and sin theta on the
-pseudosphere.  A grid sweep (``scan_grid``, ``classify``,
-``verify_scaling``) keeps a line's part from the line's second point on,
-so where both lines of a point are kept it runs ``mix`` alone (on the
-pseudosphere at 20 x 20, 10.5 Python calls per point instead of 25).
 """
 
 from __future__ import annotations
@@ -156,39 +154,37 @@ class SurfaceDef(NamedTuple):
 
 def parametric(coords: Coords) -> Patch:
     """The patch of the immersion whose coordinate jets ``coords`` returns
-    at seeded parameters; each call of the patch calls ``coords``.
+    at seeded parameters: the catalog row with no parts, so each point of
+    a call or of a sweep calls ``coords``.
 
     A Monge patch is ``parametric(lambda x, y: (x, y, u(x, y)))``: its
     first two coordinates are the exact seeds, so f_x = (1, 0, u_x),
     f_y = (0, 1, u_y) and f_** = (0, 0, u_**) hold bitwise.
     """
-
-    def patch(x: float, y: float) -> SurfaceJet:
-        cx, cy, cz = coords(*seed_xy(x, y))
-        # Row i of the jet is field i of the three coordinate jets:
-        # f = (cx.val, cy.val, cz.val), f_x = (cx.dx, cy.dx, cz.dx), ...
-        return _new(SurfaceJet, zip(cx, cy, cz))
-
-    return patch
+    return _by_lines(None, None, coords)
 
 
 def _by_lines(xpart: Optional[_Part], ypart: Optional[_Part], mix: Callable) -> Patch:
     """The patch of the immersion ``mix(*xpart(x), *ypart(y))`` at seeded
     parameters; a missing part is the seed alone.  A call computes the x
-    part, then the y part, then ``mix``.
+    part, then the y part, then ``mix``, and unpacks exactly three
+    coordinate jets from it; row i of the jet is field i of the three.
 
-    ``patch.sweep()`` makes an evaluator for one sweep that does the same,
-    except that it keeps a line's part from the line's second point on
-    and then skips computing it.  A part depends on its seed alone, and
-    only a point that returns keeps anything, so each point gives the jet,
-    or raises the error, of a call.
+    ``patch.sweep()`` makes the evaluator of one grid sweep
+    (``invariants._sweep``).  It does what a call does, except that it
+    keeps a line's part from the line's second point on and then skips
+    computing it, so where both lines of a point are kept it runs ``mix``
+    alone.  A part depends on its seed alone, and only a point that
+    returns keeps anything, so each point gives the jet, or raises the
+    error, of a call.
     """
 
     def patch(x: float, y: float) -> SurfaceJet:
         sx, sy = seed_xy(x, y)
         a = xpart(sx) if xpart else (sx,)
         b = ypart(sy) if ypart else (sy,)
-        return _new(SurfaceJet, zip(*mix(*a, *b)))
+        cx, cy, cz = mix(*a, *b)
+        return _new(SurfaceJet, zip(cx, cy, cz))
 
     def sweep() -> Patch:
         xs, ys = {}, {}
@@ -204,7 +200,8 @@ def _by_lines(xpart: Optional[_Part], ypart: Optional[_Part], mix: Callable) -> 
             if not b:
                 sy = _new(Jet2, (float(y), 0.0, 1.0, 0.0, 0.0, 0.0))  # seed_y(y), without a call
                 b = ypart(sy) if ypart else (sy,)
-            sj = _new(SurfaceJet, zip(*mix(*a, *b)))
+            cx, cy, cz = mix(*a, *b)
+            sj = _new(SurfaceJet, zip(cx, cy, cz))
             # Points that share no line (say, random ones) keep only keys.
             if not kept_x:
                 xs[kx] = () if kept_x is None else a
@@ -216,13 +213,6 @@ def _by_lines(xpart: Optional[_Part], ypart: Optional[_Part], mix: Callable) -> 
 
     patch.sweep = sweep
     return patch
-
-
-def _for_sweep(s: SurfaceDef) -> SurfaceDef:
-    """``s`` for one sweep: a catalog patch becomes a fresh evaluator of its
-    row (:func:`_by_lines`), whose kept parts go with the returned surface."""
-    start = getattr(s.patch, "sweep", None)
-    return s if start is None else s._replace(patch=start())
 
 
 def eval_surface(s: SurfaceDef, x: float, y: float) -> SurfaceJet:

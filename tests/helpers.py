@@ -1,5 +1,5 @@
-"""Shared test utilities: random patches, points and matrices, a NaN metric pair and
-the outcome of a patch call."""
+"""Shared test utilities: random patches, points and matrices, a flat metric, a NaN
+metric pair and the outcome of a patch call."""
 
 import math
 
@@ -9,7 +9,7 @@ from titeica import jet
 from titeica.centroaffine import CentroAffineMap, ScalingPoint
 from titeica.errors import GeometryError, RegularityError, SignatureError, SingularPointError
 from titeica.invariants import oriented_volumes, tangent_distance, titeica_ratio
-from titeica.metrics import Metric2, MetricPair, metric
+from titeica.metrics import Metric2, MetricPair
 from titeica.surfaces import EUCLIDEAN, Box, SurfaceDef, SurfaceJet, eval_surface, parametric
 
 
@@ -115,6 +115,14 @@ def random_orthogonal(rng, det_sign=1.0):
     return CentroAffineMap.of(q)
 
 
+def flat_components(x, y):
+    return jet.constant(1.0), jet.constant(0.0), jet.constant(1.0)
+
+
+# The flat metric dx^2 + dy^2 on [-1, 1]^2.
+FLAT = Metric2("flat", flat_components, Box(-1.0, 1.0, -1.0, 1.0))
+
+
 def nan_at_positive_x(x, y):
     # the flat metric, except that g11 is not a number where x > 0
     return jet.constant(math.nan if x.val > 0.0 else 1.0), jet.constant(0.0), jet.constant(1.0)
@@ -123,6 +131,5 @@ def nan_at_positive_x(x, y):
 def nan_metric_pair():
     """The flat metric against ``nan_at_positive_x`` under the identity:
     its agreement rows hold NaN differences."""
-    flat = metric("euclidean")
-    return MetricPair("flat:nan", flat, Metric2("nan-g11", nan_at_positive_x, flat.domain),
+    return MetricPair("flat:nan", FLAT, Metric2("nan-g11", nan_at_positive_x, FLAT.domain),
                       (("identity", lambda x, y: (x, y)),))

@@ -7,8 +7,8 @@ arithmetic on two jets lifts neither operand, ``seed_xy`` builds both
 seeds itself, and a sweep of a catalog row computes a line's one-axis
 part only until it keeps it, so where it keeps both lines of a point it
 runs the row's ``mix`` alone.  The counts are exact for a given
-interpreter (11.65, 17.4 and 10.5325 on CPython 3.11; the pseudosphere
-takes 25.03 where its patch is called at every point); the first two
+interpreter (10.5, 16.25 and 9.525 on CPython 3.11; the pseudosphere
+takes 24.0275 where its patch is called at every point); the first two
 bounds leave room only for fixed per-grid calls, and the third fails if
 the pseudosphere's one-axis parts run at every point again.
 """

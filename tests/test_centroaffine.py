@@ -313,7 +313,7 @@ def test_ill_conditioned_unimodular_map_passes(surface, k):
 @pytest.mark.parametrize("radius", [
     1.0,
     pytest.param(1e3, marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 3: the ratio residual is absolute below 1 and reads 1.4e-19")),
+        strict=True, reason="ROADMAP item 1: the ratio residual is absolute below 1 and reads 1.4e-19")),
 ])
 def test_ratio_residual_catches_a_wrong_law(radius):
     # The general matrix with det replaced by sqrt|det|: its map predicts

@@ -692,6 +692,24 @@ def test_closed_stdout_ends_quietly(output):
     assert (proc.returncode, proc.stderr) == (1, "")
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["classify", "--help"]], ids=" ".join)
+def test_help_to_closed_stdout_exits_one(argv, unbuffered):
+    # argparse from Python 3.11 on drops the OSError of writing its help;
+    # the run must still end with status 1 and nothing on stderr.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(titeica.__file__)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "titeica.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered),
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
 def test_run_validates_config():
     assert run(RunConfig(command="bogus")) == 2
     assert run(RunConfig(command="classify")) == 2  # missing surface

@@ -165,7 +165,7 @@ def test_ratio_depends_on_the_form_only_through_its_sign():
 
 
 @pytest.mark.xfail(strict=True, raises=SignatureError,
-                   reason="ROADMAP item 6: the ratio needs no normal, but a null normal skips it")
+                   reason="ROADMAP item 1: the ratio needs no normal, but a null normal skips it")
 def test_ratio_under_a_null_minkowski_normal():
     # At (0.5, 0) the paraboloid's normal is null under the Minkowski form
     # (nn = 0 exactly), yet K/d^4 = det(S) (Vx Vy - Vxy^2) / V^4 never reads nn.

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import nan_metric_pair
+from helpers import FLAT, nan_metric_pair
 from titeica import metrics
 from titeica.cli import main
 from titeica.errors import CatalogError, DomainError, RegularityError, SignatureError
@@ -25,9 +25,8 @@ from titeica.surfaces import MINKOWSKI, Box, catalog, eval_surface, grid_points
 
 
 def test_flat_metric_has_zero_curvature():
-    m = metric("euclidean")
-    for p in grid_points(m.domain, 5, 5):
-        assert abs(brioschi_curvature(m, p)) <= 1e-14
+    for p in grid_points(FLAT.domain, 5, 5):
+        assert abs(brioschi_curvature(FLAT, p)) <= 1e-14
 
 
 def test_pseudosphere_metric_curvature():
@@ -166,9 +165,8 @@ def test_check_pair_evaluates_the_source_once_per_point():
         return constant(1.0), constant(0.0), constant(1.0)
 
     box = Box(-1.0, 1.0, -1.0, 1.0)
-    flat = metric("euclidean")
     changes = (("identity", lambda x, y: (x, y)), ("swap", lambda x, y: (y, x)))
-    pair = MetricPair("counting:flat", Metric2("counting", counting_flat, box), flat, changes)
+    pair = MetricPair("counting:flat", Metric2("counting", counting_flat, box), FLAT, changes)
     variants = check_pair(pair, 4, 3, 1e-12)
     assert [label for label, rep in variants if rep.passed] == ["identity", "swap"]
     assert len(calls) == 4 * 3

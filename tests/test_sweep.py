@@ -1,13 +1,13 @@
 """A grid sweep of a catalog row gives what a call gives, bitwise.
 
 A catalog row states its coordinates as ``mix(*xpart(x), *ypart(y))``
-(``surfaces._by_lines``).  ``surfaces._for_sweep`` gives its patch an
-evaluator that keeps the x part per x and the y part per y, from the
-second point on that line.  Whatever the order of the points, each one
-must give the jet (compared by ``repr``, so that -0.0 and every last bit
-count) or the error, with its message, that a call of the patch gives
-there.  A ``parametric`` patch has no such evaluator and is called at
-every point.
+(``surfaces._by_lines``).  Its patch's ``sweep()`` makes the evaluator
+a grid sweep (``invariants._sweep``) calls, which keeps the x part per x
+and the y part per y, from the second point on that line.  Whatever the
+order of the points, each one must give the jet (compared by ``repr``,
+so that -0.0 and every last bit count) or the error, with its message,
+that a call of the patch gives there.  A ``parametric`` patch is the row
+with no parts, so its ``coords`` runs at every point.
 """
 
 import random
@@ -16,14 +16,15 @@ import tracemalloc
 import pytest
 
 from helpers import outcome
-from titeica import jet, surfaces
+from titeica import invariants, jet, surfaces
+from titeica.centroaffine import CentroAffineMap, verify_scaling
+from titeica.errors import DomainError
 from titeica.invariants import _SKIP, PointRecord, _core, scan_grid
 from titeica.surfaces import (
     EUCLIDEAN,
     Box,
     SurfaceDef,
     SurfaceJet,
-    _for_sweep,
     catalog,
     catalog_names,
     grid_points,
@@ -126,8 +127,8 @@ def test_a_parametric_patch_is_called_at_every_point():
 
     for coords in (reads_a_field, compares_jets, tests_a_jet):
         s = SurfaceDef("custom", parametric(coords), Box(0.5, 2.0, 0.5, 2.0), EUCLIDEAN)
-        assert not hasattr(s.patch, "sweep") and _for_sweep(s) is s
         points = grid_points(s.domain, 5, 4) + [(1.0, 1.0)]
+        assert_sweep_matches_calls(s.patch, points)
         called = [repr(SurfaceJet(*zip(*coords(*jet.seed_xy(x, y))))) for x, y in points]
         assert [outcome(s.patch, x, y) for x, y in points] == called
         assert repr(scan_grid(s, (5, 4))) == repr(called_rows(s, (5, 4)))
@@ -136,3 +137,44 @@ def test_a_parametric_patch_is_called_at_every_point():
     counted = parametric(lambda x, y: seen.append((x.val, y.val)) or reads_a_field(x, y))
     scan_grid(SurfaceDef("counted", counted, Box(0.5, 2.0, 0.5, 2.0), EUCLIDEAN), (5, 4))
     assert seen == grid_points(Box(0.5, 2.0, 0.5, 2.0), 5, 4)
+
+
+def recording_saddle(seen):
+    def coords(x, y):
+        seen.append((x.val, y.val))
+        return x, y, x * x - y * y
+
+    return SurfaceDef("saddle", parametric(coords), Box(0.5, 2.0, 0.5, 2.0), EUCLIDEAN)
+
+
+def test_grid_sweeps_check_the_box_before_calling_the_patch(monkeypatch):
+    # A point outside the box raises DomainError, which names the point,
+    # the box and the surface, and the patch is not called there.
+    a = CentroAffineMap.of([(2.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+    points = [(1.0, 1.0), (3.0, 1.0), (1.5, 1.5)]
+    monkeypatch.setattr(invariants, "grid_points", lambda box, nx, ny: points)
+    for sweep in (lambda s: scan_grid(s, (3, 1)), lambda s: verify_scaling(s, a, points, 1e-8)):
+        seen = []
+        with pytest.raises(DomainError) as err:
+            sweep(recording_saddle(seen))
+        assert str(err.value) == "point (3, 1) outside domain [0.5, 2] x [0.5, 2] of surface 'saddle'"
+        assert seen == [(1.0, 1.0)]
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_parametric_coords_must_give_three_jets(count):
+    s = SurfaceDef("short", parametric(lambda x, y: (x, y, x * y, y)[:count]), Box(0.5, 2.0, 0.5, 2.0), EUCLIDEAN)
+    a = CentroAffineMap.of([(2.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+    for run in (lambda: s.patch(1.0, 1.0), lambda: scan_grid(s, (2, 2)),
+                lambda: verify_scaling(s, a, [(1.0, 1.0)], 1e-8)):
+        with pytest.raises(ValueError, match="values to unpack"):
+            run()
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_a_row_unpacks_three_jets_at_a_call_and_in_a_sweep(count):
+    # zip(*mix(...)) alone would build a jet of 2- or 4-tuples without raising.
+    patch = surfaces._by_lines(lambda x: (x, x * x), None, lambda x, xx, y: (x, y, xx, y)[:count])
+    for evaluate in (patch, patch.sweep()):
+        with pytest.raises(ValueError, match="values to unpack"):
+            evaluate(1.0, 1.0)
