@@ -21,8 +21,6 @@ map: the ratio, the position volume and the numerator of the source jet
 come from one pass, and those of its image from another.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple, Optional
 

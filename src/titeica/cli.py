@@ -20,8 +20,6 @@ failure, an inconclusive classification or a stdout whose reader has
 gone, 2 on configuration errors.
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import os
@@ -60,7 +58,7 @@ def _grid(value) -> tuple[int, int]:
 
 def _matrix(value) -> tuple[float, ...]:
     if isinstance(value, str):
-        value = [tok for tok in value.replace(" ", "").split(",") if tok]
+        value = value.split(",")
     return tuple(_float(v) for v in value)
 
 
@@ -546,7 +544,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # The reader of stdout is gone (``titeica ... | head -1``).  Stdout
         # now points at the null device, so the flush at exit cannot raise.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     return status
 

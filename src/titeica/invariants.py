@@ -38,8 +38,6 @@ The grid commands (:func:`scan_grid`, :func:`classify` and
 ``_sweep``, whose docstring describes the walk.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from typing import NamedTuple, Optional

@@ -18,8 +18,6 @@ Jets are immutable and every operation is a pure function, so evaluation
 is safe to spread over any number of threads.
 """
 
-from __future__ import annotations
-
 import math
 import numbers
 from typing import NamedTuple

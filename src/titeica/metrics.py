@@ -17,8 +17,6 @@ run by the pair check and the report records which variant actually
 reproduces the disk metric rather than presuming it.
 """
 
-from __future__ import annotations
-
 import math
 from typing import Callable, NamedTuple, Optional
 

@@ -16,8 +16,6 @@ commands; every entry picks a domain box that stays away from coordinate
 singularities (sphere equator, pseudosphere cusp, hyperboloid axis).
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from typing import Callable, NamedTuple, Optional
@@ -84,11 +82,16 @@ DEFAULT_TOL = 1e-8
 
 def grid_points(box: Box, nx: int, ny: int) -> list[tuple[float, float]]:
     """Row-major sample grid over the box, endpoints inset by 1% of the
-    box width so every point is strictly interior."""
+    box width so every point is strictly interior.  Raises ValueError for
+    a box whose inset endpoints round onto or past its edges, or are not
+    finite."""
     if nx < 2 or ny < 2:
         raise ValueError(f"grid needs at least 2 points per axis, got {nx} x {ny}")
-    xs = _inset_axis(box.x0, box.x1, nx)
-    return [(x, y) for y in _inset_axis(box.y0, box.y1, ny) for x in xs]
+    x0, x1, y0, y1 = box
+    xs, ys = _inset_axis(x0, x1, nx), _inset_axis(y0, y1, ny)
+    if not (x0 < xs[0] and xs[-1] < x1 and y0 < ys[0] and ys[-1] < y1):
+        raise ValueError(f"cannot sample strictly inside {box!r}")
+    return [(x, y) for y in ys for x in xs]
 
 
 def _inset_axis(lo: float, hi: float, n: int) -> list[float]:

@@ -192,7 +192,7 @@ def test_cli_transform_check_rejects_bad_matrix(capsys):
         "--matrix", "1,0,0,0,1,0,1,1,0",
     ]) == 2
     assert "matrix" in capsys.readouterr().err
-    for entries in ("nan,0,0,0,1,0,0,0,1", "1,0,0,0,inf,0,0,0,1"):
+    for entries in ("nan,0,0,0,1,0,0,0,1", "1,0,0,0,inf,0,0,0,1", "2 0,0,0,0,1,0,0,0,1", "2,,0,0,0,1,0,0,0,1"):
         assert main(["transform-check", "--surface", "paraboloid", "--matrix", entries]) == 2
         assert capsys.readouterr().err.startswith("error: matrix: ")
 
@@ -708,6 +708,33 @@ def test_help_to_closed_stdout_exits_one(argv, unbuffered):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, "")
+
+
+CLOSED_STDOUT_TWICE = """
+import json, os, sys
+from titeica.cli import main
+before = sorted(os.listdir("/proc/self/fd"))
+statuses = [main(["catalog"]), main(["catalog"])]
+print(json.dumps([statuses, before, sorted(os.listdir("/proc/self/fd"))]), file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to list open descriptors")
+def test_closed_stdout_leaks_no_descriptor():
+    # In-process callers run main many times; pointing stdout at the null
+    # device must not leave the descriptor it opened behind.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(titeica.__file__)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-c", CLOSED_STDOUT_TWICE], env=dict(os.environ, PYTHONPATH=src),
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0, proc.stderr
+    statuses, before, after = json.loads(proc.stderr)
+    assert statuses == [1, 0]
+    assert after == before
 
 
 def test_run_validates_config():

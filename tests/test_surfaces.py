@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -134,6 +135,15 @@ def test_grid_is_row_major_and_inset():
     assert pts[-1] == (0.99, 0.99)
     with pytest.raises(ValueError):
         grid_points(Box(0.0, 1.0, 0.0, 1.0), 1, 5)
+
+
+@pytest.mark.parametrize("box", [
+    Box(1.0, math.nextafter(math.nextafter(1.0, 2.0), 2.0), 0.5, 2.0),  # the 1% inset rounds onto x0
+    Box(-math.inf, math.inf, 0.5, 2.0),  # the inset axis is all NaN
+])
+def test_grid_refuses_a_box_it_cannot_sample_inside(box):
+    with pytest.raises(ValueError, match=re.escape(repr(box))):
+        grid_points(box, 2, 2)
 
 
 def linspace_grid(box, nx, ny):
