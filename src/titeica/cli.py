@@ -285,21 +285,21 @@ def _json_array(items, indent: int) -> str:
 def _cells(report: _Report, encode) -> tuple:
     """The encoded cells of every row, row by row, for one "%" template.
 
-    The pass goes column by column.  A finite float is written inline as
-    its .17g text, the same in every format; any other cell goes through
-    ``encode``.  The grid coordinates x and y repeat a few values, so in
-    those columns a nonzero float is encoded once per distinct value; a
-    zero is encoded every time, because 0.0 and -0.0 are one dict key.
+    Each column encodes each distinct cell once, in a dict that lives for
+    this call, so equal cells share one string; a finite float is its .17g
+    text in every format.  A float zero is keyed by its repr and a column
+    of mixed types by position, so cells that encode apart share no key.
     """
     columns = []
-    for name, column in zip(report.columns, zip(*report.rows)):
-        if name in ("x", "y"):
-            # Floats only: True and 1 would share 1.0's key.
-            distinct = {v for v in column if type(v) is float and v}
-            memo = {v: f"{v:.17g}" if v - v == 0.0 else encode(v) for v in distinct}
-            columns.append([memo[v] if type(v) is float and v else encode(v) for v in column])
-        else:
-            columns.append([f"{v:.17g}" if type(v) is float and v - v == 0.0 else encode(v) for v in column])
+    for column in zip(*report.rows):
+        keys = column
+        if len(set(map(type, column))) > 1:  # True, 1 and 1.0 are one dict key
+            keys = range(len(column))
+        elif isinstance(column[0], float) and 0.0 in column:  # and so are 0.0 and -0.0
+            keys = [v or repr(v) for v in column]
+        cells = dict(zip(keys, column))  # one cell per key, in column order
+        texts = [f"{v:.17g}" if type(v) is float and v - v == 0.0 else encode(v) for v in cells.values()]
+        columns.append(texts if len(cells) == len(column) else map(dict(zip(cells, texts)).__getitem__, keys))
     return tuple(chain.from_iterable(zip(*columns)))
 
 

@@ -4,11 +4,10 @@ and every name a module-level assignment binds is read somewhere in the
 package or listed in an ``__all__``.
 
 The checks read the source with ``ast``.  A name counts as used in a
-module if it is read there as a name or listed in a literal ``__all__``;
-``from __future__ import annotations`` binds nothing.  A private name
-(one leading underscore, not a dunder), and any name a module-level
-assignment binds, counts as referenced if any module of the package reads
-it as a name or as an attribute, or lists it in ``__all__``.
+module if it is read there as a name or listed in a literal ``__all__``.
+A private name (one leading underscore, not a dunder), and any name a
+module-level assignment binds, counts as referenced if any module of the
+package reads it as a name or as an attribute, or lists it in ``__all__``.
 """
 
 import ast
@@ -33,7 +32,7 @@ def imported_names(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.asname or alias.name.partition(".")[0], node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 yield alias.asname or alias.name, node.lineno
 

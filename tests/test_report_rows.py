@@ -1,7 +1,6 @@
 """Report rows: the JSON, CSV and text renderers fill each row from one
-template built per report, with cells encoded column by column (the x and
-y columns once per distinct value), and must give the bytes of the
-general encoders.
+template built per report, with each column encoding each distinct cell
+once, and must give the bytes of the general encoders.
 
 The references below render every cell on its own: JSON as
 ``_json_object`` over ``_json_text`` of the row's cells, CSV as ``_fmt``
@@ -12,7 +11,10 @@ import json
 import math
 from json.encoder import encode_basestring_ascii as string
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import nan_metric_pair
 from titeica import cli, metrics
@@ -131,10 +133,10 @@ def test_edge_cells():
         'nan,inf,-inf,-0,,"say ""x, y""",true,3,0.10000000000000001,2.5\n'
     )
 
-    # The x and y columns encode a nonzero float once per distinct value:
-    # 0.0 and -0.0 (one dict key) next to each other in both orders,
-    # non-finite values, repeated and unrepeated values, and a bool and an
-    # int equal to a float beside it.
+    # Each column encodes each distinct cell once: 0.0 and -0.0 (one dict
+    # key) next to each other in both orders, non-finite values, repeated
+    # and unrepeated values, and a bool and an int equal to a float beside
+    # it.
     coordinates = [
         (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, 0.0), (0.5, 0.0),
         (math.nan, math.inf), (-math.inf, math.nan), (0.25, 0.5), (0.5, 0.25),
@@ -152,6 +154,61 @@ def test_edge_cells():
     json_lines = cli._render_json(report).splitlines()
     assert [v.split(": ")[1] for v in json_lines if v.startswith('      "x": ')] == [null.get(x, x) + "," for x in xs]
     assert [v.split(": ")[1] for v in json_lines if v.startswith('      "y": ')] == [null.get(y, y) + "," for y in ys]
+
+
+# The cells that compare equal but encode apart (0.0 and -0.0, True, 1 and
+# 1.0, a numpy zero of either sign), non-finite floats, None, and strings
+# holding the CSV and "%" specials and non-ASCII characters.
+FLOATS = st.sampled_from([0.0, -0.0, 1.0, 0.5, math.inf, -math.inf, math.nan]) | st.floats()
+KINDS = (
+    FLOATS,
+    FLOATS.map(np.float64),
+    st.sampled_from([0.0, -0.0, np.float64(0.0), np.float64(-0.0), True, False, 1, 0, 1.0, None]),
+    st.text(st.sampled_from('%s,"é€ x0'), max_size=4),
+)
+CELLS = st.one_of(*KINDS)
+
+ENCODERS = {
+    "json": lambda v: cli._json_text(v, 3, string),
+    "csv": cli._csv_cell,
+    "text": cli._fmt,
+}
+
+
+@st.composite
+def tables(draw):
+    """Rows of 1 to 4 columns, each column drawn from one kind of cell or
+    from all of them."""
+    n = draw(st.integers(1, 8))
+    kinds = draw(st.lists(st.sampled_from(KINDS + (CELLS,)), min_size=1, max_size=4))
+    return list(zip(*(draw(st.lists(kind, min_size=n, max_size=n)) for kind in kinds)))
+
+
+# For a failing example Hypothesis imports libcst to print a patch; a libcst
+# that warns on import would turn the failure into an internal error of the
+# whole pytest run under ``filterwarnings = error``.
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@pytest.mark.parametrize("format", ENCODERS)
+@settings(derandomize=True, database=None, deadline=None)
+@given(rows=tables())
+def test_fill_matches_a_per_cell_encoder(format, rows):
+    encode = ENCODERS[format]
+    report = cli._Report("invariants", {}, tuple(f"c{i}" for i in range(len(rows[0]))), rows, {})
+    row = "|".join(["%s"] * len(report.columns))
+    assert cli._fill(row, "\n", report, encode) == "\n".join(row % tuple(map(encode, cells)) for cells in rows)
+
+
+def test_equal_cells_of_a_column_share_one_string():
+    report = cli._HANDLERS["classify"](
+        RunConfig("classify", surface="sphere-origin", params={"R": 1.3}, grid=(50, 50))
+    )
+    cells = cli._cells(report, ENCODERS["json"])
+    n = len(report.columns)
+    for i, name in enumerate(report.columns):
+        column = cells[i::n]
+        assert len(column) == 2500
+        assert len(set(map(id, column))) == len(set(column)), name
+    assert len(set(map(id, cells[report.columns.index("d")::n]))) <= 4
 
 
 def test_empty_rows():
