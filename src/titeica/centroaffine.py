@@ -24,11 +24,12 @@ come from one pass, and those of its image from another.
 import math
 from typing import NamedTuple, Optional
 
+from . import _NAMES
 from .errors import SingularPointError
 from .invariants import _core, _sweep
 from .surfaces import SurfaceDef, SurfaceJet, det3
 
-__all__ = ["CentroAffineMap", "apply_map", "verify_scaling", "ScalingPoint", "ScalingReport"]
+__all__ = list(_NAMES["centroaffine"])
 
 MIN_DET = 1e-12
 

@@ -523,7 +523,7 @@ def parse_config(argv=None) -> RunConfig:
                 continue
             try:
                 value = _CONVERTERS[name](value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise UsageError(f"{name}: {exc}") from exc
             values[name] = {**values.get("params", {}), **value} if name == "params" else value
     if "command" not in values:

@@ -1,15 +1,8 @@
 """Exception types shared across the package."""
 
-__all__ = [
-    "GeometryError",
-    "DomainError",
-    "SingularPointError",
-    "RegularityError",
-    "SignatureError",
-    "CatalogError",
-    "InconclusiveError",
-    "UsageError",
-]
+from . import _NAMES
+
+__all__ = list(_NAMES["errors"])
 
 
 class GeometryError(Exception):

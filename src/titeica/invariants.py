@@ -42,6 +42,7 @@ import math
 import sys
 from typing import NamedTuple, Optional
 
+from . import _NAMES
 from .errors import InconclusiveError, RegularityError, SignatureError, SingularPointError
 from .surfaces import (
     DEFAULT_GRID,
@@ -54,21 +55,7 @@ from .surfaces import (
     grid_points,
 )
 
-__all__ = [
-    "EPS_SINGULAR",
-    "ClassifyVerdict",
-    "FundamentalForms",
-    "OrientedVolumes",
-    "PointRecord",
-    "fundamental_forms",
-    "gaussian_curvature",
-    "tangent_distance",
-    "oriented_volumes",
-    "titeica_ratio",
-    "identity_residual",
-    "scan_grid",
-    "classify",
-]
+__all__ = list(_NAMES["invariants"])
 
 # Threshold on |f_x x f_y|^2, |<n, n>| and d below which a point is treated as
 # singular and must be skipped (never silently dropped) by callers.

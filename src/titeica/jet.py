@@ -22,26 +22,10 @@ import math
 import numbers
 from typing import NamedTuple
 
+from . import _NAMES
 from .errors import DomainError
 
-__all__ = [
-    "Jet2",
-    "constant",
-    "seed_x",
-    "seed_y",
-    "seed_xy",
-    "sin",
-    "cos",
-    "exp",
-    "log",
-    "sqrt",
-    "sinh",
-    "cosh",
-    "tanh",
-    "atan",
-    "atanh",
-    "pow_int",
-]
+__all__ = [*_NAMES["jet"], "sin", "cos", "exp", "log", "sqrt", "sinh", "cosh", "tanh", "atan", "atanh", "pow_int"]
 
 
 class Jet2(NamedTuple):

@@ -20,24 +20,12 @@ reproduces the disk metric rather than presuming it.
 import math
 from typing import Callable, NamedTuple, Optional
 
-from . import jet
+from . import _NAMES, jet
 from .errors import CatalogError, DomainError, RegularityError, SignatureError
 from .jet import Jet2, constant, seed_xy
 from .surfaces import Box, det3, grid_points
 
-__all__ = [
-    "Metric2",
-    "MetricPair",
-    "AgreePoint",
-    "AgreeReport",
-    "brioschi_curvature",
-    "pullback",
-    "metric_values",
-    "check_pair",
-    "metric",
-    "metric_pair",
-    "pair_names",
-]
+__all__ = list(_NAMES["metrics"])
 
 _new = tuple.__new__
 

@@ -20,24 +20,11 @@ import math
 import sys
 from typing import Callable, NamedTuple, Optional
 
-from . import jet
+from . import _NAMES, jet
 from .errors import CatalogError, DomainError
-from .jet import Jet2, constant, seed_xy
+from .jet import Jet2, constant
 
-__all__ = [
-    "Box",
-    "grid_points",
-    "AmbientForm",
-    "EUCLIDEAN",
-    "MINKOWSKI",
-    "SurfaceJet",
-    "SurfaceDef",
-    "parametric",
-    "eval_surface",
-    "catalog",
-    "catalog_names",
-    "catalog_entries",
-]
+__all__ = list(_NAMES["surfaces"])
 
 
 _new = tuple.__new__
@@ -169,25 +156,21 @@ def parametric(coords: Coords) -> Patch:
 
 def _by_lines(xpart: Optional[_Part], ypart: Optional[_Part], mix: Callable) -> Patch:
     """The patch of the immersion ``mix(*xpart(x), *ypart(y))`` at seeded
-    parameters; a missing part is the seed alone.  A call computes the x
-    part, then the y part, then ``mix``, and unpacks exactly three
-    coordinate jets from it; row i of the jet is field i of the three.
+    parameters; a missing part is the seed alone.
 
     ``patch.sweep()`` makes the evaluator of one grid sweep
-    (``invariants._sweep``).  It does what a call does, except that it
-    keeps a line's part from the line's second point on and then skips
-    computing it, so where both lines of a point are kept it runs ``mix``
-    alone.  A part depends on its seed alone, and only a point that
-    returns keeps anything, so each point gives the jet, or raises the
-    error, of a call.
+    (``invariants._sweep``), and a call of the patch is a sweep of one
+    point.  At each point the evaluator computes the x part, then the y
+    part, then ``mix``, and unpacks exactly three coordinate jets from it;
+    row i of the jet is field i of the three.  It keeps a line's part from
+    the line's second point on and then skips computing it, so where both
+    lines of a point are kept it runs ``mix`` alone.  A part depends on
+    its seed alone, and only a point that returns keeps anything, so each
+    point of a sweep gives the jet, or raises the error, of a call.
     """
 
     def patch(x: float, y: float) -> SurfaceJet:
-        sx, sy = seed_xy(x, y)
-        a = xpart(sx) if xpart else (sx,)
-        b = ypart(sy) if ypart else (sy,)
-        cx, cy, cz = mix(*a, *b)
-        return _new(SurfaceJet, zip(cx, cy, cz))
+        return sweep()(x, y)
 
     def sweep() -> Patch:
         xs, ys = {}, {}

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import math
 import os
 import pkgutil
 import stat
@@ -346,6 +347,11 @@ def test_config_file_with_flag_override(tmp_path):
     ("output", ["a", "b"]),
     ("surface", 5),
     ("pair", 5),
+    # Beyond float range: int(inf) and float(10**400) raise OverflowError.
+    ("grid", [math.inf, 3]),
+    pytest.param("tolerance", 10**400, id="tolerance-10**400"),
+    ("params", {"R": 10**400}),
+    ("matrix", [10**400, 0, 0, 0, 1, 0, 0, 0, 1]),
 ])
 def test_config_file_value_that_cannot_be_converted(field, value, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -657,6 +663,21 @@ def test_output_that_is_a_directory_leaves_no_temporary_file(tmp_path, capsys):
     code = main(["classify", "--surface", "sphere-origin", "--output", str(tmp_path / "report.txt")])
     assert code == 2
     assert "cannot write report" in capsys.readouterr().err
+    assert list(tmp_path.glob(".titeica-*.tmp")) == []
+
+
+def test_failed_rename_removes_the_temporary_file(tmp_path, capsys, monkeypatch):
+    # The report is written to a temporary file and renamed over the output;
+    # when the rename fails, the old report stays and the temporary file goes.
+    def fail(src, dst):
+        raise OSError(f"cannot rename {src} to {dst}")
+
+    out = tmp_path / "report.csv"
+    out.write_text("old\n")
+    monkeypatch.setattr(os, "replace", fail)
+    assert main(CSV_RUN + ["--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: output: cannot write report to")
+    assert out.read_text() == "old\n"
     assert list(tmp_path.glob(".titeica-*.tmp")) == []
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from titeica import jet
 from titeica.centroaffine import CentroAffineMap, apply_map
-from titeica.invariants import _SKIP, classify, oriented_volumes, titeica_ratio
+from titeica.invariants import _SKIP, classify, identity_residual, oriented_volumes, titeica_ratio
 from titeica.surfaces import EUCLIDEAN, MINKOWSKI, catalog, parametric
 
 # For a failing example Hypothesis imports libcst to print a patch; a libcst
@@ -91,6 +91,20 @@ def test_ratio_scales_by_det_squared(sj, a, amb):
     v = oriented_volumes(sj)
     bound = 1e-9 * (abs(v.Vx * v.Vy) + v.Vxy**2) / v.V**4
     assert abs(after * a.det**2 - before) <= bound, (before, after, a)
+
+
+@SETTINGS
+@given(polynomial_jets, st.sampled_from([EUCLIDEAN, MINKOWSKI]))
+def test_classical_curvature_meets_the_volume_ratio(sj, amb):
+    # The paper's identity: sign(<n,n>) (LN - M^2) / (EG - F^2) / d^4, the
+    # classical route, is det(S) (Vx Vy - Vxy^2) / V^4 to within
+    # 1e-9 (|Vx Vy| + Vxy^2) / V^4, the numerator's rounding scale.
+    try:
+        residual = identity_residual(sj, amb)
+    except _SKIP:
+        assume(False)
+    v = oriented_volumes(sj)
+    assert residual <= 1e-9 * (abs(v.Vx * v.Vy) + v.Vxy**2) / v.V**4, (residual, v, amb)
 
 
 @functools.cache

@@ -1,13 +1,15 @@
-"""A grid sweep of a catalog row gives what a call gives, bitwise.
+"""A long sweep of a catalog row gives what fresh one-point sweeps give, bitwise.
 
 A catalog row states its coordinates as ``mix(*xpart(x), *ypart(y))``
 (``surfaces._by_lines``).  Its patch's ``sweep()`` makes the evaluator
 a grid sweep (``invariants._sweep``) calls, which keeps the x part per x
-and the y part per y, from the second point on that line.  Whatever the
-order of the points, each one must give the jet (compared by ``repr``,
-so that -0.0 and every last bit count) or the error, with its message,
-that a call of the patch gives there.  A ``parametric`` patch is the row
-with no parts, so its ``coords`` runs at every point.
+and the y part per y, from the second point on that line; a call of the
+patch is a fresh sweep of one point, which keeps nothing it can reuse.
+Whatever the order of the points, each one of a long sweep must give the
+jet (compared by ``repr``, so that -0.0 and every last bit count) or the
+error, with its message, that a call of the patch gives there.  A
+``parametric`` patch is the row with no parts, so its ``coords`` runs at
+every point.
 """
 
 import random
