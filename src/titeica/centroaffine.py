@@ -70,8 +70,10 @@ class CentroAffineMap(NamedTuple):
 
 def apply_map(s: SurfaceDef, a: CentroAffineMap) -> SurfaceDef:
     """Image surface (x, y) -> f(x, y) . A on the same parameter domain,
-    under the same ambient form as ``s``."""
-    return SurfaceDef(f"{s.name}|mapped", lambda x, y: a.act(s.patch(x, y)), s.domain, s.ambient)
+    under the same ambient form as ``s``.  It hands a sweep's ``lines`` to
+    the source patch alone, so it sweeps with the source's line cache."""
+    return SurfaceDef(f"{s.name}|mapped", lambda x, y, lines=None: a.act(s.patch(x, y, lines)),
+                      s.domain, s.ambient)
 
 
 class ScalingPoint(NamedTuple):

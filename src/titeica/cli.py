@@ -106,6 +106,11 @@ _CONVERTERS = dict(
 )
 
 
+# The surface, params, matrix and pair fields that each command takes.
+_OWN_FIELDS = {"catalog": (), "invariants": ("surface", "params"), "classify": ("surface", "params"),
+               "transform-check": ("surface", "params", "matrix"), "metric-check": ("pair",)}
+
+
 def _validate(config: RunConfig) -> None:
     if config.command not in _HANDLERS:
         raise UsageError(f"command: unknown command '{config.command}'")
@@ -116,17 +121,17 @@ def _validate(config: RunConfig) -> None:
         raise UsageError(f"tolerance: must be positive and finite, got {config.tolerance}")
     if config.format not in _RENDERERS:
         raise UsageError(f"format: expected text, json or csv, got '{config.format}'")
-    if config.command in ("invariants", "classify", "transform-check") and not config.surface:
-        raise UsageError(f"surface: required for the {config.command} command")
-    if config.command == "transform-check":
-        if config.matrix is None:
-            raise UsageError("matrix: required for the transform-check command")
-        if len(config.matrix) != 9:
-            raise UsageError(f"matrix: expected 9 row-major entries, got {len(config.matrix)}")
-    if config.command == "metric-check" and not config.pair:
-        raise UsageError("pair: required for the metric-check command")
+    own = _OWN_FIELDS[config.command]
+    for name in ("surface", "matrix", "pair"):
+        if name in own and getattr(config, name) in (None, ""):
+            raise UsageError(f"{name}: required for the {config.command} command")
+    if "matrix" in own and len(config.matrix) != 9:
+        raise UsageError(f"matrix: expected 9 row-major entries, got {len(config.matrix)}")
     if config.output == "":
         raise UsageError("output: the path is empty")
+    for name in ("surface", "params", "matrix", "pair"):
+        if name not in own and getattr(config, name) not in (None, {}):
+            raise UsageError(f"{name}: not taken by the {config.command} command")
 
 
 # --------------------------------------------------------------------------

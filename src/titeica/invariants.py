@@ -195,16 +195,16 @@ def identity_residual(sj: SurfaceJet, amb: AmbientForm = EUCLIDEAN) -> float:
 def _sweep(s: SurfaceDef, points, evaluate, record) -> list:
     """The one walk of a grid command over ``s``: at each point, in order,
     check that it is inside the box (a DomainError propagates), then give
-    ``evaluate(x, y, jet)`` for the jet of the patch's per-sweep evaluator
-    (``s.patch.sweep()``, see ``surfaces._by_lines``) or, lacking one, of
-    the patch.  A point that raises one of ``_SKIP`` becomes
+    ``evaluate(x, y, jet)`` for the jet ``s.patch(x, y, lines)``, where
+    ``lines`` is the sweep's one pair of line dicts (see
+    ``surfaces._by_lines``).  A point that raises one of ``_SKIP`` becomes
     ``record(x, y, skipped=<the error's message>)``; other errors propagate."""
-    patch = s.patch.sweep() if hasattr(s.patch, "sweep") else s.patch
+    patch, lines = s.patch, ({}, {})
     rows = []
     for x, y in points:
         try:
             s.domain.require(x, y, "surface", s.name)
-            rows.append(evaluate(x, y, patch(x, y)))
+            rows.append(evaluate(x, y, patch(x, y, lines)))
         except _SKIP as exc:
             rows.append(record(x, y, skipped=str(exc)))
     return rows

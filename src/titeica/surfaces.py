@@ -126,7 +126,7 @@ class SurfaceJet(NamedTuple):
     f_yy: Vec3
 
 
-Patch = Callable[[float, float], SurfaceJet]
+Patch = Callable[..., SurfaceJet]  # patch(x, y, lines=None): see _by_lines
 Coords = Callable[[Jet2, Jet2], tuple[Jet2, Jet2, Jet2]]
 _Part = Callable[[Jet2], tuple[Jet2, ...]]
 _Row = tuple[Optional[_Part], Optional[_Part], Callable[..., tuple[Jet2, Jet2, Jet2]], Box]
@@ -158,46 +158,38 @@ def _by_lines(xpart: Optional[_Part], ypart: Optional[_Part], mix: Callable) -> 
     """The patch of the immersion ``mix(*xpart(x), *ypart(y))`` at seeded
     parameters; a missing part is the seed alone.
 
-    ``patch.sweep()`` makes the evaluator of one grid sweep
-    (``invariants._sweep``), and a call of the patch is a sweep of one
-    point.  At each point the evaluator computes the x part, then the y
-    part, then ``mix``, and unpacks exactly three coordinate jets from it;
-    row i of the jet is field i of the three.  It keeps a line's part from
-    the line's second point on and then skips computing it, so where both
-    lines of a point are kept it runs ``mix`` alone.  A part depends on
-    its seed alone, and only a point that returns keeps anything, so each
+    ``patch(x, y, lines)`` computes the x part, then the y part, then
+    ``mix``, and unpacks exactly three coordinate jets from it; row i of
+    the jet is field i of the three.  ``lines`` is a grid sweep's pair of
+    dicts (``invariants._sweep`` makes one per sweep), in which the patch
+    keeps a line's part from the line's second point on and then skips
+    computing it, so where both lines of a point are kept it runs ``mix``
+    alone.  Without ``lines`` a call keeps nothing.  A part depends on its
+    seed alone, and only a point that returns keeps anything, so each
     point of a sweep gives the jet, or raises the error, of a call.
     """
 
-    def patch(x: float, y: float) -> SurfaceJet:
-        return sweep()(x, y)
+    def patch(x: float, y: float, lines: Optional[tuple[dict, dict]] = None) -> SurfaceJet:
+        xs, ys = lines or ({}, {})
+        kx, ky = x or repr(x), y or repr(y)  # 0.0 and -0.0 seed different jets
+        kept_x, kept_y = xs.get(kx), ys.get(ky)
+        a = kept_x
+        if not a:
+            sx = _new(Jet2, (float(x), 1.0, 0.0, 0.0, 0.0, 0.0))  # seed_x(x), without a call
+            a = xpart(sx) if xpart else (sx,)
+        b = kept_y
+        if not b:
+            sy = _new(Jet2, (float(y), 0.0, 1.0, 0.0, 0.0, 0.0))  # seed_y(y), without a call
+            b = ypart(sy) if ypart else (sy,)
+        cx, cy, cz = mix(*a, *b)
+        sj = _new(SurfaceJet, zip(cx, cy, cz))
+        # Points that share no line (say, random ones) keep only keys.
+        if not kept_x:
+            xs[kx] = () if kept_x is None else a
+        if not kept_y:
+            ys[ky] = () if kept_y is None else b
+        return sj
 
-    def sweep() -> Patch:
-        xs, ys = {}, {}
-
-        def swept(x: float, y: float) -> SurfaceJet:
-            kx, ky = x or repr(x), y or repr(y)  # 0.0 and -0.0 seed different jets
-            kept_x, kept_y = xs.get(kx), ys.get(ky)
-            a = kept_x
-            if not a:
-                sx = _new(Jet2, (float(x), 1.0, 0.0, 0.0, 0.0, 0.0))  # seed_x(x), without a call
-                a = xpart(sx) if xpart else (sx,)
-            b = kept_y
-            if not b:
-                sy = _new(Jet2, (float(y), 0.0, 1.0, 0.0, 0.0, 0.0))  # seed_y(y), without a call
-                b = ypart(sy) if ypart else (sy,)
-            cx, cy, cz = mix(*a, *b)
-            sj = _new(SurfaceJet, zip(cx, cy, cz))
-            # Points that share no line (say, random ones) keep only keys.
-            if not kept_x:
-                xs[kx] = () if kept_x is None else a
-            if not kept_y:
-                ys[ky] = () if kept_y is None else b
-            return sj
-
-        return swept
-
-    patch.sweep = sweep
     return patch
 
 

@@ -30,10 +30,11 @@ def random_polynomial_patch(rng, degree=4, coeff_range=2.0, name="poly"):
     return SurfaceDef(name, parametric(lambda x, y: (x, y, height(x, y))), Box(-1.0, 1.0, -1.0, 1.0), EUCLIDEAN)
 
 
-def outcome(patch, x, y):
-    """``repr`` of the jet at (x, y), or the error's type and message."""
+def outcome(patch, x, y, *lines):
+    """``repr`` of the jet at (x, y), given a sweep's ``lines`` if they are
+    passed, or the error's type and message."""
     try:
-        return repr(patch(x, y))
+        return repr(patch(x, y, *lines))
     except Exception as exc:  # every error must match, whatever its type
         return type(exc).__name__, str(exc)
 

@@ -6,18 +6,20 @@ cross and dot products are written out in ``invariants._core``, jet
 arithmetic on two jets lifts neither operand, ``seed_xy`` builds both
 seeds itself, and a sweep of a catalog row computes a line's one-axis
 part only until it keeps it, so where it keeps both lines of a point it
-runs the row's ``mix`` alone.  The counts are exact for a given
-interpreter (10.5, 16.25 and 9.525 on CPython 3.11; the pseudosphere
-takes 24.0275 where its patch is called at every point); the first two
-bounds leave room only for fixed per-grid calls, and the third fails if
-the pseudosphere's one-axis parts run at every point again.
+runs the row's ``mix`` alone.  An ``apply_map`` image hands the sweep's
+lines to its source patch, so a mapped row keeps its lines too.  The
+counts are exact for a given interpreter (10.45, 16.2, 9.5225 and
+12.5225 on CPython 3.11; the mapped pseudosphere reads 28.0225 where
+each of its points is a fresh one-point sweep of the source); the first two
+bounds leave room only for fixed per-grid calls, and the last two fail
+if the pseudosphere's one-axis parts run at every point again.
 """
 
 import sys
 
 import pytest
 
-from titeica.centroaffine import CentroAffineMap, verify_scaling
+from titeica.centroaffine import CentroAffineMap, apply_map, verify_scaling
 from titeica.invariants import scan_grid
 from titeica.surfaces import catalog, grid_points
 
@@ -60,10 +62,16 @@ def scan_pseudosphere():
     return lambda: scan_grid(s, (20, 20))
 
 
+def scan_mapped_pseudosphere():
+    s = apply_map(catalog("pseudosphere"), CentroAffineMap.of([MATRIX[i:i + 3] for i in (0, 3, 6)]))
+    return lambda: scan_grid(s, (20, 20))
+
+
 @pytest.mark.parametrize("make_run, points, bound", [
     (scan_titeica_xyz, GRID[0] * GRID[1], 13),
     (verify_paraboloid, GRID[0] * GRID[1], 19),
     (scan_pseudosphere, 400, 13),
-], ids=["scan_grid", "verify_scaling", "scan_grid_pseudosphere"])
+    (scan_mapped_pseudosphere, 400, 15),
+], ids=["scan_grid", "verify_scaling", "scan_grid_pseudosphere", "scan_grid_mapped_pseudosphere"])
 def test_calls_per_grid_point(make_run, points, bound):
     assert calls_per_point(make_run(), points) <= bound

@@ -366,6 +366,22 @@ def test_config_file_value_that_cannot_be_converted(field, value, tmp_path, monk
     assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
 
+@pytest.mark.parametrize("config, field", [
+    ({"command": "classify", "surface": "sphere-origin", "matrix": [2, 0, 0, 0, 2, 0, 0, 0, 2]}, "matrix"),
+    ({"command": "classify", "surface": "sphere-origin", "pair": "disk:minkowski-sphere"}, "pair"),
+    ({"command": "invariants", "surface": "titeica-xyz", "matrix": "2,0,0,0,1,0,0,0,1"}, "matrix"),
+    ({"command": "metric-check", "pair": "disk:minkowski-sphere", "surface": "plane"}, "surface"),
+    ({"command": "catalog", "params": {"R": 2}}, "params"),
+], ids=["classify-matrix", "classify-pair", "invariants-matrix", "metric-check-surface", "catalog-params"])
+def test_config_file_field_its_command_does_not_take(config, field, tmp_path, capsys):
+    # The parser refuses the field's flag; a file's value would be ignored
+    # by the run and still echoed in its report's config.
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["--config", str(cfg), "--grid", "3", "3"]) == 2
+    assert capsys.readouterr() == ("", f"error: {field}: not taken by the {config['command']} command\n")
+
+
 @pytest.mark.parametrize("params", [["R2"], [["R", 2]]], ids=["string", "pairs"])
 def test_config_file_params_must_be_an_object(params, tmp_path, capsys):
     # dict() took both for {"R": 2}: the run classified a sphere of radius 2.

@@ -227,5 +227,5 @@ def test_catalog_rows_match_their_unsplit_coordinates(name, params):
     points = grid_points(s.domain, 37, 23) + zeros
     expected = [outcome(reference, x, y) for x, y in points]
     assert [outcome(s.patch, x, y) for x, y in points] == expected
-    swept = s.patch.sweep()
-    assert [outcome(swept, x, y) for x, y in points] == expected
+    lines = {}, {}
+    assert [outcome(s.patch, x, y, lines) for x, y in points] == expected

@@ -1,25 +1,27 @@
-"""A long sweep of a catalog row gives what fresh one-point sweeps give, bitwise.
+"""A long sweep of a catalog row gives what calls of its patch give, bitwise.
 
 A catalog row states its coordinates as ``mix(*xpart(x), *ypart(y))``
-(``surfaces._by_lines``).  Its patch's ``sweep()`` makes the evaluator
-a grid sweep (``invariants._sweep``) calls, which keeps the x part per x
-and the y part per y, from the second point on that line; a call of the
-patch is a fresh sweep of one point, which keeps nothing it can reuse.
+(``surfaces._by_lines``).  A grid sweep (``invariants._sweep``) passes
+one pair of line dicts, ``lines``, to the patch at every point, and the
+patch keeps the x part per x and the y part per y there, from the second
+point on that line; a call without ``lines`` keeps nothing it can reuse.
 Whatever the order of the points, each one of a long sweep must give the
 jet (compared by ``repr``, so that -0.0 and every last bit count) or the
-error, with its message, that a call of the patch gives there.  A
-``parametric`` patch is the row with no parts, so its ``coords`` runs at
-every point.
+error, with its message, that a call of the patch gives there.  An
+``apply_map`` image hands ``lines`` to its source patch, so it sweeps
+with the same cache.  A ``parametric`` patch is the row with no parts, so
+its ``coords`` runs at every point.
 """
 
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 from helpers import outcome
 from titeica import invariants, jet, surfaces
-from titeica.centroaffine import CentroAffineMap, verify_scaling
+from titeica.centroaffine import CentroAffineMap, apply_map, verify_scaling
 from titeica.errors import DomainError
 from titeica.invariants import _SKIP, PointRecord, _core, scan_grid
 from titeica.surfaces import (
@@ -34,20 +36,23 @@ from titeica.surfaces import (
 )
 
 
+GENERAL = CentroAffineMap.of([(1.3, 0.2, -0.4), (0.1, 0.9, 0.3), (-0.2, 0.5, 1.1)])
+
+
 def assert_sweep_matches_calls(patch, points):
-    assert hasattr(patch, "sweep"), "the patch was expected to come from a catalog row"
-    swept = patch.sweep()
-    assert [outcome(swept, x, y) for x, y in points] == [outcome(patch, x, y) for x, y in points]
+    lines = {}, {}
+    assert [outcome(patch, x, y, lines) for x, y in points] == [outcome(patch, x, y) for x, y in points]
 
 
 @pytest.mark.parametrize("name", catalog_names())
 def test_catalog_sweep_matches_calls(name):
     s = catalog(name)
     points = grid_points(s.domain, 37, 23)
-    assert_sweep_matches_calls(s.patch, points)
     shuffled = points * 2
     random.Random(19).shuffle(shuffled)
-    assert_sweep_matches_calls(s.patch, shuffled)
+    for patch in (s.patch, apply_map(s, GENERAL).patch):
+        assert_sweep_matches_calls(patch, points)
+        assert_sweep_matches_calls(patch, shuffled)
 
 
 def called_rows(s, grid):
@@ -73,7 +78,7 @@ def test_signed_zeros_are_different_lines(name):
     patch = catalog(name).patch
     points = [(0.0, 0.25), (-0.0, 0.25), (0.25, -0.0), (0.25, 0.0), (-0.0, -0.0), (0.0, 0.0), (-0.0, 0.25)]
     assert_sweep_matches_calls(patch, points)
-    assert repr(patch.sweep()(-0.0, 0.25).f[0]) == "-0.0"
+    assert repr(patch(-0.0, 0.25, ({}, {})).f[0]) == "-0.0"
 
 
 def raising_row():
@@ -100,17 +105,41 @@ def test_sweep_of_a_raising_row_matches_calls():
     assert_sweep_matches_calls(patch, shuffled)
 
 
+def test_a_mapped_row_runs_its_parts_as_the_row_does():
+    # Each one-axis part runs at the first two points of its line, whether
+    # the row is swept itself or as the source of an apply_map image.
+    runs = Counter()
+
+    def xpart(x):
+        runs["x", x.val] += 1
+        return x, x * x
+
+    def ypart(y):
+        runs["y", y.val] += 1
+        return y, y * y
+
+    row = SurfaceDef("counted", surfaces._by_lines(xpart, ypart, lambda x, xx, y, yy: (x, y, xx + yy)),
+                     Box(0.5, 2.0, 0.5, 2.0), EUCLIDEAN)
+    seen = []
+    for s in (row, apply_map(row, GENERAL)):
+        runs.clear()
+        scan_grid(s, (5, 4))
+        seen.append(dict(runs))
+    assert seen[0] == seen[1]
+    assert len(seen[1]) == 5 + 4 and set(seen[1].values()) == {2}
+
+
 def test_points_that_share_no_line_keep_no_values():
     # Parts are kept from a line's second point on, so a sweep over points
     # with distinct x and y holds only their keys (a 0.33 MB peak here;
     # keeping every line's part from its first point took 2.5 MB).
     patch = catalog("pseudosphere").patch
     points = [(0.5 + i * 1e-4, 0.1 + i * 1e-4) for i in range(2000)]
-    swept = patch.sweep()
+    lines = {}, {}
     tracemalloc.start()
     try:
         for x, y in points:
-            swept(x, y)
+            patch(x, y, lines)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -177,6 +206,6 @@ def test_parametric_coords_must_give_three_jets(count):
 def test_a_row_unpacks_three_jets_at_a_call_and_in_a_sweep(count):
     # zip(*mix(...)) alone would build a jet of 2- or 4-tuples without raising.
     patch = surfaces._by_lines(lambda x: (x, x * x), None, lambda x, xx, y: (x, y, xx, y)[:count])
-    for evaluate in (patch, patch.sweep()):
+    for lines in (None, ({}, {})):
         with pytest.raises(ValueError, match="values to unpack"):
-            evaluate(1.0, 1.0)
+            patch(1.0, 1.0, lines)
