@@ -1,23 +1,25 @@
 """Command-line driver: parses a run configuration, dispatches it to the
 library and renders the report.
 
-Commands
---------
+Commands, and the flags each takes besides --config, --format and --output
+--------------------------------------------------------------------------
 catalog          list built-in surfaces, metrics and metric pairs
-invariants       per-point K, d and K/d^4 table for a surface
-classify         constant-ratio verdict for a surface over its grid
-transform-check  scaling law under a centro-affine matrix
-metric-check     pullback equality for a named metric pair
+invariants       per-point K, d, K/d^4 table: --surface --param --grid
+classify         constant-ratio verdict: --surface --param --grid --tol
+transform-check  det^-2 scaling law: --surface --param --grid --matrix --tol
+metric-check     pullback equality for a metric pair: --pair --grid --tol
 
-Reports are emitted as text, JSON or CSV.  Output to a new or regular
-file is atomic (write to a temporary file, then rename); this process's
-own stdout, a device or a FIFO is written in place.  Reports are
+Reports are emitted as text, JSON or CSV, and echo under ``config`` only
+the fields their command takes.  Output to a new or regular file is
+atomic (write to a temporary file, then rename); this process's own
+stdout, a device or a FIFO is written in place.  Reports are
 byte-deterministic for identical configurations: the grid enumeration
 order is fixed and every float is formatted with 17 significant digits.
 
 Exit status: 0 on success or a passing check, 1 on a verification
 failure, an inconclusive classification or a stdout whose reader has
-gone, 2 on configuration errors.
+gone, 2 on configuration errors, a field the command does not take
+(as a flag or in a config file) among them.
 """
 
 import argparse
@@ -25,7 +27,7 @@ import math
 import os
 import sys
 from itertools import chain
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import CatalogError, GeometryError, InconclusiveError, UsageError
 from .surfaces import DEFAULT_GRID, DEFAULT_TOL, catalog, catalog_entries, grid_points
@@ -90,8 +92,8 @@ class _RunFields(NamedTuple):
 
 class RunConfig(_RunFields):
     """One run.  Each field is a config-file key and the argparse dest of
-    its flag; its entry in ``_CONVERTERS`` turns a flag string or a JSON
-    value into the field's type."""
+    its flag; its entry in ``_FIELDS`` turns a flag string or a JSON value
+    into the field's type."""
 
     __slots__ = ()
 
@@ -100,19 +102,8 @@ class RunConfig(_RunFields):
         return config if config.params is not None else config._replace(params={})
 
 
-_CONVERTERS = dict(
-    command=_str, surface=_str, params=_params, pair=_str, grid=_grid,
-    matrix=_matrix, tolerance=_float, format=_str, output=_str,
-)
-
-
-# The surface, params, matrix and pair fields that each command takes.
-_OWN_FIELDS = {"catalog": (), "invariants": ("surface", "params"), "classify": ("surface", "params"),
-               "transform-check": ("surface", "params", "matrix"), "metric-check": ("pair",)}
-
-
 def _validate(config: RunConfig) -> None:
-    if config.command not in _HANDLERS:
+    if config.command not in _COMMANDS:
         raise UsageError(f"command: unknown command '{config.command}'")
     nx, ny = config.grid
     if nx < 2 or ny < 2:
@@ -121,16 +112,16 @@ def _validate(config: RunConfig) -> None:
         raise UsageError(f"tolerance: must be positive and finite, got {config.tolerance}")
     if config.format not in _RENDERERS:
         raise UsageError(f"format: expected text, json or csv, got '{config.format}'")
-    own = _OWN_FIELDS[config.command]
+    taken = _COMMANDS[config.command].fields
     for name in ("surface", "matrix", "pair"):
-        if name in own and getattr(config, name) in (None, ""):
+        if name in taken and getattr(config, name) in (None, ""):
             raise UsageError(f"{name}: required for the {config.command} command")
-    if "matrix" in own and len(config.matrix) != 9:
+    if "matrix" in taken and len(config.matrix) != 9:
         raise UsageError(f"matrix: expected 9 row-major entries, got {len(config.matrix)}")
     if config.output == "":
         raise UsageError("output: the path is empty")
-    for name in ("surface", "params", "matrix", "pair"):
-        if name not in own and getattr(config, name) not in (None, {}):
+    for name, value, default in zip(config._fields, config, RunConfig(config.command)):
+        if name not in taken and value != default:  # a field is set when it differs from its default
             raise UsageError(f"{name}: not taken by the {config.command} command")
 
 
@@ -221,16 +212,29 @@ def _split(report, record):
 
 
 def _report(config: RunConfig, columns, rows, summary) -> _Report:
-    settings = {k: list(v) if isinstance(v, tuple) else v for k, v in zip(config._fields, config)}
+    taken = _COMMANDS[config.command].fields
+    settings = {k: list(v) if isinstance(v, tuple) else v for k, v in zip(config._fields, config) if k in taken}
     return _Report(config.command, settings, columns, rows, summary)
 
 
-_HANDLERS = {
-    "catalog": _cmd_catalog,
-    "invariants": _cmd_invariants,
-    "classify": _cmd_classify,
-    "transform-check": _cmd_transform_check,
-    "metric-check": _cmd_metric_check,
+class _Command(NamedTuple):
+    handler: Callable[[RunConfig], _Report]
+    help: str
+    fields: tuple[str, ...]  # the RunConfig fields it takes
+
+
+_COMMON = ("command", "format", "output")  # what every command takes: its name, how its report is written
+
+_COMMANDS = {
+    "catalog": _Command(_cmd_catalog, "list built-in surfaces, metrics and metric pairs", _COMMON),
+    "invariants": _Command(_cmd_invariants, "per-point K, d, K/d^4 table for a surface",
+                           (*_COMMON, "surface", "params", "grid")),
+    "classify": _Command(_cmd_classify, "constant-ratio verdict for a surface",
+                         (*_COMMON, "surface", "params", "grid", "tolerance")),
+    "transform-check": _Command(_cmd_transform_check, "verify the det^-2 scaling law under a matrix",
+                                (*_COMMON, "surface", "params", "grid", "matrix", "tolerance")),
+    "metric-check": _Command(_cmd_metric_check, "pullback equality for a metric pair",
+                             (*_COMMON, "pair", "grid", "tolerance")),
 }
 
 
@@ -349,10 +353,9 @@ def _render_csv(report: _Report) -> str:
 
 def _render_text(report: _Report) -> str:
     lines = [f"command: {report.command}"]
-    cfg = report.config
-    for key in ("surface", "params", "pair", "grid", "matrix", "tolerance"):
-        if cfg.get(key) not in (None, {}, []):
-            lines.append(f"{key}: {cfg[key]}")
+    for key, value in report.config.items():
+        if key not in _COMMON and value not in (None, {}, []):
+            lines.append(f"{key}: {value}")
     if report.rows:
         lines.append("")
         lines.append("  ".join(f"{c:>22}" for c in report.columns))
@@ -411,7 +414,7 @@ def run(config: RunConfig) -> int:
     """Execute one command and emit its report.  Returns the exit status."""
     try:
         _validate(config)
-        report = _HANDLERS[config.command](config)
+        report = _COMMANDS[config.command].handler(config)
         text = _RENDERERS[config.format](report)
         _emit(text, config.output)
         if config.output is not None:
@@ -450,47 +453,34 @@ class _Parser(argparse.ArgumentParser):
             (file or sys.stderr).write(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=argparse.SUPPRESS,
-                        help="JSON config file; flags override file values")
-    common.add_argument("--grid", nargs=2, metavar=("NX", "NY"),
-                        default=argparse.SUPPRESS, help="sample grid size (default 20 20)")
-    common.add_argument("--tol", dest="tolerance", metavar="TOL", default=argparse.SUPPRESS,
-                        help="tolerance (default 1e-8)")
-    common.add_argument("--format", choices=tuple(_RENDERERS),
-                        default=argparse.SUPPRESS, help="report format (default text)")
-    common.add_argument("--output", default=argparse.SUPPRESS,
-                        help="write the report to this path (atomically if it is a new or "
-                             "regular file other than stdout)")
-
-    parser = _Parser(
-        prog="titeica",
-        description="Surface invariant K/d^4: classification, scaling-law and metric checks.",
-        parents=[common],
-    )
-
-    surface = argparse.ArgumentParser(add_help=False)
-    surface.add_argument("--surface", default=argparse.SUPPRESS, help="catalog surface name")
-    surface.add_argument("--param", dest="params", action="append", default=argparse.SUPPRESS,
-                         metavar="KEY=VALUE", help="surface parameter (repeatable)")
-
-    sub = parser.add_subparsers(dest="command")
-    sub.add_parser("catalog", parents=[common],
-                   help="list built-in surfaces, metrics and metric pairs")
-    sub.add_parser("invariants", parents=[common, surface],
-                   help="per-point K, d, K/d^4 table for a surface")
-    sub.add_parser("classify", parents=[common, surface],
-                   help="constant-ratio verdict for a surface")
-    tc = sub.add_parser("transform-check", parents=[common, surface],
-                        help="verify the det^-2 scaling law under a matrix")
-    tc.add_argument("--matrix", default=argparse.SUPPRESS,
-                    help="9 row-major entries, comma separated")
-    mc = sub.add_parser("metric-check", parents=[common],
-                        help="pullback equality for a metric pair")
+# Each RunConfig field: (converter, flag or None, the flag's argparse
+# settings), in --help order.  The command is the subcommand, not a flag.
+_FIELDS = {
+    "grid": (_grid, "--grid", dict(nargs=2, metavar=("NX", "NY"), help="sample grid size (default 20 20)")),
+    "tolerance": (_float, "--tol", dict(metavar="TOL", help="tolerance (default 1e-8)")),
+    "format": (_str, "--format", dict(choices=tuple(_RENDERERS), help="report format (default text)")),
+    "output": (_str, "--output", dict(help="write the report to this path (atomically if it is a new or "
+                                           "regular file other than stdout)")),
+    "surface": (_str, "--surface", dict(help="catalog surface name")),
+    "params": (_params, "--param", dict(action="append", metavar="KEY=VALUE", help="surface parameter (repeatable)")),
+    "matrix": (_matrix, "--matrix", dict(help="9 row-major entries, comma separated")),
     # metrics.pair_names(), written out so that the parser imports no metrics
-    mc.add_argument("--pair", default=argparse.SUPPRESS,
-                    help="one of: disk:minkowski-sphere, half-plane:disk, pseudosphere:half-plane")
+    "pair": (_str, "--pair", dict(help="one of: disk:minkowski-sphere, half-plane:disk, pseudosphere:half-plane")),
+    "command": (_str, None, {}),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    description = "Surface invariant K/d^4: classification, scaling-law and metric checks."
+    parser = _Parser(prog="titeica", description=description)
+    sub = parser.add_subparsers(dest="command")
+    takes = [(parser, ("grid", "tolerance", *_COMMON))]  # the flags accepted before the command
+    takes += [(sub.add_parser(name, help=c.help), c.fields) for name, c in _COMMANDS.items()]
+    for p, fields in takes:  # --config, then the flag of each field taken, in --help order
+        p.add_argument("--config", default=argparse.SUPPRESS, help="JSON config file; flags override file values")
+        for name, (_, flag, settings) in _FIELDS.items():
+            if flag and name in fields:
+                p.add_argument(flag, dest=name, default=argparse.SUPPRESS, **settings)
     return parser
 
 
@@ -506,7 +496,7 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"config: '{path}' is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"config: '{path}' must hold a JSON object")
-    unknown = set(data) - set(_CONVERTERS)
+    unknown = set(data) - set(_FIELDS)
     if unknown:
         raise UsageError(f"config: unknown field(s) {sorted(unknown)} in '{path}'")
     return data
@@ -527,7 +517,7 @@ def parse_config(argv=None) -> RunConfig:
             if value is None:
                 continue
             try:
-                value = _CONVERTERS[name](value)
+                value = _FIELDS[name][0](value)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise UsageError(f"{name}: {exc}") from exc
             values[name] = {**values.get("params", {}), **value} if name == "params" else value

@@ -106,10 +106,10 @@ class Jet2(NamedTuple):
         return _div(o, self)
 
     def __pow__(self, exponent):
-        if isinstance(exponent, int):
-            return pow_int(self, exponent)
-        if isinstance(exponent, float):
+        if isinstance(exponent, float) and not exponent.is_integer():  # fractional, nan or inf
             return _pow_real(self, exponent)
+        if isinstance(exponent, (int, float)):  # x ** 2.0 is x ** 2, for a negative x too
+            return pow_int(self, int(exponent))
         return NotImplemented
 
     def _unordered(self, other):

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import stat
 import subprocess
 import sys
@@ -372,14 +373,32 @@ def test_config_file_value_that_cannot_be_converted(field, value, tmp_path, monk
     ({"command": "invariants", "surface": "titeica-xyz", "matrix": "2,0,0,0,1,0,0,0,1"}, "matrix"),
     ({"command": "metric-check", "pair": "disk:minkowski-sphere", "surface": "plane"}, "surface"),
     ({"command": "catalog", "params": {"R": 2}}, "params"),
-], ids=["classify-matrix", "classify-pair", "invariants-matrix", "metric-check-surface", "catalog-params"])
+    ({"command": "catalog", "grid": [3, 3]}, "grid"),
+    ({"command": "catalog", "tolerance": 5}, "tolerance"),
+    ({"command": "invariants", "surface": "plane", "tolerance": 5}, "tolerance"),
+], ids=["classify-matrix", "classify-pair", "invariants-matrix", "metric-check-surface", "catalog-params",
+        "catalog-grid", "catalog-tolerance", "invariants-tolerance"])
 def test_config_file_field_its_command_does_not_take(config, field, tmp_path, capsys):
     # The parser refuses the field's flag; a file's value would be ignored
     # by the run and still echoed in its report's config.
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(config))
-    assert main(["--config", str(cfg), "--grid", "3", "3"]) == 2
+    assert main(["--config", str(cfg)]) == 2
     assert capsys.readouterr() == ("", f"error: {field}: not taken by the {config['command']} command\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--tol", "5", "catalog"], "error: tolerance: not taken by the catalog command\n"),
+    (["--grid", "3", "3", "catalog"], "error: grid: not taken by the catalog command\n"),
+    (["--tol", "5", "invariants", "--surface", "plane"], "error: tolerance: not taken by the invariants command\n"),
+    (["catalog", "--grid", "3", "3"], "titeica: error: unrecognized arguments: --grid 3 3\n"),
+], ids=["tol-catalog", "grid-catalog", "tol-invariants", "catalog-grid"])
+def test_flag_its_command_does_not_take(argv, message, capsys):
+    # A flag before the command is the top-level parser's, which takes the
+    # flags of several commands; the run then refuses it.
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(message)
 
 
 @pytest.mark.parametrize("params", [["R2"], [["R", 2]]], ids=["string", "pairs"])
@@ -782,8 +801,21 @@ def test_run_validates_config():
     assert run(RunConfig(command="transform-check", surface="plane")) == 2
 
 
-def test_every_config_field_has_one_converter():
-    assert tuple(cli._CONVERTERS) == RunConfig._fields
+@pytest.mark.parametrize("command, flags", [
+    (None, ("--grid", "--tol", "--format", "--output")),
+    ("catalog", ("--format", "--output")),
+    ("invariants", ("--grid", "--format", "--output", "--surface", "--param")),
+    ("classify", ("--grid", "--tol", "--format", "--output", "--surface", "--param")),
+    ("transform-check", ("--grid", "--tol", "--format", "--output", "--surface", "--param", "--matrix")),
+    ("metric-check", ("--grid", "--tol", "--format", "--output", "--pair")),
+], ids=["top-level", "catalog", "invariants", "classify", "transform-check", "metric-check"])
+def test_each_command_lists_the_flags_of_the_fields_it_takes(command, flags, capsys):
+    assert main([command, "--help"] if command else ["--help"]) == 0
+    usage = capsys.readouterr().out.partition("\n\n")[0]
+    assert tuple(re.findall(r"\[(-[-\w]+)", usage)) == ("-h", "--config", *flags)
+
+
+def test_run_config_params_default_to_a_fresh_dict():
     first, second = RunConfig("catalog"), RunConfig(command="catalog")
     assert first == second and first.params == {}
     assert first.params is not second.params

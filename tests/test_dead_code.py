@@ -1,7 +1,8 @@
 """No dead code in the package: every import is used, every private
 module-level function or class is referenced somewhere in the package,
 and every name a module-level assignment binds is read somewhere in the
-package or listed in an ``__all__``.
+package or listed in an ``__all__``.  The package also stays within its
+2,000-line budget.
 
 The checks read the source with ``ast``.  A name counts as used in a
 module if it is read there as a name or listed in a literal ``__all__``.
@@ -103,3 +104,13 @@ def test_every_module_level_assignment_is_read():
     dead = [f"{module}: {name}" for module, tree in trees.items() for name in assigned_names(tree)
             if name not in referenced]
     assert dead == []
+
+
+def test_package_stays_within_its_line_budget():
+    # ROADMAP aim 2 asks for the same results from the least code, within
+    # 2,000 lines for the whole package.
+    lines = 0
+    for module in MODULES:
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            lines += len(fh.readlines())
+    assert lines <= 2000

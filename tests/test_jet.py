@@ -106,6 +106,16 @@ def test_pow_int_negative_base():
         jet.pow_int(seed_x(0.0), -2)
 
 
+@pytest.mark.parametrize("x", [-1.5, -0.0, 0.0, 0.75, 3.0])
+def test_integral_float_exponent_is_the_integer_power(x):
+    # An integral float exponent is an integer power, so a base that is
+    # not positive is fine.
+    for n in (-2, 0, 1, 2, 3):
+        if x == 0.0 and n < 0:
+            continue
+        assert list(map(repr, seed_x(x) ** float(n))) == list(map(repr, seed_x(x) ** n))  # bitwise
+
+
 def test_fractional_power_requires_positive_base():
     with pytest.raises(DomainError):
         seed_x(-2.0) ** 0.5

@@ -93,12 +93,12 @@ def check_rows(report):
 
 @pytest.mark.parametrize("config", configs(), ids=lambda c: " ".join(map(str, filter(None, c[:6]))))
 def test_rows_match_the_general_encoder(config):
-    check_rows(cli._HANDLERS[config.command](config))
+    check_rows(cli._COMMANDS[config.command].handler(config))
 
 
 def test_nan_rows_match_the_general_encoder(monkeypatch):
     monkeypatch.setitem(metrics._PAIRS, "flat:nan", nan_metric_pair())
-    report = cli._HANDLERS["metric-check"](RunConfig("metric-check", pair="flat:nan", grid=GRID))
+    report = cli._COMMANDS["metric-check"].handler(RunConfig("metric-check", pair="flat:nan", grid=GRID))
     assert any(isinstance(v, float) and math.isnan(v) for row in report.rows for v in row)
     check_rows(report)
 
@@ -199,7 +199,7 @@ def test_fill_matches_a_per_cell_encoder(format, rows):
 
 
 def test_equal_cells_of_a_column_share_one_string():
-    report = cli._HANDLERS["classify"](
+    report = cli._COMMANDS["classify"].handler(
         RunConfig("classify", surface="sphere-origin", params={"R": 1.3}, grid=(50, 50))
     )
     cells = cli._cells(report, ENCODERS["json"])
