@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 _NAMES = {
     "centroaffine": ("CentroAffineMap", "ScalingPoint", "ScalingReport", "apply_map", "verify_scaling"),
     "errors": (
-        "CatalogError", "DomainError", "GeometryError", "InconclusiveError",
-        "RegularityError", "SignatureError", "SingularPointError", "UsageError",
+        "CatalogError", "DomainError", "GeometryError", "InconclusiveError", "SingularPointError",
+        "UsageError",
     ),
     "invariants": (
         "EPS_SINGULAR", "ClassifyVerdict", "FundamentalForms", "OrientedVolumes", "PointRecord",

@@ -109,10 +109,8 @@ def verify_scaling(s: SurfaceDef, a: CentroAffineMap, points, tol: float) -> Sca
     """Check the scaling identities at the given parameter points, reading
     source and image under the ambient form of ``s``.
 
-    The volume residual is relative, |after - predicted| / |predicted|.
-    The ratio and numerator residuals are |after - predicted| /
-    max(1, |predicted|): relative above 1 but absolute below it, where
-    even a wrong law can read as a small residual (ROADMAP item 1).
+    Each residual is relative, |after - predicted| / |predicted|, and
+    absolute, |after|, only where the prediction is exactly 0.
     Singular points, and points whose curvature
     numerator leaves float range, are recorded as skipped; a run where
     every point was skipped fails.
@@ -126,14 +124,14 @@ def verify_scaling(s: SurfaceDef, a: CentroAffineMap, points, tol: float) -> Sca
         image = _core(a.act(sj), amb)
         after = image.ratio()
         predicted = before / det2
-        ratio_res = abs(after - predicted) / max(1.0, abs(predicted))
+        ratio_res = abs(after - predicted) / (abs(predicted) or 1.0)
         v_pred = a.det * source.V
-        volume_res = abs(image.V - v_pred) / max(1e-300, abs(v_pred))
+        volume_res = abs(image.V - v_pred) / (abs(v_pred) or 1.0)
         num_pred = det2 * source.num
         # image.num is finite: image.ratio() found K = num / nn^2 finite.
         if not math.isfinite(num_pred):
             raise SingularPointError(f"non-finite Vx Vy - Vxy^2 (det = {a.det:g})")
-        numerator_res = abs(image.num - num_pred) / max(1.0, abs(num_pred))
+        numerator_res = abs(image.num - num_pred) / (abs(num_pred) or 1.0)
         return _new(ScalingPoint, (x, y, before, after, ratio_res, volume_res, numerator_res, None))
 
     rows = _sweep(s, points, evaluate, ScalingPoint)

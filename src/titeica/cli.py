@@ -422,7 +422,7 @@ def run(config: RunConfig) -> int:
             print(f"wrote {config.format} report to {config.output}"
                   + ("" if status is None else f" ({'PASS' if status else 'FAIL'})"))
         return 0 if report.summary.get("passed", True) else 1
-    except (UsageError, CatalogError, ValueError) as exc:
+    except (CatalogError, ValueError) as exc:  # UsageError and DomainError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InconclusiveError as exc:

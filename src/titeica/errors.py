@@ -14,18 +14,12 @@ class DomainError(GeometryError, ValueError):
 
 
 class SingularPointError(GeometryError):
-    """A quantity is undefined at this point (tangent plane through the
-    origin, vanishing position volume).  Callers iterating over grids are
-    expected to skip such points and record the reason."""
-
-
-class RegularityError(GeometryError):
-    """The tangent plane is degenerate at this point."""
-
-
-class SignatureError(GeometryError):
-    """The ambient bilinear form misbehaves here: non-positive-definite
-    metric or null normal vector."""
+    """A quantity is undefined at this point: a degenerate tangent plane,
+    a null or non-finite normal, a tangent plane through the origin, a
+    K/d^4 that is not finite or underflows, a metric that is not
+    positive-definite or a coordinate change with a singular Jacobian.
+    A grid sweep records such a point as skipped, with the message as
+    its reason."""
 
 
 class CatalogError(GeometryError, LookupError):

@@ -30,8 +30,9 @@ most EPS_SINGULAR, when nn is not finite (an overflowing normal would
 otherwise read as d = 0), or when |nn|, then d, is at most EPS_SINGULAR;
 the pass raises at the first failing test.  So is a point whose K, d or
 K/d^4 is not finite, or whose K/d^4 underflows: num is not 0 but |K/d^4|
-is below the smallest normal float.  Where V^4 is beyond float range the
-quotient is taken as num / V^2 / V^2.
+is below the smallest normal float.  Each raises SingularPointError with
+its own message.  Where V^4 is beyond float range the quotient is taken
+as num / V^2 / V^2.
 
 The grid commands (:func:`scan_grid`, :func:`classify` and
 ``centroaffine.verify_scaling``) walk their points through one sweep,
@@ -43,11 +44,10 @@ import sys
 from typing import NamedTuple, Optional
 
 from . import _NAMES
-from .errors import InconclusiveError, RegularityError, SignatureError, SingularPointError
+from .errors import InconclusiveError, SingularPointError
 from .surfaces import (
     DEFAULT_GRID,
     DEFAULT_TOL,
-    EUCLIDEAN,
     AmbientForm,
     SurfaceDef,
     SurfaceJet,
@@ -60,8 +60,6 @@ __all__ = list(_NAMES["invariants"])
 # Threshold on |f_x x f_y|^2, |<n, n>| and d below which a point is treated as
 # singular and must be skipped (never silently dropped) by callers.
 EPS_SINGULAR = 1e-9
-
-_SKIP = (SingularPointError, RegularityError, SignatureError)
 
 # Builds a per-point record without the argument binding of its generated
 # __new__; every field is given, in order.
@@ -121,13 +119,13 @@ def _core(sj: SurfaceJet, amb: AmbientForm) -> _Core:
     c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
     cc = c0 * c0 + c1 * c1 + c2 * c2
     if cc <= EPS_SINGULAR:
-        raise RegularityError(f"degenerate tangent plane (|f_x x f_y|^2 = {cc:g})")
+        raise SingularPointError(f"degenerate tangent plane (|f_x x f_y|^2 = {cc:g})")
     s0, s1, s2 = amb.signature
     nn = float(s0 * c0 * c0 + s1 * c1 * c1 + s2 * c2 * c2)  # as amb.inner(c, c)
     if not math.isfinite(nn):
         raise SingularPointError(f"non-finite normal (<n, n> = {nn:g})")
     if abs(nn) <= EPS_SINGULAR:
-        raise SignatureError(f"normal vector is null under the {amb.name} form")
+        raise SingularPointError(f"normal vector is null under the {amb.name} form")
     vx = p0 * c0 + p1 * c1 + p2 * c2  # f_xx
     vy = r0 * c0 + r1 * c1 + r2 * c2  # f_yy
     vxy = q0 * c0 + q1 * c1 + q2 * c2  # f_xy
@@ -174,7 +172,7 @@ def titeica_ratio(sj: SurfaceJet, amb: AmbientForm) -> float:
     return _core(sj, amb).ratio()
 
 
-def identity_residual(sj: SurfaceJet, amb: AmbientForm = EUCLIDEAN) -> float:
+def identity_residual(sj: SurfaceJet, amb: AmbientForm) -> float:
     """|sign(<n,n>) (LN - M^2) / (EG - F^2) / d^4 - K/d^4|, the classical
     curvature route through the forms of :func:`fundamental_forms`
     against the ratio, both from one pass.  It is inf where EG - F^2 has
@@ -197,7 +195,7 @@ def _sweep(s: SurfaceDef, points, evaluate, record) -> list:
     check that it is inside the box (a DomainError propagates), then give
     ``evaluate(x, y, jet)`` for the jet ``s.patch(x, y, lines)``, where
     ``lines`` is the sweep's one pair of line dicts (see
-    ``surfaces._by_lines``).  A point that raises one of ``_SKIP`` becomes
+    ``surfaces._by_lines``).  A point that raises SingularPointError becomes
     ``record(x, y, skipped=<the error's message>)``; other errors propagate."""
     patch, lines = s.patch, ({}, {})
     rows = []
@@ -205,7 +203,7 @@ def _sweep(s: SurfaceDef, points, evaluate, record) -> list:
         try:
             s.domain.require(x, y, "surface", s.name)
             rows.append(evaluate(x, y, patch(x, y, lines)))
-        except _SKIP as exc:
+        except SingularPointError as exc:
             rows.append(record(x, y, skipped=str(exc)))
     return rows
 

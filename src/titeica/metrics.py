@@ -21,7 +21,7 @@ import math
 from typing import Callable, NamedTuple, Optional
 
 from . import _NAMES, jet
-from .errors import CatalogError, DomainError, RegularityError, SignatureError
+from .errors import CatalogError, DomainError, SingularPointError
 from .jet import Jet2, constant, seed_xy
 from .surfaces import Box, det3, grid_points
 
@@ -76,7 +76,7 @@ def brioschi_curvature(m: Metric2, p: tuple[float, float]) -> float:
     e, f, g = m.components(*seed_xy(x, y))
     disc = e.val * g.val - f.val * f.val
     if e.val <= 0.0 or disc <= 0.0:
-        raise SignatureError(f"metric '{m.name}' is not positive-definite at ({x:g}, {y:g})")
+        raise SingularPointError(f"metric '{m.name}' is not positive-definite at ({x:g}, {y:g})")
     m1 = (
         (-0.5 * e.dyy + f.dxy - 0.5 * g.dxx, 0.5 * e.dx, f.dx - 0.5 * e.dy),
         (f.dy - 0.5 * g.dx, e.val, f.val),
@@ -102,7 +102,7 @@ def pullback(m: Metric2, mapping: Mapping2, p: tuple[float, float]) -> tuple[flo
         )
     jdet = u.dx * v.dy - u.dy * v.dx
     if abs(jdet) <= 1e-12:
-        raise RegularityError(
+        raise SingularPointError(
             f"coordinate change into metric '{m.name}' has singular Jacobian at ({x:g}, {y:g})"
         )
     e, f, g = m.components(constant(u.val), constant(v.val))

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from titeica.errors import RegularityError, SignatureError, SingularPointError
+from titeica.errors import SingularPointError
 from titeica.invariants import EPS_SINGULAR, FundamentalForms, OrientedVolumes
 
 
@@ -33,12 +33,12 @@ def _frame(sj, amb):
     c = np.cross(sj.f_x, sj.f_y)
     cc = float(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
     if cc <= EPS_SINGULAR:
-        raise RegularityError(f"degenerate tangent plane (|f_x x f_y|^2 = {cc:g})")
+        raise SingularPointError(f"degenerate tangent plane (|f_x x f_y|^2 = {cc:g})")
     s = amb.signature
     n = np.array([s[0] * c[0], s[1] * c[1], s[2] * c[2]])
     nn = amb.inner(n, n)
     if abs(nn) <= EPS_SINGULAR:
-        raise SignatureError(f"normal vector is null under the {amb.name} form")
+        raise SingularPointError(f"normal vector is null under the {amb.name} form")
     return e, f, g, disc, n, nn
 
 

@@ -7,7 +7,7 @@ import numpy as np
 
 from titeica import jet
 from titeica.centroaffine import CentroAffineMap, ScalingPoint
-from titeica.errors import GeometryError, RegularityError, SignatureError, SingularPointError
+from titeica.errors import GeometryError, SingularPointError
 from titeica.invariants import oriented_volumes, tangent_distance, titeica_ratio
 from titeica.metrics import Metric2, MetricPair
 from titeica.surfaces import EUCLIDEAN, Box, SurfaceDef, SurfaceJet, eval_surface, parametric
@@ -66,7 +66,7 @@ def scaling_reference(s, a, points):
             tj = a.act(sj)
             before = titeica_ratio(sj, s.ambient)
             after = titeica_ratio(tj, s.ambient)
-        except (SingularPointError, RegularityError, SignatureError) as exc:
+        except SingularPointError as exc:
             rows.append(ScalingPoint(x, y, skipped=str(exc)))
             continue
         predicted = before / det2
@@ -76,9 +76,9 @@ def scaling_reference(s, a, points):
         num_pred = det2 * (vols.Vx * vols.Vy - vols.Vxy**2)
         rows.append(ScalingPoint(
             x, y, before, after,
-            abs(after - predicted) / max(1.0, abs(predicted)),
-            abs(ivols.V - v_pred) / max(1e-300, abs(v_pred)),
-            abs(ivols.Vx * ivols.Vy - ivols.Vxy**2 - num_pred) / max(1.0, abs(num_pred)),
+            abs(after - predicted) / (abs(predicted) or 1.0),
+            abs(ivols.V - v_pred) / (abs(v_pred) or 1.0),
+            abs(ivols.Vx * ivols.Vy - ivols.Vxy**2 - num_pred) / (abs(num_pred) or 1.0),
         ))
     return rows
 

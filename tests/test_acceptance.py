@@ -146,7 +146,7 @@ def test_criterion_07_identity_suite():
         x, y = random_regular_point(rng, s)
         sj = eval_surface(s, x, y)
         ratio = titeica_ratio(sj, EUCLIDEAN)
-        worst = max(worst, identity_residual(sj) / max(1.0, abs(ratio)))
+        worst = max(worst, identity_residual(sj, EUCLIDEAN) / max(1.0, abs(ratio)))
     report(
         "criterion 7: |K/d^4 - (VxVy - Vxy^2)/V^4| <= 1e-9 max(1, |ratio|) on 500 random patches",
         worst <= 1e-9,

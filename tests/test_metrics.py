@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from helpers import FLAT, nan_metric_pair
-from titeica import metrics
+from titeica import jet, metrics
 from titeica.cli import main
-from titeica.errors import CatalogError, DomainError, RegularityError, SignatureError
-from titeica.invariants import fundamental_forms
+from titeica.errors import CatalogError, DomainError, SingularPointError
+from titeica.invariants import fundamental_forms, gaussian_curvature
 from titeica.jet import constant, seed_xy
 from titeica.metrics import (
     Metric2,
@@ -62,7 +62,7 @@ def test_brioschi_rejects_indefinite_metric():
         return constant(-1.0), constant(0.0), constant(1.0)
 
     m = Metric2("bad", components, Box(-1, 1, -1, 1))
-    with pytest.raises(SignatureError):
+    with pytest.raises(SingularPointError, match="metric 'bad' is not positive-definite"):
         brioschi_curvature(m, (0.0, 0.0))
 
 
@@ -74,7 +74,7 @@ def test_pullback_through_identity():
         for a, b in zip(direct, pulled):
             assert abs(a - b) <= 1e-14
     # (x, y) -> (x, y0) keeps the point but collapses the second direction
-    with pytest.raises(RegularityError, match="singular Jacobian"):
+    with pytest.raises(SingularPointError, match="singular Jacobian"):
         pullback(m, lambda x, y: (x, constant(y.val)), p)
 
 
@@ -221,6 +221,43 @@ def test_extrinsic_matches_intrinsic_on_minkowski_sphere():
         assert abs(forms.E - g11) <= 1e-10
         assert abs(forms.F - g12) <= 1e-10
         assert abs(forms.G - g22) <= 1e-10
+
+
+def _monge_form(u_x, u_y):
+    """First fundamental form of the graph of u: 1 + u_x^2, u_x u_y, 1 + u_y^2."""
+    def components(x, y):
+        p, q = u_x(x, y), u_y(x, y)
+        return 1.0 + p * p, p * q, 1.0 + q * q
+
+    return components
+
+
+def _sphere_slope(x, y, r=1.3):
+    return -x / jet.sqrt(r * r - x * x - y * y)
+
+
+# The first fundamental form of each surface as a jet-evaluable metric.
+# It needs the first derivatives of the immersion as jets, which a
+# SurfaceJet does not carry, so they are written out.
+FIRST_FORMS = {
+    "sphere-origin": _monge_form(_sphere_slope, lambda x, y: _sphere_slope(y, x)),
+    "titeica-xyz": _monge_form(lambda x, y: -1.0 / (x * x * y), lambda x, y: -1.0 / (x * y * y)),
+    "paraboloid": _monge_form(lambda x, y: 2.0 * x, lambda x, y: 2.0 * y),
+    "pseudosphere": lambda t, theta: (jet.tanh(t) * jet.tanh(t), constant(0.0),
+                                      1.0 / (jet.cosh(t) * jet.cosh(t))),
+    "minkowski-sphere": lambda u1, u2: (constant(1.0), constant(0.0), jet.sinh(u1) * jet.sinh(u1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_FORMS))
+def test_theorema_egregium(name):
+    # Gauss: K depends on the first fundamental form alone, so Brioschi's
+    # intrinsic K must match the volume route's K = det(S) (Vx Vy - Vxy^2) / nn^2
+    s = catalog(name, R=1.3) if name == "sphere-origin" else catalog(name)
+    m = Metric2(name, FIRST_FORMS[name], s.domain)
+    for p in grid_points(s.domain, 12, 12):
+        k = gaussian_curvature(eval_surface(s, *p), s.ambient)
+        assert abs(brioschi_curvature(m, p) - k) <= 1e-12 * max(1.0, abs(k)), (p, k)
 
 
 def test_unknown_metric_and_pair():

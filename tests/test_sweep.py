@@ -22,8 +22,8 @@ import pytest
 from helpers import outcome
 from titeica import invariants, jet, surfaces
 from titeica.centroaffine import CentroAffineMap, apply_map, verify_scaling
-from titeica.errors import DomainError
-from titeica.invariants import _SKIP, PointRecord, _core, scan_grid
+from titeica.errors import DomainError, SingularPointError
+from titeica.invariants import PointRecord, _core, scan_grid
 from titeica.surfaces import (
     EUCLIDEAN,
     Box,
@@ -62,7 +62,7 @@ def called_rows(s, grid):
         try:
             p = _core(s.patch(x, y), s.ambient)
             rows.append(PointRecord(x, y, p.K, p.d, p.ratio()))
-        except _SKIP as exc:
+        except SingularPointError as exc:
             rows.append(PointRecord(x, y, skipped=str(exc)))
     return rows
 
