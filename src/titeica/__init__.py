@@ -25,9 +25,8 @@ _NAMES = {
         "UsageError",
     ),
     "invariants": (
-        "EPS_SINGULAR", "ClassifyVerdict", "FundamentalForms", "OrientedVolumes", "PointRecord",
-        "classify", "fundamental_forms", "gaussian_curvature", "identity_residual",
-        "oriented_volumes", "scan_grid", "tangent_distance", "titeica_ratio",
+        "EPS_SINGULAR", "ClassifyVerdict", "PointInvariants", "PointRecord", "classify",
+        "identity_residual", "point_invariants", "scan_grid",
     ),
     "jet": ("Jet2", "constant", "seed_x", "seed_xy", "seed_y"),
     "metrics": (

@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 
 from . import _NAMES
 from .errors import SingularPointError
-from .invariants import _core, _sweep
+from .invariants import _sweep, point_invariants
 from .surfaces import SurfaceDef, SurfaceJet, det3
 
 __all__ = list(_NAMES["centroaffine"])
@@ -119,9 +119,9 @@ def verify_scaling(s: SurfaceDef, a: CentroAffineMap, points, tol: float) -> Sca
     det2 = a.det * a.det
 
     def evaluate(x, y, sj):
-        source = _core(sj, amb)
+        source = point_invariants(sj, amb)
         before = source.ratio()
-        image = _core(a.act(sj), amb)
+        image = point_invariants(a.act(sj), amb)
         after = image.ratio()
         predicted = before / det2
         ratio_res = abs(after - predicted) / (abs(predicted) or 1.0)

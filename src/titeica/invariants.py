@@ -3,16 +3,16 @@
 Everything here comes from one pass over a :class:`SurfaceJet`, in the
 paper's representation.  Let S = diag(signature) be the ambient form,
 <v, w> = v^T S w, and c = f_x x f_y the Euclidean cross product of the
-tangent rows.  The pass, ``_core``, writes out c and then
+tangent rows.  The pass, :func:`point_invariants`, writes out c and then
 
 * the four oriented volumes Vx, Vy, Vxy, V = det(row; f_x; f_y) for
   row = f_xx, f_yy, f_xy and the position f, each as row . c,
 * nn = c^T S c and num = det(S) (Vx Vy - Vxy^2), with det(S) = +1 for
   the Euclidean and -1 for the Minkowski form,
 
-and derives K = num / nn^2, the distance d = |V| / sqrt(|nn|) from the
-origin to the affine tangent plane, and the ratio K/d^4 = num / V^4.
-:func:`oriented_volumes` is the four determinants, each one ``det3``.
+and derives K = num / nn^2 and the distance d = |V| / sqrt(|nn|) from the
+origin to the affine tangent plane; its result's ``ratio()`` is
+K/d^4 = num / V^4.
 
 The normal is n = S c: it is ambient-orthogonal to the tangent plane for
 both signatures, <n, n> = nn and <row, n> = row . c because S^2 = I.
@@ -20,10 +20,9 @@ Two identities remove the first fundamental form.  Lagrange's identity
 gives EG - F^2 = det(S) nn; with L, M, N = (Vx, Vxy, Vy) / sqrt(|nn|),
 LN - M^2 = (Vx Vy - Vxy^2) / |nn|.  So the classical
 K = sign(nn) (LN - M^2) / (EG - F^2) is num / nn^2, and carrying sign(nn)
-reproduces K = -1, d = 1 on the unit Minkowski hyperboloid.  E, F and G
-appear only in :func:`fundamental_forms`, and EG - F^2 only in
-:func:`identity_residual`, which measures the classical route against
-the pass.
+reproduces K = -1, d = 1 on the unit Minkowski hyperboloid.  The forms
+and EG - F^2 appear only in :func:`identity_residual`, which measures the
+classical route against the pass.
 
 A point is singular when |c|^2 (EG - F^2 for the Euclidean form) is at
 most EPS_SINGULAR, when nn is not finite (an overflowing normal would
@@ -51,7 +50,6 @@ from .surfaces import (
     AmbientForm,
     SurfaceDef,
     SurfaceJet,
-    det3,
     grid_points,
 )
 
@@ -66,24 +64,9 @@ EPS_SINGULAR = 1e-9
 _new = tuple.__new__
 
 
-class FundamentalForms(NamedTuple):
-    E: float
-    F: float
-    G: float
-    L: float
-    M: float
-    N: float
-
-
-class OrientedVolumes(NamedTuple):
-    Vx: float
-    Vy: float
-    Vxy: float
-    V: float
-
-
-class _Core(NamedTuple):
-    """What one pass yields at a regular point."""
+class PointInvariants(NamedTuple):
+    """What one pass yields at a regular point: the four oriented volumes,
+    nn = <n, n>, num = det(S) (Vx Vy - Vxy^2), K and d."""
 
     Vx: float
     Vy: float
@@ -95,6 +78,7 @@ class _Core(NamedTuple):
     d: float
 
     def ratio(self) -> float:
+        """K/d^4 = num / V^4; raises SingularPointError where it does not exist."""
         k, d = self.K, self.d
         if d <= EPS_SINGULAR:
             raise SingularPointError(f"tangent plane passes through the origin (d = {d:g})")
@@ -110,7 +94,7 @@ class _Core(NamedTuple):
         return ratio
 
 
-def _core(sj: SurfaceJet, amb: AmbientForm) -> _Core:
+def point_invariants(sj: SurfaceJet, amb: AmbientForm) -> PointInvariants:
     """The single pass over a point, written out (no helper calls: this
     runs once per grid point); raises where a singularity test fails."""
     (f0, f1, f2), (a0, a1, a2), (b0, b1, b2), (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = sj
@@ -131,56 +115,21 @@ def _core(sj: SurfaceJet, amb: AmbientForm) -> _Core:
     vxy = q0 * c0 + q1 * c1 + q2 * c2  # f_xy
     v = f0 * c0 + f1 * c1 + f2 * c2  # f
     num = s0 * s1 * s2 * (vx * vy - vxy * vxy)
-    return _new(_Core, (vx, vy, vxy, v, nn, num, num / (nn * nn), abs(v) / math.sqrt(abs(nn))))
-
-
-def _forms(sj: SurfaceJet, amb: AmbientForm, p: _Core) -> FundamentalForms:
-    scale = 1.0 / math.sqrt(abs(p.nn))
-    fx, fy = sj.f_x, sj.f_y
-    return FundamentalForms(amb.inner(fx, fx), amb.inner(fx, fy), amb.inner(fy, fy),
-                            p.Vx * scale, p.Vxy * scale, p.Vy * scale)
-
-
-def fundamental_forms(sj: SurfaceJet, amb: AmbientForm) -> FundamentalForms:
-    """E, F, G = <f_x, f_x>, <f_x, f_y>, <f_y, f_y> and L, M, N =
-    (Vx, Vxy, Vy) / sqrt(|nn|) from the pass."""
-    return _forms(sj, amb, _core(sj, amb))
-
-
-def gaussian_curvature(sj: SurfaceJet, amb: AmbientForm) -> float:
-    """K = det(S) (Vx Vy - Vxy^2) / <n, n>^2, which is
-    sign(<n,n>) (LN - M^2) / (EG - F^2)."""
-    return _core(sj, amb).K
-
-
-def tangent_distance(sj: SurfaceJet, amb: AmbientForm) -> float:
-    """Distance from the origin to the affine tangent plane,
-    |<f, n>| / sqrt(|<n, n>|)."""
-    return _core(sj, amb).d
-
-
-def oriented_volumes(sj: SurfaceJet) -> OrientedVolumes:
-    """Signed volumes of the parallelepipeds spanned by (row; f_x; f_y)
-    with row = f_xx, f_yy, f_xy and the position f."""
-    fx, fy = sj.f_x, sj.f_y
-    return OrientedVolumes(det3(sj.f_xx, fx, fy), det3(sj.f_yy, fx, fy),
-                           det3(sj.f_xy, fx, fy), det3(sj.f, fx, fy))
-
-
-def titeica_ratio(sj: SurfaceJet, amb: AmbientForm) -> float:
-    """The ratio K/d^4 = det(S) (Vx Vy - Vxy^2) / V^4."""
-    return _core(sj, amb).ratio()
+    return _new(PointInvariants, (vx, vy, vxy, v, nn, num, num / (nn * nn), abs(v) / math.sqrt(abs(nn))))
 
 
 def identity_residual(sj: SurfaceJet, amb: AmbientForm) -> float:
     """|sign(<n,n>) (LN - M^2) / (EG - F^2) / d^4 - K/d^4|, the classical
-    curvature route through the forms of :func:`fundamental_forms`
-    against the ratio, both from one pass.  It is inf where EG - F^2 has
-    cancelled to 0, and on the catalog and random patches it stays below
-    1e-9 * max(1, |ratio|)."""
-    p = _core(sj, amb)
+    curvature route against the ratio, both from one pass: E, F, G =
+    <f_x, f_x>, <f_x, f_y>, <f_y, f_y> and L, M, N = (Vx, Vxy, Vy) /
+    sqrt(|nn|).  It is inf where EG - F^2 has cancelled to 0, and on the
+    catalog and random patches it stays below 1e-9 * max(1, |ratio|)."""
+    p = point_invariants(sj, amb)
     ratio = p.ratio()
-    e, f, g, l, m, n = _forms(sj, amb, p)
+    fx, fy = sj.f_x, sj.f_y
+    e, f, g = amb.inner(fx, fx), amb.inner(fx, fy), amb.inner(fy, fy)
+    scale = 1.0 / math.sqrt(abs(p.nn))
+    l, m, n = p.Vx * scale, p.Vxy * scale, p.Vy * scale
     disc = e * g - f * f
     sign = 1.0 if p.nn > 0.0 else -1.0
     return abs(sign * (l * n - m * m) / disc / p.d**2 / p.d**2 - ratio) if disc else math.inf
@@ -237,7 +186,7 @@ def scan_grid(s: SurfaceDef, grid: tuple[int, int] = DEFAULT_GRID) -> list[Point
     amb = s.ambient
 
     def evaluate(x, y, sj):
-        p = _core(sj, amb)
+        p = point_invariants(sj, amb)
         return _new(PointRecord, (x, y, p.K, p.d, p.ratio(), None))
 
     return _sweep(s, grid_points(s.domain, *grid), evaluate, PointRecord)

@@ -106,11 +106,14 @@ class Jet2(NamedTuple):
         return _div(o, self)
 
     def __pow__(self, exponent):
-        if isinstance(exponent, float) and not exponent.is_integer():  # fractional, nan or inf
-            return _pow_real(self, exponent)
-        if isinstance(exponent, (int, float)):  # x ** 2.0 is x ** 2, for a negative x too
+        if isinstance(exponent, numbers.Integral):  # numpy.int64 too
             return pow_int(self, int(exponent))
-        return NotImplemented
+        if not isinstance(exponent, numbers.Real):
+            return NotImplemented
+        p = float(exponent)  # a numpy.float64 exponent gives float fields
+        if p.is_integer():  # x ** 2.0 is x ** 2, for a negative x too
+            return pow_int(self, int(p))
+        return _pow_real(self, p)  # fractional, nan or inf
 
     def _unordered(self, other):
         # Jets have no order.  Returning NotImplemented would let tuple

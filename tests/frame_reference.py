@@ -2,11 +2,14 @@
 
 Every public function rebuilds the frame (tangent form, normal n = S c
 with c = numpy.cross(f_x, f_y), and <n, n>) on its own, and the oriented
-volumes are explicit 3x3 determinants.  The one-pass core in
-``titeica.invariants`` must agree with it bitwise on the volumes, the
-fundamental forms and d, and raise the same error at every point.  K and
-K/d^4 here take the classical route through EG - F^2; the core's values
-are held to ``tests/exact.py`` instead.
+volumes are explicit 3x3 determinants.  Results are plain tuples:
+``fundamental_forms`` gives (E, F, G, L, M, N) and ``oriented_volumes``
+gives (Vx, Vy, Vxy, V).  ``titeica.invariants.point_invariants`` must
+agree with it bitwise on the volumes and d, and raise the same error at
+every point; ``identity_residual`` must agree bitwise with the same
+expression built from these forms.  K and K/d^4 here take the classical
+route through EG - F^2; the pass's values are held to ``tests/exact.py``
+instead.
 """
 
 import math
@@ -14,7 +17,7 @@ import math
 import numpy as np
 
 from titeica.errors import SingularPointError
-from titeica.invariants import EPS_SINGULAR, FundamentalForms, OrientedVolumes
+from titeica.invariants import EPS_SINGULAR
 
 
 def det3(r0, r1, r2):
@@ -45,14 +48,8 @@ def _frame(sj, amb):
 def fundamental_forms(sj, amb):
     e, f, g, _, n, nn = _frame(sj, amb)
     scale = 1.0 / math.sqrt(abs(nn))
-    return FundamentalForms(
-        E=e,
-        F=f,
-        G=g,
-        L=amb.inner(sj.f_xx, n) * scale,
-        M=amb.inner(sj.f_xy, n) * scale,
-        N=amb.inner(sj.f_yy, n) * scale,
-    )
+    return (e, f, g,
+            amb.inner(sj.f_xx, n) * scale, amb.inner(sj.f_xy, n) * scale, amb.inner(sj.f_yy, n) * scale)
 
 
 def gaussian_curvature(sj, amb):
@@ -71,12 +68,8 @@ def tangent_distance(sj, amb):
 
 
 def oriented_volumes(sj):
-    return OrientedVolumes(
-        Vx=det3(sj.f_xx, sj.f_x, sj.f_y),
-        Vy=det3(sj.f_yy, sj.f_x, sj.f_y),
-        Vxy=det3(sj.f_xy, sj.f_x, sj.f_y),
-        V=det3(sj.f, sj.f_x, sj.f_y),
-    )
+    return (det3(sj.f_xx, sj.f_x, sj.f_y), det3(sj.f_yy, sj.f_x, sj.f_y),
+            det3(sj.f_xy, sj.f_x, sj.f_y), det3(sj.f, sj.f_x, sj.f_y))
 
 
 def titeica_ratio(sj, amb):

@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 
+import frame_reference as ref
 from titeica import jet
 from titeica.centroaffine import CentroAffineMap, ScalingPoint
 from titeica.errors import GeometryError, SingularPointError
-from titeica.invariants import oriented_volumes, tangent_distance, titeica_ratio
+from titeica.invariants import point_invariants
 from titeica.metrics import Metric2, MetricPair
 from titeica.surfaces import EUCLIDEAN, Box, SurfaceDef, SurfaceJet, eval_surface, parametric
 
@@ -55,30 +56,30 @@ def jet2_image(sj, a):
 
 def scaling_reference(s, a, points):
     """Reference rows for ``verify_scaling``: four separate views per
-    point, ``titeica_ratio`` under ``s.ambient`` and ``oriented_volumes``
-    on the source jet and on its image ``a.act(sj)``, with the residual
-    expressions of the library."""
+    point, the pass's ratio under ``s.ambient`` and the reference's
+    ``oriented_volumes`` on the source jet and on its image ``a.act(sj)``,
+    with the residual expressions of the library."""
     det2 = a.det * a.det
     rows = []
     for x, y in points:
         try:
             sj = eval_surface(s, x, y)
             tj = a.act(sj)
-            before = titeica_ratio(sj, s.ambient)
-            after = titeica_ratio(tj, s.ambient)
+            before = point_invariants(sj, s.ambient).ratio()
+            after = point_invariants(tj, s.ambient).ratio()
         except SingularPointError as exc:
             rows.append(ScalingPoint(x, y, skipped=str(exc)))
             continue
         predicted = before / det2
-        vols = oriented_volumes(sj)
-        ivols = oriented_volumes(tj)
-        v_pred = a.det * vols.V
-        num_pred = det2 * (vols.Vx * vols.Vy - vols.Vxy**2)
+        vx, vy, vxy, v = ref.oriented_volumes(sj)
+        ivx, ivy, ivxy, iv = ref.oriented_volumes(tj)
+        v_pred = a.det * v
+        num_pred = det2 * (vx * vy - vxy**2)
         rows.append(ScalingPoint(
             x, y, before, after,
             abs(after - predicted) / (abs(predicted) or 1.0),
-            abs(ivols.V - v_pred) / (abs(v_pred) or 1.0),
-            abs(ivols.Vx * ivols.Vy - ivols.Vxy**2 - num_pred) / (abs(num_pred) or 1.0),
+            abs(iv - v_pred) / (abs(v_pred) or 1.0),
+            abs(ivx * ivy - ivxy**2 - num_pred) / (abs(num_pred) or 1.0),
         ))
     return rows
 
@@ -90,7 +91,7 @@ def random_regular_point(rng, surface, min_distance=1e-2, max_tries=200):
         x = float(rng.uniform(box.x0 + 0.02 * (box.x1 - box.x0), box.x1 - 0.02 * (box.x1 - box.x0)))
         y = float(rng.uniform(box.y0 + 0.02 * (box.y1 - box.y0), box.y1 - 0.02 * (box.y1 - box.y0)))
         try:
-            if tangent_distance(eval_surface(surface, x, y), surface.ambient) >= min_distance:
+            if point_invariants(eval_surface(surface, x, y), surface.ambient).d >= min_distance:
                 return x, y
         except GeometryError:
             continue

@@ -10,18 +10,13 @@ import math
 import numpy as np
 
 import exprgen
+import frame_reference as ref
 from fdcheck import FDSettings, fd_jet
 from helpers import random_map, random_orthogonal, random_polynomial_patch, random_regular_point
 from titeica import classify
 from titeica.centroaffine import apply_map, verify_scaling
 from titeica.cli import main
-from titeica.invariants import (
-    fundamental_forms,
-    gaussian_curvature,
-    identity_residual,
-    tangent_distance,
-    titeica_ratio,
-)
+from titeica.invariants import identity_residual, point_invariants
 from titeica.jet import seed_xy
 from titeica.metrics import brioschi_curvature, check_pair, metric, metric_pair
 from titeica.surfaces import EUCLIDEAN, MINKOWSKI, catalog, eval_surface, grid_points
@@ -145,7 +140,7 @@ def test_criterion_07_identity_suite():
         s = random_polynomial_patch(rng)
         x, y = random_regular_point(rng, s)
         sj = eval_surface(s, x, y)
-        ratio = titeica_ratio(sj, EUCLIDEAN)
+        ratio = point_invariants(sj, EUCLIDEAN).ratio()
         worst = max(worst, identity_residual(sj, EUCLIDEAN) / max(1.0, abs(ratio)))
     report(
         "criterion 7: |K/d^4 - (VxVy - Vxy^2)/V^4| <= 1e-9 max(1, |ratio|) on 500 random patches",
@@ -184,16 +179,12 @@ def test_criterion_10_minkowski_sphere():
     worst_metric = worst_d = worst_k = worst_ratio = 0.0
     for u1, u2 in grid_points(s.domain, 10, 10):
         sj = eval_surface(s, u1, u2)
-        forms = fundamental_forms(sj, MINKOWSKI)
-        worst_metric = max(
-            worst_metric,
-            abs(forms.E - 1.0),
-            abs(forms.F),
-            abs(forms.G - math.sinh(u1) ** 2),
-        )
-        worst_d = max(worst_d, abs(tangent_distance(sj, MINKOWSKI) - 1.0))
-        worst_k = max(worst_k, abs(gaussian_curvature(sj, MINKOWSKI) + 1.0))
-        worst_ratio = max(worst_ratio, abs(titeica_ratio(sj, MINKOWSKI) + 1.0))
+        e, f, g, *_ = ref.fundamental_forms(sj, MINKOWSKI)
+        worst_metric = max(worst_metric, abs(e - 1.0), abs(f), abs(g - math.sinh(u1) ** 2))
+        p = point_invariants(sj, MINKOWSKI)
+        worst_d = max(worst_d, abs(p.d - 1.0))
+        worst_k = max(worst_k, abs(p.K + 1.0))
+        worst_ratio = max(worst_ratio, abs(p.ratio() + 1.0))
     ok = worst_metric <= 1e-10 and worst_d <= 1e-10 and worst_k <= 1e-9 and worst_ratio <= 1e-9
     report(
         "criterion 10: Minkowski sphere has induced metric du1^2 + sinh^2(u1) du2^2, d = 1, K = -1, ratio -1",

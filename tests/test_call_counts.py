@@ -2,7 +2,7 @@
 
 A helper call costs far more than the arithmetic it wraps, and a grid
 pays it once per point, so these bounds pin the per-point work: the
-cross and dot products are written out in ``invariants._core``, jet
+cross and dot products are written out in ``point_invariants``, jet
 arithmetic on two jets lifts neither operand, ``seed_xy`` builds both
 seeds itself, and a sweep of a catalog row computes a line's one-axis
 part only until it keeps it, so where it keeps both lines of a point it

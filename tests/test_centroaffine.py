@@ -7,7 +7,7 @@ from helpers import jet2_image, random_map, random_orthogonal, random_regular_po
 from titeica import centroaffine, classify, invariants
 from titeica.centroaffine import CentroAffineMap, apply_map, verify_scaling
 from titeica.cli import main
-from titeica.invariants import oriented_volumes, titeica_ratio
+from titeica.invariants import point_invariants
 from titeica.surfaces import EUCLIDEAN, catalog, catalog_names, eval_surface, grid_points
 
 
@@ -98,8 +98,8 @@ def test_identity_action_is_exact():
     s = catalog("titeica-xyz")
     image = apply_map(s, CentroAffineMap.of(np.eye(3)))
     for x, y in grid_points(s.domain, 5, 5):
-        before = titeica_ratio(eval_surface(s, x, y), EUCLIDEAN)
-        after = titeica_ratio(eval_surface(image, x, y), EUCLIDEAN)
+        before = point_invariants(eval_surface(s, x, y), EUCLIDEAN).ratio()
+        after = point_invariants(eval_surface(image, x, y), EUCLIDEAN).ratio()
         assert abs(after - before) <= 1e-14 * max(1.0, abs(before))
 
 
@@ -111,7 +111,7 @@ def test_uniform_scaling_maps_sphere_to_sphere():
     for x, y in grid_points(s.domain, 5, 5):
         sj = eval_surface(image, x, y)
         assert abs(np.linalg.norm(sj.f) - 2.0) <= 1e-12
-        assert abs(titeica_ratio(sj, EUCLIDEAN) - 1.0 / 64.0) <= 1e-9
+        assert abs(point_invariants(sj, EUCLIDEAN).ratio() - 1.0 / 64.0) <= 1e-9
 
 
 def test_diagonal_map_on_titeica_xyz():
@@ -119,7 +119,7 @@ def test_diagonal_map_on_titeica_xyz():
     a = CentroAffineMap.of(np.diag([2.0, 1.0, 1.0]))
     image = apply_map(s, a)
     for x, y in grid_points(s.domain, 5, 5):
-        after = titeica_ratio(eval_surface(image, x, y), EUCLIDEAN)
+        after = point_invariants(eval_surface(image, x, y), EUCLIDEAN).ratio()
         assert abs(after - 1.0 / 108.0) <= 1e-9  # (1/4) * (1/27)
 
 
@@ -167,8 +167,8 @@ def test_group_property():
         seq = apply_map(apply_map(s, a), b)
         direct = apply_map(s, ab)
         for x, y in points:
-            r1 = titeica_ratio(eval_surface(seq, x, y), EUCLIDEAN)
-            r2 = titeica_ratio(eval_surface(direct, x, y), EUCLIDEAN)
+            r1 = point_invariants(eval_surface(seq, x, y), EUCLIDEAN).ratio()
+            r2 = point_invariants(eval_surface(direct, x, y), EUCLIDEAN).ratio()
             assert abs(r1 - r2) <= 1e-8 * max(1.0, abs(r2))
 
 
@@ -180,8 +180,8 @@ def test_volume_scales_by_det():
         a = random_map(rng)
         image = apply_map(s, a)
         x, y = random_regular_point(rng, s, min_distance=5e-2)
-        v = oriented_volumes(eval_surface(s, x, y)).V
-        v_image = oriented_volumes(eval_surface(image, x, y)).V
+        v = point_invariants(eval_surface(s, x, y), s.ambient).V
+        v_image = point_invariants(eval_surface(image, x, y), s.ambient).V
         assert abs(v_image - a.det * v) <= 1e-10 * abs(a.det * v)
 
 
@@ -194,8 +194,8 @@ def test_rotation_leaves_ratio_unchanged():
             image = apply_map(s, rot)
             for _ in range(5):
                 x, y = random_regular_point(rng, s)
-                before = titeica_ratio(eval_surface(s, x, y), EUCLIDEAN)
-                after = titeica_ratio(eval_surface(image, x, y), EUCLIDEAN)
+                before = point_invariants(eval_surface(s, x, y), EUCLIDEAN).ratio()
+                after = point_invariants(eval_surface(image, x, y), EUCLIDEAN).ratio()
                 assert abs(after - before) <= 1e-10 * max(1.0, abs(before))
 
 
@@ -232,14 +232,14 @@ def test_verify_scaling_matches_four_separate_views(entries):
 @pytest.mark.parametrize("surface", ["paraboloid", "minkowski-sphere"])
 def test_transform_check_makes_one_invariant_pass_per_side(surface, monkeypatch, tmp_path):
     passes = []
-    core = invariants._core
+    point = invariants.point_invariants
 
-    def counting_core(sj, amb):
+    def counting_pass(sj, amb):
         passes.append(amb)
-        return core(sj, amb)
+        return point(sj, amb)
 
-    monkeypatch.setattr(invariants, "_core", counting_core)
-    monkeypatch.setattr(centroaffine, "_core", counting_core)
+    monkeypatch.setattr(invariants, "point_invariants", counting_pass)
+    monkeypatch.setattr(centroaffine, "point_invariants", counting_pass)
     argv = ["transform-check", "--surface", surface, "--matrix", "2,0,0,0,1,0,0,0,1",
             "--grid", "5", "4", "--output", str(tmp_path / "report.txt")]
     assert main(argv) == 0

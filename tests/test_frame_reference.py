@@ -1,10 +1,16 @@
-"""The one-pass invariant core against the three-frame reference.
+"""The one-pass invariants against the three-frame reference.
 
-Volumes, fundamental forms and d are compared by repr, which is == plus
-the sign of zero; errors by type and message, at every point.  K and K/d^4
-are held to the exact invariants of ``tests/exact.py``: the core takes
-them from the volumes, the reference through EG - F^2.
+Where ``point_invariants`` returns, its four volumes and d are compared
+to the reference by repr, which is == plus the sign of zero; where it
+raises, the reference must raise the same error type and message.  K and
+K/d^4 are held to the exact invariants of ``tests/exact.py``: the pass
+takes them from the volumes, the reference through EG - F^2.
+``identity_residual`` is compared by repr to its expression built from
+the reference's fundamental forms, which pins the forms it computes
+inline.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -12,8 +18,8 @@ import pytest
 import frame_reference as ref
 from exact import exact_invariants, relative_error
 from helpers import random_polynomial_patch
-from titeica import invariants
 from titeica.errors import SingularPointError
+from titeica.invariants import identity_residual, point_invariants
 from titeica.surfaces import (
     EUCLIDEAN,
     MINKOWSKI,
@@ -25,9 +31,12 @@ from titeica.surfaces import (
 )
 
 AMBIENTS = (EUCLIDEAN, MINKOWSKI)
-BITWISE_VIEWS = ("fundamental_forms", "tangent_distance")
-# relative error bounds against the exact value (measured: 1.2e-13, 1.7e-14)
-EXACT_VIEWS = (("gaussian_curvature", "K", 1e-12), ("titeica_ratio", "ratio", 1e-13))
+# (field, its reading of the pass, the reference, relative error bound
+# against the exact value; measured: 1.2e-13, 1.7e-14)
+EXACT_VIEWS = (
+    ("K", lambda p: p.K, ref.gaussian_curvature, 1e-12),
+    ("ratio", lambda p: p.ratio(), ref.titeica_ratio, 1e-13),
+)
 
 
 def outcome(fn, *args):
@@ -38,21 +47,40 @@ def outcome(fn, *args):
 
 
 def assert_matches_reference(sj):
-    assert outcome(invariants.oriented_volumes, sj) == outcome(ref.oriented_volumes, sj)
     for amb in AMBIENTS:
-        for name in BITWISE_VIEWS:
-            got = outcome(getattr(invariants, name), sj, amb)
-            assert got == outcome(getattr(ref, name), sj, amb), (name, amb.name)
+        want_d = outcome(ref.tangent_distance, sj, amb)
+        try:
+            p = point_invariants(sj, amb)
+        except Exception as exc:
+            assert (type(exc), str(exc)) == want_d, amb.name
+        else:
+            assert repr(p[:4]) == repr(ref.oriented_volumes(sj)), amb.name
+            assert repr(p.d) == want_d, amb.name
         exact = None
-        for name, field, bound in EXACT_VIEWS:
-            want = outcome(getattr(ref, name), sj, amb)
+        for field, read, reference, bound in EXACT_VIEWS:
+            want = outcome(reference, sj, amb)
             if isinstance(want, tuple):
-                assert outcome(getattr(invariants, name), sj, amb) == want, (name, amb.name)
+                assert outcome(lambda: read(point_invariants(sj, amb))) == want, (field, amb.name)
                 continue
-            got = getattr(invariants, name)(sj, amb)
+            got = read(point_invariants(sj, amb))
             exact = exact or exact_invariants(sj, amb)
             want = getattr(exact, field)
-            assert relative_error(got, want) <= bound, (name, amb.name, got, float(want))
+            assert relative_error(got, want) <= bound, (field, amb.name, got, float(want))
+
+
+def reference_residual(sj, amb):
+    """``identity_residual``'s expression, with the forms of the reference."""
+    p = point_invariants(sj, amb)
+    ratio = p.ratio()
+    e, f, g, l, m, n = ref.fundamental_forms(sj, amb)
+    disc = e * g - f * f
+    sign = 1.0 if p.nn > 0.0 else -1.0
+    return abs(sign * (l * n - m * m) / disc / p.d**2 / p.d**2 - ratio) if disc else math.inf
+
+
+def assert_residual_matches_reference(sj):
+    for amb in AMBIENTS:
+        assert outcome(identity_residual, sj, amb) == outcome(reference_residual, sj, amb), amb.name
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -60,6 +88,21 @@ def test_catalog_grid_matches_reference(name):
     s = catalog(name)
     for x, y in grid_points(s.domain, 20, 20):
         assert_matches_reference(eval_surface(s, x, y))
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_identity_residual_matches_reference_forms_on_catalog_grid(name):
+    s = catalog(name)
+    for x, y in grid_points(s.domain, 30, 30):
+        assert_residual_matches_reference(eval_surface(s, x, y))
+
+
+def test_identity_residual_matches_reference_forms_on_random_polynomials():
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        s = random_polynomial_patch(rng)
+        for x, y in rng.uniform(-0.95, 0.95, size=(3, 2)).tolist():
+            assert_residual_matches_reference(eval_surface(s, x, y))
 
 
 def test_random_polynomial_patches_match_reference():

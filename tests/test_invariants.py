@@ -3,17 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import frame_reference as ref
 from helpers import random_polynomial_patch, random_regular_point
 from titeica import CentroAffineMap, classify, invariants, jet, scan_grid, verify_scaling
 from titeica.errors import DomainError, SingularPointError
-from titeica.invariants import (
-    fundamental_forms,
-    gaussian_curvature,
-    identity_residual,
-    oriented_volumes,
-    tangent_distance,
-    titeica_ratio,
-)
+from titeica.invariants import identity_residual, point_invariants
 from titeica.surfaces import (
     EUCLIDEAN,
     MINKOWSKI,
@@ -30,93 +24,93 @@ from titeica.surfaces import (
 
 def test_forms_plane():
     sj = eval_surface(catalog("plane"), 0.3, -0.2)
-    assert fundamental_forms(sj, EUCLIDEAN) == (1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+    assert ref.fundamental_forms(sj, EUCLIDEAN) == (1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
 
 
 def test_forms_paraboloid_origin():
     sj = eval_surface(catalog("paraboloid"), 0.0, 0.0)
-    forms = fundamental_forms(sj, EUCLIDEAN)
+    forms = ref.fundamental_forms(sj, EUCLIDEAN)
     assert forms == (1.0, 0.0, 1.0, 2.0, 0.0, 2.0)
 
 
 def test_forms_minkowski_sphere_match_intrinsic_metric():
     s = catalog("minkowski-sphere")
     for u1, u2 in grid_points(s.domain, 8, 8):
-        forms = fundamental_forms(eval_surface(s, u1, u2), MINKOWSKI)
-        assert abs(forms.E - 1.0) <= 1e-10
-        assert abs(forms.F) <= 1e-10
-        assert abs(forms.G - math.sinh(u1) ** 2) <= 1e-10
+        e, f, g, *_ = ref.fundamental_forms(eval_surface(s, u1, u2), MINKOWSKI)
+        assert abs(e - 1.0) <= 1e-10
+        assert abs(f) <= 1e-10
+        assert abs(g - math.sinh(u1) ** 2) <= 1e-10
 
 
 def test_curvature_sphere():
     s = catalog("sphere-origin", R=1.0)
     for x, y in grid_points(s.domain, 8, 8):
-        assert abs(gaussian_curvature(eval_surface(s, x, y), EUCLIDEAN) - 1.0) <= 1e-9
+        assert abs(point_invariants(eval_surface(s, x, y), EUCLIDEAN).K - 1.0) <= 1e-9
 
 
 def test_curvature_pseudosphere():
     s = catalog("pseudosphere")
     for x, y in grid_points(s.domain, 8, 8):
-        assert abs(gaussian_curvature(eval_surface(s, x, y), EUCLIDEAN) + 1.0) <= 1e-7
+        assert abs(point_invariants(eval_surface(s, x, y), EUCLIDEAN).K + 1.0) <= 1e-7
 
 
 def test_curvature_plane():
-    assert gaussian_curvature(eval_surface(catalog("plane"), 0.1, 0.4), EUCLIDEAN) == 0.0
+    assert point_invariants(eval_surface(catalog("plane"), 0.1, 0.4), EUCLIDEAN).K == 0.0
 
 
 def test_distance_sphere():
     s = catalog("sphere-origin", R=1.0)
     for x, y in grid_points(s.domain, 8, 8):
-        assert abs(tangent_distance(eval_surface(s, x, y), EUCLIDEAN) - 1.0) <= 1e-10
+        assert abs(point_invariants(eval_surface(s, x, y), EUCLIDEAN).d - 1.0) <= 1e-10
 
 
 def test_distance_minkowski_sphere():
     s = catalog("minkowski-sphere")
     for x, y in grid_points(s.domain, 8, 8):
-        assert abs(tangent_distance(eval_surface(s, x, y), MINKOWSKI) - 1.0) <= 1e-10
+        assert abs(point_invariants(eval_surface(s, x, y), MINKOWSKI).d - 1.0) <= 1e-10
 
 
 def test_distance_plane_is_zero():
-    assert tangent_distance(eval_surface(catalog("plane"), 1e-3, 0.5), EUCLIDEAN) == 0.0
+    assert point_invariants(eval_surface(catalog("plane"), 1e-3, 0.5), EUCLIDEAN).d == 0.0
 
 
 def test_volumes_paraboloid_origin():
-    assert oriented_volumes(eval_surface(catalog("paraboloid"), 0.0, 0.0)) == (2.0, 2.0, 0.0, 0.0)
+    assert point_invariants(eval_surface(catalog("paraboloid"), 0.0, 0.0), EUCLIDEAN)[:4] == (2.0, 2.0, 0.0, 0.0)
 
 
 def test_volumes_plane_all_zero():
     # (1, 2) is not interior to the plane's box; use a nearby interior point
-    assert oriented_volumes(eval_surface(catalog("plane"), 0.99, 0.5)) == (0.0, 0.0, 0.0, 0.0)
+    assert point_invariants(eval_surface(catalog("plane"), 0.99, 0.5), EUCLIDEAN)[:4] == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_volumes_titeica_xyz():
     # u = 1/(xy) at (1,1): u_x = u_y = -1, u_xx = u_yy = 2, u_xy = 1,
     # V = u - x u_x - y u_y = 3
-    vols = oriented_volumes(eval_surface(catalog("titeica-xyz"), 1.0, 1.0))
-    assert vols == (2.0, 2.0, 1.0, 3.0)
+    vols = point_invariants(eval_surface(catalog("titeica-xyz"), 1.0, 1.0), EUCLIDEAN)
+    assert vols[:4] == (2.0, 2.0, 1.0, 3.0)
 
 
 def test_ratio_sphere_is_one():
     s = catalog("sphere-origin", R=1.0)
     for x, y in grid_points(s.domain, 8, 8):
-        assert abs(titeica_ratio(eval_surface(s, x, y), EUCLIDEAN) - 1.0) <= 1e-9
+        assert abs(point_invariants(eval_surface(s, x, y), EUCLIDEAN).ratio() - 1.0) <= 1e-9
 
 
 def test_ratio_minkowski_sphere_is_minus_one():
     s = catalog("minkowski-sphere")
     for x, y in grid_points(s.domain, 8, 8):
-        assert abs(titeica_ratio(eval_surface(s, x, y), MINKOWSKI) + 1.0) <= 1e-9
+        assert abs(point_invariants(eval_surface(s, x, y), MINKOWSKI).ratio() + 1.0) <= 1e-9
 
 
 def test_ratio_titeica_xyz():
     s = catalog("titeica-xyz")
     for x, y in grid_points(s.domain, 8, 8):
-        assert abs(titeica_ratio(eval_surface(s, x, y), EUCLIDEAN) - 1.0 / 27.0) <= 1e-9
+        assert abs(point_invariants(eval_surface(s, x, y), EUCLIDEAN).ratio() - 1.0 / 27.0) <= 1e-9
 
 
 def test_ratio_singular_point():
     with pytest.raises(SingularPointError):
-        titeica_ratio(eval_surface(catalog("plane"), 0.2, 0.2), EUCLIDEAN)
+        point_invariants(eval_surface(catalog("plane"), 0.2, 0.2), EUCLIDEAN).ratio()
 
 
 def test_identity_residual_titeica_xyz():
@@ -134,7 +128,7 @@ def test_identity_residual_cubic_patch():
 def test_identity_residual_sphere_radius_two():
     sj = eval_surface(catalog("sphere-origin", R=2.0), 0.1, 0.2)
     assert identity_residual(sj, EUCLIDEAN) <= 1e-10
-    assert abs(titeica_ratio(sj, EUCLIDEAN) - 1.0 / 64.0) <= 1e-9
+    assert abs(point_invariants(sj, EUCLIDEAN).ratio() - 1.0 / 64.0) <= 1e-9
 
 
 def test_identity_residual_minkowski_sphere():
@@ -156,7 +150,7 @@ def test_ratio_depends_on_the_form_only_through_its_sign():
     compared = 0
     for sj in jets:
         try:
-            mink, eucl = titeica_ratio(sj, MINKOWSKI), titeica_ratio(sj, EUCLIDEAN)
+            mink, eucl = point_invariants(sj, MINKOWSKI).ratio(), point_invariants(sj, EUCLIDEAN).ratio()
         except SingularPointError:
             continue
         assert mink == -eucl and math.copysign(1.0, mink) == -math.copysign(1.0, eucl), (mink, eucl)
@@ -170,9 +164,9 @@ def test_ratio_under_a_null_minkowski_normal():
     # At (0.5, 0) the paraboloid's normal is null under the Minkowski form
     # (nn = 0 exactly), yet K/d^4 = det(S) (Vx Vy - Vxy^2) / V^4 never reads nn.
     sj = eval_surface(catalog("paraboloid"), 0.5, 0.0)
-    assert oriented_volumes(sj) == (2.0, 2.0, 0.0, -0.25)
-    assert titeica_ratio(sj, EUCLIDEAN) == 1024.0
-    assert titeica_ratio(sj, MINKOWSKI) == -1024.0
+    assert point_invariants(sj, EUCLIDEAN)[:4] == (2.0, 2.0, 0.0, -0.25)
+    assert point_invariants(sj, EUCLIDEAN).ratio() == 1024.0
+    assert point_invariants(sj, MINKOWSKI).ratio() == -1024.0
 
 
 def test_identity_residual_raises_the_pass_fault_on_a_degenerate_frame():
@@ -180,20 +174,20 @@ def test_identity_residual_raises_the_pass_fault_on_a_degenerate_frame():
     sj = SurfaceJet((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), (2.0, 4.0, 6.0), (0.5, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 2.0))
     for amb in (EUCLIDEAN, MINKOWSKI):
         with pytest.raises(SingularPointError, match="degenerate tangent plane"):
-            titeica_ratio(sj, amb)
+            point_invariants(sj, amb).ratio()
         with pytest.raises(SingularPointError, match="degenerate tangent plane"):
             identity_residual(sj, amb)
 
 
 def test_identity_residual_makes_one_pass(monkeypatch):
     passes = []
-    core = invariants._core
+    point = invariants.point_invariants
 
-    def counting_core(sj, amb):
+    def counting_pass(sj, amb):
         passes.append(amb)
-        return core(sj, amb)
+        return point(sj, amb)
 
-    monkeypatch.setattr(invariants, "_core", counting_core)
+    monkeypatch.setattr(invariants, "point_invariants", counting_pass)
     assert identity_residual(eval_surface(catalog("minkowski-sphere"), 0.7, 1.1), MINKOWSKI) <= 1e-12
     assert passes == [MINKOWSKI]
 
@@ -202,7 +196,7 @@ def test_frame_whose_first_form_cancels_is_regular():
     # |f_x x f_y|^2 = 1e-8, but EG - F^2 rounds to 0: the ratio needs no
     # first form, and the classical route has no digits left
     sj = SurfaceJet((0.0, 0.0, 1.0), (1e4, 0.0, 0.0), (1e4, 1e-8, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.5), (0.0, 0.0, 2.0))
-    assert abs(titeica_ratio(sj, EUCLIDEAN) - 1.75e8) <= 1e-14 * 1.75e8
+    assert abs(point_invariants(sj, EUCLIDEAN).ratio() - 1.75e8) <= 1e-14 * 1.75e8
     assert identity_residual(sj, EUCLIDEAN) == math.inf
 
 
@@ -212,7 +206,7 @@ def test_volume_route_matches_on_random_polynomials():
         s = random_polynomial_patch(rng)
         x, y = random_regular_point(rng, s)
         sj = eval_surface(s, x, y)
-        ratio = titeica_ratio(sj, EUCLIDEAN)
+        ratio = point_invariants(sj, EUCLIDEAN).ratio()
         assert identity_residual(sj, EUCLIDEAN) <= 1e-9 * max(1.0, abs(ratio))
 
 
@@ -224,7 +218,7 @@ def test_numerator_identity_for_monge_patches():
         x = float(rng.uniform(-0.95, 0.95))
         y = float(rng.uniform(-0.95, 0.95))
         sj = eval_surface(s, x, y)
-        vols = oriented_volumes(sj)
+        vols = point_invariants(sj, EUCLIDEAN)
         lhs = vols.Vx * vols.Vy - vols.Vxy**2
         rhs = sj.f_xx[2] * sj.f_yy[2] - sj.f_xy[2] ** 2
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
@@ -245,11 +239,11 @@ def test_parametrization_independence_of_sphere():
         b = float(rng.uniform(0.1, 1.4))
         x = math.sin(a) * math.cos(b)
         y = math.sin(a) * math.sin(b)
-        p = eval_surface(chart, a, b)
-        q = eval_surface(monge, x, y)
-        assert abs(gaussian_curvature(p, EUCLIDEAN) - gaussian_curvature(q, EUCLIDEAN)) <= 1e-9
-        assert abs(tangent_distance(p, EUCLIDEAN) - tangent_distance(q, EUCLIDEAN)) <= 1e-9
-        assert abs(titeica_ratio(p, EUCLIDEAN) - titeica_ratio(q, EUCLIDEAN)) <= 1e-9
+        p = point_invariants(eval_surface(chart, a, b), EUCLIDEAN)
+        q = point_invariants(eval_surface(monge, x, y), EUCLIDEAN)
+        assert abs(p.K - q.K) <= 1e-9
+        assert abs(p.d - q.d) <= 1e-9
+        assert abs(p.ratio() - q.ratio()) <= 1e-9
 
 
 def test_saddle_has_negative_ratio():
@@ -258,36 +252,29 @@ def test_saddle_has_negative_ratio():
 
     s = SurfaceDef("saddle", parametric(lambda x, y: (x, y, height(x, y))), Box(-1, 1, -1, 1), EUCLIDEAN)
     for x, y in [(0.2, 0.1), (-0.3, 0.15), (0.05, 0.25), (0.4, -0.1)]:
-        sj = eval_surface(s, x, y)
-        vols = oriented_volumes(sj)
-        assert vols.Vx * vols.Vy - vols.Vxy**2 < 0.0
-        assert titeica_ratio(sj, EUCLIDEAN) < 0.0
+        p = point_invariants(eval_surface(s, x, y), EUCLIDEAN)
+        assert p.Vx * p.Vy - p.Vxy**2 < 0.0
+        assert p.ratio() < 0.0
 
 
 def test_point_invariants_bundle():
     # u = 1/(xy) at (1, 1): c = f_x x f_y = (1, 1, 1), K = 1/3, d = sqrt(3)
-    sj = eval_surface(catalog("titeica-xyz"), 1.0, 1.0)
-    k, d, ratio = (gaussian_curvature(sj, EUCLIDEAN), tangent_distance(sj, EUCLIDEAN),
-                   titeica_ratio(sj, EUCLIDEAN))
-    assert abs(k - 1.0 / 3.0) <= 1e-15
-    assert abs(d - math.sqrt(3.0)) <= 1e-15
-    assert abs(ratio - 1.0 / 27.0) <= 1e-15
-    h = eval_surface(catalog("minkowski-sphere"), 0.7, 1.1)
-    assert abs(gaussian_curvature(h, MINKOWSKI) + 1.0) <= 1e-9
-    assert abs(tangent_distance(h, MINKOWSKI) - 1.0) <= 1e-10
-    assert abs(titeica_ratio(h, MINKOWSKI) + 1.0) <= 1e-9
-    # A grid scan's record holds exactly the views' values at its point.
+    p = point_invariants(eval_surface(catalog("titeica-xyz"), 1.0, 1.0), EUCLIDEAN)
+    assert abs(p.K - 1.0 / 3.0) <= 1e-15
+    assert abs(p.d - math.sqrt(3.0)) <= 1e-15
+    assert abs(p.ratio() - 1.0 / 27.0) <= 1e-15
+    h = point_invariants(eval_surface(catalog("minkowski-sphere"), 0.7, 1.1), MINKOWSKI)
+    assert abs(h.K + 1.0) <= 1e-9
+    assert abs(h.d - 1.0) <= 1e-10
+    assert abs(h.ratio() + 1.0) <= 1e-9
+    # A grid scan's record holds exactly the pass's values at its point.
     for name in ("titeica-xyz", "minkowski-sphere"):
         s = catalog(name)
         records = scan_grid(s, (4, 3))
         assert len(records) == 12 and all(r.skipped is None for r in records)
         for r in records:
-            sj = eval_surface(s, r.x, r.y)
-            assert (r.K, r.d, r.ratio) == (
-                gaussian_curvature(sj, s.ambient),
-                tangent_distance(sj, s.ambient),
-                titeica_ratio(sj, s.ambient),
-            )
+            p = point_invariants(eval_surface(s, r.x, r.y), s.ambient)
+            assert (r.K, r.d, r.ratio) == (p.K, p.d, p.ratio())
 
 
 def test_sweeps_skip_only_singular_points():

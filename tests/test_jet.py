@@ -193,3 +193,6 @@ def test_numpy_scalars_combine_like_floats():
         assert c * j == j * c == 3.0 * j
         assert c + j == j + c == 3.0 + j
         assert c - j == 3.0 - j and c / j == 3.0 / j
+    # An exponent is its Python number: a jet of six floats, bitwise.
+    for c in (np.int64(2), np.float64(2.0), np.float64(0.5)):
+        assert repr(seed_x(1.5) ** c) == repr(seed_x(1.5) ** c.item())

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from titeica import jet
 from titeica.centroaffine import CentroAffineMap, apply_map
 from titeica.errors import SingularPointError
-from titeica.invariants import classify, identity_residual, oriented_volumes, titeica_ratio
+from titeica.invariants import classify, identity_residual, point_invariants
 from titeica.surfaces import EUCLIDEAN, MINKOWSKI, catalog, parametric
 
 # For a failing example Hypothesis imports libcst to print a patch; a libcst
@@ -73,7 +73,7 @@ def test_ratio_sign_law(sj):
     # The two forms differ in det(S) only: the Minkowski ratio is bitwise
     # minus the Euclidean one, signed zeros included.
     try:
-        mink, eucl = titeica_ratio(sj, MINKOWSKI), titeica_ratio(sj, EUCLIDEAN)
+        mink, eucl = point_invariants(sj, MINKOWSKI).ratio(), point_invariants(sj, EUCLIDEAN).ratio()
     except SingularPointError:
         assume(False)
     assert mink == -eucl and math.copysign(1.0, mink) == -math.copysign(1.0, eucl), (mink, eucl)
@@ -86,10 +86,10 @@ def test_ratio_scales_by_det_squared(sj, a, amb):
     # 1e-9 (|Vx Vy| + Vxy^2) / V^4 of the source jet: the numerator's
     # rounding scale, relative to its terms rather than to its value.
     try:
-        before, after = titeica_ratio(sj, amb), titeica_ratio(a.act(sj), amb)
+        before, after = point_invariants(sj, amb).ratio(), point_invariants(a.act(sj), amb).ratio()
     except SingularPointError:
         assume(False)
-    v = oriented_volumes(sj)
+    v = point_invariants(sj, amb)
     bound = 1e-9 * (abs(v.Vx * v.Vy) + v.Vxy**2) / v.V**4
     assert abs(after * a.det**2 - before) <= bound, (before, after, a)
 
@@ -104,7 +104,7 @@ def test_classical_curvature_meets_the_volume_ratio(sj, amb):
         residual = identity_residual(sj, amb)
     except SingularPointError:
         assume(False)
-    v = oriented_volumes(sj)
+    v = point_invariants(sj, amb)
     assert residual <= 1e-9 * (abs(v.Vx * v.Vy) + v.Vxy**2) / v.V**4, (residual, v, amb)
 
 

@@ -23,7 +23,7 @@ from helpers import outcome
 from titeica import invariants, jet, surfaces
 from titeica.centroaffine import CentroAffineMap, apply_map, verify_scaling
 from titeica.errors import DomainError, SingularPointError
-from titeica.invariants import PointRecord, _core, scan_grid
+from titeica.invariants import PointRecord, point_invariants, scan_grid
 from titeica.surfaces import (
     EUCLIDEAN,
     Box,
@@ -60,7 +60,7 @@ def called_rows(s, grid):
     rows = []
     for x, y in grid_points(s.domain, *grid):
         try:
-            p = _core(s.patch(x, y), s.ambient)
+            p = point_invariants(s.patch(x, y), s.ambient)
             rows.append(PointRecord(x, y, p.K, p.d, p.ratio()))
         except SingularPointError as exc:
             rows.append(PointRecord(x, y, skipped=str(exc)))
