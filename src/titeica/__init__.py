@@ -29,10 +29,7 @@ _NAMES = {
         "identity_residual", "point_invariants", "scan_grid",
     ),
     "jet": ("Jet2", "constant", "seed_x", "seed_xy", "seed_y"),
-    "metrics": (
-        "AgreePoint", "AgreeReport", "Metric2", "MetricPair", "brioschi_curvature",
-        "check_pair", "metric", "metric_pair", "metric_values", "pair_names", "pullback",
-    ),
+    "metrics": ("AgreePoint", "check_pair", "pair_names"),
     "surfaces": (
         "EUCLIDEAN", "MINKOWSKI", "AmbientForm", "Box", "SurfaceDef", "SurfaceJet",
         "catalog", "catalog_entries", "catalog_names", "eval_surface", "grid_points", "parametric",

@@ -189,14 +189,14 @@ def _cmd_transform_check(config: RunConfig):
 
 
 def _cmd_metric_check(config: RunConfig):
-    from .metrics import AgreePoint, check_pair, metric_pair
+    from .metrics import AgreePoint, check_pair
 
-    variants = check_pair(metric_pair(config.pair), *config.grid, config.tolerance)
-    matching = [label for label, rep in variants if rep.passed]
-    rows = [(label, *p) for label, rep in variants for p in rep.points]
+    variants = check_pair(config.pair, *config.grid, config.tolerance)
+    matching = [label for label, _, _, passed in variants if passed]
+    rows = [(label, *p) for label, points, _, _ in variants for p in points]
     summary = {
         "pair": config.pair,
-        "variants": {label: {"max_diff": rep.max_diff, "passed": rep.passed} for label, rep in variants},
+        "variants": {label: {"max_diff": worst, "passed": passed} for label, _, worst, passed in variants},
         "matching_variant": matching[0] if matching else None,
         "tolerance": config.tolerance,
         "passed": bool(matching),

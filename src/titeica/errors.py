@@ -16,8 +16,8 @@ class DomainError(GeometryError, ValueError):
 class SingularPointError(GeometryError):
     """A quantity is undefined at this point: a degenerate tangent plane,
     a null or non-finite normal, a tangent plane through the origin, a
-    K/d^4 that is not finite or underflows, a metric that is not
-    positive-definite or a coordinate change with a singular Jacobian.
+    K/d^4 that is not finite or underflows, or a coordinate change with
+    a singular Jacobian.
     A grid sweep records such a point as skipped, with the message as
     its reason."""
 

@@ -1,17 +1,16 @@
-"""Shared test utilities: random patches, points and matrices, a flat metric, a NaN
-metric pair and the outcome of a patch call."""
+"""Shared test utilities: random patches, points and matrices, the Brioschi
+curvature of a metric, test metric pairs and the outcome of a patch call."""
 
 import math
 
 import numpy as np
 
 import frame_reference as ref
-from titeica import jet
+from titeica import jet, metrics
 from titeica.centroaffine import CentroAffineMap, ScalingPoint
 from titeica.errors import GeometryError, SingularPointError
 from titeica.invariants import point_invariants
-from titeica.metrics import Metric2, MetricPair
-from titeica.surfaces import EUCLIDEAN, Box, SurfaceDef, SurfaceJet, eval_surface, parametric
+from titeica.surfaces import EUCLIDEAN, Box, SurfaceDef, SurfaceJet, det3, eval_surface, parametric
 
 
 def random_polynomial_patch(rng, degree=4, coeff_range=2.0, name="poly"):
@@ -117,12 +116,49 @@ def random_orthogonal(rng, det_sign=1.0):
     return CentroAffineMap.of(q)
 
 
+def brioschi_curvature(components, x, y):
+    """Intrinsic Gaussian curvature at (x, y) of the metric whose
+    components g11, g12, g22 the jet-evaluable ``components`` gives.
+
+    Uses the Brioschi determinant formula, which needs only the
+    components and their first and second coordinate derivatives; those
+    come from evaluating the components on coordinate seeds.  Raises
+    ValueError where the metric is not positive-definite.
+    """
+    e, f, g = components(*jet.seed_xy(x, y))
+    disc = e.val * g.val - f.val * f.val
+    if e.val <= 0.0 or disc <= 0.0:
+        raise ValueError(f"metric is not positive-definite at ({x:g}, {y:g})")
+    m1 = (
+        (-0.5 * e.dyy + f.dxy - 0.5 * g.dxx, 0.5 * e.dx, f.dx - 0.5 * e.dy),
+        (f.dy - 0.5 * g.dx, e.val, f.val),
+        (0.5 * g.dy, f.val, g.val),
+    )
+    m2 = (
+        (0.0, 0.5 * e.dy, 0.5 * g.dx),
+        (0.5 * e.dy, e.val, f.val),
+        (0.5 * g.dx, f.val, g.val),
+    )
+    return (det3(*m1) - det3(*m2)) / (disc * disc)
+
+
 def flat_components(x, y):
+    # the flat metric dx^2 + dy^2
     return jet.constant(1.0), jet.constant(0.0), jet.constant(1.0)
 
 
-# The flat metric dx^2 + dy^2 on [-1, 1]^2.
-FLAT = Metric2("flat", flat_components, Box(-1.0, 1.0, -1.0, 1.0))
+FLAT_BOX = Box(-1.0, 1.0, -1.0, 1.0)
+
+IDENTITY = (("identity", lambda x, y: (x, y)),)
+
+
+def add_pair(monkeypatch, name, row, **components):
+    """Add the ``metrics._PAIRS`` row ``row`` under ``name``, and each
+    keyword's components to ``metrics._METRICS`` under the keyword, for
+    one test."""
+    for metric, function in components.items():
+        monkeypatch.setitem(metrics._METRICS, metric, (function, "test metric"))
+    monkeypatch.setitem(metrics._PAIRS, name, row)
 
 
 def nan_at_positive_x(x, y):
@@ -130,8 +166,9 @@ def nan_at_positive_x(x, y):
     return jet.constant(math.nan if x.val > 0.0 else 1.0), jet.constant(0.0), jet.constant(1.0)
 
 
-def nan_metric_pair():
-    """The flat metric against ``nan_at_positive_x`` under the identity:
-    its agreement rows hold NaN differences."""
-    return MetricPair("flat:nan", FLAT, Metric2("nan-g11", nan_at_positive_x, FLAT.domain),
-                      (("identity", lambda x, y: (x, y)),))
+def add_nan_pair(monkeypatch, changes=IDENTITY):
+    """Add the pair "flat:nan", the flat metric against ``nan_at_positive_x``
+    on ``FLAT_BOX`` under ``changes``: its agreement rows hold NaN
+    differences."""
+    add_pair(monkeypatch, "flat:nan", ("flat", FLAT_BOX, "nan_g11", FLAT_BOX, changes),
+             flat=flat_components, nan_g11=nan_at_positive_x)

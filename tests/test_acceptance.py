@@ -12,14 +12,14 @@ import numpy as np
 import exprgen
 import frame_reference as ref
 from fdcheck import FDSettings, fd_jet
-from helpers import random_map, random_orthogonal, random_polynomial_patch, random_regular_point
+from helpers import brioschi_curvature, random_map, random_orthogonal, random_polynomial_patch, random_regular_point
 from titeica import classify
 from titeica.centroaffine import apply_map, verify_scaling
 from titeica.cli import main
 from titeica.invariants import identity_residual, point_invariants
 from titeica.jet import seed_xy
-from titeica.metrics import brioschi_curvature, check_pair, metric, metric_pair
-from titeica.surfaces import EUCLIDEAN, MINKOWSKI, catalog, eval_surface, grid_points
+from titeica.metrics import _METRICS, check_pair
+from titeica.surfaces import EUCLIDEAN, MINKOWSKI, Box, catalog, eval_surface, grid_points
 
 
 def report(name, ok, detail=""):
@@ -150,8 +150,8 @@ def test_criterion_07_identity_suite():
 
 
 def test_criterion_08_pseudosphere(tmp_path):
-    m = metric("pseudosphere")
-    worst = max(abs(brioschi_curvature(m, p) + 1.0) for p in grid_points(m.domain, 10, 5))
+    box = Box(0.1, 3.0, 0.3, 1.2)
+    worst = max(abs(brioschi_curvature(_METRICS["pseudosphere"][0], *p) + 1.0) for p in grid_points(box, 10, 5))
     code, s = run_classify_cli(tmp_path, "pseudosphere")
     ok = worst <= 1e-7 and code == 0 and not s["is_titeica"]
     report(
@@ -164,9 +164,9 @@ def test_criterion_08_pseudosphere(tmp_path):
 def test_criterion_09_metric_chain():
     worst = 0.0
     for name in ("pseudosphere:half-plane", "half-plane:disk"):
-        [(_, rep)] = check_pair(metric_pair(name), 10, 5, 1e-9)
-        assert rep.passed, name
-        worst = max(worst, rep.max_diff)
+        [(_, _, max_diff, passed)] = check_pair(name, 10, 5, 1e-9)
+        assert passed, name
+        worst = max(worst, max_diff)
     report(
         "criterion 9: pseudosphere<->half-plane and half-plane<->disk pullbacks agree (tol 1e-9)",
         worst <= 1e-9,

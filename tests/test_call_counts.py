@@ -1,4 +1,5 @@
-"""Python-level calls per grid point on the grid commands' hot path.
+"""Python-level calls per grid point on the grid commands' hot path and
+on the metric-check pair check.
 
 A helper call costs far more than the arithmetic it wraps, and a grid
 pays it once per point, so these bounds pin the per-point work: the
@@ -9,10 +10,14 @@ part only until it keeps it, so where it keeps both lines of a point it
 runs the row's ``mix`` alone.  An ``apply_map`` image hands the sweep's
 lines to its source patch, so a mapped row keeps its lines too.  The
 counts are exact for a given interpreter (10.45, 16.2, 9.5225 and
-12.5225 on CPython 3.11; the mapped pseudosphere reads 28.0225 where
-each of its points is a fresh one-point sweep of the source); the first two
-bounds leave room only for fixed per-grid calls, and the last two fail
-if the pseudosphere's one-axis parts run at every point again.
+12.5225 on CPython 3.11); the first two bounds leave room only for fixed
+per-grid calls, and the last two fail if the pseudosphere's one-axis
+parts run at every point again.
+
+``check_pair`` evaluates the source metric once per point, inline, and
+runs one ``_pullback`` per point and variant; its counts at 20 x 20 are
+29.02, 48.02 and 62.02 on CPython 3.11, and each bound is its count
+rounded up.
 """
 
 import sys
@@ -21,6 +26,7 @@ import pytest
 
 from titeica.centroaffine import CentroAffineMap, apply_map, verify_scaling
 from titeica.invariants import scan_grid
+from titeica.metrics import check_pair
 from titeica.surfaces import catalog, grid_points
 
 GRID = (5, 4)
@@ -75,3 +81,12 @@ def scan_mapped_pseudosphere():
 ], ids=["scan_grid", "verify_scaling", "scan_grid_pseudosphere", "scan_grid_mapped_pseudosphere"])
 def test_calls_per_grid_point(make_run, points, bound):
     assert calls_per_point(make_run(), points) <= bound
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("pseudosphere:half-plane", 30),
+    ("half-plane:disk", 49),
+    ("disk:minkowski-sphere", 63),
+])
+def test_calls_per_metric_check_point(name, bound):
+    assert calls_per_point(lambda: check_pair(name, 20, 20, 1e-8), 400) <= bound

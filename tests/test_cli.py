@@ -579,6 +579,16 @@ def test_lazy_package_names():
     }
 
 
+def test_dir_lists_every_name_and_submodule_without_importing():
+    # dir() reads the name table; it loads no submodule.  This module
+    # imports titeica.cli, so cli is bound and listed like the rest.
+    before = set(sys.modules)
+    listed = set(dir(titeica))
+    assert set(sys.modules) == before
+    assert set(titeica.__all__) <= listed
+    assert {info.name for info in pkgutil.iter_modules(titeica.__path__)} <= listed
+
+
 def test_readme_library_block():
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
     with open(readme) as fh:

@@ -99,7 +99,7 @@ def test_golden_directory_holds_exactly_the_pinned_files():
 
 def test_pair_help_lists_every_metric_pair(capsys):
     # The --pair help is a literal, so that building the parser imports no
-    # metrics; it must name exactly the pairs metric_pair accepts.
+    # metrics; it must name exactly the pairs check_pair accepts.
     assert main(["metric-check", "--help"]) == 0
     words = " ".join(capsys.readouterr().out.split())
     assert words.endswith("--pair PAIR one of: " + ", ".join(pair_names()))

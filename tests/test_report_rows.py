@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import nan_metric_pair
-from titeica import cli, metrics
+from helpers import add_nan_pair
+from titeica import cli
 from titeica.cli import RunConfig
 from titeica.metrics import pair_names
 from titeica.surfaces import catalog_entries
@@ -97,7 +97,7 @@ def test_rows_match_the_general_encoder(config):
 
 
 def test_nan_rows_match_the_general_encoder(monkeypatch):
-    monkeypatch.setitem(metrics._PAIRS, "flat:nan", nan_metric_pair())
+    add_nan_pair(monkeypatch)
     report = cli._COMMANDS["metric-check"].handler(RunConfig("metric-check", pair="flat:nan", grid=GRID))
     assert any(isinstance(v, float) and math.isnan(v) for row in report.rows for v in row)
     check_rows(report)

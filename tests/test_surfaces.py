@@ -11,7 +11,7 @@ from helpers import outcome
 from titeica import jet
 from titeica.errors import CatalogError, DomainError
 from titeica.jet import constant
-from titeica.metrics import metric, metric_entries, metric_pair, pair_names
+from titeica.metrics import _PAIRS
 from titeica.surfaces import (
     EUCLIDEAN,
     MINKOWSKI,
@@ -158,8 +158,7 @@ def linspace_grid(box, nx, ny):
 def test_grid_matches_linspace_on_catalog_domains():
     boxes = [catalog(name).domain for name in catalog_names()]
     boxes += [catalog(name, R=r).domain for name in ("sphere-origin", "sphere-translated") for r in (1e-3, 2.0)]
-    boxes += [metric(name).domain for name, _ in metric_entries()]
-    boxes += [metric_pair(name).source.domain for name in pair_names()]
+    boxes += [box for _, source_box, _, target_box, _ in _PAIRS.values() for box in (source_box, target_box)]
     for box in boxes:
         for nx, ny in ((2, 2), (20, 20), (37, 23), (3, 300)):
             assert grid_points(box, nx, ny) == linspace_grid(box, nx, ny), (box, nx, ny)
