@@ -3,8 +3,8 @@
 A centro-affine map multiplies the row-vector immersion by an invertible
 3x3 matrix A, component k of the image being sum_i f_i a_ik.  A is
 linear, so every partial derivative of the image is the source's times A
-too: :meth:`CentroAffineMap.act` maps an evaluated jet row by row.  Under
-this action, at matched parameter points,
+too: :meth:`CentroAffineMap.act` maps an evaluated jet field by field.
+Under this action, at matched parameter points,
 
 * the ratio K/d^4 scales by 1/det(A)^2,
 * the position volume scales by det(A),
@@ -27,6 +27,7 @@ from typing import NamedTuple, Optional
 from . import _NAMES
 from .errors import SingularPointError
 from .invariants import _sweep, point_invariants
+from .jet import Jet2
 from .surfaces import SurfaceDef, SurfaceJet, det3
 
 __all__ = list(_NAMES["centroaffine"])
@@ -55,17 +56,21 @@ class CentroAffineMap(NamedTuple):
         return cls(m, d)
 
     def act(self, sj: SurfaceJet) -> SurfaceJet:
-        """The jet of f . A: A is linear, so every row of the jet (position
-        and each partial derivative) is multiplied by A."""
+        """The jet of f . A: each field of image coordinate k is sum_i x_i a_ik
+        over that field x_i of the source's coordinate jets, in this order."""
         (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = self.matrix
-        return _new(SurfaceJet, [
-            (
-                r0 * a00 + r1 * a10 + r2 * a20,
-                r0 * a01 + r1 * a11 + r2 * a21,
-                r0 * a02 + r1 * a12 + r2 * a22,
-            )
-            for r0, r1, r2 in sj
-        ])
+        (x0, x1, x2, x3, x4, x5), (y0, y1, y2, y3, y4, y5), (z0, z1, z2, z3, z4, z5) = sj
+        return _new(SurfaceJet, (
+            _new(Jet2, (x0 * a00 + y0 * a10 + z0 * a20, x1 * a00 + y1 * a10 + z1 * a20,
+                        x2 * a00 + y2 * a10 + z2 * a20, x3 * a00 + y3 * a10 + z3 * a20,
+                        x4 * a00 + y4 * a10 + z4 * a20, x5 * a00 + y5 * a10 + z5 * a20)),
+            _new(Jet2, (x0 * a01 + y0 * a11 + z0 * a21, x1 * a01 + y1 * a11 + z1 * a21,
+                        x2 * a01 + y2 * a11 + z2 * a21, x3 * a01 + y3 * a11 + z3 * a21,
+                        x4 * a01 + y4 * a11 + z4 * a21, x5 * a01 + y5 * a11 + z5 * a21)),
+            _new(Jet2, (x0 * a02 + y0 * a12 + z0 * a22, x1 * a02 + y1 * a12 + z1 * a22,
+                        x2 * a02 + y2 * a12 + z2 * a22, x3 * a02 + y3 * a12 + z3 * a22,
+                        x4 * a02 + y4 * a12 + z4 * a22, x5 * a02 + y5 * a12 + z5 * a22)),
+        ))
 
 
 def apply_map(s: SurfaceDef, a: CentroAffineMap) -> SurfaceDef:

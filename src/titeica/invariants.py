@@ -3,10 +3,10 @@
 Everything here comes from one pass over a :class:`SurfaceJet`, in the
 paper's representation.  Let S = diag(signature) be the ambient form,
 <v, w> = v^T S w, and c = f_x x f_y the Euclidean cross product of the
-tangent rows.  The pass, :func:`point_invariants`, writes out c and then
+tangent vectors.  The pass, :func:`point_invariants`, writes out c and then
 
-* the four oriented volumes Vx, Vy, Vxy, V = det(row; f_x; f_y) for
-  row = f_xx, f_yy, f_xy and the position f, each as row . c,
+* the four oriented volumes Vx, Vy, Vxy, V = det(w; f_x; f_y) for
+  w = f_xx, f_yy, f_xy and the position f, each as w . c,
 * nn = c^T S c and num = det(S) (Vx Vy - Vxy^2), with det(S) = +1 for
   the Euclidean and -1 for the Minkowski form,
 
@@ -15,7 +15,7 @@ origin to the affine tangent plane; its result's ``ratio()`` is
 K/d^4 = num / V^4.
 
 The normal is n = S c: it is ambient-orthogonal to the tangent plane for
-both signatures, <n, n> = nn and <row, n> = row . c because S^2 = I.
+both signatures, <n, n> = nn and <w, n> = w . c because S^2 = I.
 Two identities remove the first fundamental form.  Lagrange's identity
 gives EG - F^2 = det(S) nn; with L, M, N = (Vx, Vxy, Vy) / sqrt(|nn|),
 LN - M^2 = (Vx Vy - Vxy^2) / |nn|.  So the classical
@@ -97,7 +97,7 @@ class PointInvariants(NamedTuple):
 def point_invariants(sj: SurfaceJet, amb: AmbientForm) -> PointInvariants:
     """The single pass over a point, written out (no helper calls: this
     runs once per grid point); raises where a singularity test fails."""
-    (f0, f1, f2), (a0, a1, a2), (b0, b1, b2), (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = sj
+    (f0, a0, b0, p0, q0, r0), (f1, a1, b1, p1, q1, r1), (f2, a2, b2, p2, q2, r2) = sj
     # numpy.cross operand order: tests/frame_reference.py holds the volumes
     # and d bitwise to the frame built with it.
     c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
@@ -126,7 +126,7 @@ def identity_residual(sj: SurfaceJet, amb: AmbientForm) -> float:
     catalog and random patches it stays below 1e-9 * max(1, |ratio|)."""
     p = point_invariants(sj, amb)
     ratio = p.ratio()
-    fx, fy = sj.f_x, sj.f_y
+    fx, fy = [c.dx for c in sj], [c.dy for c in sj]
     e, f, g = amb.inner(fx, fx), amb.inner(fx, fy), amb.inner(fy, fy)
     scale = 1.0 / math.sqrt(abs(p.nn))
     l, m, n = p.Vx * scale, p.Vxy * scale, p.Vy * scale
@@ -150,7 +150,7 @@ def _sweep(s: SurfaceDef, points, evaluate, record) -> list:
     rows = []
     for x, y in points:
         try:
-            s.domain.require(x, y, "surface", s.name)
+            s.domain.require(x, y, s.name)
             rows.append(evaluate(x, y, patch(x, y, lines)))
         except SingularPointError as exc:
             rows.append(record(x, y, skipped=str(exc)))

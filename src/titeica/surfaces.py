@@ -1,15 +1,16 @@
 """Surface patches, ambient bilinear forms and the built-in catalog.
 
 A surface is a patch: a function from a parameter point to its
-:class:`SurfaceJet`, the position together with all first and second
-partial derivatives.  Every patch built here is a row
-``mix(*xpart(x), *ypart(y))`` (:func:`_by_lines`, which also describes
-how a grid sweep evaluates it), where a part holds the jets that depend
-on one parameter alone: R^2 - x^2 and y^2 on a cap, sech t, t - tanh t,
-cos theta and sin theta on the pseudosphere.  :func:`parametric` is the
-row with no parts, from three coordinate functions written on
-:class:`~titeica.jet.Jet2` seeds; a Monge patch, the graph of u over the
-parameter plane, is the immersion (x, y, u(x, y)).
+:class:`SurfaceJet`, the jets of the three coordinates: each holds the
+value and all first and second partial derivatives.  Every patch built
+here is a row ``mix(*xpart(x), *ypart(y))`` (:func:`_by_lines`, which
+also describes how a grid sweep evaluates it), where a part holds the
+jets that depend on one parameter alone: R^2 - x^2 and y^2 on a cap,
+sech t, t - tanh t, cos theta and sin theta on the pseudosphere.
+:func:`parametric` is the row with no parts, from three coordinate
+functions written on :class:`~titeica.jet.Jet2` seeds; a Monge patch,
+the graph of u over the parameter plane, is the immersion
+(x, y, u(x, y)).
 
 The catalog holds the concrete surfaces exercised by the verification
 commands; every entry picks a domain box that stays away from coordinate
@@ -55,12 +56,11 @@ class Box(_BoxFields):
     def describe(self) -> str:
         return f"[{self.x0:g}, {self.x1:g}] x [{self.y0:g}, {self.y1:g}]"
 
-    def require(self, x: float, y: float, kind: str, name: str) -> None:
-        """Raise :class:`DomainError` unless (x, y) is strictly inside the
-        domain of the named object."""
+    def require(self, x: float, y: float, name: str) -> None:
+        """Raise :class:`DomainError` unless (x, y) is strictly inside the box."""
         x0, x1, y0, y1 = self
         if not (x0 < x < x1 and y0 < y < y1):
-            raise DomainError(f"point ({x:g}, {y:g}) outside domain {self.describe()} of {kind} '{name}'")
+            raise DomainError(f"point ({x:g}, {y:g}) outside domain {self.describe()} of surface '{name}'")
 
 
 DEFAULT_GRID = (20, 20)
@@ -111,19 +111,13 @@ def det3(r0, r1, r2) -> float:
     return a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2) + a2 * (b0 * c1 - b1 * c0)
 
 
-Vec3 = tuple[float, float, float]
-
-
 class SurfaceJet(NamedTuple):
-    """Position and first/second partial derivatives at one parameter
-    point, each a float triple."""
+    """The three coordinate jets of the immersion at one parameter point:
+    ``f0.dx`` is the first coordinate of f_x, and so on."""
 
-    f: Vec3
-    f_x: Vec3
-    f_y: Vec3
-    f_xx: Vec3
-    f_xy: Vec3
-    f_yy: Vec3
+    f0: Jet2
+    f1: Jet2
+    f2: Jet2
 
 
 Patch = Callable[..., SurfaceJet]  # patch(x, y, lines=None): see _by_lines
@@ -158,15 +152,15 @@ def _by_lines(xpart: Optional[_Part], ypart: Optional[_Part], mix: Callable) -> 
     """The patch of the immersion ``mix(*xpart(x), *ypart(y))`` at seeded
     parameters; a missing part is the seed alone.
 
-    ``patch(x, y, lines)`` computes the x part, then the y part, then
-    ``mix``, and unpacks exactly three coordinate jets from it; row i of
-    the jet is field i of the three.  ``lines`` is a grid sweep's pair of
-    dicts (``invariants._sweep`` makes one per sweep), in which the patch
-    keeps a line's part from the line's second point on and then skips
-    computing it, so where both lines of a point are kept it runs ``mix``
-    alone.  Without ``lines`` a call keeps nothing.  A part depends on its
-    seed alone, and only a point that returns keeps anything, so each
-    point of a sweep gives the jet, or raises the error, of a call.
+    ``patch(x, y, lines)`` computes the x part, then the y part, then ``mix``,
+    and unpacks exactly three coordinate jets from it, the fields of the jet.
+    ``lines`` is a grid sweep's pair of dicts (``invariants._sweep`` makes one
+    per sweep), in which the patch keeps a line's part from the line's second
+    point on and then skips computing it, so where both lines of a point are
+    kept it runs ``mix`` alone.  Without ``lines`` a call keeps nothing.  A
+    part depends on its seed alone, and only a point that returns keeps
+    anything, so each point of a sweep gives the jet, or raises the error, of
+    a call.
     """
 
     def patch(x: float, y: float, lines: Optional[tuple[dict, dict]] = None) -> SurfaceJet:
@@ -182,7 +176,7 @@ def _by_lines(xpart: Optional[_Part], ypart: Optional[_Part], mix: Callable) -> 
             sy = _new(Jet2, (float(y), 0.0, 1.0, 0.0, 0.0, 0.0))  # seed_y(y), without a call
             b = ypart(sy) if ypart else (sy,)
         cx, cy, cz = mix(*a, *b)
-        sj = _new(SurfaceJet, zip(cx, cy, cz))
+        sj = _new(SurfaceJet, (cx, cy, cz))
         # Points that share no line (say, random ones) keep only keys.
         if not kept_x:
             xs[kx] = () if kept_x is None else a
@@ -195,7 +189,7 @@ def _by_lines(xpart: Optional[_Part], ypart: Optional[_Part], mix: Callable) -> 
 
 def eval_surface(s: SurfaceDef, x: float, y: float) -> SurfaceJet:
     """Evaluate the patch strictly inside its domain."""
-    s.domain.require(x, y, "surface", s.name)
+    s.domain.require(x, y, s.name)
     return s.patch(x, y)
 
 

@@ -10,6 +10,8 @@ is None.
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
+from helpers import jet_rows
+
 
 class Exact(NamedTuple):
     c: tuple[Fraction, Fraction, Fraction]
@@ -24,7 +26,7 @@ def exact_invariants(sj, amb) -> Exact:
     # Each float is an integer over a power of two.  Scaled by the largest
     # denominator D the 18 of them are integers, and so is everything
     # below: c carries D^2, the volumes D^3, nn D^4 and num D^6.
-    parts = [[v.as_integer_ratio() for v in row] for row in sj]
+    parts = [[v.as_integer_ratio() for v in row] for row in jet_rows(sj)]
     D = max(den for row in parts for _, den in row)
     f, (x0, x1, x2), (y0, y1, y2), f_xx, f_xy, f_yy = ([n * (D // den) for n, den in row] for row in parts)
     c = (x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0)

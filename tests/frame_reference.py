@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+import helpers
 from titeica.errors import SingularPointError
 from titeica.invariants import EPS_SINGULAR
 
@@ -28,12 +29,12 @@ def det3(r0, r1, r2):
     )
 
 
-def _frame(sj, amb):
-    e = amb.inner(sj.f_x, sj.f_x)
-    f = amb.inner(sj.f_x, sj.f_y)
-    g = amb.inner(sj.f_y, sj.f_y)
+def _frame(f_x, f_y, amb):
+    e = amb.inner(f_x, f_x)
+    f = amb.inner(f_x, f_y)
+    g = amb.inner(f_y, f_y)
     disc = e * g - f * f
-    c = np.cross(sj.f_x, sj.f_y)
+    c = np.cross(f_x, f_y)
     cc = float(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
     if cc <= EPS_SINGULAR:
         raise SingularPointError(f"degenerate tangent plane (|f_x x f_y|^2 = {cc:g})")
@@ -46,30 +47,32 @@ def _frame(sj, amb):
 
 
 def fundamental_forms(sj, amb):
-    e, f, g, _, n, nn = _frame(sj, amb)
+    _, f_x, f_y, f_xx, f_xy, f_yy = helpers.jet_rows(sj)
+    e, f, g, _, n, nn = _frame(f_x, f_y, amb)
     scale = 1.0 / math.sqrt(abs(nn))
-    return (e, f, g,
-            amb.inner(sj.f_xx, n) * scale, amb.inner(sj.f_xy, n) * scale, amb.inner(sj.f_yy, n) * scale)
+    return (e, f, g, amb.inner(f_xx, n) * scale, amb.inner(f_xy, n) * scale, amb.inner(f_yy, n) * scale)
 
 
 def gaussian_curvature(sj, amb):
-    e, f, g, disc, n, nn = _frame(sj, amb)
+    _, f_x, f_y, f_xx, f_xy, f_yy = helpers.jet_rows(sj)
+    e, f, g, disc, n, nn = _frame(f_x, f_y, amb)
     scale = 1.0 / math.sqrt(abs(nn))
-    l = amb.inner(sj.f_xx, n) * scale
-    m = amb.inner(sj.f_xy, n) * scale
-    nu = amb.inner(sj.f_yy, n) * scale
+    l = amb.inner(f_xx, n) * scale
+    m = amb.inner(f_xy, n) * scale
+    nu = amb.inner(f_yy, n) * scale
     sign = 1.0 if nn > 0.0 else -1.0
     return sign * (l * nu - m * m) / disc
 
 
 def tangent_distance(sj, amb):
-    _, _, _, _, n, nn = _frame(sj, amb)
-    return abs(amb.inner(sj.f, n)) / math.sqrt(abs(nn))
+    f, f_x, f_y, *_ = helpers.jet_rows(sj)
+    _, _, _, _, n, nn = _frame(f_x, f_y, amb)
+    return abs(amb.inner(f, n)) / math.sqrt(abs(nn))
 
 
 def oriented_volumes(sj):
-    return (det3(sj.f_xx, sj.f_x, sj.f_y), det3(sj.f_yy, sj.f_x, sj.f_y),
-            det3(sj.f_xy, sj.f_x, sj.f_y), det3(sj.f, sj.f_x, sj.f_y))
+    f, f_x, f_y, f_xx, f_xy, f_yy = helpers.jet_rows(sj)
+    return (det3(f_xx, f_x, f_y), det3(f_yy, f_x, f_y), det3(f_xy, f_x, f_y), det3(f, f_x, f_y))
 
 
 def titeica_ratio(sj, amb):

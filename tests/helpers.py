@@ -1,5 +1,6 @@
-"""Shared test utilities: random patches, points and matrices, the Brioschi
-curvature of a metric, test metric pairs and the outcome of a patch call."""
+"""Shared test utilities: random patches, points and matrices, the rows of
+a jet, the Brioschi curvature of a metric, test metric pairs and the
+outcome of a patch call."""
 
 import math
 
@@ -39,18 +40,26 @@ def outcome(patch, x, y, *lines):
         return type(exc).__name__, str(exc)
 
 
+def jet_rows(sj):
+    """The six rows of a jet, f, f_x, f_y, f_xx, f_xy and f_yy, each the
+    float triple of one field across the three coordinate jets."""
+    return tuple(zip(*sj))
+
+
+def jet_of_rows(*rows):
+    """The jet whose six rows (see :func:`jet_rows`) are ``rows``."""
+    return SurfaceJet(*(jet.Jet2(*c) for c in zip(*rows)))
+
+
 def jet2_image(sj, a):
     """Reference for ``a.act(sj)``: the jet of f . A by Jet2 arithmetic.
 
-    The coordinate jets c0, c1, c2 are read back from the rows of ``sj``
-    and each image coordinate is the Jet2 combination c0*a0 + c1*a1 + c2*a2
-    over a column of A, the way a surface evaluator would form it.
+    Each image coordinate is the Jet2 combination c0*a0 + c1*a1 + c2*a2 of
+    the coordinate jets c0, c1, c2 of ``sj`` over a column of A, the way a
+    surface evaluator would form it.
     """
-    rows = (sj.f, sj.f_x, sj.f_y, sj.f_xx, sj.f_xy, sj.f_yy)
-    c0, c1, c2 = (jet.Jet2(*(r[k] for r in rows)) for k in range(3))
-    image = [c0 * a0 + c1 * a1 + c2 * a2 for a0, a1, a2 in zip(*a.matrix)]
-    fields = ("val", "dx", "dy", "dxx", "dxy", "dyy")
-    return SurfaceJet(*(tuple(getattr(c, name) for c in image) for name in fields))
+    c0, c1, c2 = sj
+    return SurfaceJet(*(c0 * a0 + c1 * a1 + c2 * a2 for a0, a1, a2 in zip(*a.matrix)))
 
 
 def scaling_reference(s, a, points):

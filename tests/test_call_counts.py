@@ -9,8 +9,8 @@ seeds itself, and a sweep of a catalog row computes a line's one-axis
 part only until it keeps it, so where it keeps both lines of a point it
 runs the row's ``mix`` alone.  An ``apply_map`` image hands the sweep's
 lines to its source patch, so a mapped row keeps its lines too.  The
-counts are exact for a given interpreter (10.45, 16.2, 9.5225 and
-12.5225 on CPython 3.11); the first two bounds leave room only for fixed
+counts are exact for a given interpreter (10.45, 15.2, 9.5225 and
+11.5225 on CPython 3.11); the first two bounds leave room only for fixed
 per-grid calls, and the last two fail if the pseudosphere's one-axis
 parts run at every point again.
 

@@ -17,13 +17,12 @@ import pytest
 
 import frame_reference as ref
 from exact import exact_invariants, relative_error
-from helpers import random_polynomial_patch
+from helpers import jet_of_rows, random_polynomial_patch
 from titeica.errors import SingularPointError
 from titeica.invariants import identity_residual, point_invariants
 from titeica.surfaces import (
     EUCLIDEAN,
     MINKOWSKI,
-    SurfaceJet,
     catalog,
     catalog_names,
     eval_surface,
@@ -114,7 +113,7 @@ def test_random_polynomial_patches_match_reference():
 
 
 def _jet(f_x, f_y):
-    return SurfaceJet((1.0, 2.0, 3.0), f_x, f_y, (0.5, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 2.0))
+    return jet_of_rows((1.0, 2.0, 3.0), f_x, f_y, (0.5, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 2.0))
 
 
 def test_degenerate_frames_raise_like_reference():

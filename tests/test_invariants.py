@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import frame_reference as ref
-from helpers import random_polynomial_patch, random_regular_point
+from helpers import jet_of_rows, random_polynomial_patch, random_regular_point
 from titeica import CentroAffineMap, classify, invariants, jet, scan_grid, verify_scaling
 from titeica.errors import DomainError, SingularPointError
 from titeica.invariants import identity_residual, point_invariants
@@ -13,7 +13,6 @@ from titeica.surfaces import (
     MINKOWSKI,
     Box,
     SurfaceDef,
-    SurfaceJet,
     catalog,
     catalog_names,
     eval_surface,
@@ -171,7 +170,7 @@ def test_ratio_under_a_null_minkowski_normal():
 
 def test_identity_residual_raises_the_pass_fault_on_a_degenerate_frame():
     # f_y = 2 f_x: every volume is 0, but the fault is the frame, not V
-    sj = SurfaceJet((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), (2.0, 4.0, 6.0), (0.5, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 2.0))
+    sj = jet_of_rows((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), (2.0, 4.0, 6.0), (0.5, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 2.0))
     for amb in (EUCLIDEAN, MINKOWSKI):
         with pytest.raises(SingularPointError, match="degenerate tangent plane"):
             point_invariants(sj, amb).ratio()
@@ -195,7 +194,7 @@ def test_identity_residual_makes_one_pass(monkeypatch):
 def test_frame_whose_first_form_cancels_is_regular():
     # |f_x x f_y|^2 = 1e-8, but EG - F^2 rounds to 0: the ratio needs no
     # first form, and the classical route has no digits left
-    sj = SurfaceJet((0.0, 0.0, 1.0), (1e4, 0.0, 0.0), (1e4, 1e-8, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.5), (0.0, 0.0, 2.0))
+    sj = jet_of_rows((0.0, 0.0, 1.0), (1e4, 0.0, 0.0), (1e4, 1e-8, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.5), (0.0, 0.0, 2.0))
     assert abs(point_invariants(sj, EUCLIDEAN).ratio() - 1.75e8) <= 1e-14 * 1.75e8
     assert identity_residual(sj, EUCLIDEAN) == math.inf
 
@@ -220,7 +219,8 @@ def test_numerator_identity_for_monge_patches():
         sj = eval_surface(s, x, y)
         vols = point_invariants(sj, EUCLIDEAN)
         lhs = vols.Vx * vols.Vy - vols.Vxy**2
-        rhs = sj.f_xx[2] * sj.f_yy[2] - sj.f_xy[2] ** 2
+        u = sj.f2
+        rhs = u.dxx * u.dyy - u.dxy**2
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 

@@ -78,7 +78,7 @@ def test_signed_zeros_are_different_lines(name):
     patch = catalog(name).patch
     points = [(0.0, 0.25), (-0.0, 0.25), (0.25, -0.0), (0.25, 0.0), (-0.0, -0.0), (0.0, 0.0), (-0.0, 0.25)]
     assert_sweep_matches_calls(patch, points)
-    assert repr(patch(-0.0, 0.25, ({}, {})).f[0]) == "-0.0"
+    assert repr(patch(-0.0, 0.25, ({}, {})).f0.val) == "-0.0"
 
 
 def raising_row():
@@ -160,7 +160,7 @@ def test_a_parametric_patch_is_called_at_every_point():
         s = SurfaceDef("custom", parametric(coords), Box(0.5, 2.0, 0.5, 2.0), EUCLIDEAN)
         points = grid_points(s.domain, 5, 4) + [(1.0, 1.0)]
         assert_sweep_matches_calls(s.patch, points)
-        called = [repr(SurfaceJet(*zip(*coords(*jet.seed_xy(x, y))))) for x, y in points]
+        called = [repr(SurfaceJet(*coords(*jet.seed_xy(x, y)))) for x, y in points]
         assert [outcome(s.patch, x, y) for x, y in points] == called
         assert repr(scan_grid(s, (5, 4))) == repr(called_rows(s, (5, 4)))
 
@@ -204,7 +204,8 @@ def test_parametric_coords_must_give_three_jets(count):
 
 @pytest.mark.parametrize("count", [2, 4])
 def test_a_row_unpacks_three_jets_at_a_call_and_in_a_sweep(count):
-    # zip(*mix(...)) alone would build a jet of 2- or 4-tuples without raising.
+    # tuple.__new__(SurfaceJet, mix(...)) alone would build a jet of 2 or 4
+    # coordinate jets without raising.
     patch = surfaces._by_lines(lambda x: (x, x * x), None, lambda x, xx, y: (x, y, xx, y)[:count])
     for lines in (None, ({}, {})):
         with pytest.raises(ValueError, match="values to unpack"):
