@@ -14,7 +14,7 @@ the fields their command takes.  Output to a new or regular file is
 atomic (write to a temporary file, then rename); this process's own
 stdout, a device or a FIFO is written in place.  Reports are
 byte-deterministic for identical configurations: the grid enumeration
-order is fixed and every float is formatted with 17 significant digits.
+order is fixed and every float is written as its shortest round-trip repr.
 
 Exit status: 0 on success or a passing check, 1 on a verification
 failure, an inconclusive classification or a stdout whose reader has
@@ -244,7 +244,7 @@ _COMMANDS = {
 
 def _fmt(v) -> str:
     if isinstance(v, float):
-        return format(v, ".17g")
+        return float.__repr__(v)  # a numpy float's repr is np.float64(...)
     if v is None:
         return ""
     if isinstance(v, bool):
@@ -252,52 +252,14 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _json_text(value, indent: int, string) -> str:
-    # json.dumps writes floats with repr() and inf/nan as bare tokens; the report
-    # contract is 17 significant digits and strict JSON, so emit the document by hand.
-    # ``string`` is json's own string encoder.
-    if isinstance(value, float):
-        return format(value, ".17g") if math.isfinite(value) else "null"
-    if isinstance(value, dict):
-        return _json_object(
-            [(string(str(k)), _json_text(v, indent + 1, string)) for k, v in value.items()], indent
-        )
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return string(value)
-    if isinstance(value, (list, tuple)):
-        return _json_array([_json_text(v, indent + 1, string) for v in value], indent)
-    raise TypeError(f"cannot serialize {type(value)!r}")
-
-
-def _json_object(members, indent: int) -> str:
-    """An object from (encoded key, encoded value) pairs."""
-    if not members:
-        return "{}"
-    pad = "  " * indent
-    return "{\n" + ",\n".join(f"{pad}  {k}: {v}" for k, v in members) + "\n" + pad + "}"
-
-
-def _json_array(items, indent: int) -> str:
-    """An array from encoded items."""
-    if not items:
-        return "[]"
-    pad = "  " * indent
-    return "[\n" + ",\n".join(f"{pad}  {v}" for v in items) + "\n" + pad + "]"
-
-
 def _cells(report: _Report, encode) -> tuple:
     """The encoded cells of every row, row by row, for one "%" template.
 
     Each column encodes each distinct cell once, in a dict that lives for
-    this call, so equal cells share one string; a finite float is its .17g
-    text in every format.  A float zero is keyed by its repr and a column
-    of mixed types by position, so cells that encode apart share no key.
+    this call, so equal cells share one string; a finite float is its
+    shortest round-trip repr in every format.  A float zero is keyed by its
+    repr and a column of mixed types by position, so cells that encode
+    apart share no key.
     """
     columns = []
     for column in zip(*report.rows):
@@ -307,7 +269,7 @@ def _cells(report: _Report, encode) -> tuple:
         elif isinstance(column[0], float) and 0.0 in column:  # and so are 0.0 and -0.0
             keys = [v or repr(v) for v in column]
         cells = dict(zip(keys, column))  # one cell per key, in column order
-        texts = [f"{v:.17g}" if type(v) is float and v - v == 0.0 else encode(v) for v in cells.values()]
+        texts = [repr(v) if type(v) is float and v - v == 0.0 else encode(v) for v in cells.values()]
         columns.append(texts if len(cells) == len(column) else map(dict(zip(cells, texts)).__getitem__, keys))
     return tuple(chain.from_iterable(zip(*columns)))
 
@@ -318,23 +280,32 @@ def _fill(row: str, separator: str, report: _Report, encode) -> str:
     return separator.join([row] * len(report.rows)) % _cells(report, encode)
 
 
+def _finite(value):
+    """``value`` with each float that is not finite, in a dict too, as
+    None: strict JSON has no inf or nan."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    return value
+
+
 def _render_json(report: _Report) -> str:
     # json is imported by the runs that write or read it, not by every run.
-    from json.encoder import encode_basestring_ascii as string  # what json.dumps(str) returns
+    from json import JSONEncoder
 
-    # The row template is built once per report from the key lines every
-    # row shares.
-    keys = [string(c).replace("%", "%%") for c in report.columns]
+    # Two encoders per report (json.dumps with arguments builds one per
+    # call); allow_nan=False makes a missed inf or nan an error.
+    value = JSONEncoder(allow_nan=False).encode
+    block = JSONEncoder(indent=2, allow_nan=False).encode
+    # One row template per report, from the key lines every row shares.
+    keys = [value(c).replace("%", "%%") for c in report.columns]
     row = "    {\n" + ",\n".join(f"      {k}: %s" for k in keys) + "\n    }"
-    results = "[]"
-    if report.rows:
-        results = "[\n" + _fill(row, ",\n", report, lambda v: _json_text(v, 3, string)) + "\n  ]"
-    return _json_object([
-        ('"command"', string(report.command)),
-        ('"config"', _json_text(report.config, 1, string)),
-        ('"results"', results),
-        ('"summary"', _json_text(report.summary, 1, string)),
-    ], 0) + "\n"
+    cells = _fill(row, ",\n", report, lambda v: value(_finite(v)))
+    results = f"[\n{cells}\n  ]" if report.rows else "[]"
+    config, summary = (block(_finite(d)).replace("\n", "\n  ") for d in (report.config, report.summary))
+    return (f'{{\n  "command": {value(report.command)},\n  "config": {config},\n'
+            f'  "results": {results},\n  "summary": {summary}\n}}\n')
 
 
 def _csv_cell(v) -> str:
@@ -357,23 +328,19 @@ def _render_text(report: _Report) -> str:
         if key not in _COMMON and value not in (None, {}, []):
             lines.append(f"{key}: {value}")
     if report.rows:
-        lines.append("")
-        lines.append("  ".join(f"{c:>22}" for c in report.columns))
-        lines.append(_fill("  ".join(["%22s"] * len(report.columns)), "\n", report, _fmt))
-    lines.append("")
-    lines.append("summary:")
+        header = "  ".join(f"{c:>22}" for c in report.columns)
+        lines += ["", header, _fill("  ".join(["%22s"] * len(report.columns)), "\n", report, _fmt)]
+    lines += ["", "summary:"]
 
-    def emit(key, value, depth):
-        pad = "  " * depth
-        if isinstance(value, dict):
-            lines.append(f"{pad}{key}:")
-            for kk, vv in value.items():
-                emit(kk, vv, depth + 1)
-        else:
-            lines.append(f"{pad}{key}: {_fmt(value)}")
+    def emit(items, pad):
+        for key, value in items:
+            if isinstance(value, dict):
+                lines.append(f"{pad}{key}:")
+                emit(value.items(), pad + "  ")
+            else:
+                lines.append(f"{pad}{key}: {_fmt(value)}")
 
-    for k, v in report.summary.items():
-        emit(k, v, 1)
+    emit(report.summary.items(), "  ")
     return "\n".join(lines) + "\n"
 
 

@@ -75,13 +75,16 @@ class Jet2(NamedTuple):
         return _new(Jet2, (-a0, -a1, -a2, -a3, -a4, -a5))
 
     def __mul__(self, other):
+        a0, a1, a2, a3, a4, a5 = self
+        if type(other) is not Jet2:  # a real factor scales each field
+            o = _lift(other)
+            if o is None:
+                raise _refused("*", other)
+            c = o[0]
+            return _new(Jet2, (a0 * c, a1 * c, a2 * c, a3 * c, a4 * c, a5 * c))
         # Grouped so that a*b and b*a agree bitwise (addition of the same
         # products in commuted operand order).
-        o = other if type(other) is Jet2 else _lift(other)
-        if o is None:
-            raise _refused("*", other)
-        a0, a1, a2, a3, a4, a5 = self
-        b0, b1, b2, b3, b4, b5 = o
+        b0, b1, b2, b3, b4, b5 = other
         return _new(Jet2, (
             a0 * b0,
             a1 * b0 + a0 * b1,

@@ -17,10 +17,17 @@ text of the parser and of each subcommand at 80 columns; their layout
 follows the ``argparse`` of the Python that wrote them (3.11).  A
 deliberate change of report or help bytes rewrites the file from the new
 output and says why in CHANGES.md.  The directory holds exactly the
-files named in ``GOLDEN``, so an orphaned or unpinned file fails.
+files named in ``GOLDEN``, so an orphaned or unpinned file fails.  Each
+JSON report is laid out as ``json.dumps(..., indent=2)`` lays out its
+content, and every float cell of every report is the shortest text that
+reads back to its float, its ``repr``.
 """
 
+import csv
+import io
+import json
 import os
+import re
 
 import pytest
 
@@ -91,6 +98,47 @@ def test_report_matches_golden_file(name, capsys, monkeypatch):
     main(GOLDEN[name])
     with open(os.path.join(GOLDEN_DIR, name), newline="") as fh:
         assert capsys.readouterr().out == fh.read()
+
+
+def golden_text(name):
+    with open(os.path.join(GOLDEN_DIR, name), newline="") as fh:
+        return fh.read()
+
+
+REPORTS = sorted(name for name in GOLDEN if not name.startswith("help"))
+
+
+@pytest.mark.parametrize("name", [name for name in REPORTS if name.endswith(".json")])
+def test_json_report_is_laid_out_as_json_dumps(name):
+    text = golden_text(name)
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+NUMBER = re.compile(r"-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+KEY = re.compile(r"\s*[^\s:]+: ")  # a "key: value" line of a text report
+
+
+def float_cells(name, text):
+    """The text of each float in a report: each JSON number with a point or
+    an exponent, and each CSV cell, text table cell or text "key: value"
+    value that is such a number."""
+    if name.endswith(".json"):
+        cells = []
+        json.loads(text, parse_float=cells.append)
+        return cells
+    if name.endswith(".csv"):
+        cells = [cell for row in csv.reader(io.StringIO(text)) for cell in row]
+    else:  # the cells of a table row are two or more spaces apart
+        cells = [cell for line in text.splitlines()
+                 for cell in (line.split(": ", 1)[1:] if KEY.match(line) else re.split(r"\s{2,}", line))]
+    return [c for c in cells if NUMBER.fullmatch(c) and not c.lstrip("-").isdigit()]
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_every_float_cell_is_its_repr(name):
+    cells = float_cells(name, golden_text(name))
+    assert cells or name == "catalog.txt"
+    assert [c for c in cells if c != repr(float(c))] == []
 
 
 def test_golden_directory_holds_exactly_the_pinned_files():

@@ -132,6 +132,19 @@ def test_multiplication_commutes_bitwise():
         assert a * b == b * a
 
 
+def test_real_factor_scales_each_field():
+    # Each field is the field times the factor, compared by repr, which
+    # tells -0.0 from 0.0: no val * 0.0 term turns -0.0 into 0.0, and an
+    # infinite value leaves the derivatives finite.
+    u = Jet2(5.0, -0.0, 1.0, 0.0, 0.0, 0.0)
+    assert repr((u * 2.0).dx) == "-0.0"
+    assert repr(u * 2.0) == repr(Jet2(10.0, -0.0, 2.0, 0.0, 0.0, 0.0))
+    assert repr(2.0 * u) == repr(u * 2.0)
+    v = Jet2(math.inf, 1.0, 0.0, 0.0, 0.0, 0.0) * 2.0
+    assert repr(v) == repr(Jet2(math.inf, 2.0, 0.0, 0.0, 0.0, 0.0))
+    assert v.dx == 2.0
+
+
 def test_log_exp_roundtrip():
     rng = np.random.default_rng(11)
     for _ in range(200):
