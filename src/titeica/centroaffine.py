@@ -28,7 +28,7 @@ from . import _NAMES
 from .errors import SingularPointError
 from .invariants import _sweep, point_invariants
 from .jet import Jet2
-from .surfaces import SurfaceDef, SurfaceJet, det3
+from .surfaces import SurfaceDef, SurfaceJet, _Row, det3
 
 __all__ = list(_NAMES["centroaffine"])
 
@@ -75,10 +75,10 @@ class CentroAffineMap(NamedTuple):
 
 def apply_map(s: SurfaceDef, a: CentroAffineMap) -> SurfaceDef:
     """Image surface (x, y) -> f(x, y) . A on the same parameter domain,
-    under the same ambient form as ``s``.  It hands a sweep's ``lines`` to
-    the source patch alone, so it sweeps with the source's line cache."""
-    return SurfaceDef(f"{s.name}|mapped", lambda x, y, lines=None: a.act(s.patch(x, y, lines)),
-                      s.domain, s.ambient)
+    under the same ambient form as ``s``: the source's row with ``act``
+    after its ``mix``, so a sweep keeps the source's parts."""
+    xpart, ypart, mix = s.patch
+    return SurfaceDef(f"{s.name}|mapped", _Row(xpart, ypart, lambda *p: a.act(mix(*p))), s.domain, s.ambient)
 
 
 class ScalingPoint(NamedTuple):

@@ -26,6 +26,7 @@ import argparse
 import math
 import os
 import sys
+from functools import cache
 from itertools import chain
 from typing import Callable, NamedTuple, Optional
 
@@ -328,8 +329,12 @@ def _render_text(report: _Report) -> str:
         if key not in _COMMON and value not in (None, {}, []):
             lines.append(f"{key}: {value}")
     if report.rows:
-        header = "  ".join(f"{c:>22}" for c in report.columns)
-        lines += ["", header, _fill("  ".join(["%22s"] * len(report.columns)), "\n", report, _fmt)]
+        k, cells = len(report.columns), _cells(report, _fmt)
+        # A column is as wide as its header and its longest cell, and at least
+        # 22, so no cell pushes a later column right.
+        widths = [max(22, len(c), *map(len, cells[j::k])) for j, c in enumerate(report.columns)]
+        row = "  ".join(f"%{w}s" for w in widths)
+        lines += ["", "  ".join(map(str.rjust, report.columns, widths)), "\n".join([row] * len(report.rows)) % cells]
     lines += ["", "summary:"]
 
     def emit(items, pad):
@@ -437,6 +442,7 @@ _FIELDS = {
 }
 
 
+@cache  # one parser per process: parsing never mutates it
 def _build_parser() -> argparse.ArgumentParser:
     description = "Surface invariant K/d^4: classification, scaling-law and metric checks."
     parser = _Parser(prog="titeica", description=description)

@@ -44,6 +44,7 @@ from typing import NamedTuple, Optional
 
 from . import _NAMES
 from .errors import InconclusiveError, SingularPointError
+from .jet import Jet2
 from .surfaces import (
     DEFAULT_GRID,
     DEFAULT_TOL,
@@ -142,16 +143,34 @@ def identity_residual(sj: SurfaceJet, amb: AmbientForm) -> float:
 def _sweep(s: SurfaceDef, points, evaluate, record) -> list:
     """The one walk of a grid command over ``s``: at each point, in order,
     check that it is inside the box (a DomainError propagates), then give
-    ``evaluate(x, y, jet)`` for the jet ``s.patch(x, y, lines)``, where
-    ``lines`` is the sweep's one pair of line dicts (see
-    ``surfaces._by_lines``).  A point that raises SingularPointError becomes
-    ``record(x, y, skipped=<the error's message>)``; other errors propagate."""
-    patch, lines = s.patch, ({}, {})
-    rows = []
+    ``evaluate(x, y, jet)`` for the jet of ``s.patch(x, y)``.  The sweep
+    reads the row's fields and keeps a line's part in a dict per axis, keyed
+    by ``x or repr(x)`` (0.0 and -0.0 are two lines), from the line's second
+    point on and only where ``mix`` returns, so points that share no line
+    keep only keys.  A part depends on its seed alone, so each point gives
+    the jet, or raises the error, of a call.  A point that raises
+    SingularPointError becomes ``record(x, y, skipped=<the error's message>)``;
+    other errors propagate."""
+    (xpart, ypart, mix), (x0, x1, y0, y1) = s.patch, s.domain
+    xs, ys, rows = {}, {}, []
     for x, y in points:
         try:
-            s.domain.require(x, y, s.name)
-            rows.append(evaluate(x, y, patch(x, y, lines)))
+            if not (x0 < x < x1 and y0 < y < y1):
+                s.domain.require(x, y, s.name)
+            kx, ky = x or repr(x), y or repr(y)
+            kept_x, kept_y = a, b = xs.get(kx), ys.get(ky)
+            if not a:
+                sx = _new(Jet2, (float(x), 1.0, 0.0, 0.0, 0.0, 0.0))  # seed_x(x), without a call
+                a = xpart(sx) if xpart else (sx,)
+            if not b:
+                sy = _new(Jet2, (float(y), 0.0, 1.0, 0.0, 0.0, 0.0))  # seed_y(y), without a call
+                b = ypart(sy) if ypart else (sy,)
+            cx, cy, cz = mix(*a, *b)
+            if not kept_x:
+                xs[kx] = () if kept_x is None else a
+            if not kept_y:
+                ys[ky] = () if kept_y is None else b
+            rows.append(evaluate(x, y, _new(SurfaceJet, (cx, cy, cz))))
         except SingularPointError as exc:
             rows.append(record(x, y, skipped=str(exc)))
     return rows

@@ -1,16 +1,16 @@
 """Surface patches, ambient bilinear forms and the built-in catalog.
 
-A surface is a patch: a function from a parameter point to its
+A surface is a patch, which a call maps from a parameter point to its
 :class:`SurfaceJet`, the jets of the three coordinates: each holds the
-value and all first and second partial derivatives.  Every patch built
-here is a row ``mix(*xpart(x), *ypart(y))`` (:func:`_by_lines`, which
-also describes how a grid sweep evaluates it), where a part holds the
-jets that depend on one parameter alone: R^2 - x^2 and y^2 on a cap,
-sech t, t - tanh t, cos theta and sin theta on the pseudosphere.
-:func:`parametric` is the row with no parts, from three coordinate
-functions written on :class:`~titeica.jet.Jet2` seeds; a Monge patch,
-the graph of u over the parameter plane, is the immersion
-(x, y, u(x, y)).
+value and all first and second partial derivatives.  A patch is a row
+``(xpart, ypart, mix)`` (:class:`_Row`), the immersion
+``mix(*xpart(x), *ypart(y))``, where a part holds the jets that depend
+on one parameter alone: R^2 - x^2 and y^2 on a cap, sech t, t - tanh t,
+cos theta and sin theta on the pseudosphere.  A grid sweep reads the
+row's fields and computes a part once per line.  :func:`parametric` is
+the row with no parts, from three coordinate functions written on
+:class:`~titeica.jet.Jet2` seeds; a Monge patch, the graph of u over the
+parameter plane, is the immersion (x, y, u(x, y)).
 
 The catalog holds the concrete surfaces exercised by the verification
 commands; every entry picks a domain box that stays away from coordinate
@@ -120,10 +120,31 @@ class SurfaceJet(NamedTuple):
     f2: Jet2
 
 
-Patch = Callable[..., SurfaceJet]  # patch(x, y, lines=None): see _by_lines
 Coords = Callable[[Jet2, Jet2], tuple[Jet2, Jet2, Jet2]]
 _Part = Callable[[Jet2], tuple[Jet2, ...]]
-_Row = tuple[Optional[_Part], Optional[_Part], Callable[..., tuple[Jet2, Jet2, Jet2]], Box]
+
+
+class _Row(NamedTuple):
+    """The patch ``mix(*xpart(x), *ypart(y))`` at seeded parameters, where a
+    part holds the jets that depend on its seed alone and a missing part is
+    the seed alone.  A call computes the x part, the y part, then ``mix``,
+    unpacks exactly three coordinate jets and keeps nothing; a grid sweep
+    (``invariants._sweep``) reads the fields and keeps each line's part."""
+
+    xpart: Optional[_Part]
+    ypart: Optional[_Part]
+    mix: Callable[..., tuple[Jet2, Jet2, Jet2]]
+
+    def __call__(self, x: float, y: float) -> SurfaceJet:
+        xpart, ypart, mix = self
+        sx = _new(Jet2, (float(x), 1.0, 0.0, 0.0, 0.0, 0.0))  # seed_x(x), without a call
+        sy = _new(Jet2, (float(y), 0.0, 1.0, 0.0, 0.0, 0.0))  # seed_y(y), without a call
+        cx, cy, cz = mix(*(xpart(sx) if xpart else (sx,)), *(ypart(sy) if ypart else (sy,)))
+        return _new(SurfaceJet, (cx, cy, cz))
+
+
+Patch = _Row  # a patch is a row, built by parametric, the catalog or apply_map
+_Shape = tuple[Optional[_Part], Optional[_Part], Callable[..., tuple[Jet2, Jet2, Jet2]], Box]
 
 
 class SurfaceDef(NamedTuple):
@@ -138,53 +159,14 @@ class SurfaceDef(NamedTuple):
 
 def parametric(coords: Coords) -> Patch:
     """The patch of the immersion whose coordinate jets ``coords`` returns
-    at seeded parameters: the catalog row with no parts, so each point of
-    a call or of a sweep calls ``coords``.
+    at seeded parameters: the row with no parts, so each point of a call
+    or of a sweep calls ``coords``.
 
     A Monge patch is ``parametric(lambda x, y: (x, y, u(x, y)))``: its
     first two coordinates are the exact seeds, so f_x = (1, 0, u_x),
     f_y = (0, 1, u_y) and f_** = (0, 0, u_**) hold bitwise.
     """
-    return _by_lines(None, None, coords)
-
-
-def _by_lines(xpart: Optional[_Part], ypart: Optional[_Part], mix: Callable) -> Patch:
-    """The patch of the immersion ``mix(*xpart(x), *ypart(y))`` at seeded
-    parameters; a missing part is the seed alone.
-
-    ``patch(x, y, lines)`` computes the x part, then the y part, then ``mix``,
-    and unpacks exactly three coordinate jets from it, the fields of the jet.
-    ``lines`` is a grid sweep's pair of dicts (``invariants._sweep`` makes one
-    per sweep), in which the patch keeps a line's part from the line's second
-    point on and then skips computing it, so where both lines of a point are
-    kept it runs ``mix`` alone.  Without ``lines`` a call keeps nothing.  A
-    part depends on its seed alone, and only a point that returns keeps
-    anything, so each point of a sweep gives the jet, or raises the error, of
-    a call.
-    """
-
-    def patch(x: float, y: float, lines: Optional[tuple[dict, dict]] = None) -> SurfaceJet:
-        xs, ys = lines or ({}, {})
-        kx, ky = x or repr(x), y or repr(y)  # 0.0 and -0.0 seed different jets
-        kept_x, kept_y = xs.get(kx), ys.get(ky)
-        a = kept_x
-        if not a:
-            sx = _new(Jet2, (float(x), 1.0, 0.0, 0.0, 0.0, 0.0))  # seed_x(x), without a call
-            a = xpart(sx) if xpart else (sx,)
-        b = kept_y
-        if not b:
-            sy = _new(Jet2, (float(y), 0.0, 1.0, 0.0, 0.0, 0.0))  # seed_y(y), without a call
-            b = ypart(sy) if ypart else (sy,)
-        cx, cy, cz = mix(*a, *b)
-        sj = _new(SurfaceJet, (cx, cy, cz))
-        # Points that share no line (say, random ones) keep only keys.
-        if not kept_x:
-            xs[kx] = () if kept_x is None else a
-        if not kept_y:
-            ys[ky] = () if kept_y is None else b
-        return sj
-
-    return patch
+    return _Row(None, None, coords)
 
 
 def eval_surface(s: SurfaceDef, x: float, y: float) -> SurfaceJet:
@@ -198,12 +180,12 @@ def eval_surface(s: SurfaceDef, x: float, y: float) -> SurfaceJet:
 
 
 class _Entry(NamedTuple):
-    """A catalog row: ``shape(**params)`` is (xpart, ypart, mix, domain
-    box), the arguments of :func:`_by_lines` bound to the parameters and
+    """A catalog entry: ``shape(**params)`` is (xpart, ypart, mix, domain
+    box), the fields of a :class:`_Row` bound to the parameters and
     the box.  A part returns the jets that depend on its seed alone, or
     is None where the seed is all ``mix`` needs of it."""
 
-    shape: Callable[..., _Row]
+    shape: Callable[..., _Shape]
     description: str
     defaults: dict = {}  # never mutated
     ambient: AmbientForm = EUCLIDEAN
@@ -217,7 +199,7 @@ def _circle(theta: Jet2) -> tuple[Jet2, Jet2]:
     return jet.cos(theta), jet.sin(theta)
 
 
-def _cap(r: float, mix: Callable) -> _Row:
+def _cap(r: float, mix: Callable) -> _Shape:
     """The parts and box of a Monge cap whose height ``mix`` takes from
     R^2 - x^2 and y^2."""
     rr = constant(r * r)
@@ -298,7 +280,7 @@ def catalog(name: str, **params: float) -> SurfaceDef:
         if r * r == math.inf:
             raise ValueError(f"surface '{name}': radius R is too large, R^2 overflows, got {r}")
     *parts, box = entry.shape(**merged)
-    return SurfaceDef(name, _by_lines(*parts), box, entry.ambient)
+    return SurfaceDef(name, _Row(*parts), box, entry.ambient)
 
 
 def catalog_names() -> list[str]:

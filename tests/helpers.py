@@ -1,13 +1,13 @@
 """Shared test utilities: random patches, points and matrices, the rows of
 a jet, the Brioschi curvature of a metric, test metric pairs and the
-outcome of a patch call."""
+outcome of a patch at a call and in a sweep."""
 
 import math
 
 import numpy as np
 
 import frame_reference as ref
-from titeica import jet, metrics
+from titeica import invariants, jet, metrics
 from titeica.centroaffine import CentroAffineMap, ScalingPoint
 from titeica.errors import GeometryError, SingularPointError
 from titeica.invariants import point_invariants
@@ -31,13 +31,34 @@ def random_polynomial_patch(rng, degree=4, coeff_range=2.0, name="poly"):
     return SurfaceDef(name, parametric(lambda x, y: (x, y, height(x, y))), Box(-1.0, 1.0, -1.0, 1.0), EUCLIDEAN)
 
 
-def outcome(patch, x, y, *lines):
-    """``repr`` of the jet at (x, y), given a sweep's ``lines`` if they are
-    passed, or the error's type and message."""
+def outcome(patch, x, y):
+    """``repr`` of the jet that a call of ``patch`` gives at (x, y), or the
+    error's type and message."""
     try:
-        return repr(patch(x, y, *lines))
+        return repr(patch(x, y))
     except Exception as exc:  # every error must match, whatever its type
         return type(exc).__name__, str(exc)
+
+
+def swept(patch, points):
+    """The :func:`outcome` at each point of one sweep (``invariants._sweep``)
+    of the row ``patch``, on an unbounded box.  Each part and the mix of the
+    row raise their errors as a SingularPointError naming the error's type,
+    so that the sweep records the point and goes on to the next."""
+
+    def guarded(f):
+        def call(*args):
+            try:
+                return f(*args)
+            except Exception as exc:  # every error must match, whatever its type
+                raise SingularPointError(f"{type(exc).__name__}: {exc}") from exc
+
+        return call if f else None
+
+    row = type(patch)(*map(guarded, patch))
+    s = SurfaceDef("swept", row, Box(-math.inf, math.inf, -math.inf, math.inf), EUCLIDEAN)
+    return invariants._sweep(s, points, lambda x, y, sj: repr(sj),
+                             lambda x, y, skipped: tuple(skipped.split(": ", 1)))
 
 
 def jet_rows(sj):

@@ -5,14 +5,14 @@ A helper call costs far more than the arithmetic it wraps, and a grid
 pays it once per point, so these bounds pin the per-point work: the
 cross and dot products are written out in ``point_invariants``, jet
 arithmetic on two jets lifts neither operand, ``seed_xy`` builds both
-seeds itself, and a sweep of a catalog row computes a line's one-axis
-part only until it keeps it, so where it keeps both lines of a point it
-runs the row's ``mix`` alone.  An ``apply_map`` image hands the sweep's
-lines to its source patch, so a mapped row keeps its lines too.  The
-counts are exact for a given interpreter (10.45, 15.2, 9.5225 and
-11.5225 on CPython 3.11); the first two bounds leave room only for fixed
-per-grid calls, and the last two fail if the pseudosphere's one-axis
-parts run at every point again.
+seeds itself, and the sweep tests the box inline, calls no patch and
+computes a line's one-axis part only until it keeps it, so where it
+keeps both lines of a point it runs the row's ``mix`` alone.  An
+``apply_map`` image is its source's row with the map after ``mix``, so
+a mapped row keeps its lines too.  The counts are exact for a given
+interpreter (8.45, 13.2, 7.5225 and 9.5225 on CPython 3.11); the first
+two bounds leave room only for fixed per-grid calls, and the last two
+fail if the pseudosphere's one-axis parts run at every point again.
 
 ``check_pair`` evaluates the source metric once per point, inline, and
 runs one ``_pullback`` per point and variant; its counts at 20 x 20 are
@@ -74,10 +74,10 @@ def scan_mapped_pseudosphere():
 
 
 @pytest.mark.parametrize("make_run, points, bound", [
-    (scan_titeica_xyz, GRID[0] * GRID[1], 13),
-    (verify_paraboloid, GRID[0] * GRID[1], 19),
-    (scan_pseudosphere, 400, 13),
-    (scan_mapped_pseudosphere, 400, 15),
+    (scan_titeica_xyz, GRID[0] * GRID[1], 11),
+    (verify_paraboloid, GRID[0] * GRID[1], 17),
+    (scan_pseudosphere, 400, 11),
+    (scan_mapped_pseudosphere, 400, 13),
 ], ids=["scan_grid", "verify_scaling", "scan_grid_pseudosphere", "scan_grid_mapped_pseudosphere"])
 def test_calls_per_grid_point(make_run, points, bound):
     assert calls_per_point(make_run(), points) <= bound

@@ -56,7 +56,7 @@ def test_non_finite_ratio_is_a_skipped_point(radius, capsys):
     # R = 1e200 makes R^2 inf, so K and d are nan or inf.  catalog() and the
     # command line refuse such a radius, so the cap is built from its row.
     *parts, box = surfaces._CATALOG["sphere-origin"].shape(R=radius)
-    cap = SurfaceDef("sphere-origin", surfaces._by_lines(*parts), box, EUCLIDEAN)
+    cap = SurfaceDef("sphere-origin", surfaces._Row(*parts), box, EUCLIDEAN)
     records = scan_grid(cap, grid=(4, 4))
     assert all(r.skipped.startswith("non-finite") and r.ratio is None for r in records)
     with pytest.raises(InconclusiveError, match="^400/400 grid points"):
@@ -839,3 +839,38 @@ def test_parse_config_requires_command():
 
 def test_cli_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+def test_text_columns_hold_their_longest_cell(capsys):
+    # x and y reach 23 characters here (-4.1159999999999996e+99), and the
+    # skipped reasons 41: a cell padded to 22 alone pushed every later
+    # column right.
+    assert main(["invariants", "--surface", "sphere-origin", "--param", "R=1e100", "--grid", "3", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header, *rows = lines[lines.index("") + 1:lines.index("summary:") - 1]
+    ends = [m.end() for m in re.finditer(r"\S+", header)]
+    starts = [0] + [end + 2 for end in ends[:-1]]
+    records = scan_grid(catalog("sphere-origin", R=1e100), (3, 2))
+    assert len(rows) == len(records) == 6
+    for line, record in zip(rows, records):
+        cells = [line[a:b] for a, b in zip(starts, ends)]
+        assert len(line) == ends[-1] and all(line[end:end + 2] == "  " for end in ends[:-1])
+        assert [c.strip() for c in cells] == [cli._fmt(v) for v in record]
+        assert all(c.isspace() or c[-1] != " " for c in cells)  # each cell ends under its header
+
+
+def test_one_parser_serves_every_run_of_a_process(capsys, monkeypatch):
+    # The parser is built once per process: one run's --param and --format
+    # must not reach the next run, and --help still reads COLUMNS.
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["classify", "--surface", "sphere-origin", "--grid", "3", "2"]
+    assert main([*argv, "--param", "R=2", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    second = capsys.readouterr().out
+    assert main(["--help"]) == 0
+    help_text = capsys.readouterr().out
+    assert cli._build_parser() is cli._build_parser()
+    assert second == python_child("-m", "titeica.cli", *argv).stdout
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "help.txt"), newline="") as fh:
+        assert help_text == fh.read()

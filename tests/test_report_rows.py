@@ -5,7 +5,8 @@ once, and must give the bytes of the general encoders.
 The references below render every cell on its own: JSON as
 ``json.dumps`` of the whole document with ``indent=2`` and each
 non-finite float as None, CSV as ``_fmt`` and the quoting rule, text as
-``_fmt`` right-aligned to 22.
+``_fmt`` right-aligned to its column's width: 22, or its header or its
+longest cell where that is longer.
 """
 
 import json
@@ -67,8 +68,9 @@ def reference_text(report):
     text = cli._render_text(report._replace(rows=[]))
     if not report.rows:
         return text
-    lines = ["  ".join(f"{c:>22}" for c in report.columns)]
-    lines += ["  ".join(f"{cli._fmt(v):>22}" for v in row) for row in report.rows]
+    widths = [max(22, len(c), *(len(cli._fmt(row[j])) for row in report.rows)) for j, c in enumerate(report.columns)]
+    lines = ["  ".join(f"{c:>{w}}" for c, w in zip(report.columns, widths))]
+    lines += ["  ".join(f"{cli._fmt(v):>{w}}" for v, w in zip(row, widths)) for row in report.rows]
     # Without rows the report goes from its config lines and a blank line
     # straight to the summary.
     return text.replace("\n\nsummary:\n", "\n\n" + "\n".join(lines) + "\n\nsummary:\n", 1)

@@ -7,7 +7,7 @@ import pytest
 
 import frame_reference as ref
 from fdcheck import fd_jet
-from helpers import jet_rows, outcome
+from helpers import jet_rows, outcome, swept
 from titeica import jet
 from titeica.errors import CatalogError, DomainError
 from titeica.jet import constant
@@ -231,5 +231,4 @@ def test_catalog_rows_match_their_unsplit_coordinates(name, params):
     points = grid_points(s.domain, 37, 23) + zeros
     expected = [outcome(reference, x, y) for x, y in points]
     assert [outcome(s.patch, x, y) for x, y in points] == expected
-    lines = {}, {}
-    assert [outcome(s.patch, x, y, lines) for x, y in points] == expected
+    assert swept(s.patch, points) == expected

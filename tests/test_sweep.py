@@ -1,25 +1,26 @@
 """A long sweep of a catalog row gives what calls of its patch give, bitwise.
 
-A catalog row states its coordinates as ``mix(*xpart(x), *ypart(y))``
-(``surfaces._by_lines``).  A grid sweep (``invariants._sweep``) passes
-one pair of line dicts, ``lines``, to the patch at every point, and the
-patch keeps the x part per x and the y part per y there, from the second
-point on that line; a call without ``lines`` keeps nothing it can reuse.
-Whatever the order of the points, each one of a long sweep must give the
-jet (compared by ``repr``, so that -0.0 and every last bit count) or the
-error, with its message, that a call of the patch gives there.  An
-``apply_map`` image hands ``lines`` to its source patch, so it sweeps
-with the same cache.  A ``parametric`` patch is the row with no parts, so
-its ``coords`` runs at every point.
+A patch is a row ``(xpart, ypart, mix)`` (``surfaces._Row``) whose
+coordinates are ``mix(*xpart(x), *ypart(y))``; a call of it keeps
+nothing.  A grid sweep (``invariants._sweep``) reads the row's fields and
+keeps the x part per x and the y part per y, from the second point on
+that line.  Whatever the order of the points, each one of a long sweep
+must give the jet (compared by ``repr``, so that -0.0 and every last bit
+count) or the error, with its message, that a call of the patch gives
+there (``helpers.swept``).  An ``apply_map`` image is the source's row
+with the map after ``mix``, so it sweeps with the same cache.  A
+``parametric`` patch is the row with no parts, so its ``coords`` runs at
+every point.
 """
 
+import math
 import random
 import tracemalloc
 from collections import Counter
 
 import pytest
 
-from helpers import outcome
+from helpers import outcome, swept
 from titeica import invariants, jet, surfaces
 from titeica.centroaffine import CentroAffineMap, apply_map, verify_scaling
 from titeica.errors import DomainError, SingularPointError
@@ -40,8 +41,7 @@ GENERAL = CentroAffineMap.of([(1.3, 0.2, -0.4), (0.1, 0.9, 0.3), (-0.2, 0.5, 1.1
 
 
 def assert_sweep_matches_calls(patch, points):
-    lines = {}, {}
-    assert [outcome(patch, x, y, lines) for x, y in points] == [outcome(patch, x, y) for x, y in points]
+    assert swept(patch, points) == [outcome(patch, x, y) for x, y in points]
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -78,13 +78,13 @@ def test_signed_zeros_are_different_lines(name):
     patch = catalog(name).patch
     points = [(0.0, 0.25), (-0.0, 0.25), (0.25, -0.0), (0.25, 0.0), (-0.0, -0.0), (0.0, 0.0), (-0.0, 0.25)]
     assert_sweep_matches_calls(patch, points)
-    assert repr(patch(-0.0, 0.25, ({}, {})).f0.val) == "-0.0"
+    assert repr(patch(-0.0, 0.25).f0.val) == "-0.0"
 
 
 def raising_row():
     """A row whose x part, y part and mix each raise on part of a grid:
     log x for x <= 0, sqrt y for y <= 0 and 1/(x - y) where x = y."""
-    return surfaces._by_lines(
+    return surfaces._Row(
         lambda x: (x, jet.log(x)),
         lambda y: (y, jet.sqrt(y)),
         lambda x, lx, y, ry: (x, y, lx * ry / (x - y)),
@@ -118,7 +118,7 @@ def test_a_mapped_row_runs_its_parts_as_the_row_does():
         runs["y", y.val] += 1
         return y, y * y
 
-    row = SurfaceDef("counted", surfaces._by_lines(xpart, ypart, lambda x, xx, y, yy: (x, y, xx + yy)),
+    row = SurfaceDef("counted", surfaces._Row(xpart, ypart, lambda x, xx, y, yy: (x, y, xx + yy)),
                      Box(0.5, 2.0, 0.5, 2.0), EUCLIDEAN)
     seen = []
     for s in (row, apply_map(row, GENERAL)):
@@ -131,15 +131,13 @@ def test_a_mapped_row_runs_its_parts_as_the_row_does():
 
 def test_points_that_share_no_line_keep_no_values():
     # Parts are kept from a line's second point on, so a sweep over points
-    # with distinct x and y holds only their keys (a 0.33 MB peak here;
-    # keeping every line's part from its first point took 2.5 MB).
-    patch = catalog("pseudosphere").patch
+    # with distinct x and y holds only their keys (a 0.2 MB peak here;
+    # keeping every line's part from its first point took 2.3 MB).
+    s = catalog("pseudosphere")._replace(domain=Box(-math.inf, math.inf, -math.inf, math.inf))
     points = [(0.5 + i * 1e-4, 0.1 + i * 1e-4) for i in range(2000)]
-    lines = {}, {}
     tracemalloc.start()
     try:
-        for x, y in points:
-            patch(x, y, lines)
+        invariants._sweep(s, points, lambda x, y, sj: None, PointRecord)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -206,7 +204,8 @@ def test_parametric_coords_must_give_three_jets(count):
 def test_a_row_unpacks_three_jets_at_a_call_and_in_a_sweep(count):
     # tuple.__new__(SurfaceJet, mix(...)) alone would build a jet of 2 or 4
     # coordinate jets without raising.
-    patch = surfaces._by_lines(lambda x: (x, x * x), None, lambda x, xx, y: (x, y, xx, y)[:count])
-    for lines in (None, ({}, {})):
+    s = SurfaceDef("short", surfaces._Row(lambda x: (x, x * x), None, lambda x, xx, y: (x, y, xx, y)[:count]),
+                   Box(0.5, 2.0, 0.5, 2.0), EUCLIDEAN)
+    for run in (lambda: s.patch(1.0, 1.0), lambda: invariants._sweep(s, [(1.0, 1.0)], lambda x, y, sj: sj, None)):
         with pytest.raises(ValueError, match="values to unpack"):
-            patch(1.0, 1.0, lines)
+            run()
