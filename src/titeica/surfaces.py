@@ -157,6 +157,13 @@ class SurfaceDef(NamedTuple):
     ambient: AmbientForm
 
 
+def _row_of(s: SurfaceDef) -> _Row:
+    """The patch of ``s``, which a sweep and ``apply_map`` read by field."""
+    if isinstance(s.patch, _Row):
+        return s.patch
+    raise TypeError(f"patch of surface '{s.name}' is a {type(s.patch).__name__}, not a row: build it with parametric")
+
+
 def parametric(coords: Coords) -> Patch:
     """The patch of the immersion whose coordinate jets ``coords`` returns
     at seeded parameters: the row with no parts, so each point of a call

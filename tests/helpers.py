@@ -1,6 +1,7 @@
 """Shared test utilities: random patches, points and matrices, the rows of
-a jet, the Brioschi curvature of a metric, test metric pairs and the
-outcome of a patch at a call and in a sweep."""
+a jet, the Brioschi curvature of a metric, test metric pairs, the outcome
+of a patch at a call and in a sweep, and the grid commands' rows from
+calls and the public records."""
 
 import math
 
@@ -10,8 +11,8 @@ import frame_reference as ref
 from titeica import invariants, jet, metrics
 from titeica.centroaffine import CentroAffineMap, ScalingPoint
 from titeica.errors import GeometryError, SingularPointError
-from titeica.invariants import point_invariants
-from titeica.surfaces import EUCLIDEAN, Box, SurfaceDef, SurfaceJet, det3, eval_surface, parametric
+from titeica.invariants import PointRecord, point_invariants
+from titeica.surfaces import EUCLIDEAN, Box, SurfaceDef, SurfaceJet, det3, eval_surface, grid_points, parametric
 
 
 def random_polynomial_patch(rng, degree=4, coeff_range=2.0, name="poly"):
@@ -57,7 +58,7 @@ def swept(patch, points):
 
     row = type(patch)(*map(guarded, patch))
     s = SurfaceDef("swept", row, Box(-math.inf, math.inf, -math.inf, math.inf), EUCLIDEAN)
-    return invariants._sweep(s, points, lambda x, y, sj: repr(sj),
+    return invariants._sweep(s, points, lambda x, y, jets: repr(SurfaceJet(*jets)),
                              lambda x, y, skipped: tuple(skipped.split(": ", 1)))
 
 
@@ -109,6 +110,48 @@ def scaling_reference(s, a, points):
             abs(after - predicted) / (abs(predicted) or 1.0),
             abs(iv - v_pred) / (abs(v_pred) or 1.0),
             abs(ivx * ivy - ivxy**2 - num_pred) / (abs(num_pred) or 1.0),
+        ))
+    return rows
+
+
+def called_rows(s, grid):
+    """``scan_grid``'s records from a call of the patch at every point."""
+    rows = []
+    for x, y in grid_points(s.domain, *grid):
+        try:
+            p = point_invariants(s.patch(x, y), s.ambient)
+            rows.append(PointRecord(x, y, p.K, p.d, p.ratio()))
+        except SingularPointError as exc:
+            rows.append(PointRecord(x, y, skipped=str(exc)))
+    return rows
+
+
+def called_scaling_rows(s, a, points):
+    """``verify_scaling``'s rows from the public records: the ratios of
+    ``point_invariants`` on a call of the patch and on its ``a.act`` image,
+    with the library's residual expressions."""
+    det2 = a.det * a.det
+    rows = []
+    for x, y in points:
+        try:
+            sj = s.patch(x, y)
+            source = point_invariants(sj, s.ambient)
+            before = source.ratio()
+            image = point_invariants(a.act(sj), s.ambient)
+            after = image.ratio()
+            predicted = before / det2
+            v_pred = a.det * source.V
+            num_pred = det2 * source.num
+            if not math.isfinite(num_pred):
+                raise SingularPointError(f"non-finite Vx Vy - Vxy^2 (det = {a.det:g})")
+        except SingularPointError as exc:
+            rows.append(ScalingPoint(x, y, skipped=str(exc)))
+            continue
+        rows.append(ScalingPoint(
+            x, y, before, after,
+            abs(after - predicted) / (abs(predicted) or 1.0),
+            abs(image.V - v_pred) / (abs(v_pred) or 1.0),
+            abs(image.num - num_pred) / (abs(num_pred) or 1.0),
         ))
     return rows
 

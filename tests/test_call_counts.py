@@ -9,10 +9,20 @@ seeds itself, and the sweep tests the box inline, calls no patch and
 computes a line's one-axis part only until it keeps it, so where it
 keeps both lines of a point it runs the row's ``mix`` alone.  An
 ``apply_map`` image is its source's row with the map after ``mix``, so
-a mapped row keeps its lines too.  The counts are exact for a given
-interpreter (8.45, 13.2, 7.5225 and 9.5225 on CPython 3.11); the first
-two bounds leave room only for fixed per-grid calls, and the last two
-fail if the pseudosphere's one-axis parts run at every point again.
+a mapped row keeps its lines too, and its map's ``act`` runs ``_image``.
+The counts are exact for a given interpreter: 8.5, 13.25, 7.525 and
+10.525 on CPython 3.10 and 3.11, 8.35, 13.2, 7.5175 and 10.5175 on 3.12.
+Each bound is the ceiling of the largest; the first two leave room only
+for fixed per-grid calls, and the last two fail if the pseudosphere's
+one-axis parts run at every point again.
+
+Records are counted the same way, as the ``c_call`` events on
+``tuple.__new__`` per point, which every NamedTuple instance and every
+``_new`` costs.  The sweep hands the pass plain tuples and the pass and
+the map's image return them, so a point builds its row and the jets of
+``mix`` only: 3.9 (``scan_grid``) and 3.85 (``verify_scaling``) on
+CPython 3.10 to 3.12, against 5.9 and 10.85 when each stage built its
+record.
 
 ``check_pair`` evaluates the source metric once per point, inline, and
 runs one ``_pullback`` per point and variant; its counts at 20 x 20 are
@@ -51,6 +61,24 @@ def calls_per_point(run, points):
     return calls / points
 
 
+def records_per_point(run, points):
+    """The ``tuple.__new__`` calls of ``run()`` divided by ``points``."""
+    run()
+    records = 0
+
+    def profile(frame, event, arg):
+        nonlocal records
+        if event == "c_call" and arg is tuple.__new__:
+            records += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return records / points
+
+
 def scan_titeica_xyz():
     s = catalog("titeica-xyz")
     return lambda: scan_grid(s, GRID)
@@ -74,13 +102,18 @@ def scan_mapped_pseudosphere():
 
 
 @pytest.mark.parametrize("make_run, points, bound", [
-    (scan_titeica_xyz, GRID[0] * GRID[1], 11),
-    (verify_paraboloid, GRID[0] * GRID[1], 17),
-    (scan_pseudosphere, 400, 11),
-    (scan_mapped_pseudosphere, 400, 13),
+    (scan_titeica_xyz, GRID[0] * GRID[1], 9),
+    (verify_paraboloid, GRID[0] * GRID[1], 14),
+    (scan_pseudosphere, 400, 8),
+    (scan_mapped_pseudosphere, 400, 11),
 ], ids=["scan_grid", "verify_scaling", "scan_grid_pseudosphere", "scan_grid_mapped_pseudosphere"])
 def test_calls_per_grid_point(make_run, points, bound):
     assert calls_per_point(make_run(), points) <= bound
+
+
+@pytest.mark.parametrize("make_run", [scan_titeica_xyz, verify_paraboloid], ids=["scan_grid", "verify_scaling"])
+def test_records_per_grid_point(make_run):
+    assert records_per_point(make_run(), GRID[0] * GRID[1]) <= 4
 
 
 @pytest.mark.parametrize("name, bound", [

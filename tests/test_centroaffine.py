@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    called_rows,
+    called_scaling_rows,
     jet2_image,
     jet_of_rows,
     jet_rows,
@@ -15,8 +17,9 @@ from helpers import (
 from titeica import centroaffine, classify, invariants
 from titeica.centroaffine import CentroAffineMap, apply_map, verify_scaling
 from titeica.cli import main
-from titeica.invariants import point_invariants
-from titeica.surfaces import EUCLIDEAN, catalog, catalog_names, eval_surface, grid_points
+from titeica.invariants import point_invariants, scan_grid
+from titeica.jet import Jet2, seed_xy
+from titeica.surfaces import EUCLIDEAN, Box, SurfaceDef, SurfaceJet, catalog, catalog_names, eval_surface, grid_points
 
 
 def test_construction_rejects_singular():
@@ -239,17 +242,40 @@ def test_verify_scaling_matches_four_separate_views(entries):
         assert list(verify_scaling(s, a, points, 1e-8).points) == scaling_reference(s, a, points), name
 
 
+@pytest.mark.parametrize("entries", ["2,0,0,0,1,0,0,0,1", MATRICES[1], MATRICES[2], "1.5,0.2,0,0,1,0.3,0.1,0,0.8"])
+@pytest.mark.parametrize("name", catalog_names())
+def test_plain_tuple_route_matches_the_public_records(name, entries):
+    # The grid commands hand plain tuples from the sweep to the pass and the
+    # map's image; each row, by repr, is the one the public records give.
+    a, s = map_of(entries), catalog(name)
+    points = grid_points(s.domain, 13, 11)
+    assert repr(verify_scaling(s, a, points, 1e-8).points) == repr(tuple(called_scaling_rows(s, a, points)))
+    for x, y in points:
+        sj = s.patch(x, y)
+        image = a.act(sj)
+        assert type(image) is SurfaceJet and {type(c) for c in image} == {Jet2}
+        assert repr(tuple(map(tuple, image))) == repr(centroaffine._image(a.matrix, sj)), (x, y)
+    for surface in (s, apply_map(s, a)):
+        assert repr(scan_grid(surface, (13, 11))) == repr(called_rows(surface, (13, 11)))
+
+
+def test_a_plain_function_is_not_a_patch_to_map():
+    s = SurfaceDef("f", lambda x, y: SurfaceJet(*seed_xy(x, y), Jet2(1.0)), Box(0.5, 2.0, 0.5, 2.0), EUCLIDEAN)
+    with pytest.raises(TypeError, match=r"^patch of surface 'f' is a function, not a row: build it with parametric"):
+        apply_map(s, map_of(MATRICES[0]))
+
+
 @pytest.mark.parametrize("surface", ["paraboloid", "minkowski-sphere"])
 def test_transform_check_makes_one_invariant_pass_per_side(surface, monkeypatch, tmp_path):
     passes = []
-    point = invariants.point_invariants
+    point = invariants._pass
 
-    def counting_pass(sj, amb):
+    def counting_pass(jets, amb):
         passes.append(amb)
-        return point(sj, amb)
+        return point(jets, amb)
 
-    monkeypatch.setattr(invariants, "point_invariants", counting_pass)
-    monkeypatch.setattr(centroaffine, "point_invariants", counting_pass)
+    monkeypatch.setattr(invariants, "_pass", counting_pass)
+    monkeypatch.setattr(centroaffine, "_pass", counting_pass)
     argv = ["transform-check", "--surface", surface, "--matrix", "2,0,0,0,1,0,0,0,1",
             "--grid", "5", "4", "--output", str(tmp_path / "report.txt")]
     assert main(argv) == 0

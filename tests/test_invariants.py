@@ -180,13 +180,13 @@ def test_identity_residual_raises_the_pass_fault_on_a_degenerate_frame():
 
 def test_identity_residual_makes_one_pass(monkeypatch):
     passes = []
-    point = invariants.point_invariants
+    point = invariants._pass
 
-    def counting_pass(sj, amb):
+    def counting_pass(jets, amb):
         passes.append(amb)
-        return point(sj, amb)
+        return point(jets, amb)
 
-    monkeypatch.setattr(invariants, "point_invariants", counting_pass)
+    monkeypatch.setattr(invariants, "_pass", counting_pass)
     assert identity_residual(eval_surface(catalog("minkowski-sphere"), 0.7, 1.1), MINKOWSKI) <= 1e-12
     assert passes == [MINKOWSKI]
 

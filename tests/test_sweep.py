@@ -20,11 +20,11 @@ from collections import Counter
 
 import pytest
 
-from helpers import outcome, swept
+from helpers import called_rows, outcome, swept
 from titeica import invariants, jet, surfaces
 from titeica.centroaffine import CentroAffineMap, apply_map, verify_scaling
-from titeica.errors import DomainError, SingularPointError
-from titeica.invariants import PointRecord, point_invariants, scan_grid
+from titeica.errors import DomainError
+from titeica.invariants import PointRecord, scan_grid
 from titeica.surfaces import (
     EUCLIDEAN,
     Box,
@@ -53,18 +53,6 @@ def test_catalog_sweep_matches_calls(name):
     for patch in (s.patch, apply_map(s, GENERAL).patch):
         assert_sweep_matches_calls(patch, points)
         assert_sweep_matches_calls(patch, shuffled)
-
-
-def called_rows(s, grid):
-    """``scan_grid``'s records from a call of the patch at every point."""
-    rows = []
-    for x, y in grid_points(s.domain, *grid):
-        try:
-            p = point_invariants(s.patch(x, y), s.ambient)
-            rows.append(PointRecord(x, y, p.K, p.d, p.ratio()))
-        except SingularPointError as exc:
-            rows.append(PointRecord(x, y, skipped=str(exc)))
-    return rows
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -137,7 +125,7 @@ def test_points_that_share_no_line_keep_no_values():
     points = [(0.5 + i * 1e-4, 0.1 + i * 1e-4) for i in range(2000)]
     tracemalloc.start()
     try:
-        invariants._sweep(s, points, lambda x, y, sj: None, PointRecord)
+        invariants._sweep(s, points, lambda x, y, jets: None, PointRecord)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -209,3 +197,9 @@ def test_a_row_unpacks_three_jets_at_a_call_and_in_a_sweep(count):
     for run in (lambda: s.patch(1.0, 1.0), lambda: invariants._sweep(s, [(1.0, 1.0)], lambda x, y, sj: sj, None)):
         with pytest.raises(ValueError, match="values to unpack"):
             run()
+
+
+def test_a_plain_function_is_not_a_patch_of_a_sweep():
+    s = SurfaceDef("f", lambda x, y: SurfaceJet(*jet.seed_xy(x, y), jet.constant(1.0)), Box(0.5, 2.0, 0.5, 2.0), EUCLIDEAN)
+    with pytest.raises(TypeError, match=r"^patch of surface 'f' is a function, not a row: build it with parametric"):
+        scan_grid(s, (2, 2))
