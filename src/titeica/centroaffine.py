@@ -14,13 +14,13 @@ The volumes are plain determinants and the ambient form enters the ratio
 only as the sign det(S), so the law holds under either form; source and
 image are both read under the surface's own form.
 
-:func:`verify_scaling` measures all three numerically over a list of
-points and reports per-point residuals.  It walks the points through
+:func:`verify_scaling` measures all three numerically on a grid and
+reports per-point residuals.  It walks the grid's axes through
 ``invariants._sweep`` and makes one invariant pass on each side of the
 map, on the source's jets and on the plain rows of their image from
 ``_image``, which ``act`` wraps in jets.  So a point builds only its row
-and the jets of ``mix``: 3.85 records per point on the paraboloid at
-5 x 4, not 10.85 with a record from every stage (``BENCH_34.json``).
+and the jets of ``mix``: 2.95 records per point on the paraboloid at
+5 x 4, not 10.85 with a record from every stage.
 """
 
 import math
@@ -30,7 +30,7 @@ from . import _NAMES
 from .errors import SingularPointError
 from .invariants import _pass, _ratio, _sweep
 from .jet import Jet2
-from .surfaces import SurfaceDef, SurfaceJet, _Row, _row_of, det3
+from .surfaces import SurfaceDef, SurfaceJet, _grid_axes, _Row, _row_of, det3
 
 __all__ = list(_NAMES["centroaffine"])
 
@@ -115,9 +115,9 @@ class ScalingReport(NamedTuple):
     points: tuple[ScalingPoint, ...]
 
 
-def verify_scaling(s: SurfaceDef, a: CentroAffineMap, points, tol: float) -> ScalingReport:
-    """Check the scaling identities at the given parameter points, reading
-    source and image under the ambient form of ``s``.
+def verify_scaling(s: SurfaceDef, a: CentroAffineMap, grid: tuple[int, int], tol: float) -> ScalingReport:
+    """Check the scaling identities at the ``grid_points`` of the domain of
+    ``s`` on an (nx, ny) grid, reading source and image under its form.
 
     Each residual is relative, |after - predicted| / |predicted|, and
     absolute, |after|, only where the prediction is exactly 0.
@@ -144,7 +144,7 @@ def verify_scaling(s: SurfaceDef, a: CentroAffineMap, points, tol: float) -> Sca
         numerator_res = abs(image_num - num_pred) / (abs(num_pred) or 1.0)
         return _new(ScalingPoint, (x, y, before, after, ratio_res, volume_res, numerator_res, None))
 
-    rows = _sweep(s, points, evaluate, ScalingPoint)
+    rows = _sweep(s, *_grid_axes(s.domain, *grid), evaluate, ScalingPoint)
     evaluated = [r for r in rows if r.skipped is None]
     max_r = max((r.ratio_residual for r in evaluated), default=math.inf)
     max_v = max((r.volume_residual for r in evaluated), default=math.inf)

@@ -31,7 +31,7 @@ from itertools import chain
 from typing import Callable, NamedTuple, Optional
 
 from .errors import CatalogError, GeometryError, InconclusiveError, UsageError
-from .surfaces import DEFAULT_GRID, DEFAULT_TOL, catalog, catalog_entries, grid_points
+from .surfaces import DEFAULT_GRID, DEFAULT_TOL, catalog, catalog_entries
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -185,7 +185,7 @@ def _cmd_transform_check(config: RunConfig):
         a = CentroAffineMap.of([config.matrix[i:i + 3] for i in (0, 3, 6)])
     except ValueError as exc:
         raise UsageError(f"matrix: {exc}") from exc
-    report = verify_scaling(s, a, grid_points(s.domain, *config.grid), config.tolerance)
+    report = verify_scaling(s, a, config.grid, config.tolerance)
     return _report(config, *_split(report, ScalingPoint))
 
 

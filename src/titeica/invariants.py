@@ -33,13 +33,12 @@ its own message.  Where V^4 is beyond float range the quotient is taken
 as num / V^2 / V^2.
 
 The grid commands (:func:`scan_grid`, :func:`classify` and
-``centroaffine.verify_scaling``) walk their points through one sweep,
-``_sweep``, whose docstring describes the walk.  Sweep, pass and ratio
-hand on plain tuples, so a scan builds only each point's row and the jets
-of its ``mix``: 3.9 records (``tuple.__new__`` calls) per point on
-titeica-xyz at 5 x 4, not 5.9 with a SurfaceJet from the sweep and a
-:class:`PointInvariants`, which :func:`point_invariants` builds for the
-callers that keep it.
+``centroaffine.verify_scaling``) walk the two axes of their grid through
+one sweep, ``_sweep``, whose docstring describes the walk.  Sweep, pass
+and ratio hand on plain tuples, so a scan builds only each point's row
+and the jets of its ``mix``: 3.45 records (``tuple.__new__`` calls) per
+point on titeica-xyz at 5 x 4, and a :class:`PointInvariants` only where
+:func:`point_invariants` is called.
 """
 
 import math
@@ -55,8 +54,8 @@ from .surfaces import (
     AmbientForm,
     SurfaceDef,
     SurfaceJet,
+    _grid_axes,
     _row_of,
-    grid_points,
 )
 
 __all__ = list(_NAMES["invariants"])
@@ -153,40 +152,29 @@ def identity_residual(sj: SurfaceJet, amb: AmbientForm) -> float:
 # Grid sweeps
 
 
-def _sweep(s: SurfaceDef, points, evaluate, record) -> list:
-    """The one walk of a grid command over ``s``, whose patch must be a row
-    (else TypeError): at each point, in order, check that it is inside the
-    box (a DomainError propagates), then give ``evaluate(x, y, jets)`` for
-    the plain triple of jets of ``s.patch(x, y)``.  The sweep reads the
-    row's fields and keeps a line's part in a dict per axis, keyed by
-    ``x or repr(x)`` (0.0 and -0.0 are two lines), from the line's second
-    point on and only where ``mix`` returns, so points that share no line
-    keep only keys.  A part depends on its seed alone, so each point gives
-    the jets, or raises the error, of a call.  A point that raises
-    SingularPointError becomes ``record(x, y, skipped=<the error's message>)``;
-    other errors propagate."""
-    (xpart, ypart, mix), (x0, x1, y0, y1) = _row_of(s), s.domain
-    xs, ys, rows = {}, {}, []
-    for x, y in points:
-        try:
-            if not (x0 < x < x1 and y0 < y < y1):
-                s.domain.require(x, y, s.name)
-            kx, ky = x or repr(x), y or repr(y)
-            kept_x, kept_y = a, b = xs.get(kx), ys.get(ky)
-            if not a:
-                sx = _new(Jet2, (float(x), 1.0, 0.0, 0.0, 0.0, 0.0))  # seed_x(x), without a call
-                a = xpart(sx) if xpart else (sx,)
-            if not b:
-                sy = _new(Jet2, (float(y), 0.0, 1.0, 0.0, 0.0, 0.0))  # seed_y(y), without a call
-                b = ypart(sy) if ypart else (sy,)
-            cx, cy, cz = mix(*a, *b)
-            if not kept_x:
-                xs[kx] = () if kept_x is None else a
-            if not kept_y:
-                ys[ky] = () if kept_y is None else b
-            rows.append(evaluate(x, y, (cx, cy, cz)))
-        except SingularPointError as exc:
-            rows.append(record(x, y, skipped=str(exc)))
+def _sweep(s: SurfaceDef, xs, ys, evaluate, record) -> list:
+    """The one walk of a grid command over the axes ``xs`` and ``ys``
+    (from ``_grid_axes``, inside the box) of ``s``, whose patch must be a
+    row (else TypeError): for each y, for each x, ``evaluate(x, y, jets)``
+    with the plain triple of jets of ``s.patch(x, y)``.  Each x part runs
+    once before the first point, each y part at the start of its row, and
+    ``mix`` at each point; a part's error propagates where it runs.  A
+    point that raises SingularPointError becomes ``record(x, y,
+    skipped=<the error's message>)``; other errors propagate."""
+    xpart, ypart, mix = _row_of(s)
+    seeds = [_new(Jet2, (float(x), 1.0, 0.0, 0.0, 0.0, 0.0)) for x in xs]  # seed_x(x), without a call
+    line = list(zip(xs, map(xpart, seeds) if xpart else zip(seeds)))
+    rows = []
+    append = rows.append
+    for y in ys:
+        sy = _new(Jet2, (float(y), 0.0, 1.0, 0.0, 0.0, 0.0))  # seed_y(y), without a call
+        b = ypart(sy) if ypart else (sy,)
+        for x, a in line:
+            try:
+                cx, cy, cz = mix(*a, *b)
+                append(evaluate(x, y, (cx, cy, cz)))
+            except SingularPointError as exc:
+                append(record(x, y, skipped=str(exc)))
     return rows
 
 
@@ -222,7 +210,7 @@ def scan_grid(s: SurfaceDef, grid: tuple[int, int] = DEFAULT_GRID) -> list[Point
         _, _, _, v, _, num, k, d = _pass(jets, amb)
         return _new(PointRecord, (x, y, k, d, _ratio(num, v, k, d), None))
 
-    return _sweep(s, grid_points(s.domain, *grid), evaluate, PointRecord)
+    return _sweep(s, *_grid_axes(s.domain, *grid), evaluate, PointRecord)
 
 
 def classify(

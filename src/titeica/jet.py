@@ -48,27 +48,37 @@ class Jet2(NamedTuple):
     # broadcasting over its six fields.
     __array_ufunc__ = None
 
+    # A real term changes the value alone, a real factor or divisor scales
+    # each field: no 0.0 is added to a -0.0, and no inf * 0.0 makes a nan.
+
     def __add__(self, other):
-        o = other if type(other) is Jet2 else _lift(other)
-        if o is None:
-            raise _refused("+", other)
         a0, a1, a2, a3, a4, a5 = self
-        b0, b1, b2, b3, b4, b5 = o
+        if type(other) is not Jet2:
+            c = _real(other)
+            if c is None:
+                raise _refused("+", other)
+            return _new(Jet2, (a0 + c, a1, a2, a3, a4, a5))
+        b0, b1, b2, b3, b4, b5 = other
         return _new(Jet2, (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = other if type(other) is Jet2 else _lift(other)
-        if o is None:
-            return NotImplemented
-        return _sub(self, o)
+        a0, a1, a2, a3, a4, a5 = self
+        if type(other) is not Jet2:
+            c = _real(other)
+            if c is None:
+                return NotImplemented
+            return _new(Jet2, (a0 - c, a1, a2, a3, a4, a5))
+        b0, b1, b2, b3, b4, b5 = other
+        return _new(Jet2, (a0 - b0, a1 - b1, a2 - b2, a3 - b3, a4 - b4, a5 - b5))
 
     def __rsub__(self, other):
-        o = _lift(other)
-        if o is None:
+        c = _real(other)
+        if c is None:
             return NotImplemented
-        return _sub(o, self)
+        a0, a1, a2, a3, a4, a5 = self
+        return _new(Jet2, (c - a0, -a1, -a2, -a3, -a4, -a5))
 
     def __neg__(self):
         a0, a1, a2, a3, a4, a5 = self
@@ -76,11 +86,10 @@ class Jet2(NamedTuple):
 
     def __mul__(self, other):
         a0, a1, a2, a3, a4, a5 = self
-        if type(other) is not Jet2:  # a real factor scales each field
-            o = _lift(other)
-            if o is None:
+        if type(other) is not Jet2:
+            c = _real(other)
+            if c is None:
                 raise _refused("*", other)
-            c = o[0]
             return _new(Jet2, (a0 * c, a1 * c, a2 * c, a3 * c, a4 * c, a5 * c))
         # Grouped so that a*b and b*a agree bitwise (addition of the same
         # products in commuted operand order).
@@ -97,16 +106,20 @@ class Jet2(NamedTuple):
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = other if type(other) is Jet2 else _lift(other)
-        if o is None:
+        if type(other) is Jet2:
+            return _div(self, other)
+        c = _real(other)
+        if c is None:
             return NotImplemented
-        return _div(self, o)
+        if c == 0.0:
+            raise DomainError("division by a jet with value 0")
+        return self * (1.0 / c)  # each field times the 1/c of _div
 
     def __rtruediv__(self, other):
-        o = _lift(other)
-        if o is None:
+        c = _real(other)
+        if c is None:
             return NotImplemented
-        return _div(o, self)
+        return _div((c, 0.0, 0.0, 0.0, 0.0, 0.0), self)
 
     def __pow__(self, exponent):
         if isinstance(exponent, numbers.Integral):  # numpy.int64 too
@@ -129,25 +142,16 @@ class Jet2(NamedTuple):
 _new = tuple.__new__
 
 
-def _lift(v):
-    """The six fields of a real constant; None otherwise.  The operators
-    pass a Jet2 operand through without this call."""
+def _real(v):
+    """A real operand as a float, else None; a Jet2 operand never reaches it."""
     # float and int first: the numbers.Real test is an ABC lookup.
-    if isinstance(v, (float, int, numbers.Real)):
-        return (float(v), 0.0, 0.0, 0.0, 0.0, 0.0)
-    return None
+    return float(v) if isinstance(v, (float, int, numbers.Real)) else None
 
 
 def _refused(op: str, v) -> TypeError:
     # + and * raise instead of returning NotImplemented: Python would then
     # fall back to tuple concatenation or repetition.
     return TypeError(f"unsupported operand type for {op} with a Jet2: '{type(v).__name__}'")
-
-
-def _sub(a, b) -> Jet2:
-    a0, a1, a2, a3, a4, a5 = a
-    b0, b1, b2, b3, b4, b5 = b
-    return _new(Jet2, (a0 - b0, a1 - b1, a2 - b2, a3 - b3, a4 - b4, a5 - b5))
 
 
 def _div(a, b) -> Jet2:

@@ -7,8 +7,8 @@ value and all first and second partial derivatives.  A patch is a row
 ``mix(*xpart(x), *ypart(y))``, where a part holds the jets that depend
 on one parameter alone: R^2 - x^2 and y^2 on a cap, sech t, t - tanh t,
 cos theta and sin theta on the pseudosphere.  A grid sweep reads the
-row's fields and computes a part once per line.  :func:`parametric` is
-the row with no parts, from three coordinate functions written on
+row's fields and computes a part once per axis value.  :func:`parametric`
+is the row with no parts, from three coordinate functions written on
 :class:`~titeica.jet.Jet2` seeds; a Monge patch, the graph of u over the
 parameter plane, is the immersion (x, y, u(x, y)).
 
@@ -68,25 +68,30 @@ DEFAULT_TOL = 1e-8
 
 
 def grid_points(box: Box, nx: int, ny: int) -> list[tuple[float, float]]:
-    """Row-major sample grid over the box, endpoints inset by 1% of the
+    """Row-major sample grid over the box: the product of ``_grid_axes``, y outer."""
+    xs, ys = _grid_axes(box, nx, ny)
+    return [(x, y) for y in ys for x in xs]
+
+
+def _grid_axes(box: Box, nx: int, ny: int) -> list[list[float]]:
+    """The x and y values of the sample grid, endpoints inset by 1% of the
     box width so every point is strictly interior.  Raises ValueError for
     a box whose inset endpoints round onto or past its edges, or are not
     finite."""
     if nx < 2 or ny < 2:
         raise ValueError(f"grid needs at least 2 points per axis, got {nx} x {ny}")
     x0, x1, y0, y1 = box
-    xs, ys = _inset_axis(x0, x1, nx), _inset_axis(y0, y1, ny)
-    if not (x0 < xs[0] and xs[-1] < x1 and y0 < ys[0] and ys[-1] < y1):
-        raise ValueError(f"cannot sample strictly inside {box!r}")
-    return [(x, y) for y in ys for x in xs]
-
-
-def _inset_axis(lo: float, hi: float, n: int) -> list[float]:
-    # The floats of an endpoint-inclusive linspace: a + i*step, then b exactly.
-    m = 0.01 * (hi - lo)
-    a, b = lo + m, hi - m
-    step = (b - a) / (n - 1)
-    return [a + i * step for i in range(n - 1)] + [b]
+    axes = []
+    for lo, hi, n in ((x0, x1, nx), (y0, y1, ny)):
+        # The floats of an endpoint-inclusive linspace: a + i*step, then b exactly.
+        m = 0.01 * (hi - lo)
+        a, b = lo + m, hi - m
+        step = (b - a) / (n - 1)
+        axis = [a + i * step for i in range(n - 1)] + [b]
+        if not (lo < axis[0] and axis[-1] < hi):
+            raise ValueError(f"cannot sample strictly inside {box!r}")
+        axes.append(axis)
+    return axes
 
 
 class AmbientForm(NamedTuple):
@@ -129,7 +134,8 @@ class _Row(NamedTuple):
     part holds the jets that depend on its seed alone and a missing part is
     the seed alone.  A call computes the x part, the y part, then ``mix``,
     unpacks exactly three coordinate jets and keeps nothing; a grid sweep
-    (``invariants._sweep``) reads the fields and keeps each line's part."""
+    (``invariants._sweep``) reads the fields and computes each part once
+    per axis value."""
 
     xpart: Optional[_Part]
     ypart: Optional[_Part]

@@ -41,25 +41,31 @@ def outcome(patch, x, y):
         return type(exc).__name__, str(exc)
 
 
-def swept(patch, points):
+def swept(patch, xs, ys):
     """The :func:`outcome` at each point of one sweep (``invariants._sweep``)
-    of the row ``patch``, on an unbounded box.  Each part and the mix of the
-    row raise their errors as a SingularPointError naming the error's type,
-    so that the sweep records the point and goes on to the next."""
+    of the row ``patch`` over the axes ``xs`` and ``ys``, in grid order (y
+    outer).  The row's mix raises its errors as a SingularPointError naming
+    the error's type, so that the sweep records the point and goes on to
+    the next; a part's error propagates, as in a grid command.  The sweep
+    tests no point against the box."""
+    xpart, ypart, mix = patch
 
-    def guarded(f):
-        def call(*args):
-            try:
-                return f(*args)
-            except Exception as exc:  # every error must match, whatever its type
-                raise SingularPointError(f"{type(exc).__name__}: {exc}") from exc
+    def guarded(*args):
+        try:
+            return mix(*args)
+        except Exception as exc:  # every error must match, whatever its type
+            raise SingularPointError(f"{type(exc).__name__}: {exc}") from exc
 
-        return call if f else None
-
-    row = type(patch)(*map(guarded, patch))
-    s = SurfaceDef("swept", row, Box(-math.inf, math.inf, -math.inf, math.inf), EUCLIDEAN)
-    return invariants._sweep(s, points, lambda x, y, jets: repr(SurfaceJet(*jets)),
+    unbounded = Box(-math.inf, math.inf, -math.inf, math.inf)
+    s = SurfaceDef("swept", type(patch)(xpart, ypart, guarded), unbounded, EUCLIDEAN)
+    return invariants._sweep(s, xs, ys, lambda x, y, jets: repr(SurfaceJet(*jets)),
                              lambda x, y, skipped: tuple(skipped.split(": ", 1)))
+
+
+def called(patch, xs, ys):
+    """The :func:`outcome` of a call of ``patch`` at each point of the axes
+    ``xs`` and ``ys``, in grid order."""
+    return [outcome(patch, x, y) for y in ys for x in xs]
 
 
 def jet_rows(sj):
@@ -126,13 +132,13 @@ def called_rows(s, grid):
     return rows
 
 
-def called_scaling_rows(s, a, points):
-    """``verify_scaling``'s rows from the public records: the ratios of
-    ``point_invariants`` on a call of the patch and on its ``a.act`` image,
-    with the library's residual expressions."""
+def called_scaling_rows(s, a, grid):
+    """``verify_scaling``'s rows on ``grid`` from the public records: the
+    ratios of ``point_invariants`` on a call of the patch and on its
+    ``a.act`` image, with the library's residual expressions."""
     det2 = a.det * a.det
     rows = []
-    for x, y in points:
+    for x, y in grid_points(s.domain, *grid):
         try:
             sj = s.patch(x, y)
             source = point_invariants(sj, s.ambient)

@@ -137,10 +137,7 @@ def test_diagonal_map_on_titeica_xyz():
 
 
 def test_verify_scaling_identity_map():
-    report = verify_scaling(
-        catalog("paraboloid"), CentroAffineMap.of(np.eye(3)),
-        grid_points(catalog("paraboloid").domain, 5, 4), 1e-10,
-    )
+    report = verify_scaling(catalog("paraboloid"), CentroAffineMap.of(np.eye(3)), (5, 4), 1e-10)
     assert report.passed
     assert report.max_ratio_residual <= 1e-12
 
@@ -148,7 +145,7 @@ def test_verify_scaling_identity_map():
 def test_verify_scaling_diag_on_titeica():
     s = catalog("titeica-xyz")
     a = CentroAffineMap.of(np.diag([2.0, 1.0, 1.0]))
-    report = verify_scaling(s, a, grid_points(s.domain, 5, 4), 1e-8)
+    report = verify_scaling(s, a, (5, 4), 1e-8)
     assert report.passed
     for p in report.points:
         assert p.skipped is None
@@ -159,8 +156,7 @@ def test_verify_scaling_reflection_preserves_ratio():
     rng = np.random.default_rng(31)
     s = catalog("paraboloid")
     a = random_orthogonal(rng, det_sign=-1.0)
-    points = [random_regular_point(rng, s) for _ in range(20)]
-    report = verify_scaling(s, a, points, 1e-9)
+    report = verify_scaling(s, a, (5, 4), 1e-9)
     assert report.passed
     for p in report.points:
         assert abs(p.ratio_after - p.ratio_before) <= 1e-9 * max(1.0, abs(p.ratio_before))
@@ -174,7 +170,7 @@ def test_group_property():
         b = random_map(rng)
         ab = CentroAffineMap.of(np.array(a.matrix) @ np.array(b.matrix))
         points = [random_regular_point(rng, s) for _ in range(5)]
-        report = verify_scaling(s, ab, points, 1e-8)
+        report = verify_scaling(s, ab, (3, 2), 1e-8)
         assert report.passed
         # sequential application agrees with the composed map
         seq = apply_map(apply_map(s, a), b)
@@ -239,7 +235,7 @@ def test_verify_scaling_matches_four_separate_views(entries):
     for name in catalog_names():
         s = catalog(name)
         points = grid_points(s.domain, 13, 11)
-        assert list(verify_scaling(s, a, points, 1e-8).points) == scaling_reference(s, a, points), name
+        assert list(verify_scaling(s, a, (13, 11), 1e-8).points) == scaling_reference(s, a, points), name
 
 
 @pytest.mark.parametrize("entries", ["2,0,0,0,1,0,0,0,1", MATRICES[1], MATRICES[2], "1.5,0.2,0,0,1,0.3,0.1,0,0.8"])
@@ -248,9 +244,8 @@ def test_plain_tuple_route_matches_the_public_records(name, entries):
     # The grid commands hand plain tuples from the sweep to the pass and the
     # map's image; each row, by repr, is the one the public records give.
     a, s = map_of(entries), catalog(name)
-    points = grid_points(s.domain, 13, 11)
-    assert repr(verify_scaling(s, a, points, 1e-8).points) == repr(tuple(called_scaling_rows(s, a, points)))
-    for x, y in points:
+    assert repr(verify_scaling(s, a, (13, 11), 1e-8).points) == repr(tuple(called_scaling_rows(s, a, (13, 11))))
+    for x, y in grid_points(s.domain, 13, 11):
         sj = s.patch(x, y)
         image = a.act(sj)
         assert type(image) is SurfaceJet and {type(c) for c in image} == {Jet2}
@@ -288,13 +283,13 @@ def test_overflowing_maps_are_reported_not_raised(capsys):
     # det = 1e200: det**2 is past float range, so the scale factor is (1/det)/det.
     s = catalog("titeica-xyz")
     a = CentroAffineMap.of([[1e100, 0, 0], [0, 1e100, 0], [0, 0, 1]])
-    report = verify_scaling(s, a, grid_points(s.domain, 3, 3), 1e-8)
+    report = verify_scaling(s, a, (3, 3), 1e-8)
     assert report.scale_factor == 1.0 / a.det / a.det
     assert not report.passed
     # det^2 is a float, but the image's Vxy^2 is not: each point is skipped.
     s = catalog("sphere-origin", R=1e-3)
     a = CentroAffineMap.of(np.eye(3) * 4.7e50)
-    report = verify_scaling(s, a, grid_points(s.domain, 3, 3), 1e-8)
+    report = verify_scaling(s, a, (3, 3), 1e-8)
     assert report.scale_factor == 1.0 / a.det**2
     assert report.points_skipped == 9
     assert all(p.skipped.startswith("non-finite") for p in report.points)
@@ -310,7 +305,7 @@ def test_overflowing_predicted_numerator_is_a_non_finite_skip():
     # 100 / det^2 = 1e-307 is still a normal float.
     s = catalog("sphere-translated", R=10.0, c=-9.9)
     a = CentroAffineMap.of(np.eye(3) * 10**51.5)
-    report = verify_scaling(s, a, grid_points(s.domain, 3, 3), 1e-8)
+    report = verify_scaling(s, a, (3, 3), 1e-8)
     assert report.points_skipped == 9
     assert report.points[4].skipped == "non-finite Vx Vy - Vxy^2 (det = 3.16228e+154)"
     assert all(p.skipped.startswith("K/d^4 underflows") for i, p in enumerate(report.points) if i != 4)
@@ -321,7 +316,7 @@ def test_overflowing_normal_is_a_non_finite_skip(diagonal):
     # The image's tangent rows are finite but |f_x x f_y|^2 and <n, n> overflow;
     # an infinite <n, n> would make d read 0, as if the plane met the origin.
     s = catalog("titeica-xyz")
-    report = verify_scaling(s, CentroAffineMap.of(np.diag(diagonal)), grid_points(s.domain, 3, 3), 1e-8)
+    report = verify_scaling(s, CentroAffineMap.of(np.diag(diagonal)), (3, 3), 1e-8)
     assert report.points_skipped == 9
     assert all(p.skipped.startswith("non-finite") for p in report.points)
 
@@ -331,7 +326,7 @@ def test_ratio_is_evaluated_where_only_v4_overflows():
     # K/d^4 = num / V^2 / V^2 about 1e-180 is not
     s = catalog("titeica-xyz")
     a = CentroAffineMap.of(np.eye(3) * 1e30)
-    report = verify_scaling(s, a, grid_points(s.domain, 5, 5), 1e-8)
+    report = verify_scaling(s, a, (5, 5), 1e-8)
     assert report.points_evaluated == 25
     assert all(abs(p.ratio_after / p.ratio_before * 1e180 - 1.0) <= 1e-14 for p in report.points)
 
@@ -342,7 +337,7 @@ def test_ill_conditioned_unimodular_map_passes(surface, k):
     # lost about 8 digits here, the volume ratio loses none
     s = catalog(surface)
     a = CentroAffineMap.of(np.diag([k, 1.0, 1.0 / k]))
-    report = verify_scaling(s, a, grid_points(s.domain, 20, 20), 1e-8)
+    report = verify_scaling(s, a, (20, 20), 1e-8)
     assert report.max_ratio_residual <= 1e-8
 
 
@@ -353,14 +348,14 @@ def test_ratio_residual_catches_a_wrong_law(radius):
     good = map_of("1.5,0.2,0,0,1,0.3,0.1,0,0.8")
     wrong = CentroAffineMap(good.matrix, math.copysign(math.sqrt(abs(good.det)), good.det))
     s = catalog("sphere-origin", R=radius)
-    report = verify_scaling(s, wrong, grid_points(s.domain, 5, 4), 1e-8)
+    report = verify_scaling(s, wrong, (5, 4), 1e-8)
     assert not report.passed and report.max_volume_residual > 1e-8  # relative: 0.098 at every R
     assert report.max_ratio_residual > 1e-8  # relative: 0.17 at every R
 
 
 def test_all_skipped_run_fails():
     s = catalog("plane")  # every tangent plane passes through the origin
-    report = verify_scaling(s, CentroAffineMap.of(np.eye(3)), grid_points(s.domain, 3, 3), 1e-8)
+    report = verify_scaling(s, CentroAffineMap.of(np.eye(3)), (3, 3), 1e-8)
     assert not report.passed
     assert report.points_evaluated == 0
     assert report.points_skipped == 9

@@ -145,6 +145,31 @@ def test_real_factor_scales_each_field():
     assert v.dx == 2.0
 
 
+def test_real_term_changes_the_value_alone():
+    # j + c and c + j move the value; j - c moves it back and c - j
+    # negates each derivative, so every -0.0 and 0.0 keeps or flips its
+    # sign as its field does.
+    u = Jet2(5.0, -0.0, 1.0, -0.0, 0.0, 2.0)
+    assert repr(u + 2.0) == repr(2.0 + u) == repr(Jet2(7.0, -0.0, 1.0, -0.0, 0.0, 2.0))
+    assert repr(u - 2.0) == repr(Jet2(3.0, -0.0, 1.0, -0.0, 0.0, 2.0))
+    assert repr(2.0 - u) == repr(Jet2(-3.0, 0.0, -1.0, 0.0, -0.0, -2.0))
+    assert repr(2.0 - u) == repr(Jet2(*(2.0 - u.val, *(-d for d in u[1:]))))
+
+
+def test_real_divisor_divides_each_field():
+    # Each field times 1/c: the quotient rule's q * 0.0 terms would flip
+    # -0.0 / -2.0 to -0.0 and make an infinite value's derivatives nan.
+    u = Jet2(5.0, -0.0, 1.0, -0.0, 0.0, 2.0)
+    assert repr(u / -2.0) == repr(Jet2(-2.5, 0.0, -0.5, 0.0, -0.0, -1.0))
+    assert repr(u / 2.0) == repr(u * 0.5)
+    v = Jet2(math.inf, 1.0, 0.0, 0.0, 0.0, 0.0) / 2.0
+    assert repr(v) == repr(Jet2(math.inf, 0.5, 0.0, 0.0, 0.0, 0.0))
+    with pytest.raises(DomainError, match="^division by a jet with value 0$"):
+        u / 0.0
+    with pytest.raises(DomainError, match="^division by a jet with value 0$"):
+        u / -0
+
+
 def test_log_exp_roundtrip():
     rng = np.random.default_rng(11)
     for _ in range(200):

@@ -7,8 +7,8 @@ import pytest
 
 import frame_reference as ref
 from fdcheck import fd_jet
-from helpers import jet_rows, outcome, swept
-from titeica import jet
+from helpers import called, jet_rows, swept
+from titeica import jet, surfaces
 from titeica.errors import CatalogError, DomainError
 from titeica.jet import constant
 from titeica.metrics import _PAIRS
@@ -227,8 +227,8 @@ def test_catalog_rows_match_their_unsplit_coordinates(name, params):
     def reference(x, y):
         return SurfaceJet(*coords(*jet.seed_xy(x, y)))
 
-    zeros = [(x, y) for x in (0.0, -0.0, 0.25) for y in (0.0, -0.0, 0.25)]
-    points = grid_points(s.domain, 37, 23) + zeros
-    expected = [outcome(reference, x, y) for x, y in points]
-    assert [outcome(s.patch, x, y) for x, y in points] == expected
-    assert swept(s.patch, points) == expected
+    xs, ys = surfaces._grid_axes(s.domain, 37, 23)
+    xs, ys = xs + [0.0, -0.0, 0.25], ys + [0.0, -0.0, 0.25]
+    expected = called(reference, xs, ys)
+    assert called(s.patch, xs, ys) == expected
+    assert swept(s.patch, xs, ys) == expected
