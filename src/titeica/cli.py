@@ -192,7 +192,7 @@ def _cmd_transform_check(config: RunConfig):
 def _cmd_metric_check(config: RunConfig):
     from .metrics import AgreePoint, check_pair
 
-    variants = check_pair(config.pair, *config.grid, config.tolerance)
+    variants = check_pair(config.pair, config.grid, config.tolerance)
     matching = [label for label, _, _, passed in variants if passed]
     rows = [(label, *p) for label, points, _, _ in variants for p in points]
     summary = {

@@ -35,10 +35,9 @@ as num / V^2 / V^2.
 The grid commands (:func:`scan_grid`, :func:`classify` and
 ``centroaffine.verify_scaling``) walk the two axes of their grid through
 one sweep, ``_sweep``, whose docstring describes the walk.  Sweep, pass
-and ratio hand on plain tuples, so a scan builds only each point's row
-and the jets of its ``mix``: 3.45 records (``tuple.__new__`` calls) per
-point on titeica-xyz at 5 x 4, and a :class:`PointInvariants` only where
-:func:`point_invariants` is called.
+and ratio hand on plain tuples: a scan point builds its report row and
+the jets of its ``mix``, and a :class:`PointInvariants` is built only
+where :func:`point_invariants` is called.
 """
 
 import math
@@ -55,7 +54,6 @@ from .surfaces import (
     SurfaceDef,
     SurfaceJet,
     _grid_axes,
-    _row_of,
 )
 
 __all__ = list(_NAMES["invariants"])
@@ -154,14 +152,14 @@ def identity_residual(sj: SurfaceJet, amb: AmbientForm) -> float:
 
 def _sweep(s: SurfaceDef, xs, ys, evaluate, record) -> list:
     """The one walk of a grid command over the axes ``xs`` and ``ys``
-    (from ``_grid_axes``, inside the box) of ``s``, whose patch must be a
-    row (else TypeError): for each y, for each x, ``evaluate(x, y, jets)``
-    with the plain triple of jets of ``s.patch(x, y)``.  Each x part runs
-    once before the first point, each y part at the start of its row, and
-    ``mix`` at each point; a part's error propagates where it runs.  A
-    point that raises SingularPointError becomes ``record(x, y,
-    skipped=<the error's message>)``; other errors propagate."""
-    xpart, ypart, mix = _row_of(s)
+    (from ``_grid_axes``, inside the box) of ``s``: for each y, for each
+    x, ``evaluate(x, y, jets)`` with the plain triple of jets that
+    ``eval_surface(s, x, y)`` holds.  Each x part runs once before the
+    first point, each y part at the start of its row, and ``mix`` at each
+    point; a part's error propagates where it runs.  A point that raises
+    SingularPointError becomes ``record(x, y, skipped=<the error's
+    message>)``; other errors propagate."""
+    xpart, ypart, mix = s.xpart, s.ypart, s.mix
     seeds = [_new(Jet2, (float(x), 1.0, 0.0, 0.0, 0.0, 0.0)) for x in xs]  # seed_x(x), without a call
     line = list(zip(xs, map(xpart, seeds) if xpart else zip(seeds)))
     rows = []

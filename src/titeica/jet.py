@@ -274,10 +274,10 @@ def atanh(a: Jet2) -> Jet2:
 
 def pow_int(a: Jet2, n: int) -> Jet2:
     """Integer power a**n; negative bases are fine for integer exponents."""
-    if n == 0:
-        return _chain(a, 1.0, 0.0, 0.0)
-    if n == 1:
-        return _chain(a, a.val, 1.0, 0.0)
+    if n == 0:  # the constant 1, with no inf * 0.0 made a nan
+        return _new(Jet2, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+    if n == 1:  # the base itself, signed zeros included
+        return a
     v = a.val
     if v == 0.0 and n < 0:
         raise DomainError(f"pow_int: zero base with negative exponent {n}")

@@ -58,8 +58,8 @@ def _pullback(target: str, target_box: Box, mapping, x: float, y: float) -> tupl
     return h11, h12, h22
 
 
-def check_pair(name: str, nx: int, ny: int, tol: float) -> tuple[tuple[str, tuple[AgreePoint, ...], float, bool], ...]:
-    """Run every change variant of the named pair over an nx x ny grid on
+def check_pair(name: str, grid: tuple[int, int], tol: float) -> tuple[tuple[str, tuple[AgreePoint, ...], float, bool], ...]:
+    """Run every change variant of the named pair over an (nx, ny) grid on
     the pair's source box: one (label, points, max_diff, passed) tuple per
     variant, with the max componentwise difference between the source
     metric and the pullback of the target.  The source metric is evaluated
@@ -71,7 +71,7 @@ def check_pair(name: str, nx: int, ny: int, tol: float) -> tuple[tuple[str, tupl
     source, source_box, target, target_box, changes = entry
     components = _METRICS[source][0]
     samples = []
-    for x, y in grid_points(source_box, nx, ny):
+    for x, y in grid_points(source_box, *grid):
         g11, g12, g22 = components(constant(x), constant(y))
         samples.append((x, y, g11.val, g12.val, g22.val))
     variants = []

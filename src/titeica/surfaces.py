@@ -1,16 +1,17 @@
-"""Surface patches, ambient bilinear forms and the built-in catalog.
+"""Surfaces, ambient bilinear forms and the built-in catalog.
 
-A surface is a patch, which a call maps from a parameter point to its
-:class:`SurfaceJet`, the jets of the three coordinates: each holds the
-value and all first and second partial derivatives.  A patch is a row
-``(xpart, ypart, mix)`` (:class:`_Row`), the immersion
-``mix(*xpart(x), *ypart(y))``, where a part holds the jets that depend
-on one parameter alone: R^2 - x^2 and y^2 on a cap, sech t, t - tanh t,
-cos theta and sin theta on the pseudosphere.  A grid sweep reads the
-row's fields and computes a part once per axis value.  :func:`parametric`
-is the row with no parts, from three coordinate functions written on
-:class:`~titeica.jet.Jet2` seeds; a Monge patch, the graph of u over the
-parameter plane, is the immersion (x, y, u(x, y)).
+A surface (:class:`SurfaceDef`) is the immersion
+``mix(*xpart(x), *ypart(y))`` of seeded :class:`~titeica.jet.Jet2`
+parameters, where a part holds the jets that depend on one parameter
+alone: R^2 - x^2 and y^2 on a cap, sech t, t - tanh t, cos theta and
+sin theta on the pseudosphere.  A missing part is the seed alone, so a
+plain ``mix(x, y)`` that returns three coordinate jets is a surface.
+:func:`eval_surface` gives the :class:`SurfaceJet` at one point, the
+jets of the three coordinates: each holds the value and all first and
+second partial derivatives.  A grid sweep computes a part once per axis
+value.  A Monge patch, the graph of u over the parameter plane, is the
+immersion (x, y, u(x, y)): its first two coordinates are the exact
+seeds, so f_x = (1, 0, u_x) and f_y = (0, 1, u_y) hold bitwise.
 
 The catalog holds the concrete surfaces exercised by the verification
 commands; every entry picks a domain box that stays away from coordinate
@@ -23,7 +24,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import _NAMES, jet
 from .errors import CatalogError, DomainError
-from .jet import Jet2, constant
+from .jet import Jet2, constant, seed_xy
 
 __all__ = list(_NAMES["surfaces"])
 
@@ -125,67 +126,33 @@ class SurfaceJet(NamedTuple):
     f2: Jet2
 
 
-Coords = Callable[[Jet2, Jet2], tuple[Jet2, Jet2, Jet2]]
 _Part = Callable[[Jet2], tuple[Jet2, ...]]
-
-
-class _Row(NamedTuple):
-    """The patch ``mix(*xpart(x), *ypart(y))`` at seeded parameters, where a
-    part holds the jets that depend on its seed alone and a missing part is
-    the seed alone.  A call computes the x part, the y part, then ``mix``,
-    unpacks exactly three coordinate jets and keeps nothing; a grid sweep
-    (``invariants._sweep``) reads the fields and computes each part once
-    per axis value."""
-
-    xpart: Optional[_Part]
-    ypart: Optional[_Part]
-    mix: Callable[..., tuple[Jet2, Jet2, Jet2]]
-
-    def __call__(self, x: float, y: float) -> SurfaceJet:
-        xpart, ypart, mix = self
-        sx = _new(Jet2, (float(x), 1.0, 0.0, 0.0, 0.0, 0.0))  # seed_x(x), without a call
-        sy = _new(Jet2, (float(y), 0.0, 1.0, 0.0, 0.0, 0.0))  # seed_y(y), without a call
-        cx, cy, cz = mix(*(xpart(sx) if xpart else (sx,)), *(ypart(sy) if ypart else (sy,)))
-        return _new(SurfaceJet, (cx, cy, cz))
-
-
-Patch = _Row  # a patch is a row, built by parametric, the catalog or apply_map
-_Shape = tuple[Optional[_Part], Optional[_Part], Callable[..., tuple[Jet2, Jet2, Jet2]], Box]
+_Mix = Callable[..., tuple[Jet2, Jet2, Jet2]]
+_Shape = tuple[Optional[_Part], Optional[_Part], _Mix, Box]
 
 
 class SurfaceDef(NamedTuple):
-    """A named patch: the map from a parameter point to its jet, the
-    parameter domain and the ambient form."""
+    """A named immersion ``mix(*xpart(x), *ypart(y))`` of seeded
+    parameters, its parameter domain and its ambient form.  A part gives
+    the jets that depend on its seed alone; a missing part is the seed
+    alone, so ``mix`` then takes the seed itself."""
 
     name: str
-    patch: Patch
+    mix: _Mix
     domain: Box
     ambient: AmbientForm
-
-
-def _row_of(s: SurfaceDef) -> _Row:
-    """The patch of ``s``, which a sweep and ``apply_map`` read by field."""
-    if isinstance(s.patch, _Row):
-        return s.patch
-    raise TypeError(f"patch of surface '{s.name}' is a {type(s.patch).__name__}, not a row: build it with parametric")
-
-
-def parametric(coords: Coords) -> Patch:
-    """The patch of the immersion whose coordinate jets ``coords`` returns
-    at seeded parameters: the row with no parts, so each point of a call
-    or of a sweep calls ``coords``.
-
-    A Monge patch is ``parametric(lambda x, y: (x, y, u(x, y)))``: its
-    first two coordinates are the exact seeds, so f_x = (1, 0, u_x),
-    f_y = (0, 1, u_y) and f_** = (0, 0, u_**) hold bitwise.
-    """
-    return _Row(None, None, coords)
+    xpart: Optional[_Part] = None
+    ypart: Optional[_Part] = None
 
 
 def eval_surface(s: SurfaceDef, x: float, y: float) -> SurfaceJet:
-    """Evaluate the patch strictly inside its domain."""
+    """The jet of ``s`` at a point strictly inside its domain: the x part,
+    the y part, then ``mix``, which must give exactly three coordinate
+    jets (else ValueError)."""
     s.domain.require(x, y, s.name)
-    return s.patch(x, y)
+    sx, sy = seed_xy(x, y)
+    cx, cy, cz = s.mix(*(s.xpart(sx) if s.xpart else (sx,)), *(s.ypart(sy) if s.ypart else (sy,)))
+    return _new(SurfaceJet, (cx, cy, cz))
 
 
 # --------------------------------------------------------------------------
@@ -194,8 +161,8 @@ def eval_surface(s: SurfaceDef, x: float, y: float) -> SurfaceJet:
 
 class _Entry(NamedTuple):
     """A catalog entry: ``shape(**params)`` is (xpart, ypart, mix, domain
-    box), the fields of a :class:`_Row` bound to the parameters and
-    the box.  A part returns the jets that depend on its seed alone, or
+    box), the fields of a :class:`SurfaceDef` bound to the parameters.
+    A part returns the jets that depend on its seed alone, or
     is None where the seed is all ``mix`` needs of it."""
 
     shape: Callable[..., _Shape]
@@ -292,8 +259,8 @@ def catalog(name: str, **params: float) -> SurfaceDef:
             raise ValueError(f"surface '{name}': radius R is too small, R^2 is not a normal float, got {r}")
         if r * r == math.inf:
             raise ValueError(f"surface '{name}': radius R is too large, R^2 overflows, got {r}")
-    *parts, box = entry.shape(**merged)
-    return SurfaceDef(name, _Row(*parts), box, entry.ambient)
+    xpart, ypart, mix, box = entry.shape(**merged)
+    return SurfaceDef(name, mix, box, entry.ambient, xpart, ypart)
 
 
 def catalog_names() -> list[str]:

@@ -1,6 +1,6 @@
 """Shared test utilities: random patches, points and matrices, the rows of
 a jet, the Brioschi curvature of a metric, test metric pairs, the outcome
-of a patch at a call and in a sweep, and the grid commands' rows from
+of a surface at a call and in a sweep, and the grid commands' rows from
 calls and the public records."""
 
 import math
@@ -12,7 +12,7 @@ from titeica import invariants, jet, metrics
 from titeica.centroaffine import CentroAffineMap, ScalingPoint
 from titeica.errors import GeometryError, SingularPointError
 from titeica.invariants import PointRecord, point_invariants
-from titeica.surfaces import EUCLIDEAN, Box, SurfaceDef, SurfaceJet, det3, eval_surface, grid_points, parametric
+from titeica.surfaces import EUCLIDEAN, Box, SurfaceDef, SurfaceJet, det3, eval_surface, grid_points
 
 
 def random_polynomial_patch(rng, degree=4, coeff_range=2.0, name="poly"):
@@ -29,26 +29,30 @@ def random_polynomial_patch(rng, degree=4, coeff_range=2.0, name="poly"):
             acc = acc + jet.pow_int(x, i) * jet.pow_int(y, j) * c
         return acc
 
-    return SurfaceDef(name, parametric(lambda x, y: (x, y, height(x, y))), Box(-1.0, 1.0, -1.0, 1.0), EUCLIDEAN)
+    return SurfaceDef(name, lambda x, y: (x, y, height(x, y)), Box(-1.0, 1.0, -1.0, 1.0), EUCLIDEAN)
 
 
-def outcome(patch, x, y):
-    """``repr`` of the jet that a call of ``patch`` gives at (x, y), or the
-    error's type and message."""
+UNBOUNDED = Box(-math.inf, math.inf, -math.inf, math.inf)
+
+
+def outcome(s, x, y):
+    """``repr`` of the jet that ``eval_surface`` gives at (x, y) on the
+    surface ``s`` with its box widened to the plane, or the error's type
+    and message."""
     try:
-        return repr(patch(x, y))
+        return repr(eval_surface(s._replace(domain=UNBOUNDED), x, y))
     except Exception as exc:  # every error must match, whatever its type
         return type(exc).__name__, str(exc)
 
 
-def swept(patch, xs, ys):
+def swept(s, xs, ys):
     """The :func:`outcome` at each point of one sweep (``invariants._sweep``)
-    of the row ``patch`` over the axes ``xs`` and ``ys``, in grid order (y
-    outer).  The row's mix raises its errors as a SingularPointError naming
-    the error's type, so that the sweep records the point and goes on to
-    the next; a part's error propagates, as in a grid command.  The sweep
+    of the surface ``s`` over the axes ``xs`` and ``ys``, in grid order (y
+    outer).  Its mix raises its errors as a SingularPointError naming the
+    error's type, so that the sweep records the point and goes on to the
+    next; a part's error propagates, as in a grid command.  The sweep
     tests no point against the box."""
-    xpart, ypart, mix = patch
+    mix = s.mix
 
     def guarded(*args):
         try:
@@ -56,16 +60,14 @@ def swept(patch, xs, ys):
         except Exception as exc:  # every error must match, whatever its type
             raise SingularPointError(f"{type(exc).__name__}: {exc}") from exc
 
-    unbounded = Box(-math.inf, math.inf, -math.inf, math.inf)
-    s = SurfaceDef("swept", type(patch)(xpart, ypart, guarded), unbounded, EUCLIDEAN)
-    return invariants._sweep(s, xs, ys, lambda x, y, jets: repr(SurfaceJet(*jets)),
+    return invariants._sweep(s._replace(mix=guarded), xs, ys, lambda x, y, jets: repr(SurfaceJet(*jets)),
                              lambda x, y, skipped: tuple(skipped.split(": ", 1)))
 
 
-def called(patch, xs, ys):
-    """The :func:`outcome` of a call of ``patch`` at each point of the axes
-    ``xs`` and ``ys``, in grid order."""
-    return [outcome(patch, x, y) for y in ys for x in xs]
+def called(s, xs, ys):
+    """The :func:`outcome` of a call on the surface ``s`` at each point of
+    the axes ``xs`` and ``ys``, in grid order."""
+    return [outcome(s, x, y) for y in ys for x in xs]
 
 
 def jet_rows(sj):
@@ -121,11 +123,11 @@ def scaling_reference(s, a, points):
 
 
 def called_rows(s, grid):
-    """``scan_grid``'s records from a call of the patch at every point."""
+    """``scan_grid``'s records from an ``eval_surface`` call at every point."""
     rows = []
     for x, y in grid_points(s.domain, *grid):
         try:
-            p = point_invariants(s.patch(x, y), s.ambient)
+            p = point_invariants(eval_surface(s, x, y), s.ambient)
             rows.append(PointRecord(x, y, p.K, p.d, p.ratio()))
         except SingularPointError as exc:
             rows.append(PointRecord(x, y, skipped=str(exc)))
@@ -134,13 +136,13 @@ def called_rows(s, grid):
 
 def called_scaling_rows(s, a, grid):
     """``verify_scaling``'s rows on ``grid`` from the public records: the
-    ratios of ``point_invariants`` on a call of the patch and on its
+    ratios of ``point_invariants`` on an ``eval_surface`` call and on its
     ``a.act`` image, with the library's residual expressions."""
     det2 = a.det * a.det
     rows = []
     for x, y in grid_points(s.domain, *grid):
         try:
-            sj = s.patch(x, y)
+            sj = eval_surface(s, x, y)
             source = point_invariants(sj, s.ambient)
             before = source.ratio()
             image = point_invariants(a.act(sj), s.ambient)

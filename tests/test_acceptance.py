@@ -163,7 +163,7 @@ def test_criterion_08_pseudosphere(tmp_path):
 def test_criterion_09_metric_chain():
     worst = 0.0
     for name in ("pseudosphere:half-plane", "half-plane:disk"):
-        [(_, _, max_diff, passed)] = check_pair(name, 10, 5, 1e-9)
+        [(_, _, max_diff, passed)] = check_pair(name, (10, 5), 1e-9)
         assert passed, name
         worst = max(worst, max_diff)
     report(

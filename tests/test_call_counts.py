@@ -6,10 +6,11 @@ pays it once per point, so these bounds pin the per-point work: the
 cross and dot products are written out in ``point_invariants``, jet
 arithmetic on two jets, or on a jet and a real, lifts neither operand,
 ``seed_xy`` builds both seeds itself, and the sweep walks the grid's two
-axes, calls no patch and computes each one-axis part once per axis
-value, so at a point it runs the row's ``mix`` alone.  An ``apply_map``
-image is its source's row with the map after ``mix``, so a mapped row
-computes its parts once too, and its map's ``act`` runs ``_image``.
+axes, calls no ``eval_surface`` and computes each one-axis part once per
+axis value, so at a point it runs the surface's ``mix`` alone.  An
+``apply_map`` image is its source with the map after ``mix``, so a
+mapped surface computes its parts once too, and its map's ``act`` runs
+``_image``.
 The counts are exact for a given interpreter: 8.5, 12.65, 6.725 and
 9.725 on CPython 3.10 and 3.11, 8.35, 12.45, 6.7175 and 9.7175 on 3.12.
 Each bound is the ceiling of the largest; the first two leave room only
@@ -122,4 +123,4 @@ def test_records_per_grid_point(make_run, bound):
     ("disk:minkowski-sphere", 62),
 ])
 def test_calls_per_metric_check_point(name, bound):
-    assert calls_per_point(lambda: check_pair(name, 20, 20, 1e-8), 400) <= bound
+    assert calls_per_point(lambda: check_pair(name, (20, 20), 1e-8), 400) <= bound

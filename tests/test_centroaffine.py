@@ -18,8 +18,8 @@ from titeica import centroaffine, classify, invariants
 from titeica.centroaffine import CentroAffineMap, apply_map, verify_scaling
 from titeica.cli import main
 from titeica.invariants import point_invariants, scan_grid
-from titeica.jet import Jet2, seed_xy
-from titeica.surfaces import EUCLIDEAN, Box, SurfaceDef, SurfaceJet, catalog, catalog_names, eval_surface, grid_points
+from titeica.jet import Jet2
+from titeica.surfaces import EUCLIDEAN, SurfaceJet, catalog, catalog_names, eval_surface, grid_points
 
 
 def test_construction_rejects_singular():
@@ -246,18 +246,12 @@ def test_plain_tuple_route_matches_the_public_records(name, entries):
     a, s = map_of(entries), catalog(name)
     assert repr(verify_scaling(s, a, (13, 11), 1e-8).points) == repr(tuple(called_scaling_rows(s, a, (13, 11))))
     for x, y in grid_points(s.domain, 13, 11):
-        sj = s.patch(x, y)
+        sj = eval_surface(s, x, y)
         image = a.act(sj)
         assert type(image) is SurfaceJet and {type(c) for c in image} == {Jet2}
         assert repr(tuple(map(tuple, image))) == repr(centroaffine._image(a.matrix, sj)), (x, y)
     for surface in (s, apply_map(s, a)):
         assert repr(scan_grid(surface, (13, 11))) == repr(called_rows(surface, (13, 11)))
-
-
-def test_a_plain_function_is_not_a_patch_to_map():
-    s = SurfaceDef("f", lambda x, y: SurfaceJet(*seed_xy(x, y), Jet2(1.0)), Box(0.5, 2.0, 0.5, 2.0), EUCLIDEAN)
-    with pytest.raises(TypeError, match=r"^patch of surface 'f' is a function, not a row: build it with parametric"):
-        apply_map(s, map_of(MATRICES[0]))
 
 
 @pytest.mark.parametrize("surface", ["paraboloid", "minkowski-sphere"])

@@ -55,8 +55,8 @@ def test_classify_withholds_verdict_when_grid_is_singular():
 def test_non_finite_ratio_is_a_skipped_point(radius, capsys):
     # R = 1e200 makes R^2 inf, so K and d are nan or inf.  catalog() and the
     # command line refuse such a radius, so the cap is built from its row.
-    *parts, box = surfaces._CATALOG["sphere-origin"].shape(R=radius)
-    cap = SurfaceDef("sphere-origin", surfaces._Row(*parts), box, EUCLIDEAN)
+    xpart, ypart, mix, box = surfaces._CATALOG["sphere-origin"].shape(R=radius)
+    cap = SurfaceDef("sphere-origin", mix, box, EUCLIDEAN, xpart, ypart)
     records = scan_grid(cap, grid=(4, 4))
     assert all(r.skipped.startswith("non-finite") and r.ratio is None for r in records)
     with pytest.raises(InconclusiveError, match="^400/400 grid points"):
@@ -589,16 +589,25 @@ def test_dir_lists_every_name_and_submodule_without_importing():
     assert {info.name for info in pkgutil.iter_modules(titeica.__path__)} <= listed
 
 
-def test_readme_library_block():
+def run_readme_library_block(index):
+    """Run the ``index``-th ``python`` block under README's ``## Library``:
+    its names, and the value of each bare expression, the lines whose
+    value a comment gives."""
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
     with open(readme) as fh:
-        block = fh.read().split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        section = fh.read().split("## Library", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n")[index + 1].split("```", 1)[0]
     names, values = {}, []
     for stmt in ast.parse(block).body:
-        if isinstance(stmt, ast.Expr):  # the lines whose value a comment gives
+        if isinstance(stmt, ast.Expr):
             values.append(eval(compile(ast.Expression(stmt.value), "README.md", "eval"), names))
         else:
             exec(compile(ast.Module([stmt], []), "README.md", "exec"), names)
+    return names, values
+
+
+def test_readme_library_block():
+    _, values = run_readme_library_block(0)
     f_x, ratio, hyperboloid_ratio, residual, sphere_ratio, passed = values
     assert f_x == (1.0, 0.0, -1.0)
     assert ratio == pytest.approx(1 / 27, rel=1e-12)
@@ -606,6 +615,13 @@ def test_readme_library_block():
     assert residual < 1e-14
     assert sphere_ratio == pytest.approx(1 / 64, rel=1e-9)
     assert passed is True
+
+
+def test_readme_custom_surface_block():
+    names, values = run_readme_library_block(1)
+    assert values == [-1024.0, False]
+    verdict = classify(names["saddle"])
+    assert (verdict.points_evaluated, verdict.points_skipped) == (360, 40)
 
 
 def test_public_names_resolve():

@@ -17,7 +17,6 @@ from titeica.surfaces import (
     catalog_names,
     eval_surface,
     grid_points,
-    parametric,
 )
 
 
@@ -120,7 +119,7 @@ def test_identity_residual_cubic_patch():
     def height(x, y):
         return jet.pow_int(x, 3) + 2.0 * x * (y * y) - y
 
-    s = SurfaceDef("cubic", parametric(lambda x, y: (x, y, height(x, y))), Box(-1, 1, -1, 1), EUCLIDEAN)
+    s = SurfaceDef("cubic", lambda x, y: (x, y, height(x, y)), Box(-1, 1, -1, 1), EUCLIDEAN)
     assert identity_residual(eval_surface(s, 0.3, 0.7), EUCLIDEAN) <= 1e-10
 
 
@@ -231,7 +230,7 @@ def test_parametrization_independence_of_sphere():
         sa = jet.sin(a)
         return sa * jet.cos(b), sa * jet.sin(b), jet.cos(a)
 
-    chart = SurfaceDef("sphere-angular", parametric(angular), Box(0.05, 0.5, 0.05, 1.5), EUCLIDEAN)
+    chart = SurfaceDef("sphere-angular", angular, Box(0.05, 0.5, 0.05, 1.5), EUCLIDEAN)
     monge = catalog("sphere-origin", R=1.0)
     rng = np.random.default_rng(23)
     for _ in range(25):
@@ -250,7 +249,7 @@ def test_saddle_has_negative_ratio():
     def height(x, y):
         return x * x - y * y
 
-    s = SurfaceDef("saddle", parametric(lambda x, y: (x, y, height(x, y))), Box(-1, 1, -1, 1), EUCLIDEAN)
+    s = SurfaceDef("saddle", lambda x, y: (x, y, height(x, y)), Box(-1, 1, -1, 1), EUCLIDEAN)
     for x, y in [(0.2, 0.1), (-0.3, 0.15), (0.05, 0.25), (0.4, -0.1)]:
         p = point_invariants(eval_surface(s, x, y), EUCLIDEAN)
         assert p.Vx * p.Vy - p.Vxy**2 < 0.0
@@ -283,7 +282,7 @@ def test_sweeps_skip_only_singular_points():
     s = catalog("titeica-xyz")
     points = grid_points(s.domain, 3, 3)
     xm = points[4][0]
-    holed = SurfaceDef("holed", parametric(lambda x, y: (x, y, 1.0 / (x - xm))), s.domain, EUCLIDEAN)
+    holed = SurfaceDef("holed", lambda x, y: (x, y, 1.0 / (x - xm)), s.domain, EUCLIDEAN)
     with pytest.raises(DomainError):
         scan_grid(holed, (3, 3))
     with pytest.raises(DomainError):

@@ -156,6 +156,17 @@ def test_real_term_changes_the_value_alone():
     assert repr(2.0 - u) == repr(Jet2(*(2.0 - u.val, *(-d for d in u[1:]))))
 
 
+def test_zeroth_and_first_powers_are_one_and_the_base():
+    # The chain rule with d1 = 0 or d2 = 0 would add 0.0 to a -0.0 and
+    # multiply an inf by 0.0; compared by repr, which tells those apart.
+    u = Jet2(5.0, -0.0, 1.0, -0.0, 0.0, 2.0)
+    assert repr(u ** 1) == repr(jet.pow_int(u, 1)) == repr(u)
+    v = Jet2(2.0, math.inf, 0.0, 0.0, 0.0, 0.0)
+    assert repr(v ** 1) == repr(v)
+    for j in (u, v):
+        assert repr(j ** 0) == repr(jet.pow_int(j, 0)) == repr(Jet2(1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+
+
 def test_real_divisor_divides_each_field():
     # Each field times 1/c: the quotient rule's q * 0.0 terms would flip
     # -0.0 / -2.0 to -0.0 and make an infinite value's derivatives nan.

@@ -72,17 +72,17 @@ def test_pullback_through_identity():
 
 
 def test_pullback_pseudosphere_from_half_plane():
-    (_, _, worst, passed), = check_pair("pseudosphere:half-plane", 10, 5, 1e-10)
+    (_, _, worst, passed), = check_pair("pseudosphere:half-plane", (10, 5), 1e-10)
     assert passed, worst
 
 
 def test_pullback_half_plane_from_disk():
-    (_, _, worst, passed), = check_pair("half-plane:disk", 10, 5, 1e-9)
+    (_, _, worst, passed), = check_pair("half-plane:disk", (10, 5), 1e-9)
     assert passed, worst
 
 
 def test_disk_change_variants_are_distinguished():
-    variants = check_pair("disk:minkowski-sphere", 10, 5, 1e-8)
+    variants = check_pair("disk:minkowski-sphere", (10, 5), 1e-8)
     reports = {label: (worst, passed) for label, _, worst, passed in variants}
     assert [label for label, (_, passed) in reports.items() if passed] == ["radius"]
     assert reports["radius"][0] <= 1e-8
@@ -113,7 +113,7 @@ def test_check_pair_fails_on_a_nan_difference(mirror, monkeypatch):
     # second and the last point; the mirror change (x, y) -> (-x, y) moves
     # the NaNs to the first and the third.
     add_nan_pair(monkeypatch, (("mirror", lambda x, y: (-x, y)),) if mirror else IDENTITY)
-    (_, points, worst, passed), = check_pair("flat:nan", 2, 2, 1e-9)
+    (_, points, worst, passed), = check_pair("flat:nan", (2, 2), 1e-9)
     assert [math.isnan(p.diff_g11) for p in points] == [mirror, not mirror] * 2
     assert math.isnan(worst)
     assert passed is False
@@ -142,7 +142,7 @@ def test_metric_check_reports_a_singular_change_as_a_verification_error(monkeypa
 @pytest.mark.parametrize("name", pair_names())
 def test_check_pair_rows_equal_direct_pullbacks(name):
     source, source_box, target, target_box, changes = _PAIRS[name]
-    variants = check_pair(name, 13, 11, 1e-8)
+    variants = check_pair(name, (13, 11), 1e-8)
     grid = grid_points(source_box, 13, 11)
     assert [label for label, *_ in variants] == [label for label, _ in changes]
     for (_, points, worst, passed), (_, mapping) in zip(variants, changes):
@@ -165,7 +165,7 @@ def test_check_pair_evaluates_the_source_once_per_point(monkeypatch):
     changes = (("identity", lambda x, y: (x, y)), ("swap", lambda x, y: (y, x)))
     add_pair(monkeypatch, "counting:flat", ("counting", FLAT_BOX, "flat", FLAT_BOX, changes),
              counting=counting_flat, flat=flat_components)
-    variants = check_pair("counting:flat", 4, 3, 1e-12)
+    variants = check_pair("counting:flat", (4, 3), 1e-12)
     assert [label for label, _, _, passed in variants if passed] == ["identity", "swap"]
     assert len(calls) == 4 * 3
 
@@ -182,7 +182,7 @@ def test_check_pair_tests_each_point_against_each_box_once(monkeypatch):
 
     monkeypatch.setattr(Box, "contains", counting_contains)
     _, _, _, target_box, changes = _PAIRS["disk:minkowski-sphere"]
-    check_pair("disk:minkowski-sphere", 4, 3, 1e-8)
+    check_pair("disk:minkowski-sphere", (4, 3), 1e-8)
     assert boxes == [target_box] * (4 * 3 * len(changes))
 
 
@@ -250,6 +250,6 @@ def test_theorema_egregium(name):
 
 def test_unknown_pair():
     with pytest.raises(CatalogError) as err:
-        check_pair("torus:plane", 2, 2, 1e-8)
+        check_pair("torus:plane", (2, 2), 1e-8)
     assert str(err.value) == ("unknown metric pair 'torus:plane'; "
                               "available: disk:minkowski-sphere, half-plane:disk, pseudosphere:half-plane")

@@ -18,7 +18,7 @@ from titeica import jet
 from titeica.centroaffine import CentroAffineMap, apply_map
 from titeica.errors import SingularPointError
 from titeica.invariants import classify, identity_residual, point_invariants
-from titeica.surfaces import EUCLIDEAN, MINKOWSKI, catalog, parametric
+from titeica.surfaces import EUCLIDEAN, MINKOWSKI, Box, SurfaceDef, catalog, eval_surface
 
 # For a failing example Hypothesis imports libcst to print a patch; a libcst
 # that warns on import would turn a property's failure into an internal error
@@ -32,7 +32,7 @@ TERMS = [(i, j) for i in range(5) for j in range(5 - i)]
 
 
 def monge_patch(coeffs):
-    """The patch of u = sum c_ij x^i y^j over ``TERMS``."""
+    """The graph of u = sum c_ij x^i y^j over ``TERMS`` on (-1, 1)^2."""
 
     def height(x, y):
         acc = jet.constant(0.0)
@@ -40,12 +40,12 @@ def monge_patch(coeffs):
             acc = acc + jet.pow_int(x, i) * jet.pow_int(y, j) * c
         return acc
 
-    return parametric(lambda x, y: (x, y, height(x, y)))
+    return SurfaceDef("poly", lambda x, y: (x, y, height(x, y)), Box(-1.0, 1.0, -1.0, 1.0), EUCLIDEAN)
 
 
 coordinate = st.floats(-0.99, 0.99)
 polynomial_jets = st.builds(
-    lambda coeffs, x, y: monge_patch(coeffs)(x, y),
+    lambda coeffs, x, y: eval_surface(monge_patch(coeffs), x, y),
     st.lists(st.floats(-2.0, 2.0), min_size=len(TERMS), max_size=len(TERMS)), coordinate, coordinate)
 vectors = st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)
 

@@ -16,7 +16,7 @@ from titeica.surfaces import (
     EUCLIDEAN,
     MINKOWSKI,
     Box,
-    SurfaceJet,
+    SurfaceDef,
     catalog,
     catalog_names,
     eval_surface,
@@ -224,11 +224,9 @@ def test_catalog_rows_match_their_unsplit_coordinates(name, params):
     coords = UNSPLIT[name](**params)
 
     # A jet is its three coordinate jets: repr tells a Jet2 from a tuple, and -0.0 from 0.0.
-    def reference(x, y):
-        return SurfaceJet(*coords(*jet.seed_xy(x, y)))
-
+    reference = SurfaceDef(name, coords, s.domain, s.ambient)
     xs, ys = surfaces._grid_axes(s.domain, 37, 23)
     xs, ys = xs + [0.0, -0.0, 0.25], ys + [0.0, -0.0, 0.25]
     expected = called(reference, xs, ys)
-    assert called(s.patch, xs, ys) == expected
-    assert swept(s.patch, xs, ys) == expected
+    assert called(s, xs, ys) == expected
+    assert swept(s, xs, ys) == expected
