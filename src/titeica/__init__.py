@@ -28,10 +28,10 @@ _NAMES = {
         "EPS_SINGULAR", "ClassifyVerdict", "PointInvariants", "PointRecord", "classify",
         "identity_residual", "point_invariants", "scan_grid",
     ),
-    "jet": ("Jet2", "constant", "seed_x", "seed_xy", "seed_y"),
+    "jet": ("Jet2", "seed_xy"),
     "metrics": ("AgreePoint", "check_pair", "pair_names"),
     "surfaces": (
-        "EUCLIDEAN", "MINKOWSKI", "AmbientForm", "Box", "SurfaceDef", "SurfaceJet",
+        "EUCLIDEAN", "MINKOWSKI", "AmbientForm", "Box", "SurfaceDef",
         "catalog", "catalog_entries", "catalog_names", "eval_surface", "grid_points",
     ),
 }

@@ -29,7 +29,7 @@ from . import _NAMES
 from .errors import SingularPointError
 from .invariants import _pass, _ratio, _sweep
 from .jet import Jet2
-from .surfaces import SurfaceDef, SurfaceJet, _grid_axes, det3
+from .surfaces import SurfaceDef, _grid_axes, det3
 
 __all__ = list(_NAMES["centroaffine"])
 
@@ -56,11 +56,11 @@ class CentroAffineMap(NamedTuple):
             raise ValueError(f"centro-affine matrix must be invertible, |det| = {abs(d):g}")
         return cls(m, d)
 
-    def act(self, sj: SurfaceJet) -> SurfaceJet:
-        """The jet of f . A: each field of image coordinate k is sum_i x_i a_ik
-        over that field x_i of the source's coordinate jets, in this order."""
-        c0, c1, c2 = _image(self.matrix, sj)
-        return _new(SurfaceJet, (_new(Jet2, c0), _new(Jet2, c1), _new(Jet2, c2)))
+    def act(self, jets: tuple[Jet2, Jet2, Jet2]) -> tuple[Jet2, Jet2, Jet2]:
+        """The coordinate jets of f . A: each field of image coordinate k is
+        sum_i x_i a_ik over that field x_i of the source's jets, in this order."""
+        c0, c1, c2 = _image(self.matrix, jets)
+        return _new(Jet2, c0), _new(Jet2, c1), _new(Jet2, c2)
 
 
 def _image(matrix, jets) -> tuple:

@@ -379,7 +379,8 @@ def _emit(text: str, output: Optional[str]) -> None:
     except OSError as exc:
         if tmp_path is not None and os.path.exists(tmp_path):
             os.unlink(tmp_path)
-        raise UsageError(f"output: cannot write report to '{output}': {exc}") from exc
+        # strerror, not the exception: its text names the temporary file.
+        raise UsageError(f"output: cannot write report to '{output}': {exc.strerror or exc}") from exc
 
 
 def run(config: RunConfig) -> int:

@@ -1,9 +1,9 @@
 """Pointwise surface invariants under a chosen ambient bilinear form.
 
-Everything here comes from one pass over a :class:`SurfaceJet`, in the
-paper's representation.  Let S = diag(signature) be the ambient form,
-<v, w> = v^T S w, and c = f_x x f_y the Euclidean cross product of the
-tangent vectors.  The pass, ``_pass``, writes out c and then
+Everything here comes from one pass over the three coordinate jets of a
+surface at a point, in the paper's representation.  Let S =
+diag(signature) be the ambient form, <v, w> = v^T S w, and c = f_x x f_y
+the Euclidean cross product of the tangent vectors.  The pass, ``_pass``, writes out c and then
 
 * the four oriented volumes Vx, Vy, Vxy, V = det(w; f_x; f_y) for
   w = f_xx, f_yy, f_xy and the position f, each as w . c,
@@ -47,14 +47,7 @@ from typing import NamedTuple, Optional
 from . import _NAMES
 from .errors import InconclusiveError, SingularPointError
 from .jet import Jet2
-from .surfaces import (
-    DEFAULT_GRID,
-    DEFAULT_TOL,
-    AmbientForm,
-    SurfaceDef,
-    SurfaceJet,
-    _grid_axes,
-)
+from .surfaces import DEFAULT_GRID, DEFAULT_TOL, AmbientForm, SurfaceDef, _grid_axes
 
 __all__ = list(_NAMES["invariants"])
 
@@ -99,9 +92,9 @@ def _ratio(num: float, v: float, k: float, d: float) -> float:
     return ratio
 
 
-def point_invariants(sj: SurfaceJet, amb: AmbientForm) -> PointInvariants:
+def point_invariants(jets: tuple[Jet2, Jet2, Jet2], amb: AmbientForm) -> PointInvariants:
     """The pass as a record; raises as it does, and returns where d = 0."""
-    return _new(PointInvariants, _pass(sj, amb))
+    return _new(PointInvariants, _pass(jets, amb))
 
 
 def _pass(jets, amb: AmbientForm) -> tuple:
@@ -129,15 +122,15 @@ def _pass(jets, amb: AmbientForm) -> tuple:
     return vx, vy, vxy, v, nn, num, num / (nn * nn), abs(v) / math.sqrt(abs(nn))
 
 
-def identity_residual(sj: SurfaceJet, amb: AmbientForm) -> float:
+def identity_residual(jets: tuple[Jet2, Jet2, Jet2], amb: AmbientForm) -> float:
     """|sign(<n,n>) (LN - M^2) / (EG - F^2) / d^4 - K/d^4|, the classical
     curvature route against the ratio, both from one pass: E, F, G =
     <f_x, f_x>, <f_x, f_y>, <f_y, f_y> and L, M, N = (Vx, Vxy, Vy) /
     sqrt(|nn|).  It is inf where EG - F^2 has cancelled to 0, and on the
     catalog and random patches it stays below 1e-9 * max(1, |ratio|)."""
-    p = point_invariants(sj, amb)
+    p = point_invariants(jets, amb)
     ratio = p.ratio()
-    fx, fy = [c.dx for c in sj], [c.dy for c in sj]
+    fx, fy = [c.dx for c in jets], [c.dy for c in jets]
     e, f, g = amb.inner(fx, fx), amb.inner(fx, fy), amb.inner(fy, fy)
     scale = 1.0 / math.sqrt(abs(p.nn))
     l, m, n = p.Vx * scale, p.Vxy * scale, p.Vy * scale
@@ -154,18 +147,18 @@ def _sweep(s: SurfaceDef, xs, ys, evaluate, record) -> list:
     """The one walk of a grid command over the axes ``xs`` and ``ys``
     (from ``_grid_axes``, inside the box) of ``s``: for each y, for each
     x, ``evaluate(x, y, jets)`` with the plain triple of jets that
-    ``eval_surface(s, x, y)`` holds.  Each x part runs once before the
+    ``eval_surface(s, x, y)`` returns.  Each x part runs once before the
     first point, each y part at the start of its row, and ``mix`` at each
     point; a part's error propagates where it runs.  A point that raises
     SingularPointError becomes ``record(x, y, skipped=<the error's
     message>)``; other errors propagate."""
     xpart, ypart, mix = s.xpart, s.ypart, s.mix
-    seeds = [_new(Jet2, (float(x), 1.0, 0.0, 0.0, 0.0, 0.0)) for x in xs]  # seed_x(x), without a call
+    seeds = [_new(Jet2, (float(x), 1.0, 0.0, 0.0, 0.0, 0.0)) for x in xs]  # Jet2(x, 1.0), without a call
     line = list(zip(xs, map(xpart, seeds) if xpart else zip(seeds)))
     rows = []
     append = rows.append
     for y in ys:
-        sy = _new(Jet2, (float(y), 0.0, 1.0, 0.0, 0.0, 0.0))  # seed_y(y), without a call
+        sy = _new(Jet2, (float(y), 0.0, 1.0, 0.0, 0.0, 0.0))  # Jet2(y, 0.0, 1.0), without a call
         b = ypart(sy) if ypart else (sy,)
         for x, a in line:
             try:

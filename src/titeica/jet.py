@@ -119,7 +119,7 @@ class Jet2(NamedTuple):
         c = _real(other)
         if c is None:
             return NotImplemented
-        return _div((c, 0.0, 0.0, 0.0, 0.0, 0.0), self)
+        return _div((c, -0.0, -0.0, -0.0, -0.0, -0.0), self)  # -0.0 - t is -t, for t = 0.0 too
 
     def __pow__(self, exponent):
         if isinstance(exponent, numbers.Integral):  # numpy.int64 too
@@ -175,24 +175,9 @@ def _div(a, b) -> Jet2:
     ))
 
 
-def constant(c: float) -> Jet2:
-    """Jet of a constant: all derivative fields are zero."""
-    return _new(Jet2, (float(c), 0.0, 0.0, 0.0, 0.0, 0.0))
-
-
-def seed_x(v: float) -> Jet2:
-    """Jet of the first coordinate at value v (dx = 1, everything else 0)."""
-    return _new(Jet2, (float(v), 1.0, 0.0, 0.0, 0.0, 0.0))
-
-
-def seed_y(v: float) -> Jet2:
-    """Jet of the second coordinate at value v (dy = 1, everything else 0)."""
-    return _new(Jet2, (float(v), 0.0, 1.0, 0.0, 0.0, 0.0))
-
-
 def seed_xy(x: float, y: float) -> tuple[Jet2, Jet2]:
     """Coordinate seeds for evaluating an expression at the point (x, y):
-    ``(seed_x(x), seed_y(y))``."""
+    ``(Jet2(x, 1.0), Jet2(y, 0.0, 1.0))``."""
     return _new(Jet2, (float(x), 1.0, 0.0, 0.0, 0.0, 0.0)), _new(Jet2, (float(y), 0.0, 1.0, 0.0, 0.0, 0.0))
 
 

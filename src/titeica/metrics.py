@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from . import _NAMES, jet
 from .errors import CatalogError, DomainError, SingularPointError
-from .jet import Jet2, constant, seed_xy
+from .jet import Jet2, seed_xy
 from .surfaces import Box, grid_points
 
 __all__ = list(_NAMES["metrics"])
@@ -50,7 +50,7 @@ def _pullback(target: str, target_box: Box, mapping, x: float, y: float) -> tupl
         raise SingularPointError(
             f"coordinate change into metric '{target}' has singular Jacobian at ({x:g}, {y:g})"
         )
-    e, f, g = _METRICS[target][0](constant(u.val), constant(v.val))
+    e, f, g = _METRICS[target][0](Jet2(u.val), Jet2(v.val))
     g11, g12, g22 = e.val, f.val, g.val
     h11 = g11 * u.dx * u.dx + 2.0 * g12 * u.dx * v.dx + g22 * v.dx * v.dx
     h12 = g11 * u.dx * u.dy + g12 * (u.dx * v.dy + u.dy * v.dx) + g22 * v.dx * v.dy
@@ -72,7 +72,7 @@ def check_pair(name: str, grid: tuple[int, int], tol: float) -> tuple[tuple[str,
     components = _METRICS[source][0]
     samples = []
     for x, y in grid_points(source_box, *grid):
-        g11, g12, g22 = components(constant(x), constant(y))
+        g11, g12, g22 = components(Jet2(x), Jet2(y))
         samples.append((x, y, g11.val, g12.val, g22.val))
     variants = []
     for label, mapping in changes:
@@ -99,12 +99,12 @@ def _pseudosphere_components(x1: Jet2, x2: Jet2):
     s = jet.sin(x2)
     c = jet.cos(x2)
     cot = c / s
-    return s * s, constant(0.0), cot * cot
+    return s * s, Jet2(0.0), cot * cot
 
 
 def _half_plane_components(x: Jet2, y: Jet2):
     inv = 1.0 / (y * y)
-    return inv, constant(0.0), inv
+    return inv, Jet2(0.0), inv
 
 
 def _disk_components(y1: Jet2, y2: Jet2):
@@ -112,12 +112,12 @@ def _disk_components(y1: Jet2, y2: Jet2):
     # positive-definite wherever r != 1, inside or outside the unit circle
     one_minus = 1.0 - (y1 * y1 + y2 * y2)
     lam = 4.0 / (one_minus * one_minus)
-    return lam, constant(0.0), lam
+    return lam, Jet2(0.0), lam
 
 
 def _minkowski_sphere_components(u1: Jet2, u2: Jet2):
     sh = jet.sinh(u1)
-    return constant(1.0), constant(0.0), sh * sh
+    return Jet2(1.0), Jet2(0.0), sh * sh
 
 
 _METRICS = {

@@ -6,9 +6,9 @@ parameters, where a part holds the jets that depend on one parameter
 alone: R^2 - x^2 and y^2 on a cap, sech t, t - tanh t, cos theta and
 sin theta on the pseudosphere.  A missing part is the seed alone, so a
 plain ``mix(x, y)`` that returns three coordinate jets is a surface.
-:func:`eval_surface` gives the :class:`SurfaceJet` at one point, the
-jets of the three coordinates: each holds the value and all first and
-second partial derivatives.  A grid sweep computes a part once per axis
+:func:`eval_surface` gives the jets of the three coordinates at one
+point, a plain triple: each holds the value and all first and second
+partial derivatives.  A grid sweep computes a part once per axis
 value.  A Monge patch, the graph of u over the parameter plane, is the
 immersion (x, y, u(x, y)): its first two coordinates are the exact
 seeds, so f_x = (1, 0, u_x) and f_y = (0, 1, u_y) hold bitwise.
@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import _NAMES, jet
 from .errors import CatalogError, DomainError
-from .jet import Jet2, constant, seed_xy
+from .jet import Jet2, seed_xy
 
 __all__ = list(_NAMES["surfaces"])
 
@@ -117,15 +117,6 @@ def det3(r0, r1, r2) -> float:
     return a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2) + a2 * (b0 * c1 - b1 * c0)
 
 
-class SurfaceJet(NamedTuple):
-    """The three coordinate jets of the immersion at one parameter point:
-    ``f0.dx`` is the first coordinate of f_x, and so on."""
-
-    f0: Jet2
-    f1: Jet2
-    f2: Jet2
-
-
 _Part = Callable[[Jet2], tuple[Jet2, ...]]
 _Mix = Callable[..., tuple[Jet2, Jet2, Jet2]]
 _Shape = tuple[Optional[_Part], Optional[_Part], _Mix, Box]
@@ -145,14 +136,15 @@ class SurfaceDef(NamedTuple):
     ypart: Optional[_Part] = None
 
 
-def eval_surface(s: SurfaceDef, x: float, y: float) -> SurfaceJet:
-    """The jet of ``s`` at a point strictly inside its domain: the x part,
-    the y part, then ``mix``, which must give exactly three coordinate
-    jets (else ValueError)."""
+def eval_surface(s: SurfaceDef, x: float, y: float) -> tuple[Jet2, Jet2, Jet2]:
+    """The three coordinate jets of ``s`` at a point strictly inside its
+    domain: the x part, the y part, then ``mix``, which must give exactly
+    three jets (else ValueError).  Index k of the triple is coordinate k,
+    so ``eval_surface(s, x, y)[0].dx`` is the first coordinate of f_x."""
     s.domain.require(x, y, s.name)
     sx, sy = seed_xy(x, y)
     cx, cy, cz = s.mix(*(s.xpart(sx) if s.xpart else (sx,)), *(s.ypart(sy) if s.ypart else (sy,)))
-    return _new(SurfaceJet, (cx, cy, cz))
+    return cx, cy, cz
 
 
 # --------------------------------------------------------------------------
@@ -182,7 +174,7 @@ def _circle(theta: Jet2) -> tuple[Jet2, Jet2]:
 def _cap(r: float, mix: Callable) -> _Shape:
     """The parts and box of a Monge cap whose height ``mix`` takes from
     R^2 - x^2 and y^2."""
-    rr = constant(r * r)
+    rr = Jet2(r * r)
     half = 0.42 * r  # square inscribed in the disk x^2 + y^2 <= (0.6 R)^2
     return lambda x: (x, rr - x * x), _squared, mix, Box(-half, half, -half, half)
 
@@ -220,7 +212,7 @@ _CATALOG: dict[str, _Entry] = {
         ambient=MINKOWSKI,
     ),
     "plane": _Entry(
-        lambda: (None, None, lambda x, y: (x, y, constant(0.0)), Box(-1.0, 1.0, -1.0, 1.0)),
+        lambda: (None, None, lambda x, y: (x, y, Jet2(0.0)), Box(-1.0, 1.0, -1.0, 1.0)),
         "flat patch u = 0 (tangent planes through the origin everywhere)",
     ),
 }

@@ -128,7 +128,7 @@ def eval_jet(node, jx, jy):
     if tag == "y":
         return jy
     if tag == "const":
-        return jet.constant(node[1])
+        return jet.Jet2(float(node[1]))
     if tag == "powi":
         return jet.pow_int(eval_jet(node[1], jx, jy), node[2])
     if tag in UNARY:

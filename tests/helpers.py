@@ -12,7 +12,7 @@ from titeica import invariants, jet, metrics
 from titeica.centroaffine import CentroAffineMap, ScalingPoint
 from titeica.errors import GeometryError, SingularPointError
 from titeica.invariants import PointRecord, point_invariants
-from titeica.surfaces import EUCLIDEAN, Box, SurfaceDef, SurfaceJet, det3, eval_surface, grid_points
+from titeica.surfaces import EUCLIDEAN, Box, SurfaceDef, det3, eval_surface, grid_points
 
 
 def random_polynomial_patch(rng, degree=4, coeff_range=2.0, name="poly"):
@@ -24,7 +24,7 @@ def random_polynomial_patch(rng, degree=4, coeff_range=2.0, name="poly"):
     ]
 
     def height(x, y):
-        acc = jet.constant(0.0)
+        acc = jet.Jet2(0.0)
         for i, j, c in terms:
             acc = acc + jet.pow_int(x, i) * jet.pow_int(y, j) * c
         return acc
@@ -60,7 +60,7 @@ def swept(s, xs, ys):
         except Exception as exc:  # every error must match, whatever its type
             raise SingularPointError(f"{type(exc).__name__}: {exc}") from exc
 
-    return invariants._sweep(s._replace(mix=guarded), xs, ys, lambda x, y, jets: repr(SurfaceJet(*jets)),
+    return invariants._sweep(s._replace(mix=guarded), xs, ys, lambda x, y, jets: repr(jets),
                              lambda x, y, skipped: tuple(skipped.split(": ", 1)))
 
 
@@ -78,7 +78,7 @@ def jet_rows(sj):
 
 def jet_of_rows(*rows):
     """The jet whose six rows (see :func:`jet_rows`) are ``rows``."""
-    return SurfaceJet(*(jet.Jet2(*c) for c in zip(*rows)))
+    return tuple(jet.Jet2(*c) for c in zip(*rows))
 
 
 def jet2_image(sj, a):
@@ -89,7 +89,7 @@ def jet2_image(sj, a):
     surface evaluator would form it.
     """
     c0, c1, c2 = sj
-    return SurfaceJet(*(c0 * a0 + c1 * a1 + c2 * a2 for a0, a1, a2 in zip(*a.matrix)))
+    return tuple(c0 * a0 + c1 * a1 + c2 * a2 for a0, a1, a2 in zip(*a.matrix))
 
 
 def scaling_reference(s, a, points):
@@ -225,7 +225,7 @@ def brioschi_curvature(components, x, y):
 
 def flat_components(x, y):
     # the flat metric dx^2 + dy^2
-    return jet.constant(1.0), jet.constant(0.0), jet.constant(1.0)
+    return jet.Jet2(1.0), jet.Jet2(0.0), jet.Jet2(1.0)
 
 
 FLAT_BOX = Box(-1.0, 1.0, -1.0, 1.0)
@@ -244,7 +244,7 @@ def add_pair(monkeypatch, name, row, **components):
 
 def nan_at_positive_x(x, y):
     # the flat metric, except that g11 is not a number where x > 0
-    return jet.constant(math.nan if x.val > 0.0 else 1.0), jet.constant(0.0), jet.constant(1.0)
+    return jet.Jet2(math.nan if x.val > 0.0 else 1.0), jet.Jet2(0.0), jet.Jet2(1.0)
 
 
 def add_nan_pair(monkeypatch, changes=IDENTITY):

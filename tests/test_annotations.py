@@ -27,7 +27,7 @@ def namedtuple_classes():
 
 def test_namedtuple_fields_are_not_strings():
     classes = list(namedtuple_classes())
-    assert len(classes) == 18
+    assert len(classes) == 17
     stringly = [f"{cls.__module__}.{cls.__qualname__}.{field}"
                 for cls in classes
                 for field, annotation in cls.__annotations__.items()

@@ -19,7 +19,7 @@ from titeica.centroaffine import CentroAffineMap, apply_map, verify_scaling
 from titeica.cli import main
 from titeica.invariants import point_invariants, scan_grid
 from titeica.jet import Jet2
-from titeica.surfaces import EUCLIDEAN, SurfaceJet, catalog, catalog_names, eval_surface, grid_points
+from titeica.surfaces import EUCLIDEAN, catalog, catalog_names, eval_surface, grid_points
 
 
 def test_construction_rejects_singular():
@@ -248,7 +248,7 @@ def test_plain_tuple_route_matches_the_public_records(name, entries):
     for x, y in grid_points(s.domain, 13, 11):
         sj = eval_surface(s, x, y)
         image = a.act(sj)
-        assert type(image) is SurfaceJet and {type(c) for c in image} == {Jet2}
+        assert type(image) is tuple and len(image) == 3 and {type(c) for c in image} == {Jet2}
         assert repr(tuple(map(tuple, image))) == repr(centroaffine._image(a.matrix, sj)), (x, y)
     for surface in (s, apply_map(s, a)):
         assert repr(scan_grid(surface, (13, 11))) == repr(called_rows(surface, (13, 11)))

@@ -1,4 +1,5 @@
 import ast
+import errno
 import importlib
 import json
 import math
@@ -664,6 +665,18 @@ def test_unwritable_output_path(capsys):
     ])
     assert code == 2
     assert "cannot write report" in capsys.readouterr().err
+
+
+def test_unwritable_output_error_names_the_output_alone(capsys):
+    # The same run prints the same error, naming the path given and not
+    # the randomly named temporary file beside it.
+    errors = []
+    for _ in range(2):
+        assert main(["classify", "--surface", "titeica-xyz", "--output", "/nonexistent/dir/x.json"]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert ".titeica-" not in errors[0]
+    assert errors[0] == f"error: output: cannot write report to '/nonexistent/dir/x.json': {os.strerror(errno.ENOENT)}\n"
 
 
 CSV_RUN = ["classify", "--surface", "sphere-origin", "--grid", "3", "3", "--format", "csv"]

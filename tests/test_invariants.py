@@ -218,7 +218,7 @@ def test_numerator_identity_for_monge_patches():
         sj = eval_surface(s, x, y)
         vols = point_invariants(sj, EUCLIDEAN)
         lhs = vols.Vx * vols.Vy - vols.Vxy**2
-        u = sj.f2
+        u = sj[2]
         rhs = u.dxx * u.dyy - u.dxy**2
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 

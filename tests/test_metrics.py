@@ -10,7 +10,7 @@ from titeica import jet
 from titeica.cli import main
 from titeica.errors import CatalogError, DomainError, SingularPointError
 from titeica.invariants import point_invariants
-from titeica.jet import constant, seed_xy
+from titeica.jet import Jet2, seed_xy
 from titeica.metrics import _METRICS, _PAIRS, _pullback, check_pair, pair_names
 from titeica.surfaces import MINKOWSKI, Box, catalog, eval_surface, grid_points
 
@@ -20,7 +20,7 @@ HALF_PLANE_BOX = Box(-1.0, 1.0, 0.5, 3.0)
 
 def values(name, x, y):
     """The components of the catalog metric ``name`` at (x, y), as floats."""
-    return tuple(c.val for c in _METRICS[name][0](constant(x), constant(y)))
+    return tuple(c.val for c in _METRICS[name][0](Jet2(float(x)), Jet2(float(y))))
 
 
 def test_flat_metric_has_zero_curvature():
@@ -54,7 +54,7 @@ def test_minkowski_sphere_metric_curvature():
 
 def test_brioschi_rejects_indefinite_metric():
     def components(x, y):
-        return constant(-1.0), constant(0.0), constant(1.0)
+        return Jet2(-1.0), Jet2(0.0), Jet2(1.0)
 
     with pytest.raises(ValueError, match=r"^metric is not positive-definite at \(0, 0\)$"):
         brioschi_curvature(components, 0.0, 0.0)
@@ -67,7 +67,7 @@ def test_pullback_through_identity():
             assert abs(a - b) <= 1e-14
     # (x, y) -> (x, y0) keeps the image inside but collapses the second direction
     with pytest.raises(SingularPointError) as err:
-        _pullback("pseudosphere", PSEUDOSPHERE_BOX, lambda x, y: (x, constant(0.5)), 1.5, 0.4)
+        _pullback("pseudosphere", PSEUDOSPHERE_BOX, lambda x, y: (x, Jet2(0.5)), 1.5, 0.4)
     assert str(err.value) == "coordinate change into metric 'pseudosphere' has singular Jacobian at (1.5, 0.4)"
 
 
@@ -130,7 +130,7 @@ def test_metric_check_writes_a_nan_max_diff_as_null(monkeypatch, tmp_path):
 
 def test_metric_check_reports_a_singular_change_as_a_verification_error(monkeypatch, capsys):
     # (x, y) -> (x, y0) collapses the second direction at every point
-    collapse = (("collapse", lambda x, y: (x, constant(0.5))),)
+    collapse = (("collapse", lambda x, y: (x, Jet2(0.5))),)
     add_pair(monkeypatch, "pseudosphere:collapse",
              ("pseudosphere", PSEUDOSPHERE_BOX, "pseudosphere", PSEUDOSPHERE_BOX, collapse))
     assert main(["metric-check", "--pair", "pseudosphere:collapse"]) == 1
@@ -160,7 +160,7 @@ def test_check_pair_evaluates_the_source_once_per_point(monkeypatch):
 
     def counting_flat(x, y):
         calls.append((x.val, y.val))
-        return constant(1.0), constant(0.0), constant(1.0)
+        return Jet2(1.0), Jet2(0.0), Jet2(1.0)
 
     changes = (("identity", lambda x, y: (x, y)), ("swap", lambda x, y: (y, x)))
     add_pair(monkeypatch, "counting:flat", ("counting", FLAT_BOX, "flat", FLAT_BOX, changes),
@@ -226,15 +226,15 @@ def _sphere_slope(x, y, r=1.3):
 
 
 # The first fundamental form of each surface as a jet-evaluable metric.
-# It needs the first derivatives of the immersion as jets, which a
-# SurfaceJet does not carry, so they are written out.
+# It needs the first derivatives of the immersion as jets, which the
+# coordinate jets of a surface do not carry, so they are written out.
 FIRST_FORMS = {
     "sphere-origin": _monge_form(_sphere_slope, lambda x, y: _sphere_slope(y, x)),
     "titeica-xyz": _monge_form(lambda x, y: -1.0 / (x * x * y), lambda x, y: -1.0 / (x * y * y)),
     "paraboloid": _monge_form(lambda x, y: 2.0 * x, lambda x, y: 2.0 * y),
-    "pseudosphere": lambda t, theta: (jet.tanh(t) * jet.tanh(t), constant(0.0),
+    "pseudosphere": lambda t, theta: (jet.tanh(t) * jet.tanh(t), Jet2(0.0),
                                       1.0 / (jet.cosh(t) * jet.cosh(t))),
-    "minkowski-sphere": lambda u1, u2: (constant(1.0), constant(0.0), jet.sinh(u1) * jet.sinh(u1)),
+    "minkowski-sphere": lambda u1, u2: (Jet2(1.0), Jet2(0.0), jet.sinh(u1) * jet.sinh(u1)),
 }
 
 

@@ -35,7 +35,7 @@ def monge_patch(coeffs):
     """The graph of u = sum c_ij x^i y^j over ``TERMS`` on (-1, 1)^2."""
 
     def height(x, y):
-        acc = jet.constant(0.0)
+        acc = jet.Jet2(0.0)
         for (i, j), c in zip(TERMS, coeffs):
             acc = acc + jet.pow_int(x, i) * jet.pow_int(y, j) * c
         return acc

@@ -10,7 +10,7 @@ from fdcheck import fd_jet
 from helpers import called, jet_rows, swept
 from titeica import jet, surfaces
 from titeica.errors import CatalogError, DomainError
-from titeica.jet import constant
+from titeica.jet import Jet2
 from titeica.metrics import _PAIRS
 from titeica.surfaces import (
     EUCLIDEAN,
@@ -187,7 +187,7 @@ def test_ambient_forms():
 # Each catalog row's coordinates as one function of both seeds, the way the
 # rows were written before they were split into an x part, a y part and a mix.
 def _sphere_height(rr, x, y):
-    return jet.sqrt(constant(rr) - x * x - y * y)
+    return jet.sqrt(Jet2(float(rr)) - x * x - y * y)
 
 
 def _tractrix_revolution(t, theta):
@@ -207,7 +207,7 @@ UNSPLIT = {
     "paraboloid": lambda: lambda x, y: (x, y, x * x + y * y),
     "pseudosphere": lambda: _tractrix_revolution,
     "minkowski-sphere": lambda: _forward_hyperboloid,
-    "plane": lambda: lambda x, y: (x, y, constant(0.0)),
+    "plane": lambda: lambda x, y: (x, y, Jet2(0.0)),
 }
 
 

@@ -26,7 +26,6 @@ from titeica.surfaces import (
     EUCLIDEAN,
     Box,
     SurfaceDef,
-    SurfaceJet,
     catalog,
     catalog_names,
     eval_surface,
@@ -61,7 +60,7 @@ def test_signed_zeros_are_different_lines(name):
     axis = [0.0, -0.0, 0.25, -0.0]
     for surface in (s, apply_map(s, GENERAL)):
         assert_sweep_matches_calls(surface, axis, axis[::-1])
-    assert repr(eval_surface(s, -0.0, 0.25).f0.val) == "-0.0"
+    assert repr(eval_surface(s, -0.0, 0.25)[0].val) == "-0.0"
 
 
 def raising_surface():
@@ -132,7 +131,7 @@ def test_a_mapped_row_runs_its_parts_as_the_row_does():
 
 def test_a_plain_mix_is_called_at_every_point():
     def reads_a_field(x, y):
-        return x, y, x * y + jet.constant(x.val * x.val)
+        return x, y, x * y + jet.Jet2(x.val * x.val)
 
     def compares_jets(x, y):
         return x, y, x * x if x == y else x * y
@@ -145,7 +144,7 @@ def test_a_plain_mix_is_called_at_every_point():
         xs, ys = surfaces._grid_axes(s.domain, 5, 4)
         xs, ys = xs + [1.0], ys + [1.0]
         assert_sweep_matches_calls(s, xs, ys)
-        assert called(s, xs, ys) == [repr(SurfaceJet(*coords(*jet.seed_xy(x, y)))) for y in ys for x in xs]
+        assert called(s, xs, ys) == [repr(coords(*jet.seed_xy(x, y))) for y in ys for x in xs]
         assert repr(scan_grid(s, (5, 4))) == repr(called_rows(s, (5, 4)))
 
     seen = []
@@ -167,8 +166,8 @@ def test_a_plain_mix_must_give_three_jets(count):
 
 @pytest.mark.parametrize("count", [2, 4])
 def test_a_row_unpacks_three_jets_at_a_call_and_in_a_sweep(count):
-    # tuple.__new__(SurfaceJet, mix(...)) alone would build a jet of 2 or 4
-    # coordinate jets without raising.
+    # Returning mix(...) as it is would hand on 2 or 4 coordinate jets
+    # without raising.
     s = SurfaceDef("short", lambda x, xx, y: (x, y, xx, y)[:count], Box(0.5, 2.0, 0.5, 2.0), EUCLIDEAN,
                    lambda x: (x, x * x))
     for run in (lambda: eval_surface(s, 1.0, 1.0), lambda: invariants._sweep(s, [1.0], [1.0], lambda x, y, sj: sj, None)):
