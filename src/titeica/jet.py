@@ -25,7 +25,7 @@ from typing import NamedTuple
 from . import _NAMES
 from .errors import DomainError
 
-__all__ = [*_NAMES["jet"], "sin", "cos", "exp", "log", "sqrt", "sinh", "cosh", "tanh", "atan", "atanh", "pow_int"]
+__all__ = [*_NAMES["jet"], "sin", "cos", "exp", "log", "sqrt", "sinh", "cosh", "tanh", "atan", "atanh"]
 
 
 class Jet2(NamedTuple):
@@ -122,14 +122,18 @@ class Jet2(NamedTuple):
         return _div((c, -0.0, -0.0, -0.0, -0.0, -0.0), self)  # -0.0 - t is -t, for t = 0.0 too
 
     def __pow__(self, exponent):
-        if isinstance(exponent, numbers.Integral):  # numpy.int64 too
-            return pow_int(self, int(exponent))
-        if not isinstance(exponent, numbers.Real):
+        p = _real(exponent)  # numpy.int64 and numpy.float64 too: float fields
+        if p is None:
             return NotImplemented
-        p = float(exponent)  # a numpy.float64 exponent gives float fields
-        if p.is_integer():  # x ** 2.0 is x ** 2, for a negative x too
-            return pow_int(self, int(p))
-        return _pow_real(self, p)  # fractional, nan or inf
+        if p == 0.0:  # the constant 1, with no inf * 0.0 made a nan
+            return _new(Jet2, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+        if p == 1.0:  # the base itself, signed zeros included
+            return self
+        v = self.val
+        # Any nonzero base for an integral p; a positive one for any other p.
+        if v == 0.0 and p < 0.0 or v <= 0.0 and not p.is_integer():
+            raise DomainError(f"pow: base {v!r} outside the domain of x ** {p!r}")
+        return _chain(self, v**p, p * v ** (p - 1.0), p * (p - 1.0) * v ** (p - 2.0))
 
     def _unordered(self, other):
         # Jets have no order.  Returning NotImplemented would let tuple
@@ -196,12 +200,20 @@ def _chain(a: Jet2, val: float, d1: float, d2: float) -> Jet2:
 
 
 def sin(a: Jet2) -> Jet2:
-    s, c = math.sin(a.val), math.cos(a.val)
+    v = a.val
+    try:
+        s, c = math.sin(v), math.cos(v)
+    except ValueError:  # math refuses +-inf alone
+        raise DomainError(f"sin: argument {v!r} not in (-inf, inf)") from None
     return _chain(a, s, c, -s)
 
 
 def cos(a: Jet2) -> Jet2:
-    s, c = math.sin(a.val), math.cos(a.val)
+    v = a.val
+    try:
+        s, c = math.sin(v), math.cos(v)
+    except ValueError:
+        raise DomainError(f"cos: argument {v!r} not in (-inf, inf)") from None
     return _chain(a, c, -s, -c)
 
 
@@ -255,22 +267,3 @@ def atanh(a: Jet2) -> Jet2:
         raise DomainError(f"atanh: argument {v!r} not in (-1, 1)")
     d1 = 1.0 / (1.0 - v * v)
     return _chain(a, math.atanh(v), d1, 2.0 * v * d1 * d1)
-
-
-def pow_int(a: Jet2, n: int) -> Jet2:
-    """Integer power a**n; negative bases are fine for integer exponents."""
-    if n == 0:  # the constant 1, with no inf * 0.0 made a nan
-        return _new(Jet2, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-    if n == 1:  # the base itself, signed zeros included
-        return a
-    v = a.val
-    if v == 0.0 and n < 0:
-        raise DomainError(f"pow_int: zero base with negative exponent {n}")
-    return _chain(a, v**n, n * v ** (n - 1), n * (n - 1) * v ** (n - 2))
-
-
-def _pow_real(a: Jet2, p: float) -> Jet2:
-    v = a.val
-    if v <= 0.0:
-        raise DomainError(f"pow: fractional exponent needs positive base, got {v!r}")
-    return _chain(a, v**p, p * v ** (p - 1.0), p * (p - 1.0) * v ** (p - 2.0))

@@ -57,12 +57,6 @@ class Box(_BoxFields):
     def describe(self) -> str:
         return f"[{self.x0:g}, {self.x1:g}] x [{self.y0:g}, {self.y1:g}]"
 
-    def require(self, x: float, y: float, name: str) -> None:
-        """Raise :class:`DomainError` unless (x, y) is strictly inside the box."""
-        x0, x1, y0, y1 = self
-        if not (x0 < x < x1 and y0 < y < y1):
-            raise DomainError(f"point ({x:g}, {y:g}) outside domain {self.describe()} of surface '{name}'")
-
 
 DEFAULT_GRID = (20, 20)
 DEFAULT_TOL = 1e-8
@@ -141,7 +135,8 @@ def eval_surface(s: SurfaceDef, x: float, y: float) -> tuple[Jet2, Jet2, Jet2]:
     domain: the x part, the y part, then ``mix``, which must give exactly
     three jets (else ValueError).  Index k of the triple is coordinate k,
     so ``eval_surface(s, x, y)[0].dx`` is the first coordinate of f_x."""
-    s.domain.require(x, y, s.name)
+    if not s.domain.contains(x, y):
+        raise DomainError(f"point ({x:g}, {y:g}) outside domain {s.domain.describe()} of surface '{s.name}'")
     sx, sy = seed_xy(x, y)
     cx, cy, cz = s.mix(*(s.xpart(sx) if s.xpart else (sx,)), *(s.ypart(sy) if s.ypart else (sy,)))
     return cx, cy, cz

@@ -130,7 +130,7 @@ def eval_jet(node, jx, jy):
     if tag == "const":
         return jet.Jet2(float(node[1]))
     if tag == "powi":
-        return jet.pow_int(eval_jet(node[1], jx, jy), node[2])
+        return eval_jet(node[1], jx, jy) ** node[2]
     if tag in UNARY:
         return UNARY[tag][0](eval_jet(node[1], jx, jy))
     a = eval_jet(node[1], jx, jy)

@@ -26,7 +26,7 @@ def random_polynomial_patch(rng, degree=4, coeff_range=2.0, name="poly"):
     def height(x, y):
         acc = jet.Jet2(0.0)
         for i, j, c in terms:
-            acc = acc + jet.pow_int(x, i) * jet.pow_int(y, j) * c
+            acc = acc + x**i * y**j * c
         return acc
 
     return SurfaceDef(name, lambda x, y: (x, y, height(x, y)), Box(-1.0, 1.0, -1.0, 1.0), EUCLIDEAN)

@@ -6,6 +6,7 @@ import math
 import os
 import pkgutil
 import re
+import shlex
 import stat
 import subprocess
 import sys
@@ -590,13 +591,32 @@ def test_dir_lists_every_name_and_submodule_without_importing():
     assert {info.name for info in pkgutil.iter_modules(titeica.__path__)} <= listed
 
 
+def readme_section(title):
+    """The text of README's ``## title`` section."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme) as fh:
+        return fh.read().split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_command_lines_exit_zero(tmp_path, monkeypatch):
+    # Each line of the ``sh`` block, its backslash continuations joined,
+    # runs through main in an empty directory and exits 0; one writes
+    # verdict.json there.
+    block = readme_section("Command line").split("```sh\n", 1)[1].split("```", 1)[0]
+    argvs = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    argvs = [argv for argv in argvs if argv]
+    assert len(argvs) == 9 and {argv[0] for argv in argvs} == {"titeica"}
+    monkeypatch.chdir(tmp_path)
+    for argv in argvs:
+        assert main(argv[1:]) == 0, argv
+    assert read_json(tmp_path / "verdict.json")["summary"]["is_titeica"] is True
+
+
 def run_readme_library_block(index):
     """Run the ``index``-th ``python`` block under README's ``## Library``:
     its names, and the value of each bare expression, the lines whose
     value a comment gives."""
-    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
-    with open(readme) as fh:
-        section = fh.read().split("## Library", 1)[1].split("\n## ", 1)[0]
+    section = readme_section("Library")
     block = section.split("```python\n")[index + 1].split("```", 1)[0]
     names, values = {}, []
     for stmt in ast.parse(block).body:
@@ -635,7 +655,7 @@ def test_public_names_resolve():
 
 
 # The elementary functions of titeica.jet are reached as titeica.jet.sin and so on.
-JET_FUNCTIONS = {"sin", "cos", "exp", "log", "sqrt", "sinh", "cosh", "tanh", "atan", "atanh", "pow_int"}
+JET_FUNCTIONS = {"sin", "cos", "exp", "log", "sqrt", "sinh", "cosh", "tanh", "atan", "atanh"}
 
 
 def test_every_library_name_is_a_package_name():

@@ -117,7 +117,7 @@ def test_identity_residual_titeica_xyz():
 
 def test_identity_residual_cubic_patch():
     def height(x, y):
-        return jet.pow_int(x, 3) + 2.0 * x * (y * y) - y
+        return x**3 + 2.0 * x * (y * y) - y
 
     s = SurfaceDef("cubic", lambda x, y: (x, y, height(x, y)), Box(-1, 1, -1, 1), EUCLIDEAN)
     assert identity_residual(eval_surface(s, 0.3, 0.7), EUCLIDEAN) <= 1e-10

@@ -78,7 +78,8 @@ def test_division_by_zero_jet():
 
 @pytest.mark.parametrize(
     "fn, bad",
-    [(jet.log, -1.0), (jet.log, 0.0), (jet.sqrt, -2.0), (jet.atanh, 1.5)],
+    [(jet.log, -1.0), (jet.log, 0.0), (jet.sqrt, -2.0), (jet.atanh, 1.5),
+     (jet.sin, math.inf), (jet.cos, -math.inf)],
 )
 def test_elementary_domain_errors(fn, bad):
     with pytest.raises(DomainError) as err:
@@ -87,13 +88,13 @@ def test_elementary_domain_errors(fn, bad):
     assert repr(bad) in str(err.value)
 
 
-def test_pow_int_against_oracle():
+def test_integer_power_against_oracle():
     x = Jet2(0.7, 1.0)
     cases = [
-        (jet.pow_int(x, 3), lambda a, b: a**3),
-        (jet.pow_int(x, -2), lambda a, b: a**-2),
-        (jet.pow_int(x, 0), lambda a, b: 1.0),
         (x**3, lambda a, b: a**3),
+        (x**-2, lambda a, b: a**-2),
+        (x**0, lambda a, b: 1.0),
+        (x**3.0, lambda a, b: a**3),
     ]
     for j, fn in cases:
         fd = fd_jet(fn, (0.7, 0.0))
@@ -101,12 +102,12 @@ def test_pow_int_against_oracle():
         assert abs(fd.dxx - j.dxx) <= 1e-5 * max(1.0, abs(j.dxx))
 
 
-def test_pow_int_negative_base():
-    j = jet.pow_int(Jet2(-1.5, 1.0), -2)
+def test_integer_power_of_a_negative_base():
+    j = Jet2(-1.5, 1.0) ** -2
     fd = fd_jet(lambda a, b: a**-2, (-1.5, 0.0))
     assert abs(fd.dxx - j.dxx) <= 1e-5 * max(1.0, abs(j.dxx))
-    with pytest.raises(DomainError, match="zero base with negative exponent -2"):
-        jet.pow_int(Jet2(0.0, 1.0), -2)
+    with pytest.raises(DomainError, match=r"^pow: base 0\.0 outside the domain of x \*\* -2\.0$"):
+        Jet2(0.0, 1.0) ** -2
 
 
 @pytest.mark.parametrize("x", [-1.5, -0.0, 0.0, 0.75, 3.0])
@@ -120,7 +121,7 @@ def test_integral_float_exponent_is_the_integer_power(x):
 
 
 def test_fractional_power_requires_positive_base():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^pow: base -2\.0 outside the domain of x \*\* 0\.5$"):
         Jet2(-2.0, 1.0) ** 0.5
     j = Jet2(4.0, 1.0) ** 0.5
     assert abs(j.val - 2.0) <= 1e-15
@@ -163,11 +164,11 @@ def test_zeroth_and_first_powers_are_one_and_the_base():
     # The chain rule with d1 = 0 or d2 = 0 would add 0.0 to a -0.0 and
     # multiply an inf by 0.0; compared by repr, which tells those apart.
     u = Jet2(5.0, -0.0, 1.0, -0.0, 0.0, 2.0)
-    assert repr(u ** 1) == repr(jet.pow_int(u, 1)) == repr(u)
+    assert repr(u ** 1) == repr(u ** 1.0) == repr(u)
     v = Jet2(2.0, math.inf, 0.0, 0.0, 0.0, 0.0)
     assert repr(v ** 1) == repr(v)
     for j in (u, v):
-        assert repr(j ** 0) == repr(jet.pow_int(j, 0)) == repr(Jet2(1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+        assert repr(j ** 0) == repr(j ** -0.0) == repr(Jet2(1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 
 
 def test_real_divisor_divides_each_field():

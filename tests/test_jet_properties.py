@@ -4,14 +4,17 @@ Fields and real operands are drawn from finite floats, +-0.0 and +-inf.
 A real operand must give, by ``repr`` (which tells -0.0 from 0.0), its
 exact rule: the rule with the constant's zero derivatives dropped, so
 that no 0.0 is added to a -0.0 and no inf is multiplied by 0.0.
-``derandomize=True`` fixes the examples, ``database=None`` keeps none
+The second-order checks draw fields whose terms stay finite and compare
+each with its rule, written out on its own, within a stated relative
+bound.  ``derandomize=True`` fixes the examples, ``database=None`` keeps none
 between runs and ``deadline=None`` lets a slow machine take its time.
 """
 
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from titeica import jet
@@ -70,8 +73,8 @@ def test_a_real_numerator_follows_the_exact_quotient_rule(c, j):
 @SETTINGS
 @given(jets)
 def test_zeroth_and_first_powers_are_one_and_the_base(j):
-    assert same(j ** 0, j ** 0.0, jet.pow_int(j, 0), Jet2(1.0))
-    assert same(j ** 1, j ** 1.0, jet.pow_int(j, 1), j)
+    assert same(j ** 0, j ** 0.0, j ** -0.0, Jet2(1.0))
+    assert same(j ** 1, j ** 1.0, j)
 
 
 @SETTINGS
@@ -87,28 +90,38 @@ def test_two_jets_combine_field_by_field_and_commute(a, b):
         assert same((a / b).val, a.val * (1.0 / b.val))
 
 
+def _sech(v):
+    e = math.exp(-abs(v))  # no overflow: sech v is 2e / (1 + e^2)
+    return 2.0 * e / (1.0 + e * e)
+
+
 def power(p):
-    """``a ** p`` with the scalar value and slope of its rule; a zero base
-    is refused for p < 0 and a base that is not positive for a fractional p."""
-    if float(p).is_integer():
-        return (f"pow_int({p})", lambda a: a ** p, lambda v: v ** p, lambda v: p * v ** (p - 1),
-                (lambda v: v == 0.0) if p < 0 else None)
-    return f"pow({p})", lambda a: a ** p, lambda v: v ** p, lambda v: p * v ** (p - 1.0), lambda v: v <= 0.0
+    """``a ** p`` with the scalar value, slope and curvature of its rule; a
+    zero base is refused for p < 0, and a base that is not positive for a
+    p that is not an integer."""
+    integral = float(p).is_integer()
+    refused = ((lambda v: v == 0.0) if p < 0 else None) if integral else (lambda v: v <= 0.0)
+    return (f"pow({p})", lambda a: a ** p, lambda v: v ** p, lambda v: p * v ** (p - 1),
+            lambda v: p * (p - 1) * v ** p / (v * v), refused)
 
 
 # Each function: its name, the jet function, the scalar value and slope
-# its rule uses, and the arguments it refuses with DomainError.
+# its rule uses, its second derivative written out on its own, and the
+# arguments it refuses with DomainError.
 FUNCTIONS = [
-    ("sin", jet.sin, math.sin, math.cos, None),
-    ("cos", jet.cos, math.cos, lambda v: -math.sin(v), None),
-    ("exp", jet.exp, math.exp, math.exp, None),
-    ("log", jet.log, math.log, lambda v: 1.0 / v, lambda v: v <= 0.0),
-    ("sqrt", jet.sqrt, math.sqrt, lambda v: 0.5 / math.sqrt(v), lambda v: v <= 0.0),
-    ("sinh", jet.sinh, math.sinh, math.cosh, None),
-    ("cosh", jet.cosh, math.cosh, math.sinh, None),
-    ("tanh", jet.tanh, math.tanh, lambda v: 1.0 - math.tanh(v) ** 2, None),
-    ("atan", jet.atan, math.atan, lambda v: 1.0 / (1.0 + v * v), None),
-    ("atanh", jet.atanh, math.atanh, lambda v: 1.0 / (1.0 - v * v), lambda v: not -1.0 < v < 1.0),
+    ("sin", jet.sin, math.sin, math.cos, lambda v: -math.sin(v), math.isinf),
+    ("cos", jet.cos, math.cos, lambda v: -math.sin(v), lambda v: -math.cos(v), math.isinf),
+    ("exp", jet.exp, math.exp, math.exp, math.exp, None),
+    ("log", jet.log, math.log, lambda v: 1.0 / v, lambda v: -1.0 / (v * v), lambda v: v <= 0.0),
+    ("sqrt", jet.sqrt, math.sqrt, lambda v: 0.5 / math.sqrt(v), lambda v: -1.0 / (4.0 * v * math.sqrt(v)),
+     lambda v: v <= 0.0),
+    ("sinh", jet.sinh, math.sinh, math.cosh, math.sinh, None),
+    ("cosh", jet.cosh, math.cosh, math.sinh, math.cosh, None),
+    ("tanh", jet.tanh, math.tanh, lambda v: 1.0 - math.tanh(v) ** 2,
+     lambda v: -2.0 * math.tanh(v) * _sech(v) ** 2, None),
+    ("atan", jet.atan, math.atan, lambda v: 1.0 / (1.0 + v * v), lambda v: -2.0 * v / (1.0 + v * v) ** 2, None),
+    ("atanh", jet.atanh, math.atanh, lambda v: 1.0 / (1.0 - v * v),
+     lambda v: 2.0 * v / ((1.0 - v) * (1.0 + v)) ** 2, lambda v: not -1.0 < v < 1.0),
     *map(power, (-3, -2, 2, 3, 0.5, -1.5, 2.5)),
 ]
 
@@ -119,7 +132,7 @@ def test_a_function_is_its_scalar_rule_to_first_order(j):
     # The value is the scalar function's and each first derivative is
     # f'(val) times the operand's; a refused argument raises DomainError,
     # and where the scalar function raises, the jet does too.
-    for name, fn, value, slope, refused in FUNCTIONS:
+    for name, fn, value, slope, curvature, refused in FUNCTIONS:
         if refused is not None and refused(j.val):
             with pytest.raises(DomainError, match=name.split("(")[0]):
                 fn(j)
@@ -130,5 +143,115 @@ def test_a_function_is_its_scalar_rule_to_first_order(j):
             with pytest.raises(type(exc)):
                 fn(j)
             continue
-        got = fn(j)
+        try:
+            got = fn(j)
+        except OverflowError:
+            # A power raises where f'' is not a finite float: an open fault
+            # (ROADMAP item 17), pinned by test_a_power_with_a_finite_slope_is_a_jet.
+            assert not finite(curvature, j.val), name
+            continue
         assert same(got.val, v) and same(got[1:3], (d1 * j.dx, d1 * j.dy)), name
+
+
+def finite(f, v):
+    """``f(v)`` is a finite float."""
+    try:
+        return math.isfinite(f(v))
+    except (OverflowError, ZeroDivisionError):
+        return False
+
+
+@pytest.mark.xfail(strict=True, raises=OverflowError,
+                   reason="ROADMAP item 17: a power's second-order coefficient overflows")
+@pytest.mark.parametrize("v, p", [(1e-100, -2), (1e-210, 0.5)])
+def test_a_power_with_a_finite_slope_is_a_jet(v, p):
+    # The value and slope are finite, but v ** (p - 2) overflows, and so
+    # does f'' itself; mapping it to an inf would give dxx = d2 * 0.0 = nan.
+    got = Jet2(v, 1.0) ** p
+    assert same(got[:2], (v ** p, p * v ** (p - 1)))
+
+
+# Second order: each field is the sum of its rule's terms within REL of
+# the sum of their magnitudes, or within the least normal float where
+# the terms underflow.  Each field is +-0.0 or has a magnitude in
+# [1e-3, 1e3] (the value) or [1e-6, 1e6] (a derivative), and an example
+# whose terms are not all finite is skipped: no term overflows into an inf.
+REL = 1e-12
+
+
+def moderate(lo, hi):
+    """Floats in [-hi, hi], each of magnitude under ``lo`` read as its signed zero."""
+    return st.floats(-hi, hi).map(lambda f: f if abs(f) >= lo else math.copysign(0.0, f))
+
+
+finite_jets = st.builds(Jet2, moderate(1e-3, 1e3), *[moderate(1e-6, 1e6)] * 5)
+
+
+def near(got, *terms):
+    """``got`` is the sum of ``terms`` within the stated bound."""
+    return abs(got - math.fsum(terms)) <= REL * math.fsum(map(abs, terms)) + sys.float_info.min
+
+
+def check_second_order(j, fn, slope, curvature, refused):
+    """dxx, dxy and dyy of ``fn(j)`` are their chain rule's terms for the
+    written-out f' and f'' at the value, unless refused or not finite."""
+    v, ax, ay, axx, axy, ayy = j
+    if refused is not None and refused(v):
+        return
+    try:
+        d1, d2 = slope(v), curvature(v)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        return
+    terms = (d1 * axx, d2 * ax * ax), (d1 * axy, d2 * ax * ay), (d1 * ayy, d2 * ay * ay)
+    if all(map(math.isfinite, (t for field in terms for t in field))):
+        got = fn(j)
+        assert all(near(g, *t) for g, t in zip(got[3:], terms)), (got[3:], terms)
+
+
+# tanh's slope 1 - t*t and atanh's 1 / (1 - v*v) lose digits to
+# cancellation as |v| grows or nears 1: their second-order fields are off
+# by 2e-12 at tanh(6) and by 9e-10 at atanh(1 - 2**-30).  The accurate
+# forms change the bytes of the pseudosphere and disk:minkowski-sphere
+# goldens, so the faults stand until a change may rewrite those.
+CANCELLING = ("tanh", "atanh")
+
+
+@SETTINGS
+@given(finite_jets)
+def test_a_function_is_its_scalar_rule_to_second_order(j):
+    for name, fn, _, slope, curvature, refused in FUNCTIONS:
+        if name not in CANCELLING:
+            check_second_order(j, fn, slope, curvature, refused)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 17: tanh and atanh lose digits to cancellation")
+@pytest.mark.parametrize("row", [f for f in FUNCTIONS if f[0] in CANCELLING], ids=CANCELLING)
+@SETTINGS
+@example(Jet2(6.0, 1.0, 1.0))
+@example(Jet2(1.0 - 2.0**-30, 1.0, 1.0))
+@given(finite_jets)
+def test_a_cancelling_function_is_its_scalar_rule_to_second_order(row, j):
+    name, fn, _, slope, curvature, refused = row
+    check_second_order(j, fn, slope, curvature, refused)
+
+
+@SETTINGS
+@given(finite_jets, finite_jets)
+def test_a_quotient_is_the_written_out_quotient_rule_to_second_order(a, b):
+    # (a/b)'' = a''/b - 2 a' b'/b^2 - a b''/b^2 + 2 a b'^2/b^3, and the
+    # mixed field with each product of first derivatives split in two.
+    a0, a1, a2, a3, a4, a5 = a
+    b0, b1, b2, b3, b4, b5 = b
+    if b0 == 0.0:
+        return
+    w2, w3 = b0 * b0, b0 * b0 * b0
+    terms = (
+        (a3 / b0, -2.0 * a1 * b1 / w2, -a0 * b3 / w2, 2.0 * a0 * b1 * b1 / w3),
+        (a4 / b0, -a1 * b2 / w2, -a2 * b1 / w2, -a0 * b4 / w2, 2.0 * a0 * b1 * b2 / w3),
+        (a5 / b0, -2.0 * a2 * b2 / w2, -a0 * b5 / w2, 2.0 * a0 * b2 * b2 / w3),
+    )
+    if not all(map(math.isfinite, (t for field in terms for t in field))):
+        return
+    got = a / b
+    assert all(near(g, *t) for g, t in zip(got[3:], terms)), (got[3:], terms)
