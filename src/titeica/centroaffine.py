@@ -16,7 +16,7 @@ image are both read under the surface's own form.
 
 :func:`verify_scaling` measures all three numerically on a grid and
 reports per-point residuals.  It walks the grid's axes through
-``invariants._sweep`` and makes one invariant pass on each side of the
+``surfaces._sweep`` and makes one invariant pass on each side of the
 map, on the source's jets and on the plain rows of their image from
 ``_image``, which ``act`` wraps in jets.  So a point builds its report
 row and the jets of ``mix`` alone.
@@ -27,15 +27,13 @@ from typing import NamedTuple, Optional
 
 from . import _NAMES
 from .errors import SingularPointError
-from .invariants import _pass, _ratio, _sweep
-from .jet import Jet2
-from .surfaces import SurfaceDef, _grid_axes, det3
+from .invariants import _pass, _ratio
+from .jet import Jet2, _new
+from .surfaces import SurfaceDef, _grid_axes, _sweep
 
 __all__ = list(_NAMES["centroaffine"])
 
 MIN_DET = 1e-12
-
-_new = tuple.__new__
 
 
 class CentroAffineMap(NamedTuple):
@@ -49,7 +47,9 @@ class CentroAffineMap(NamedTuple):
         m = tuple(tuple(float(v) for v in row) for row in rows)
         if len(m) != 3 or any(len(row) != 3 or not all(map(math.isfinite, row)) for row in m):
             raise ValueError(f"centro-affine matrix must be 3 rows of 3 finite entries, got {m}")
-        d = det3(*m)
+        # The determinant as row 0 . (row 1 x row 2), in numpy.cross operand order.
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = m
+        d = a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2) + a2 * (b0 * c1 - b1 * c0)
         if not math.isfinite(d):
             raise ValueError(f"centro-affine matrix must have a finite determinant, got {d}")
         if abs(d) <= MIN_DET:

@@ -106,9 +106,6 @@ class RunConfig(_RunFields):
 def _validate(config: RunConfig) -> None:
     if config.command not in _COMMANDS:
         raise UsageError(f"command: unknown command '{config.command}'")
-    nx, ny = config.grid
-    if nx < 2 or ny < 2:
-        raise UsageError(f"grid: both axes need at least 2 points, got {nx} x {ny}")
     if not 0.0 < config.tolerance < math.inf:
         raise UsageError(f"tolerance: must be positive and finite, got {config.tolerance}")
     if config.format not in _RENDERERS:

@@ -34,7 +34,7 @@ as num / V^2 / V^2.
 
 The grid commands (:func:`scan_grid`, :func:`classify` and
 ``centroaffine.verify_scaling``) walk the two axes of their grid through
-one sweep, ``_sweep``, whose docstring describes the walk.  Sweep, pass
+``surfaces._sweep``, whose docstring describes the walk.  Sweep, pass
 and ratio hand on plain tuples: a scan point builds its report row and
 the jets of its ``mix``, and a :class:`PointInvariants` is built only
 where :func:`point_invariants` is called.
@@ -46,17 +46,14 @@ from typing import NamedTuple, Optional
 
 from . import _NAMES
 from .errors import InconclusiveError, SingularPointError
-from .jet import Jet2
-from .surfaces import DEFAULT_GRID, DEFAULT_TOL, AmbientForm, SurfaceDef, _grid_axes
+from .jet import Jet2, _new
+from .surfaces import DEFAULT_GRID, DEFAULT_TOL, AmbientForm, SurfaceDef, _grid_axes, _sweep
 
 __all__ = list(_NAMES["invariants"])
 
 # Threshold on |f_x x f_y|^2, |<n, n>| and d below which a point is treated as
 # singular and must be skipped (never silently dropped) by callers.
 EPS_SINGULAR = 1e-9
-
-# Builds a record without its generated __new__'s argument binding: every field, in order.
-_new = tuple.__new__
 
 
 class PointInvariants(NamedTuple):
@@ -141,32 +138,6 @@ def identity_residual(jets: tuple[Jet2, Jet2, Jet2], amb: AmbientForm) -> float:
 
 # --------------------------------------------------------------------------
 # Grid sweeps
-
-
-def _sweep(s: SurfaceDef, xs, ys, evaluate, record) -> list:
-    """The one walk of a grid command over the axes ``xs`` and ``ys``
-    (from ``_grid_axes``, inside the box) of ``s``: for each y, for each
-    x, ``evaluate(x, y, jets)`` with the plain triple of jets that
-    ``eval_surface(s, x, y)`` returns.  Each x part runs once before the
-    first point, each y part at the start of its row, and ``mix`` at each
-    point; a part's error propagates where it runs.  A point that raises
-    SingularPointError becomes ``record(x, y, skipped=<the error's
-    message>)``; other errors propagate."""
-    xpart, ypart, mix = s.xpart, s.ypart, s.mix
-    seeds = [_new(Jet2, (float(x), 1.0, 0.0, 0.0, 0.0, 0.0)) for x in xs]  # Jet2(x, 1.0), without a call
-    line = list(zip(xs, map(xpart, seeds) if xpart else zip(seeds)))
-    rows = []
-    append = rows.append
-    for y in ys:
-        sy = _new(Jet2, (float(y), 0.0, 1.0, 0.0, 0.0, 0.0))  # Jet2(y, 0.0, 1.0), without a call
-        b = ypart(sy) if ypart else (sy,)
-        for x, a in line:
-            try:
-                cx, cy, cz = mix(*a, *b)
-                append(evaluate(x, y, (cx, cy, cz)))
-            except SingularPointError as exc:
-                append(record(x, y, skipped=str(exc)))
-    return rows
 
 
 class PointRecord(NamedTuple):

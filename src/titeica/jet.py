@@ -143,6 +143,7 @@ class Jet2(NamedTuple):
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
 
+# Builds a record without its generated __new__'s argument binding: every field, in order.
 _new = tuple.__new__
 
 

@@ -19,12 +19,10 @@ from typing import NamedTuple
 
 from . import _NAMES, jet
 from .errors import CatalogError, DomainError, SingularPointError
-from .jet import Jet2, seed_xy
+from .jet import Jet2, _new, seed_xy
 from .surfaces import Box, grid_points
 
 __all__ = list(_NAMES["metrics"])
-
-_new = tuple.__new__
 
 
 class AgreePoint(NamedTuple):

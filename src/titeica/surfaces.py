@@ -8,10 +8,11 @@ sin theta on the pseudosphere.  A missing part is the seed alone, so a
 plain ``mix(x, y)`` that returns three coordinate jets is a surface.
 :func:`eval_surface` gives the jets of the three coordinates at one
 point, a plain triple: each holds the value and all first and second
-partial derivatives.  A grid sweep computes a part once per axis
-value.  A Monge patch, the graph of u over the parameter plane, is the
-immersion (x, y, u(x, y)): its first two coordinates are the exact
-seeds, so f_x = (1, 0, u_x) and f_y = (0, 1, u_y) hold bitwise.
+partial derivatives.  The grid commands sample a surface through
+:func:`_sweep`, which runs each part once per axis value.  A Monge
+patch, the graph of u over the parameter plane, is the immersion
+(x, y, u(x, y)): its first two coordinates are the exact seeds, so
+f_x = (1, 0, u_x) and f_y = (0, 1, u_y) hold bitwise.
 
 The catalog holds the concrete surfaces exercised by the verification
 commands; every entry picks a domain box that stays away from coordinate
@@ -23,13 +24,10 @@ import sys
 from typing import Callable, NamedTuple, Optional
 
 from . import _NAMES, jet
-from .errors import CatalogError, DomainError
-from .jet import Jet2, seed_xy
+from .errors import CatalogError, DomainError, SingularPointError
+from .jet import Jet2, _new, seed_xy
 
 __all__ = list(_NAMES["surfaces"])
-
-
-_new = tuple.__new__
 
 
 class _BoxFields(NamedTuple):
@@ -71,10 +69,10 @@ def grid_points(box: Box, nx: int, ny: int) -> list[tuple[float, float]]:
 def _grid_axes(box: Box, nx: int, ny: int) -> list[list[float]]:
     """The x and y values of the sample grid, endpoints inset by 1% of the
     box width so every point is strictly interior.  Raises ValueError for
-    a box whose inset endpoints round onto or past its edges, or are not
-    finite."""
+    an axis of fewer than 2 points, and for a box whose inset endpoints
+    round onto or past its edges, or are not finite."""
     if nx < 2 or ny < 2:
-        raise ValueError(f"grid needs at least 2 points per axis, got {nx} x {ny}")
+        raise ValueError(f"grid: both axes need at least 2 points, got {nx} x {ny}")
     x0, x1, y0, y1 = box
     axes = []
     for lo, hi, n in ((x0, x1, nx), (y0, y1, ny)):
@@ -102,13 +100,6 @@ class AmbientForm(NamedTuple):
 
 EUCLIDEAN = AmbientForm((1, 1, 1), "euclidean")
 MINKOWSKI = AmbientForm((-1, 1, 1), "minkowski")
-
-
-def det3(r0, r1, r2) -> float:
-    """Determinant of the 3x3 matrix with rows r0, r1, r2, as r0 . (r1 x r2)
-    with the cross product in numpy.cross operand order."""
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = r0, r1, r2
-    return a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2) + a2 * (b0 * c1 - b1 * c0)
 
 
 _Part = Callable[[Jet2], tuple[Jet2, ...]]
@@ -140,6 +131,32 @@ def eval_surface(s: SurfaceDef, x: float, y: float) -> tuple[Jet2, Jet2, Jet2]:
     sx, sy = seed_xy(x, y)
     cx, cy, cz = s.mix(*(s.xpart(sx) if s.xpart else (sx,)), *(s.ypart(sy) if s.ypart else (sy,)))
     return cx, cy, cz
+
+
+def _sweep(s: SurfaceDef, xs, ys, evaluate, record) -> list:
+    """The one walk of a grid command over the axes ``xs`` and ``ys``
+    (from ``_grid_axes``, inside the box) of ``s``: for each y, for each
+    x, ``evaluate(x, y, jets)`` with the plain triple of jets that
+    ``eval_surface(s, x, y)`` returns.  Each x part runs once before the
+    first point, each y part at the start of its row, and ``mix`` at each
+    point; a part's error propagates where it runs.  A point that raises
+    SingularPointError becomes ``record(x, y, skipped=<the error's
+    message>)``; other errors propagate."""
+    xpart, ypart, mix = s.xpart, s.ypart, s.mix
+    seeds = [_new(Jet2, (float(x), 1.0, 0.0, 0.0, 0.0, 0.0)) for x in xs]  # Jet2(x, 1.0), without a call
+    line = list(zip(xs, map(xpart, seeds) if xpart else zip(seeds)))
+    rows = []
+    append = rows.append
+    for y in ys:
+        sy = _new(Jet2, (float(y), 0.0, 1.0, 0.0, 0.0, 0.0))  # Jet2(y, 0.0, 1.0), without a call
+        b = ypart(sy) if ypart else (sy,)
+        for x, a in line:
+            try:
+                cx, cy, cz = mix(*a, *b)
+                append(evaluate(x, y, (cx, cy, cz)))
+            except SingularPointError as exc:
+                append(record(x, y, skipped=str(exc)))
+    return rows
 
 
 # --------------------------------------------------------------------------

@@ -8,11 +8,11 @@ import math
 import numpy as np
 
 import frame_reference as ref
-from titeica import invariants, jet, metrics
+from titeica import jet, metrics, surfaces
 from titeica.centroaffine import CentroAffineMap, ScalingPoint
 from titeica.errors import GeometryError, SingularPointError
 from titeica.invariants import PointRecord, point_invariants
-from titeica.surfaces import EUCLIDEAN, Box, SurfaceDef, det3, eval_surface, grid_points
+from titeica.surfaces import EUCLIDEAN, Box, SurfaceDef, eval_surface, grid_points
 
 
 def random_polynomial_patch(rng, degree=4, coeff_range=2.0, name="poly"):
@@ -46,7 +46,7 @@ def outcome(s, x, y):
 
 
 def swept(s, xs, ys):
-    """The :func:`outcome` at each point of one sweep (``invariants._sweep``)
+    """The :func:`outcome` at each point of one sweep (``surfaces._sweep``)
     of the surface ``s`` over the axes ``xs`` and ``ys``, in grid order (y
     outer).  Its mix raises its errors as a SingularPointError naming the
     error's type, so that the sweep records the point and goes on to the
@@ -60,8 +60,8 @@ def swept(s, xs, ys):
         except Exception as exc:  # every error must match, whatever its type
             raise SingularPointError(f"{type(exc).__name__}: {exc}") from exc
 
-    return invariants._sweep(s._replace(mix=guarded), xs, ys, lambda x, y, jets: repr(jets),
-                             lambda x, y, skipped: tuple(skipped.split(": ", 1)))
+    return surfaces._sweep(s._replace(mix=guarded), xs, ys, lambda x, y, jets: repr(jets),
+                           lambda x, y, skipped: tuple(skipped.split(": ", 1)))
 
 
 def called(s, xs, ys):
@@ -220,7 +220,7 @@ def brioschi_curvature(components, x, y):
         (0.5 * e.dy, e.val, f.val),
         (0.5 * g.dx, f.val, g.val),
     )
-    return (det3(*m1) - det3(*m2)) / (disc * disc)
+    return (ref.det3(*m1) - ref.det3(*m2)) / (disc * disc)
 
 
 def flat_components(x, y):

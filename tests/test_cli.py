@@ -130,8 +130,22 @@ def test_cli_unknown_surface_exit_code(capsys):
     assert "unknown surface" in capsys.readouterr().err
 
 
-def test_cli_grid_validation():
-    assert main(["classify", "--surface", "plane", "--grid", "1", "9"]) == 2
+def test_cli_grid_validation(tmp_path, capsys):
+    message = "grid: both axes need at least 2 points, got 1 x 9"
+    out = tmp_path / "report.txt"
+    for argv in (
+        ["invariants", "--surface", "plane"],
+        ["classify", "--surface", "plane"],
+        ["transform-check", "--surface", "plane", "--matrix", "2,0,0,0,1,0,0,0,1"],
+        ["metric-check", "--pair", "pseudosphere:half-plane"],
+    ):
+        for extra in ([], ["--output", str(out)]):
+            assert main([*argv, "--grid", "1", "9", *extra]) == 2, argv
+            assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+    assert os.listdir(tmp_path) == []
+    with pytest.raises(ValueError) as err:
+        scan_grid(catalog("plane"), (1, 9))
+    assert str(err.value) == message
 
 
 def test_cli_bad_param_syntax():

@@ -1,7 +1,7 @@
 """A long sweep of a catalog surface gives what calls on it give, bitwise.
 
 A surface's coordinates are ``mix(*xpart(x), *ypart(y))``; a call
-(``eval_surface``) keeps nothing.  A grid sweep (``invariants._sweep``)
+(``eval_surface``) keeps nothing.  A grid sweep (``surfaces._sweep``)
 walks the grid's two axes: it computes the x part of each x once before
 the first point and the y part of each y once at the start of its row,
 then runs ``mix`` alone at each point.  Each point of a long sweep must
@@ -18,7 +18,7 @@ from collections import Counter
 import pytest
 
 from helpers import called, called_rows, outcome, swept
-from titeica import invariants, jet, surfaces
+from titeica import jet, surfaces
 from titeica.centroaffine import CentroAffineMap, apply_map, verify_scaling
 from titeica.errors import DomainError
 from titeica.invariants import PointRecord, scan_grid
@@ -96,7 +96,7 @@ def test_a_raising_part_propagates_its_error(xs, ys, bad):
     s = raising_surface()
     seen = []
     with pytest.raises(DomainError) as err:
-        invariants._sweep(s, xs, ys, lambda x, y, jets: seen.append((x, y)), PointRecord)
+        surfaces._sweep(s, xs, ys, lambda x, y, jets: seen.append((x, y)), PointRecord)
     assert ("DomainError", str(err.value)) == outcome(s, *bad)
     assert seen == [(x, y) for y in ys[:ys.index(bad[1])] for x in xs]
     with pytest.raises(DomainError):
@@ -170,7 +170,7 @@ def test_a_row_unpacks_three_jets_at_a_call_and_in_a_sweep(count):
     # without raising.
     s = SurfaceDef("short", lambda x, xx, y: (x, y, xx, y)[:count], Box(0.5, 2.0, 0.5, 2.0), EUCLIDEAN,
                    lambda x: (x, x * x))
-    for run in (lambda: eval_surface(s, 1.0, 1.0), lambda: invariants._sweep(s, [1.0], [1.0], lambda x, y, sj: sj, None)):
+    for run in (lambda: eval_surface(s, 1.0, 1.0), lambda: surfaces._sweep(s, [1.0], [1.0], lambda x, y, sj: sj, None)):
         with pytest.raises(ValueError, match="values to unpack"):
             run()
 
