@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 
 from . import _NAMES
 from .errors import SingularPointError
-from .invariants import _pass, _ratio
+from .invariants import _pass
 from .jet import Jet2, _new
 from .surfaces import SurfaceDef, _grid_axes, _sweep
 
@@ -128,16 +128,14 @@ def verify_scaling(s: SurfaceDef, a: CentroAffineMap, grid: tuple[int, int], tol
     det2 = det * det
 
     def evaluate(x, y, jets):
-        _, _, _, v, _, num, k, d = _pass(jets, amb)
-        before = _ratio(num, v, k, d)
-        _, _, _, image_v, _, image_num, image_k, image_d = _pass(_image(m, jets), amb)
-        after = _ratio(image_num, image_v, image_k, image_d)
+        _, _, _, v, _, num, _, _, before = _pass(jets, amb)
+        _, _, _, image_v, _, image_num, _, _, after = _pass(_image(m, jets), amb)
         predicted = before / det2
         ratio_res = abs(after - predicted) / (abs(predicted) or 1.0)
         v_pred = det * v
         volume_res = abs(image_v - v_pred) / (abs(v_pred) or 1.0)
         num_pred = det2 * num
-        # image_num is finite: the image's ratio found K = num / nn^2 finite.
+        # image_num is finite: the image's pass found K = num / nn^2 finite.
         if not math.isfinite(num_pred):
             raise SingularPointError(f"non-finite Vx Vy - Vxy^2 (det = {det:g})")
         numerator_res = abs(image_num - num_pred) / (abs(num_pred) or 1.0)

@@ -10,8 +10,8 @@ the Euclidean cross product of the tangent vectors.  The pass, ``_pass``, writes
 * nn = c^T S c and num = det(S) (Vx Vy - Vxy^2), with det(S) = +1 for
   the Euclidean and -1 for the Minkowski form,
 
-and derives K = num / nn^2 and the distance d = |V| / sqrt(|nn|) from the
-origin to the affine tangent plane; ``_ratio`` gives K/d^4 = num / V^4.
+and derives K = num / nn^2, the distance d = |V| / sqrt(|nn|) from the
+origin to the affine tangent plane, and K/d^4 = num / V^4.
 
 The normal is n = S c: it is ambient-orthogonal to the tangent plane for
 both signatures, <n, n> = nn and <w, n> = w . c because S^2 = I.
@@ -25,17 +25,17 @@ classical route against the pass.
 
 A point is singular when |c|^2 (EG - F^2 for the Euclidean form) is at
 most EPS_SINGULAR, when nn is not finite (an overflowing normal would
-otherwise read as d = 0), or when |nn|, then d, is at most EPS_SINGULAR;
-the pass raises at the first failing test.  So is a point whose K, d or
-K/d^4 is not finite, or whose K/d^4 underflows: num is not 0 but |K/d^4|
-is below the smallest normal float.  Each raises SingularPointError with
-its own message.  Where V^4 is beyond float range the quotient is taken
-as num / V^2 / V^2.
+otherwise read as d = 0), when |nn|, then d, is at most EPS_SINGULAR,
+when K, d or K/d^4 is not finite, or when K/d^4 underflows: num is not
+0 but |K/d^4| is below the smallest normal float.  The pass runs these
+six tests in this order and raises SingularPointError, with its own
+message, at the first that fails.  Where V^4 is beyond float range the
+quotient is taken as num / V^2 / V^2.
 
 The grid commands (:func:`scan_grid`, :func:`classify` and
 ``centroaffine.verify_scaling``) walk the two axes of their grid through
-``surfaces._sweep``, whose docstring describes the walk.  Sweep, pass
-and ratio hand on plain tuples: a scan point builds its report row and
+``surfaces._sweep``, whose docstring describes the walk.  Sweep and
+pass hand on plain tuples: a scan point builds its report row and
 the jets of its ``mix``, and a :class:`PointInvariants` is built only
 where :func:`point_invariants` is called.
 """
@@ -58,7 +58,7 @@ EPS_SINGULAR = 1e-9
 
 class PointInvariants(NamedTuple):
     """What one pass yields at a regular point: the four oriented volumes,
-    nn = <n, n>, num = det(S) (Vx Vy - Vxy^2), K and d."""
+    nn = <n, n>, num = det(S) (Vx Vy - Vxy^2), K, d and K/d^4."""
 
     Vx: float
     Vy: float
@@ -68,36 +68,18 @@ class PointInvariants(NamedTuple):
     num: float
     K: float
     d: float
-
-    def ratio(self) -> float:
-        """K/d^4 = num / V^4; raises SingularPointError where it does not exist."""
-        return _ratio(self.num, self.V, self.K, self.d)
-
-
-def _ratio(num: float, v: float, k: float, d: float) -> float:
-    """K/d^4 = num / V^4 of a pass; raises SingularPointError where it does not exist."""
-    if d <= EPS_SINGULAR:
-        raise SingularPointError(f"tangent plane passes through the origin (d = {d:g})")
-    try:  # |nn| and d above EPS_SINGULAR keep V^4 above 1e-55
-        ratio = num / v**4
-    except OverflowError:
-        ratio = num / (v * v) / (v * v)
-    if not (math.isfinite(k) and math.isfinite(d) and math.isfinite(ratio)):
-        raise SingularPointError(f"non-finite K/d^4 (K = {k:g}, d = {d:g})")
-    if num != 0.0 and abs(ratio) < sys.float_info.min:
-        raise SingularPointError(f"K/d^4 underflows (K = {k:g}, d = {d:g})")
-    return ratio
+    ratio: float
 
 
 def point_invariants(jets: tuple[Jet2, Jet2, Jet2], amb: AmbientForm) -> PointInvariants:
-    """The pass as a record; raises as it does, and returns where d = 0."""
+    """The pass as a record; raises as it does."""
     return _new(PointInvariants, _pass(jets, amb))
 
 
 def _pass(jets, amb: AmbientForm) -> tuple:
     """The single pass, written out (no helper calls: it runs once or twice
-    per grid point): the plain (Vx, Vy, Vxy, V, nn, num, K, d) of three
-    coordinate jets; raises where a singularity test fails."""
+    per grid point): the plain (Vx, Vy, Vxy, V, nn, num, K, d, K/d^4) of
+    three coordinate jets; raises where a singularity test fails."""
     (f0, a0, b0, p0, q0, r0), (f1, a1, b1, p1, q1, r1), (f2, a2, b2, p2, q2, r2) = jets
     # numpy.cross operand order: tests/frame_reference.py holds the volumes
     # and d bitwise to the frame built with it.
@@ -116,7 +98,18 @@ def _pass(jets, amb: AmbientForm) -> tuple:
     vxy = q0 * c0 + q1 * c1 + q2 * c2  # f_xy
     v = f0 * c0 + f1 * c1 + f2 * c2  # f
     num = s0 * s1 * s2 * (vx * vy - vxy * vxy)
-    return vx, vy, vxy, v, nn, num, num / (nn * nn), abs(v) / math.sqrt(abs(nn))
+    k, d = num / (nn * nn), abs(v) / math.sqrt(abs(nn))
+    if d <= EPS_SINGULAR:
+        raise SingularPointError(f"tangent plane passes through the origin (d = {d:g})")
+    try:  # |nn| and d above EPS_SINGULAR keep V^4 above 1e-55
+        ratio = num / v**4
+    except OverflowError:
+        ratio = num / (v * v) / (v * v)
+    if not (math.isfinite(k) and math.isfinite(d) and math.isfinite(ratio)):
+        raise SingularPointError(f"non-finite K/d^4 (K = {k:g}, d = {d:g})")
+    if num != 0.0 and abs(ratio) < sys.float_info.min:
+        raise SingularPointError(f"K/d^4 underflows (K = {k:g}, d = {d:g})")
+    return vx, vy, vxy, v, nn, num, k, d, ratio
 
 
 def identity_residual(jets: tuple[Jet2, Jet2, Jet2], amb: AmbientForm) -> float:
@@ -126,14 +119,13 @@ def identity_residual(jets: tuple[Jet2, Jet2, Jet2], amb: AmbientForm) -> float:
     sqrt(|nn|).  It is inf where EG - F^2 has cancelled to 0, and on the
     catalog and random patches it stays below 1e-9 * max(1, |ratio|)."""
     p = point_invariants(jets, amb)
-    ratio = p.ratio()
     fx, fy = [c.dx for c in jets], [c.dy for c in jets]
     e, f, g = amb.inner(fx, fx), amb.inner(fx, fy), amb.inner(fy, fy)
     scale = 1.0 / math.sqrt(abs(p.nn))
     l, m, n = p.Vx * scale, p.Vxy * scale, p.Vy * scale
     disc = e * g - f * f
     sign = 1.0 if p.nn > 0.0 else -1.0
-    return abs(sign * (l * n - m * m) / disc / p.d**2 / p.d**2 - ratio) if disc else math.inf
+    return abs(sign * (l * n - m * m) / disc / p.d**2 / p.d**2 - p.ratio) if disc else math.inf
 
 
 # --------------------------------------------------------------------------
@@ -169,8 +161,8 @@ def scan_grid(s: SurfaceDef, grid: tuple[int, int] = DEFAULT_GRID) -> list[Point
     amb = s.ambient
 
     def evaluate(x, y, jets):
-        _, _, _, v, _, num, k, d = _pass(jets, amb)
-        return _new(PointRecord, (x, y, k, d, _ratio(num, v, k, d), None))
+        _, _, _, _, _, _, k, d, ratio = _pass(jets, amb)
+        return _new(PointRecord, (x, y, k, d, ratio, None))
 
     return _sweep(s, *_grid_axes(s.domain, *grid), evaluate, PointRecord)
 

@@ -266,5 +266,5 @@ def atanh(a: Jet2) -> Jet2:
     v = a.val
     if not -1.0 < v < 1.0:
         raise DomainError(f"atanh: argument {v!r} not in (-1, 1)")
-    d1 = 1.0 / (1.0 - v * v)
+    d1 = 1.0 / ((1.0 - v) * (1.0 + v))
     return _chain(a, math.atanh(v), d1, 2.0 * v * d1 * d1)

@@ -5,10 +5,11 @@ with c = numpy.cross(f_x, f_y), and <n, n>) on its own, and the oriented
 volumes are explicit 3x3 determinants.  Results are plain tuples:
 ``fundamental_forms`` gives (E, F, G, L, M, N) and ``oriented_volumes``
 gives (Vx, Vy, Vxy, V).  ``titeica.invariants.point_invariants`` must
-agree with it bitwise on the volumes and d, and raise the same error at
-every point; ``identity_residual`` must agree bitwise with the same
-expression built from these forms.  K and K/d^4 here take the classical
-route through EG - F^2; the pass's values are held to ``tests/exact.py``
+agree with it bitwise on the volumes and d where it returns, and raise
+the error that ``titeica_ratio`` raises where it does not;
+``identity_residual`` must agree bitwise with the same expression built
+from these forms.  K and K/d^4 here take the classical route through
+EG - F^2; the pass's values are held to ``tests/exact.py``
 instead.
 """
 

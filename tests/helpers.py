@@ -103,8 +103,8 @@ def scaling_reference(s, a, points):
         try:
             sj = eval_surface(s, x, y)
             tj = a.act(sj)
-            before = point_invariants(sj, s.ambient).ratio()
-            after = point_invariants(tj, s.ambient).ratio()
+            before = point_invariants(sj, s.ambient).ratio
+            after = point_invariants(tj, s.ambient).ratio
         except SingularPointError as exc:
             rows.append(ScalingPoint(x, y, skipped=str(exc)))
             continue
@@ -128,7 +128,7 @@ def called_rows(s, grid):
     for x, y in grid_points(s.domain, *grid):
         try:
             p = point_invariants(eval_surface(s, x, y), s.ambient)
-            rows.append(PointRecord(x, y, p.K, p.d, p.ratio()))
+            rows.append(PointRecord(x, y, p.K, p.d, p.ratio))
         except SingularPointError as exc:
             rows.append(PointRecord(x, y, skipped=str(exc)))
     return rows
@@ -144,9 +144,9 @@ def called_scaling_rows(s, a, grid):
         try:
             sj = eval_surface(s, x, y)
             source = point_invariants(sj, s.ambient)
-            before = source.ratio()
+            before = source.ratio
             image = point_invariants(a.act(sj), s.ambient)
-            after = image.ratio()
+            after = image.ratio
             predicted = before / det2
             v_pred = a.det * source.V
             num_pred = det2 * source.num

@@ -139,7 +139,7 @@ def test_criterion_07_identity_suite():
         s = random_polynomial_patch(rng)
         x, y = random_regular_point(rng, s)
         sj = eval_surface(s, x, y)
-        ratio = point_invariants(sj, EUCLIDEAN).ratio()
+        ratio = point_invariants(sj, EUCLIDEAN).ratio
         worst = max(worst, identity_residual(sj, EUCLIDEAN) / max(1.0, abs(ratio)))
     report(
         "criterion 7: |K/d^4 - (VxVy - Vxy^2)/V^4| <= 1e-9 max(1, |ratio|) on 500 random patches",
@@ -183,7 +183,7 @@ def test_criterion_10_minkowski_sphere():
         p = point_invariants(sj, MINKOWSKI)
         worst_d = max(worst_d, abs(p.d - 1.0))
         worst_k = max(worst_k, abs(p.K + 1.0))
-        worst_ratio = max(worst_ratio, abs(p.ratio() + 1.0))
+        worst_ratio = max(worst_ratio, abs(p.ratio + 1.0))
     ok = worst_metric <= 1e-10 and worst_d <= 1e-10 and worst_k <= 1e-9 and worst_ratio <= 1e-9
     report(
         "criterion 10: Minkowski sphere has induced metric du1^2 + sinh^2(u1) du2^2, d = 1, K = -1, ratio -1",

@@ -3,7 +3,7 @@ on the metric-check pair check.
 
 A helper call costs far more than the arithmetic it wraps, and a grid
 pays it once per point, so these bounds pin the per-point work: the
-cross and dot products are written out in ``point_invariants``, jet
+pass writes out the cross and dot products and forms K/d^4 itself, jet
 arithmetic on two jets, or on a jet and a real, lifts neither operand,
 ``seed_xy`` builds both seeds itself, and the sweep walks the grid's two
 axes, calls no ``eval_surface`` and computes each one-axis part once per
@@ -11,8 +11,9 @@ axis value, so at a point it runs the surface's ``mix`` alone.  An
 ``apply_map`` image is its source with the map after ``mix``, so a
 mapped surface computes its parts once too, and its map's ``act`` runs
 ``_image``.
-The counts are exact for a given interpreter: 8.35, 12.5, 6.7175 and
-9.7175 on CPython 3.10.13 and 3.11.7, 8.2, 12.3, 6.71 and 9.71 on 3.12.1.
+The counts are exact for a given interpreter: 7.35, 10.5, 5.7175 and
+8.7175 on CPython 3.10.13 and 3.11.7, 7.2, 10.3, 5.71 and 8.71 on 3.12.1
+and 3.13.0.
 Each bound is the ceiling of the largest; the first two leave room only
 for fixed per-grid calls, and the last two fail if the pseudosphere's
 one-axis parts run at every point again.
@@ -22,7 +23,7 @@ Records are counted the same way, as the ``c_call`` events on
 ``_new`` costs.  The sweep hands the pass plain tuples and the pass and
 the map's image return them, so a point builds its row and the jets of
 ``mix`` only: 3.45 (``scan_grid``) and 2.95 (``verify_scaling``) on
-CPython 3.10 to 3.12, against 5.9 and 10.85 when each stage built its
+CPython 3.10 to 3.13, against 5.9 and 10.85 when each stage built its
 record.  A mapped pseudosphere point at 20 x 20 adds the three jets of
 ``act``, 6.4 in all; its bound fails if ``act`` wraps them in a record
 again (7.4).  Each bound is the ceiling of its count.
@@ -104,10 +105,10 @@ def scan_mapped_pseudosphere():
 
 
 @pytest.mark.parametrize("make_run, points, bound", [
-    (scan_titeica_xyz, GRID[0] * GRID[1], 9),
-    (verify_paraboloid, GRID[0] * GRID[1], 13),
-    (scan_pseudosphere, 400, 7),
-    (scan_mapped_pseudosphere, 400, 10),
+    (scan_titeica_xyz, GRID[0] * GRID[1], 8),
+    (verify_paraboloid, GRID[0] * GRID[1], 11),
+    (scan_pseudosphere, 400, 6),
+    (scan_mapped_pseudosphere, 400, 9),
 ], ids=["scan_grid", "verify_scaling", "scan_grid_pseudosphere", "scan_grid_mapped_pseudosphere"])
 def test_calls_per_grid_point(make_run, points, bound):
     assert calls_per_point(make_run(), points) <= bound

@@ -1,10 +1,12 @@
 """The one-pass invariants against the three-frame reference.
 
 Where ``point_invariants`` returns, its four volumes and d are compared
-to the reference by repr, which is == plus the sign of zero; where it
-raises, the reference must raise the same error type and message.  K and
-K/d^4 are held to the exact invariants of ``tests/exact.py``: the pass
-takes them from the volumes, the reference through EG - F^2.
+to the reference by repr, which is == plus the sign of zero, and the
+reference's K and K/d^4 must return too; where it raises, the
+reference's ``titeica_ratio`` must raise the same error type and
+message.  K and K/d^4 are held to the exact invariants of
+``tests/exact.py``: the pass takes them from the volumes, the reference
+through EG - F^2.
 ``identity_residual`` is compared by repr to its expression built from
 the reference's fundamental forms, which pins the forms it computes
 inline.
@@ -34,7 +36,7 @@ AMBIENTS = (EUCLIDEAN, MINKOWSKI)
 # against the exact value; measured: 1.2e-13, 1.7e-14)
 EXACT_VIEWS = (
     ("K", lambda p: p.K, ref.gaussian_curvature, 1e-12),
-    ("ratio", lambda p: p.ratio(), ref.titeica_ratio, 1e-13),
+    ("ratio", lambda p: p.ratio, ref.titeica_ratio, 1e-13),
 )
 
 
@@ -47,34 +49,27 @@ def outcome(fn, *args):
 
 def assert_matches_reference(sj):
     for amb in AMBIENTS:
-        want_d = outcome(ref.tangent_distance, sj, amb)
         try:
             p = point_invariants(sj, amb)
         except Exception as exc:
-            assert (type(exc), str(exc)) == want_d, amb.name
-        else:
-            assert repr(p[:4]) == repr(ref.oriented_volumes(sj)), amb.name
-            assert repr(p.d) == want_d, amb.name
-        exact = None
+            assert (type(exc), str(exc)) == outcome(ref.titeica_ratio, sj, amb), amb.name
+            continue
+        assert repr(p[:4]) == repr(ref.oriented_volumes(sj)), amb.name
+        assert repr(p.d) == outcome(ref.tangent_distance, sj, amb), amb.name
+        exact = exact_invariants(sj, amb)
         for field, read, reference, bound in EXACT_VIEWS:
-            want = outcome(reference, sj, amb)
-            if isinstance(want, tuple):
-                assert outcome(lambda: read(point_invariants(sj, amb))) == want, (field, amb.name)
-                continue
-            got = read(point_invariants(sj, amb))
-            exact = exact or exact_invariants(sj, amb)
-            want = getattr(exact, field)
+            assert not isinstance(outcome(reference, sj, amb), tuple), (field, amb.name)
+            got, want = read(p), getattr(exact, field)
             assert relative_error(got, want) <= bound, (field, amb.name, got, float(want))
 
 
 def reference_residual(sj, amb):
     """``identity_residual``'s expression, with the forms of the reference."""
     p = point_invariants(sj, amb)
-    ratio = p.ratio()
     e, f, g, l, m, n = ref.fundamental_forms(sj, amb)
     disc = e * g - f * f
     sign = 1.0 if p.nn > 0.0 else -1.0
-    return abs(sign * (l * n - m * m) / disc / p.d**2 / p.d**2 - ratio) if disc else math.inf
+    return abs(sign * (l * n - m * m) / disc / p.d**2 / p.d**2 - p.ratio) if disc else math.inf
 
 
 def assert_residual_matches_reference(sj):

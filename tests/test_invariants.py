@@ -6,7 +6,7 @@ import pytest
 import frame_reference as ref
 from helpers import jet_of_rows, random_polynomial_patch, random_regular_point
 from titeica import CentroAffineMap, classify, invariants, jet, scan_grid, verify_scaling
-from titeica.errors import DomainError, SingularPointError
+from titeica.errors import DomainError, InconclusiveError, SingularPointError
 from titeica.invariants import identity_residual, point_invariants
 from titeica.surfaces import (
     EUCLIDEAN,
@@ -53,7 +53,10 @@ def test_curvature_pseudosphere():
 
 
 def test_curvature_plane():
-    assert point_invariants(eval_surface(catalog("plane"), 0.1, 0.4), EUCLIDEAN).K == 0.0
+    # the catalog plane passes through the origin; this one keeps d = 1
+    s = SurfaceDef("plane-z1", lambda x, y: (x, y, jet.Jet2(1.0)), Box(-1, 1, -1, 1), EUCLIDEAN)
+    p = point_invariants(eval_surface(s, 0.1, 0.4), EUCLIDEAN)
+    assert (p.K, p.d, p.ratio) == (0.0, 1.0, 0.0)
 
 
 def test_distance_sphere():
@@ -69,16 +72,24 @@ def test_distance_minkowski_sphere():
 
 
 def test_distance_plane_is_zero():
-    assert point_invariants(eval_surface(catalog("plane"), 1e-3, 0.5), EUCLIDEAN).d == 0.0
+    with pytest.raises(SingularPointError, match=r"^tangent plane passes through the origin \(d = 0\)$"):
+        point_invariants(eval_surface(catalog("plane"), 1e-3, 0.5), EUCLIDEAN)
 
 
 def test_volumes_paraboloid_origin():
-    assert point_invariants(eval_surface(catalog("paraboloid"), 0.0, 0.0), EUCLIDEAN)[:4] == (2.0, 2.0, 0.0, 0.0)
+    # V = 0 at the vertex: the pass raises, and the reference gives the volumes
+    sj = eval_surface(catalog("paraboloid"), 0.0, 0.0)
+    assert ref.oriented_volumes(sj) == (2.0, 2.0, 0.0, 0.0)
+    with pytest.raises(SingularPointError, match=r"\(d = 0\)"):
+        point_invariants(sj, EUCLIDEAN)
 
 
 def test_volumes_plane_all_zero():
     # (1, 2) is not interior to the plane's box; use a nearby interior point
-    assert point_invariants(eval_surface(catalog("plane"), 0.99, 0.5), EUCLIDEAN)[:4] == (0.0, 0.0, 0.0, 0.0)
+    sj = eval_surface(catalog("plane"), 0.99, 0.5)
+    assert ref.oriented_volumes(sj) == (0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(SingularPointError, match=r"\(d = 0\)"):
+        point_invariants(sj, EUCLIDEAN)
 
 
 def test_volumes_titeica_xyz():
@@ -91,24 +102,35 @@ def test_volumes_titeica_xyz():
 def test_ratio_sphere_is_one():
     s = catalog("sphere-origin", R=1.0)
     for x, y in grid_points(s.domain, 8, 8):
-        assert abs(point_invariants(eval_surface(s, x, y), EUCLIDEAN).ratio() - 1.0) <= 1e-9
+        assert abs(point_invariants(eval_surface(s, x, y), EUCLIDEAN).ratio - 1.0) <= 1e-9
 
 
 def test_ratio_minkowski_sphere_is_minus_one():
     s = catalog("minkowski-sphere")
     for x, y in grid_points(s.domain, 8, 8):
-        assert abs(point_invariants(eval_surface(s, x, y), MINKOWSKI).ratio() + 1.0) <= 1e-9
+        assert abs(point_invariants(eval_surface(s, x, y), MINKOWSKI).ratio + 1.0) <= 1e-9
 
 
 def test_ratio_titeica_xyz():
     s = catalog("titeica-xyz")
     for x, y in grid_points(s.domain, 8, 8):
-        assert abs(point_invariants(eval_surface(s, x, y), EUCLIDEAN).ratio() - 1.0 / 27.0) <= 1e-9
+        assert abs(point_invariants(eval_surface(s, x, y), EUCLIDEAN).ratio - 1.0 / 27.0) <= 1e-9
+
+
+@pytest.mark.parametrize("radius", [
+    1e-6, 1e-3, 1.0, 1e3, 1e6, 1e12,
+    *(pytest.param(r, marks=pytest.mark.xfail(
+        strict=True, raises=InconclusiveError, reason="ROADMAP item 1: a small sphere is skipped for its units"))
+      for r in (1e-12, 1e-9)),
+])
+def test_sphere_ratio_is_r_to_the_minus_six_at_every_scale(radius):
+    verdict = classify(catalog("sphere-origin", R=radius))
+    assert abs(verdict.ratio_constant * radius**6 - 1.0) <= 1e-15
 
 
 def test_ratio_singular_point():
     with pytest.raises(SingularPointError):
-        point_invariants(eval_surface(catalog("plane"), 0.2, 0.2), EUCLIDEAN).ratio()
+        point_invariants(eval_surface(catalog("plane"), 0.2, 0.2), EUCLIDEAN)
 
 
 def test_identity_residual_titeica_xyz():
@@ -126,7 +148,7 @@ def test_identity_residual_cubic_patch():
 def test_identity_residual_sphere_radius_two():
     sj = eval_surface(catalog("sphere-origin", R=2.0), 0.1, 0.2)
     assert identity_residual(sj, EUCLIDEAN) <= 1e-10
-    assert abs(point_invariants(sj, EUCLIDEAN).ratio() - 1.0 / 64.0) <= 1e-9
+    assert abs(point_invariants(sj, EUCLIDEAN).ratio - 1.0 / 64.0) <= 1e-9
 
 
 def test_identity_residual_minkowski_sphere():
@@ -148,7 +170,7 @@ def test_ratio_depends_on_the_form_only_through_its_sign():
     compared = 0
     for sj in jets:
         try:
-            mink, eucl = point_invariants(sj, MINKOWSKI).ratio(), point_invariants(sj, EUCLIDEAN).ratio()
+            mink, eucl = point_invariants(sj, MINKOWSKI).ratio, point_invariants(sj, EUCLIDEAN).ratio
         except SingularPointError:
             continue
         assert mink == -eucl and math.copysign(1.0, mink) == -math.copysign(1.0, eucl), (mink, eucl)
@@ -163,8 +185,8 @@ def test_ratio_under_a_null_minkowski_normal():
     # (nn = 0 exactly), yet K/d^4 = det(S) (Vx Vy - Vxy^2) / V^4 never reads nn.
     sj = eval_surface(catalog("paraboloid"), 0.5, 0.0)
     assert point_invariants(sj, EUCLIDEAN)[:4] == (2.0, 2.0, 0.0, -0.25)
-    assert point_invariants(sj, EUCLIDEAN).ratio() == 1024.0
-    assert point_invariants(sj, MINKOWSKI).ratio() == -1024.0
+    assert point_invariants(sj, EUCLIDEAN).ratio == 1024.0
+    assert point_invariants(sj, MINKOWSKI).ratio == -1024.0
 
 
 def test_identity_residual_raises_the_pass_fault_on_a_degenerate_frame():
@@ -172,7 +194,7 @@ def test_identity_residual_raises_the_pass_fault_on_a_degenerate_frame():
     sj = jet_of_rows((1.0, 2.0, 3.0), (1.0, 2.0, 3.0), (2.0, 4.0, 6.0), (0.5, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 2.0))
     for amb in (EUCLIDEAN, MINKOWSKI):
         with pytest.raises(SingularPointError, match="degenerate tangent plane"):
-            point_invariants(sj, amb).ratio()
+            point_invariants(sj, amb)
         with pytest.raises(SingularPointError, match="degenerate tangent plane"):
             identity_residual(sj, amb)
 
@@ -194,7 +216,7 @@ def test_frame_whose_first_form_cancels_is_regular():
     # |f_x x f_y|^2 = 1e-8, but EG - F^2 rounds to 0: the ratio needs no
     # first form, and the classical route has no digits left
     sj = jet_of_rows((0.0, 0.0, 1.0), (1e4, 0.0, 0.0), (1e4, 1e-8, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.5), (0.0, 0.0, 2.0))
-    assert abs(point_invariants(sj, EUCLIDEAN).ratio() - 1.75e8) <= 1e-14 * 1.75e8
+    assert abs(point_invariants(sj, EUCLIDEAN).ratio - 1.75e8) <= 1e-14 * 1.75e8
     assert identity_residual(sj, EUCLIDEAN) == math.inf
 
 
@@ -204,7 +226,7 @@ def test_volume_route_matches_on_random_polynomials():
         s = random_polynomial_patch(rng)
         x, y = random_regular_point(rng, s)
         sj = eval_surface(s, x, y)
-        ratio = point_invariants(sj, EUCLIDEAN).ratio()
+        ratio = point_invariants(sj, EUCLIDEAN).ratio
         assert identity_residual(sj, EUCLIDEAN) <= 1e-9 * max(1.0, abs(ratio))
 
 
@@ -242,7 +264,7 @@ def test_parametrization_independence_of_sphere():
         q = point_invariants(eval_surface(monge, x, y), EUCLIDEAN)
         assert abs(p.K - q.K) <= 1e-9
         assert abs(p.d - q.d) <= 1e-9
-        assert abs(p.ratio() - q.ratio()) <= 1e-9
+        assert abs(p.ratio - q.ratio) <= 1e-9
 
 
 def test_saddle_has_negative_ratio():
@@ -253,7 +275,7 @@ def test_saddle_has_negative_ratio():
     for x, y in [(0.2, 0.1), (-0.3, 0.15), (0.05, 0.25), (0.4, -0.1)]:
         p = point_invariants(eval_surface(s, x, y), EUCLIDEAN)
         assert p.Vx * p.Vy - p.Vxy**2 < 0.0
-        assert p.ratio() < 0.0
+        assert p.ratio < 0.0
 
 
 def test_point_invariants_bundle():
@@ -261,11 +283,11 @@ def test_point_invariants_bundle():
     p = point_invariants(eval_surface(catalog("titeica-xyz"), 1.0, 1.0), EUCLIDEAN)
     assert abs(p.K - 1.0 / 3.0) <= 1e-15
     assert abs(p.d - math.sqrt(3.0)) <= 1e-15
-    assert abs(p.ratio() - 1.0 / 27.0) <= 1e-15
+    assert abs(p.ratio - 1.0 / 27.0) <= 1e-15
     h = point_invariants(eval_surface(catalog("minkowski-sphere"), 0.7, 1.1), MINKOWSKI)
     assert abs(h.K + 1.0) <= 1e-9
     assert abs(h.d - 1.0) <= 1e-10
-    assert abs(h.ratio() + 1.0) <= 1e-9
+    assert abs(h.ratio + 1.0) <= 1e-9
     # A grid scan's record holds exactly the pass's values at its point.
     for name in ("titeica-xyz", "minkowski-sphere"):
         s = catalog(name)
@@ -273,7 +295,7 @@ def test_point_invariants_bundle():
         assert len(records) == 12 and all(r.skipped is None for r in records)
         for r in records:
             p = point_invariants(eval_surface(s, r.x, r.y), s.ambient)
-            assert (r.K, r.d, r.ratio) == (p.K, p.d, p.ratio())
+            assert (r.K, r.d, r.ratio) == (p.K, p.d, p.ratio)
 
 
 def test_sweeps_skip_only_singular_points():

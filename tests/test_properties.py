@@ -73,7 +73,7 @@ def test_ratio_sign_law(sj):
     # The two forms differ in det(S) only: the Minkowski ratio is bitwise
     # minus the Euclidean one, signed zeros included.
     try:
-        mink, eucl = point_invariants(sj, MINKOWSKI).ratio(), point_invariants(sj, EUCLIDEAN).ratio()
+        mink, eucl = point_invariants(sj, MINKOWSKI).ratio, point_invariants(sj, EUCLIDEAN).ratio
     except SingularPointError:
         assume(False)
     assert mink == -eucl and math.copysign(1.0, mink) == -math.copysign(1.0, eucl), (mink, eucl)
@@ -86,7 +86,7 @@ def test_ratio_scales_by_det_squared(sj, a, amb):
     # 1e-9 (|Vx Vy| + Vxy^2) / V^4 of the source jet: the numerator's
     # rounding scale, relative to its terms rather than to its value.
     try:
-        before, after = point_invariants(sj, amb).ratio(), point_invariants(a.act(sj), amb).ratio()
+        before, after = point_invariants(sj, amb).ratio, point_invariants(a.act(sj), amb).ratio
     except SingularPointError:
         assume(False)
     v = point_invariants(sj, amb)
