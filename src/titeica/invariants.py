@@ -47,7 +47,7 @@ from typing import NamedTuple, Optional
 from . import _NAMES
 from .errors import InconclusiveError, SingularPointError
 from .jet import Jet2, _new
-from .surfaces import DEFAULT_GRID, DEFAULT_TOL, AmbientForm, SurfaceDef, _grid_axes, _sweep
+from .surfaces import DEFAULT_GRID, DEFAULT_TOL, AmbientForm, SurfaceDef, _grid_axes, _not_jets, _sweep
 
 __all__ = list(_NAMES["invariants"])
 
@@ -80,7 +80,10 @@ def _pass(jets, amb: AmbientForm) -> tuple:
     """The single pass, written out (no helper calls: it runs once or twice
     per grid point): the plain (Vx, Vy, Vxy, V, nn, num, K, d, K/d^4) of
     three coordinate jets; raises where a singularity test fails."""
-    (f0, a0, b0, p0, q0, r0), (f1, a1, b1, p1, q1, r1), (f2, a2, b2, p2, q2, r2) = jets
+    try:  # free until it raises, on CPython 3.11+
+        (f0, a0, b0, p0, q0, r0), (f1, a1, b1, p1, q1, r1), (f2, a2, b2, p2, q2, r2) = jets
+    except TypeError:  # a coordinate that is not a jet
+        raise _not_jets(jets) from None
     # numpy.cross operand order: tests/frame_reference.py holds the volumes
     # and d bitwise to the frame built with it.
     c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0

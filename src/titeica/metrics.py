@@ -1,7 +1,11 @@
 """Pullback checks between the constant-curvature metric models.
 
-A metric is a row of ``_METRICS``: its components g11, g12, g22 as a
-jet-evaluable function of the coordinates, and a description.  A pair is
+A metric is a row of ``_METRICS``: its components g11, g12, g22 as one
+formula ``(a, b, m)`` in its coordinates and a module ``m`` of elementary
+functions (a constant component is a plain real), and a description.
+The pair check evaluates it with ``math`` on floats and the tests with
+``titeica.jet`` on jets; a quotient is written ``a * (1.0 / b)``, the
+value a jet quotient forms, so both give the same values.  A pair is
 a row of ``_PAIRS``: a source metric and a target metric, each with the
 box the pair samples or admits it on, and one or more labelled variants
 of the coordinate change from the source's coordinates to the target's.
@@ -36,20 +40,14 @@ class AgreePoint(NamedTuple):
 def _pullback(target: str, target_box: Box, mapping, x: float, y: float) -> tuple[float, float, float]:
     """Components at (x, y) of the metric induced from ``target`` through
     the coordinate change: J^T G(phi(p)) J, with J the Jacobian of phi
-    read off its jets."""
+    read off its jets and G the target's formula on the floats phi(p)."""
     u, v = mapping(*seed_xy(x, y))
     if not target_box.contains(u.val, v.val):
-        raise DomainError(
-            f"image ({u.val:g}, {v.val:g}) of ({x:g}, {y:g}) "
-            f"lies outside domain {target_box.describe()} of metric '{target}'"
-        )
-    jdet = u.dx * v.dy - u.dy * v.dx
-    if abs(jdet) <= 1e-12:
-        raise SingularPointError(
-            f"coordinate change into metric '{target}' has singular Jacobian at ({x:g}, {y:g})"
-        )
-    e, f, g = _METRICS[target][0](Jet2(u.val), Jet2(v.val))
-    g11, g12, g22 = e.val, f.val, g.val
+        raise DomainError(f"image ({u.val:g}, {v.val:g}) of ({x:g}, {y:g}) "
+                          f"lies outside domain {target_box.describe()} of metric '{target}'")
+    if abs(u.dx * v.dy - u.dy * v.dx) <= 1e-12:
+        raise SingularPointError(f"coordinate change into metric '{target}' has singular Jacobian at ({x:g}, {y:g})")
+    g11, g12, g22 = _METRICS[target][0](u.val, v.val, math)
     h11 = g11 * u.dx * u.dx + 2.0 * g12 * u.dx * v.dx + g22 * v.dx * v.dx
     h12 = g11 * u.dx * u.dy + g12 * (u.dx * v.dy + u.dy * v.dx) + g22 * v.dx * v.dy
     h22 = g11 * u.dy * u.dy + 2.0 * g12 * u.dy * v.dy + g22 * v.dy * v.dy
@@ -68,10 +66,7 @@ def check_pair(name: str, grid: tuple[int, int], tol: float) -> tuple[tuple[str,
         raise CatalogError(f"unknown metric pair '{name}'; available: {', '.join(sorted(_PAIRS))}")
     source, source_box, target, target_box, changes = entry
     components = _METRICS[source][0]
-    samples = []
-    for x, y in grid_points(source_box, *grid):
-        g11, g12, g22 = components(Jet2(x), Jet2(y))
-        samples.append((x, y, g11.val, g12.val, g22.val))
+    samples = [(x, y, *components(x, y, math)) for x, y in grid_points(source_box, *grid)]
     variants = []
     for label, mapping in changes:
         rows = []
@@ -92,30 +87,29 @@ def check_pair(name: str, grid: tuple[int, int], tol: float) -> tuple[tuple[str,
 # Catalog
 
 
-def _pseudosphere_components(x1: Jet2, x2: Jet2):
+def _pseudosphere_components(x1, x2, m):
     # sin^2(x2) dx1^2 + cot^2(x2) dx2^2
-    s = jet.sin(x2)
-    c = jet.cos(x2)
-    cot = c / s
-    return s * s, Jet2(0.0), cot * cot
+    s = m.sin(x2)
+    cot = m.cos(x2) * (1.0 / s)
+    return s * s, 0.0, cot * cot
 
 
-def _half_plane_components(x: Jet2, y: Jet2):
+def _half_plane_components(x, y, m):
     inv = 1.0 / (y * y)
-    return inv, Jet2(0.0), inv
+    return inv, 0.0, inv
 
 
-def _disk_components(y1: Jet2, y2: Jet2):
+def _disk_components(y1, y2, m):
     # conformal factor 4/(1 - r^2)^2; the formula is regular and
     # positive-definite wherever r != 1, inside or outside the unit circle
     one_minus = 1.0 - (y1 * y1 + y2 * y2)
-    lam = 4.0 / (one_minus * one_minus)
-    return lam, Jet2(0.0), lam
+    lam = 4.0 * (1.0 / (one_minus * one_minus))
+    return lam, 0.0, lam
 
 
-def _minkowski_sphere_components(u1: Jet2, u2: Jet2):
-    sh = jet.sinh(u1)
-    return Jet2(1.0), Jet2(0.0), sh * sh
+def _minkowski_sphere_components(u1, u2, m):
+    sh = m.sinh(u1)
+    return 1.0, 0.0, sh * sh
 
 
 _METRICS = {

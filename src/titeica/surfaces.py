@@ -130,7 +130,13 @@ def eval_surface(s: SurfaceDef, x: float, y: float) -> tuple[Jet2, Jet2, Jet2]:
         raise DomainError(f"point ({x:g}, {y:g}) outside domain {s.domain.describe()} of surface '{s.name}'")
     sx, sy = seed_xy(x, y)
     cx, cy, cz = s.mix(*(s.xpart(sx) if s.xpart else (sx,)), *(s.ypart(sy) if s.ypart else (sy,)))
+    if type(cx) is not Jet2 or type(cy) is not Jet2 or type(cz) is not Jet2:
+        raise _not_jets((cx, cy, cz))
     return cx, cy, cz
+
+
+def _not_jets(coordinates) -> ValueError:
+    return ValueError(f"mix must give three jets, got ({', '.join(type(c).__name__ for c in coordinates)})")
 
 
 def _sweep(s: SurfaceDef, xs, ys, evaluate, record) -> list:

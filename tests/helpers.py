@@ -199,14 +199,16 @@ def random_orthogonal(rng, det_sign=1.0):
 
 def brioschi_curvature(components, x, y):
     """Intrinsic Gaussian curvature at (x, y) of the metric whose
-    components g11, g12, g22 the jet-evaluable ``components`` gives.
+    components g11, g12, g22 the formula ``components(a, b, m)`` gives,
+    as a row of ``metrics._METRICS`` writes them.
 
     Uses the Brioschi determinant formula, which needs only the
     components and their first and second coordinate derivatives; those
-    come from evaluating the components on coordinate seeds.  Raises
-    ValueError where the metric is not positive-definite.
+    come from evaluating the formula on coordinate seeds with
+    ``m = titeica.jet``, a real component lifted to a constant jet.
+    Raises ValueError where the metric is not positive-definite.
     """
-    e, f, g = components(*jet.seed_xy(x, y))
+    e, f, g = (c if type(c) is jet.Jet2 else jet.Jet2(c) for c in components(*jet.seed_xy(x, y), jet))
     disc = e.val * g.val - f.val * f.val
     if e.val <= 0.0 or disc <= 0.0:
         raise ValueError(f"metric is not positive-definite at ({x:g}, {y:g})")
@@ -223,9 +225,9 @@ def brioschi_curvature(components, x, y):
     return (ref.det3(*m1) - ref.det3(*m2)) / (disc * disc)
 
 
-def flat_components(x, y):
+def flat_components(x, y, m):
     # the flat metric dx^2 + dy^2
-    return jet.Jet2(1.0), jet.Jet2(0.0), jet.Jet2(1.0)
+    return 1.0, 0.0, 1.0
 
 
 FLAT_BOX = Box(-1.0, 1.0, -1.0, 1.0)
@@ -242,9 +244,9 @@ def add_pair(monkeypatch, name, row, **components):
     monkeypatch.setitem(metrics._PAIRS, name, row)
 
 
-def nan_at_positive_x(x, y):
+def nan_at_positive_x(x, y, m):
     # the flat metric, except that g11 is not a number where x > 0
-    return jet.Jet2(math.nan if x.val > 0.0 else 1.0), jet.Jet2(0.0), jet.Jet2(1.0)
+    return math.nan if x > 0.0 else 1.0, 0.0, 1.0
 
 
 def add_nan_pair(monkeypatch, changes=IDENTITY):

@@ -20,7 +20,7 @@ HALF_PLANE_BOX = Box(-1.0, 1.0, 0.5, 3.0)
 
 def values(name, x, y):
     """The components of the catalog metric ``name`` at (x, y), as floats."""
-    return tuple(c.val for c in _METRICS[name][0](Jet2(float(x)), Jet2(float(y))))
+    return _METRICS[name][0](float(x), float(y), math)
 
 
 def test_flat_metric_has_zero_curvature():
@@ -53,11 +53,25 @@ def test_minkowski_sphere_metric_curvature():
 
 
 def test_brioschi_rejects_indefinite_metric():
-    def components(x, y):
-        return Jet2(-1.0), Jet2(0.0), Jet2(1.0)
+    def components(x, y, m):
+        return -1.0, 0.0, 1.0
 
     with pytest.raises(ValueError, match=r"^metric is not positive-definite at \(0, 0\)$"):
         brioschi_curvature(components, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(_METRICS))
+def test_a_metric_is_one_formula_on_floats_and_on_jets(name):
+    # check_pair evaluates a formula on floats, brioschi_curvature on jets:
+    # at every point of every box a pair gives the metric, the floats must
+    # be the values of the jets, to the last bit.
+    components = _METRICS[name][0]
+    boxes = [box for row in _PAIRS.values() for metric, box in (row[0:2], row[2:4]) if metric == name]
+    assert boxes
+    for box in boxes:
+        for x, y in grid_points(box, 13, 11):
+            jets = components(*seed_xy(x, y), jet)
+            assert repr(components(x, y, math)) == repr(tuple(c.val if type(c) is Jet2 else c for c in jets)), (x, y)
 
 
 def test_pullback_through_identity():
@@ -158,9 +172,9 @@ def test_check_pair_rows_equal_direct_pullbacks(name):
 def test_check_pair_evaluates_the_source_once_per_point(monkeypatch):
     calls = []
 
-    def counting_flat(x, y):
-        calls.append((x.val, y.val))
-        return Jet2(1.0), Jet2(0.0), Jet2(1.0)
+    def counting_flat(x, y, m):
+        calls.append((x, y))
+        return 1.0, 0.0, 1.0
 
     changes = (("identity", lambda x, y: (x, y)), ("swap", lambda x, y: (y, x)))
     add_pair(monkeypatch, "counting:flat", ("counting", FLAT_BOX, "flat", FLAT_BOX, changes),
@@ -214,7 +228,7 @@ def test_extrinsic_matches_intrinsic_on_minkowski_sphere():
 
 def _monge_form(u_x, u_y):
     """First fundamental form of the graph of u: 1 + u_x^2, u_x u_y, 1 + u_y^2."""
-    def components(x, y):
+    def components(x, y, m):
         p, q = u_x(x, y), u_y(x, y)
         return 1.0 + p * p, p * q, 1.0 + q * q
 
@@ -225,16 +239,15 @@ def _sphere_slope(x, y, r=1.3):
     return -x / jet.sqrt(r * r - x * x - y * y)
 
 
-# The first fundamental form of each surface as a jet-evaluable metric.
-# It needs the first derivatives of the immersion as jets, which the
+# The first fundamental form of each surface as a metric formula.  It
+# needs the first derivatives of the immersion as jets, which the
 # coordinate jets of a surface do not carry, so they are written out.
 FIRST_FORMS = {
     "sphere-origin": _monge_form(_sphere_slope, lambda x, y: _sphere_slope(y, x)),
     "titeica-xyz": _monge_form(lambda x, y: -1.0 / (x * x * y), lambda x, y: -1.0 / (x * y * y)),
     "paraboloid": _monge_form(lambda x, y: 2.0 * x, lambda x, y: 2.0 * y),
-    "pseudosphere": lambda t, theta: (jet.tanh(t) * jet.tanh(t), Jet2(0.0),
-                                      1.0 / (jet.cosh(t) * jet.cosh(t))),
-    "minkowski-sphere": lambda u1, u2: (Jet2(1.0), Jet2(0.0), jet.sinh(u1) * jet.sinh(u1)),
+    "pseudosphere": lambda t, theta, m: (m.tanh(t) * m.tanh(t), 0.0, 1.0 / (m.cosh(t) * m.cosh(t))),
+    "minkowski-sphere": lambda u1, u2, m: (1.0, 0.0, m.sinh(u1) * m.sinh(u1)),
 }
 
 

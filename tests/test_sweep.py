@@ -21,7 +21,7 @@ from helpers import called, called_rows, outcome, swept
 from titeica import jet, surfaces
 from titeica.centroaffine import CentroAffineMap, apply_map, verify_scaling
 from titeica.errors import DomainError
-from titeica.invariants import PointRecord, scan_grid
+from titeica.invariants import PointRecord, point_invariants, scan_grid
 from titeica.surfaces import (
     EUCLIDEAN,
     Box,
@@ -161,6 +161,17 @@ def test_a_plain_mix_must_give_three_jets(count):
     for run in (lambda: eval_surface(s, 1.0, 1.0), lambda: scan_grid(s, (2, 2)),
                 lambda: verify_scaling(s, a, (2, 2), 1e-8)):
         with pytest.raises(ValueError, match="values to unpack"):
+            run()
+
+
+def test_a_plain_mix_must_give_jets():
+    # A real coordinate unpacks as one of three items, so a call tests the
+    # type of each, and the pass refuses what it cannot unpack as a jet.
+    s = SurfaceDef("p", lambda x, y: (x, y, 1.0), Box(-1.0, 1.0, -1.0, 1.0), EUCLIDEAN)
+    a = CentroAffineMap.of([(2.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+    for run in (lambda: eval_surface(s, 0.5, 0.5), lambda: point_invariants(s.mix(*jet.seed_xy(0.5, 0.5)), EUCLIDEAN),
+                lambda: scan_grid(s, (2, 2)), lambda: verify_scaling(s, a, (2, 2), 1e-8)):
+        with pytest.raises(ValueError, match=r"^mix must give three jets, got \(Jet2, Jet2, float\)$"):
             run()
 
 
