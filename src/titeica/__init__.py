@@ -32,7 +32,7 @@ _NAMES = {
     "metrics": ("AgreePoint", "check_pair", "pair_names"),
     "surfaces": (
         "EUCLIDEAN", "MINKOWSKI", "AmbientForm", "Box", "SurfaceDef",
-        "catalog", "catalog_entries", "catalog_names", "eval_surface", "grid_points",
+        "catalog", "catalog_entries", "eval_surface", "grid_points",
     ),
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}

@@ -29,7 +29,7 @@ from . import _NAMES
 from .errors import SingularPointError
 from .invariants import _pass
 from .jet import Jet2, _new
-from .surfaces import SurfaceDef, _grid_axes, _sweep
+from .surfaces import SurfaceDef, _grid_axes, _not_jets, _sweep
 
 __all__ = list(_NAMES["centroaffine"])
 
@@ -66,7 +66,10 @@ class CentroAffineMap(NamedTuple):
 def _image(matrix, jets) -> tuple:
     """The fields of the three coordinate jets of f . A, as plain rows."""
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = matrix
-    (x0, x1, x2, x3, x4, x5), (y0, y1, y2, y3, y4, y5), (z0, z1, z2, z3, z4, z5) = jets
+    try:  # free until it raises, on CPython 3.11+
+        (x0, x1, x2, x3, x4, x5), (y0, y1, y2, y3, y4, y5), (z0, z1, z2, z3, z4, z5) = jets
+    except TypeError:  # a coordinate that is not a jet
+        raise _not_jets(jets) from None
     return (
         (x0 * a00 + y0 * a10 + z0 * a20, x1 * a00 + y1 * a10 + z1 * a20, x2 * a00 + y2 * a10 + z2 * a20,
          x3 * a00 + y3 * a10 + z3 * a20, x4 * a00 + y4 * a10 + z4 * a20, x5 * a00 + y5 * a10 + z5 * a20),
@@ -101,7 +104,6 @@ class ScalingReport(NamedTuple):
     the fields before ``points`` are the transform-check summary, in its
     order."""
 
-    surface: str
     det: float
     scale_factor: float
     max_ratio_residual: float
@@ -109,7 +111,6 @@ class ScalingReport(NamedTuple):
     max_numerator_residual: float
     points_evaluated: int
     points_skipped: int
-    tolerance: float
     passed: bool
     points: tuple[ScalingPoint, ...]
 
@@ -151,5 +152,5 @@ def verify_scaling(s: SurfaceDef, a: CentroAffineMap, grid: tuple[int, int], tol
         scale_factor = 1.0 / a.det**2  # not det2: x**2 and x*x can differ in the last bit
     except OverflowError:
         scale_factor = 1.0 / a.det / a.det
-    return ScalingReport(s.name, a.det, scale_factor, max_r, max_v, max_n, len(evaluated), len(rows) - len(evaluated),
-                         tol, passed, tuple(rows))
+    return ScalingReport(a.det, scale_factor, max_r, max_v, max_n, len(evaluated), len(rows) - len(evaluated), passed,
+                         tuple(rows))

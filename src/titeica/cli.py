@@ -9,10 +9,11 @@ classify         constant-ratio verdict: --surface --param --grid --tol
 transform-check  det^-2 scaling law: --surface --param --grid --matrix --tol
 metric-check     pullback equality for a metric pair: --pair --grid --tol
 
-Reports are emitted as text, JSON or CSV, and echo under ``config`` only
-the fields their command takes.  Output to a new or regular file is
-atomic (write to a temporary file, then rename); this process's own
-stdout, a device or a FIFO is written in place.  Reports are
+Reports are emitted as text, JSON or CSV; ``config`` echoes only the
+fields the command takes, and ``summary`` holds results alone.  Output
+to a new or regular file is atomic (write to a temporary file, then
+rename); this process's own stdout, a device or a FIFO is written in
+place.  Reports are
 byte-deterministic for identical configurations: the grid enumeration
 order is fixed and every float is written as its shortest round-trip repr.
 
@@ -193,10 +194,8 @@ def _cmd_metric_check(config: RunConfig):
     matching = [label for label, _, _, passed in variants if passed]
     rows = [(label, *p) for label, points, _, _ in variants for p in points]
     summary = {
-        "pair": config.pair,
         "variants": {label: {"max_diff": worst, "passed": passed} for label, _, worst, passed in variants},
         "matching_variant": matching[0] if matching else None,
-        "tolerance": config.tolerance,
         "passed": bool(matching),
     }
     return _report(config, ("variant", *AgreePoint._fields), rows, summary)

@@ -147,13 +147,11 @@ class PointRecord(NamedTuple):
 class ClassifyVerdict(NamedTuple):
     """The fields before ``points`` are the classify summary, in its order."""
 
-    surface: str
     is_titeica: bool
     ratio_constant: float
     spread: float
     points_evaluated: int
     points_skipped: int
-    tolerance: float
     points: tuple[PointRecord, ...]
 
 
@@ -196,4 +194,4 @@ def classify(
     median = ratios[n // 2] if n % 2 else (ratios[n // 2 - 1] + ratios[n // 2]) / 2
     deviation = max(abs(r - median) for r in ratios)
     spread = deviation / abs(median) if median else (math.inf if deviation else 0.0)
-    return ClassifyVerdict(s.name, spread <= tol, median, spread, n, skipped, tol, tuple(records))
+    return ClassifyVerdict(spread <= tol, median, spread, n, skipped, tuple(records))

@@ -252,7 +252,8 @@ def cosh(a: Jet2) -> Jet2:
 
 def tanh(a: Jet2) -> Jet2:
     t = math.tanh(a.val)
-    sech2 = 1.0 - t * t
+    e = math.exp(-2.0 * abs(a.val))  # sech^2 as 4e / (1 + e)^2: 1 - t*t cancels as |t| nears 1
+    sech2 = 4.0 * e / ((1.0 + e) * (1.0 + e))
     return _chain(a, t, sech2, -2.0 * t * sech2)
 
 

@@ -273,10 +273,6 @@ def catalog(name: str, **params: float) -> SurfaceDef:
     return SurfaceDef(name, mix, box, entry.ambient, xpart, ypart)
 
 
-def catalog_names() -> list[str]:
-    return sorted(_CATALOG)
-
-
 def catalog_entries() -> list[tuple[str, str, dict]]:
     """(name, description, default parameters) for every catalog surface."""
     return [(n, _CATALOG[n].description, dict(_CATALOG[n].defaults)) for n in sorted(_CATALOG)]

@@ -32,6 +32,11 @@ def random_polynomial_patch(rng, degree=4, coeff_range=2.0, name="poly"):
     return SurfaceDef(name, lambda x, y: (x, y, height(x, y)), Box(-1.0, 1.0, -1.0, 1.0), EUCLIDEAN)
 
 
+def surface_names():
+    """The catalog's surface names, in catalog order."""
+    return [name for name, _, _ in surfaces.catalog_entries()]
+
+
 UNBOUNDED = Box(-math.inf, math.inf, -math.inf, math.inf)
 
 

@@ -13,13 +13,14 @@ from helpers import (
     random_orthogonal,
     random_regular_point,
     scaling_reference,
+    surface_names,
 )
 from titeica import centroaffine, classify, invariants
 from titeica.centroaffine import CentroAffineMap, apply_map, verify_scaling
 from titeica.cli import main
 from titeica.invariants import point_invariants, scan_grid
 from titeica.jet import Jet2
-from titeica.surfaces import EUCLIDEAN, catalog, catalog_names, eval_surface, grid_points
+from titeica.surfaces import EUCLIDEAN, catalog, eval_surface, grid_points
 
 
 def test_construction_rejects_singular():
@@ -98,7 +99,7 @@ def test_action_on_jets_matches_jet2_image(entries):
     # The image is held by repr, which tells -0.0 from 0.0, to the rows times
     # A and to the Jet2 image.
     a = map_of(entries)
-    for name in catalog_names():
+    for name in surface_names():
         s = catalog(name)
         image = apply_map(s, a)
         for x, y in grid_points(s.domain, 13, 11):
@@ -232,14 +233,14 @@ def test_classification_invariant_under_unimodular_maps():
 @pytest.mark.parametrize("entries", MATRICES)
 def test_verify_scaling_matches_four_separate_views(entries):
     a = map_of(entries)
-    for name in catalog_names():
+    for name in surface_names():
         s = catalog(name)
         points = grid_points(s.domain, 13, 11)
         assert list(verify_scaling(s, a, (13, 11), 1e-8).points) == scaling_reference(s, a, points), name
 
 
 @pytest.mark.parametrize("entries", ["2,0,0,0,1,0,0,0,1", MATRICES[1], MATRICES[2], "1.5,0.2,0,0,1,0.3,0.1,0,0.8"])
-@pytest.mark.parametrize("name", catalog_names())
+@pytest.mark.parametrize("name", surface_names())
 def test_plain_tuple_route_matches_the_public_records(name, entries):
     # The grid commands hand plain tuples from the sweep to the pass and the
     # map's image; each row, by repr, is the one the public records give.

@@ -243,6 +243,20 @@ def test_json_report_is_strict_json(capsys):
     assert summary["max_ratio_residual"] is None
 
 
+@pytest.mark.parametrize("argv", [
+    ["catalog"],
+    ["invariants", "--surface", "sphere-origin", "--grid", "5", "4"],
+    ["classify", "--surface", "titeica-xyz", "--grid", "5", "4"],
+    ["transform-check", "--surface", "titeica-xyz", "--matrix", "2,0,0,0,1,0,0,0,1", "--grid", "5", "4"],
+    ["metric-check", "--pair", "half-plane:disk", "--grid", "5", "4"],
+], ids=lambda argv: argv[0])
+def test_a_report_states_each_input_once(argv, capsys):
+    # config holds the inputs of the run, summary its results.
+    assert main([*argv, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["summary"] and set(report["summary"]).isdisjoint(report["config"])
+
+
 BLOCK_NUMPY = """
 import json, sys
 

@@ -19,14 +19,13 @@ import pytest
 
 import frame_reference as ref
 from exact import exact_invariants, relative_error
-from helpers import jet_of_rows, random_polynomial_patch
+from helpers import jet_of_rows, random_polynomial_patch, surface_names
 from titeica.errors import SingularPointError
 from titeica.invariants import identity_residual, point_invariants
 from titeica.surfaces import (
     EUCLIDEAN,
     MINKOWSKI,
     catalog,
-    catalog_names,
     eval_surface,
     grid_points,
 )
@@ -77,14 +76,14 @@ def assert_residual_matches_reference(sj):
         assert outcome(identity_residual, sj, amb) == outcome(reference_residual, sj, amb), amb.name
 
 
-@pytest.mark.parametrize("name", catalog_names())
+@pytest.mark.parametrize("name", surface_names())
 def test_catalog_grid_matches_reference(name):
     s = catalog(name)
     for x, y in grid_points(s.domain, 20, 20):
         assert_matches_reference(eval_surface(s, x, y))
 
 
-@pytest.mark.parametrize("name", catalog_names())
+@pytest.mark.parametrize("name", surface_names())
 def test_identity_residual_matches_reference_forms_on_catalog_grid(name):
     s = catalog(name)
     for x, y in grid_points(s.domain, 30, 30):

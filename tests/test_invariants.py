@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import frame_reference as ref
-from helpers import jet_of_rows, random_polynomial_patch, random_regular_point
+from helpers import jet_of_rows, random_polynomial_patch, random_regular_point, surface_names
 from titeica import CentroAffineMap, classify, invariants, jet, scan_grid, verify_scaling
 from titeica.errors import DomainError, InconclusiveError, SingularPointError
 from titeica.invariants import identity_residual, point_invariants
@@ -14,7 +14,6 @@ from titeica.surfaces import (
     Box,
     SurfaceDef,
     catalog,
-    catalog_names,
     eval_surface,
     grid_points,
 )
@@ -162,7 +161,7 @@ def test_ratio_depends_on_the_form_only_through_its_sign():
     # num / V^4 with num = det(S) (Vx Vy - Vxy^2): the two readings are
     # bitwise negatives, signed zeros included
     jets = [eval_surface(catalog(name), x, y)
-            for name in catalog_names() for x, y in grid_points(catalog(name).domain, 30, 30)]
+            for name in surface_names() for x, y in grid_points(catalog(name).domain, 30, 30)]
     rng = np.random.default_rng(53)
     for _ in range(200):
         s = random_polynomial_patch(rng)

@@ -105,6 +105,12 @@ def _sech(v):
     return 2.0 * e / (1.0 + e * e)
 
 
+def _tanh_slope(v):
+    # jet.tanh's slope, written as it is: 1 - tanh(v)^2 cancels as |v| grows.
+    e = math.exp(-2.0 * abs(v))
+    return 4.0 * e / ((1.0 + e) * (1.0 + e))
+
+
 def power(p):
     """``a ** p`` with the scalar value, slope and curvature of its rule; a
     zero base is refused for p < 0, and a base that is not positive for a
@@ -127,8 +133,7 @@ FUNCTIONS = [
      lambda v: v <= 0.0),
     ("sinh", jet.sinh, math.sinh, math.cosh, math.sinh, None),
     ("cosh", jet.cosh, math.cosh, math.sinh, math.cosh, None),
-    ("tanh", jet.tanh, math.tanh, lambda v: 1.0 - math.tanh(v) ** 2,
-     lambda v: -2.0 * math.tanh(v) * _sech(v) ** 2, None),
+    ("tanh", jet.tanh, math.tanh, _tanh_slope, lambda v: -2.0 * math.tanh(v) * _sech(v) ** 2, None),
     ("atan", jet.atan, math.atan, lambda v: 1.0 / (1.0 + v * v), lambda v: -2.0 * v / (1.0 + v * v) ** 2, None),
     ("atanh", jet.atanh, math.atanh, lambda v: 1.0 / ((1.0 - v) * (1.0 + v)),
      lambda v: 2.0 * v / ((1.0 - v) * (1.0 + v)) ** 2, lambda v: not -1.0 < v < 1.0),
@@ -219,33 +224,19 @@ def check_second_order(j, fn, slope, curvature, refused):
         assert all(near(g, *t) for g, t in zip(got[3:], terms)), (got[3:], terms)
 
 
-# tanh's slope 1 - t*t loses digits to cancellation as |v| grows: its
-# second-order fields are off by 2e-12 at tanh(6).  The accurate form
-# changes the bytes of the pseudosphere goldens, so the fault stands
-# until a change may rewrite those.  atanh's slope is written as
-# 1 / ((1 - v)(1 + v)), which keeps its digits near +-1 (the example at
-# 1 - 2**-30 below).
-CANCELLING = ("tanh",)
-
-
+# atanh's slope is written as 1 / ((1 - v)(1 + v)) and tanh's as
+# 4e / (1 + e)^2 with e = exp(-2|v|), which keep their digits where
+# 1 - v*v and 1 - tanh(v)^2 would cancel: near +-1 for atanh (the example
+# at 1 - 2**-30 below) and as |v| grows for tanh (the examples at 6 and 20).
 @SETTINGS
 @example(Jet2(1.0 - 2.0**-30, 1.0, 1.0))
+@example(Jet2(6.0, 1.0, 1.0))
+@example(Jet2(6.0, 0.0, 0.0, 0.0, 0.0, 1.0))
+@example(Jet2(20.0, 1.0, 1.0))
 @given(finite_jets)
 def test_a_function_is_its_scalar_rule_to_second_order(j):
-    for name, fn, _, slope, curvature, refused in FUNCTIONS:
-        if name not in CANCELLING:
-            check_second_order(j, fn, slope, curvature, refused)
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 17: tanh loses digits to cancellation")
-@pytest.mark.parametrize("row", [f for f in FUNCTIONS if f[0] in CANCELLING], ids=CANCELLING)
-@SETTINGS
-@example(Jet2(6.0, 1.0, 1.0))
-@given(finite_jets)
-def test_a_cancelling_function_is_its_scalar_rule_to_second_order(row, j):
-    name, fn, _, slope, curvature, refused = row
-    check_second_order(j, fn, slope, curvature, refused)
+    for _, fn, _, slope, curvature, refused in FUNCTIONS:
+        check_second_order(j, fn, slope, curvature, refused)
 
 
 @SETTINGS

@@ -7,7 +7,7 @@ import pytest
 
 import frame_reference as ref
 from fdcheck import fd_jet
-from helpers import called, jet_rows, swept
+from helpers import called, jet_rows, surface_names, swept
 from titeica import jet, surfaces
 from titeica.errors import CatalogError, DomainError
 from titeica.jet import Jet2
@@ -18,7 +18,6 @@ from titeica.surfaces import (
     Box,
     SurfaceDef,
     catalog,
-    catalog_names,
     eval_surface,
     grid_points,
 )
@@ -65,7 +64,7 @@ def test_outside_domain_raises_with_box():
 def test_unknown_name_lists_catalog():
     with pytest.raises(CatalogError) as err:
         catalog("moebius")
-    for name in catalog_names():
+    for name in surface_names():
         assert name in str(err.value)
 
 
@@ -121,7 +120,7 @@ def test_monge_structural_pattern_bitwise():
 
 
 def test_every_catalog_entry_is_regular_on_its_grid():
-    for name in catalog_names():
+    for name in surface_names():
         s = catalog(name)
         for x, y in grid_points(s.domain, 10, 10):
             e, f, g, *_ = ref.fundamental_forms(eval_surface(s, x, y), s.ambient)
@@ -156,7 +155,7 @@ def linspace_grid(box, nx, ny):
 
 
 def test_grid_matches_linspace_on_catalog_domains():
-    boxes = [catalog(name).domain for name in catalog_names()]
+    boxes = [catalog(name).domain for name in surface_names()]
     boxes += [catalog(name, R=r).domain for name in ("sphere-origin", "sphere-translated") for r in (1e-3, 2.0)]
     boxes += [box for _, source_box, _, target_box, _ in _PAIRS.values() for box in (source_box, target_box)]
     for box in boxes:
@@ -219,7 +218,7 @@ UNSPLIT = {
     ("sphere-translated", {"c": 2.0}),
 ])
 def test_catalog_rows_match_their_unsplit_coordinates(name, params):
-    assert set(UNSPLIT) == set(catalog_names())
+    assert set(UNSPLIT) == set(surface_names())
     s = catalog(name, **params)
     coords = UNSPLIT[name](**params)
 

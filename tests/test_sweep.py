@@ -17,7 +17,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import called, called_rows, outcome, swept
+from helpers import called, called_rows, outcome, surface_names, swept
 from titeica import jet, surfaces
 from titeica.centroaffine import CentroAffineMap, apply_map, verify_scaling
 from titeica.errors import DomainError
@@ -27,7 +27,6 @@ from titeica.surfaces import (
     Box,
     SurfaceDef,
     catalog,
-    catalog_names,
     eval_surface,
     grid_points,
 )
@@ -40,7 +39,7 @@ def assert_sweep_matches_calls(s, xs, ys):
     assert swept(s, xs, ys) == called(s, xs, ys)
 
 
-@pytest.mark.parametrize("name", catalog_names())
+@pytest.mark.parametrize("name", surface_names())
 def test_catalog_sweep_matches_calls(name):
     s = catalog(name)
     xs, ys = surfaces._grid_axes(s.domain, 37, 23)
@@ -48,7 +47,7 @@ def test_catalog_sweep_matches_calls(name):
         assert_sweep_matches_calls(surface, xs, ys)
 
 
-@pytest.mark.parametrize("name", catalog_names())
+@pytest.mark.parametrize("name", surface_names())
 def test_scan_grid_rows_match_calls(name):
     s = catalog(name)
     assert repr(scan_grid(s, (37, 23))) == repr(called_rows(s, (37, 23)))
@@ -166,11 +165,14 @@ def test_a_plain_mix_must_give_three_jets(count):
 
 def test_a_plain_mix_must_give_jets():
     # A real coordinate unpacks as one of three items, so a call tests the
-    # type of each, and the pass refuses what it cannot unpack as a jet.
+    # type of each, and the pass and the map's image refuse what they cannot
+    # unpack as a jet.
     s = SurfaceDef("p", lambda x, y: (x, y, 1.0), Box(-1.0, 1.0, -1.0, 1.0), EUCLIDEAN)
     a = CentroAffineMap.of([(2.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+    image = apply_map(s, a)
     for run in (lambda: eval_surface(s, 0.5, 0.5), lambda: point_invariants(s.mix(*jet.seed_xy(0.5, 0.5)), EUCLIDEAN),
-                lambda: scan_grid(s, (2, 2)), lambda: verify_scaling(s, a, (2, 2), 1e-8)):
+                lambda: scan_grid(s, (2, 2)), lambda: verify_scaling(s, a, (2, 2), 1e-8),
+                lambda: eval_surface(image, 0.5, 0.5), lambda: scan_grid(image, (2, 2))):
         with pytest.raises(ValueError, match=r"^mix must give three jets, got \(Jet2, Jet2, float\)$"):
             run()
 
