@@ -10,7 +10,9 @@ transform-check  det^-2 scaling law: --surface --param --grid --matrix --tol
 metric-check     pullback equality for a metric pair: --pair --grid --tol
 
 Reports are emitted as text, JSON or CSV; ``config`` echoes only the
-fields the command takes, and ``summary`` holds results alone.  Output
+fields the command takes, the command among them, and ``summary`` holds
+results alone.  A JSON report is ``{"config", "results", "summary"}``,
+and its ``config`` is a --config file that reruns it.  Output
 to a new or regular file is atomic (write to a temporary file, then
 rename); this process's own stdout, a device or a FIFO is written in
 place.  Reports are
@@ -125,14 +127,14 @@ def _validate(config: RunConfig) -> None:
 
 
 # --------------------------------------------------------------------------
-# Command handlers: each returns its report, and imports the modules it
-# runs, so that a process compiles only those
+# Command handlers: each returns its report's columns, rows and summary,
+# and imports the modules it runs, so that a process compiles only those
 
 
 class _Report(NamedTuple):
-    """A report: every row is a tuple under the one header ``columns``."""
+    """A report: the run's config echo, then every row a tuple under the
+    one header ``columns``."""
 
-    command: str
     config: dict
     columns: tuple[str, ...]
     rows: list
@@ -151,7 +153,7 @@ def _cmd_catalog(config: RunConfig):
     for name in pair_names():
         rows.append(("metric-pair", name, "-", "pullback equality check"))
     summary = {"entries": len(rows)}
-    return _report(config, ("kind", "name", "parameters", "description"), rows, summary)
+    return ("kind", "name", "parameters", "description"), rows, summary
 
 
 def _cmd_invariants(config: RunConfig):
@@ -165,14 +167,14 @@ def _cmd_invariants(config: RunConfig):
         "ratio_min": min(ratios, default=None),
         "ratio_max": max(ratios, default=None),
     }
-    return _report(config, PointRecord._fields, records, summary)
+    return PointRecord._fields, records, summary
 
 
 def _cmd_classify(config: RunConfig):
     from .invariants import PointRecord, classify
 
     verdict = classify(catalog(config.surface, **config.params), config.grid, config.tolerance)
-    return _report(config, *_split(verdict, PointRecord))
+    return _split(verdict, PointRecord)
 
 
 def _cmd_transform_check(config: RunConfig):
@@ -184,7 +186,7 @@ def _cmd_transform_check(config: RunConfig):
     except ValueError as exc:
         raise UsageError(f"matrix: {exc}") from exc
     report = verify_scaling(s, a, config.grid, config.tolerance)
-    return _report(config, *_split(report, ScalingPoint))
+    return _split(report, ScalingPoint)
 
 
 def _cmd_metric_check(config: RunConfig):
@@ -198,7 +200,7 @@ def _cmd_metric_check(config: RunConfig):
         "matching_variant": matching[0] if matching else None,
         "passed": bool(matching),
     }
-    return _report(config, ("variant", *AgreePoint._fields), rows, summary)
+    return ("variant", *AgreePoint._fields), rows, summary
 
 
 def _split(report, record):
@@ -208,14 +210,8 @@ def _split(report, record):
     return record._fields, points, dict(zip(report._fields, head))
 
 
-def _report(config: RunConfig, columns, rows, summary) -> _Report:
-    taken = _COMMANDS[config.command].fields
-    settings = {k: list(v) if isinstance(v, tuple) else v for k, v in zip(config._fields, config) if k in taken}
-    return _Report(config.command, settings, columns, rows, summary)
-
-
 class _Command(NamedTuple):
-    handler: Callable[[RunConfig], _Report]
+    handler: Callable[[RunConfig], tuple]  # (columns, rows, summary)
     help: str
     fields: tuple[str, ...]  # the RunConfig fields it takes
 
@@ -301,8 +297,7 @@ def _render_json(report: _Report) -> str:
     cells = _fill(row, ",\n", report, lambda v: value(_finite(v)))
     results = f"[\n{cells}\n  ]" if report.rows else "[]"
     config, summary = (block(_finite(d)).replace("\n", "\n  ") for d in (report.config, report.summary))
-    return (f'{{\n  "command": {value(report.command)},\n  "config": {config},\n'
-            f'  "results": {results},\n  "summary": {summary}\n}}\n')
+    return f'{{\n  "config": {config},\n  "results": {results},\n  "summary": {summary}\n}}\n'
 
 
 def _csv_cell(v) -> str:
@@ -320,10 +315,8 @@ def _render_csv(report: _Report) -> str:
 
 
 def _render_text(report: _Report) -> str:
-    lines = [f"command: {report.command}"]
-    for key, value in report.config.items():
-        if key not in _COMMON and value not in (None, {}, []):
-            lines.append(f"{key}: {value}")
+    lines = [f"{key}: {value}" for key, value in report.config.items()
+             if key not in ("format", "output") and value not in (None, {}, [])]
     if report.rows:
         k, cells = len(report.columns), _cells(report, _fmt)
         # A column is as wide as its header and its longest cell, and at least
@@ -383,7 +376,12 @@ def run(config: RunConfig) -> int:
     """Execute one command and emit its report.  Returns the exit status."""
     try:
         _validate(config)
-        report = _COMMANDS[config.command].handler(config)
+        command = _COMMANDS[config.command]
+        # The config echo, the fields the command takes: a JSON report's
+        # config is the --config file that reruns it.
+        echo = {k: list(v) if isinstance(v, tuple) else v
+                for k, v in zip(config._fields, config) if k in command.fields}
+        report = _Report(echo, *command.handler(config))
         text = _RENDERERS[config.format](report)
         _emit(text, config.output)
         if config.output is not None:

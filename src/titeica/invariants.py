@@ -189,9 +189,9 @@ def classify(
         )
     # Spread relative to the median ratio, so the verdict does not change
     # when the ratio is rescaled (a centro-affine map scales it by 1/det^2).
-    # A zero median has spread 0 if every ratio is 0 and inf otherwise.
+    # A zero median has spread inf: a Titeica surface has K/d^4 = C != 0,
+    # and a developable one, with every ratio 0, is not one.
     # The median is statistics.median's midpoint, float for float.
     median = ratios[n // 2] if n % 2 else (ratios[n // 2 - 1] + ratios[n // 2]) / 2
-    deviation = max(abs(r - median) for r in ratios)
-    spread = deviation / abs(median) if median else (math.inf if deviation else 0.0)
+    spread = max(abs(r - median) for r in ratios) / abs(median) if median else math.inf
     return ClassifyVerdict(spread <= tol, median, spread, n, skipped, tuple(records))

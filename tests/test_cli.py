@@ -113,7 +113,7 @@ def test_cli_classify_json(tmp_path):
     ])
     assert code == 0
     report = read_json(out)
-    assert report["command"] == "classify"
+    assert report["config"]["command"] == "classify"
     assert report["summary"]["is_titeica"] is True
     assert abs(report["summary"]["ratio_constant"] - 1.0) <= 1e-9
     assert len(report["results"]) == 400
@@ -250,11 +250,31 @@ def test_json_report_is_strict_json(capsys):
     ["transform-check", "--surface", "titeica-xyz", "--matrix", "2,0,0,0,1,0,0,0,1", "--grid", "5", "4"],
     ["metric-check", "--pair", "half-plane:disk", "--grid", "5", "4"],
 ], ids=lambda argv: argv[0])
-def test_a_report_states_each_input_once(argv, capsys):
-    # config holds the inputs of the run, summary its results.
+def test_a_report_states_each_input_once(argv, tmp_path, capsys):
+    # config holds the inputs of the run, summary its results, and config
+    # is the --config file that reruns the report byte for byte.
     assert main([*argv, "--format", "json"]) == 0
-    report = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    report = json.loads(text)
+    assert list(report) == ["config", "results", "summary"]
     assert report["summary"] and set(report["summary"]).isdisjoint(report["config"])
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(report["config"]))
+    assert main(["--config", str(cfg)]) == 0
+    assert capsys.readouterr() == (text, "")
+
+
+def test_a_report_written_to_a_file_reruns_from_its_config(tmp_path, capsys):
+    out, cfg = tmp_path / "verdict.json", tmp_path / "run.json"
+    assert main(["classify", "--surface", "sphere-origin", "--format", "json", "--output", str(out)]) == 0
+    written, printed = out.read_bytes(), capsys.readouterr()
+    config = json.loads(written)["config"]
+    assert config["output"] == str(out)
+    cfg.write_text(json.dumps(config))
+    out.unlink()
+    assert main(["--config", str(cfg)]) == 0
+    assert out.read_bytes() == written
+    assert capsys.readouterr() == printed
 
 
 BLOCK_NUMPY = """

@@ -19,8 +19,9 @@ deliberate change of report or help bytes rewrites the file from the new
 output and says why in CHANGES.md.  The directory holds exactly the
 files named in ``GOLDEN``, so an orphaned or unpinned file fails.  Each
 JSON report is laid out as ``json.dumps(..., indent=2)`` lays out its
-content, and every float cell of every report is the shortest text that
-reads back to its float, its ``repr``.
+content and reruns from its own ``config``, and every float cell of
+every report is the shortest text that reads back to its float, its
+``repr``.
 """
 
 import csv
@@ -112,6 +113,16 @@ REPORTS = sorted(name for name in GOLDEN if not name.startswith("help"))
 def test_json_report_is_laid_out_as_json_dumps(name):
     text = golden_text(name)
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", [name for name in REPORTS if name.endswith(".json")])
+def test_json_report_reruns_from_its_config(name, tmp_path, capsys):
+    text = golden_text(name)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(json.loads(text)["config"]))
+    # An all-skipped transform-check fails its check by design.
+    assert main(["--config", str(config)]) == (1 if name == "transform-check-titeica-xyz-small.json" else 0)
+    assert capsys.readouterr().out == text
 
 
 NUMBER = re.compile(r"-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")

@@ -17,6 +17,7 @@ from titeica.surfaces import (
     eval_surface,
     grid_points,
 )
+from titeica.jet import seed_xy
 
 
 def test_forms_plane():
@@ -264,6 +265,53 @@ def test_parametrization_independence_of_sphere():
         assert abs(p.K - q.K) <= 1e-9
         assert abs(p.d - q.d) <= 1e-9
         assert abs(p.ratio - q.ratio) <= 1e-9
+
+
+def warp(a, b):
+    """A diffeomorphism of the parameter plane near each catalog box, of
+    the jets ``a`` and ``b``: det J = 1 - 0.0012 b cos a."""
+    return a + 0.02 * b * b, b + 0.03 * jet.sin(a)
+
+
+@pytest.mark.parametrize("name", [n for n in surface_names() if n != "plane"])
+def test_ratio_is_unchanged_by_a_reparametrization(name):
+    # V_ij becomes det J J^T V J and V becomes det J V, so num / V^4 is a
+    # point function of the surface; num / V^3 would change by det J.
+    s = catalog(name)
+    xpart, ypart = s.xpart or (lambda u: (u,)), s.ypart or (lambda v: (v,))
+
+    def mix(a, b):
+        u, v = warp(a, b)
+        return s.mix(*xpart(u), *ypart(v))
+
+    warped = SurfaceDef(name, mix, s.domain, s.ambient)
+    matched = 0
+    for a, b in grid_points(s.domain, 5, 5):
+        u, v = (w.val for w in warp(*seed_xy(a, b)))
+        if not s.domain.contains(u, v):
+            continue
+        try:
+            q = point_invariants(eval_surface(s, u, v), s.ambient)
+        except SingularPointError:  # the paraboloid's vertex, whose tangent plane holds the origin
+            continue
+        p = point_invariants(eval_surface(warped, a, b), s.ambient)
+        assert abs(p.ratio - q.ratio) <= 1e-13 * abs(q.ratio)
+        matched += 1
+    assert matched >= 15
+
+
+@pytest.mark.parametrize("height", [
+    lambda x, y: x * x + 1.0,
+    lambda x, y: jet.exp(x + y),
+    lambda x, y: jet.sqrt(x * x + y * y) + 1.0,
+], ids=["cylinder", "exp", "cone"])
+def test_a_developable_surface_is_not_titeica(height):
+    # K = 0 at every point and the tangent planes miss the origin, so every
+    # ratio is 0 or rounding noise; Titeica's surfaces have K/d^4 = C != 0.
+    s = SurfaceDef("developable", lambda x, y: (x, y, height(x, y)), Box(-1, 1, -1, 1), EUCLIDEAN)
+    verdict = classify(s)
+    assert verdict.points_evaluated == 400
+    assert not verdict.is_titeica
 
 
 def test_saddle_has_negative_ratio():
