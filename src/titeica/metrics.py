@@ -9,8 +9,12 @@ value a jet quotient forms, so both give the same values.  A pair is
 a row of ``_PAIRS``: a source metric and a target metric, each with the
 box the pair samples or admits it on, and one or more labelled variants
 of the coordinate change from the source's coordinates to the target's.
-:func:`check_pair` verifies numerically that pulling the target back
-through each change reproduces the source.
+A change is written as a surface is (``surfaces.SurfaceDef``): one-axis
+parts of seeded jets and a ``mix`` of them that gives the two target
+coordinates.  :func:`check_pair` verifies numerically that pulling the
+target back through each change reproduces the source; like the sweep of
+the other grid commands, it runs each part once per axis value and only
+``mix`` and the pullback at each point.
 
 The disk <-> hyperboloid change ships in two variants, one mapping the
 disk radius r to 2 atanh(r) and one mapping it to 2 atanh(r^2); both are
@@ -23,8 +27,8 @@ from typing import NamedTuple
 
 from . import _NAMES, jet
 from .errors import CatalogError, DomainError, SingularPointError
-from .jet import Jet2, _new, seed_xy
-from .surfaces import Box, grid_points
+from .jet import Jet2, _new
+from .surfaces import Box, _grid_axes, _squared
 
 __all__ = list(_NAMES["metrics"])
 
@@ -37,11 +41,11 @@ class AgreePoint(NamedTuple):
     diff_g22: float
 
 
-def _pullback(target: str, target_box: Box, mapping, x: float, y: float) -> tuple[float, float, float]:
+def _pullback(target: str, target_box: Box, u: Jet2, v: Jet2, x: float, y: float) -> tuple[float, float, float]:
     """Components at (x, y) of the metric induced from ``target`` through
-    the coordinate change: J^T G(phi(p)) J, with J the Jacobian of phi
-    read off its jets and G the target's formula on the floats phi(p)."""
-    u, v = mapping(*seed_xy(x, y))
+    a coordinate change whose jets there are ``u`` and ``v``: J^T G J,
+    with J the Jacobian read off the jets and G the target's formula on
+    their values."""
     if not target_box.contains(u.val, v.val):
         raise DomainError(f"image ({u.val:g}, {v.val:g}) of ({x:g}, {y:g}) "
                           f"lies outside domain {target_box.describe()} of metric '{target}'")
@@ -59,26 +63,38 @@ def check_pair(name: str, grid: tuple[int, int], tol: float) -> tuple[tuple[str,
     the pair's source box: one (label, points, max_diff, passed) tuple per
     variant, with the max componentwise difference between the source
     metric and the pullback of the target.  The source metric is evaluated
-    once per point and shared by the variants.  A difference that is not a
-    number makes the variant's ``max_diff`` NaN and the variant fail."""
+    once per point and shared by the variants.  A variant walks the grid's
+    two axes as ``surfaces._sweep`` does: its x part runs once before the
+    first point, its y part at the start of each row and its ``mix`` with
+    ``_pullback`` at each point, in ``grid_points``' order; a part's error
+    propagates where the part runs.  A difference that is not a number
+    makes the variant's ``max_diff`` NaN and the variant fail."""
     entry = _PAIRS.get(name)
     if entry is None:
         raise CatalogError(f"unknown metric pair '{name}'; available: {', '.join(sorted(_PAIRS))}")
     source, source_box, target, target_box, changes = entry
     components = _METRICS[source][0]
-    samples = [(x, y, *components(x, y, math)) for x, y in grid_points(source_box, *grid)]
+    xs, ys = _grid_axes(source_box, *grid)
+    samples = [[components(x, y, math) for x in xs] for y in ys]
+    xseeds = [_new(Jet2, (x, 1.0, 0.0, 0.0, 0.0, 0.0)) for x in xs]  # the seeds of seed_xy, without a call
+    yseeds = [_new(Jet2, (y, 0.0, 1.0, 0.0, 0.0, 0.0)) for y in ys]
     variants = []
-    for label, mapping in changes:
+    for label, mix, *parts in changes:
+        xpart, ypart = parts or (None, None)
+        line = list(zip(xs, map(xpart, xseeds) if xpart else zip(xseeds)))
         rows = []
         worst = 0.0
-        for x, y, r11, r12, r22 in samples:
-            c11, c12, c22 = _pullback(target, target_box, mapping, x, y)
-            d11, d12, d22 = abs(c11 - r11), abs(c12 - r12), abs(c22 - r22)
-            # max() never picks a NaN, but keeps one it starts from
-            worst = max(worst, d11, d12, d22)
-            if math.isnan(d11 + d12 + d22):
-                worst = math.nan
-            rows.append(_new(AgreePoint, (x, y, d11, d12, d22)))
+        for y, sy, row in zip(ys, yseeds, samples):
+            b = ypart(sy) if ypart else (sy,)
+            for (x, a), (r11, r12, r22) in zip(line, row):
+                u, v = mix(*a, *b)
+                c11, c12, c22 = _pullback(target, target_box, u, v, x, y)
+                d11, d12, d22 = abs(c11 - r11), abs(c12 - r12), abs(c22 - r22)
+                # max() never picks a NaN, but keeps one it starts from
+                worst = max(worst, d11, d12, d22)
+                if math.isnan(d11 + d12 + d22):
+                    worst = math.nan
+                rows.append(_new(AgreePoint, (x, y, d11, d12, d22)))
         variants.append((label, tuple(rows), worst, worst <= tol))
     return tuple(variants)
 
@@ -124,25 +140,24 @@ def metric_entries() -> list[tuple[str, str]]:
     return [(n, _METRICS[n][1]) for n in sorted(_METRICS)]
 
 
-def _to_half_plane(x1: Jet2, x2: Jet2):
-    return x1, 1.0 / jet.sin(x2)
+def _to_disk(tx, xx, omxx, omy2, yy):
+    # (2x, 1 - x^2 - y^2) / (x^2 + (1 - y)^2)
+    denom = xx + omy2
+    return tx / denom, (omxx - yy) / denom
 
 
-def _to_disk(x: Jet2, y: Jet2):
-    denom = x * x + (1.0 - y) * (1.0 - y)
-    return (2.0 * x) / denom, (1.0 - x * x - y * y) / denom
+def _to_hyperboloid_radius(y1, y1s, y2, y2s):
+    return 2.0 * jet.atanh(jet.sqrt(y1s + y2s)), jet.atan(y2 / y1)
 
 
-def _to_hyperboloid_radius(y1: Jet2, y2: Jet2):
-    r = jet.sqrt(y1 * y1 + y2 * y2)
-    return 2.0 * jet.atanh(r), jet.atan(y2 / y1)
+def _to_hyperboloid_squared(y1, y1s, y2, y2s):
+    return 2.0 * jet.atanh(y1s + y2s), jet.atan(y2 / y1)
 
 
-def _to_hyperboloid_squared(y1: Jet2, y2: Jet2):
-    return 2.0 * jet.atanh(y1 * y1 + y2 * y2), jet.atan(y2 / y1)
-
-
-# name -> (source, source box, target, target box, (label, change) variants).
+# name -> (source, source box, target, target box, variants).  A variant is
+# (label, mix, xpart, ypart), or (label, mix) where both parts are the
+# seeds; a part gives the jets that depend on its seed alone, and a missing
+# (None) part is the seed alone.
 # A target box is just large enough to cover the image of the sampled
 # source box.  The half-plane -> disk map sends the sampled strip to the
 # exterior of the unit circle, where the disk formula is still regular and
@@ -150,15 +165,17 @@ def _to_hyperboloid_squared(y1: Jet2, y2: Jet2):
 _PAIRS = {
     "pseudosphere:half-plane": (
         "pseudosphere", Box(0.1, 3.0, 0.3, 1.2), "half-plane", Box(0.05, 3.05, 1.0, 3.5),
-        (("standard", _to_half_plane),),
+        (("standard", lambda x1, v: (x1, v), None, lambda x2: (1.0 / jet.sin(x2),)),),
     ),
     "half-plane:disk": (
         "half-plane", Box(-1.0, 1.0, 1.5, 3.0), "disk", Box(-2.1, 2.1, -5.3, -1.6),
-        (("standard", _to_disk),),
+        (("standard", _to_disk, lambda x: (2.0 * x, x * x, 1.0 - x * x),
+          lambda y: ((1.0 - y) * (1.0 - y), y * y)),),
     ),
     "disk:minkowski-sphere": (
         "disk", Box(0.15, 0.55, 0.15, 0.55), "minkowski-sphere", Box(0.05, 2.2, 0.1, 1.5),
-        (("radius", _to_hyperboloid_radius), ("squared-radius", _to_hyperboloid_squared)),
+        (("radius", _to_hyperboloid_radius, _squared, _squared),
+         ("squared-radius", _to_hyperboloid_squared, _squared, _squared)),
     ),
 }
 

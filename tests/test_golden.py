@@ -6,11 +6,12 @@ so their bytes do not depend on the platform's math library: the
 catalog, classify and transform-check on titeica-xyz, invariants on
 sphere-origin (at R = 2, and at R = 1e100 in CSV and JSON, where every
 row is skipped with an underflowing K/d^4), transform-check on the
-paraboloid and the half-plane to disk pullback.  The other six pin the
-jet paths through ``sin``, ``cos``, ``sinh``, ``cosh``, ``tanh``,
+paraboloid and the half-plane to disk pullback.  The other seven pin
+the jet paths through ``sin``, ``cos``, ``sinh``, ``cosh``, ``tanh``,
 ``atan`` and ``atanh``: classify and transform-check on the
-pseudosphere, invariants and transform-check on the Minkowski sphere and
-the disk-to-hyperboloid pullback in CSV and JSON.
+pseudosphere, invariants and transform-check on the Minkowski sphere,
+the pseudosphere-to-half-plane pullback in text and the
+disk-to-hyperboloid pullback in CSV and JSON.
 Their last digits follow the C library's ``libm`` (they were written
 with glibc on x86-64).  The six ``help*.txt`` files pin the ``--help``
 text of the parser and of each subcommand at 80 columns; their layout
@@ -51,6 +52,10 @@ GOLDEN = {
     ],
     "metric-check-half-plane-disk.json": [
         "metric-check", "--pair", "half-plane:disk", "--format", "json", "--grid", "3", "3",
+    ],
+    # README's pseudosphere to half-plane check, in text
+    "metric-check-pseudosphere-half-plane.txt": [
+        "metric-check", "--pair", "pseudosphere:half-plane", "--tol", "1e-9", "--grid", "5", "4",
     ],
     "classify-pseudosphere.json": [
         "classify", "--surface", "pseudosphere", "--format", "json", "--grid", "5", "4",

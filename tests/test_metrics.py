@@ -11,8 +11,8 @@ from titeica.cli import main
 from titeica.errors import CatalogError, DomainError, SingularPointError
 from titeica.invariants import point_invariants
 from titeica.jet import Jet2, seed_xy
-from titeica.metrics import _METRICS, _PAIRS, _pullback, check_pair, pair_names
-from titeica.surfaces import MINKOWSKI, Box, catalog, eval_surface, grid_points
+from titeica.metrics import _METRICS, _PAIRS, AgreePoint, _pullback, check_pair, pair_names
+from titeica.surfaces import MINKOWSKI, Box, _grid_axes, catalog, eval_surface, grid_points
 
 PSEUDOSPHERE_BOX = Box(0.1, 3.0, 0.3, 1.2)
 HALF_PLANE_BOX = Box(-1.0, 1.0, 0.5, 3.0)
@@ -21,6 +21,16 @@ HALF_PLANE_BOX = Box(-1.0, 1.0, 0.5, 3.0)
 def values(name, x, y):
     """The components of the catalog metric ``name`` at (x, y), as floats."""
     return _METRICS[name][0](float(x), float(y), math)
+
+
+def change_jets(change, x, y):
+    """The jets (u, v) at (x, y) of the change variant ``change``, one point
+    at a time: its parts on the seeds of ``seed_xy``, a missing part the
+    seed alone, then its ``mix``."""
+    _, mix, *parts = change
+    xpart, ypart = parts or (None, None)
+    sx, sy = seed_xy(x, y)
+    return mix(*(xpart(sx) if xpart else (sx,)), *(ypart(sy) if ypart else (sy,)))
 
 
 def test_flat_metric_has_zero_curvature():
@@ -76,12 +86,12 @@ def test_a_metric_is_one_formula_on_floats_and_on_jets(name):
 
 def test_pullback_through_identity():
     for p in grid_points(PSEUDOSPHERE_BOX, 5, 5):
-        pulled = _pullback("pseudosphere", PSEUDOSPHERE_BOX, lambda x, y: (x, y), *p)
+        pulled = _pullback("pseudosphere", PSEUDOSPHERE_BOX, *seed_xy(*p), *p)
         for a, b in zip(values("pseudosphere", *p), pulled):
             assert abs(a - b) <= 1e-14
     # (x, y) -> (x, y0) keeps the image inside but collapses the second direction
     with pytest.raises(SingularPointError) as err:
-        _pullback("pseudosphere", PSEUDOSPHERE_BOX, lambda x, y: (x, Jet2(0.5)), 1.5, 0.4)
+        _pullback("pseudosphere", PSEUDOSPHERE_BOX, seed_xy(1.5, 0.4)[0], Jet2(0.5), 1.5, 0.4)
     assert str(err.value) == "coordinate change into metric 'pseudosphere' has singular Jacobian at (1.5, 0.4)"
 
 
@@ -104,20 +114,20 @@ def test_disk_change_variants_are_distinguished():
 
 
 def test_pullback_domain_error_carries_both_points():
-    change = _PAIRS["pseudosphere:half-plane"][4][0][1]  # its image leaves this small box
+    change = _PAIRS["pseudosphere:half-plane"][4][0]  # its image leaves this small box
     with pytest.raises(DomainError) as err:
-        _pullback("half-plane", HALF_PLANE_BOX, change, 2.9, 0.35)
+        _pullback("half-plane", HALF_PLANE_BOX, *change_jets(change, 2.9, 0.35), 2.9, 0.35)
     msg = str(err.value)
     assert "image" in msg and "(2.9, 0.35)" in msg
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda change: _pullback("half-plane", HALF_PLANE_BOX, change, -5.0, 0.5),
+    (lambda change: _pullback("half-plane", HALF_PLANE_BOX, *change_jets(change, -5.0, 0.5), -5.0, 0.5),
      "image (-5, 2.08583) of (-5, 0.5) lies outside domain [-1, 1] x [0.5, 3] of metric 'half-plane'"),
 ], ids=["pullback"])
 def test_point_outside_domain_names_the_box_and_its_owner(call, message):
     with pytest.raises(DomainError) as err:
-        call(_PAIRS["pseudosphere:half-plane"][4][0][1])
+        call(_PAIRS["pseudosphere:half-plane"][4][0])
     assert str(err.value) == message
 
 
@@ -155,18 +165,89 @@ def test_metric_check_reports_a_singular_change_as_a_verification_error(monkeypa
 
 @pytest.mark.parametrize("name", pair_names())
 def test_check_pair_rows_equal_direct_pullbacks(name):
+    # The two-axis walk against the change evaluated point by point.
     source, source_box, target, target_box, changes = _PAIRS[name]
-    variants = check_pair(name, (13, 11), 1e-8)
-    grid = grid_points(source_box, 13, 11)
-    assert [label for label, *_ in variants] == [label for label, _ in changes]
-    for (_, points, worst, passed), (_, mapping) in zip(variants, changes):
-        rows = []
-        for p in grid:
-            pulled = _pullback(target, target_box, mapping, *p)
-            rows.append((*p, *(abs(c - r) for c, r in zip(pulled, values(source, *p)))))
-        assert points == tuple(rows)
-        assert worst == max(max(row[2:]) for row in rows)
-        assert passed is (worst <= 1e-8)
+    for grid in (13, 11), (2, 2):
+        variants = check_pair(name, grid, 1e-8)
+        assert [label for label, *_ in variants] == [label for label, *_ in changes]
+        for (_, rows, worst, passed), change in zip(variants, changes):
+            expected = []
+            for p in grid_points(source_box, *grid):
+                pulled = _pullback(target, target_box, *change_jets(change, *p), *p)
+                expected.append(AgreePoint(*p, *(abs(c - r) for c, r in zip(pulled, values(source, *p)))))
+            assert repr(rows) == repr(tuple(expected)), grid
+            assert worst == max(max(row[2:]) for row in expected)
+            assert passed is (worst <= 1e-8)
+
+
+# Each catalog change as one formula in the seeds: the reference that its
+# one-axis parts and mix must reproduce to the bit.
+WHOLE_CHANGES = {
+    ("pseudosphere:half-plane", "standard"): lambda x1, x2: (x1, 1.0 / jet.sin(x2)),
+    ("half-plane:disk", "standard"): lambda x, y: (
+        (2.0 * x) / (x * x + (1.0 - y) * (1.0 - y)), (1.0 - x * x - y * y) / (x * x + (1.0 - y) * (1.0 - y))),
+    ("disk:minkowski-sphere", "radius"): lambda y1, y2: (
+        2.0 * jet.atanh(jet.sqrt(y1 * y1 + y2 * y2)), jet.atan(y2 / y1)),
+    ("disk:minkowski-sphere", "squared-radius"): lambda y1, y2: (
+        2.0 * jet.atanh(y1 * y1 + y2 * y2), jet.atan(y2 / y1)),
+}
+
+
+@pytest.mark.parametrize("name, label", sorted(WHOLE_CHANGES))
+def test_a_split_change_is_its_whole_formula(name, label):
+    # The parts and the mix run the jet operations of the whole change on
+    # the same operands in the same order, so every jet is the same to the bit.
+    change, = (c for c in _PAIRS[name][4] if c[0] == label)
+    for p in grid_points(_PAIRS[name][1], 13, 11):
+        assert repr(change_jets(change, *p)) == repr(WHOLE_CHANGES[name, label](*seed_xy(*p))), p
+
+
+def test_check_pair_runs_each_part_once_per_axis_value(monkeypatch):
+    # Each part runs once per axis value and variant, a mix once per point
+    # and variant; a change without parts gets the two seeds of the point.
+    calls = []
+
+    def part(axis):
+        def run(s):
+            calls.append((axis, s))
+            return (s,)
+        return run
+
+    def mix(label):
+        def run(x, y):
+            calls.append((label, x, y))
+            return x, y
+        return run
+
+    changes = (("split", mix("split"), part("x"), part("y")), ("whole", mix("whole")))
+    add_pair(monkeypatch, "flat:flat", ("flat", FLAT_BOX, "flat", FLAT_BOX, changes), flat=flat_components)
+    variants = check_pair("flat:flat", (4, 3), 1e-12)
+    assert [label for label, _, _, passed in variants if passed] == ["split", "whole"]
+    xs, ys = _grid_axes(FLAT_BOX, 4, 3)
+    seeds = [seed_xy(x, y) for y in ys for x in xs]
+    split = [("x", sx) for sx, _ in seeds[:4]]
+    for j in range(3):
+        split += [("y", seeds[4 * j][1])] + [("split", *s) for s in seeds[4 * j:4 * j + 4]]
+    assert repr(calls) == repr(split + [("whole", *s) for s in seeds])
+
+
+def test_a_part_error_propagates_before_the_first_point(monkeypatch):
+    mixed = []
+
+    def xpart(s):
+        if s.val > 0.0:
+            raise DomainError(f"x part undefined at {s.val:g}")
+        return (s,)
+
+    def mix(x, y):
+        mixed.append((x, y))
+        return x, y
+
+    add_pair(monkeypatch, "flat:flat", ("flat", FLAT_BOX, "flat", FLAT_BOX, (("guarded", mix, xpart, None),)),
+             flat=flat_components)
+    with pytest.raises(DomainError, match=r"^x part undefined at 0\.98$"):
+        check_pair("flat:flat", (2, 2), 1e-12)
+    assert mixed == []
 
 
 def test_check_pair_evaluates_the_source_once_per_point(monkeypatch):
@@ -206,11 +287,10 @@ def test_curvature_is_a_pullback_invariant():
     rng = np.random.default_rng(53)
     for name in ("pseudosphere:half-plane", "half-plane:disk", "disk:minkowski-sphere"):
         source, box, target, _, changes = _PAIRS[name]
-        label, mapping = changes[0]
         for _ in range(50):
             x = float(rng.uniform(box.x0 + 0.02 * (box.x1 - box.x0), box.x1 - 0.02 * (box.x1 - box.x0)))
             y = float(rng.uniform(box.y0 + 0.02 * (box.y1 - box.y0), box.y1 - 0.02 * (box.y1 - box.y0)))
-            u, v = mapping(*seed_xy(x, y))
+            u, v = change_jets(changes[0], x, y)
             k_source = brioschi_curvature(_METRICS[source][0], x, y)
             k_target = brioschi_curvature(_METRICS[target][0], u.val, v.val)
             assert abs(k_source - k_target) <= 1e-6, name
