@@ -14,10 +14,9 @@ class DomainError(GeometryError, ValueError):
 
 
 class SingularPointError(GeometryError):
-    """A quantity is undefined at this point: a degenerate tangent plane,
-    a null or non-finite normal, a tangent plane through the origin, a
-    K/d^4 that is not finite or underflows, or a coordinate change with
-    a singular Jacobian.
+    """A quantity is undefined at this point of a surface: a degenerate
+    tangent plane, a null or non-finite normal, a tangent plane through
+    the origin, or a K/d^4 that is not finite or underflows.
     A grid sweep records such a point as skipped, with the message as
     its reason."""
 

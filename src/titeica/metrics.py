@@ -12,9 +12,9 @@ of the coordinate change from the source's coordinates to the target's.
 A change is written as a surface is (``surfaces.SurfaceDef``): one-axis
 parts of seeded jets and a ``mix`` of them that gives the two target
 coordinates.  :func:`check_pair` verifies numerically that pulling the
-target back through each change reproduces the source; like the sweep of
-the other grid commands, it runs each part once per axis value and only
-``mix`` and the pullback at each point.
+target back through each change reproduces the source; it sweeps each
+change over the source box with ``surfaces._sweep``, the walk of the
+other grid commands, and :func:`_pullback` at each point.
 
 The disk <-> hyperboloid change ships in two variants, one mapping the
 disk radius r to 2 atanh(r) and one mapping it to 2 atanh(r^2); both are
@@ -26,9 +26,9 @@ import math
 from typing import NamedTuple
 
 from . import _NAMES, jet
-from .errors import CatalogError, DomainError, SingularPointError
-from .jet import Jet2, _new
-from .surfaces import Box, _grid_axes, _squared
+from .errors import CatalogError, DomainError, GeometryError
+from .jet import _new
+from .surfaces import Box, SurfaceDef, _grid_axes, _squared, _sweep
 
 __all__ = list(_NAMES["metrics"])
 
@@ -41,21 +41,31 @@ class AgreePoint(NamedTuple):
     diff_g22: float
 
 
-def _pullback(target: str, target_box: Box, u: Jet2, v: Jet2, x: float, y: float) -> tuple[float, float, float]:
-    """Components at (x, y) of the metric induced from ``target`` through
-    a coordinate change whose jets there are ``u`` and ``v``: J^T G J,
+def _pullback(target: str, target_box: Box, source: dict):
+    """The per-point ``evaluate`` of a sweep of a coordinate change into
+    ``target``: at (x, y), given the change's jets (u, v) there, the
+    AgreePoint of the source components ``source[x, y]`` against J^T G J,
     with J the Jacobian read off the jets and G the target's formula on
-    their values."""
-    if not target_box.contains(u.val, v.val):
-        raise DomainError(f"image ({u.val:g}, {v.val:g}) of ({x:g}, {y:g}) "
-                          f"lies outside domain {target_box.describe()} of metric '{target}'")
-    if abs(u.dx * v.dy - u.dy * v.dx) <= 1e-12:
-        raise SingularPointError(f"coordinate change into metric '{target}' has singular Jacobian at ({x:g}, {y:g})")
-    g11, g12, g22 = _METRICS[target][0](u.val, v.val, math)
-    h11 = g11 * u.dx * u.dx + 2.0 * g12 * u.dx * v.dx + g22 * v.dx * v.dx
-    h12 = g11 * u.dx * u.dy + g12 * (u.dx * v.dy + u.dy * v.dx) + g22 * v.dx * v.dy
-    h22 = g11 * u.dy * u.dy + 2.0 * g12 * u.dy * v.dy + g22 * v.dy * v.dy
-    return h11, h12, h22
+    their values.  An image outside ``target_box`` raises DomainError; a
+    singular Jacobian raises GeometryError, since no check can be made
+    there."""
+    formula = _METRICS[target][0]
+
+    def pullback(x, y, uv):
+        u, v = uv
+        if not target_box.contains(u.val, v.val):
+            raise DomainError(f"image ({u.val:g}, {v.val:g}) of ({x:g}, {y:g}) "
+                              f"lies outside domain {target_box.describe()} of metric '{target}'")
+        if abs(u.dx * v.dy - u.dy * v.dx) <= 1e-12:
+            raise GeometryError(f"coordinate change into metric '{target}' has singular Jacobian at ({x:g}, {y:g})")
+        g11, g12, g22 = formula(u.val, v.val, math)
+        h11 = g11 * u.dx * u.dx + 2.0 * g12 * u.dx * v.dx + g22 * v.dx * v.dx
+        h12 = g11 * u.dx * u.dy + g12 * (u.dx * v.dy + u.dy * v.dx) + g22 * v.dx * v.dy
+        h22 = g11 * u.dy * u.dy + 2.0 * g12 * u.dy * v.dy + g22 * v.dy * v.dy
+        r11, r12, r22 = source[x, y]
+        return _new(AgreePoint, (x, y, abs(h11 - r11), abs(h12 - r12), abs(h22 - r22)))
+
+    return pullback
 
 
 def check_pair(name: str, grid: tuple[int, int], tol: float) -> tuple[tuple[str, tuple[AgreePoint, ...], float, bool], ...]:
@@ -63,38 +73,26 @@ def check_pair(name: str, grid: tuple[int, int], tol: float) -> tuple[tuple[str,
     the pair's source box: one (label, points, max_diff, passed) tuple per
     variant, with the max componentwise difference between the source
     metric and the pullback of the target.  The source metric is evaluated
-    once per point and shared by the variants.  A variant walks the grid's
-    two axes as ``surfaces._sweep`` does: its x part runs once before the
-    first point, its y part at the start of each row and its ``mix`` with
-    ``_pullback`` at each point, in ``grid_points``' order; a part's error
-    propagates where the part runs.  A difference that is not a number
-    makes the variant's ``max_diff`` NaN and the variant fail."""
+    once per point and shared by the variants.  Each variant is one
+    ``surfaces._sweep`` of the change over the source box, with
+    :func:`_pullback` at each point, so its parts run once per axis value
+    and its errors propagate.  A difference that is not a number makes the
+    variant's ``max_diff`` NaN and the variant fail."""
     entry = _PAIRS.get(name)
     if entry is None:
         raise CatalogError(f"unknown metric pair '{name}'; available: {', '.join(sorted(_PAIRS))}")
     source, source_box, target, target_box, changes = entry
     components = _METRICS[source][0]
     xs, ys = _grid_axes(source_box, *grid)
-    samples = [[components(x, y, math) for x in xs] for y in ys]
-    xseeds = [_new(Jet2, (x, 1.0, 0.0, 0.0, 0.0, 0.0)) for x in xs]  # the seeds of seed_xy, without a call
-    yseeds = [_new(Jet2, (y, 0.0, 1.0, 0.0, 0.0, 0.0)) for y in ys]
+    pullback = _pullback(target, target_box, {(x, y): components(x, y, math) for y in ys for x in xs})
     variants = []
     for label, mix, *parts in changes:
-        xpart, ypart = parts or (None, None)
-        line = list(zip(xs, map(xpart, xseeds) if xpart else zip(xseeds)))
-        rows = []
-        worst = 0.0
-        for y, sy, row in zip(ys, yseeds, samples):
-            b = ypart(sy) if ypart else (sy,)
-            for (x, a), (r11, r12, r22) in zip(line, row):
-                u, v = mix(*a, *b)
-                c11, c12, c22 = _pullback(target, target_box, u, v, x, y)
-                d11, d12, d22 = abs(c11 - r11), abs(c12 - r12), abs(c22 - r22)
-                # max() never picks a NaN, but keeps one it starts from
-                worst = max(worst, d11, d12, d22)
-                if math.isnan(d11 + d12 + d22):
-                    worst = math.nan
-                rows.append(_new(AgreePoint, (x, y, d11, d12, d22)))
+        # A change has no ambient form, and nothing here raises SingularPointError.
+        rows = _sweep(SurfaceDef(label, mix, source_box, None, *parts), xs, ys, pullback, None)
+        _, _, *diffs = zip(*rows)
+        worst = max(map(max, diffs))
+        if math.isnan(sum(map(sum, diffs))):  # max() may pass over a NaN
+            worst = math.nan
         variants.append((label, tuple(rows), worst, worst <= tol))
     return tuple(variants)
 

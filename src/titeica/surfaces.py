@@ -142,10 +142,11 @@ def _not_jets(coordinates) -> ValueError:
 def _sweep(s: SurfaceDef, xs, ys, evaluate, record) -> list:
     """The one walk of a grid command over the axes ``xs`` and ``ys``
     (from ``_grid_axes``, inside the box) of ``s``: for each y, for each
-    x, ``evaluate(x, y, jets)`` with the plain triple of jets that
-    ``eval_surface(s, x, y)`` returns.  Each x part runs once before the
-    first point, each y part at the start of its row, and ``mix`` at each
-    point; a part's error propagates where it runs.  A point that raises
+    x, ``evaluate(x, y, jets)`` with what ``mix`` returns there, for a
+    surface the jets that ``eval_surface(s, x, y)`` returns; ``evaluate``
+    unpacks them.  Each x part runs once before the first point, each y
+    part at the start of its row, and ``mix`` at each point; a part's
+    error propagates where it runs.  A point that raises
     SingularPointError becomes ``record(x, y, skipped=<the error's
     message>)``; other errors propagate."""
     xpart, ypart, mix = s.xpart, s.ypart, s.mix
@@ -158,8 +159,7 @@ def _sweep(s: SurfaceDef, xs, ys, evaluate, record) -> list:
         b = ypart(sy) if ypart else (sy,)
         for x, a in line:
             try:
-                cx, cy, cz = mix(*a, *b)
-                append(evaluate(x, y, (cx, cy, cz)))
+                append(evaluate(x, y, mix(*a, *b)))
             except SingularPointError as exc:
                 append(record(x, y, skipped=str(exc)))
     return rows

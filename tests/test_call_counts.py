@@ -28,18 +28,23 @@ record.  A mapped pseudosphere point at 20 x 20 adds the three jets of
 ``act``, 6.4 in all; its bound fails if ``act`` wraps them in a record
 again (7.4).  Each bound is the ceiling of its count.
 
-``check_pair`` evaluates the source metric once per point, and walks
-the grid's two axes as the sweep does: it runs each one-axis part of a
-coordinate change once per axis value and variant, and at a point only
-the change's ``mix`` and one ``_pullback``, which evaluates the target's
-formula on floats with ``math``.  Its counts at 20 x 20 are 5.37, 11.77
-and 29.47 on CPython 3.10.13 and 3.11.7, 5.3075, 11.7075 and 29.4075 on
-3.12.1 and 3.13.0 (11.02, 24.02 and 35.02 on 3.11 when the whole change
-ran at every point, 29.0175, 43.0175 and 61.0175 when each metric
-component was a jet as well), and each bound is the largest rounded up.
-Its records per point, the same on all four, are 1.2, 5.5 and 13.3
-(5, 15 and 21 per point, 18, 29 and 42 on jets): one ``AgreePoint`` per
-variant and the jets of ``mix``.
+``check_pair`` evaluates the source metric once per point, and sweeps
+each coordinate change with ``surfaces._sweep``: it runs each one-axis
+part of a change once per axis value and variant, and at a point only
+the change's ``mix`` and the per-point function that ``_pullback``
+returns, which evaluates the target's formula on floats with ``math``
+and looks the source up by the point.
+Its counts at 20 x 20 are 5.325, 11.725 and 29.4325 on CPython 3.10.13
+and 3.11.7, 5.315, 11.715 and 29.42 on 3.12.1 and 3.13.0 (5.37,
+11.77 and 29.47 on 3.11 when ``check_pair`` walked the grid in its own
+loop, 11.02, 24.02 and 35.02 when the whole change ran at every point,
+29.0175, 43.0175 and 61.0175 when each metric component was a jet as
+well), and each bound is the largest rounded up.
+Its records per point, the same on all four, are 1.2025, 5.5025 and
+13.405 (1.2, 5.5 and 13.3 in its own loop, 5, 15 and 21 per point
+before, 18, 29 and 42 on jets): one ``AgreePoint`` per variant and the
+jets of ``mix``, and per variant the seeds of its sweep and its
+``SurfaceDef``.
 """
 
 import sys

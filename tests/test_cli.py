@@ -660,6 +660,17 @@ def test_readme_command_lines_exit_zero(tmp_path, monkeypatch):
     assert read_json(tmp_path / "verdict.json")["summary"]["is_titeica"] is True
 
 
+def test_readme_performance_lists_every_bench_file():
+    # "The files are ..." under "Performance" lists exactly the BENCH_*.json
+    # files beside the README, and the section cites no other.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    on_disk = {name for name in os.listdir(root) if re.fullmatch(r"BENCH_\w+\.json", name)}
+    section = readme_section("Performance")
+    listed = re.search(r"The files are\s(.*?)\.\n", section, re.DOTALL).group(1)
+    assert set(re.findall(r"BENCH_\w+\.json", listed)) == on_disk
+    assert set(re.findall(r"BENCH_\w+\.json", section)) <= on_disk
+
+
 def run_readme_library_block(index):
     """Run the ``index``-th ``python`` block under README's ``## Library``:
     its names, and the value of each bare expression, the lines whose

@@ -8,10 +8,10 @@ import frame_reference as ref
 from helpers import FLAT_BOX, IDENTITY, add_nan_pair, add_pair, brioschi_curvature, flat_components
 from titeica import jet
 from titeica.cli import main
-from titeica.errors import CatalogError, DomainError, SingularPointError
+from titeica.errors import CatalogError, DomainError, GeometryError, SingularPointError
 from titeica.invariants import point_invariants
 from titeica.jet import Jet2, seed_xy
-from titeica.metrics import _METRICS, _PAIRS, AgreePoint, _pullback, check_pair, pair_names
+from titeica.metrics import _METRICS, _PAIRS, _pullback, check_pair, pair_names
 from titeica.surfaces import MINKOWSKI, Box, _grid_axes, catalog, eval_surface, grid_points
 
 PSEUDOSPHERE_BOX = Box(0.1, 3.0, 0.3, 1.2)
@@ -86,12 +86,13 @@ def test_a_metric_is_one_formula_on_floats_and_on_jets(name):
 
 def test_pullback_through_identity():
     for p in grid_points(PSEUDOSPHERE_BOX, 5, 5):
-        pulled = _pullback("pseudosphere", PSEUDOSPHERE_BOX, *seed_xy(*p), *p)
-        for a, b in zip(values("pseudosphere", *p), pulled):
-            assert abs(a - b) <= 1e-14
-    # (x, y) -> (x, y0) keeps the image inside but collapses the second direction
-    with pytest.raises(SingularPointError) as err:
-        _pullback("pseudosphere", PSEUDOSPHERE_BOX, seed_xy(1.5, 0.4)[0], Jet2(0.5), 1.5, 0.4)
+        row = _pullback("pseudosphere", PSEUDOSPHERE_BOX, {p: values("pseudosphere", *p)})(*p, seed_xy(*p))
+        assert row[:2] == p and max(row[2:]) <= 1e-14
+    # (x, y) -> (x, y0) keeps the image inside but collapses the second
+    # direction: no check can be made there, and no sweep may skip the point.
+    with pytest.raises(GeometryError) as err:
+        _pullback("pseudosphere", PSEUDOSPHERE_BOX, {})(1.5, 0.4, (seed_xy(1.5, 0.4)[0], Jet2(0.5)))
+    assert not isinstance(err.value, SingularPointError)
     assert str(err.value) == "coordinate change into metric 'pseudosphere' has singular Jacobian at (1.5, 0.4)"
 
 
@@ -116,13 +117,13 @@ def test_disk_change_variants_are_distinguished():
 def test_pullback_domain_error_carries_both_points():
     change = _PAIRS["pseudosphere:half-plane"][4][0]  # its image leaves this small box
     with pytest.raises(DomainError) as err:
-        _pullback("half-plane", HALF_PLANE_BOX, *change_jets(change, 2.9, 0.35), 2.9, 0.35)
+        _pullback("half-plane", HALF_PLANE_BOX, {})(2.9, 0.35, change_jets(change, 2.9, 0.35))
     msg = str(err.value)
     assert "image" in msg and "(2.9, 0.35)" in msg
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda change: _pullback("half-plane", HALF_PLANE_BOX, *change_jets(change, -5.0, 0.5), -5.0, 0.5),
+    (lambda change: _pullback("half-plane", HALF_PLANE_BOX, {})(-5.0, 0.5, change_jets(change, -5.0, 0.5)),
      "image (-5, 2.08583) of (-5, 0.5) lies outside domain [-1, 1] x [0.5, 3] of metric 'half-plane'"),
 ], ids=["pullback"])
 def test_point_outside_domain_names_the_box_and_its_owner(call, message):
@@ -171,10 +172,8 @@ def test_check_pair_rows_equal_direct_pullbacks(name):
         variants = check_pair(name, grid, 1e-8)
         assert [label for label, *_ in variants] == [label for label, *_ in changes]
         for (_, rows, worst, passed), change in zip(variants, changes):
-            expected = []
-            for p in grid_points(source_box, *grid):
-                pulled = _pullback(target, target_box, *change_jets(change, *p), *p)
-                expected.append(AgreePoint(*p, *(abs(c - r) for c, r in zip(pulled, values(source, *p)))))
+            expected = [_pullback(target, target_box, {p: values(source, *p)})(*p, change_jets(change, *p))
+                        for p in grid_points(source_box, *grid)]
             assert repr(rows) == repr(tuple(expected)), grid
             assert worst == max(max(row[2:]) for row in expected)
             assert passed is (worst <= 1e-8)

@@ -14,10 +14,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import exprgen
 from titeica import jet
 from titeica.centroaffine import CentroAffineMap, apply_map
-from titeica.errors import SingularPointError
+from titeica.errors import GeometryError, SingularPointError
 from titeica.invariants import classify, identity_residual, point_invariants
+from titeica.jet import seed_xy
 from titeica.surfaces import EUCLIDEAN, MINKOWSKI, Box, SurfaceDef, catalog, eval_surface
 
 # For a failing example Hypothesis imports libcst to print a patch; a libcst
@@ -123,3 +125,52 @@ def test_unimodular_maps_keep_the_classification(a):
         verdict = classify(apply_map(catalog(name), a), grid=(10, 10))
         assert verdict.is_titeica == base.is_titeica, name
         assert abs(verdict.ratio_constant - base.ratio_constant) <= 1e-9 * abs(base.ratio_constant), name
+
+
+def graph(expr, c, x, y):
+    """The coordinate jets of the graph (x, y, c + u(x, y)) of the ``exprgen``
+    tree ``u`` at the jets ``x`` and ``y``."""
+    return x, y, c + exprgen.eval_jet(expr, x, y)
+
+
+def conditioned_height(rng, c, x, y, max_tries=1000):
+    """An ``exprgen`` tree u, drawn from ``rng``, whose graph has a
+    well-conditioned K/d^4 at (x, y), with the pass there.  On a graph
+    Vx, Vy, Vxy are u_xx, u_yy, u_xy and V is c + u - x u_x - y u_y.  A
+    tree is kept when |num| >= 1e-3 sigma^2, where sigma = g (g + |u_xx| +
+    |u_xy| + |u_yy|) with g = 1 + |u_x| + |u_y| bounds the terms of num
+    and their rounding under a change of parameters, and when |V| >= 1e-2
+    (|c + u| + |x u_x| + |y u_y|).  Most trees fail, first those of x or
+    of y alone, whose K is 0."""
+    for _ in range(max_tries):
+        expr = exprgen.random_expr(rng, int(rng.integers(1, 4)))
+        try:
+            exprgen.guarded_value(expr, x, y)
+            sj = graph(expr, c, *seed_xy(x, y))
+            q = point_invariants(sj, EUCLIDEAN)
+        except (exprgen.Reject, GeometryError):
+            continue
+        h = sj[2]
+        g = 1.0 + abs(h.dx) + abs(h.dy)
+        sigma = g * (g + abs(h.dxx) + abs(h.dxy) + abs(h.dyy))
+        if abs(q.num) >= 1e-3 * sigma**2 and abs(q.V) >= 1e-2 * (abs(h.val) + abs(x * h.dx) + abs(y * h.dy)):
+            return expr, q
+    raise AssertionError(f"no well-conditioned height at ({x}, {y})")
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5),
+       st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+def test_ratio_is_unchanged_by_a_random_diffeomorphism(seed, c, a, b, s, t):
+    # Under (s, t) -> (s + a t^2, t + b sin s), with det J = 1 - 2ab t cos s
+    # in [0.25, 1.75], V_ij becomes det J J^T V J and V becomes det J V, so
+    # K/d^4 = num / V^4 is a point function of the surface and agrees at
+    # matched points within 1e-12 of itself; num / V^3 would change by det J.
+    def warp(s, t):
+        return s + a * (t * t), t + b * jet.sin(s)
+
+    warped = warp(*seed_xy(s, t))
+    x, y = (w.val for w in warped)
+    expr, q = conditioned_height(np.random.default_rng(seed), c, x, y)
+    p = point_invariants(graph(expr, c, *warped), EUCLIDEAN)
+    assert abs(p.ratio - q.ratio) <= 1e-12 * abs(q.ratio), (expr, q.ratio, p.ratio)

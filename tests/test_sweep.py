@@ -179,11 +179,13 @@ def test_a_plain_mix_must_give_jets():
 
 @pytest.mark.parametrize("count", [2, 4])
 def test_a_row_unpacks_three_jets_at_a_call_and_in_a_sweep(count):
-    # Returning mix(...) as it is would hand on 2 or 4 coordinate jets
-    # without raising.
+    # The sweep hands on what mix returns, so the pass and the map's image
+    # must refuse 2 or 4 coordinate jets, as a call does.
     s = SurfaceDef("short", lambda x, xx, y: (x, y, xx, y)[:count], Box(0.5, 2.0, 0.5, 2.0), EUCLIDEAN,
                    lambda x: (x, x * x))
-    for run in (lambda: eval_surface(s, 1.0, 1.0), lambda: surfaces._sweep(s, [1.0], [1.0], lambda x, y, sj: sj, None)):
+    a = CentroAffineMap.of([(2.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+    for run in (lambda: eval_surface(s, 1.0, 1.0), lambda: scan_grid(s, (2, 2)),
+                lambda: verify_scaling(s, a, (2, 2), 1e-8), lambda: scan_grid(apply_map(s, a), (2, 2))):
         with pytest.raises(ValueError, match="values to unpack"):
             run()
 
