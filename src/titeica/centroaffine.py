@@ -129,6 +129,7 @@ def verify_scaling(s: SurfaceDef, a: CentroAffineMap, grid: tuple[int, int], tol
     det2 = det * det
 
     def evaluate(x, y, jets):
+        jets = tuple(jets)  # read twice: a mix may return an iterator
         _, _, _, v, _, num, _, _, before = _pass(jets, amb)
         _, _, _, image_v, _, image_num, _, _, after = _pass(_image(m, jets), amb)
         predicted = before / det2

@@ -142,9 +142,8 @@ def _not_jets(coordinates) -> ValueError:
 def _sweep(s: SurfaceDef, xs, ys, evaluate, record) -> list:
     """The one walk of a grid command over the axes ``xs`` and ``ys``
     (from ``_grid_axes``, inside the box) of ``s``: for each y, for each
-    x, ``evaluate(x, y, jets)`` with what ``mix`` returns there, for a
-    surface the jets that ``eval_surface(s, x, y)`` returns; ``evaluate``
-    unpacks them.  Each x part runs once before the first point, each y
+    x, ``evaluate(x, y, jets)`` with what ``mix`` returns there, as it
+    returns it: ``evaluate`` unpacks it, and reads an iterator only once.  Each x part runs once before the first point, each y
     part at the start of its row, and ``mix`` at each point; a part's
     error propagates where it runs.  A point that raises
     SingularPointError becomes ``record(x, y, skipped=<the error's

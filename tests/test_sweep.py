@@ -189,3 +189,14 @@ def test_a_row_unpacks_three_jets_at_a_call_and_in_a_sweep(count):
         with pytest.raises(ValueError, match="values to unpack"):
             run()
 
+
+@pytest.mark.parametrize("name", ["paraboloid", "pseudosphere"])
+def test_a_mix_may_return_an_iterator(name):
+    # The sweep hands on what mix returns; verify_scaling reads it twice,
+    # so it must read an iterator of three jets as it reads a tuple.
+    s = catalog(name)
+    mix = s.mix
+    lazy = s._replace(mix=lambda *p: iter(mix(*p)))
+    assert repr(verify_scaling(lazy, GENERAL, (7, 5), 1e-8)) == repr(verify_scaling(s, GENERAL, (7, 5), 1e-8))
+    assert repr(scan_grid(lazy, (7, 5))) == repr(scan_grid(s, (7, 5)))
+
