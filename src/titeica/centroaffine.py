@@ -17,8 +17,9 @@ image are both read under the surface's own form.
 :func:`verify_scaling` measures all three numerically on a grid and
 reports per-point residuals.  It walks the grid's axes through
 ``surfaces._sweep`` and makes one invariant pass on each side of the
-map, on the source's jets and on the plain rows of their image from
-``_image``, which ``act`` wraps in jets.  So a point builds its report
+map, on the source's jets or graph height and on the plain rows of
+their image: ``_image``'s, which ``act`` wraps in jets, or a graph's,
+from u and seed terms formed once a run.  So a point builds its report
 row and the jets of ``mix`` alone.
 """
 
@@ -81,11 +82,12 @@ def _image(matrix, jets) -> tuple:
 
 
 def apply_map(s: SurfaceDef, a: CentroAffineMap) -> SurfaceDef:
-    """Image surface (x, y) -> f(x, y) . A on the same parameter domain,
-    under the same ambient form as ``s``: the source with ``act`` after
-    its ``mix``, so a sweep keeps the source's parts."""
-    mix = s.mix
-    return s._replace(name=f"{s.name}|mapped", mix=lambda *p: a.act(mix(*p)))
+    """Image (x, y) -> f(x, y) . A of ``s``, on its domain and under its
+    form: the source with ``act`` after its ``mix``, so a sweep keeps its
+    parts, which hand on each seed for a graph's (seed x, seed y, u)."""
+    xpart, ypart, mix, act = s.xpart, s.ypart, s.mix, a.act
+    return s._replace(name=f"{s.name}|mapped", mix=lambda x, xp, y, yp: act((x, y, f) if type(f := mix(*xp, *yp)) is Jet2 else f),
+                      xpart=lambda x: (x, xpart(x) if xpart else (x,)), ypart=lambda y: (y, ypart(y) if ypart else (y,)))
 
 
 class ScalingPoint(NamedTuple):
@@ -127,11 +129,23 @@ def verify_scaling(s: SurfaceDef, a: CentroAffineMap, grid: tuple[int, int], tol
     """
     amb, m, det = s.ambient, a.matrix, a.det
     det2 = det * det
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = m  # then the seeds' fields under A, summed as _image sums them
+    dx0, dx1, dx2 = 1.0 * a00 + 0.0 * a10, 1.0 * a01 + 0.0 * a11, 1.0 * a02 + 0.0 * a12
+    dy0, dy1, dy2 = 0.0 * a00 + 1.0 * a10, 0.0 * a01 + 1.0 * a11, 0.0 * a02 + 1.0 * a12
+    o0, o1, o2 = 0.0 * a00 + 0.0 * a10, 0.0 * a01 + 0.0 * a11, 0.0 * a02 + 0.0 * a12
 
     def evaluate(x, y, jets):
-        jets = tuple(jets)  # read twice: a mix may return an iterator
-        _, _, _, v, _, num, _, _, before = _pass(jets, amb)
-        _, _, _, image_v, _, image_num, _, _, after = _pass(_image(m, jets), amb)
+        if type(jets) is Jet2:  # a graph's height u: (x, y, u) and its image
+            _, _, _, v, _, num, _, _, before = _pass(jets, amb, x, y)
+            u, ux, uy, uxx, uxy, uyy = jets
+            image = ((x * a00 + y * a10 + u * a20, dx0 + ux * a20, dy0 + uy * a20, o0 + uxx * a20, o0 + uxy * a20, o0 + uyy * a20),
+                     (x * a01 + y * a11 + u * a21, dx1 + ux * a21, dy1 + uy * a21, o1 + uxx * a21, o1 + uxy * a21, o1 + uyy * a21),
+                     (x * a02 + y * a12 + u * a22, dx2 + ux * a22, dy2 + uy * a22, o2 + uxx * a22, o2 + uxy * a22, o2 + uyy * a22))
+        else:  # read twice: a mix may return an iterator; _pass refuses one value
+            jets = tuple(jets) if hasattr(jets, "__iter__") else jets
+            _, _, _, v, _, num, _, _, before = _pass(jets, amb)
+            image = _image(m, jets)
+        _, _, _, image_v, _, image_num, _, _, after = _pass(image, amb)
         predicted = before / det2
         ratio_res = abs(after - predicted) / (abs(predicted) or 1.0)
         v_pred = det * v

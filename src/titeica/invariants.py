@@ -11,7 +11,9 @@ the Euclidean cross product of the tangent vectors.  The pass, ``_pass``, writes
   the Euclidean and -1 for the Minkowski form,
 
 and derives K = num / nn^2, the distance d = |V| / sqrt(|nn|) from the
-origin to the affine tangent plane, and K/d^4 = num / V^4.
+origin to the affine tangent plane, and K/d^4 = num / V^4.  A graph
+(x, y, u) has c = (-u_x, -u_y, 1), u's Hessian for volumes and V = u -
+x u_x - y u_y; its pass keeps the seeds' 0s and 1s as bitwise products.
 
 The normal is n = S c: it is ambient-orthogonal to the tangent plane for
 both signatures, <n, n> = nn and <w, n> = w . c because S^2 = I.
@@ -76,17 +78,25 @@ def point_invariants(jets: tuple[Jet2, Jet2, Jet2], amb: AmbientForm) -> PointIn
     return _new(PointInvariants, _pass(jets, amb))
 
 
-def _pass(jets, amb: AmbientForm) -> tuple:
+def _pass(jets, amb: AmbientForm, x=None, y=None) -> tuple:
     """The single pass, written out (no helper calls: it runs once or twice
     per grid point): the plain (Vx, Vy, Vxy, V, nn, num, K, d, K/d^4) of
-    three coordinate jets; raises where a singularity test fails."""
-    try:  # free until it raises, on CPython 3.11+
-        (f0, a0, b0, p0, q0, r0), (f1, a1, b1, p1, q1, r1), (f2, a2, b2, p2, q2, r2) = jets
-    except TypeError:  # a coordinate that is not a jet
-        raise _not_jets(jets) from None
-    # numpy.cross operand order: tests/frame_reference.py holds the volumes
-    # and d bitwise to the frame built with it.
-    c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    three jets, or of a graph's u at (x, y); raises where a singularity test fails."""
+    if x is not None and type(jets) is Jet2:  # (x, y, u), the seeds' 1.0s and 0.0s written in
+        u, ux, uy, uxx, uxy, uyy = jets  # term for term: the zero products keep signed zeros and NaN
+        c0, c1, c2 = 0.0 * uy - ux, ux * 0.0 - uy, 1.0
+        z = 0.0 * c0 + 0.0 * c1
+        vx, vy, vxy, v = z + uxx, z + uyy, z + uxy, x * c0 + y * c1 + u
+    else:
+        try:  # free until it raises, on CPython 3.11+
+            (f0, a0, b0, p0, q0, r0), (f1, a1, b1, p1, q1, r1), (f2, a2, b2, p2, q2, r2) = jets
+        except TypeError:  # a coordinate that is not a jet
+            raise _not_jets(jets) from None
+        # numpy.cross operand order: tests/frame_reference.py holds the volumes
+        # and d bitwise to the frame built with it.
+        c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+        vx, vy, vxy = p0 * c0 + p1 * c1 + p2 * c2, r0 * c0 + r1 * c1 + r2 * c2, q0 * c0 + q1 * c1 + q2 * c2
+        v = f0 * c0 + f1 * c1 + f2 * c2  # f_xx, f_yy, f_xy and f, dotted with c
     cc = c0 * c0 + c1 * c1 + c2 * c2
     if cc <= EPS_SINGULAR:
         raise SingularPointError(f"degenerate tangent plane (|f_x x f_y|^2 = {cc:g})")
@@ -96,10 +106,6 @@ def _pass(jets, amb: AmbientForm) -> tuple:
         raise SingularPointError(f"non-finite normal (<n, n> = {nn:g})")
     if abs(nn) <= EPS_SINGULAR:
         raise SingularPointError(f"normal vector is null under the {amb.name} form")
-    vx = p0 * c0 + p1 * c1 + p2 * c2  # f_xx
-    vy = r0 * c0 + r1 * c1 + r2 * c2  # f_yy
-    vxy = q0 * c0 + q1 * c1 + q2 * c2  # f_xy
-    v = f0 * c0 + f1 * c1 + f2 * c2  # f
     num = s0 * s1 * s2 * (vx * vy - vxy * vxy)
     k, d = num / (nn * nn), abs(v) / math.sqrt(abs(nn))
     if d <= EPS_SINGULAR:
@@ -162,7 +168,7 @@ def scan_grid(s: SurfaceDef, grid: tuple[int, int] = DEFAULT_GRID) -> list[Point
     amb = s.ambient
 
     def evaluate(x, y, jets):
-        _, _, _, _, _, _, k, d, ratio = _pass(jets, amb)
+        _, _, _, _, _, _, k, d, ratio = _pass(jets, amb, x, y)
         return _new(PointRecord, (x, y, k, d, ratio, None))
 
     return _sweep(s, *_grid_axes(s.domain, *grid), evaluate, PointRecord)

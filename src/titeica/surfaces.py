@@ -10,9 +10,9 @@ plain ``mix(x, y)`` that returns three coordinate jets is a surface.
 point, a plain triple: each holds the value and all first and second
 partial derivatives.  The grid commands sample a surface through
 :func:`_sweep`, which runs each part once per axis value.  A Monge
-patch, the graph of u over the parameter plane, is the immersion
-(x, y, u(x, y)): its first two coordinates are the exact seeds, so
-f_x = (1, 0, u_x) and f_y = (0, 1, u_y) hold bitwise.
+patch (x, y, u(x, y)) is a graph: its ``mix`` gives the one jet u, and
+``eval_surface`` gives (seed x, seed y, u).  An ``apply_map`` image of a
+graph is a general surface.
 
 The catalog holds the concrete surfaces exercised by the verification
 commands; every entry picks a domain box that stays away from coordinate
@@ -103,15 +103,15 @@ MINKOWSKI = AmbientForm((-1, 1, 1), "minkowski")
 
 
 _Part = Callable[[Jet2], tuple[Jet2, ...]]
-_Mix = Callable[..., tuple[Jet2, Jet2, Jet2]]
+_Mix = Callable[..., "tuple[Jet2, Jet2, Jet2] | Jet2"]
 _Shape = tuple[Optional[_Part], Optional[_Part], _Mix, Box]
 
 
 class SurfaceDef(NamedTuple):
-    """A named immersion ``mix(*xpart(x), *ypart(y))`` of seeded
-    parameters, its parameter domain and its ambient form.  A part gives
-    the jets that depend on its seed alone; a missing part is the seed
-    alone, so ``mix`` then takes the seed itself."""
+    """A named immersion ``mix(*xpart(x), *ypart(y))`` (three jets, or a
+    graph's height u) of seeded parameters, its parameter domain and its
+    ambient form.  A part gives the jets that depend on its seed alone; a
+    missing part is the seed alone, so ``mix`` then takes the seed itself."""
 
     name: str
     mix: _Mix
@@ -123,31 +123,37 @@ class SurfaceDef(NamedTuple):
 
 def eval_surface(s: SurfaceDef, x: float, y: float) -> tuple[Jet2, Jet2, Jet2]:
     """The three coordinate jets of ``s`` at a point strictly inside its
-    domain: the x part, the y part, then ``mix``, which must give exactly
-    three jets (else ValueError).  Index k of the triple is coordinate k,
-    so ``eval_surface(s, x, y)[0].dx`` is the first coordinate of f_x."""
+    domain: the x part, the y part, then ``mix``, which must give three
+    jets, or a graph's u for (seed x, seed y, u) (else ValueError).  Index
+    k is coordinate k: ``eval_surface(s, x, y)[0].dx`` is f_x's first."""
     if not s.domain.contains(x, y):
         raise DomainError(f"point ({x:g}, {y:g}) outside domain {s.domain.describe()} of surface '{s.name}'")
     sx, sy = seed_xy(x, y)
-    cx, cy, cz = s.mix(*(s.xpart(sx) if s.xpart else (sx,)), *(s.ypart(sy) if s.ypart else (sy,)))
+    f = s.mix(*(s.xpart(sx) if s.xpart else (sx,)), *(s.ypart(sy) if s.ypart else (sy,)))
+    if type(f) is Jet2:
+        return sx, sy, f
+    if not hasattr(f, "__iter__"):  # one value, not a jet
+        raise _not_jets(f)
+    cx, cy, cz = f
     if type(cx) is not Jet2 or type(cy) is not Jet2 or type(cz) is not Jet2:
         raise _not_jets((cx, cy, cz))
     return cx, cy, cz
 
 
-def _not_jets(coordinates) -> ValueError:
-    return ValueError(f"mix must give three jets, got ({', '.join(type(c).__name__ for c in coordinates)})")
+def _not_jets(got) -> ValueError:
+    names = f"({', '.join(type(c).__name__ for c in got)})" if hasattr(got, "__iter__") else type(got).__name__
+    return ValueError(f"mix must give three jets, or one for a graph, got {names}")
 
 
 def _sweep(s: SurfaceDef, xs, ys, evaluate, record) -> list:
-    """The one walk of a grid command over the axes ``xs`` and ``ys``
-    (from ``_grid_axes``, inside the box) of ``s``: for each y, for each
-    x, ``evaluate(x, y, jets)`` with what ``mix`` returns there, as it
-    returns it: ``evaluate`` unpacks it, and reads an iterator only once.  Each x part runs once before the first point, each y
-    part at the start of its row, and ``mix`` at each point; a part's
-    error propagates where it runs.  A point that raises
-    SingularPointError becomes ``record(x, y, skipped=<the error's
-    message>)``; other errors propagate."""
+    """The one walk of a grid command over the axes ``xs`` and ``ys`` (from
+    ``_grid_axes``, inside the box) of ``s``: for each y, for each x,
+    ``evaluate(x, y, jets)`` with what ``mix`` returns there, unchanged (it
+    tells a graph's height from three jets, and reads an iterator once).
+    Each x part runs once before the first point, each y part at the start
+    of its row, and ``mix`` at each point; a part's error propagates where
+    it runs.  A point that raises SingularPointError becomes ``record(x, y,
+    skipped=<the error's message>)``; other errors propagate."""
     xpart, ypart, mix = s.xpart, s.ypart, s.mix
     seeds = [_new(Jet2, (float(x), 1.0, 0.0, 0.0, 0.0, 0.0)) for x in xs]  # Jet2(x, 1.0), without a call
     line = list(zip(xs, map(xpart, seeds) if xpart else zip(seeds)))
@@ -170,9 +176,9 @@ def _sweep(s: SurfaceDef, xs, ys, evaluate, record) -> list:
 
 class _Entry(NamedTuple):
     """A catalog entry: ``shape(**params)`` is (xpart, ypart, mix, domain
-    box), the fields of a :class:`SurfaceDef` bound to the parameters.
-    A part returns the jets that depend on its seed alone, or
-    is None where the seed is all ``mix`` needs of it."""
+    box), the fields of a :class:`SurfaceDef` bound to the parameters.  A
+    part returns the jets that depend on its seed alone, or is None where
+    the seed is all ``mix`` needs of it; a graph's ``mix`` gives u alone."""
 
     shape: Callable[..., _Shape]
     description: str
@@ -184,6 +190,10 @@ def _squared(s: Jet2) -> tuple[Jet2, Jet2]:
     return s, s * s
 
 
+def _square(s: Jet2) -> tuple[Jet2]:
+    return (s * s,)
+
+
 def _circle(theta: Jet2) -> tuple[Jet2, Jet2]:
     return jet.cos(theta), jet.sin(theta)
 
@@ -193,26 +203,26 @@ def _cap(r: float, mix: Callable) -> _Shape:
     R^2 - x^2 and y^2."""
     rr = Jet2(r * r)
     half = 0.42 * r  # square inscribed in the disk x^2 + y^2 <= (0.6 R)^2
-    return lambda x: (x, rr - x * x), _squared, mix, Box(-half, half, -half, half)
+    return lambda x: (rr - x * x,), _square, mix, Box(-half, half, -half, half)
 
 
 _CATALOG: dict[str, _Entry] = {
     "sphere-origin": _Entry(
-        lambda R: _cap(R, lambda x, a, y, yy: (x, y, jet.sqrt(a - yy))),
+        lambda R: _cap(R, lambda a, yy: jet.sqrt(a - yy)),
         "sphere of radius R centered at the origin (Monge cap)",
         {"R": 1.0},
     ),
     "sphere-translated": _Entry(
-        lambda R, c: _cap(R, lambda x, a, y, yy: (x, y, jet.sqrt(a - yy) + c)),
+        lambda R, c: _cap(R, lambda a, yy: jet.sqrt(a - yy) + c),
         "sphere of radius R shifted by c along the third axis",
         {"R": 1.0, "c": 1.0},
     ),
     "titeica-xyz": _Entry(
-        lambda: (None, None, lambda x, y: (x, y, 1.0 / (x * y)), Box(0.5, 2.0, 0.5, 2.0)),
+        lambda: (None, None, lambda x, y: 1.0 / (x * y), Box(0.5, 2.0, 0.5, 2.0)),
         "graph of u = 1/(xy): the classical constant-ratio surface",
     ),
     "paraboloid": _Entry(
-        lambda: (_squared, _squared, lambda x, xx, y, yy: (x, y, xx + yy), Box(-1.0, 1.0, -1.0, 1.0)),
+        lambda: (_square, _square, lambda xx, yy: xx + yy, Box(-1.0, 1.0, -1.0, 1.0)),
         "graph of u = x^2 + y^2",
     ),
     "pseudosphere": _Entry(
@@ -229,7 +239,7 @@ _CATALOG: dict[str, _Entry] = {
         ambient=MINKOWSKI,
     ),
     "plane": _Entry(
-        lambda: (None, None, lambda x, y: (x, y, Jet2(0.0)), Box(-1.0, 1.0, -1.0, 1.0)),
+        lambda: (None, None, lambda x, y: Jet2(0.0), Box(-1.0, 1.0, -1.0, 1.0)),
         "flat patch u = 0 (tangent planes through the origin everywhere)",
     ),
 }

@@ -53,6 +53,22 @@ def random_expr(rng, depth):
     return (op, random_expr(rng, depth - 1), random_expr(rng, depth - 1))
 
 
+def _of_one_axis(rng, axis):
+    """The square, or a unary function, of the coordinate ``axis``."""
+    if rng.uniform() < 0.25:
+        return ("powi", (axis,), 2)
+    return (_UNARY_NAMES[int(rng.integers(0, len(_UNARY_NAMES)))], (axis,))
+
+
+def random_height(rng, depth):
+    """A tree that always has a term in both coordinates: a ``random_expr``
+    of ``depth - 1`` plus or times f(x) g(y), f and g from
+    ``_of_one_axis``.  Its u_xy is rarely 0, where a plain ``random_expr``
+    is often a tree of x or of y alone, whose graph has K = 0."""
+    op = "add" if rng.uniform() < 0.5 else "mul"
+    return (op, random_expr(rng, depth - 1), ("mul", _of_one_axis(rng, "x"), _of_one_axis(rng, "y")))
+
+
 def guarded_value(node, x, y):
     """Float evaluation that rejects ill-conditioned samples."""
     tag = node[0]

@@ -56,7 +56,8 @@ def swept(s, xs, ys):
     outer).  Its mix raises its errors as a SingularPointError naming the
     error's type, so that the sweep records the point and goes on to the
     next; a part's error propagates, as in a grid command.  The sweep
-    tests no point against the box."""
+    tests no point against the box.  A graph's height u reads as (seed x,
+    seed y, u), as ``eval_surface`` gives it."""
     mix = s.mix
 
     def guarded(*args):
@@ -65,7 +66,10 @@ def swept(s, xs, ys):
         except Exception as exc:  # every error must match, whatever its type
             raise SingularPointError(f"{type(exc).__name__}: {exc}") from exc
 
-    return surfaces._sweep(s._replace(mix=guarded), xs, ys, lambda x, y, jets: repr(jets),
+    def evaluate(x, y, jets):
+        return repr((*jet.seed_xy(x, y), jets) if type(jets) is jet.Jet2 else jets)
+
+    return surfaces._sweep(s._replace(mix=guarded), xs, ys, evaluate,
                            lambda x, y, skipped: tuple(skipped.split(": ", 1)))
 
 

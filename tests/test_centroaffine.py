@@ -260,9 +260,9 @@ def test_transform_check_makes_one_invariant_pass_per_side(surface, monkeypatch,
     passes = []
     point = invariants._pass
 
-    def counting_pass(jets, amb):
+    def counting_pass(jets, amb, *seeds):  # a graph's height comes with its seeds' values
         passes.append(amb)
-        return point(jets, amb)
+        return point(jets, amb, *seeds)
 
     monkeypatch.setattr(invariants, "_pass", counting_pass)
     monkeypatch.setattr(centroaffine, "_pass", counting_pass)

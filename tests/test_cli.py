@@ -702,6 +702,7 @@ def test_readme_custom_surface_block():
     assert values == [-1024.0, False]
     verdict = classify(names["saddle"])
     assert (verdict.points_evaluated, verdict.points_skipped) == (360, 40)
+    assert repr(classify(names["graph"])) == repr(verdict)  # the saddle as a graph
 
 
 def test_public_names_resolve():

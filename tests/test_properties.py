@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 import exprgen
 from titeica import jet
-from titeica.centroaffine import CentroAffineMap, apply_map
+from titeica.centroaffine import CentroAffineMap, apply_map, verify_scaling
 from titeica.errors import GeometryError, SingularPointError
-from titeica.invariants import classify, identity_residual, point_invariants
+from titeica.invariants import classify, identity_residual, point_invariants, scan_grid
 from titeica.jet import seed_xy
 from titeica.surfaces import EUCLIDEAN, MINKOWSKI, Box, SurfaceDef, catalog, eval_surface
 
@@ -140,10 +140,10 @@ def conditioned_height(rng, c, x, y, max_tries=1000):
     tree is kept when |num| >= 1e-3 sigma^2, where sigma = g (g + |u_xx| +
     |u_xy| + |u_yy|) with g = 1 + |u_x| + |u_y| bounds the terms of num
     and their rounding under a change of parameters, and when |V| >= 1e-2
-    (|c + u| + |x u_x| + |y u_y|).  Most trees fail, first those of x or
-    of y alone, whose K is 0."""
+    (|c + u| + |x u_x| + |y u_y|).  ``exprgen.random_height`` always has
+    a term in both coordinates, so most trees pass."""
     for _ in range(max_tries):
-        expr = exprgen.random_expr(rng, int(rng.integers(1, 4)))
+        expr = exprgen.random_height(rng, int(rng.integers(1, 4)))
         try:
             exprgen.guarded_value(expr, x, y)
             sj = graph(expr, c, *seed_xy(x, y))
@@ -174,3 +174,57 @@ def test_ratio_is_unchanged_by_a_random_diffeomorphism(seed, c, a, b, s, t):
     expr, q = conditioned_height(np.random.default_rng(seed), c, x, y)
     p = point_invariants(graph(expr, c, *warped), EUCLIDEAN)
     assert abs(p.ratio - q.ratio) <= 1e-12 * abs(q.ratio), (expr, q.ratio, p.ratio)
+
+
+# Maps under which a graph's image is compared: I, a stretch, a general
+# matrix, a small multiple of I and a permutation with -0.0 entries.
+GRAPH_MAPS = [CentroAffineMap.of([m[i:i + 3] for i in (0, 3, 6)]) for m in (
+    (1, 0, 0, 0, 1, 0, 0, 0, 1), (2, 0, 0, 0, 1, 0, 0, 0, 1), (1.3, 0.2, -0.4, 0.1, 0.9, 0.3, -0.2, 0.5, 1.1),
+    (1e-3, 0, 0, 0, 1e-3, 0, 0, 0, 1e-3), (-0.0, 1, 0, 1, -0.0, 0, 0, 0, -1))]
+
+
+def grid_outcomes(s, grid):
+    """``repr`` of ``scan_grid``, ``classify`` (or its error),
+    ``verify_scaling`` under each of ``GRAPH_MAPS`` and ``scan_grid`` of
+    each ``apply_map`` image of ``s``; an error is its type and message."""
+    def outcome(run):
+        try:
+            return repr(run())
+        except Exception as exc:  # every error must match, whatever its type
+            return type(exc).__name__, str(exc)
+
+    runs = [lambda: scan_grid(s, grid), lambda: classify(s, grid)]
+    for a in GRAPH_MAPS:
+        runs += [lambda a=a: verify_scaling(s, a, grid, 1e-8), lambda a=a: scan_grid(apply_map(s, a), grid)]
+    return [outcome(run) for run in runs]
+
+
+def assert_graph_rows_match(height, box, grid):
+    # A graph's mix gives its height u alone; the pass and verify_scaling
+    # write the seeds' 0s and 1s in, and must give every float, signed
+    # zeros and NaN included, that (x, y, u) gives.
+    for amb in (EUCLIDEAN, MINKOWSKI):
+        graph_rows = SurfaceDef("h", height, box, amb)
+        general = SurfaceDef("h", lambda x, y: (x, y, height(x, y)), box, amb)
+        assert grid_outcomes(graph_rows, grid) == grid_outcomes(general, grid), amb.name
+
+
+@pytest.mark.parametrize("height", [
+    lambda x, y: x * x * -1.0 + 3.0,  # u_yy = -0.0 everywhere
+    lambda x, y: 1.0 / (x * y),
+    lambda x, y: x * x - y * y,  # d = 0 where x = +-y
+    lambda x, y: jet.Jet2(0.0),  # every tangent plane holds the origin
+    lambda x, y: x * 1e308 * 10.0 + y * y,  # u_x = inf
+    lambda x, y: x * 1e308 * 10.0 - x * 1e308 * 10.0 + y * y,  # u_x = nan
+    lambda x, y: jet.sqrt(x * y - 0.5),  # a DomainError inside the box
+], ids=["minus-x-squared", "titeica", "saddle", "zero", "inf-slope", "nan-slope", "domain-error"])
+def test_graph_rows_match_the_general_form(height):
+    assert_graph_rows_match(height, Box(-1.0, 1.5, -0.5, 1.5), (7, 6))
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.sampled_from([Box(-1.5, 1.5, -1.5, 1.5), Box(0.5, 2.0, -1.0, 0.25)]))
+def test_graph_rows_match_the_general_form_on_drawn_heights(seed, box):
+    rng = np.random.default_rng(seed)
+    expr = exprgen.random_height(rng, int(rng.integers(1, 4)))
+    assert_graph_rows_match(lambda x, y: exprgen.eval_jet(expr, x, y), box, (6, 5))

@@ -105,7 +105,8 @@ def test_a_raising_part_propagates_its_error(xs, ys, bad):
 def test_a_mapped_row_runs_its_parts_as_the_row_does():
     # Each one-axis part runs once per axis value, nx + ny calls a grid,
     # whether the surface is swept itself, as the source of an apply_map image
-    # or on both sides of verify_scaling.
+    # (whose parts hand on the seeds a graph's image needs) or on both sides
+    # of verify_scaling, for three jets and for a graph's height alike.
     runs = Counter()
 
     def xpart(x):
@@ -116,16 +117,17 @@ def test_a_mapped_row_runs_its_parts_as_the_row_does():
         runs["y", y.val] += 1
         return y, y * y
 
-    s = SurfaceDef("counted", lambda x, xx, y, yy: (x, y, xx + yy), Box(0.5, 2.0, 0.5, 2.0), EUCLIDEAN, xpart, ypart)
-    seen = []
-    for sweep in (lambda: scan_grid(s, (5, 4)), lambda: scan_grid(apply_map(s, GENERAL), (5, 4)),
-                  lambda: verify_scaling(s, GENERAL, (5, 4), 1e-8)):
-        runs.clear()
-        sweep()
-        seen.append(dict(runs))
-    assert seen[0] == seen[1] == seen[2]
-    xs, ys = surfaces._grid_axes(s.domain, 5, 4)
-    assert seen[0] == {**{("x", x): 1 for x in xs}, **{("y", y): 1 for y in ys}}
+    for mix in (lambda x, xx, y, yy: (x, y, xx + yy), lambda x, xx, y, yy: xx + yy):
+        s = SurfaceDef("counted", mix, Box(0.5, 2.0, 0.5, 2.0), EUCLIDEAN, xpart, ypart)
+        seen = []
+        for sweep in (lambda: scan_grid(s, (5, 4)), lambda: scan_grid(apply_map(s, GENERAL), (5, 4)),
+                      lambda: verify_scaling(s, GENERAL, (5, 4), 1e-8)):
+            runs.clear()
+            sweep()
+            seen.append(dict(runs))
+        assert seen[0] == seen[1] == seen[2]
+        xs, ys = surfaces._grid_axes(s.domain, 5, 4)
+        assert seen[0] == {**{("x", x): 1 for x in xs}, **{("y", y): 1 for y in ys}}
 
 
 def test_a_plain_mix_is_called_at_every_point():
@@ -173,7 +175,21 @@ def test_a_plain_mix_must_give_jets():
     for run in (lambda: eval_surface(s, 0.5, 0.5), lambda: point_invariants(s.mix(*jet.seed_xy(0.5, 0.5)), EUCLIDEAN),
                 lambda: scan_grid(s, (2, 2)), lambda: verify_scaling(s, a, (2, 2), 1e-8),
                 lambda: eval_surface(image, 0.5, 0.5), lambda: scan_grid(image, (2, 2))):
-        with pytest.raises(ValueError, match=r"^mix must give three jets, got \(Jet2, Jet2, float\)$"):
+        with pytest.raises(ValueError, match=r"^mix must give three jets, or one for a graph, got \(Jet2, Jet2, float\)$"):
+            run()
+
+
+@pytest.mark.parametrize("value", [1.0, None], ids=["float", "None"])
+def test_a_mix_of_one_value_must_give_a_jet(value):
+    # One jet is a graph's height; one value of any other type is refused on
+    # every route, with the message that names both forms.
+    s = SurfaceDef("p", lambda x, y: value, Box(-1.0, 1.0, -1.0, 1.0), EUCLIDEAN)
+    a = CentroAffineMap.of([(2.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+    image = apply_map(s, a)
+    for run in (lambda: eval_surface(s, 0.5, 0.5), lambda: scan_grid(s, (2, 2)),
+                lambda: verify_scaling(s, a, (2, 2), 1e-8), lambda: eval_surface(image, 0.5, 0.5),
+                lambda: scan_grid(image, (2, 2))):
+        with pytest.raises(ValueError, match=rf"^mix must give three jets, or one for a graph, got {type(value).__name__}$"):
             run()
 
 
@@ -193,10 +209,16 @@ def test_a_row_unpacks_three_jets_at_a_call_and_in_a_sweep(count):
 @pytest.mark.parametrize("name", ["paraboloid", "pseudosphere"])
 def test_a_mix_may_return_an_iterator(name):
     # The sweep hands on what mix returns; verify_scaling reads it twice,
-    # so it must read an iterator of three jets as it reads a tuple.
+    # so it must read an iterator of three jets as it reads a tuple.  A
+    # graph's height u is read as (x, y, u).
     s = catalog(name)
-    mix = s.mix
-    lazy = s._replace(mix=lambda *p: iter(mix(*p)))
+    xpart, ypart, mix = s.xpart, s.ypart, s.mix
+
+    def three(x, y):
+        f = mix(*xpart(x), *ypart(y))
+        return iter((x, y, f) if type(f) is jet.Jet2 else f)
+
+    lazy = s._replace(mix=three, xpart=None, ypart=None)
     assert repr(verify_scaling(lazy, GENERAL, (7, 5), 1e-8)) == repr(verify_scaling(s, GENERAL, (7, 5), 1e-8))
     assert repr(scan_grid(lazy, (7, 5))) == repr(scan_grid(s, (7, 5)))
 
