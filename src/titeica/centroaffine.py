@@ -68,9 +68,13 @@ def _image(matrix, jets) -> tuple:
     """The fields of the three coordinate jets of f . A, as plain rows."""
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = matrix
     try:  # free until it raises, on CPython 3.11+
-        (x0, x1, x2, x3, x4, x5), (y0, y1, y2, y3, y4, y5), (z0, z1, z2, z3, z4, z5) = jets
-    except TypeError:  # a coordinate that is not a jet
+        j0, j1, j2 = jets  # read once: an iterator's items stay for the message
+    except TypeError:  # one value that is not a jet
         raise _not_jets(jets) from None
+    try:
+        (x0, x1, x2, x3, x4, x5), (y0, y1, y2, y3, y4, y5), (z0, z1, z2, z3, z4, z5) = j0, j1, j2
+    except TypeError:  # a coordinate that is not a jet
+        raise _not_jets((j0, j1, j2)) from None
     return (
         (x0 * a00 + y0 * a10 + z0 * a20, x1 * a00 + y1 * a10 + z1 * a20, x2 * a00 + y2 * a10 + z2 * a20,
          x3 * a00 + y3 * a10 + z3 * a20, x4 * a00 + y4 * a10 + z4 * a20, x5 * a00 + y5 * a10 + z5 * a20),
@@ -159,9 +163,8 @@ def verify_scaling(s: SurfaceDef, a: CentroAffineMap, grid: tuple[int, int], tol
 
     rows = _sweep(s, *_grid_axes(s.domain, *grid), evaluate, ScalingPoint)
     evaluated = [r for r in rows if r.skipped is None]
-    max_r = max((r.ratio_residual for r in evaluated), default=math.inf)
-    max_v = max((r.volume_residual for r in evaluated), default=math.inf)
-    max_n = max((r.numerator_residual for r in evaluated), default=math.inf)
+    columns = list(zip(*evaluated)) or [()] * len(ScalingPoint._fields)
+    max_r, max_v, max_n = (max(c, default=math.inf) for c in columns[4:7])  # the three residual columns, read once
     passed = bool(evaluated) and max_r <= tol and max_v <= tol and max_n <= tol
     try:
         scale_factor = 1.0 / a.det**2  # not det2: x**2 and x*x can differ in the last bit

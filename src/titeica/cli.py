@@ -12,10 +12,12 @@ metric-check     pullback equality for a metric pair: --pair --grid --tol
 Reports are emitted as text, JSON or CSV; ``config`` echoes only the
 fields the command takes, the command among them, and ``summary`` holds
 results alone.  A JSON report is ``{"config", "results", "summary"}``,
-and its ``config`` is a --config file that reruns it.  Output
-to a new or regular file is atomic (write to a temporary file, then
-rename); this process's own stdout, a device or a FIFO is written in
-place.  Reports are
+and its ``config`` is a --config file that reruns it.  JSON and CSV
+reports stream out in chunks of rows, text reports whole.  Output to a
+new or regular file is atomic (write to a temporary file, then rename; a
+failed run removes that file and leaves the target as it was); this
+process's own stdout, a device or a FIFO is written in place, and a run
+that fails there may leave part of a report.  Reports are
 byte-deterministic for identical configurations: the grid enumeration
 order is fixed and every float is written as its shortest round-trip repr.
 
@@ -30,7 +32,7 @@ import math
 import os
 import sys
 from functools import cache
-from itertools import chain
+from itertools import chain, filterfalse, islice, repeat
 from typing import Callable, NamedTuple, Optional
 
 from .errors import CatalogError, GeometryError, InconclusiveError, UsageError
@@ -234,6 +236,8 @@ _COMMANDS = {
 # --------------------------------------------------------------------------
 # Rendering
 
+_CHUNK = 2048  # rows per written piece of a report
+
 
 def _fmt(v) -> str:
     if isinstance(v, float):
@@ -245,32 +249,46 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _cells(report: _Report, encode) -> tuple:
-    """The encoded cells of every row, row by row, for one "%" template.
+class _Texts(dict):
+    """A column's text of each distinct cell, made at its first lookup."""
 
-    Each column encodes each distinct cell once, in a dict that lives for
-    this call, so equal cells share one string; a finite float is its
-    shortest round-trip repr in every format.  A float zero is keyed by its
-    repr and a column of mixed types by position, so cells that encode
-    apart share no key.
-    """
+    def __init__(self, encode):
+        self.encode = encode
+
+    def __missing__(self, cell):  # a finite float is its shortest round-trip repr in every format
+        text = self[cell] = repr(cell) if type(cell) is float and cell - cell == 0.0 else self.encode(cell)
+        return text
+
+
+def _cells(report: _Report, encode) -> list:
+    """Each column's cell texts, or its one text in a list where all its
+    cells share it.  A column maps its cells through one dict of distinct
+    texts in one pass, but where cells that compare equal encode apart
+    (True, 1 and 1.0, or 0.0 and -0.0) each cell is encoded alone."""
     columns = []
     for column in zip(*report.rows):
-        keys = column
-        if len(set(map(type, column))) > 1:  # True, 1 and 1.0 are one dict key
-            keys = range(len(column))
-        elif isinstance(column[0], float) and 0.0 in column:  # and so are 0.0 and -0.0
-            keys = [v or repr(v) for v in column]
-        cells = dict(zip(keys, column))  # one cell per key, in column order
-        texts = [repr(v) if type(v) is float and v - v == 0.0 else encode(v) for v in cells.values()]
-        columns.append(texts if len(cells) == len(column) else map(dict(zip(cells, texts)).__getitem__, keys))
-    return tuple(chain.from_iterable(zip(*columns)))
+        texts = _Texts(encode)
+        alone = len(set(map(type, column))) > 1 or 0.0 in column and len(
+            set(map(math.copysign, repeat(1.0), filterfalse(None, column)))) > 1  # the signs of its zeros
+        cells = list(map(texts.__missing__ if alone else texts.__getitem__, column))
+        columns.append(cells if alone or len(texts) > 1 else cells[:1])
+    return columns
 
 
-def _fill(row: str, separator: str, report: _Report, encode) -> str:
-    """The report's rows, each the "%" template ``row`` filled with its
-    cells, joined by ``separator``."""
-    return separator.join([row] * len(report.rows)) % _cells(report, encode)
+def _fill(parts: list, separator: str, columns: list, n: int):
+    """The ``n`` rows in chunks of ``_CHUNK``: row i is ``parts[0]``, each column's i-th text and
+    the next part, then ``separator`` but on the last row.  A one-text column joins its parts."""
+    literal, streams = parts[0], []
+    for column, part in zip(columns, parts[1:]):
+        if len(column) == 1:
+            literal += column[0] + part
+        else:
+            streams += [repeat(literal, n), column]
+            literal = part
+    streams.append(chain(repeat(literal + separator, n - 1), [literal]))  # finite with every column folded too
+    rows = zip(*streams)
+    for _ in range(0, n, _CHUNK):
+        yield "".join(chain.from_iterable(islice(rows, _CHUNK)))
 
 
 def _finite(value):
@@ -283,7 +301,7 @@ def _finite(value):
     return value
 
 
-def _render_json(report: _Report) -> str:
+def _render_json(report: _Report):
     # json is imported by the runs that write or read it, not by every run.
     from json import JSONEncoder
 
@@ -291,13 +309,14 @@ def _render_json(report: _Report) -> str:
     # call); allow_nan=False makes a missed inf or nan an error.
     value = JSONEncoder(allow_nan=False).encode
     block = JSONEncoder(indent=2, allow_nan=False).encode
-    # One row template per report, from the key lines every row shares.
-    keys = [value(c).replace("%", "%%") for c in report.columns]
-    row = "    {\n" + ",\n".join(f"      {k}: %s" for k in keys) + "\n    }"
-    cells = _fill(row, ",\n", report, lambda v: value(_finite(v)))
-    results = f"[\n{cells}\n  ]" if report.rows else "[]"
     config, summary = (block(_finite(d)).replace("\n", "\n  ") for d in (report.config, report.summary))
-    return f'{{\n  "config": {config},\n  "results": {results},\n  "summary": {summary}\n}}\n'
+    yield f'{{\n  "config": {config},\n  "results": ['
+    if report.rows:
+        keys = [f"      {value(c)}: " for c in report.columns]
+        parts = ["\n    {\n" + keys[0], *[",\n" + k for k in keys[1:]], "\n    }"]
+        yield from _fill(parts, ",", _cells(report, lambda v: value(_finite(v))), len(report.rows))
+        yield "\n  "
+    yield f'],\n  "summary": {summary}\n}}\n'
 
 
 def _csv_cell(v) -> str:
@@ -307,23 +326,23 @@ def _csv_cell(v) -> str:
     return cell
 
 
-def _render_csv(report: _Report) -> str:
-    if not report.rows:
-        return ""
-    header = ",".join(report.columns)
-    return header + "\n" + _fill(",".join(["%s"] * len(report.columns)), "\n", report, _csv_cell) + "\n"
+def _render_csv(report: _Report):
+    if report.rows:
+        yield ",".join(report.columns) + "\n"
+        yield from _fill(["", *[","] * (len(report.columns) - 1), "\n"], "", _cells(report, _csv_cell), len(report.rows))
 
 
-def _render_text(report: _Report) -> str:
+def _render_text(report: _Report):
     lines = [f"{key}: {value}" for key, value in report.config.items()
              if key not in ("format", "output") and value not in (None, {}, [])]
     if report.rows:
-        k, cells = len(report.columns), _cells(report, _fmt)
+        columns = _cells(report, _fmt)
         # A column is as wide as its header and its longest cell, and at least
         # 22, so no cell pushes a later column right.
-        widths = [max(22, len(c), *map(len, cells[j::k])) for j, c in enumerate(report.columns)]
-        row = "  ".join(f"%{w}s" for w in widths)
-        lines += ["", "  ".join(map(str.rjust, report.columns, widths)), "\n".join([row] * len(report.rows)) % cells]
+        widths = [max(22, len(c), *map(len, t)) for c, t in zip(report.columns, columns)]
+        cells = [list(map(str.rjust, t, repeat(w))) for t, w in zip(columns, widths)]
+        rows = _fill(["", *["  "] * (len(widths) - 1), ""], "\n", cells, len(report.rows))
+        lines += ["", "  ".join(map(str.rjust, report.columns, widths)), "".join(rows)]
     lines += ["", "summary:"]
 
     def emit(items, pad):
@@ -335,41 +354,50 @@ def _render_text(report: _Report) -> str:
                 lines.append(f"{pad}{key}: {_fmt(value)}")
 
     emit(report.summary.items(), "  ")
-    return "\n".join(lines) + "\n"
+    yield "\n".join(lines) + "\n"
 
 
 _RENDERERS = {"text": _render_text, "json": _render_json, "csv": _render_csv}
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+def _emit(text: str, fh) -> None:  # every chunk of a report is written here (perfbench's tracer counts it)
+    fh.write(text)
+
+
+def _write(chunks, output: Optional[str]) -> None:
+    """Write a report's chunks, each as it comes, to ``output``, or to stdout."""
     try:  # a path to this process's own stdout, such as /dev/stdout under a redirect
         own = output is not None and os.path.samestat(os.stat(output), os.fstat(sys.stdout.fileno()))
     except (OSError, ValueError):  # no such path, or a stdout with no descriptor
         own = False
     if output is None or own:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            _emit(chunk, sys.stdout)
         return
     tmp_path = None
     try:
         if os.path.exists(output) and not os.path.isfile(output):
             # A device or FIFO is written in place (a rename would replace
             # it); a directory fails to open.
-            with open(output, "w") as fh:
-                fh.write(text)
-            return
-        target = os.path.realpath(output)  # a link survives; its target gets the report
-        path = os.path.join(os.path.dirname(target), f".titeica-{os.urandom(8).hex()}.tmp")
-        # Mode 0666 less the umask, as open(output, "w") would create it.
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        tmp_path = path  # ours to remove from here on
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp_path, target)
+            fh = open(output, "w")
+        else:
+            target = os.path.realpath(output)  # a link survives; its target gets the report
+            path = os.path.join(os.path.dirname(target), f".titeica-{os.urandom(8).hex()}.tmp")
+            # Mode 0666 less the umask, as open(output, "w") would create it.
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            tmp_path = path  # ours to remove from here on
+            fh = os.fdopen(fd, "w")
+        with fh:
+            for chunk in chunks:
+                _emit(chunk, fh)
+        if tmp_path is not None:
+            os.replace(tmp_path, target)
     except OSError as exc:
-        if tmp_path is not None and os.path.exists(tmp_path):
-            os.unlink(tmp_path)
         # strerror, not the exception: its text names the temporary file.
         raise UsageError(f"output: cannot write report to '{output}': {exc.strerror or exc}") from exc
+    finally:  # a failed write or render leaves the target as it was; a rename took the file away
+        if tmp_path is not None and os.path.exists(tmp_path):
+            os.unlink(tmp_path)
 
 
 def run(config: RunConfig) -> int:
@@ -382,8 +410,7 @@ def run(config: RunConfig) -> int:
         echo = {k: list(v) if isinstance(v, tuple) else v
                 for k, v in zip(config._fields, config) if k in command.fields}
         report = _Report(echo, *command.handler(config))
-        text = _RENDERERS[config.format](report)
-        _emit(text, config.output)
+        _write(_RENDERERS[config.format](report), config.output)
         if config.output is not None:
             status = report.summary.get("passed")
             print(f"wrote {config.format} report to {config.output}"

@@ -89,9 +89,13 @@ def _pass(jets, amb: AmbientForm, x=None, y=None) -> tuple:
         vx, vy, vxy, v = z + uxx, z + uyy, z + uxy, x * c0 + y * c1 + u
     else:
         try:  # free until it raises, on CPython 3.11+
-            (f0, a0, b0, p0, q0, r0), (f1, a1, b1, p1, q1, r1), (f2, a2, b2, p2, q2, r2) = jets
-        except TypeError:  # a coordinate that is not a jet
+            j0, j1, j2 = jets  # read once: an iterator's items stay for the message
+        except TypeError:  # one value that is not a jet
             raise _not_jets(jets) from None
+        try:
+            (f0, a0, b0, p0, q0, r0), (f1, a1, b1, p1, q1, r1), (f2, a2, b2, p2, q2, r2) = j0, j1, j2
+        except TypeError:  # a coordinate that is not a jet
+            raise _not_jets((j0, j1, j2)) from None
         # numpy.cross operand order: tests/frame_reference.py holds the volumes
         # and d bitwise to the frame built with it.
         c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
@@ -186,7 +190,7 @@ def classify(
     withheld via :class:`InconclusiveError`.
     """
     records = scan_grid(s, grid)
-    ratios = sorted(r.ratio for r in records if r.skipped is None)
+    ratios = sorted([r.ratio for r in records if r.skipped is None])
     n, total = len(ratios), len(records)
     skipped = total - n
     if skipped > 0.25 * total:
@@ -197,7 +201,8 @@ def classify(
     # when the ratio is rescaled (a centro-affine map scales it by 1/det^2).
     # A zero median has spread inf: a Titeica surface has K/d^4 = C != 0,
     # and a developable one, with every ratio 0, is not one.
-    # The median is statistics.median's midpoint, float for float.
+    # The median is statistics.median's midpoint, float for float; it lies between
+    # the sorted ratios' ends, and rounding is monotone, so max |r - median| is at one.
     median = ratios[n // 2] if n % 2 else (ratios[n // 2 - 1] + ratios[n // 2]) / 2
-    spread = max(abs(r - median) for r in ratios) / abs(median) if median else math.inf
+    spread = max(ratios[-1] - median, median - ratios[0]) / abs(median) if median else math.inf
     return ClassifyVerdict(spread <= tol, median, spread, n, skipped, tuple(records))

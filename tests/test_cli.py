@@ -835,6 +835,29 @@ def test_failed_rename_removes_the_temporary_file(tmp_path, capsys, monkeypatch)
     assert list(tmp_path.glob(".titeica-*.tmp")) == []
 
 
+@pytest.mark.parametrize("format", ["json", "csv"])
+def test_a_render_that_fails_midway_leaves_the_old_report(tmp_path, capsys, monkeypatch, format):
+    # A report streams into its temporary file, so an encoder can fail after
+    # a chunk is written there: the temporary file goes, the old report
+    # stays, and the error is reported as a failed render always was.
+    def fail(value):
+        if value is None:  # the skipped cells, encoded after the report's head is written
+            raise ValueError("cannot encode this cell")
+        return encode(value)
+
+    written, emit = [], cli._emit
+    encode = {"json": cli._finite, "csv": cli._csv_cell}[format]
+    monkeypatch.setattr(cli, {"json": "_finite", "csv": "_csv_cell"}[format], fail)
+    monkeypatch.setattr(cli, "_emit", lambda text, fh: emit(written.append(text) or text, fh))
+    out = tmp_path / "report"
+    out.write_text("old\n")
+    argv = ["invariants", "--surface", "titeica-xyz", "--grid", "50", "50", "--format", format, "--output", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: cannot encode this cell\n")
+    assert written and out.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report"]
+
+
 def test_empty_output_is_refused(tmp_path, capsys, monkeypatch):
     # "" would resolve to the working directory: the temporary file went to
     # the directory above it, and the rename onto the directory failed.

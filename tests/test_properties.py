@@ -228,3 +228,24 @@ def test_graph_rows_match_the_general_form_on_drawn_heights(seed, box):
     rng = np.random.default_rng(seed)
     expr = exprgen.random_height(rng, int(rng.integers(1, 4)))
     assert_graph_rows_match(lambda x, y: exprgen.eval_jet(expr, x, y), box, (6, 5))
+
+
+# Ratios with ties (a few values drawn often) and negative medians (every
+# ratio negated).
+ratio_lists = st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-2.5, -1.0, 1e-300, 3.0]),
+                       min_size=1, max_size=9)
+
+
+@SETTINGS
+@given(ratio_lists, st.sampled_from([1.0, -1.0]))
+def test_the_spread_is_read_at_the_ends_of_the_sorted_ratios(ratios, sign):
+    # classify takes max |r - median| from the two ends of the sorted ratios:
+    # the median lies between them and rounding is monotone, so the spread is
+    # the one every ratio gives, bit for bit.
+    ratios = sorted(sign * r for r in ratios)
+    n = len(ratios)
+    median = ratios[n // 2] if n % 2 else (ratios[n // 2 - 1] + ratios[n // 2]) / 2
+    assume(median != 0.0)  # a zero median has spread inf, from neither form
+    every = max(abs(r - median) for r in ratios) / abs(median)
+    ends = max(ratios[-1] - median, median - ratios[0]) / abs(median)
+    assert every.hex() == ends.hex()

@@ -1,6 +1,6 @@
-"""Report rows: the JSON, CSV and text renderers fill each row from one
-template built per report, with each column encoding each distinct cell
-once, and must give the bytes of the general encoders.
+"""Report rows: the JSON, CSV and text renderers stream each report in
+chunks of ``cli._CHUNK`` rows, with each column encoding each distinct
+cell once, and must give the bytes of the general encoders.
 
 The references below render every cell on its own: JSON as
 ``json.dumps`` of the whole document with ``indent=2`` and each
@@ -11,6 +11,7 @@ longest cell where that is longer.
 
 import json
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ def reference_csv(report):
 
 
 def reference_text(report):
-    text = cli._render_text(report._replace(rows=[]))
+    text = "".join(cli._render_text(report._replace(rows=[])))
     if not report.rows:
         return text
     widths = [max(22, len(c), *(len(cli._fmt(row[j])) for row in report.rows)) for j, c in enumerate(report.columns)]
@@ -96,10 +97,10 @@ def report_of(config):
 
 
 def check_rows(report):
-    text = cli._render_json(report)
+    text = "".join(cli._render_json(report))
     assert text == reference_json(report)
-    assert cli._render_csv(report) == reference_csv(report)
-    assert cli._render_text(report) == reference_text(report)
+    assert "".join(cli._render_csv(report)) == reference_csv(report)
+    assert "".join(cli._render_text(report)) == reference_text(report)
     results = json.loads(text)["results"]
     assert len(results) == len(report.rows)
     for row, obj in zip(report.rows, results):
@@ -124,7 +125,7 @@ def test_edge_cells():
     columns = ("nan", "inf", "-inf", "-0", "none", "text", "bool", "int", "float", "100%")
     row = (math.nan, math.inf, -math.inf, -0.0, None, 'say "x, y"', True, 3, 0.1, 2.5)
     report = cli._Report({"command": "invariants"}, columns, [row], {})
-    assert cli._render_json(report) == (
+    assert "".join(cli._render_json(report)) == (
         '{\n'
         '  "config": {\n'
         '    "command": "invariants"\n'
@@ -146,7 +147,7 @@ def test_edge_cells():
         '  "summary": {}\n'
         '}\n'
     )
-    assert cli._render_csv(report) == (
+    assert "".join(cli._render_csv(report)) == (
         'nan,inf,-inf,-0,none,text,bool,int,float,100%\n'
         'nan,inf,-inf,-0.0,,"say ""x, y""",true,3,0.1,2.5\n'
     )
@@ -165,12 +166,12 @@ def test_edge_cells():
           "-1e-300"]
     report = cli._Report({"command": "invariants"}, ("x", "y", "ratio"), [(x, y, 0.5) for x, y in coordinates], {})
     check_rows(report)
-    csv = [line.split(",") for line in cli._render_csv(report).splitlines()[1:]]
+    csv = [line.split(",") for line in "".join(cli._render_csv(report)).splitlines()[1:]]
     assert csv == [[x, y, "0.5"] for x, y in zip(xs, ys)]
-    text = cli._render_text(report).splitlines()[3:-2]  # the row lines
+    text = "".join(cli._render_text(report)).splitlines()[3:-2]  # the row lines
     assert [[line[i:i + 22].strip() for i in (0, 24, 48)] for line in text] == [[x, y, "0.5"] for x, y in zip(xs, ys)]
     null = {"nan": "null", "inf": "null", "-inf": "null"}
-    json_lines = cli._render_json(report).splitlines()
+    json_lines = "".join(cli._render_json(report)).splitlines()
     assert [v.split(": ")[1] for v in json_lines if v.startswith('      "x": ')] == [null.get(x, x) + "," for x in xs]
     assert [v.split(": ")[1] for v in json_lines if v.startswith('      "y": ')] == [null.get(y, y) + "," for y in ys]
 
@@ -214,22 +215,66 @@ def tables(draw):
 def test_fill_matches_a_per_cell_encoder(format, rows):
     encode = ENCODERS[format]
     report = cli._Report({"command": "invariants"}, tuple(f"c{i}" for i in range(len(rows[0]))), rows, {})
-    row = "|".join(["%s"] * len(report.columns))
-    assert cli._fill(row, "\n", report, encode) == "\n".join(row % tuple(map(encode, cells)) for cells in rows)
+    parts = ["<", *["|"] * (len(report.columns) - 1), ">"]
+    filled = cli._fill(parts, "\n", cli._cells(report, encode), len(rows))
+    assert "".join(filled) == "\n".join("<" + "|".join(map(encode, cells)) + ">" for cells in rows)
 
 
 def test_equal_cells_of_a_column_share_one_string():
     report = report_of(RunConfig("classify", surface="sphere-origin", params={"R": 1.3}, grid=(50, 50)))
-    cells = cli._cells(report, ENCODERS["json"])
-    n = len(report.columns)
-    for i, name in enumerate(report.columns):
-        column = cells[i::n]
-        assert len(column) == 2500
+    columns = cli._cells(report, ENCODERS["json"])
+    for name, column in zip(report.columns, columns):
+        # A column whose cells all encode alike is that text once.
+        assert len(column) == (1 if name == "skipped" else 2500)
         assert len(set(map(id, column))) == len(set(column)), name
-    assert len(set(map(id, cells[report.columns.index("d")::n]))) <= 4
+    assert len(set(map(id, columns[report.columns.index("d")]))) <= 4
 
 
 def test_empty_rows():
     report = cli._Report({"command": "invariants"}, ("x", "y"), [], {})
-    assert '\n  "results": [],\n' in cli._render_json(report)
-    assert cli._render_csv(report) == ""
+    assert '\n  "results": [],\n' in "".join(cli._render_json(report))
+    assert "".join(cli._render_csv(report)) == ""
+
+
+C = cli._CHUNK
+
+
+def chunked_report(n):
+    """``n`` rows that reach past chunk boundaries: a zero column that is
+    0.0 in the first chunk and -0.0 after it, repeated and distinct floats,
+    a CSV-quoted string and two columns of one value each."""
+    rows = [((i % 7) * 0.5 - 1.0, i / 3, 0.0 if i < C else -0.0, 2.5, None, 'a,"b"' if i % 5 else "c")
+            for i in range(n)]
+    return cli._Report({"command": "invariants"}, ("x", "y", "zero", "same", "skipped", "text"), rows, {"n": n})
+
+
+def constant_report(n):
+    """``n`` rows in which every column holds one value."""
+    return cli._Report({"command": "invariants"}, ("x", "skipped", "text"), [(0.5, None, "x")] * n, {})
+
+
+def row_chunks(format, n):
+    """Where the chunks that hold rows sit among all the chunks of a
+    streamed ``format`` report of ``n`` rows, how many rows each holds,
+    and how many chunks there are in all."""
+    sizes = [C] * (n // C) + [n % C] * (n % C > 0)
+    if format == "csv":  # the header, then the rows
+        return slice(1, None), sizes, len(sizes) + 1 if n else 0
+    # the config, the rows, the line that closes them and the summary
+    return slice(1, -2) if n else slice(1, 1), sizes, len(sizes) + 3 if n else 2
+
+
+@pytest.mark.parametrize("n", [0, 1, C - 1, C, C + 1, 2 * C + 1])
+@pytest.mark.parametrize("make", [chunked_report, constant_report])
+def test_chunk_boundaries_match_the_general_encoder(make, n):
+    report = make(n)
+    for format, render, reference, marker in (("json", cli._render_json, reference_json, "\n    {"),
+                                              ("csv", cli._render_csv, reference_csv, "\n")):
+        where, sizes, count = row_chunks(format, n)
+        # A stream that never ends (every column folded into the row's text,
+        # say) gives more chunks than this bound, rather than a hang.
+        chunks = list(islice(render(report), count + 1))
+        assert "".join(chunks) == reference(report), format
+        assert len(chunks) == count, format
+        assert [c.count(marker) for c in chunks[where]] == sizes, format
+    assert list(islice(cli._render_text(report), 2)) == [reference_text(report)]

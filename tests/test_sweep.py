@@ -21,7 +21,7 @@ from helpers import called, called_rows, outcome, surface_names, swept
 from titeica import jet, surfaces
 from titeica.centroaffine import CentroAffineMap, apply_map, verify_scaling
 from titeica.errors import DomainError
-from titeica.invariants import PointRecord, point_invariants, scan_grid
+from titeica.invariants import PointRecord, classify, point_invariants, scan_grid
 from titeica.surfaces import (
     EUCLIDEAN,
     Box,
@@ -169,12 +169,17 @@ def test_a_plain_mix_must_give_jets():
     # A real coordinate unpacks as one of three items, so a call tests the
     # type of each, and the pass and the map's image refuse what they cannot
     # unpack as a jet.
+    # A mix that returns an iterator is named by what it held, though the
+    # pass and the map's image read it once.
     s = SurfaceDef("p", lambda x, y: (x, y, 1.0), Box(-1.0, 1.0, -1.0, 1.0), EUCLIDEAN)
+    lazy = s._replace(mix=lambda x, y: iter((x, y, 1.0)))
     a = CentroAffineMap.of([(2.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
-    image = apply_map(s, a)
+    image, lazy_image = apply_map(s, a), apply_map(lazy, a)
     for run in (lambda: eval_surface(s, 0.5, 0.5), lambda: point_invariants(s.mix(*jet.seed_xy(0.5, 0.5)), EUCLIDEAN),
                 lambda: scan_grid(s, (2, 2)), lambda: verify_scaling(s, a, (2, 2), 1e-8),
-                lambda: eval_surface(image, 0.5, 0.5), lambda: scan_grid(image, (2, 2))):
+                lambda: eval_surface(image, 0.5, 0.5), lambda: scan_grid(image, (2, 2)),
+                lambda: eval_surface(lazy, 0.5, 0.5), lambda: scan_grid(lazy, (2, 2)), lambda: classify(lazy, (2, 2)),
+                lambda: verify_scaling(lazy, a, (2, 2), 1e-8), lambda: scan_grid(lazy_image, (2, 2))):
         with pytest.raises(ValueError, match=r"^mix must give three jets, or one for a graph, got \(Jet2, Jet2, float\)$"):
             run()
 
