@@ -108,7 +108,8 @@ class ScalingPoint(NamedTuple):
 class ScalingReport(NamedTuple):
     """Aggregate and per-point residuals of the three scaling identities;
     the fields before ``points`` are the transform-check summary, in its
-    order."""
+    order.  ``scale_factor`` is 1/det(A)^2, the factor each predicted
+    ratio is divided by: 1.0 / (det * det), so 0.0 where det^2 overflows."""
 
     det: float
     scale_factor: float
@@ -166,9 +167,5 @@ def verify_scaling(s: SurfaceDef, a: CentroAffineMap, grid: tuple[int, int], tol
     columns = list(zip(*evaluated)) or [()] * len(ScalingPoint._fields)
     max_r, max_v, max_n = (max(c, default=math.inf) for c in columns[4:7])  # the three residual columns, read once
     passed = bool(evaluated) and max_r <= tol and max_v <= tol and max_n <= tol
-    try:
-        scale_factor = 1.0 / a.det**2  # not det2: x**2 and x*x can differ in the last bit
-    except OverflowError:
-        scale_factor = 1.0 / a.det / a.det
-    return ScalingReport(a.det, scale_factor, max_r, max_v, max_n, len(evaluated), len(rows) - len(evaluated), passed,
+    return ScalingReport(det, 1.0 / det2, max_r, max_v, max_n, len(evaluated), len(rows) - len(evaluated), passed,
                          tuple(rows))

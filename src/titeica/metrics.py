@@ -28,7 +28,7 @@ from typing import NamedTuple
 from . import _NAMES, jet
 from .errors import CatalogError, DomainError, GeometryError
 from .jet import _new
-from .surfaces import Box, SurfaceDef, _grid_axes, _squared, _sweep
+from .surfaces import Box, SurfaceDef, _grid_axes, _sweep
 
 __all__ = list(_NAMES["metrics"])
 
@@ -142,6 +142,10 @@ def _to_disk(tx, xx, omxx, omy2, yy):
     # (2x, 1 - x^2 - y^2) / (x^2 + (1 - y)^2)
     denom = xx + omy2
     return tx / denom, (omxx - yy) / denom
+
+
+def _squared(s: jet.Jet2) -> tuple[jet.Jet2, jet.Jet2]:
+    return s, s * s
 
 
 def _to_hyperboloid_radius(y1, y1s, y2, y2s):

@@ -186,10 +186,6 @@ class _Entry(NamedTuple):
     ambient: AmbientForm = EUCLIDEAN
 
 
-def _squared(s: Jet2) -> tuple[Jet2, Jet2]:
-    return s, s * s
-
-
 def _square(s: Jet2) -> tuple[Jet2]:
     return (s * s,)
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -275,23 +276,55 @@ def test_transform_check_makes_one_invariant_pass_per_side(surface, monkeypatch,
 
 
 def test_overflowing_maps_are_reported_not_raised(capsys):
-    # det = 1e200: det**2 is past float range, so the scale factor is (1/det)/det.
+    # The scale factor is 1 / (det * det), the divisor of every predicted
+    # ratio.  det = 1e200: det * det is past float range, so the factor is 0.
     s = catalog("titeica-xyz")
     a = CentroAffineMap.of([[1e100, 0, 0], [0, 1e100, 0], [0, 0, 1]])
     report = verify_scaling(s, a, (3, 3), 1e-8)
-    assert report.scale_factor == 1.0 / a.det / a.det
+    assert report.scale_factor == 1.0 / (a.det * a.det)
     assert not report.passed
     # det^2 is a float, but the image's Vxy^2 is not: each point is skipped.
     s = catalog("sphere-origin", R=1e-3)
     a = CentroAffineMap.of(np.eye(3) * 4.7e50)
     report = verify_scaling(s, a, (3, 3), 1e-8)
-    assert report.scale_factor == 1.0 / a.det**2
+    assert report.scale_factor == 1.0 / (a.det * a.det)
     assert report.points_skipped == 9
     assert all(p.skipped.startswith("non-finite") for p in report.points)
     argv = ["transform-check", "--surface", "sphere-origin", "--param", "R=1e-3",
             "--matrix", "4.7e50,0,0,0,4.7e50,0,0,0,4.7e50", "--grid", "3", "3"]
     assert main(argv) == 1
     assert capsys.readouterr().err == ""
+
+
+def test_scale_factor_is_the_divisor_of_the_predicted_ratios(capsys):
+    # det = 2.759: 1 / det**2 reads ...207, one bit above 1 / (det * det),
+    # the factor each point's predicted ratio is divided by.
+    s = catalog("titeica-xyz")
+    a = CentroAffineMap.of([[2.759, 0, 0], [0, 1, 0], [0, 0, 1]])
+    report = verify_scaling(s, a, (3, 3), 1e-8)
+    assert report.scale_factor == 1.0 / (a.det * a.det) == 0.13137012073308205
+    assert report.passed
+    argv = ["transform-check", "--surface", "titeica-xyz", "--matrix", "2.759,0,0,0,1,0,0,0,1",
+            "--format", "json", "--grid", "3", "3"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["scale_factor"] == 0.13137012073308205
+
+
+def test_scale_factor_is_zero_where_det_squared_overflows(capsys):
+    # det = 1e155: det * det is inf, so every predicted numerator is not
+    # finite and every point is skipped; the factor is 1 / inf, not the
+    # subnormal 1e-310 of (1 / det) / det.
+    s = catalog("titeica-xyz")
+    a = CentroAffineMap.of([[1e155, 0, 0], [0, 1, 0], [0, 0, 1]])
+    report = verify_scaling(s, a, (3, 3), 1e-8)
+    assert report.scale_factor == 0.0
+    assert (report.points_evaluated, report.points_skipped, report.passed) == (0, 9, False)
+    argv = ["transform-check", "--surface", "titeica-xyz", "--matrix", "1e155,0,0,0,1,0,0,0,1",
+            "--format", "json", "--grid", "3", "3"]
+    assert main(argv) == 1
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["scale_factor"] == 0.0
+    assert summary["points_skipped"] == 9
 
 
 def test_overflowing_predicted_numerator_is_a_non_finite_skip():

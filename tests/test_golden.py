@@ -1,7 +1,8 @@
 """Report bytes pinned to golden files.
 
 Each file under ``tests/golden/`` is the stdout of ``main(argv)`` for the
-argv beside its name.  Eight of them use only arithmetic and ``sqrt``,
+argv beside its name; the run writes no stderr and returns 0, or 1 for
+the all-skipped transform-check, ``FAILING``.  Eight of them use only arithmetic and ``sqrt``,
 so their bytes do not depend on the platform's math library: the
 catalog, classify and transform-check on titeica-xyz, invariants on
 sphere-origin (at R = 2, and at R = 1e100 in CSV and JSON, where every
@@ -98,12 +99,18 @@ GOLDEN = {
 }
 
 
+# An all-skipped transform-check fails its check by design.
+FAILING = "transform-check-titeica-xyz-small.json"
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_report_matches_golden_file(name, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps help text to
-    main(GOLDEN[name])
+    assert main(GOLDEN[name]) == (1 if name == FAILING else 0)
+    out, err = capsys.readouterr()
+    assert err == ""
     with open(os.path.join(GOLDEN_DIR, name), newline="") as fh:
-        assert capsys.readouterr().out == fh.read()
+        assert out == fh.read()
 
 
 def golden_text(name):
@@ -125,8 +132,7 @@ def test_json_report_reruns_from_its_config(name, tmp_path, capsys):
     text = golden_text(name)
     config = tmp_path / "run.json"
     config.write_text(json.dumps(json.loads(text)["config"]))
-    # An all-skipped transform-check fails its check by design.
-    assert main(["--config", str(config)]) == (1 if name == "transform-check-titeica-xyz-small.json" else 0)
+    assert main(["--config", str(config)]) == (1 if name == FAILING else 0)
     assert capsys.readouterr().out == text
 
 
