@@ -1,13 +1,6 @@
 """Command-line driver: parses a run configuration, dispatches it to the
-library and renders the report.
-
-Commands, and the flags each takes besides --config, --format and --output
---------------------------------------------------------------------------
-catalog          list built-in surfaces, metrics and metric pairs
-invariants       per-point K, d, K/d^4 table: --surface --param --grid
-classify         constant-ratio verdict: --surface --param --grid --tol
-transform-check  det^-2 scaling law: --surface --param --grid --matrix --tol
-metric-check     pullback equality for a metric pair: --pair --grid --tol
+library and renders the report.  ``titeica --help`` lists the commands
+and the flags each takes.
 
 Reports are emitted as text, JSON or CSV; ``config`` echoes only the
 fields the command takes, the command among them, and ``summary`` holds
@@ -24,7 +17,7 @@ order is fixed and every float is written as its shortest round-trip repr.
 Exit status: 0 on success or a passing check, 1 on a verification
 failure, an inconclusive classification or a stdout whose reader has
 gone, 2 on configuration errors, a field the command does not take
-(as a flag or in a config file) among them.
+(as a flag anywhere on the line or in a config file) among them.
 """
 
 import argparse
@@ -448,7 +441,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # Each RunConfig field: (converter, flag or None, the flag's argparse
-# settings), in --help order.  The command is the subcommand, not a flag.
+# settings), in --help order.  The command is the positional, not a flag.
 _FIELDS = {
     "grid": (_grid, "--grid", dict(nargs=2, metavar=("NX", "NY"), help="sample grid size (default 20 20)")),
     "tolerance": (_float, "--tol", dict(metavar="TOL", help="tolerance (default 1e-8)")),
@@ -466,16 +459,18 @@ _FIELDS = {
 
 @cache  # one parser per process: parsing never mutates it
 def _build_parser() -> argparse.ArgumentParser:
-    description = "Surface invariant K/d^4: classification, scaling-law and metric checks."
-    parser = _Parser(prog="titeica", description=description)
-    sub = parser.add_subparsers(dest="command")
-    takes = [(parser, ("grid", "tolerance", *_COMMON))]  # the flags accepted before the command
-    takes += [(sub.add_parser(name, help=c.help), c.fields) for name, c in _COMMANDS.items()]
-    for p, fields in takes:  # --config, then the flag of each field taken, in --help order
-        p.add_argument("--config", default=argparse.SUPPRESS, help="JSON config file; flags override file values")
-        for name, (_, flag, settings) in _FIELDS.items():
-            if flag and name in fields:
-                p.add_argument(flag, dest=name, default=argparse.SUPPRESS, **settings)
+    # Every flag in any position: run() refuses a field its command does not take.
+    flags = {name: flag for name, (_, flag, _) in _FIELDS.items() if flag}
+    table = "".join(f"\n  {name:<17}{c.help}\n  {'':<17}{' '.join(f for n, f in flags.items() if n in c.fields)}"
+                    for name, c in _COMMANDS.items())
+    parser = _Parser(prog="titeica", description="Surface invariant K/d^4: classification, scaling-law and metric checks.",
+                     epilog="commands, and the flags each takes besides --config:" + table,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", nargs="?", choices=tuple(_COMMANDS), default=None, metavar="command",
+                        help="one of the commands below")
+    parser.add_argument("--config", default=argparse.SUPPRESS, help="JSON config file; flags override file values")
+    for name, flag in flags.items():
+        parser.add_argument(flag, dest=name, default=argparse.SUPPRESS, **_FIELDS[name][2])
     return parser
 
 

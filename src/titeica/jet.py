@@ -133,7 +133,12 @@ class Jet2(NamedTuple):
         # Any nonzero base for an integral p; a positive one for any other p.
         if v == 0.0 and p < 0.0 or v <= 0.0 and not p.is_integer():
             raise DomainError(f"pow: base {v!r} outside the domain of x ** {p!r}")
-        return _chain(self, v**p, p * v ** (p - 1.0), p * (p - 1.0) * v ** (p - 2.0))
+        try:
+            return _chain(self, v**p, p * v ** (p - 1.0), p * (p - 1.0) * v ** (p - 2.0))
+        except OverflowError:  # f'' alone may leave float range: a signed inf, where a zero slope product adds 0
+            (_, ax, ay, *second), val, d1 = self, v**p, p * v ** (p - 1.0)  # raises again where f or f' overflows
+            d2, slopes = p * (p - 1.0) * math.copysign(1.0, v) ** p * math.inf, (ax * ax, ax * ay, ay * ay)
+            return _new(Jet2, (val, d1 * ax, d1 * ay, *(d1 * a + (s and d2 * s) for a, s in zip(second, slopes))))
 
     def _unordered(self, other):
         # Jets have no order.  Returning NotImplemented would let tuple

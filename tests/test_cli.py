@@ -441,14 +441,56 @@ def test_config_file_field_its_command_does_not_take(config, field, tmp_path, ca
     (["--tol", "5", "catalog"], "error: tolerance: not taken by the catalog command\n"),
     (["--grid", "3", "3", "catalog"], "error: grid: not taken by the catalog command\n"),
     (["--tol", "5", "invariants", "--surface", "plane"], "error: tolerance: not taken by the invariants command\n"),
-    (["catalog", "--grid", "3", "3"], "titeica: error: unrecognized arguments: --grid 3 3\n"),
+    (["catalog", "--grid", "3", "3"], "error: grid: not taken by the catalog command\n"),
 ], ids=["tol-catalog", "grid-catalog", "tol-invariants", "catalog-grid"])
 def test_flag_its_command_does_not_take(argv, message, capsys):
-    # A flag before the command is the top-level parser's, which takes the
-    # flags of several commands; the run then refuses it.
+    # The parser takes every flag in any position; the run refuses the
+    # field, as it refuses a config file's.
     assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.endswith(message)
+    assert capsys.readouterr() == ("", message)
+
+
+# Each field's flag with a value other than the field's default, and that value.
+FLAG_VALUES = {
+    "grid": (["--grid", "3", "4"], (3, 4)),
+    "tolerance": (["--tol", "1e-6"], 1e-6),
+    "format": (["--format", "json"], "json"),
+    "output": (["--output", "report.json"], "report.json"),
+    "surface": (["--surface", "paraboloid"], "paraboloid"),
+    "params": (["--param", "R=2"], {"R": 2.0}),
+    "matrix": (["--matrix", "2,0,0,0,1,0,0,0,1"], (2.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)),
+    "pair": (["--pair", "half-plane:disk"], "half-plane:disk"),
+}
+# The flags of the fields a command requires, so that the run reaches the fields it does not take.
+REQUIRED = {"surface": ["--surface", "titeica-xyz"], "matrix": ["--matrix", "1,0,0,0,1,0,0,0,1"],
+            "pair": ["--pair", "disk:minkowski-sphere"]}
+
+
+@pytest.mark.parametrize("field", FLAG_VALUES)
+@pytest.mark.parametrize("command", cli._COMMANDS)
+def test_a_flag_is_read_alike_before_and_after_the_command(command, field, tmp_path, monkeypatch, capsys):
+    # One rule wherever a flag stands: the field is set, or the run
+    # refuses it with the message a config file's value gets.
+    monkeypatch.chdir(tmp_path)
+    flag, value = FLAG_VALUES[field]
+    taken = cli._COMMANDS[command].fields
+    rest = [arg for name, argv in REQUIRED.items() if name in taken and name != field for arg in argv]
+    before, after = [*flag, command, *rest], [command, *flag, *rest]
+    if field in taken:
+        config = parse_config(before)
+        assert config == parse_config(after) and getattr(config, field) == value
+    else:
+        runs = [(main(argv), capsys.readouterr()) for argv in (before, after)]
+        assert runs == [(2, ("", f"error: {field}: not taken by the {command} command\n"))] * 2
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_a_flag_at_its_default_is_ignored_by_a_command_that_does_not_take_it(capsys):
+    # As a config file's value equal to the default is: it counts as not set.
+    assert main(["catalog"]) == 0
+    plain = capsys.readouterr()
+    assert main(["--grid", "20", "20", "catalog", "--tol", "1e-8"]) == 0
+    assert capsys.readouterr() == plain
 
 
 @pytest.mark.parametrize("params", [["R2"], [["R", 2]]], ids=["string", "pairs"])
@@ -489,7 +531,7 @@ def test_common_flags_apply_before_the_subcommand(capsys):
     assert main(argv) == 0
     after = json.loads(capsys.readouterr().out)
     assert after["summary"]["is_titeica"] is False
-    assert main(["--tol", "10", "--grid", "4", "3", "--format", "json", *argv[:3]]) == 0
+    assert main(["--tol", "10", "--grid", "4", "3", "--format", "json", *argv[1:3], "classify"]) == 0
     before = json.loads(capsys.readouterr().out)
     assert before["config"]["tolerance"] == 10.0
     assert before["config"]["grid"] == [4, 3]
@@ -943,8 +985,14 @@ def test_run_validates_config():
     assert run(RunConfig(command="transform-check", surface="plane")) == 2
 
 
+def help_table(text):
+    """Each command's help line and flags, from the table that ends --help."""
+    rows = text.partition("\ncommands, and the flags each takes besides --config:\n")[2].splitlines()
+    return {line.split()[0]: (line.split(None, 1)[1], tuple(flags.split())) for line, flags in zip(rows[::2], rows[1::2])}
+
+
 @pytest.mark.parametrize("command, flags", [
-    (None, ("--grid", "--tol", "--format", "--output")),
+    (None, ("--grid", "--tol", "--format", "--output", "--surface", "--param", "--matrix", "--pair")),
     ("catalog", ("--format", "--output")),
     ("invariants", ("--grid", "--format", "--output", "--surface", "--param")),
     ("classify", ("--grid", "--tol", "--format", "--output", "--surface", "--param")),
@@ -952,9 +1000,17 @@ def test_run_validates_config():
     ("metric-check", ("--grid", "--tol", "--format", "--output", "--pair")),
 ], ids=["top-level", "catalog", "invariants", "classify", "transform-check", "metric-check"])
 def test_each_command_lists_the_flags_of_the_fields_it_takes(command, flags, capsys):
+    # One help page: its usage names every flag once, and its table each
+    # command's help line over the flags of the fields it takes.
     assert main([command, "--help"] if command else ["--help"]) == 0
-    usage = capsys.readouterr().out.partition("\n\n")[0]
-    assert tuple(re.findall(r"\[(-[-\w]+)", usage)) == ("-h", "--config", *flags)
+    out = capsys.readouterr().out
+    table = help_table(out)
+    if command is None:
+        usage = out.partition("\n\n")[0]
+        assert tuple(re.findall(r"\[(-[-\w]+)", usage)) == ("-h", "--config", *flags)
+        assert {name: line for name, (line, _) in table.items()} == {n: c.help for n, c in cli._COMMANDS.items()}
+    else:
+        assert table[command][1] == flags
 
 
 def test_run_config_params_default_to_a_fresh_dict():

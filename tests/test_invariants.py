@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import frame_reference as ref
+import implicit
 from helpers import jet_of_rows, random_polynomial_patch, random_regular_point, surface_names
 from titeica import CentroAffineMap, classify, invariants, jet, scan_grid, verify_scaling
 from titeica.errors import DomainError, InconclusiveError, SingularPointError
@@ -359,3 +360,49 @@ def test_sweeps_skip_only_singular_points():
         classify(holed, (3, 3))
     with pytest.raises(DomainError):
         verify_scaling(holed, CentroAffineMap.of(np.eye(3)), (3, 3), 1e-8)
+
+
+def bordered_routes(s, points, level=None):
+    """At each regular point of ``s``: the pass's K/d^4 and the bordered
+    Hessian's, of the defining function ``level`` or of z - u for a graph."""
+    det_s = math.prod(s.ambient.signature)
+    pairs = []
+    for x, y in points:
+        jets = eval_surface(s, x, y)
+        try:
+            ratio = point_invariants(jets, s.ambient).ratio
+        except SingularPointError:
+            continue
+        p = np.array([j.val for j in jets])
+        pairs.append((ratio, implicit.bordered_ratio(p, *(level(p) if level else implicit.monge(jets[2])), det_s)))
+    return pairs
+
+
+# Each surface's parameters and defining function: F = 0 on the surface.
+LEVEL_SETS = {
+    "titeica-xyz": ({}, implicit.titeica_xyz),
+    "sphere-origin": ({"R": 2.0}, implicit.sphere((0.0, 0.0, 0.0))),
+    "sphere-translated": ({"R": 1.5, "c": 0.7}, implicit.sphere((0.0, 0.0, 0.7))),
+    "paraboloid": ({}, implicit.paraboloid),
+    "minkowski-sphere": ({}, implicit.minkowski_sphere),
+}
+
+
+@pytest.mark.parametrize("name", LEVEL_SETS)
+def test_the_ratio_is_the_bordered_hessians(name):
+    # A second route to K/d^4 that shares no step with the pass (ROADMAP item 9).
+    params, level = LEVEL_SETS[name]
+    s = catalog(name, **params)
+    pairs = bordered_routes(s, grid_points(s.domain, 9, 7), level)
+    assert len(pairs) >= 62  # the paraboloid's vertex alone is singular
+    assert [(a, b) for a, b in pairs if not abs(a - b) <= 1e-12 * abs(b)] == []
+
+
+@pytest.mark.parametrize("ambient", [EUCLIDEAN, MINKOWSKI], ids=lambda a: a.name)
+def test_a_cubic_patch_ratio_is_its_bordered_hessians(ambient):
+    rng = np.random.default_rng(53)
+    for _ in range(40):
+        s = random_polynomial_patch(rng, degree=3)._replace(ambient=ambient)
+        points = [(float(x), float(y)) for x, y in rng.uniform(-0.9, 0.9, (5, 2))]
+        pairs = bordered_routes(s, points)
+        assert pairs and [(a, b) for a, b in pairs if not abs(a - b) <= 1e-12 * abs(b)] == []

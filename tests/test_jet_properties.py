@@ -159,32 +159,20 @@ def test_a_function_is_its_scalar_rule_to_first_order(j):
             with pytest.raises(type(exc)):
                 fn(j)
             continue
-        try:
-            got = fn(j)
-        except OverflowError:
-            # A power raises where f'' is not a finite float: an open fault
-            # (ROADMAP item 17), pinned by test_a_power_with_a_finite_slope_is_a_jet.
-            assert not finite(curvature, j.val), name
-            continue
+        # Where f'' alone is not a finite float, a power is still a jet
+        # (test_a_power_with_a_finite_slope_is_a_jet): no OverflowError here.
+        got = fn(j)
         assert same(got.val, v) and same(got[1:3], (d1 * j.dx, d1 * j.dy)), name
 
 
-def finite(f, v):
-    """``f(v)`` is a finite float."""
-    try:
-        return math.isfinite(f(v))
-    except (OverflowError, ZeroDivisionError):
-        return False
-
-
-@pytest.mark.xfail(strict=True, raises=OverflowError,
-                   reason="ROADMAP item 17: a power's second-order coefficient overflows")
 @pytest.mark.parametrize("v, p", [(1e-100, -2), (1e-210, 0.5)])
 def test_a_power_with_a_finite_slope_is_a_jet(v, p):
     # The value and slope are finite, but v ** (p - 2) overflows, and so
-    # does f'' itself; mapping it to an inf would give dxx = d2 * 0.0 = nan.
+    # does f'' itself: dxx is f'' as a signed inf, and dxy and dyy, whose
+    # slope products are 0, are 0.0, not inf * 0.0 = nan.
     got = Jet2(v, 1.0) ** p
     assert same(got[:2], (v ** p, p * v ** (p - 1)))
+    assert same(got[3:], (math.copysign(math.inf, p * (p - 1)), 0.0, 0.0))
 
 
 # Second order: each field is the sum of its rule's terms within REL of
