@@ -58,23 +58,21 @@ class CentroAffineMap(NamedTuple):
         return cls(m, d)
 
     def act(self, jets: tuple[Jet2, Jet2, Jet2]) -> tuple[Jet2, Jet2, Jet2]:
-        """The coordinate jets of f . A: each field of image coordinate k is
-        sum_i x_i a_ik over that field x_i of the source's jets, in this order."""
+        """The coordinate jets of f . A, from any iterable of three jets, read once here: each field
+        of image coordinate k is sum_i x_i a_ik over that field x_i of the source's jets, in this order."""
+        if type(jets) is not tuple and hasattr(jets, "__iter__"):
+            jets = tuple(jets)
         c0, c1, c2 = _image(self.matrix, jets)
         return _new(Jet2, c0), _new(Jet2, c1), _new(Jet2, c2)
 
 
 def _image(matrix, jets) -> tuple:
-    """The fields of the three coordinate jets of f . A, as plain rows."""
+    """The fields of the three coordinate jets of f . A, as plain rows, from a tuple of three jets."""
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = matrix
     try:  # free until it raises, on CPython 3.11+
-        j0, j1, j2 = jets  # read once: an iterator's items stay for the message
-    except TypeError:  # one value that is not a jet
+        (x0, x1, x2, x3, x4, x5), (y0, y1, y2, y3, y4, y5), (z0, z1, z2, z3, z4, z5) = jets
+    except TypeError:  # one value, or a coordinate, that is not a jet
         raise _not_jets(jets) from None
-    try:
-        (x0, x1, x2, x3, x4, x5), (y0, y1, y2, y3, y4, y5), (z0, z1, z2, z3, z4, z5) = j0, j1, j2
-    except TypeError:  # a coordinate that is not a jet
-        raise _not_jets((j0, j1, j2)) from None
     return (
         (x0 * a00 + y0 * a10 + z0 * a20, x1 * a00 + y1 * a10 + z1 * a20, x2 * a00 + y2 * a10 + z2 * a20,
          x3 * a00 + y3 * a10 + z3 * a20, x4 * a00 + y4 * a10 + z4 * a20, x5 * a00 + y5 * a10 + z5 * a20),
@@ -140,15 +138,13 @@ def verify_scaling(s: SurfaceDef, a: CentroAffineMap, grid: tuple[int, int], tol
     o0, o1, o2 = 0.0 * a00 + 0.0 * a10, 0.0 * a01 + 0.0 * a11, 0.0 * a02 + 0.0 * a12
 
     def evaluate(x, y, jets):
-        if type(jets) is Jet2:  # a graph's height u: (x, y, u) and its image
-            _, _, _, v, _, num, _, _, before = _pass(jets, amb, x, y)
+        _, _, _, v, _, num, _, _, before = _pass(jets, amb, x, y)  # a graph's height u as (x, y, u)
+        if type(jets) is Jet2:  # the image of (x, y, u)
             u, ux, uy, uxx, uxy, uyy = jets
             image = ((x * a00 + y * a10 + u * a20, dx0 + ux * a20, dy0 + uy * a20, o0 + uxx * a20, o0 + uxy * a20, o0 + uyy * a20),
                      (x * a01 + y * a11 + u * a21, dx1 + ux * a21, dy1 + uy * a21, o1 + uxx * a21, o1 + uxy * a21, o1 + uyy * a21),
                      (x * a02 + y * a12 + u * a22, dx2 + ux * a22, dy2 + uy * a22, o2 + uxx * a22, o2 + uxy * a22, o2 + uyy * a22))
-        else:  # read twice: a mix may return an iterator; _pass refuses one value
-            jets = tuple(jets) if hasattr(jets, "__iter__") else jets
-            _, _, _, v, _, num, _, _, before = _pass(jets, amb)
+        else:
             image = _image(m, jets)
         _, _, _, image_v, _, image_num, _, _, after = _pass(image, amb)
         predicted = before / det2

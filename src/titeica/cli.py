@@ -103,12 +103,15 @@ class RunConfig(_RunFields):
 
 def _validate(config: RunConfig) -> None:
     if config.command not in _COMMANDS:
-        raise UsageError(f"command: unknown command '{config.command}'")
+        raise UsageError(f"command: unknown command '{config.command}'; available: {', '.join(_COMMANDS)}")
+    taken = _COMMANDS[config.command].fields
+    for name, value, default in zip(config._fields, config, RunConfig(config.command)):
+        if name not in taken and value != default:  # a field is set when it differs from its default
+            raise UsageError(f"{name}: not taken by the {config.command} command")
     if not 0.0 < config.tolerance < math.inf:
         raise UsageError(f"tolerance: must be positive and finite, got {config.tolerance}")
     if config.format not in _RENDERERS:
         raise UsageError(f"format: expected text, json or csv, got '{config.format}'")
-    taken = _COMMANDS[config.command].fields
     for name in ("surface", "matrix", "pair"):
         if name in taken and getattr(config, name) in (None, ""):
             raise UsageError(f"{name}: required for the {config.command} command")
@@ -116,9 +119,6 @@ def _validate(config: RunConfig) -> None:
         raise UsageError(f"matrix: expected 9 row-major entries, got {len(config.matrix)}")
     if config.output == "":
         raise UsageError("output: the path is empty")
-    for name, value, default in zip(config._fields, config, RunConfig(config.command)):
-        if name not in taken and value != default:  # a field is set when it differs from its default
-            raise UsageError(f"{name}: not taken by the {config.command} command")
 
 
 # --------------------------------------------------------------------------
@@ -445,14 +445,13 @@ class _Parser(argparse.ArgumentParser):
 _FIELDS = {
     "grid": (_grid, "--grid", dict(nargs=2, metavar=("NX", "NY"), help="sample grid size (default 20 20)")),
     "tolerance": (_float, "--tol", dict(metavar="TOL", help="tolerance (default 1e-8)")),
-    "format": (_str, "--format", dict(choices=tuple(_RENDERERS), help="report format (default text)")),
+    "format": (_str, "--format", dict(help="report format: text, json or csv (default text)")),
     "output": (_str, "--output", dict(help="write the report to this path (atomically if it is a new or "
                                            "regular file other than stdout)")),
     "surface": (_str, "--surface", dict(help="catalog surface name")),
     "params": (_params, "--param", dict(action="append", metavar="KEY=VALUE", help="surface parameter (repeatable)")),
     "matrix": (_matrix, "--matrix", dict(help="9 row-major entries, comma separated")),
-    # metrics.pair_names(), written out so that the parser imports no metrics
-    "pair": (_str, "--pair", dict(help="one of: disk:minkowski-sphere, half-plane:disk, pseudosphere:half-plane")),
+    "pair": (_str, "--pair", dict(help="metric pair, as listed by titeica catalog")),
     "command": (_str, None, {}),
 }
 
@@ -466,8 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="titeica", description="Surface invariant K/d^4: classification, scaling-law and metric checks.",
                      epilog="commands, and the flags each takes besides --config:" + table,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("command", nargs="?", choices=tuple(_COMMANDS), default=None, metavar="command",
-                        help="one of the commands below")
+    parser.add_argument("command", nargs="?", default=None, help="one of the commands below")
     parser.add_argument("--config", default=argparse.SUPPRESS, help="JSON config file; flags override file values")
     for name, flag in flags.items():
         parser.add_argument(flag, dest=name, default=argparse.SUPPRESS, **_FIELDS[name][2])

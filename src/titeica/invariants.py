@@ -80,8 +80,8 @@ def point_invariants(jets: tuple[Jet2, Jet2, Jet2], amb: AmbientForm) -> PointIn
 
 def _pass(jets, amb: AmbientForm, x=None, y=None) -> tuple:
     """The single pass, written out (no helper calls: it runs once or twice
-    per grid point): the plain (Vx, Vy, Vxy, V, nn, num, K, d, K/d^4) of
-    three jets, or of a graph's u at (x, y); raises where a singularity test fails."""
+    per grid point): the plain (Vx, Vy, Vxy, V, nn, num, K, d, K/d^4) of a
+    tuple of three jets, or of a graph's u at (x, y); raises where a singularity test fails."""
     if x is not None and type(jets) is Jet2:  # (x, y, u), the seeds' 1.0s and 0.0s written in
         u, ux, uy, uxx, uxy, uyy = jets  # term for term: the zero products keep signed zeros and NaN
         c0, c1, c2 = 0.0 * uy - ux, ux * 0.0 - uy, 1.0
@@ -89,13 +89,9 @@ def _pass(jets, amb: AmbientForm, x=None, y=None) -> tuple:
         vx, vy, vxy, v = z + uxx, z + uyy, z + uxy, x * c0 + y * c1 + u
     else:
         try:  # free until it raises, on CPython 3.11+
-            j0, j1, j2 = jets  # read once: an iterator's items stay for the message
-        except TypeError:  # one value that is not a jet
+            (f0, a0, b0, p0, q0, r0), (f1, a1, b1, p1, q1, r1), (f2, a2, b2, p2, q2, r2) = jets
+        except TypeError:  # one value, or a coordinate, that is not a jet
             raise _not_jets(jets) from None
-        try:
-            (f0, a0, b0, p0, q0, r0), (f1, a1, b1, p1, q1, r1), (f2, a2, b2, p2, q2, r2) = j0, j1, j2
-        except TypeError:  # a coordinate that is not a jet
-            raise _not_jets((j0, j1, j2)) from None
         # numpy.cross operand order: tests/frame_reference.py holds the volumes
         # and d bitwise to the frame built with it.
         c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0

@@ -134,10 +134,11 @@ def eval_surface(s: SurfaceDef, x: float, y: float) -> tuple[Jet2, Jet2, Jet2]:
         return sx, sy, f
     if not hasattr(f, "__iter__"):  # one value, not a jet
         raise _not_jets(f)
+    f = tuple(f)  # read once, here: an iterator's items stay for the message
     cx, cy, cz = f
     if type(cx) is not Jet2 or type(cy) is not Jet2 or type(cz) is not Jet2:
-        raise _not_jets((cx, cy, cz))
-    return cx, cy, cz
+        raise _not_jets(f)
+    return f
 
 
 def _not_jets(got) -> ValueError:
@@ -148,11 +149,11 @@ def _not_jets(got) -> ValueError:
 def _sweep(s: SurfaceDef, xs, ys, evaluate, record) -> list:
     """The one walk of a grid command over the axes ``xs`` and ``ys`` (from
     ``_grid_axes``, inside the box) of ``s``: for each y, for each x,
-    ``evaluate(x, y, jets)`` with what ``mix`` returns there, unchanged (it
-    tells a graph's height from three jets, and reads an iterator once).
-    Each x part runs once before the first point, each y part at the start
-    of its row, and ``mix`` at each point; a part's error propagates where
-    it runs.  A point that raises SingularPointError becomes ``record(x, y,
+    ``evaluate(x, y, jets)`` with what ``mix`` returns there, an iterable
+    other than a tuple or a graph's height read once into a tuple.  Each x
+    part runs once before the first point, each y part at the start of its
+    row, and ``mix`` at each point; a part's error propagates where it
+    runs.  A point that raises SingularPointError becomes ``record(x, y,
     skipped=<the error's message>)``; other errors propagate."""
     xpart, ypart, mix = s.xpart, s.ypart, s.mix
     seeds = [_new(Jet2, (float(x), 1.0, 0.0, 0.0, 0.0, 0.0)) for x in xs]  # Jet2(x, 1.0), without a call
@@ -164,7 +165,10 @@ def _sweep(s: SurfaceDef, xs, ys, evaluate, record) -> list:
         b = ypart(sy) if ypart else (sy,)
         for x, a in line:
             try:
-                append(evaluate(x, y, mix(*a, *b)))
+                f = mix(*a, *b)
+                if type(f) is not tuple and type(f) is not Jet2 and hasattr(f, "__iter__"):
+                    f = tuple(f)  # so that evaluate may read it twice
+                append(evaluate(x, y, f))
             except SingularPointError as exc:
                 append(record(x, y, skipped=str(exc)))
     return rows

@@ -426,11 +426,14 @@ def test_config_file_value_that_cannot_be_converted(field, value, tmp_path, monk
     ({"command": "catalog", "grid": [3, 3]}, "grid"),
     ({"command": "catalog", "tolerance": 5}, "tolerance"),
     ({"command": "invariants", "surface": "plane", "tolerance": 5}, "tolerance"),
+    ({"command": "catalog", "tolerance": 0}, "tolerance"),
 ], ids=["classify-matrix", "classify-pair", "invariants-matrix", "metric-check-surface", "catalog-params",
-        "catalog-grid", "catalog-tolerance", "invariants-tolerance"])
+        "catalog-grid", "catalog-tolerance", "invariants-tolerance", "catalog-tolerance-0"])
 def test_config_file_field_its_command_does_not_take(config, field, tmp_path, capsys):
     # The parser refuses the field's flag; a file's value would be ignored
-    # by the run and still echoed in its report's config.
+    # by the run and still echoed in its report's config.  The run refuses
+    # the field before it judges the value: a tolerance of 0 is not taken
+    # either, not out of range.
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(config))
     assert main(["--config", str(cfg)]) == 2
@@ -442,12 +445,30 @@ def test_config_file_field_its_command_does_not_take(config, field, tmp_path, ca
     (["--grid", "3", "3", "catalog"], "error: grid: not taken by the catalog command\n"),
     (["--tol", "5", "invariants", "--surface", "plane"], "error: tolerance: not taken by the invariants command\n"),
     (["catalog", "--grid", "3", "3"], "error: grid: not taken by the catalog command\n"),
-], ids=["tol-catalog", "grid-catalog", "tol-invariants", "catalog-grid"])
+    (["catalog", "--tol", "0"], "error: tolerance: not taken by the catalog command\n"),
+], ids=["tol-catalog", "grid-catalog", "tol-invariants", "catalog-grid", "catalog-tol-0"])
 def test_flag_its_command_does_not_take(argv, message, capsys):
     # The parser takes every flag in any position; the run refuses the
-    # field, as it refuses a config file's.
+    # field, as it refuses a config file's, before it judges the value.
     assert main(argv) == 2
     assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["clasify"], {"command": "clasify"},
+     "error: command: unknown command 'clasify'; available: catalog, invariants, classify, transform-check, "
+     "metric-check\n"),
+    (["catalog", "--format", "xml"], {"command": "catalog", "format": "xml"},
+     "error: format: expected text, json or csv, got 'xml'\n"),
+], ids=["command", "format"])
+def test_a_bad_command_or_format_is_refused_alike_by_flag_and_by_config_file(argv, config, message, tmp_path,
+                                                                            capsys):
+    # The run judges both values, wherever they come from: one line on
+    # stderr, no usage banner.
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    runs = [(main(run), capsys.readouterr()) for run in (argv, ["--config", str(cfg)])]
+    assert runs == [(2, ("", message))] * 2
 
 
 # Each field's flag with a value other than the field's default, and that value.

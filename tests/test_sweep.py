@@ -169,8 +169,9 @@ def test_a_plain_mix_must_give_jets():
     # A real coordinate unpacks as one of three items, so a call tests the
     # type of each, and the pass and the map's image refuse what they cannot
     # unpack as a jet.
-    # A mix that returns an iterator is named by what it held, though the
-    # pass and the map's image read it once.
+    # A mix that returns an iterator is named by what it held: eval_surface
+    # and the sweep read it into a tuple where they call mix, and a map's
+    # image where its mix hands it to act.
     s = SurfaceDef("p", lambda x, y: (x, y, 1.0), Box(-1.0, 1.0, -1.0, 1.0), EUCLIDEAN)
     lazy = s._replace(mix=lambda x, y: iter((x, y, 1.0)))
     a = CentroAffineMap.of([(2.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
@@ -213,9 +214,9 @@ def test_a_row_unpacks_three_jets_at_a_call_and_in_a_sweep(count):
 
 @pytest.mark.parametrize("name", ["paraboloid", "pseudosphere"])
 def test_a_mix_may_return_an_iterator(name):
-    # The sweep hands on what mix returns; verify_scaling reads it twice,
-    # so it must read an iterator of three jets as it reads a tuple.  A
-    # graph's height u is read as (x, y, u).
+    # The sweep reads an iterator of three jets into a tuple where it calls
+    # mix, so verify_scaling, which reads a point's jets twice, reads it as
+    # it reads a tuple.  A graph's height u is read as (x, y, u).
     s = catalog(name)
     xpart, ypart, mix = s.xpart, s.ypart, s.mix
 
@@ -227,3 +228,36 @@ def test_a_mix_may_return_an_iterator(name):
     assert repr(verify_scaling(lazy, GENERAL, (7, 5), 1e-8)) == repr(verify_scaling(s, GENERAL, (7, 5), 1e-8))
     assert repr(scan_grid(lazy, (7, 5))) == repr(scan_grid(s, (7, 5)))
 
+
+class _Counted(list):
+    """Three jets in a list that counts how often it is iterated."""
+
+    reads = 0
+
+    def __iter__(self):
+        _Counted.reads += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("form", [lambda f: (c for c in f), list, _Counted], ids=["generator", "list", "counted"])
+@pytest.mark.parametrize("name", ["paraboloid", "pseudosphere"])
+def test_a_mix_result_is_read_once_where_mix_is_called(name, form, monkeypatch):
+    # A mix may return any iterable of three jets: each grid command and a
+    # mapped scan give the rows the tuple form gives, and each point's
+    # result is iterated once, by the sweep or by the map's act.
+    s = catalog(name)
+    xpart, ypart, mix = s.xpart, s.ypart, s.mix
+
+    def three(x, y):
+        f = mix(*xpart(x), *ypart(y))
+        return (x, y, f) if type(f) is jet.Jet2 else f
+
+    calls = []
+    plain = s._replace(mix=three, xpart=None, ypart=None)
+    lazy = plain._replace(mix=lambda x, y: calls.append(x) or form(three(x, y)))
+    monkeypatch.setattr(_Counted, "reads", 0)
+    for run in (lambda t: scan_grid(t, (7, 5)), lambda t: classify(t, (7, 5)),
+                lambda t: verify_scaling(t, GENERAL, (7, 5), 1e-8), lambda t: scan_grid(apply_map(t, GENERAL), (7, 5))):
+        assert repr(run(lazy)) == repr(run(plain))
+    assert len(calls) == 4 * 35
+    assert _Counted.reads == (len(calls) if form is _Counted else 0)
