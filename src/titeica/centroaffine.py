@@ -17,10 +17,10 @@ image are both read under the surface's own form.
 :func:`verify_scaling` measures all three numerically on a grid and
 reports per-point residuals.  It walks the grid's axes through
 ``surfaces._sweep`` and makes one invariant pass on each side of the
-map, on the source's jets or graph height and on the plain rows of
-their image: ``_image``'s, which ``act`` wraps in jets, or a graph's,
-from u and seed terms formed once a run.  So a point builds its report
-row and the jets of ``mix`` alone.
+map, on the source's jets or graph height and on their image: the
+three jets that ``act`` writes, or a graph's plain rows, from u and seed
+terms formed once a run.  So a graph's point builds its report row and
+the jets of ``mix`` alone, and a general point adds the jets of ``act``.
 """
 
 import math
@@ -30,7 +30,7 @@ from . import _NAMES
 from .errors import SingularPointError
 from .invariants import _pass
 from .jet import Jet2, _new
-from .surfaces import SurfaceDef, _grid_axes, _not_jets, _sweep
+from .surfaces import SurfaceDef, _grid_axes, _read_jets, _sweep
 
 __all__ = list(_NAMES["centroaffine"])
 
@@ -58,29 +58,16 @@ class CentroAffineMap(NamedTuple):
         return cls(m, d)
 
     def act(self, jets: tuple[Jet2, Jet2, Jet2]) -> tuple[Jet2, Jet2, Jet2]:
-        """The coordinate jets of f . A, from any iterable of three jets, read once here: each field
-        of image coordinate k is sum_i x_i a_ik over that field x_i of the source's jets, in this order."""
-        if type(jets) is not tuple and hasattr(jets, "__iter__"):
-            jets = tuple(jets)
-        c0, c1, c2 = _image(self.matrix, jets)
-        return _new(Jet2, c0), _new(Jet2, c1), _new(Jet2, c2)
-
-
-def _image(matrix, jets) -> tuple:
-    """The fields of the three coordinate jets of f . A, as plain rows, from a tuple of three jets."""
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = matrix
-    try:  # free until it raises, on CPython 3.11+
-        (x0, x1, x2, x3, x4, x5), (y0, y1, y2, y3, y4, y5), (z0, z1, z2, z3, z4, z5) = jets
-    except TypeError:  # one value, or a coordinate, that is not a jet
-        raise _not_jets(jets) from None
-    return (
-        (x0 * a00 + y0 * a10 + z0 * a20, x1 * a00 + y1 * a10 + z1 * a20, x2 * a00 + y2 * a10 + z2 * a20,
-         x3 * a00 + y3 * a10 + z3 * a20, x4 * a00 + y4 * a10 + z4 * a20, x5 * a00 + y5 * a10 + z5 * a20),
-        (x0 * a01 + y0 * a11 + z0 * a21, x1 * a01 + y1 * a11 + z1 * a21, x2 * a01 + y2 * a11 + z2 * a21,
-         x3 * a01 + y3 * a11 + z3 * a21, x4 * a01 + y4 * a11 + z4 * a21, x5 * a01 + y5 * a11 + z5 * a21),
-        (x0 * a02 + y0 * a12 + z0 * a22, x1 * a02 + y1 * a12 + z1 * a22, x2 * a02 + y2 * a12 + z2 * a22,
-         x3 * a02 + y3 * a12 + z3 * a22, x4 * a02 + y4 * a12 + z4 * a22, x5 * a02 + y5 * a12 + z5 * a22),
-    )
+        """The coordinate jets of f . A, from jets read by ``surfaces._read_jets``: each field of image
+        coordinate k is sum_i x_i a_ik over that field x_i of the source's jets, in this order."""
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = self.matrix
+        (x0, x1, x2, x3, x4, x5), (y0, y1, y2, y3, y4, y5), (z0, z1, z2, z3, z4, z5) = _read_jets(jets)
+        return (_new(Jet2, (x0 * a00 + y0 * a10 + z0 * a20, x1 * a00 + y1 * a10 + z1 * a20, x2 * a00 + y2 * a10 + z2 * a20,
+                            x3 * a00 + y3 * a10 + z3 * a20, x4 * a00 + y4 * a10 + z4 * a20, x5 * a00 + y5 * a10 + z5 * a20)),
+                _new(Jet2, (x0 * a01 + y0 * a11 + z0 * a21, x1 * a01 + y1 * a11 + z1 * a21, x2 * a01 + y2 * a11 + z2 * a21,
+                            x3 * a01 + y3 * a11 + z3 * a21, x4 * a01 + y4 * a11 + z4 * a21, x5 * a01 + y5 * a11 + z5 * a21)),
+                _new(Jet2, (x0 * a02 + y0 * a12 + z0 * a22, x1 * a02 + y1 * a12 + z1 * a22, x2 * a02 + y2 * a12 + z2 * a22,
+                            x3 * a02 + y3 * a12 + z3 * a22, x4 * a02 + y4 * a12 + z4 * a22, x5 * a02 + y5 * a12 + z5 * a22)))
 
 
 def apply_map(s: SurfaceDef, a: CentroAffineMap) -> SurfaceDef:
@@ -130,9 +117,9 @@ def verify_scaling(s: SurfaceDef, a: CentroAffineMap, grid: tuple[int, int], tol
     numerator leaves float range, are recorded as skipped; a run where
     every point was skipped fails.
     """
-    amb, m, det = s.ambient, a.matrix, a.det
+    amb, act, det = s.ambient, a.act, a.det
     det2 = det * det
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = m  # then the seeds' fields under A, summed as _image sums them
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a.matrix  # then the seeds' fields under A, summed as act sums them
     dx0, dx1, dx2 = 1.0 * a00 + 0.0 * a10, 1.0 * a01 + 0.0 * a11, 1.0 * a02 + 0.0 * a12
     dy0, dy1, dy2 = 0.0 * a00 + 1.0 * a10, 0.0 * a01 + 1.0 * a11, 0.0 * a02 + 1.0 * a12
     o0, o1, o2 = 0.0 * a00 + 0.0 * a10, 0.0 * a01 + 0.0 * a11, 0.0 * a02 + 0.0 * a12
@@ -145,7 +132,7 @@ def verify_scaling(s: SurfaceDef, a: CentroAffineMap, grid: tuple[int, int], tol
                      (x * a01 + y * a11 + u * a21, dx1 + ux * a21, dy1 + uy * a21, o1 + uxx * a21, o1 + uxy * a21, o1 + uyy * a21),
                      (x * a02 + y * a12 + u * a22, dx2 + ux * a22, dy2 + uy * a22, o2 + uxx * a22, o2 + uxy * a22, o2 + uyy * a22))
         else:
-            image = _image(m, jets)
+            image = act(jets)
         _, _, _, image_v, _, image_num, _, _, after = _pass(image, amb)
         predicted = before / det2
         ratio_res = abs(after - predicted) / (abs(predicted) or 1.0)

@@ -49,7 +49,7 @@ from typing import NamedTuple, Optional
 from . import _NAMES
 from .errors import InconclusiveError, SingularPointError
 from .jet import Jet2, _new
-from .surfaces import DEFAULT_GRID, DEFAULT_TOL, AmbientForm, SurfaceDef, _grid_axes, _not_jets, _sweep
+from .surfaces import DEFAULT_GRID, DEFAULT_TOL, AmbientForm, SurfaceDef, _grid_axes, _not_jets, _read_jets, _sweep
 
 __all__ = list(_NAMES["invariants"])
 
@@ -74,8 +74,8 @@ class PointInvariants(NamedTuple):
 
 
 def point_invariants(jets: tuple[Jet2, Jet2, Jet2], amb: AmbientForm) -> PointInvariants:
-    """The pass as a record; raises as it does."""
-    return _new(PointInvariants, _pass(jets, amb))
+    """The pass as a record, on jets read by ``surfaces._read_jets``; raises as both do."""
+    return _new(PointInvariants, _pass(_read_jets(jets), amb))
 
 
 def _pass(jets, amb: AmbientForm, x=None, y=None) -> tuple:
@@ -123,10 +123,12 @@ def _pass(jets, amb: AmbientForm, x=None, y=None) -> tuple:
 
 def identity_residual(jets: tuple[Jet2, Jet2, Jet2], amb: AmbientForm) -> float:
     """|sign(<n,n>) (LN - M^2) / (EG - F^2) / d^4 - K/d^4|, the classical
-    curvature route against the ratio, both from one pass: E, F, G =
-    <f_x, f_x>, <f_x, f_y>, <f_y, f_y> and L, M, N = (Vx, Vxy, Vy) /
-    sqrt(|nn|).  It is inf where EG - F^2 has cancelled to 0, and on the
-    catalog and random patches it stays below 1e-9 * max(1, |ratio|)."""
+    curvature route against the ratio, both from one pass over jets read
+    once, as in :func:`point_invariants`: E, F, G = <f_x, f_x>, <f_x, f_y>,
+    <f_y, f_y> and L, M, N = (Vx, Vxy, Vy) / sqrt(|nn|).  It is inf where
+    EG - F^2 has cancelled to 0, and on the catalog and random patches it
+    stays below 1e-9 * max(1, |ratio|)."""
+    jets = _read_jets(jets)
     p = point_invariants(jets, amb)
     fx, fy = [c.dx for c in jets], [c.dy for c in jets]
     e, f, g = amb.inner(fx, fx), amb.inner(fx, fy), amb.inner(fy, fy)

@@ -124,21 +124,26 @@ class SurfaceDef(NamedTuple):
 def eval_surface(s: SurfaceDef, x: float, y: float) -> tuple[Jet2, Jet2, Jet2]:
     """The three coordinate jets of ``s`` at a point strictly inside its
     domain: the x part, the y part, then ``mix``, which must give three
-    jets, or a graph's u for (seed x, seed y, u) (else ValueError).  Index
-    k is coordinate k: ``eval_surface(s, x, y)[0].dx`` is f_x's first."""
+    jets (read by ``_read_jets``), or a graph's u for (seed x, seed y, u).
+    Index k is coordinate k: ``eval_surface(s, x, y)[0].dx`` is f_x's first."""
     if not s.domain.contains(x, y):
         raise DomainError(f"point ({x:g}, {y:g}) outside domain {s.domain.describe()} of surface '{s.name}'")
     sx, sy = seed_xy(x, y)
     f = s.mix(*(s.xpart(sx) if s.xpart else (sx,)), *(s.ypart(sy) if s.ypart else (sy,)))
-    if type(f) is Jet2:
-        return sx, sy, f
-    if not hasattr(f, "__iter__"):  # one value, not a jet
-        raise _not_jets(f)
-    f = tuple(f)  # read once, here: an iterator's items stay for the message
-    cx, cy, cz = f
+    return (sx, sy, f) if type(f) is Jet2 else _read_jets(f)
+
+
+def _read_jets(got) -> tuple[Jet2, Jet2, Jet2]:
+    """A point's three coordinate jets, from any iterable of them read once
+    into a tuple (an iterator's items stay for the message); anything else
+    raises the ValueError of ``_not_jets``, or of unpacking 2 or 4 items."""
+    if not hasattr(got, "__iter__"):  # one value, not a jet
+        raise _not_jets(got)
+    jets = tuple(got)
+    cx, cy, cz = jets
     if type(cx) is not Jet2 or type(cy) is not Jet2 or type(cz) is not Jet2:
-        raise _not_jets(f)
-    return f
+        raise _not_jets(jets)
+    return jets
 
 
 def _not_jets(got) -> ValueError:

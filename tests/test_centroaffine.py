@@ -243,15 +243,16 @@ def test_verify_scaling_matches_four_separate_views(entries):
 @pytest.mark.parametrize("entries", ["2,0,0,0,1,0,0,0,1", MATRICES[1], MATRICES[2], "1.5,0.2,0,0,1,0.3,0.1,0,0.8"])
 @pytest.mark.parametrize("name", surface_names())
 def test_plain_tuple_route_matches_the_public_records(name, entries):
-    # The grid commands hand plain tuples from the sweep to the pass and the
-    # map's image; each row, by repr, is the one the public records give.
+    # The grid commands hand plain tuples from the sweep to the pass; each
+    # row, by repr, is the one the public records give, and act writes the
+    # rows times A into three jets.
     a, s = map_of(entries), catalog(name)
     assert repr(verify_scaling(s, a, (13, 11), 1e-8).points) == repr(tuple(called_scaling_rows(s, a, (13, 11))))
     for x, y in grid_points(s.domain, 13, 11):
         sj = eval_surface(s, x, y)
         image = a.act(sj)
         assert type(image) is tuple and len(image) == 3 and {type(c) for c in image} == {Jet2}
-        assert repr(tuple(map(tuple, image))) == repr(centroaffine._image(a.matrix, sj)), (x, y)
+        assert repr(image) == repr(row_image(sj, a)), (x, y)
     for surface in (s, apply_map(s, a)):
         assert repr(scan_grid(surface, (13, 11))) == repr(called_rows(surface, (13, 11)))
 

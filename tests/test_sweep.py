@@ -20,8 +20,8 @@ import pytest
 from helpers import called, called_rows, outcome, surface_names, swept
 from titeica import jet, surfaces
 from titeica.centroaffine import CentroAffineMap, apply_map, verify_scaling
-from titeica.errors import DomainError
-from titeica.invariants import PointRecord, classify, point_invariants, scan_grid
+from titeica.errors import DomainError, SingularPointError
+from titeica.invariants import PointRecord, classify, identity_residual, point_invariants, scan_grid
 from titeica.surfaces import (
     EUCLIDEAN,
     Box,
@@ -167,20 +167,22 @@ def test_a_plain_mix_must_give_three_jets(count):
 
 def test_a_plain_mix_must_give_jets():
     # A real coordinate unpacks as one of three items, so a call tests the
-    # type of each, and the pass and the map's image refuse what they cannot
-    # unpack as a jet.
+    # type of each, and the pass refuses what it cannot unpack as a jet.
     # A mix that returns an iterator is named by what it held: eval_surface
-    # and the sweep read it into a tuple where they call mix, and a map's
-    # image where its mix hands it to act.
+    # and the sweep read it into a tuple where they call mix, and act and the
+    # pointwise functions where they are called.
     s = SurfaceDef("p", lambda x, y: (x, y, 1.0), Box(-1.0, 1.0, -1.0, 1.0), EUCLIDEAN)
     lazy = s._replace(mix=lambda x, y: iter((x, y, 1.0)))
     a = CentroAffineMap.of([(2.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
     image, lazy_image = apply_map(s, a), apply_map(lazy, a)
-    for run in (lambda: eval_surface(s, 0.5, 0.5), lambda: point_invariants(s.mix(*jet.seed_xy(0.5, 0.5)), EUCLIDEAN),
+    mixed = s.mix(*jet.seed_xy(0.5, 0.5))
+    for run in (lambda: eval_surface(s, 0.5, 0.5), lambda: point_invariants(mixed, EUCLIDEAN),
                 lambda: scan_grid(s, (2, 2)), lambda: verify_scaling(s, a, (2, 2), 1e-8),
                 lambda: eval_surface(image, 0.5, 0.5), lambda: scan_grid(image, (2, 2)),
                 lambda: eval_surface(lazy, 0.5, 0.5), lambda: scan_grid(lazy, (2, 2)), lambda: classify(lazy, (2, 2)),
-                lambda: verify_scaling(lazy, a, (2, 2), 1e-8), lambda: scan_grid(lazy_image, (2, 2))):
+                lambda: verify_scaling(lazy, a, (2, 2), 1e-8), lambda: scan_grid(lazy_image, (2, 2)),
+                lambda: point_invariants(iter(mixed), EUCLIDEAN), lambda: identity_residual(iter(mixed), EUCLIDEAN),
+                lambda: a.act(iter(mixed))):
         with pytest.raises(ValueError, match=r"^mix must give three jets, or one for a graph, got \(Jet2, Jet2, float\)$"):
             run()
 
@@ -244,7 +246,8 @@ class _Counted(list):
 def test_a_mix_result_is_read_once_where_mix_is_called(name, form, monkeypatch):
     # A mix may return any iterable of three jets: each grid command and a
     # mapped scan give the rows the tuple form gives, and each point's
-    # result is iterated once, by the sweep or by the map's act.
+    # result is iterated once, by the sweep or by the map's act.  So do
+    # act and the pointwise functions, called on such an iterable.
     s = catalog(name)
     xpart, ypart, mix = s.xpart, s.ypart, s.mix
 
@@ -261,3 +264,29 @@ def test_a_mix_result_is_read_once_where_mix_is_called(name, form, monkeypatch):
         assert repr(run(lazy)) == repr(run(plain))
     assert len(calls) == 4 * 35
     assert _Counted.reads == (len(calls) if form is _Counted else 0)
+    monkeypatch.setattr(_Counted, "reads", 0)
+    points = grid_points(s.domain, 7, 5)
+    for f in (lambda j: point_invariants(j, s.ambient), lambda j: identity_residual(j, s.ambient), GENERAL.act):
+        for x, y in points:
+            jets = three(*jet.seed_xy(x, y))
+            assert _pointwise(f, form(jets)) == _pointwise(f, jets), (x, y)
+    assert _Counted.reads == (3 * len(points) if form is _Counted else 0)
+
+
+def _pointwise(f, jets):
+    """``repr`` of ``f(jets)``, or the message of its SingularPointError."""
+    try:
+        return repr(f(jets))
+    except SingularPointError as exc:
+        return str(exc)
+
+
+def test_plain_rows_are_not_jets():
+    # Three plain 6-tuples hold a point's fields but are not jets: every
+    # route that reads a caller's three jets refuses them alike.
+    rows = tuple(map(tuple, eval_surface(catalog("pseudosphere"), 1.0, 1.0)))
+    s = SurfaceDef("rows", lambda x, y: rows, Box(-1.0, 1.0, -1.0, 1.0), EUCLIDEAN)
+    for run in (lambda: eval_surface(s, 0.5, 0.5), lambda: point_invariants(rows, EUCLIDEAN),
+                lambda: identity_residual(rows, EUCLIDEAN), lambda: GENERAL.act(rows)):
+        with pytest.raises(ValueError, match=r"^mix must give three jets, or one for a graph, got \(tuple, tuple, tuple\)$"):
+            run()
