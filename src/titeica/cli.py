@@ -1,6 +1,6 @@
-"""Command-line driver: parses a run configuration, dispatches it to the
-library and renders the report.  ``titeica --help`` lists the commands
-and the flags each takes.
+"""Command-line driver: reads a run configuration from argv, with its own
+reader, dispatches it to the library and renders the report.  ``titeica
+--help`` lists the commands and their flags; only it imports argparse.
 
 Reports are emitted as text, JSON or CSV; ``config`` echoes only the
 fields the command takes, the command among them, and ``summary`` holds
@@ -20,11 +20,9 @@ gone, 2 on configuration errors, a field the command does not take
 (as a flag anywhere on the line or in a config file) among them.
 """
 
-import argparse
 import math
 import os
 import sys
-from functools import cache
 from itertools import chain, filterfalse, islice, repeat
 from typing import Callable, NamedTuple, Optional
 
@@ -90,8 +88,8 @@ class _RunFields(NamedTuple):
 
 
 class RunConfig(_RunFields):
-    """One run.  Each field is a config-file key and the argparse dest of
-    its flag; its entry in ``_FIELDS`` turns a flag string or a JSON value
+    """One run.  Each field is a config-file key and the field its flag
+    sets; its entry in ``_FIELDS`` turns a flag's words or a JSON value
     into the field's type."""
 
     __slots__ = ()
@@ -431,15 +429,6 @@ def _key_value(item: str) -> tuple[str, str]:
     return key, value
 
 
-class _Parser(argparse.ArgumentParser):
-    """Lets the OSError of writing help or a usage error through, as
-    argparse did before 3.11, so a closed stdout reaches :func:`main`."""
-
-    def _print_message(self, message, file=None):
-        if message:
-            (file or sys.stderr).write(message)
-
-
 # Each RunConfig field: (converter, flag or None, the flag's argparse
 # settings), in --help order.  The command is the positional, not a flag.
 _FIELDS = {
@@ -454,22 +443,47 @@ _FIELDS = {
     "pair": (_str, "--pair", dict(help="metric pair, as listed by titeica catalog")),
     "command": (_str, None, {}),
 }
+_FLAGS = {"--config": ("config", dict(help="JSON config file; flags override file values")),  # flag: (dest, settings)
+          **{flag: (name, settings) for name, (_, flag, settings) in _FIELDS.items() if flag}}
 
 
-@cache  # one parser per process: parsing never mutates it
-def _build_parser() -> argparse.ArgumentParser:
-    # Every flag in any position: run() refuses a field its command does not take.
-    flags = {name: flag for name, (_, flag, _) in _FIELDS.items() if flag}
-    table = "".join(f"\n  {name:<17}{c.help}\n  {'':<17}{' '.join(f for n, f in flags.items() if n in c.fields)}"
+def _read_argv(argv) -> dict:
+    """``argv``'s values by dest, --param's as a dict: a word that starts with -- names a flag whole, as
+    --flag=value, or by a unique prefix; any other word is the value of the flag before it, or the command."""
+    values, words = {}, iter(argv)
+    for word in words:
+        if not word.startswith("--"):
+            if "command" in values:
+                raise UsageError(f"command: a second command '{word}' after '{values['command']}'")
+            values["command"] = word
+            continue
+        flag, given, value = word.partition("=")
+        found = [flag] if flag in _FLAGS else [f for f in _FLAGS if f.startswith(flag) and len(flag) > 2]
+        if len(found) != 1:
+            raise UsageError(f"{flag}: " + (f"ambiguous flag: {' or '.join(found)}" if found else "unknown flag"))
+        name, settings = _FLAGS[found[0]]
+        n = settings.get("nargs", 1)  # --grid takes two words, the others one
+        got = [value] * len(given) + list(islice(words, n - len(given)))
+        if len(got) < n or any(w.startswith("--") for w in got[len(given):]):
+            raise UsageError(f"{found[0]}: expected {'a value' if n == 1 else f'{n} values'}")
+        values[name] = ({**values.get(name, {}), **dict(map(_key_value, got))} if "action" in settings
+                        else got if n > 1 else got[0])  # --param words merge key by key; elsewhere the last wins
+    return values
+
+
+def _help() -> str:
+    import argparse  # only the --help page is laid out by argparse
+
+    table = "".join(f"\n  {name:<17}{c.help}\n  {'':<17}{' '.join(f for f, (n, _) in _FLAGS.items() if n in c.fields)}"
                     for name, c in _COMMANDS.items())
-    parser = _Parser(prog="titeica", description="Surface invariant K/d^4: classification, scaling-law and metric checks.",
-                     epilog="commands, and the flags each takes besides --config:" + table,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("command", nargs="?", default=None, help="one of the commands below")
-    parser.add_argument("--config", default=argparse.SUPPRESS, help="JSON config file; flags override file values")
-    for name, flag in flags.items():
-        parser.add_argument(flag, dest=name, default=argparse.SUPPRESS, **_FIELDS[name][2])
-    return parser
+    parser = argparse.ArgumentParser(
+        prog="titeica", description="Surface invariant K/d^4: classification, scaling-law and metric checks.",
+        epilog="commands, and the flags each takes besides --config:" + table,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", nargs="?", help="one of the commands below")
+    for flag, (name, settings) in _FLAGS.items():
+        parser.add_argument(flag, dest=name, **settings)
+    return parser.format_help()
 
 
 def _load_config_file(path: str) -> dict:
@@ -490,14 +504,16 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def parse_config(argv=None) -> RunConfig:
+def parse_config(argv=None) -> Optional[RunConfig]:
     """Merge the given flags over the config file's object and convert
     every value with its field's converter.  A null or absent value takes
     the field's default; ``--param`` items merge key by key over the
-    file's ``params``."""
-    flags = vars(_build_parser().parse_args(argv))
-    if "params" in flags:
-        flags["params"] = dict(map(_key_value, flags["params"]))
+    file's ``params``.  -h or --help anywhere prints help and gives None."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if any(w == "-h" or len(w) > 2 and "--help".startswith(w) for w in argv):  # --h, --he and --hel too
+        sys.stdout.write(_help())
+        return None
+    flags = _read_argv(argv)
     file_values = _load_config_file(flags.pop("config")) if "config" in flags else {}
     values = {}
     for source in (file_values, flags):
@@ -516,13 +532,11 @@ def parse_config(argv=None) -> RunConfig:
 
 def main(argv=None) -> int:
     try:
-        try:
-            status = run(parse_config(argv))
-        except UsageError as exc:
+        try:  # a line that asks for help has had its page: status 0
+            status = 0 if (config := parse_config(argv)) is None else run(config)
+        except UsageError as exc:  # a syntax error or a bad value: one line, no usage banner
             print(f"error: {exc}", file=sys.stderr)
             status = 2
-        except SystemExit as exc:  # argparse --help or syntax errors
-            status = int(exc.code or 0)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader of stdout is gone (``titeica ... | head -1``).  Stdout

@@ -19,7 +19,6 @@ is safe to spread over any number of threads.
 """
 
 import math
-import numbers
 from typing import NamedTuple
 
 from . import _NAMES
@@ -154,8 +153,10 @@ _new = tuple.__new__
 
 def _real(v):
     """A real operand as a float, else None; a Jet2 operand never reaches it."""
-    # float and int first: the numbers.Real test is an ABC lookup.
-    return float(v) if isinstance(v, (float, int, numbers.Real)) else None
+    if isinstance(v, (float, int)):
+        return float(v)
+    import numbers  # only an operand such as np.float32 or a Fraction loads the ABCs
+    return float(v) if isinstance(v, numbers.Real) else None
 
 
 def _refused(op: str, v) -> TypeError:

@@ -25,10 +25,10 @@ def read_json(path):
         return json.load(fh)
 
 
-def python_child(*args, cwd=None):
+def python_child(*args, cwd=None, env=None):
     """``python *args`` in a fresh interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(titeica.__file__)))
-    proc = subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=src), cwd=cwd,
+    proc = subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=src, **env or {}), cwd=cwd,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc
@@ -227,6 +227,66 @@ def test_cli_rejects_non_finite_tolerance(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: tolerance: ")
+
+
+def help_page():
+    """The one --help page at 80 columns, as ``tests/golden/help.txt`` pins it."""
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "help.txt"), newline="") as fh:
+        return fh.read()
+
+
+def outcome(argv, capsys):
+    """(exit status, stdout, stderr) of ``main(argv)``."""
+    return (main(argv), *capsys.readouterr())
+
+
+def test_a_value_may_start_with_a_dash(capsys):
+    # Only a word that starts with -- names a flag: -1,0,... is --matrix's
+    # value, as in --matrix=-1,..., and -1e-8 is --tol's, judged by the run.
+    argv = ["transform-check", "--surface", "titeica-xyz", "--grid", "3", "3"]
+    spaced = outcome([*argv, "--matrix", "-1,0,0,0,1,0,0,0,1"], capsys)
+    assert spaced[0] == 0 and "matrix: [-1.0, 0.0" in spaced[1]
+    assert outcome([*argv, "--matrix=-1,0,0,0,1,0,0,0,1"], capsys) == spaced
+    assert outcome(["classify", "--surface", "titeica-xyz", "--tol", "-1e-8"], capsys) == (
+        2, "", "error: tolerance: must be positive and finite, got -1e-08\n")
+
+
+@pytest.mark.parametrize("argv, spelled", [
+    (["classify", "--surface=titeica-xyz", "--grid=3", "3"], ["classify", "--surface", "titeica-xyz", "--grid", "3", "3"]),
+    (["--surf", "titeica-xyz", "--gr", "3", "3", "classify"], ["classify", "--surface", "titeica-xyz", "--grid", "3", "3"]),
+    (["--c={config}", "--param", "c=0.5", "--param", "c=0.25"],
+     ["classify", "--surface", "sphere-translated", "--param", "R=2", "--param", "c=0.25", "--grid", "3", "3"]),
+], ids=["equals", "prefix", "param-over-config"])
+def test_a_flag_is_named_whole_with_equals_or_by_a_unique_prefix(argv, spelled, tmp_path, capsys):
+    # --param repeats and merges key by key over the config file's params;
+    # every other flag takes the last value given.
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"command": "classify", "surface": "sphere-translated", "params": {"R": 2, "c": 3},
+                               "grid": [3, 3]}))
+    argv = [a.format(config=cfg) for a in argv]
+    expected = outcome(spelled, capsys)
+    assert expected[0] == 0 and expected[2] == ""
+    assert outcome(argv, capsys) == expected
+    assert parse_config(argv) == parse_config(spelled)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--pa", "half-plane:disk", "metric-check"], "--pa: ambiguous flag: --param or --pair"),
+    (["catalog", "--bogus"], "--bogus: unknown flag"),
+    (["catalog", "--"], "--: unknown flag"),
+    (["classify", "--surface", "titeica-xyz", "--grid", "3"], "--grid: expected 2 values"),
+    (["classify", "--surface", "--grid", "3", "3"], "--surface: expected a value"),
+    (["catalog", "classify"], "command: a second command 'classify' after 'catalog'"),
+], ids=["ambiguous", "unknown", "bare-dashes", "grid-at-end", "flag-for-value", "second-command"])
+def test_a_syntax_error_is_one_line_with_no_usage_banner(argv, message, capsys):
+    assert outcome(argv, capsys) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["classify", "-h"], ["catalog", "--bogus", "--help"], ["--surface", "--he"]],
+                         ids=" ".join)
+def test_help_anywhere_prints_the_help_page(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert outcome(argv, capsys) == (0, help_page(), "")
 
 
 def test_json_report_is_strict_json(capsys):
@@ -628,6 +688,8 @@ import titeica
 print(*sorted(set(sys.modules) - before))
 import titeica.cli
 print(*sorted(set(sys.modules) - before))
+titeica.cli.main(sys.argv[1:])
+print(*sorted(set(sys.modules) - before))
 """
 
 
@@ -635,11 +697,19 @@ def test_import_titeica_loads_no_cli_modules():
     # Compared with the modules the bare interpreter (site included) has
     # already loaded, so only what the import adds counts.  A submodule
     # loads on first use of one of its names, and dataclasses (which loads
-    # inspect) and json cost every fresh process start-up time.
-    by_package, by_cli = (set(line.split()) for line in python_child("-c", IMPORT_PACKAGE).stdout.splitlines())
+    # inspect), json and argparse (which loads gettext, whose first lookup
+    # loads locale) cost every fresh process start-up time.
+    lines = python_child("-c", IMPORT_PACKAGE, "catalog").stdout.splitlines()
+    by_package, by_cli, by_run = set(lines[0].split()), set(lines[1].split()), set(lines[-1].split())
     assert [m for m in by_package if m.startswith("titeica.")] == [] and "titeica.cli" in by_cli
     assert not by_package & {"statistics", "argparse", "json"}
-    assert not by_cli & {"dataclasses", "inspect", "json"}
+    assert not (by_cli | by_run) & {"dataclasses", "inspect", "json", "argparse", "gettext", "locale"}
+
+
+def test_only_a_help_run_loads_argparse():
+    out = python_child("-c", IMPORT_PACKAGE, "classify", "--help", env={"COLUMNS": "80"}).stdout
+    page = help_page()
+    assert out.count(page) == 1 and "argparse" in out[out.index(page) + len(page):].split()
 
 
 COMMAND_MODULES = """
@@ -1069,8 +1139,8 @@ def test_text_columns_hold_their_longest_cell(capsys):
 
 
 def test_one_parser_serves_every_run_of_a_process(capsys, monkeypatch):
-    # The parser is built once per process: one run's --param and --format
-    # must not reach the next run, and --help still reads COLUMNS.
+    # Runs of one process share the flag table: one run's --param and
+    # --format must not reach the next run, and --help still reads COLUMNS.
     monkeypatch.setenv("COLUMNS", "80")
     argv = ["classify", "--surface", "sphere-origin", "--grid", "3", "2"]
     assert main([*argv, "--param", "R=2", "--format", "json"]) == 0
@@ -1079,7 +1149,5 @@ def test_one_parser_serves_every_run_of_a_process(capsys, monkeypatch):
     second = capsys.readouterr().out
     assert main(["--help"]) == 0
     help_text = capsys.readouterr().out
-    assert cli._build_parser() is cli._build_parser()
     assert second == python_child("-m", "titeica.cli", *argv).stdout
-    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "help.txt"), newline="") as fh:
-        assert help_text == fh.read()
+    assert help_text == help_page()

@@ -1,5 +1,7 @@
 import math
 import operator
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -229,7 +231,7 @@ def test_jet_is_an_immutable_value():
     assert repr(Jet2(2.0, 1.0)) == "Jet2(val=2.0, dx=1.0, dy=0.0, dxx=0.0, dxy=0.0, dyy=0.0)"
 
 
-@pytest.mark.parametrize("other", ["a", None, (1.0,)], ids=["str", "None", "tuple"])
+@pytest.mark.parametrize("other", ["a", None, (1.0,), Decimal("0.5")], ids=["str", "None", "tuple", "Decimal"])
 @pytest.mark.parametrize("combine", [operator.add, operator.sub, operator.mul, operator.truediv, operator.pow])
 def test_jet_refuses_a_non_number_operand_on_either_side(combine, other):
     # (1.0,) + jet must not concatenate into a 7-tuple
@@ -241,8 +243,9 @@ def test_jet_refuses_a_non_number_operand_on_either_side(combine, other):
 
 
 def test_numpy_scalars_combine_like_floats():
+    # As does any other numbers.Real: np.float32 and Fraction (Decimal is none).
     j = Jet2(2.0, 1.0)
-    for c in (np.float64(3.0), np.int64(3)):
+    for c in (np.float64(3.0), np.int64(3), np.float32(3.0), Fraction(3)):
         assert c * j == j * c == 3.0 * j
         assert c + j == j + c == 3.0 + j
         assert c - j == 3.0 - j and c / j == 3.0 / j
