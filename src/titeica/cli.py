@@ -20,6 +20,7 @@ gone, 2 on configuration errors, a field the command does not take
 (as a flag anywhere on the line or in a config file) among them.
 """
 
+import gc
 import math
 import os
 import sys
@@ -548,5 +549,12 @@ def main(argv=None) -> int:
     return status
 
 
+def _entry() -> None:
+    """The process entry: ``main()``, then ``gc.freeze()``, so that the exit-time collections skip the heap."""
+    status = main()
+    gc.freeze()  # not in main(): a library call must not freeze its caller's heap
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _entry()

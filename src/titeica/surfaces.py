@@ -155,11 +155,13 @@ def _sweep(s: SurfaceDef, xs, ys, evaluate, record) -> list:
     """The one walk of a grid command over the axes ``xs`` and ``ys`` (from
     ``_grid_axes``, inside the box) of ``s``: for each y, for each x,
     ``evaluate(x, y, jets)`` with what ``mix`` returns there, an iterable
-    other than a tuple or a graph's height read once into a tuple.  Each x
-    part runs once before the first point, each y part at the start of its
-    row, and ``mix`` at each point; a part's error propagates where it
-    runs.  A point that raises SingularPointError becomes ``record(x, y,
-    skipped=<the error's message>)``; other errors propagate."""
+    other than a tuple or a graph's height read once into a tuple.  No type
+    is tested, as that would cost every point: three plain 6-tuples run
+    through, which ``_read_jets`` refuses.  Each x part runs once before the
+    first point, each y part at the start of its row, and ``mix`` at each
+    point; a part's error propagates where it runs.  A point that raises
+    SingularPointError becomes ``record(x, y, skipped=<its message>)``;
+    other errors propagate."""
     xpart, ypart, mix = s.xpart, s.ypart, s.mix
     seeds = [_new(Jet2, (float(x), 1.0, 0.0, 0.0, 0.0, 0.0)) for x in xs]  # Jet2(x, 1.0), without a call
     line = list(zip(xs, map(xpart, seeds) if xpart else zip(seeds)))

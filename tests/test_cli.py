@@ -1,5 +1,6 @@
 import ast
 import errno
+import gc
 import importlib
 import json
 import math
@@ -25,12 +26,12 @@ def read_json(path):
         return json.load(fh)
 
 
-def python_child(*args, cwd=None, env=None):
-    """``python *args`` in a fresh interpreter that imports this package."""
+def python_child(*args, cwd=None, env=None, status=0):
+    """``python *args`` in a fresh interpreter that imports this package, which must exit with ``status``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(titeica.__file__)))
     proc = subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=src, **env or {}), cwd=cwd,
                           capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == status, proc.stderr
     return proc
 
 
@@ -624,6 +625,49 @@ def test_module_entry_point_runs_cleanly():
     proc = python_child("-m", "titeica.cli", "catalog")
     assert proc.stderr == ""
     assert "titeica-xyz" in proc.stdout
+
+
+ENTRY_WITH_EXIT_HOOK = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen heap:", gc.get_freeze_count() > 0, file=sys.stderr))
+runpy.run_module("titeica.cli", run_name="__main__", alter_sys=True)  # as python -m titeica.cli
+"""
+
+
+ENTRY_RUNS = [(["catalog"], 0), (["classify", "--surface", "plane"], 1), (["--tol", "0"], 2)]
+
+
+@pytest.mark.parametrize("argv, status", ENTRY_RUNS, ids=["catalog", "inconclusive", "bad-tol"])
+def test_the_process_entry_exits_with_mains_status_and_a_frozen_heap(argv, status, capsys):
+    # The exit-time collections skip a frozen heap; main's output, status
+    # and atexit hooks are as an in-process main(argv) has them.
+    assert main(argv) == status
+    expected = capsys.readouterr()
+    proc = python_child("-c", ENTRY_WITH_EXIT_HOOK, *argv, status=status)
+    assert (proc.stdout, proc.stderr) == (expected.out, expected.err + "frozen heap: True\n")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+def test_main_leaves_the_collector_as_it_found_it(enabled, capsys):
+    # A library call, a test's or perfbench's, must not freeze its caller's heap.
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        before = gc.isenabled(), gc.get_freeze_count()
+        for argv, status in ENTRY_RUNS:
+            assert main(argv) == status
+            assert (gc.isenabled(), gc.get_freeze_count()) == before
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_the_installed_script_is_the_process_entry():
+    import tomllib
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        assert tomllib.load(fh)["project"]["scripts"] == {"titeica": "titeica.cli:_entry"}
 
 
 def test_config_file_unknown_field(tmp_path):
