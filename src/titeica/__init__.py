@@ -8,22 +8,51 @@ constancy of the ratio (Titeica surfaces), and checks the classical
 pullback equivalences between the constant-curvature models
 (pseudosphere, Poincare half-plane and disk, Minkowski sphere).
 
-``import titeica`` loads no submodule: a public name imports the
-submodule that defines it on first use (PEP 562), so a run compiles only
-the modules it uses.
+``import titeica`` loads no submodule: the error classes and the run
+defaults live here, and any other public name imports the submodule that
+defines it on first use (PEP 562), so a run compiles only the modules it
+uses.
 """
 
 from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
+DEFAULT_GRID = (20, 20)
+DEFAULT_TOL = 1e-8
+
+
+class GeometryError(Exception):
+    """Base class for every error raised by this package."""
+
+
+class DomainError(GeometryError, ValueError):
+    """An argument lies outside the mathematical domain of an operation."""
+
+
+class SingularPointError(GeometryError):
+    """A quantity is undefined at this point of a surface: a degenerate
+    tangent plane, a null or non-finite normal, a tangent plane through
+    the origin, or a K/d^4 that is not finite or underflows.
+    A grid sweep records such a point as skipped, with the message as
+    its reason."""
+
+
+class CatalogError(GeometryError, LookupError):
+    """Unknown catalog entry."""
+
+
+class InconclusiveError(GeometryError):
+    """Too many grid points were skipped to issue a classification verdict."""
+
+
+class UsageError(GeometryError, ValueError):
+    """Invalid run configuration."""
+
+
 # Each submodule and the public names it gives the package.
 _NAMES = {
     "centroaffine": ("CentroAffineMap", "ScalingPoint", "ScalingReport", "apply_map", "verify_scaling"),
-    "errors": (
-        "CatalogError", "DomainError", "GeometryError", "InconclusiveError", "SingularPointError",
-        "UsageError",
-    ),
     "invariants": (
         "EPS_SINGULAR", "ClassifyVerdict", "PointInvariants", "PointRecord", "classify",
         "identity_residual", "point_invariants", "scan_grid",
@@ -37,7 +66,8 @@ _NAMES = {
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
 
-__all__ = sorted(_MODULE_OF)
+__all__ = sorted([*_MODULE_OF, "CatalogError", "DomainError", "GeometryError", "InconclusiveError",
+                  "SingularPointError", "UsageError"])
 
 
 def __getattr__(name: str):

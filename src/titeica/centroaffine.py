@@ -26,8 +26,7 @@ the jets of ``mix`` alone, and a general point adds the jets of ``act``.
 import math
 from typing import NamedTuple, Optional
 
-from . import _NAMES
-from .errors import SingularPointError
+from . import _NAMES, SingularPointError
 from .invariants import _pass
 from .jet import Jet2, _new
 from .surfaces import SurfaceDef, _grid_axes, _read_jets, _sweep

@@ -27,8 +27,7 @@ import sys
 from itertools import chain, filterfalse, islice, repeat
 from typing import Callable, NamedTuple, Optional
 
-from .errors import CatalogError, GeometryError, InconclusiveError, UsageError
-from .surfaces import DEFAULT_GRID, DEFAULT_TOL, catalog, catalog_entries
+from . import DEFAULT_GRID, DEFAULT_TOL, CatalogError, GeometryError, InconclusiveError, UsageError
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -137,6 +136,7 @@ class _Report(NamedTuple):
 
 def _cmd_catalog(config: RunConfig):
     from .metrics import metric_entries, pair_names
+    from .surfaces import catalog_entries
 
     rows = []
     for name, description, defaults in catalog_entries():
@@ -152,6 +152,7 @@ def _cmd_catalog(config: RunConfig):
 
 def _cmd_invariants(config: RunConfig):
     from .invariants import PointRecord, scan_grid
+    from .surfaces import catalog
 
     records = scan_grid(catalog(config.surface, **config.params), config.grid)
     ratios = [r.ratio for r in records if r.skipped is None]
@@ -166,6 +167,7 @@ def _cmd_invariants(config: RunConfig):
 
 def _cmd_classify(config: RunConfig):
     from .invariants import PointRecord, classify
+    from .surfaces import catalog
 
     verdict = classify(catalog(config.surface, **config.params), config.grid, config.tolerance)
     return _split(verdict, PointRecord)
@@ -173,6 +175,7 @@ def _cmd_classify(config: RunConfig):
 
 def _cmd_transform_check(config: RunConfig):
     from .centroaffine import CentroAffineMap, ScalingPoint, verify_scaling
+    from .surfaces import catalog
 
     s = catalog(config.surface, **config.params)
     try:
@@ -256,12 +259,17 @@ def _cells(report: _Report, encode) -> list:
     """Each column's cell texts, or its one text in a list where all its
     cells share it.  A column maps its cells through one dict of distinct
     texts in one pass, but where cells that compare equal encode apart
-    (True, 1 and 1.0, or 0.0 and -0.0) each cell is encoded alone."""
+    (numbers of two types, as True, 1 and 1.0, or 0.0 and -0.0) each cell
+    is encoded alone; None and a string equal no number."""
     columns = []
     for column in zip(*report.rows):
         texts = _Texts(encode)
-        alone = len(set(map(type, column))) > 1 or 0.0 in column and len(
-            set(map(math.copysign, repeat(1.0), filterfalse(None, column)))) > 1  # the signs of its zeros
+        kinds = set(map(type, column))
+        numbers = kinds - {str, type(None)}
+        zeros = filterfalse(None, column)  # its zeros, and any None or "" cell
+        if numbers != kinds:  # which copysign does not take
+            zeros = (c for c in zeros if type(c) in numbers)
+        alone = len(numbers) > 1 or 0.0 in column and len(set(map(math.copysign, repeat(1.0), zeros))) > 1
         cells = list(map(texts.__missing__ if alone else texts.__getitem__, column))
         columns.append(cells if alone or len(texts) > 1 else cells[:1])
     return columns

@@ -46,10 +46,9 @@ import math
 import sys
 from typing import NamedTuple, Optional
 
-from . import _NAMES
-from .errors import InconclusiveError, SingularPointError
+from . import _NAMES, DEFAULT_GRID, DEFAULT_TOL, InconclusiveError, SingularPointError
 from .jet import Jet2, _new
-from .surfaces import DEFAULT_GRID, DEFAULT_TOL, AmbientForm, SurfaceDef, _grid_axes, _not_jets, _read_jets, _sweep
+from .surfaces import AmbientForm, SurfaceDef, _grid_axes, _not_jets, _read_jets, _sweep
 
 __all__ = list(_NAMES["invariants"])
 

@@ -21,8 +21,7 @@ is safe to spread over any number of threads.
 import math
 from typing import NamedTuple
 
-from . import _NAMES
-from .errors import DomainError
+from . import _NAMES, DomainError
 
 __all__ = [*_NAMES["jet"], "sin", "cos", "exp", "log", "sqrt", "sinh", "cosh", "tanh", "atan", "atanh"]
 

@@ -25,8 +25,7 @@ reproduces the disk metric rather than presuming it.
 import math
 from typing import NamedTuple
 
-from . import _NAMES, jet
-from .errors import CatalogError, DomainError, GeometryError
+from . import _NAMES, CatalogError, DomainError, GeometryError, jet
 from .jet import _new
 from .surfaces import Box, SurfaceDef, _grid_axes, _sweep
 

@@ -23,8 +23,7 @@ import math
 import sys
 from typing import Callable, NamedTuple, Optional
 
-from . import _NAMES, jet
-from .errors import CatalogError, DomainError, SingularPointError
+from . import _NAMES, CatalogError, DomainError, SingularPointError, jet
 from .jet import Jet2, _new, seed_xy
 
 __all__ = list(_NAMES["surfaces"])
@@ -54,10 +53,6 @@ class Box(_BoxFields):
 
     def describe(self) -> str:
         return f"[{self.x0:g}, {self.x1:g}] x [{self.y0:g}, {self.y1:g}]"
-
-
-DEFAULT_GRID = (20, 20)
-DEFAULT_TOL = 1e-8
 
 
 def grid_points(box: Box, nx: int, ny: int) -> list[tuple[float, float]]:

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 import helpers
-from titeica.errors import SingularPointError
+from titeica import SingularPointError
 from titeica.invariants import EPS_SINGULAR
 
 

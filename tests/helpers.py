@@ -8,9 +8,8 @@ import math
 import numpy as np
 
 import frame_reference as ref
-from titeica import jet, metrics, surfaces
+from titeica import GeometryError, SingularPointError, jet, metrics, surfaces
 from titeica.centroaffine import CentroAffineMap, ScalingPoint
-from titeica.errors import GeometryError, SingularPointError
 from titeica.invariants import PointRecord, point_invariants
 from titeica.surfaces import EUCLIDEAN, Box, SurfaceDef, eval_surface, grid_points
 

@@ -15,9 +15,8 @@ import sys
 import pytest
 
 import titeica
-from titeica import EUCLIDEAN, SurfaceDef, classify, cli, scan_grid, surfaces
+from titeica import EUCLIDEAN, InconclusiveError, SurfaceDef, UsageError, classify, cli, scan_grid, surfaces
 from titeica.cli import RunConfig, main, parse_config, run
-from titeica.errors import InconclusiveError, UsageError
 from titeica.surfaces import catalog
 
 
@@ -764,20 +763,25 @@ print(code, *sorted(m for m in sys.modules if m.startswith("titeica.")))
 """
 
 
+# The modules each run loads besides titeica.cli: a line that is refused, or
+# that asks for help, loads no library module.
 @pytest.mark.parametrize("argv, status, modules", [
-    (["classify", "--surface", "titeica-xyz"], 0, "invariants"),
-    (["invariants", "--surface", "titeica-xyz"], 0, "invariants"),
-    (["--config", "classify.json"], 0, "invariants"),
+    (["classify", "--surface", "titeica-xyz"], 0, "jet surfaces invariants"),
+    (["invariants", "--surface", "titeica-xyz"], 0, "jet surfaces invariants"),
+    (["--config", "classify.json"], 0, "jet surfaces invariants"),
     (["transform-check", "--surface", "titeica-xyz", "--matrix", "2,0,0,0,1,0,0,0,1"], 0,
-     "invariants centroaffine"),
-    (["catalog"], 0, "metrics"),
-    (["metric-check", "--pair", "half-plane:disk"], 0, "metrics"),
+     "jet surfaces invariants centroaffine"),
+    (["catalog"], 0, "jet surfaces metrics"),
+    (["metric-check", "--pair", "half-plane:disk"], 0, "jet surfaces metrics"),
     (["classify", "--surface", "titeica-xyz", "--tol", "0"], 2, ""),
-], ids=["classify", "invariants", "config-classify", "transform-check", "catalog", "metric-check", "bad-tol"])
+    (["--help"], 0, ""),
+    (["--bogus"], 2, ""),
+], ids=["classify", "invariants", "config-classify", "transform-check", "catalog", "metric-check", "bad-tol",
+        "help", "bad-flag"])
 def test_each_command_loads_only_the_modules_it_runs(argv, status, modules, tmp_path):
     (tmp_path / "classify.json").write_text(json.dumps({"command": "classify", "surface": "sphere-origin"}))
     code, *loaded = python_child("-c", COMMAND_MODULES, *argv, cwd=tmp_path).stdout.splitlines()[-1].split()
-    expected = {"cli", "errors", "jet", "surfaces", *modules.split()}
+    expected = {"cli", *modules.split()}
     assert (int(code), set(loaded)) == (status, {f"titeica.{m}" for m in expected})
 
 

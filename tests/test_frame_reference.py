@@ -20,7 +20,7 @@ import pytest
 import frame_reference as ref
 from exact import exact_invariants, relative_error
 from helpers import jet_of_rows, random_polynomial_patch, surface_names
-from titeica.errors import SingularPointError
+from titeica import SingularPointError
 from titeica.invariants import identity_residual, point_invariants
 from titeica.surfaces import (
     EUCLIDEAN,

@@ -2,12 +2,13 @@
 
 Each file under ``tests/golden/`` is the stdout of ``main(argv)`` for the
 argv beside its name; the run writes no stderr and returns 0, or 1 for
-the all-skipped transform-check, ``FAILING``.  Eight of them use only arithmetic and ``sqrt``,
+the all-skipped transform-check, ``FAILING``.  Ten of them use only arithmetic and ``sqrt``,
 so their bytes do not depend on the platform's math library: the
 catalog, classify and transform-check on titeica-xyz, invariants on
 sphere-origin (at R = 2, and at R = 1e100 in CSV and JSON, where every
-row is skipped with an underflowing K/d^4), transform-check on the
-paraboloid and the half-plane to disk pullback.  The other seven pin
+row is skipped with an underflowing K/d^4), invariants on the paraboloid
+in CSV and JSON (its vertex, a grid point, is skipped with d = 0),
+transform-check on the paraboloid and the half-plane to disk pullback.  The other seven pin
 the jet paths through ``sin``, ``cos``, ``sinh``, ``cosh``, ``tanh``,
 ``atan`` and ``atanh``: classify and transform-check on the
 pseudosphere, invariants and transform-check on the Minkowski sphere,
@@ -83,6 +84,13 @@ GOLDEN = {
     ],
     "invariants-sphere-origin-skipped.json": [
         "invariants", "--surface", "sphere-origin", "--param", "R=1e100", "--format", "json", "--grid", "3", "2",
+    ],
+    # one row skipped, the vertex on the grid: columns that mix numbers, None and text
+    "invariants-paraboloid-vertex.csv": [
+        "invariants", "--surface", "paraboloid", "--format", "csv", "--grid", "5", "5",
+    ],
+    "invariants-paraboloid-vertex.json": [
+        "invariants", "--surface", "paraboloid", "--format", "json", "--grid", "5", "5",
     ],
     # a Minkowski-ambient surface: source and image read under its form
     "transform-check-minkowski-sphere.json": [

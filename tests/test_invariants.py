@@ -6,8 +6,10 @@ import pytest
 import frame_reference as ref
 import implicit
 from helpers import jet_of_rows, random_polynomial_patch, random_regular_point, surface_names
-from titeica import CentroAffineMap, classify, invariants, jet, scan_grid, verify_scaling
-from titeica.errors import DomainError, InconclusiveError, SingularPointError
+from titeica import (
+    CentroAffineMap, DomainError, InconclusiveError, SingularPointError, classify, invariants, jet, scan_grid,
+    verify_scaling,
+)
 from titeica.invariants import identity_residual, point_invariants
 from titeica.surfaces import (
     EUCLIDEAN,

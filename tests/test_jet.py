@@ -8,8 +8,7 @@ import pytest
 
 import exprgen
 from fdcheck import FDSettings, fd_jet
-from titeica import jet
-from titeica.errors import DomainError
+from titeica import DomainError, jet
 from titeica.jet import Jet2, seed_xy
 
 

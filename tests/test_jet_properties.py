@@ -21,8 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from titeica import jet
-from titeica.errors import DomainError
+from titeica import DomainError, jet
 from titeica.jet import Jet2
 
 # As in test_properties: a libcst that warns on import must not turn a

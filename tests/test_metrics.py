@@ -6,9 +6,8 @@ import pytest
 
 import frame_reference as ref
 from helpers import FLAT_BOX, IDENTITY, add_nan_pair, add_pair, brioschi_curvature, flat_components
-from titeica import jet
+from titeica import CatalogError, DomainError, GeometryError, SingularPointError, jet
 from titeica.cli import main
-from titeica.errors import CatalogError, DomainError, GeometryError, SingularPointError
 from titeica.invariants import point_invariants
 from titeica.jet import Jet2, seed_xy
 from titeica.metrics import _METRICS, _PAIRS, _pullback, check_pair, pair_names

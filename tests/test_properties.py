@@ -15,9 +15,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import exprgen
-from titeica import jet
+from titeica import GeometryError, SingularPointError, jet
 from titeica.centroaffine import CentroAffineMap, apply_map, verify_scaling
-from titeica.errors import GeometryError, SingularPointError
 from titeica.invariants import classify, identity_residual, point_invariants, scan_grid
 from titeica.jet import seed_xy
 from titeica.surfaces import EUCLIDEAN, MINKOWSKI, Box, SurfaceDef, catalog, eval_surface

@@ -230,6 +230,18 @@ def test_equal_cells_of_a_column_share_one_string():
     assert len(set(map(id, columns[report.columns.index("d")]))) <= 4
 
 
+@pytest.mark.parametrize("format", ENCODERS)
+def test_a_skipped_row_keeps_its_columns_sharing_one_string_per_cell(format):
+    # An odd grid puts the paraboloid's vertex on the grid, and the vertex
+    # is skipped: K, d and ratio mix None with floats, skipped None with text.
+    report = report_of(RunConfig("invariants", surface="paraboloid", grid=(21, 21)))
+    assert sum(r.skipped is not None for r in report.rows) == 1
+    columns = cli._cells(report, ENCODERS[format])
+    for name, column in zip(report.columns, columns):
+        assert len(column) == 441
+        assert len(set(map(id, column))) == len(set(column)) < 441, name
+
+
 def test_empty_rows():
     report = cli._Report({"command": "invariants"}, ("x", "y"), [], {})
     assert '\n  "results": [],\n' in "".join(cli._render_json(report))

@@ -8,8 +8,7 @@ import pytest
 import frame_reference as ref
 from fdcheck import fd_jet
 from helpers import called, jet_rows, surface_names, swept
-from titeica import jet, surfaces
-from titeica.errors import CatalogError, DomainError
+from titeica import CatalogError, DomainError, jet, surfaces
 from titeica.jet import Jet2
 from titeica.metrics import _PAIRS
 from titeica.surfaces import (

@@ -18,9 +18,8 @@ from collections import Counter
 import pytest
 
 from helpers import called, called_rows, outcome, surface_names, swept
-from titeica import jet, surfaces
+from titeica import DomainError, SingularPointError, jet, surfaces
 from titeica.centroaffine import CentroAffineMap, apply_map, verify_scaling
-from titeica.errors import DomainError, SingularPointError
 from titeica.invariants import PointRecord, classify, identity_residual, point_invariants, scan_grid
 from titeica.surfaces import (
     EUCLIDEAN,
