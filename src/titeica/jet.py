@@ -133,10 +133,8 @@ class Jet2(NamedTuple):
             raise DomainError(f"pow: base {v!r} outside the domain of x ** {p!r}")
         try:
             return _chain(self, v**p, p * v ** (p - 1.0), p * (p - 1.0) * v ** (p - 2.0))
-        except OverflowError:  # f'' alone may leave float range: a signed inf, where a zero slope product adds 0
-            (_, ax, ay, *second), val, d1 = self, v**p, p * v ** (p - 1.0)  # raises again where f or f' overflows
-            d2, slopes = p * (p - 1.0) * math.copysign(1.0, v) ** p * math.inf, (ax * ax, ax * ay, ay * ay)
-            return _new(Jet2, (val, d1 * ax, d1 * ay, *(d1 * a + (s and d2 * s) for a, s in zip(second, slopes))))
+        except OverflowError:  # f'' alone may leave float range: a signed inf (raises again where f or f' overflows)
+            return _chain(self, v**p, p * v ** (p - 1.0), p * (p - 1.0) * math.copysign(1.0, v) ** p * math.inf)
 
     def _unordered(self, other):
         # Jets have no order.  Returning NotImplemented would let tuple
@@ -193,8 +191,13 @@ def seed_xy(x: float, y: float) -> tuple[Jet2, Jet2]:
 
 def _chain(a: Jet2, val: float, d1: float, d2: float) -> Jet2:
     # Chain rule through second order for a scalar map with derivatives
-    # d1, d2 at a.val.
+    # d1, d2 at a.val.  Where d2 has left float range as a signed inf, a
+    # zero slope product adds 0 rather than inf * 0.0 = nan.
     _, ax, ay, axx, axy, ayy = a
+    if abs(d2) == math.inf:
+        xx, xy, yy = ax * ax, ax * ay, ay * ay
+        return _new(Jet2, (val, d1 * ax, d1 * ay, d1 * axx + (xx and d2 * xx), d1 * axy + (xy and d2 * xy),
+                           d1 * ayy + (yy and d2 * yy)))
     return _new(Jet2, (
         val,
         d1 * ax,

@@ -1,13 +1,17 @@
 """Shared test utilities: random patches, points and matrices, the rows of
 a jet, the Brioschi curvature of a metric, test metric pairs, the outcome
 of a surface at a call and in a sweep, and the grid commands' rows from
-calls and the public records."""
+calls and the public records, and a child process that imports this
+package."""
 
 import math
+import os
+import subprocess
 
 import numpy as np
 
 import frame_reference as ref
+import titeica
 from titeica import GeometryError, SingularPointError, jet, metrics, surfaces
 from titeica.centroaffine import CentroAffineMap, ScalingPoint
 from titeica.invariants import PointRecord, point_invariants
@@ -263,3 +267,16 @@ def add_nan_pair(monkeypatch, changes=IDENTITY):
     differences."""
     add_pair(monkeypatch, "flat:nan", ("flat", FLAT_BOX, "nan_g11", FLAT_BOX, changes),
              flat=flat_components, nan_g11=nan_at_positive_x)
+
+
+# The directory this package is imported from, which a child process imports it from too.
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(titeica.__file__)))
+
+
+def child(args, cwd=None, env=None):
+    """(exit status, stdout, stderr) of the command ``args`` in a fresh
+    process that imports this package from ``SRC``, with ``env`` added to
+    the environment: the output as bytes."""
+    proc = subprocess.run(args, cwd=cwd, env=dict(os.environ, PYTHONPATH=SRC, **env or {}), capture_output=True,
+                          timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr

@@ -9,17 +9,13 @@ arithmetic on two jets, or on a jet and a real, lifts neither operand,
 axes, calls no ``eval_surface`` and computes each one-axis part once per
 axis value, so at a point it runs the surface's ``mix`` alone.  A
 graph's ``mix`` gives its height alone, and ``verify_scaling`` writes
-its image out from the height, with no call (10.5 and 10.3 calls
-before), and takes its maxima from the residual columns, where three
-generator expressions resumed once a point each (9.5 before).  An
-``apply_map`` image is its source with the map after ``mix``, so a
-mapped surface computes its parts once too, each part wrapped to hand
-on its seed (one call per axis value: 8.7175 and 8.71 before), and its
+its image out from the height, with no call, and takes its maxima from
+the residual columns.  An ``apply_map`` image is its source with the map
+after ``mix``, so a mapped surface computes its parts once too, each
+part wrapped to hand on its seed (one call per axis value), and its
 map's ``act`` reads the jets once, through ``surfaces._read_jets``, and
 writes the image's fields itself.  A general surface's point in
-``verify_scaling`` maps its jets with ``act``: 11.9 on the
-pseudosphere, one call more than when it made the plain rows of the
-image alone (10.9).
+``verify_scaling`` maps its jets with ``act``.
 The counts are exact for a given interpreter: 7.35, 6.55, 5.7175,
 8.8175 and 11.9 on CPython 3.11.7.  The figures last measured on 3.12.1
 and 3.13.0 are 7.2, 5.71 and 8.81 for the first, third and fourth, and
@@ -35,30 +31,23 @@ Records are counted the same way, as the ``c_call`` events on
 ``_new`` costs.  The sweep hands the pass plain tuples, the pass returns
 them and a graph's image is written as plain rows, so a point builds its
 row and the jets of ``mix`` only: 3.45 (``scan_grid``) and 2.95
-(``verify_scaling``) on CPython 3.10 to 3.13, against 5.9 and 10.85
-when each stage built its record.  A mapped pseudosphere point at 20 x
-20 adds the three jets of ``act``, 6.4 in all; its bound fails if
-``act`` wraps them in a record again (7.4).  A pseudosphere point in
-``verify_scaling`` adds them too: 7.9 on CPython 3.11.7, against 4.9
-with plain rows.  Each bound is the ceiling of its count.
+(``verify_scaling``) on CPython 3.10 to 3.13.  A mapped pseudosphere
+point at 20 x 20 adds the three jets of ``act``, 6.4 in all, and a
+pseudosphere point in ``verify_scaling`` adds them too, 7.9 on CPython
+3.11.7; their bounds fail if ``act`` wraps them in a record again.  Each
+bound is the ceiling of its count.
 
 ``check_pair`` evaluates the source metric once per point, and sweeps
 each coordinate change with ``surfaces._sweep``: it runs each one-axis
 part of a change once per axis value and variant, and at a point only
 the change's ``mix`` and the per-point function that ``_pullback``
 returns, which evaluates the target's formula on floats with ``math``
-and looks the source up by the point.
-Its counts at 20 x 20 are 5.325, 11.725 and 29.4325 on CPython 3.10.13
-and 3.11.7, 5.315, 11.715 and 29.42 on 3.12.1 and 3.13.0 (5.37,
-11.77 and 29.47 on 3.11 when ``check_pair`` walked the grid in its own
-loop, 11.02, 24.02 and 35.02 when the whole change ran at every point,
-29.0175, 43.0175 and 61.0175 when each metric component was a jet as
-well), and each bound is the largest rounded up.
-Its records per point, the same on all four, are 1.2025, 5.5025 and
-13.405 (1.2, 5.5 and 13.3 in its own loop, 5, 15 and 21 per point
-before, 18, 29 and 42 on jets): one ``AgreePoint`` per variant and the
-jets of ``mix``, and per variant the seeds of its sweep and its
-``SurfaceDef``.
+and looks the source up by the point.  Its counts at 20 x 20 are 5.325,
+11.725 and 29.4325 on CPython 3.10.13 and 3.11.7, and 5.315, 11.715 and
+29.42 on 3.12.1 and 3.13.0; each bound is the largest rounded up.  Its
+records per point, the same on all four, are 1.2025, 5.5025 and 13.405:
+one ``AgreePoint`` per variant and the jets of ``mix``, and per variant
+the seeds of its sweep and its ``SurfaceDef``.
 """
 
 import sys

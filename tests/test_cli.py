@@ -15,6 +15,8 @@ import sys
 import pytest
 
 import titeica
+from helpers import SRC, child
+from test_golden import golden_text
 from titeica import EUCLIDEAN, InconclusiveError, SurfaceDef, UsageError, classify, cli, scan_grid, surfaces
 from titeica.cli import RunConfig, main, parse_config, run
 from titeica.surfaces import catalog
@@ -26,12 +28,11 @@ def read_json(path):
 
 
 def python_child(*args, cwd=None, env=None, status=0):
-    """``python *args`` in a fresh interpreter that imports this package, which must exit with ``status``."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(titeica.__file__)))
-    proc = subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=src, **env or {}), cwd=cwd,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == status, proc.stderr
-    return proc
+    """The stdout and stderr text of ``python *args`` in a fresh interpreter
+    that imports this package, which must exit with ``status``."""
+    code, out, err = child([sys.executable, *args], cwd=cwd, env=env)
+    assert code == status, err
+    return out.decode(), err.decode()
 
 
 def test_classify_function_sphere():
@@ -229,12 +230,6 @@ def test_cli_rejects_non_finite_tolerance(argv, tmp_path, capsys):
     assert captured.err.startswith("error: tolerance: ")
 
 
-def help_page():
-    """The one --help page at 80 columns, as ``tests/golden/help.txt`` pins it."""
-    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "help.txt"), newline="") as fh:
-        return fh.read()
-
-
 def outcome(argv, capsys):
     """(exit status, stdout, stderr) of ``main(argv)``."""
     return (main(argv), *capsys.readouterr())
@@ -286,7 +281,7 @@ def test_a_syntax_error_is_one_line_with_no_usage_banner(argv, message, capsys):
                          ids=" ".join)
 def test_help_anywhere_prints_the_help_page(argv, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    assert outcome(argv, capsys) == (0, help_page(), "")
+    assert outcome(argv, capsys) == (0, golden_text("help.txt"), "")
 
 
 def test_json_report_is_strict_json(capsys):
@@ -359,8 +354,7 @@ print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}), file=sys.st
 
 
 def test_package_runs_without_numpy():
-    proc = python_child("-c", BLOCK_NUMPY)
-    assert json.loads(proc.stderr.splitlines()[-1]) == {"codes": [0, 0, 0], "numpy": False}
+    assert json.loads(python_child("-c", BLOCK_NUMPY)[1].splitlines()[-1]) == {"codes": [0, 0, 0], "numpy": False}
 
 
 def test_cli_metric_check_chain():
@@ -422,6 +416,18 @@ def test_reports_are_byte_deterministic(tmp_path):
     first_csv = (tmp_path / "r.csv").read_bytes()
     assert main(argv_csv) == 0
     assert (tmp_path / "r.csv").read_bytes() == first_csv
+
+
+@pytest.mark.parametrize("format", ["json", "csv"])
+def test_a_report_longer_than_one_chunk_writes_the_same_rows_to_stdout_and_to_a_file(format, tmp_path, capsys):
+    # Only a JSON config block differs, as it echoes the output path.
+    argv = ["invariants", "--surface", "titeica-xyz", "--grid", "60", "60", "--format", format]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main([*argv, "--output", str(tmp_path / "report")]) == 0
+    rows = printed.split('\n  "results": ', 1)[-1]
+    assert rows.count("\n") > cli._CHUNK
+    assert (tmp_path / "report").read_text().split('\n  "results": ', 1)[-1] == rows
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -621,9 +627,8 @@ def test_common_flags_apply_before_the_subcommand(capsys):
 
 
 def test_module_entry_point_runs_cleanly():
-    proc = python_child("-m", "titeica.cli", "catalog")
-    assert proc.stderr == ""
-    assert "titeica-xyz" in proc.stdout
+    out, err = python_child("-m", "titeica.cli", "catalog")
+    assert err == "" and "titeica-xyz" in out
 
 
 ENTRY_WITH_EXIT_HOOK = """
@@ -642,8 +647,8 @@ def test_the_process_entry_exits_with_mains_status_and_a_frozen_heap(argv, statu
     # and atexit hooks are as an in-process main(argv) has them.
     assert main(argv) == status
     expected = capsys.readouterr()
-    proc = python_child("-c", ENTRY_WITH_EXIT_HOOK, *argv, status=status)
-    assert (proc.stdout, proc.stderr) == (expected.out, expected.err + "frozen heap: True\n")
+    assert python_child("-c", ENTRY_WITH_EXIT_HOOK, *argv, status=status) == (
+        expected.out, expected.err + "frozen heap: True\n")
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
@@ -742,7 +747,7 @@ def test_import_titeica_loads_no_cli_modules():
     # loads on first use of one of its names, and dataclasses (which loads
     # inspect), json and argparse (which loads gettext, whose first lookup
     # loads locale) cost every fresh process start-up time.
-    lines = python_child("-c", IMPORT_PACKAGE, "catalog").stdout.splitlines()
+    lines = python_child("-c", IMPORT_PACKAGE, "catalog")[0].splitlines()
     by_package, by_cli, by_run = set(lines[0].split()), set(lines[1].split()), set(lines[-1].split())
     assert [m for m in by_package if m.startswith("titeica.")] == [] and "titeica.cli" in by_cli
     assert not by_package & {"statistics", "argparse", "json"}
@@ -750,8 +755,8 @@ def test_import_titeica_loads_no_cli_modules():
 
 
 def test_only_a_help_run_loads_argparse():
-    out = python_child("-c", IMPORT_PACKAGE, "classify", "--help", env={"COLUMNS": "80"}).stdout
-    page = help_page()
+    out = python_child("-c", IMPORT_PACKAGE, "classify", "--help", env={"COLUMNS": "80"})[0]
+    page = golden_text("help.txt")
     assert out.count(page) == 1 and "argparse" in out[out.index(page) + len(page):].split()
 
 
@@ -780,7 +785,7 @@ print(code, *sorted(m for m in sys.modules if m.startswith("titeica.")))
         "help", "bad-flag"])
 def test_each_command_loads_only_the_modules_it_runs(argv, status, modules, tmp_path):
     (tmp_path / "classify.json").write_text(json.dumps({"command": "classify", "surface": "sphere-origin"}))
-    code, *loaded = python_child("-c", COMMAND_MODULES, *argv, cwd=tmp_path).stdout.splitlines()[-1].split()
+    code, *loaded = python_child("-c", COMMAND_MODULES, *argv, cwd=tmp_path)[0].splitlines()[-1].split()
     expected = {"cli", *modules.split()}
     assert (int(code), set(loaded)) == (status, {f"titeica.{m}" for m in expected})
 
@@ -802,7 +807,7 @@ print(json.dumps(report))
 
 
 def test_lazy_package_names():
-    assert json.loads(python_child("-c", LAZY_PACKAGE).stdout) == {
+    assert json.loads(python_child("-c", LAZY_PACKAGE)[0]) == {
         "not_listed": [],
         "metrics": "titeica.metrics",
         "not_bound": [],
@@ -980,12 +985,11 @@ def test_output_to_own_stdout_appends_to_its_file(tmp_path, capsys):
     report = capsys.readouterr().out
     out = tmp_path / "out.txt"
     out.write_text("an earlier line\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(titeica.__file__)))
     with open(out, "a") as fh:
         proc = subprocess.run(
             [sys.executable, "-m", "titeica.cli", "classify", "--surface", "titeica-xyz", "--grid", "2", "2",
              "--format", "csv", "--output", "/dev/stdout"],
-            env=dict(os.environ, PYTHONPATH=src), stdout=fh, stderr=subprocess.PIPE, text=True, timeout=120)
+            env=dict(os.environ, PYTHONPATH=SRC), stdout=fh, stderr=subprocess.PIPE, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert out.read_text() == f"an earlier line\n{report}wrote csv report to /dev/stdout\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
@@ -1055,20 +1059,25 @@ def test_empty_output_is_refused(tmp_path, capsys, monkeypatch):
     assert list(work.iterdir()) == [] and os.stat(tmp_path).st_mtime_ns == before
 
 
-@pytest.mark.parametrize("output", [[], ["--output", "/dev/stdout"]], ids=["stdout", "output-to-stdout"])
-def test_closed_stdout_ends_quietly(output):
-    # The pipe's read end is closed before the child writes, as when
-    # `titeica ... | head -1` has exited: status 1 and nothing on stderr.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(titeica.__file__)))
+def to_closed_pipe(*args, env=None):
+    """The exit status and stderr of ``python *args`` with stdout a pipe
+    whose read end is closed before the child writes, as when
+    ``titeica ... | head -1`` has exited."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "titeica.cli", "classify", "--surface", "titeica-xyz", "--grid", "2", "2", *output],
-            env=dict(os.environ, PYTHONPATH=src), stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+        proc = subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=SRC, **env or {}),
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
     finally:
         os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (1, "")
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("output", [[], ["--output", "/dev/stdout"]], ids=["stdout", "output-to-stdout"])
+def test_closed_stdout_ends_quietly(output):
+    # Status 1 and nothing on stderr.
+    argv = ["classify", "--surface", "titeica-xyz", "--grid", "2", "2", *output]
+    assert to_closed_pipe("-m", "titeica.cli", *argv) == (1, "")
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
@@ -1076,17 +1085,7 @@ def test_closed_stdout_ends_quietly(output):
 def test_help_to_closed_stdout_exits_one(argv, unbuffered):
     # argparse from Python 3.11 on drops the OSError of writing its help;
     # the run must still end with status 1 and nothing on stderr.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(titeica.__file__)))
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "titeica.cli", *argv],
-            env=dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered),
-            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
-    finally:
-        os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (1, "")
+    assert to_closed_pipe("-m", "titeica.cli", *argv, env={"PYTHONUNBUFFERED": unbuffered}) == (1, "")
 
 
 CLOSED_STDOUT_TWICE = """
@@ -1102,16 +1101,9 @@ print(json.dumps([statuses, before, sorted(os.listdir("/proc/self/fd"))]), file=
 def test_closed_stdout_leaks_no_descriptor():
     # In-process callers run main many times; pointing stdout at the null
     # device must not leave the descriptor it opened behind.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(titeica.__file__)))
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = subprocess.run([sys.executable, "-c", CLOSED_STDOUT_TWICE], env=dict(os.environ, PYTHONPATH=src),
-                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
-    finally:
-        os.close(write_end)
-    assert proc.returncode == 0, proc.stderr
-    statuses, before, after = json.loads(proc.stderr)
+    status, err = to_closed_pipe("-c", CLOSED_STDOUT_TWICE)
+    assert status == 0, err
+    statuses, before, after = json.loads(err)
     assert statuses == [1, 0]
     assert after == before
 
@@ -1197,5 +1189,5 @@ def test_one_parser_serves_every_run_of_a_process(capsys, monkeypatch):
     second = capsys.readouterr().out
     assert main(["--help"]) == 0
     help_text = capsys.readouterr().out
-    assert second == python_child("-m", "titeica.cli", *argv).stdout
-    assert help_text == help_page()
+    assert second == python_child("-m", "titeica.cli", *argv)[0]
+    assert help_text == golden_text("help.txt")

@@ -115,8 +115,7 @@ def test_report_matches_golden_file(name, capsys, monkeypatch):
     assert main(GOLDEN[name]) == (1 if name == FAILING else 0)
     out, err = capsys.readouterr()
     assert err == ""
-    with open(os.path.join(GOLDEN_DIR, name), newline="") as fh:
-        assert out == fh.read()
+    assert out == golden_text(name)
 
 
 def golden_text(name):

@@ -174,6 +174,30 @@ def test_a_power_with_a_finite_slope_is_a_jet(v, p):
     assert same(got[3:], (math.copysign(math.inf, p * (p - 1)), 0.0, 0.0))
 
 
+@SETTINGS
+@example(Jet2(1e-300, 0.0, 1.0))
+@given(st.builds(Jet2, *[st.floats(allow_nan=False, allow_infinity=False)] * 6))
+def test_no_nan_where_the_rule_has_none(j):
+    # Where the value, each term f' * a and each slope product of the rule
+    # are finite, an f'' that leaves float range is a signed inf, and times
+    # a zero slope product it adds 0: no field is nan.  The example is such
+    # an f'' for sqrt, log and the 0.5 power.
+    for name, fn, value, slope, _, refused in FUNCTIONS:
+        if refused is not None and refused(j.val):
+            continue
+        try:
+            terms = value(j.val), *(slope(j.val) * a for a in j[1:]), j.dx * j.dx, j.dx * j.dy, j.dy * j.dy
+        except (ValueError, OverflowError):
+            continue
+        if all(map(math.isfinite, terms)):
+            assert not any(map(math.isnan, fn(j))), (name, fn(j))
+
+
+def test_sqrt_is_the_half_power_where_its_curvature_overflows():
+    j = Jet2(1e-300, 0.0, 1.0)
+    assert same(jet.sqrt(j), j ** 0.5, Jet2(1e-150, 0.0, 5e149, 0.0, 0.0, -math.inf))
+
+
 # Second order: each field is the sum of its rule's terms within REL of
 # the sum of their magnitudes, or within the least normal float where
 # the terms underflow.  Each field is +-0.0 or has a magnitude in
