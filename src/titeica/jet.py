@@ -192,8 +192,13 @@ def seed_xy(x: float, y: float) -> tuple[Jet2, Jet2]:
 def _chain(a: Jet2, val: float, d1: float, d2: float) -> Jet2:
     # Chain rule through second order for a scalar map with derivatives
     # d1, d2 at a.val.  Where d2 has left float range as a signed inf, a
-    # zero slope product adds 0 rather than inf * 0.0 = nan.
+    # zero slope product adds 0 rather than inf * 0.0 = nan.  Where d2 is 0,
+    # (d2 * ax) * ax is d2 * (ax * ax) bit for bit, and 0 rather than nan
+    # where ax * ax overflows.
     _, ax, ay, axx, axy, ayy = a
+    if d2 == 0.0:
+        return _new(Jet2, (val, d1 * ax, d1 * ay, d1 * axx + d2 * ax * ax, d1 * axy + d2 * ax * ay,
+                           d1 * ayy + d2 * ay * ay))
     if abs(d2) == math.inf:
         xx, xy, yy = ax * ax, ax * ay, ay * ay
         return _new(Jet2, (val, d1 * ax, d1 * ay, d1 * axx + (xx and d2 * xx), d1 * axy + (xy and d2 * xy),
@@ -268,7 +273,7 @@ def tanh(a: Jet2) -> Jet2:
 def atan(a: Jet2) -> Jet2:
     v = a.val
     d1 = 1.0 / (1.0 + v * v)
-    return _chain(a, math.atan(v), d1, -2.0 * v * d1 * d1)
+    return _chain(a, math.atan(v), d1, -2.0 * (v * d1) * d1)  # -2.0 * v would overflow where f'' is 0
 
 
 def atanh(a: Jet2) -> Jet2:

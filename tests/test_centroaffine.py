@@ -210,24 +210,11 @@ def test_rotation_leaves_ratio_unchanged():
                 assert abs(after - before) <= 1e-10 * max(1.0, abs(before))
 
 
-def test_classification_invariant_under_unimodular_maps():
-    rng = np.random.default_rng(47)
-    for name, params in (("titeica-xyz", {}), ("sphere-origin", {"R": 1.0}), ("minkowski-sphere", {})):
-        s = catalog(name, **params)
-        base = classify(s, grid=(10, 10), tol=1e-8)
-        assert base.is_titeica
-        for sign in (1.0, -1.0):
-            image = apply_map(s, random_orthogonal(rng, det_sign=sign))
-            verdict = classify(image, grid=(10, 10), tol=1e-8)
-            assert verdict.is_titeica == base.is_titeica
-            assert abs(verdict.ratio_constant - base.ratio_constant) <= 1e-8 * max(
-                1.0, abs(base.ratio_constant)
-            )
-    # non-constant verdicts survive too
+def test_a_unimodular_map_keeps_a_non_constant_verdict():
+    # test_properties maps the constant-ratio surfaces; a varying ratio must stay varying.
     s = catalog("sphere-translated", R=1.0, c=2.0)
-    base = classify(s, grid=(10, 10), tol=1e-8)
-    assert not base.is_titeica
-    image = apply_map(s, random_orthogonal(rng, det_sign=1.0))
+    assert not classify(s, grid=(10, 10), tol=1e-8).is_titeica
+    image = apply_map(s, random_orthogonal(np.random.default_rng(47), det_sign=1.0))
     assert not classify(image, grid=(10, 10), tol=1e-8).is_titeica
 
 

@@ -2,7 +2,8 @@
 module-level function or class is referenced somewhere in the package,
 and every name a module-level assignment binds is read somewhere in the
 package or listed in an ``__all__``.  The package also stays within its
-2,000-line budget.
+2,000-line budget, and no two test modules define a test of the same
+name, as a check is made in one place.
 
 The checks read the source with ``ast``.  A name counts as used in a
 module if it is read there as a name or listed in a literal ``__all__``.
@@ -19,6 +20,7 @@ import pytest
 import titeica
 
 SRC = os.path.dirname(os.path.abspath(titeica.__file__))
+TESTS = os.path.dirname(os.path.abspath(__file__))
 MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
 
 
@@ -114,3 +116,15 @@ def test_package_stays_within_its_line_budget():
         with open(os.path.join(SRC, module), encoding="utf-8") as fh:
             lines += len(fh.readlines())
     assert lines <= 2000
+
+
+def test_no_two_test_modules_define_a_test_of_the_same_name():
+    modules = {}
+    for module in sorted(os.listdir(TESTS)):
+        if module.startswith("test_") and module.endswith(".py"):
+            with open(os.path.join(TESTS, module), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), module)
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("test_"):
+                    modules.setdefault(node.name, []).append(module)
+    assert {name: found for name, found in modules.items() if len(found) > 1} == {}
