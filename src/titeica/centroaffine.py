@@ -24,6 +24,7 @@ the jets of ``mix`` alone, and a general point adds the jets of ``act``.
 """
 
 import math
+import sys
 from typing import NamedTuple, Optional
 
 from . import _NAMES, SingularPointError
@@ -33,7 +34,7 @@ from .surfaces import SurfaceDef, _grid_axes, _read_jets, _sweep
 
 __all__ = list(_NAMES["centroaffine"])
 
-MIN_DET = 1e-12
+MIN_DET = 1e-12  # |det| / (|r0| |r1| |r2|) at or below which a matrix is refused
 
 
 class CentroAffineMap(NamedTuple):
@@ -52,8 +53,12 @@ class CentroAffineMap(NamedTuple):
         d = a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2) + a2 * (b0 * c1 - b1 * c0)
         if not math.isfinite(d):
             raise ValueError(f"centro-affine matrix must have a finite determinant, got {d}")
-        if abs(d) <= MIN_DET:
-            raise ValueError(f"centro-affine matrix must be invertible, |det| = {abs(d):g}")
+        # Hadamard's bound |det| <= |r0| |r1| |r2|, divided in turn: the product can overflow.
+        q = abs(d) / math.hypot(*m[0]) / math.hypot(*m[1]) / math.hypot(*m[2]) if d else 0.0
+        if q <= MIN_DET:
+            raise ValueError(f"centro-affine matrix must be invertible, |det| / (|r0| |r1| |r2|) = {q:g}")
+        if d * d < sys.float_info.min:  # the divisor of every predicted ratio
+            raise ValueError(f"centro-affine matrix is too small, det^2 is not a normal float, got det = {d}")
         return cls(m, d)
 
     def act(self, jets: tuple[Jet2, Jet2, Jet2]) -> tuple[Jet2, Jet2, Jet2]:

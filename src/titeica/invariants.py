@@ -25,14 +25,18 @@ reproduces K = -1, d = 1 on the unit Minkowski hyperboloid.  The forms
 and EG - F^2 appear only in :func:`identity_residual`, which measures the
 classical route against the pass.
 
-A point is singular when |c|^2 (EG - F^2 for the Euclidean form) is at
-most EPS_SINGULAR, when nn is not finite (an overflowing normal would
-otherwise read as d = 0), when |nn|, then d, is at most EPS_SINGULAR,
-when K, d or K/d^4 is not finite, or when K/d^4 underflows: num is not
-0 but |K/d^4| is below the smallest normal float.  The pass runs these
-six tests in this order and raises SingularPointError, with its own
-message, at the first that fails.  Where V^4 is beyond float range the
-quotient is taken as num / V^2 / V^2.
+A point is singular, and the pass raises SingularPointError with its own
+message at the first of seven tests that fails, when c is degenerate, nn
+is not finite (an overflowing normal would otherwise read as d = 0), the
+normal is null, the tangent plane holds the origin, nn^2 or V^4 is below
+the normal floats where either of the two tests before tripped, K, d or
+K/d^4 is not finite, or num is not 0 but |K/d^4| is below the smallest
+normal float.  A threshold test trips where |c|^2, |nn| or d is at most
+EPS_SINGULAR = e, and skips only if the quantity is small against its own
+terms, which scale alike: |c|^2 <= e sum_k (|a_i b_j| + |a_j b_i|)^2 over
+c_k = a_i b_j - a_j b_i with a = f_x, b = f_y; |nn| <= e |c|^2; |V| <= e
+sum_k |f_k c_k|.  Where V^4 is beyond float range the quotient is taken
+as num / V^2 / V^2.
 
 The grid commands (:func:`scan_grid`, :func:`classify` and
 ``centroaffine.verify_scaling``) walk the two axes of their grid through
@@ -52,8 +56,8 @@ from .surfaces import AmbientForm, SurfaceDef, _grid_axes, _not_jets, _read_jets
 
 __all__ = list(_NAMES["invariants"])
 
-# Threshold on |f_x x f_y|^2, |<n, n>| and d below which a point is treated as
-# singular and must be skipped (never silently dropped) by callers.
+# Where |f_x x f_y|^2, |<n, n>| or d trips a singular test, and the share of its
+# own terms at which it makes the point singular: skipped, never dropped, by callers.
 EPS_SINGULAR = 1e-9
 
 
@@ -82,10 +86,10 @@ def _pass(jets, amb: AmbientForm, x=None, y=None) -> tuple:
     per grid point): the plain (Vx, Vy, Vxy, V, nn, num, K, d, K/d^4) of a
     tuple of three jets, or of a graph's u at (x, y); raises where a singularity test fails."""
     if x is not None and type(jets) is Jet2:  # (x, y, u), the seeds' 1.0s and 0.0s written in
-        u, ux, uy, uxx, uxy, uyy = jets  # term for term: the zero products keep signed zeros and NaN
+        f0, f1, (f2, ux, uy, uxx, uxy, uyy) = x, y, jets  # term for term: the zero products keep signed zeros and NaN
         c0, c1, c2 = 0.0 * uy - ux, ux * 0.0 - uy, 1.0
         z = 0.0 * c0 + 0.0 * c1
-        vx, vy, vxy, v = z + uxx, z + uyy, z + uxy, x * c0 + y * c1 + u
+        vx, vy, vxy, v = z + uxx, z + uyy, z + uxy, f0 * c0 + f1 * c1 + f2
     else:
         try:  # free until it raises, on CPython 3.11+
             (f0, a0, b0, p0, q0, r0), (f1, a1, b1, p1, q1, r1), (f2, a2, b2, p2, q2, r2) = jets
@@ -97,19 +101,27 @@ def _pass(jets, amb: AmbientForm, x=None, y=None) -> tuple:
         vx, vy, vxy = p0 * c0 + p1 * c1 + p2 * c2, r0 * c0 + r1 * c1 + r2 * c2, q0 * c0 + q1 * c1 + q2 * c2
         v = f0 * c0 + f1 * c1 + f2 * c2  # f_xx, f_yy, f_xy and f, dotted with c
     cc = c0 * c0 + c1 * c1 + c2 * c2
-    if cc <= EPS_SINGULAR:
-        raise SingularPointError(f"degenerate tangent plane (|f_x x f_y|^2 = {cc:g})")
+    if cc <= EPS_SINGULAR:  # never where c2 = 1.0, so a graph does not reach a0 .. b2
+        t0, t1, t2 = abs(a1 * b2) + abs(a2 * b1), abs(a2 * b0) + abs(a0 * b2), abs(a0 * b1) + abs(a1 * b0)
+        if cc <= EPS_SINGULAR * (t0 * t0 + t1 * t1 + t2 * t2):
+            raise SingularPointError(f"degenerate tangent plane (|f_x x f_y|^2 = {cc:g})")
     s0, s1, s2 = amb.signature
     nn = float(s0 * c0 * c0 + s1 * c1 * c1 + s2 * c2 * c2)  # as amb.inner(c, c)
     if not math.isfinite(nn):
         raise SingularPointError(f"non-finite normal (<n, n> = {nn:g})")
-    if abs(nn) <= EPS_SINGULAR:
+    tripped = abs(nn) <= EPS_SINGULAR  # then nn^2 and V^4, the divisors, are range-checked
+    if tripped and abs(nn) <= EPS_SINGULAR * cc:
         raise SingularPointError(f"normal vector is null under the {amb.name} form")
     num = s0 * s1 * s2 * (vx * vy - vxy * vxy)
-    k, d = num / (nn * nn), abs(v) / math.sqrt(abs(nn))
+    d = abs(v) / math.sqrt(abs(nn))
     if d <= EPS_SINGULAR:
-        raise SingularPointError(f"tangent plane passes through the origin (d = {d:g})")
-    try:  # |nn| and d above EPS_SINGULAR keep V^4 above 1e-55
+        if abs(v) <= EPS_SINGULAR * (abs(f0 * c0) + abs(f1 * c1) + abs(f2 * c2)):
+            raise SingularPointError(f"tangent plane passes through the origin (d = {d:g})")
+        tripped = True
+    if tripped and (nn * nn < sys.float_info.min or v * v * v * v < sys.float_info.min):
+        raise SingularPointError(f"<n, n>^2 or V^4 leaves float range (<n, n> = {nn:g}, V = {v:g})")
+    k = num / (nn * nn)
+    try:  # V^4 is range-checked if |nn| or d tripped, and above 1e-55 if not
         ratio = num / v**4
     except OverflowError:
         ratio = num / (v * v) / (v * v)

@@ -10,7 +10,9 @@ the error that ``titeica_ratio`` raises where it does not;
 ``identity_residual`` must agree bitwise with the same expression built
 from these forms.  K and K/d^4 here take the classical route through
 EG - F^2; the pass's values are held to ``tests/exact.py``
-instead.
+instead.  Its singular tests are the absolute EPS_SINGULAR bounds alone,
+on which the pass's tests trip; the points compared are at unit scale,
+where each tripped test also finds its quantity small against its terms.
 """
 
 import math

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -25,10 +26,12 @@ from titeica.surfaces import EUCLIDEAN, catalog, eval_surface, grid_points
 
 
 def test_construction_rejects_singular():
-    with pytest.raises(ValueError):
-        CentroAffineMap.of([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
-    with pytest.raises(ValueError):
-        CentroAffineMap.of(np.eye(3) * 1e-5)  # det = 1e-15
+    # MIN_DET bounds |det| / (|r0| |r1| |r2|), which no scale changes: a
+    # rank-2 matrix is refused at every scale, and 1e-5 I (det = 1e-15) is not.
+    for scale in (1.0, 1e-5):
+        with pytest.raises(ValueError, match="must be invertible"):
+            CentroAffineMap.of(np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0]]) * scale)
+    assert CentroAffineMap.of(np.eye(3) * 1e-5).det == 1e-5 * 1e-5 * 1e-5
 
 
 def test_construction_rejects_non_finite_entries():
@@ -45,6 +48,15 @@ def test_determinant_that_overflows_exits_2(capsys):
     argv = ["transform-check", "--surface", "paraboloid", "--matrix", "1e200,0,0,0,1e200,0,0,0,1e200"]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: matrix: centro-affine matrix must have a finite determinant, got inf\n"
+
+
+def test_determinant_whose_square_underflows_exits_2(capsys):
+    # 1e-60 I meets Hadamard's bound, but det^2 = 1e-360 reads 0, the divisor
+    # of every predicted ratio: refused as catalog refuses a subnormal R^2.
+    argv = ["transform-check", "--surface", "paraboloid", "--matrix", "1e-60,0,0,0,1e-60,0,0,0,1e-60"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "error: matrix: centro-affine matrix is too small, det^2 is not a normal float, got det = 1e-180\n")
 
 
 def well_conditioned(rng):
@@ -382,17 +394,31 @@ def test_all_skipped_run_fails():
 TITEICA = ("titeica-xyz", "sphere-origin", "minkowski-sphere")
 
 
-@pytest.mark.parametrize("scale", [
-    1e-2, 1e2, 1e4,
-    pytest.param(1e-4, marks=pytest.mark.xfail(
-        strict=True, raises=ValueError, reason="ROADMAP item 1: MIN_DET refuses det = 1e-12 for its units")),
-    pytest.param(1e-3, marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason="ROADMAP item 1: every point of the image is skipped for its units")),
-])
+@pytest.mark.parametrize("scale", [1e-4, 1e-3, 1e-2, 1e2, 1e4])
 @pytest.mark.parametrize("surface", TITEICA)
 def test_scaling_law_holds_for_every_scaled_identity(surface, scale):
     report = verify_scaling(catalog(surface), CentroAffineMap.of(np.eye(3) * scale), (20, 20), 1e-8)
     assert report.passed and report.points_skipped == 0
+
+
+REGULAR = [name for name in surface_names() if name != "plane"]
+
+
+@functools.cache
+def unmapped_rows(name):
+    return scan_grid(catalog(name), (9, 7))
+
+
+@pytest.mark.parametrize("k", range(-80, 81, 4))
+def test_a_power_of_two_scales_every_row_exactly(k):
+    # 2^k I scales every jet field by 2^k exactly, and so K by 2^-2k, d by 2^k
+    # and K/d^4 by 2^-6k; the singular tests read each quantity against the
+    # point's own terms, so every scale skips the same rows for the same reason.
+    a = CentroAffineMap.of(np.eye(3) * 2.0**k)
+    for name in REGULAR:
+        want = [r if r.skipped else r._replace(K=math.ldexp(r.K, -2 * k), d=math.ldexp(r.d, k),
+                                               ratio=math.ldexp(r.ratio, -6 * k)) for r in unmapped_rows(name)]
+        assert scan_grid(apply_map(catalog(name), a), (9, 7)) == want, name
 
 
 # Rz(0.7) Rx(0.4), written out: Q diag(k, 1/k, 1) Q is unimodular with

@@ -2,9 +2,10 @@
 
 Each file under ``tests/golden/`` is the stdout of ``main(argv)`` for the
 argv beside its name; the run writes no stderr and returns 0, or 1 for
-the all-skipped transform-check, ``FAILING``.  Ten of them use only arithmetic and ``sqrt``,
+the all-skipped transform-check, ``FAILING``.  Eleven of them use only arithmetic and ``sqrt``,
 so their bytes do not depend on the platform's math library: the
-catalog, classify and transform-check on titeica-xyz, invariants on
+catalog, classify and transform-check on titeica-xyz, transform-check
+on the plane (every row skipped with d = 0), invariants on
 sphere-origin (at R = 2, and at R = 1e100 in CSV and JSON, where every
 row is skipped with an underflowing K/d^4), invariants on the paraboloid
 in CSV and JSON (its vertex, a grid point, is skipped with d = 0),
@@ -68,9 +69,14 @@ GOLDEN = {
     "metric-check-disk-minkowski-sphere.csv": [
         "metric-check", "--pair", "disk:minkowski-sphere", "--format", "csv", "--grid", "3", "3",
     ],
-    # every point skipped: null maxima
+    # a small map, det = 1e-9: every point is evaluated at its own scale
     "transform-check-titeica-xyz-small.json": [
         "transform-check", "--surface", "titeica-xyz",
+        "--matrix", "0.001,0,0,0,0.001,0,0,0,0.001", "--format", "json", "--grid", "4", "4",
+    ],
+    # every point skipped, every tangent plane through the origin at every scale: null maxima
+    "transform-check-plane-small.json": [
+        "transform-check", "--surface", "plane",
         "--matrix", "0.001,0,0,0,0.001,0,0,0,0.001", "--format", "json", "--grid", "4", "4",
     ],
     # a general map: jets that are not of Monge form
@@ -106,7 +112,7 @@ GOLDEN = {
 
 
 # An all-skipped transform-check fails its check by design.
-FAILING = "transform-check-titeica-xyz-small.json"
+FAILING = "transform-check-plane-small.json"
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -7,7 +7,7 @@ import frame_reference as ref
 import implicit
 from helpers import jet_of_rows, random_polynomial_patch, random_regular_point, surface_names
 from titeica import (
-    CentroAffineMap, DomainError, InconclusiveError, SingularPointError, classify, invariants, jet, scan_grid,
+    CentroAffineMap, DomainError, SingularPointError, classify, invariants, jet, scan_grid,
     verify_scaling,
 )
 from titeica.invariants import identity_residual, point_invariants
@@ -120,15 +120,20 @@ def test_ratio_titeica_xyz():
         assert abs(point_invariants(eval_surface(s, x, y), EUCLIDEAN).ratio - 1.0 / 27.0) <= 1e-9
 
 
-@pytest.mark.parametrize("radius", [
-    1e-6, 1e-3, 1.0, 1e3, 1e6, 1e12,
-    *(pytest.param(r, marks=pytest.mark.xfail(
-        strict=True, raises=InconclusiveError, reason="ROADMAP item 1: a small sphere is skipped for its units"))
-      for r in (1e-12, 1e-9)),
-])
+@pytest.mark.parametrize("radius", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e12])
 def test_sphere_ratio_is_r_to_the_minus_six_at_every_scale(radius):
     verdict = classify(catalog("sphere-origin", R=radius))
     assert abs(verdict.ratio_constant * radius**6 - 1.0) <= 1e-15
+
+
+def test_a_flat_patch_at_a_tiny_height_is_skipped():
+    # u = 5.4e-120: d trips its test, but V is its own only term, so the plane
+    # misses the origin; V^4 reads 0, which K/d^4 must not be divided by.
+    s = SurfaceDef("flat", lambda x, y: jet.Jet2(5.4e-120), Box(-1, 1, -1, 1), EUCLIDEAN)
+    for amb in (EUCLIDEAN, MINKOWSKI):
+        with pytest.raises(SingularPointError, match=r"^<n, n>\^2 or V\^4 leaves float range"):
+            point_invariants(eval_surface(s, 0.0, 0.0), amb)
+    assert {r.skipped for r in scan_grid(s, (3, 3))} == {"<n, n>^2 or V^4 leaves float range (<n, n> = 1, V = 5.4e-120)"}
 
 
 def test_ratio_singular_point():

@@ -1,4 +1,7 @@
-"""Generative checks of every jet operator and function (ROADMAP item 17).
+"""Generative checks of every jet operator and function against its rule:
+field-by-field sums and products, the quotient rule, the powers, and the
+chain rule f(a)'' = f'(a) a'' + f''(a) a' a' of ``jet._chain``, where an
+f'' that leaves float range is a signed inf and a zero slope product adds 0.
 
 Fields and real operands are drawn from finite floats, +-0.0 and +-inf.
 A real operand must give, by ``repr`` (which tells -0.0 from 0.0), its
