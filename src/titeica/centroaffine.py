@@ -57,8 +57,10 @@ class CentroAffineMap(NamedTuple):
         q = abs(d) / math.hypot(*m[0]) / math.hypot(*m[1]) / math.hypot(*m[2]) if d else 0.0
         if q <= MIN_DET:
             raise ValueError(f"centro-affine matrix must be invertible, |det| / (|r0| |r1| |r2|) = {q:g}")
-        if d * d < sys.float_info.min:  # the divisor of every predicted ratio
+        if d * d < sys.float_info.min:  # det^2 is the divisor of every predicted ratio
             raise ValueError(f"centro-affine matrix is too small, det^2 is not a normal float, got det = {d}")
+        if d * d == math.inf:
+            raise ValueError(f"centro-affine matrix is too large, det^2 overflows, got det = {d}")
         return cls(m, d)
 
     def act(self, jets: tuple[Jet2, Jet2, Jet2]) -> tuple[Jet2, Jet2, Jet2]:
@@ -98,7 +100,7 @@ class ScalingReport(NamedTuple):
     """Aggregate and per-point residuals of the three scaling identities;
     the fields before ``points`` are the transform-check summary, in its
     order.  ``scale_factor`` is 1/det(A)^2, the factor each predicted
-    ratio is divided by: 1.0 / (det * det), so 0.0 where det^2 overflows."""
+    ratio is divided by: 1.0 / (det * det)."""
 
     det: float
     scale_factor: float

@@ -2,8 +2,9 @@
 module-level function or class is referenced somewhere in the package,
 and every name a module-level assignment binds is read somewhere in the
 package or listed in an ``__all__``.  The package also stays within its
-2,000-line budget, and no two test modules define a test of the same
-name, as a check is made in one place.
+2,000-line budget, no two test modules define a test of the same
+name, as a check is made in one place, and every strict xfail in the
+tests names the ROADMAP item that tracks its defect.
 
 The checks read the source with ``ast``.  A name counts as used in a
 module if it is read there as a name or listed in a literal ``__all__``.
@@ -14,6 +15,7 @@ package reads it as a name or as an attribute, or lists it in ``__all__``.
 
 import ast
 import os
+import re
 
 import pytest
 
@@ -128,3 +130,18 @@ def test_no_two_test_modules_define_a_test_of_the_same_name():
                 if isinstance(node, ast.FunctionDef) and node.name.startswith("test_"):
                     modules.setdefault(node.name, []).append(module)
     assert {name: found for name, found in modules.items() if len(found) > 1} == {}
+
+
+def test_every_strict_xfail_names_a_roadmap_item():
+    # ROADMAP item 3: a check that fails at HEAD is a strict xfail that names its item.
+    unnamed = []
+    for module in sorted(os.listdir(TESTS)):
+        if module.endswith(".py"):
+            with open(os.path.join(TESTS, module), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), module)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "xfail":
+                    args = {kw.arg: getattr(kw.value, "value", None) for kw in node.keywords}
+                    if args.get("strict") is True and not re.search(r"\bROADMAP item \d+", str(args.get("reason"))):
+                        unnamed.append(f"{module}:{node.lineno}")
+    assert unnamed == []

@@ -5,9 +5,9 @@ import pytest
 
 import frame_reference as ref
 import implicit
-from helpers import jet_of_rows, random_polynomial_patch, random_regular_point, surface_names
+from helpers import jet_of_rows, random_polynomial_patch, surface_names
 from titeica import (
-    CentroAffineMap, DomainError, SingularPointError, classify, invariants, jet, scan_grid,
+    CentroAffineMap, DomainError, SingularPointError, apply_map, classify, invariants, jet, scan_grid,
     verify_scaling,
 )
 from titeica.invariants import identity_residual, point_invariants
@@ -23,101 +23,85 @@ from titeica.surfaces import (
 from titeica.jet import Jet2, seed_xy
 
 
-def test_forms_plane():
-    sj = eval_surface(catalog("plane"), 0.3, -0.2)
-    assert ref.fundamental_forms(sj, EUCLIDEAN) == (1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+def grid(s, n=8):
+    return grid_points(s.domain, n, n)
 
 
-def test_forms_paraboloid_origin():
-    sj = eval_surface(catalog("paraboloid"), 0.0, 0.0)
-    forms = ref.fundamental_forms(sj, EUCLIDEAN)
-    assert forms == (1.0, 0.0, 1.0, 2.0, 0.0, 2.0)
+SPHERE, SPHERE_2 = catalog("sphere-origin", R=1.0), catalog("sphere-origin", R=2.0)
+TITEICA, MINKOWSKI_SPHERE = catalog("titeica-xyz"), catalog("minkowski-sphere")
+PLANE, PARABOLOID, PSEUDOSPHERE = catalog("plane"), catalog("paraboloid"), catalog("pseudosphere")
+# the catalog plane passes through the origin; this one keeps d = 1
+PLANE_Z1 = SurfaceDef("plane-z1", lambda x, y: (x, y, Jet2(1.0)), Box(-1, 1, -1, 1), EUCLIDEAN)
+CUBIC = SurfaceDef("cubic", lambda x, y: (x, y, x**3 + 2.0 * x * (y * y) - y), Box(-1, 1, -1, 1), EUCLIDEAN)
+D0 = "tangent plane passes through the origin (d = 0)"
+
+# Known values, one row each: (id, surface, points, form, what ``value``
+# reads, the value, its tolerance).  A tolerance of 0 asks for ==.
+KNOWN_VALUES = [
+    ("forms_plane", PLANE, [(0.3, -0.2)], EUCLIDEAN, "forms", (1.0, 0.0, 1.0, 0.0, 0.0, 0.0), 0),
+    ("forms_paraboloid_origin", PARABOLOID, [(0.0, 0.0)], EUCLIDEAN, "forms", (1.0, 0.0, 1.0, 2.0, 0.0, 2.0), 0),
+    # V = 0 at the vertex: the pass refuses it, and the reference gives the volumes
+    ("volumes_paraboloid_origin", PARABOLOID, [(0.0, 0.0)], EUCLIDEAN, "reference volumes", (2.0, 2.0, 0.0, 0.0), 0),
+    ("distance_paraboloid_origin_is_zero", PARABOLOID, [(0.0, 0.0)], EUCLIDEAN, "d", D0, 0),
+    # (1, 2) is not interior to the plane's box; (0.99, 0.5) is
+    ("volumes_plane_all_zero", PLANE, [(0.99, 0.5)], EUCLIDEAN, "reference volumes", (0.0, 0.0, 0.0, 0.0), 0),
+    ("distance_plane_is_zero", PLANE, [(1e-3, 0.5), (0.99, 0.5), (0.2, 0.2)], EUCLIDEAN, "d", D0, 0),
+    ("curvature_plane", PLANE_Z1, [(0.1, 0.4)], EUCLIDEAN, "K d ratio", (0.0, 1.0, 0.0), 0),
+    ("curvature_sphere", SPHERE, grid(SPHERE), EUCLIDEAN, "K", 1.0, 1e-9),
+    ("distance_sphere", SPHERE, grid(SPHERE), EUCLIDEAN, "d", 1.0, 1e-10),
+    ("ratio_sphere_is_one", SPHERE, grid(SPHERE), EUCLIDEAN, "ratio", 1.0, 1e-9),
+    ("curvature_pseudosphere", PSEUDOSPHERE, grid(PSEUDOSPHERE), EUCLIDEAN, "K", -1.0, 1e-7),
+    # u = 1/(xy) at (1, 1): u_x = u_y = -1, u_xx = u_yy = 2, u_xy = 1,
+    # V = u - x u_x - y u_y = 3, c = f_x x f_y = (1, 1, 1), K = 1/3, d = sqrt(3)
+    ("volumes_titeica_xyz", TITEICA, [(1.0, 1.0)], EUCLIDEAN, "Vx Vy Vxy V", (2.0, 2.0, 1.0, 3.0), 0),
+    ("point_invariants_bundle", TITEICA, [(1.0, 1.0)], EUCLIDEAN, "K d ratio", (1 / 3, math.sqrt(3.0), 1 / 27), 1e-15),
+    ("point_invariants_bundle_minkowski", MINKOWSKI_SPHERE, [(0.7, 1.1)], MINKOWSKI, "K d ratio", (-1.0, 1.0, -1.0),
+     1e-10),
+    ("ratio_titeica_xyz", TITEICA, grid(TITEICA), EUCLIDEAN, "ratio", 1 / 27, 1e-9),
+    ("ratio_sphere_radius_two", SPHERE_2, [(0.1, 0.2)], EUCLIDEAN, "ratio", 1 / 64, 1e-9),
+    ("identity_residual_titeica_xyz", TITEICA, [(1.0, 1.0)], EUCLIDEAN, "identity_residual", 0.0, 1e-12),
+    ("identity_residual_cubic_patch", CUBIC, [(0.3, 0.7)], EUCLIDEAN, "identity_residual", 0.0, 1e-10),
+    ("identity_residual_sphere_radius_two", SPHERE_2, [(0.1, 0.2)], EUCLIDEAN, "identity_residual", 0.0, 1e-10),
+    # K/d^4 = det(S) (Vx Vy - Vxy^2)/V^4 with det(S) = -1
+    ("identity_residual_minkowski_sphere", MINKOWSKI_SPHERE, grid(MINKOWSKI_SPHERE, 20), MINKOWSKI,
+     "identity_residual", 0.0, 1e-12),
+    # Images under a map: 2I takes the unit sphere to the radius-2 sphere,
+    # whose ratio is 1/64 = (1/8^2) * 1, and diag(2, 1, 1) quarters 1/27.
+    ("uniform_scaling_maps_sphere_to_sphere", apply_map(SPHERE, CentroAffineMap.of(2.0 * np.eye(3))), grid(SPHERE),
+     EUCLIDEAN, "d ratio", (2.0, 1 / 64), 1e-12),
+    ("diagonal_map_on_titeica_xyz", apply_map(TITEICA, CentroAffineMap.of(np.diag([2.0, 1.0, 1.0]))), grid(TITEICA),
+     EUCLIDEAN, "ratio", 1 / 108, 1e-10),
+]
+READERS = {"forms": ref.fundamental_forms, "reference volumes": lambda sj, amb: ref.oriented_volumes(sj),
+           "identity_residual": identity_residual}
 
 
-def test_forms_minkowski_sphere_match_intrinsic_metric():
-    s = catalog("minkowski-sphere")
-    for u1, u2 in grid_points(s.domain, 8, 8):
-        e, f, g, *_ = ref.fundamental_forms(eval_surface(s, u1, u2), MINKOWSKI)
-        assert abs(e - 1.0) <= 1e-10
-        assert abs(f) <= 1e-10
-        assert abs(g - math.sinh(u1) ** 2) <= 1e-10
+def value(what, sj, amb):
+    """The reference's fundamental forms or oriented volumes,
+    ``identity_residual``, or the pass's fields named in ``what``; or the
+    message of the SingularPointError that any of them raises."""
+    try:
+        if what in READERS:
+            return READERS[what](sj, amb)
+        p = point_invariants(sj, amb)
+    except SingularPointError as exc:
+        return str(exc)
+    fields = tuple(getattr(p, name) for name in what.split())
+    return fields if len(fields) > 1 else fields[0]
 
 
-def test_curvature_sphere():
-    s = catalog("sphere-origin", R=1.0)
-    for x, y in grid_points(s.domain, 8, 8):
-        assert abs(point_invariants(eval_surface(s, x, y), EUCLIDEAN).K - 1.0) <= 1e-9
+def close(got, want, tol):
+    if isinstance(want, tuple):
+        return isinstance(got, tuple) and len(got) == len(want) and all(close(g, w, tol) for g, w in zip(got, want))
+    return got == want if isinstance(want, str) else isinstance(got, float) and abs(got - want) <= tol
 
 
-def test_curvature_pseudosphere():
-    s = catalog("pseudosphere")
-    for x, y in grid_points(s.domain, 8, 8):
-        assert abs(point_invariants(eval_surface(s, x, y), EUCLIDEAN).K + 1.0) <= 1e-7
-
-
-def test_curvature_plane():
-    # the catalog plane passes through the origin; this one keeps d = 1
-    s = SurfaceDef("plane-z1", lambda x, y: (x, y, jet.Jet2(1.0)), Box(-1, 1, -1, 1), EUCLIDEAN)
-    p = point_invariants(eval_surface(s, 0.1, 0.4), EUCLIDEAN)
-    assert (p.K, p.d, p.ratio) == (0.0, 1.0, 0.0)
-
-
-def test_distance_sphere():
-    s = catalog("sphere-origin", R=1.0)
-    for x, y in grid_points(s.domain, 8, 8):
-        assert abs(point_invariants(eval_surface(s, x, y), EUCLIDEAN).d - 1.0) <= 1e-10
-
-
-def test_distance_minkowski_sphere():
-    s = catalog("minkowski-sphere")
-    for x, y in grid_points(s.domain, 8, 8):
-        assert abs(point_invariants(eval_surface(s, x, y), MINKOWSKI).d - 1.0) <= 1e-10
-
-
-def test_distance_plane_is_zero():
-    with pytest.raises(SingularPointError, match=r"^tangent plane passes through the origin \(d = 0\)$"):
-        point_invariants(eval_surface(catalog("plane"), 1e-3, 0.5), EUCLIDEAN)
-
-
-def test_volumes_paraboloid_origin():
-    # V = 0 at the vertex: the pass raises, and the reference gives the volumes
-    sj = eval_surface(catalog("paraboloid"), 0.0, 0.0)
-    assert ref.oriented_volumes(sj) == (2.0, 2.0, 0.0, 0.0)
-    with pytest.raises(SingularPointError, match=r"\(d = 0\)"):
-        point_invariants(sj, EUCLIDEAN)
-
-
-def test_volumes_plane_all_zero():
-    # (1, 2) is not interior to the plane's box; use a nearby interior point
-    sj = eval_surface(catalog("plane"), 0.99, 0.5)
-    assert ref.oriented_volumes(sj) == (0.0, 0.0, 0.0, 0.0)
-    with pytest.raises(SingularPointError, match=r"\(d = 0\)"):
-        point_invariants(sj, EUCLIDEAN)
-
-
-def test_volumes_titeica_xyz():
-    # u = 1/(xy) at (1,1): u_x = u_y = -1, u_xx = u_yy = 2, u_xy = 1,
-    # V = u - x u_x - y u_y = 3
-    vols = point_invariants(eval_surface(catalog("titeica-xyz"), 1.0, 1.0), EUCLIDEAN)
-    assert vols[:4] == (2.0, 2.0, 1.0, 3.0)
-
-
-def test_ratio_sphere_is_one():
-    s = catalog("sphere-origin", R=1.0)
-    for x, y in grid_points(s.domain, 8, 8):
-        assert abs(point_invariants(eval_surface(s, x, y), EUCLIDEAN).ratio - 1.0) <= 1e-9
-
-
-def test_ratio_minkowski_sphere_is_minus_one():
-    s = catalog("minkowski-sphere")
-    for x, y in grid_points(s.domain, 8, 8):
-        assert abs(point_invariants(eval_surface(s, x, y), MINKOWSKI).ratio + 1.0) <= 1e-9
-
-
-def test_ratio_titeica_xyz():
-    s = catalog("titeica-xyz")
-    for x, y in grid_points(s.domain, 8, 8):
-        assert abs(point_invariants(eval_surface(s, x, y), EUCLIDEAN).ratio - 1.0 / 27.0) <= 1e-9
+@pytest.mark.parametrize("s, points, amb, what, want, tol", [row[1:] for row in KNOWN_VALUES],
+                         ids=[row[0] for row in KNOWN_VALUES])
+def test_known_value(s, points, amb, what, want, tol):
+    for x, y in points:
+        got = value(what, eval_surface(s, x, y), amb)
+        assert close(got, want, tol), (x, y, got)
 
 
 @pytest.mark.parametrize("radius", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e12])
@@ -134,56 +118,6 @@ def test_a_flat_patch_at_a_tiny_height_is_skipped():
         with pytest.raises(SingularPointError, match=r"^<n, n>\^2 or V\^4 leaves float range"):
             point_invariants(eval_surface(s, 0.0, 0.0), amb)
     assert {r.skipped for r in scan_grid(s, (3, 3))} == {"<n, n>^2 or V^4 leaves float range (<n, n> = 1, V = 5.4e-120)"}
-
-
-def test_ratio_singular_point():
-    with pytest.raises(SingularPointError):
-        point_invariants(eval_surface(catalog("plane"), 0.2, 0.2), EUCLIDEAN)
-
-
-def test_identity_residual_titeica_xyz():
-    assert identity_residual(eval_surface(catalog("titeica-xyz"), 1.0, 1.0), EUCLIDEAN) <= 1e-12
-
-
-def test_identity_residual_cubic_patch():
-    def height(x, y):
-        return x**3 + 2.0 * x * (y * y) - y
-
-    s = SurfaceDef("cubic", lambda x, y: (x, y, height(x, y)), Box(-1, 1, -1, 1), EUCLIDEAN)
-    assert identity_residual(eval_surface(s, 0.3, 0.7), EUCLIDEAN) <= 1e-10
-
-
-def test_identity_residual_sphere_radius_two():
-    sj = eval_surface(catalog("sphere-origin", R=2.0), 0.1, 0.2)
-    assert identity_residual(sj, EUCLIDEAN) <= 1e-10
-    assert abs(point_invariants(sj, EUCLIDEAN).ratio - 1.0 / 64.0) <= 1e-9
-
-
-def test_identity_residual_minkowski_sphere():
-    # K/d^4 = det(S) (Vx Vy - Vxy^2)/V^4 with det(S) = -1
-    s = catalog("minkowski-sphere")
-    for x, y in grid_points(s.domain, 20, 20):
-        assert identity_residual(eval_surface(s, x, y), MINKOWSKI) <= 1e-12
-
-
-def test_ratio_depends_on_the_form_only_through_its_sign():
-    # num / V^4 with num = det(S) (Vx Vy - Vxy^2): the two readings are
-    # bitwise negatives, signed zeros included
-    jets = [eval_surface(catalog(name), x, y)
-            for name in surface_names() for x, y in grid_points(catalog(name).domain, 30, 30)]
-    rng = np.random.default_rng(53)
-    for _ in range(200):
-        s = random_polynomial_patch(rng)
-        jets += [eval_surface(s, x, y) for x, y in grid_points(s.domain, 3, 3)]
-    compared = 0
-    for sj in jets:
-        try:
-            mink, eucl = point_invariants(sj, MINKOWSKI).ratio, point_invariants(sj, EUCLIDEAN).ratio
-        except SingularPointError:
-            continue
-        assert mink == -eucl and math.copysign(1.0, mink) == -math.copysign(1.0, eucl), (mink, eucl)
-        compared += 1
-    assert compared == len(jets) - 30 * 30  # only the plane's points are skipped
 
 
 @pytest.mark.xfail(strict=True, raises=SingularPointError,
@@ -226,16 +160,6 @@ def test_frame_whose_first_form_cancels_is_regular():
     sj = jet_of_rows((0.0, 0.0, 1.0), (1e4, 0.0, 0.0), (1e4, 1e-8, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.5), (0.0, 0.0, 2.0))
     assert abs(point_invariants(sj, EUCLIDEAN).ratio - 1.75e8) <= 1e-14 * 1.75e8
     assert identity_residual(sj, EUCLIDEAN) == math.inf
-
-
-def test_volume_route_matches_on_random_polynomials():
-    rng = np.random.default_rng(13)
-    for _ in range(100):
-        s = random_polynomial_patch(rng)
-        x, y = random_regular_point(rng, s)
-        sj = eval_surface(s, x, y)
-        ratio = point_invariants(sj, EUCLIDEAN).ratio
-        assert identity_residual(sj, EUCLIDEAN) <= 1e-9 * max(1.0, abs(ratio))
 
 
 def test_numerator_identity_for_monge_patches():
@@ -332,26 +256,6 @@ def test_saddle_has_negative_ratio():
         p = point_invariants(eval_surface(s, x, y), EUCLIDEAN)
         assert p.Vx * p.Vy - p.Vxy**2 < 0.0
         assert p.ratio < 0.0
-
-
-def test_point_invariants_bundle():
-    # u = 1/(xy) at (1, 1): c = f_x x f_y = (1, 1, 1), K = 1/3, d = sqrt(3)
-    p = point_invariants(eval_surface(catalog("titeica-xyz"), 1.0, 1.0), EUCLIDEAN)
-    assert abs(p.K - 1.0 / 3.0) <= 1e-15
-    assert abs(p.d - math.sqrt(3.0)) <= 1e-15
-    assert abs(p.ratio - 1.0 / 27.0) <= 1e-15
-    h = point_invariants(eval_surface(catalog("minkowski-sphere"), 0.7, 1.1), MINKOWSKI)
-    assert abs(h.K + 1.0) <= 1e-9
-    assert abs(h.d - 1.0) <= 1e-10
-    assert abs(h.ratio + 1.0) <= 1e-9
-    # A grid scan's record holds exactly the pass's values at its point.
-    for name in ("titeica-xyz", "minkowski-sphere"):
-        s = catalog(name)
-        records = scan_grid(s, (4, 3))
-        assert len(records) == 12 and all(r.skipped is None for r in records)
-        for r in records:
-            p = point_invariants(eval_surface(s, r.x, r.y), s.ambient)
-            assert (r.K, r.d, r.ratio) == (p.K, p.d, p.ratio)
 
 
 def test_sweeps_skip_only_singular_points():
