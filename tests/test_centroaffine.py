@@ -125,6 +125,50 @@ def test_action_on_jets_matches_jet2_image(entries):
             assert repr(mapped) == repr(a.act(sj)) == repr(row_image(sj, a)) == repr(jet2_image(sj, a)), (name, x, y)
 
 
+def test_identity_action_is_exact():
+    s = catalog("titeica-xyz")
+    image = apply_map(s, CentroAffineMap.of(np.eye(3)))
+    for x, y in grid_points(s.domain, 5, 5):
+        before = point_invariants(eval_surface(s, x, y), EUCLIDEAN).ratio
+        after = point_invariants(eval_surface(image, x, y), EUCLIDEAN).ratio
+        assert abs(after - before) <= 1e-14 * max(1.0, abs(before))
+
+
+def test_diagonal_map_on_titeica_xyz():
+    s = catalog("titeica-xyz")
+    a = CentroAffineMap.of(np.diag([2.0, 1.0, 1.0]))
+    image = apply_map(s, a)
+    for x, y in grid_points(s.domain, 5, 5):
+        after = point_invariants(eval_surface(image, x, y), EUCLIDEAN).ratio
+        assert abs(after - 1.0 / 108.0) <= 1e-9  # (1/4) * (1/27)
+
+
+def test_verify_scaling_identity_map():
+    report = verify_scaling(catalog("paraboloid"), CentroAffineMap.of(np.eye(3)), (5, 4), 1e-10)
+    assert report.passed
+    assert report.max_ratio_residual <= 1e-12
+
+
+def test_verify_scaling_diag_on_titeica():
+    s = catalog("titeica-xyz")
+    a = CentroAffineMap.of(np.diag([2.0, 1.0, 1.0]))
+    report = verify_scaling(s, a, (5, 4), 1e-8)
+    assert report.passed
+    for p in report.points:
+        assert p.skipped is None
+        assert abs(p.ratio_after - 1.0 / 108.0) <= 1e-10
+
+
+def test_verify_scaling_reflection_preserves_ratio():
+    rng = np.random.default_rng(31)
+    s = catalog("paraboloid")
+    a = random_orthogonal(rng, det_sign=-1.0)
+    report = verify_scaling(s, a, (5, 4), 1e-9)
+    assert report.passed
+    for p in report.points:
+        assert abs(p.ratio_after - p.ratio_before) <= 1e-9 * max(1.0, abs(p.ratio_before))
+
+
 def test_group_property():
     rng = np.random.default_rng(37)
     s = catalog("titeica-xyz")
@@ -250,6 +294,19 @@ def test_scale_factor_is_the_divisor_of_the_predicted_ratios(capsys):
             "--format", "json", "--grid", "3", "3"]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["summary"]["scale_factor"] == 0.13137012073308205
+
+
+def test_scale_factor_is_zero_where_det_squared_overflows():
+    # det = 1e155: det * det is inf.  CentroAffineMap.of refuses such a map;
+    # one built as its fields has the factor 1 / inf, not the subnormal
+    # 1e-310 of (1 / det) / det, and every predicted numerator is not finite,
+    # so every point is skipped.
+    with pytest.raises(ValueError, match=r"^centro-affine matrix is too large, det\^2 overflows, got det = 1e\+155$"):
+        CentroAffineMap.of([[1e155, 0, 0], [0, 1, 0], [0, 0, 1]])
+    a = CentroAffineMap(((1e155, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), 1e155)
+    report = verify_scaling(catalog("titeica-xyz"), a, (3, 3), 1e-8)
+    assert report.scale_factor == 0.0
+    assert (report.points_evaluated, report.points_skipped, report.passed) == (0, 9, False)
 
 
 def test_overflowing_predicted_numerator_is_a_non_finite_skip():

@@ -5,7 +5,7 @@ import pytest
 
 import frame_reference as ref
 import implicit
-from helpers import jet_of_rows, random_polynomial_patch, surface_names
+from helpers import jet_of_rows, random_polynomial_patch, random_regular_point, surface_names
 from titeica import (
     CentroAffineMap, DomainError, SingularPointError, apply_map, classify, invariants, jet, scan_grid,
     verify_scaling,
@@ -45,7 +45,6 @@ KNOWN_VALUES = [
     ("distance_paraboloid_origin_is_zero", PARABOLOID, [(0.0, 0.0)], EUCLIDEAN, "d", D0, 0),
     # (1, 2) is not interior to the plane's box; (0.99, 0.5) is
     ("volumes_plane_all_zero", PLANE, [(0.99, 0.5)], EUCLIDEAN, "reference volumes", (0.0, 0.0, 0.0, 0.0), 0),
-    ("distance_plane_is_zero", PLANE, [(1e-3, 0.5), (0.99, 0.5), (0.2, 0.2)], EUCLIDEAN, "d", D0, 0),
     ("curvature_plane", PLANE_Z1, [(0.1, 0.4)], EUCLIDEAN, "K d ratio", (0.0, 1.0, 0.0), 0),
     ("curvature_sphere", SPHERE, grid(SPHERE), EUCLIDEAN, "K", 1.0, 1e-9),
     ("distance_sphere", SPHERE, grid(SPHERE), EUCLIDEAN, "d", 1.0, 1e-10),
@@ -65,12 +64,10 @@ KNOWN_VALUES = [
     # K/d^4 = det(S) (Vx Vy - Vxy^2)/V^4 with det(S) = -1
     ("identity_residual_minkowski_sphere", MINKOWSKI_SPHERE, grid(MINKOWSKI_SPHERE, 20), MINKOWSKI,
      "identity_residual", 0.0, 1e-12),
-    # Images under a map: 2I takes the unit sphere to the radius-2 sphere,
-    # whose ratio is 1/64 = (1/8^2) * 1, and diag(2, 1, 1) quarters 1/27.
+    # An image under a map: 2I takes the unit sphere to the radius-2 sphere,
+    # whose ratio is 1/64 = (1/8^2) * 1.
     ("uniform_scaling_maps_sphere_to_sphere", apply_map(SPHERE, CentroAffineMap.of(2.0 * np.eye(3))), grid(SPHERE),
      EUCLIDEAN, "d ratio", (2.0, 1 / 64), 1e-12),
-    ("diagonal_map_on_titeica_xyz", apply_map(TITEICA, CentroAffineMap.of(np.diag([2.0, 1.0, 1.0]))), grid(TITEICA),
-     EUCLIDEAN, "ratio", 1 / 108, 1e-10),
 ]
 READERS = {"forms": ref.fundamental_forms, "reference volumes": lambda sj, amb: ref.oriented_volumes(sj),
            "identity_residual": identity_residual}
@@ -102,6 +99,69 @@ def test_known_value(s, points, amb, what, want, tol):
     for x, y in points:
         got = value(what, eval_surface(s, x, y), amb)
         assert close(got, want, tol), (x, y, got)
+
+
+def test_forms_minkowski_sphere_match_intrinsic_metric():
+    s = catalog("minkowski-sphere")
+    for u1, u2 in grid_points(s.domain, 8, 8):
+        e, f, g, *_ = ref.fundamental_forms(eval_surface(s, u1, u2), MINKOWSKI)
+        assert abs(e - 1.0) <= 1e-10
+        assert abs(f) <= 1e-10
+        assert abs(g - math.sinh(u1) ** 2) <= 1e-10
+
+
+def test_distance_minkowski_sphere():
+    s = catalog("minkowski-sphere")
+    for x, y in grid_points(s.domain, 8, 8):
+        assert abs(point_invariants(eval_surface(s, x, y), MINKOWSKI).d - 1.0) <= 1e-10
+
+
+def test_distance_plane_is_zero():
+    # (0.99, 0.5) is the point of the known-value row volumes_plane_all_zero
+    for x, y in [(1e-3, 0.5), (0.99, 0.5)]:
+        with pytest.raises(SingularPointError, match=r"^tangent plane passes through the origin \(d = 0\)$"):
+            point_invariants(eval_surface(catalog("plane"), x, y), EUCLIDEAN)
+
+
+def test_ratio_minkowski_sphere_is_minus_one():
+    s = catalog("minkowski-sphere")
+    for x, y in grid_points(s.domain, 8, 8):
+        assert abs(point_invariants(eval_surface(s, x, y), MINKOWSKI).ratio + 1.0) <= 1e-9
+
+
+def test_ratio_singular_point():
+    with pytest.raises(SingularPointError):
+        point_invariants(eval_surface(catalog("plane"), 0.2, 0.2), EUCLIDEAN)
+
+
+def test_ratio_depends_on_the_form_only_through_its_sign():
+    # num / V^4 with num = det(S) (Vx Vy - Vxy^2): the two readings are
+    # bitwise negatives, signed zeros included
+    jets = [eval_surface(catalog(name), x, y)
+            for name in surface_names() for x, y in grid_points(catalog(name).domain, 30, 30)]
+    rng = np.random.default_rng(53)
+    for _ in range(200):
+        s = random_polynomial_patch(rng)
+        jets += [eval_surface(s, x, y) for x, y in grid_points(s.domain, 3, 3)]
+    compared = 0
+    for sj in jets:
+        try:
+            mink, eucl = point_invariants(sj, MINKOWSKI).ratio, point_invariants(sj, EUCLIDEAN).ratio
+        except SingularPointError:
+            continue
+        assert mink == -eucl and math.copysign(1.0, mink) == -math.copysign(1.0, eucl), (mink, eucl)
+        compared += 1
+    assert compared == len(jets) - 30 * 30  # only the plane's points are skipped
+
+
+def test_volume_route_matches_on_random_polynomials():
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        s = random_polynomial_patch(rng)
+        x, y = random_regular_point(rng, s)
+        sj = eval_surface(s, x, y)
+        ratio = point_invariants(sj, EUCLIDEAN).ratio
+        assert identity_residual(sj, EUCLIDEAN) <= 1e-9 * max(1.0, abs(ratio))
 
 
 @pytest.mark.parametrize("radius", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e12])
