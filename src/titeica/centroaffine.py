@@ -118,10 +118,11 @@ def verify_scaling(s: SurfaceDef, a: CentroAffineMap, grid: tuple[int, int], tol
     ``s`` on an (nx, ny) grid, reading source and image under its form.
 
     Each residual is relative, |after - predicted| / |predicted|, and
-    absolute, |after|, only where the prediction is exactly 0.
-    Singular points, and points whose curvature
-    numerator leaves float range, are recorded as skipped; a run where
-    every point was skipped fails.
+    absolute, |after|, only where the prediction is exactly 0.  Singular
+    points are recorded as skipped, and so are points whose predicted
+    curvature numerator leaves float range, which only a map built as
+    ``CentroAffineMap(matrix, det)``, past the checks of ``of``, reaches;
+    a run where every point was skipped fails.
     """
     amb, act, det = s.ambient, a.act, a.det
     det2 = det * det

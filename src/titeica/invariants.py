@@ -29,19 +29,15 @@ A point is singular, and the pass raises SingularPointError with its own
 message at the first of seven tests that fails, when c is degenerate, nn
 is not finite (an overflowing normal would otherwise read as d = 0), the
 normal is null, the tangent plane holds the origin, nn^2 or V^4 is below
-the normal floats where either of the two tests before tripped, K, d or
+the normal floats where |nn| or d is at most EPS_SINGULAR = e, K, d or
 K/d^4 is not finite, or num is not 0 but |K/d^4| is below the smallest
-normal float.  A threshold test trips where |c|^2, |nn| or d is at most
-EPS_SINGULAR = e, and skips only if the quantity is small against its own
-terms, which scale alike: |c|^2 <= e sum_k (|a_i b_j| + |a_j b_i|)^2 over
-c_k = a_i b_j - a_j b_i with a = f_x, b = f_y; |nn| <= e |c|^2; |V| <= e
-sum_k |f_k c_k|.  Where V^4 is beyond float range the quotient is taken
-as num / V^2 / V^2.  So under a map 2^k I the catalog's rows keep their
-K, d and K/d^4 up to exact powers of two, and its skipped rows their
-reasons; but a point that is singular at unit scale can read as regular
-once a map scales d past EPS_SINGULAR, as points of the cone
-u = sqrt(x^2 + y^2) do (ROADMAP item 1; the strict xfail
-tests/test_centroaffine.py::test_a_cone_is_singular_at_every_scale).
+normal float.  Each threshold test is one rule at every point, the
+quantity against its own terms, which scale alike: |c|^2 <= e sum_k
+(|a_i b_j| + |a_j b_i|)^2 over c_k = a_i b_j - a_j b_i, a = f_x, b = f_y
+(general jets only: a graph's terms sum to |c|^2); |nn| <= e |c|^2;
+|V| <= e sum_k |f_k c_k|.  Where V^4 is beyond float range the quotient is
+num / V^2 / V^2.  So under a map 2^k I the catalog's rows keep K, d and
+K/d^4 up to exact powers of two, and every skipped row its reason.
 
 The grid commands (:func:`scan_grid`, :func:`classify` and
 ``centroaffine.verify_scaling``) walk the two axes of their grid through
@@ -61,8 +57,8 @@ from .surfaces import AmbientForm, SurfaceDef, _grid_axes, _not_jets, _read_jets
 
 __all__ = list(_NAMES["invariants"])
 
-# Where |f_x x f_y|^2, |<n, n>| or d trips a singular test, and the share of its
-# own terms at which it makes the point singular: skipped, never dropped, by callers.
+# The share of its own terms at or below which |f_x x f_y|^2, |<n, n>| or V makes a point
+# singular (skipped, never dropped, by callers), and the |nn| and d that range-check nn^2 and V^4.
 EPS_SINGULAR = 1e-9
 
 
@@ -94,7 +90,8 @@ def _pass(jets, amb: AmbientForm, x=None, y=None) -> tuple:
         f0, f1, (f2, ux, uy, uxx, uxy, uyy) = x, y, jets  # term for term: the zero products keep signed zeros and NaN
         c0, c1, c2 = 0.0 * uy - ux, ux * 0.0 - uy, 1.0
         z = 0.0 * c0 + 0.0 * c1
-        vx, vy, vxy, v = z + uxx, z + uyy, z + uxy, f0 * c0 + f1 * c1 + f2
+        vx, vy, vxy, e2 = z + uxx, z + uyy, z + uxy, f2
+        cc = c0 * c0 + c1 * c1 + 1.0  # its degenerate test's terms sum to cc: it cannot fire
     else:
         try:  # free until it raises, on CPython 3.11+
             (f0, a0, b0, p0, q0, r0), (f1, a1, b1, p1, q1, r1), (f2, a2, b2, p2, q2, r2) = jets
@@ -102,31 +99,33 @@ def _pass(jets, amb: AmbientForm, x=None, y=None) -> tuple:
             raise _not_jets(jets) from None
         # numpy.cross operand order: tests/frame_reference.py holds the volumes
         # and d bitwise to the frame built with it.
-        c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+        m0, m1, m2, m3, m4, m5 = a1 * b2, a2 * b1, a2 * b0, a0 * b2, a0 * b1, a1 * b0
+        c0, c1, c2 = m0 - m1, m2 - m3, m4 - m5
         vx, vy, vxy = p0 * c0 + p1 * c1 + p2 * c2, r0 * c0 + r1 * c1 + r2 * c2, q0 * c0 + q1 * c1 + q2 * c2
-        v = f0 * c0 + f1 * c1 + f2 * c2  # f_xx, f_yy, f_xy and f, dotted with c
-    cc = c0 * c0 + c1 * c1 + c2 * c2
-    if cc <= EPS_SINGULAR:  # never where c2 = 1.0, so a graph does not reach a0 .. b2
-        t0, t1, t2 = abs(a1 * b2) + abs(a2 * b1), abs(a2 * b0) + abs(a0 * b2), abs(a0 * b1) + abs(a1 * b0)
-        if cc <= EPS_SINGULAR * (t0 * t0 + t1 * t1 + t2 * t2):
+        cc, e2 = c0 * c0 + c1 * c1 + c2 * c2, f2 * c2
+        t0, t1, t2 = abs(m0) + abs(m1), abs(m2) + abs(m3), abs(m4) + abs(m5)
+        # An overflowed |c|^2, or V below, is not read as cancelled: it keeps its non-finite skip.
+        if cc <= EPS_SINGULAR * (t0 * t0 + t1 * t1 + t2 * t2) and cc != math.inf:
             raise SingularPointError(f"degenerate tangent plane (|f_x x f_y|^2 = {cc:g})")
+    e0, e1 = f0 * c0, f1 * c1
+    v = e0 + e1 + e2  # f_xx, f_yy, f_xy and f, dotted with c
     s0, s1, s2 = amb.signature
     nn = float(s0 * c0 * c0 + s1 * c1 * c1 + s2 * c2 * c2)  # as amb.inner(c, c)
     if not math.isfinite(nn):
         raise SingularPointError(f"non-finite normal (<n, n> = {nn:g})")
-    tripped = abs(nn) <= EPS_SINGULAR  # then nn^2 and V^4, the divisors, are range-checked
-    if tripped and abs(nn) <= EPS_SINGULAR * cc:
+    an, av = abs(nn), abs(v)
+    if an <= EPS_SINGULAR * cc:
         raise SingularPointError(f"normal vector is null under the {amb.name} form")
     num = s0 * s1 * s2 * (vx * vy - vxy * vxy)
-    d = abs(v) / math.sqrt(abs(nn))
-    if d <= EPS_SINGULAR:
-        if abs(v) <= EPS_SINGULAR * (abs(f0 * c0) + abs(f1 * c1) + abs(f2 * c2)):
-            raise SingularPointError(f"tangent plane passes through the origin (d = {d:g})")
-        tripped = True
-    if tripped and (nn * nn < sys.float_info.min or v * v * v * v < sys.float_info.min):
+    d = av / math.sqrt(an)
+    if av <= EPS_SINGULAR * (abs(e0) + abs(e1) + abs(e2)) and av != math.inf:
+        raise SingularPointError(f"tangent plane passes through the origin (d = {d:g})")
+    if (an <= EPS_SINGULAR or d <= EPS_SINGULAR) and (
+        nn * nn < sys.float_info.min or v * v * v * v < sys.float_info.min
+    ):
         raise SingularPointError(f"<n, n>^2 or V^4 leaves float range (<n, n> = {nn:g}, V = {v:g})")
     k = num / (nn * nn)
-    try:  # V^4 is range-checked if |nn| or d tripped, and above 1e-55 if not
+    try:  # V^4 is range-checked where |nn| or d is at most EPS_SINGULAR, and above 1e-54 elsewhere
         ratio = num / v**4
     except OverflowError:
         ratio = num / (v * v) / (v * v)

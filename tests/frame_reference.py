@@ -10,9 +10,9 @@ the error that ``titeica_ratio`` raises where it does not;
 ``identity_residual`` must agree bitwise with the same expression built
 from these forms.  K and K/d^4 here take the classical route through
 EG - F^2; the pass's values are held to ``tests/exact.py``
-instead.  Its singular tests are the absolute EPS_SINGULAR bounds alone,
-on which the pass's tests trip; the points compared are at unit scale,
-where each tripped test also finds its quantity small against its terms.
+instead.  Its singular tests are absolute EPS_SINGULAR bounds; the points
+compared are at unit scale, where these agree with the pass's relative
+rules, each of which reads its quantity against its own terms.
 """
 
 import math

@@ -22,7 +22,7 @@ from titeica.centroaffine import CentroAffineMap, apply_map, verify_scaling
 from titeica.cli import main
 from titeica.invariants import point_invariants, scan_grid
 from titeica.jet import Jet2
-from titeica.surfaces import EUCLIDEAN, Box, SurfaceDef, catalog, eval_surface, grid_points
+from titeica.surfaces import EUCLIDEAN, MINKOWSKI, Box, SurfaceDef, catalog, eval_surface, grid_points
 
 
 def test_construction_rejects_singular():
@@ -409,16 +409,25 @@ def test_a_power_of_two_scales_every_row_exactly(k):
         assert report.passed and report.points_skipped == sum(1 for r in want if r.skipped), name
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 1: the origin test reads V against its terms only where d is at most the absolute EPS_SINGULAR"))
-def test_a_cone_is_singular_at_every_scale():
-    # Every tangent plane of a cone holds its apex, the origin: at unit scale
-    # each point is skipped, but under 2^k I, from k = 24 on, 40 of the 63
-    # points read d above EPS_SINGULAR and are evaluated.
-    cone = SurfaceDef("cone", lambda x, y: jet.sqrt(x * x + y * y), Box(0.5, 2.0, 0.5, 2.0), EUCLIDEAN)
-    for k in range(0, 65, 8):
-        rows = scan_grid(apply_map(cone, CentroAffineMap.of(np.eye(3) * 2.0**k)), (9, 7))
-        assert all(r.skipped and r.skipped.startswith("tangent plane passes through the origin") for r in rows), k
+def _fold(x, y):
+    s = x + y  # f_x = f_y up to rounding: the tangent plane is degenerate
+    return s, s * s, x * x * x + 3.0 * x * x * y + 3.0 * x * y * y + y * y * y
+
+
+@pytest.mark.parametrize("s, reason", [
+    pytest.param(SurfaceDef("cone", lambda x, y: jet.sqrt(x * x + y * y), Box(0.5, 2.0, 0.5, 2.0), EUCLIDEAN),
+                 "tangent plane passes through the origin", id="cone"),
+    pytest.param(SurfaceDef("fold", _fold, Box(0.5, 2.0, 0.5, 2.0), EUCLIDEAN),
+                 "degenerate tangent plane", id="fold"),
+    pytest.param(SurfaceDef("light-cone", lambda r, t: (r, r * jet.cos(t), r * jet.sin(t)), Box(0.5, 2.0, 0.1, 3.0),
+                            MINKOWSKI), "normal vector is null", id="light-cone"),
+])
+def test_a_singular_surface_is_singular_at_every_scale(s, reason):
+    # Each singular test reads its quantity against its own terms, which a map
+    # 2^k I scales alike: every point keeps its unit-scale skip reason.
+    for k in range(-32, 65, 8):
+        rows = scan_grid(apply_map(s, CentroAffineMap.of(np.eye(3) * 2.0**k)), (9, 7))
+        assert all(r.skipped and r.skipped.startswith(reason) for r in rows), k
 
 
 # Rz(0.7) Rx(0.4), written out: Q diag(k, 1/k, 1) Q is unimodular with

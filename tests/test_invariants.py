@@ -32,6 +32,8 @@ TITEICA, MINKOWSKI_SPHERE = catalog("titeica-xyz"), catalog("minkowski-sphere")
 PLANE, PARABOLOID, PSEUDOSPHERE = catalog("plane"), catalog("paraboloid"), catalog("pseudosphere")
 # the catalog plane passes through the origin; this one keeps d = 1
 PLANE_Z1 = SurfaceDef("plane-z1", lambda x, y: (x, y, Jet2(1.0)), Box(-1, 1, -1, 1), EUCLIDEAN)
+# c = (0, 0, 1e10) and V = 1e300 * 1e10 overflows: an infinite V is not read as cancelled
+PLANE_FAR = SurfaceDef("plane-far", lambda x, y: (1e5 * x, 1e5 * y, Jet2(1e300)), Box(-1, 1, -1, 1), EUCLIDEAN)
 CUBIC = SurfaceDef("cubic", lambda x, y: (x, y, x**3 + 2.0 * x * (y * y) - y), Box(-1, 1, -1, 1), EUCLIDEAN)
 D0 = "tangent plane passes through the origin (d = 0)"
 
@@ -45,6 +47,7 @@ KNOWN_VALUES = [
     ("distance_paraboloid_origin_is_zero", PARABOLOID, [(0.0, 0.0)], EUCLIDEAN, "d", D0, 0),
     # (1, 2) is not interior to the plane's box; (0.99, 0.5) is
     ("volumes_plane_all_zero", PLANE, [(0.99, 0.5)], EUCLIDEAN, "reference volumes", (0.0, 0.0, 0.0, 0.0), 0),
+    ("distance_far_plane_overflows", PLANE_FAR, [(0.1, 0.4)], EUCLIDEAN, "d", "non-finite K/d^4 (K = 0, d = inf)", 0),
     ("curvature_plane", PLANE_Z1, [(0.1, 0.4)], EUCLIDEAN, "K d ratio", (0.0, 1.0, 0.0), 0),
     ("curvature_sphere", SPHERE, grid(SPHERE), EUCLIDEAN, "K", 1.0, 1e-9),
     ("distance_sphere", SPHERE, grid(SPHERE), EUCLIDEAN, "d", 1.0, 1e-10),
@@ -171,8 +174,8 @@ def test_sphere_ratio_is_r_to_the_minus_six_at_every_scale(radius):
 
 
 def test_a_flat_patch_at_a_tiny_height_is_skipped():
-    # u = 5.4e-120: d trips its test, but V is its own only term, so the plane
-    # misses the origin; V^4 reads 0, which K/d^4 must not be divided by.
+    # u = 5.4e-120: V is its own only term, so the plane misses the origin,
+    # but d is below EPS_SINGULAR and V^4 reads 0, which K/d^4 must not be divided by.
     s = SurfaceDef("flat", lambda x, y: jet.Jet2(5.4e-120), Box(-1, 1, -1, 1), EUCLIDEAN)
     for amb in (EUCLIDEAN, MINKOWSKI):
         with pytest.raises(SingularPointError, match=r"^<n, n>\^2 or V\^4 leaves float range"):
