@@ -33,9 +33,8 @@ class DomainError(GeometryError, ValueError):
 class SingularPointError(GeometryError):
     """A quantity is undefined at this point of a surface: a degenerate
     tangent plane, a null or non-finite normal, a tangent plane through
-    the origin, a <n, n>^2 or V^4 that leaves float range, or a K/d^4
-    that is not finite or underflows.  A grid sweep records such a point
-    as skipped, with the message as its reason."""
+    the origin, or a K/d^4 that is not finite or underflows.  A grid
+    sweep records such a point as skipped, with the message as its reason."""
 
 
 class CatalogError(GeometryError, LookupError):

@@ -26,18 +26,18 @@ and EG - F^2 appear only in :func:`identity_residual`, which measures the
 classical route against the pass.
 
 A point is singular, and the pass raises SingularPointError with its own
-message at the first of seven tests that fails, when c is degenerate, nn
+message at the first of six tests that fails, when c is degenerate, nn
 is not finite (an overflowing normal would otherwise read as d = 0), the
-normal is null, the tangent plane holds the origin, nn^2 or V^4 is below
-the normal floats where |nn| or d is at most EPS_SINGULAR = e, K, d or
-K/d^4 is not finite, or num is not 0 but |K/d^4| is below the smallest
-normal float.  Each threshold test is one rule at every point, the
-quantity against its own terms, which scale alike: |c|^2 <= e sum_k
+normal is null, the tangent plane holds the origin, K, d or K/d^4 is not
+finite, or num is not 0 but |K/d^4| is below the smallest normal float.
+Each threshold test is one rule at every point, the quantity against its
+own terms, which scale alike, with e = EPS_SINGULAR: |c|^2 <= e sum_k
 (|a_i b_j| + |a_j b_i|)^2 over c_k = a_i b_j - a_j b_i, a = f_x, b = f_y
 (general jets only: a graph's terms sum to |c|^2); |nn| <= e |c|^2;
-|V| <= e sum_k |f_k c_k|.  Where V^4 is beyond float range the quotient is
-num / V^2 / V^2.  So under a map 2^k I the catalog's rows keep K, d and
-K/d^4 up to exact powers of two, and every skipped row its reason.
+|V| <= e sum_k |f_k c_k|.  K is num / nn / nn and K/d^4 num / V / V / V / V,
+forming no power of nn or V: under a map 2^k I the catalog's rows keep K,
+d and K/d^4 up to exact powers of two, and every skipped row its reason,
+until a value itself leaves the normal floats.
 
 The grid commands (:func:`scan_grid`, :func:`classify` and
 ``centroaffine.verify_scaling``) walk the two axes of their grid through
@@ -58,7 +58,7 @@ from .surfaces import AmbientForm, SurfaceDef, _grid_axes, _not_jets, _read_jets
 __all__ = list(_NAMES["invariants"])
 
 # The share of its own terms at or below which |f_x x f_y|^2, |<n, n>| or V makes a point
-# singular (skipped, never dropped, by callers), and the |nn| and d that range-check nn^2 and V^4.
+# singular (skipped, never dropped, by callers).
 EPS_SINGULAR = 1e-9
 
 
@@ -120,15 +120,8 @@ def _pass(jets, amb: AmbientForm, x=None, y=None) -> tuple:
     d = av / math.sqrt(an)
     if av <= EPS_SINGULAR * (abs(e0) + abs(e1) + abs(e2)) and av != math.inf:
         raise SingularPointError(f"tangent plane passes through the origin (d = {d:g})")
-    if (an <= EPS_SINGULAR or d <= EPS_SINGULAR) and (
-        nn * nn < sys.float_info.min or v * v * v * v < sys.float_info.min
-    ):
-        raise SingularPointError(f"<n, n>^2 or V^4 leaves float range (<n, n> = {nn:g}, V = {v:g})")
-    k = num / (nn * nn)
-    try:  # V^4 is range-checked where |nn| or d is at most EPS_SINGULAR, and above 1e-54 elsewhere
-        ratio = num / v**4
-    except OverflowError:
-        ratio = num / (v * v) / (v * v)
+    k = num / nn / nn
+    ratio = num / v / v / v / v
     if not (math.isfinite(k) and math.isfinite(d) and math.isfinite(ratio)):
         raise SingularPointError(f"non-finite K/d^4 (K = {k:g}, d = {d:g})")
     if num != 0.0 and abs(ratio) < sys.float_info.min:

@@ -57,8 +57,8 @@ def test_non_finite_ratio_is_a_skipped_point(radius, capsys):
 @pytest.mark.parametrize("radius", [1e52, 1e60, 1e100])
 def test_underflowing_ratio_is_a_skipped_point(radius, capsys):
     # K/d^4 = R^-6 is subnormal at R = 1e52 and rounds to 0 at R = 1e60; at
-    # R = 1e100, K = 1e-200 and d = 1e100 are finite but V^4 overflows, and
-    # num / V^2 / V^2 rounds to 0
+    # R = 1e100, K = 1e-200 and d = 1e100 are finite but V^4 would overflow,
+    # and num / V / V / V / V rounds to 0
     records = scan_grid(catalog("sphere-origin", R=radius), grid=(4, 4))
     assert all(r.skipped.startswith("K/d^4 underflows") and r.ratio is None for r in records)
     assert main(["classify", "--surface", "sphere-origin", "--param", f"R={radius}"]) == 1
@@ -764,6 +764,18 @@ def test_readme_performance_lists_every_bench_file():
     listed = re.search(r"The files are\s(.*?)\.\n", section, re.DOTALL).group(1)
     assert set(re.findall(r"BENCH_\w+\.json", listed)) == on_disk
     assert set(re.findall(r"BENCH_\w+\.json", section)) <= on_disk
+
+
+def test_readme_test_citations_name_test_functions():
+    # Each tests/<file>.py::<name> that README cites is a test function defined in that file.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        cited = re.findall(r"tests/(\w+\.py)::(\w+)", fh.read())
+    assert cited
+    for path, name in cited:
+        with open(os.path.join(root, "tests", path)) as fh:
+            defined = {n.name for n in ast.parse(fh.read()).body if isinstance(n, ast.FunctionDef)}
+        assert name.startswith("test") and name in defined, (path, name)
 
 
 def run_readme_library_block(index):

@@ -173,14 +173,15 @@ def test_sphere_ratio_is_r_to_the_minus_six_at_every_scale(radius):
     assert abs(verdict.ratio_constant * radius**6 - 1.0) <= 1e-15
 
 
-def test_a_flat_patch_at_a_tiny_height_is_skipped():
+def test_a_flat_patch_at_a_tiny_height_is_evaluated():
     # u = 5.4e-120: V is its own only term, so the plane misses the origin,
-    # but d is below EPS_SINGULAR and V^4 reads 0, which K/d^4 must not be divided by.
+    # and num = 0: K = K/d^4 = 0, signed as num, which is -0.0 under the Minkowski form.
     s = SurfaceDef("flat", lambda x, y: jet.Jet2(5.4e-120), Box(-1, 1, -1, 1), EUCLIDEAN)
-    for amb in (EUCLIDEAN, MINKOWSKI):
-        with pytest.raises(SingularPointError, match=r"^<n, n>\^2 or V\^4 leaves float range"):
-            point_invariants(eval_surface(s, 0.0, 0.0), amb)
-    assert {r.skipped for r in scan_grid(s, (3, 3))} == {"<n, n>^2 or V^4 leaves float range (<n, n> = 1, V = 5.4e-120)"}
+    for amb, zero in ((EUCLIDEAN, "0.0"), (MINKOWSKI, "-0.0")):
+        p = point_invariants(eval_surface(s, 0.0, 0.0), amb)
+        assert (p.d, repr(p.num), repr(p.K), repr(p.ratio)) == (5.4e-120, zero, zero, zero)
+    rows = scan_grid(s, (3, 3))
+    assert len(rows) == 9 and all(r.skipped is None and (r.K, r.d, r.ratio) == (0.0, 5.4e-120, 0.0) for r in rows)
 
 
 @pytest.mark.xfail(strict=True, raises=SingularPointError,
