@@ -256,36 +256,27 @@ class _Texts(dict):
 
 
 def _cells(report: _Report, encode) -> list:
-    """Each column's cell texts, or its one text in a list where all its
-    cells share it.  A column maps its cells through one dict of distinct
-    texts in one pass, but where cells that compare equal encode apart
-    (numbers of two types, as True, 1 and 1.0, or 0.0 and -0.0) each cell
-    is encoded alone; None and a string equal no number."""
+    """Each column's cell texts, mapped through one dict of distinct texts
+    in one pass.  A cell is a float, None or a reason, so 0.0 and -0.0 are
+    the only cells that compare equal but encode apart: a column that holds
+    both is encoded cell by cell."""
     columns = []
     for column in zip(*report.rows):
         texts = _Texts(encode)
-        kinds = set(map(type, column))
-        numbers = kinds - {str, type(None)}
-        zeros = filterfalse(None, column)  # its zeros, and any None or "" cell
-        if numbers != kinds:  # which copysign does not take
-            zeros = (c for c in zeros if type(c) in numbers)
-        alone = len(numbers) > 1 or 0.0 in column and len(set(map(math.copysign, repeat(1.0), zeros))) > 1
-        cells = list(map(texts.__missing__ if alone else texts.__getitem__, column))
-        columns.append(cells if alone or len(texts) > 1 else cells[:1])
+        cells = list(map(texts.__getitem__, column))
+        if 0.0 in texts:
+            zeros = filter({0.0}.__contains__, filterfalse(None, column))  # its zeros, among its falsy cells
+            if len(set(map(math.copysign, repeat(1.0), zeros))) > 1:
+                cells = list(map(texts.__missing__, column))
+        columns.append(cells)
     return columns
 
 
 def _fill(parts: list, separator: str, columns: list, n: int):
     """The ``n`` rows in chunks of ``_CHUNK``: row i is ``parts[0]``, each column's i-th text and
-    the next part, then ``separator`` but on the last row.  A one-text column joins its parts."""
-    literal, streams = parts[0], []
-    for column, part in zip(columns, parts[1:]):
-        if len(column) == 1:
-            literal += column[0] + part
-        else:
-            streams += [repeat(literal, n), column]
-            literal = part
-    streams.append(chain(repeat(literal + separator, n - 1), [literal]))  # finite with every column folded too
+    the next part, then ``separator`` but on the last row."""
+    streams = [s for column, part in zip(columns, parts) for s in (repeat(part, n), column)]
+    streams.append(chain(repeat(parts[-1] + separator, n - 1), parts[-1:]))
     rows = zip(*streams)
     for _ in range(0, n, _CHUNK):
         yield "".join(chain.from_iterable(islice(rows, _CHUNK)))

@@ -133,7 +133,9 @@ def identity_residual(jets: tuple[Jet2, Jet2, Jet2], amb: AmbientForm) -> float:
     """|sign(<n,n>) (LN - M^2) / (EG - F^2) / d^4 - K/d^4|, the classical
     curvature route against the ratio, both from one pass over jets read
     once, as in :func:`point_invariants`: E, F, G = <f_x, f_x>, <f_x, f_y>,
-    <f_y, f_y> and L, M, N = (Vx, Vxy, Vy) / sqrt(|nn|).  It is inf where
+    <f_y, f_y> and L, M, N = (Vx, Vxy, Vy) / sqrt(|nn|).  It divides by d
+    four times, as the ratio divides by V, so a point the pass evaluates,
+    however small its d, has a residual.  It is inf where
     EG - F^2 has cancelled to 0, and on the catalog and random patches it
     stays below 1e-9 * max(1, |ratio|)."""
     jets = _read_jets(jets)
@@ -144,7 +146,7 @@ def identity_residual(jets: tuple[Jet2, Jet2, Jet2], amb: AmbientForm) -> float:
     l, m, n = p.Vx * scale, p.Vxy * scale, p.Vy * scale
     disc = e * g - f * f
     sign = 1.0 if p.nn > 0.0 else -1.0
-    return abs(sign * (l * n - m * m) / disc / p.d**2 / p.d**2 - p.ratio) if disc else math.inf
+    return abs(sign * (l * n - m * m) / disc / p.d / p.d / p.d / p.d - p.ratio) if disc else math.inf
 
 
 # --------------------------------------------------------------------------

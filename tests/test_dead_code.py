@@ -4,7 +4,10 @@ and every name a module-level assignment binds is read somewhere in the
 package or listed in an ``__all__``.  The package also stays within its
 2,000-line budget, no two test modules define a test of the same
 name, as a check is made in one place, and every strict xfail in the
-tests names the ROADMAP item that tracks its defect.
+tests names the ROADMAP item that tracks its defect.  The modules that
+form the ratio and map it, ``invariants.py`` and ``centroaffine.py``,
+hold no ``**``: a power such as d**2 underflows where the quotients it
+stands for do not.
 
 The checks read the source with ``ast``.  A name counts as used in a
 module if it is read there as a name or listed in a literal ``__all__``.
@@ -108,6 +111,13 @@ def test_every_module_level_assignment_is_read():
     dead = [f"{module}: {name}" for module, tree in trees.items() for name in assigned_names(tree)
             if name not in referenced]
     assert dead == []
+
+
+@pytest.mark.parametrize("module", ["invariants.py", "centroaffine.py"])
+def test_no_power_where_the_ratio_is_formed(module):
+    powers = [node.lineno for node in ast.walk(parse(module))
+              if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow)]
+    assert powers == []
 
 
 def test_package_stays_within_its_line_budget():

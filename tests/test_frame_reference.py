@@ -68,7 +68,7 @@ def reference_residual(sj, amb):
     e, f, g, l, m, n = ref.fundamental_forms(sj, amb)
     disc = e * g - f * f
     sign = 1.0 if p.nn > 0.0 else -1.0
-    return abs(sign * (l * n - m * m) / disc / p.d**2 / p.d**2 - p.ratio) if disc else math.inf
+    return abs(sign * (l * n - m * m) / disc / p.d / p.d / p.d / p.d - p.ratio) if disc else math.inf
 
 
 def assert_residual_matches_reference(sj):

@@ -173,15 +173,19 @@ def test_sphere_ratio_is_r_to_the_minus_six_at_every_scale(radius):
     assert abs(verdict.ratio_constant * radius**6 - 1.0) <= 1e-15
 
 
-def test_a_flat_patch_at_a_tiny_height_is_evaluated():
-    # u = 5.4e-120: V is its own only term, so the plane misses the origin,
-    # and num = 0: K = K/d^4 = 0, signed as num, which is -0.0 under the Minkowski form.
-    s = SurfaceDef("flat", lambda x, y: jet.Jet2(5.4e-120), Box(-1, 1, -1, 1), EUCLIDEAN)
+@pytest.mark.parametrize("u", [5.4e-120, 1e-170])
+def test_a_flat_patch_at_a_tiny_height_is_evaluated(u):
+    # V is its own only term, so the plane misses the origin, and num = 0:
+    # K = K/d^4 = 0, signed as num, which is -0.0 under the Minkowski form.
+    # At u = 1e-170, d^2 underflows, yet d^4 is never formed.
+    s = SurfaceDef("flat", lambda x, y: jet.Jet2(u), Box(-1, 1, -1, 1), EUCLIDEAN)
+    sj = eval_surface(s, 0.3, 0.2)
     for amb, zero in ((EUCLIDEAN, "0.0"), (MINKOWSKI, "-0.0")):
-        p = point_invariants(eval_surface(s, 0.0, 0.0), amb)
-        assert (p.d, repr(p.num), repr(p.K), repr(p.ratio)) == (5.4e-120, zero, zero, zero)
+        p = point_invariants(sj, amb)
+        assert (p.d, repr(p.num), repr(p.K), repr(p.ratio)) == (u, zero, zero, zero)
+        assert repr(identity_residual(sj, amb)) == "0.0"
     rows = scan_grid(s, (3, 3))
-    assert len(rows) == 9 and all(r.skipped is None and (r.K, r.d, r.ratio) == (0.0, 5.4e-120, 0.0) for r in rows)
+    assert len(rows) == 9 and all(r.skipped is None and (r.K, r.d, r.ratio) == (0.0, u, 0.0) for r in rows)
 
 
 @pytest.mark.xfail(strict=True, raises=SingularPointError,
