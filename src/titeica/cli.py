@@ -5,8 +5,8 @@ reader, dispatches it to the library and renders the report.  ``titeica
 Reports are emitted as text, JSON or CSV; ``config`` echoes only the
 fields the command takes, the command among them, and ``summary`` holds
 results alone.  A JSON report is ``{"config", "results", "summary"}``,
-and its ``config`` is a --config file that reruns it.  JSON and CSV
-reports stream out in chunks of rows, text reports whole.  Output to a
+and its ``config`` is a --config file that reruns it.  Every report
+streams out in chunks of rows, none held whole.  Output to a
 new or regular file is atomic (write to a temporary file, then rename; a
 failed run removes that file and leaves the target as it was); this
 process's own stdout, a device or a FIFO is written in place, and a run
@@ -324,28 +324,27 @@ def _render_csv(report: _Report):
 
 
 def _render_text(report: _Report):
-    lines = [f"{key}: {value}" for key, value in report.config.items()
-             if key not in ("format", "output") and value not in (None, {}, [])]
+    yield "".join(f"{key}: {value}\n" for key, value in report.config.items()
+                  if key not in ("format", "output") and value not in (None, {}, []))
     if report.rows:
         columns = _cells(report, _fmt)
         # A column is as wide as its header and its longest cell, and at least
         # 22, so no cell pushes a later column right.
         widths = [max(22, len(c), *map(len, t)) for c, t in zip(report.columns, columns)]
-        cells = [list(map(str.rjust, t, repeat(w))) for t, w in zip(columns, widths)]
-        rows = _fill(["", *["  "] * (len(widths) - 1), ""], "\n", cells, len(report.rows))
-        lines += ["", "  ".join(map(str.rjust, report.columns, widths)), "".join(rows)]
-    lines += ["", "summary:"]
+        yield "\n" + "  ".join(map(str.rjust, report.columns, widths)) + "\n"
+        # Each distinct text is padded once, in the column's own dict: no padded column is held.
+        cells = [map(_Texts(lambda text, w=w: text.rjust(w)).__getitem__, t) for t, w in zip(columns, widths)]
+        yield from _fill(["", *["  "] * (len(widths) - 1), "\n"], "", cells, len(report.rows))
 
     def emit(items, pad):
         for key, value in items:
             if isinstance(value, dict):
-                lines.append(f"{pad}{key}:")
-                emit(value.items(), pad + "  ")
+                yield f"{pad}{key}:\n"
+                yield from emit(value.items(), pad + "  ")
             else:
-                lines.append(f"{pad}{key}: {_fmt(value)}")
+                yield f"{pad}{key}: {_fmt(value)}\n"
 
-    emit(report.summary.items(), "  ")
-    yield "\n".join(lines) + "\n"
+    yield "\nsummary:\n" + "".join(emit(report.summary.items(), "  "))
 
 
 _RENDERERS = {"text": _render_text, "json": _render_json, "csv": _render_csv}

@@ -209,8 +209,9 @@ def classify(
     # when the ratio is rescaled (a centro-affine map scales it by 1/det^2).
     # A zero median has spread inf: a Titeica surface has K/d^4 = C != 0,
     # and a developable one, with every ratio 0, is not one.
-    # The median is statistics.median's midpoint, float for float; it lies between
-    # the sorted ratios' ends, and rounding is monotone, so max |r - median| is at one.
-    median = ratios[n // 2] if n % 2 else (ratios[n // 2 - 1] + ratios[n // 2]) / 2
+    # The median is the sum of the middle ratios' halves, which cannot overflow:
+    # statistics.median's midpoint, float for float, unless a half or the sum is
+    # subnormal.  Rounding is monotone, so max |r - median| is at a sorted end.
+    median = ratios[n // 2] if n % 2 else ratios[n // 2 - 1] / 2 + ratios[n // 2] / 2
     spread = max(ratios[-1] - median, median - ratios[0]) / abs(median) if median else math.inf
     return ClassifyVerdict(spread <= tol, median, spread, n, skipped, tuple(records))

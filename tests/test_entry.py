@@ -25,7 +25,8 @@ MATRIX = "transform-check --surface titeica-xyz --grid 3 3 --matrix"
 # Each line's argv, the environment it adds and the files its working
 # directory holds: the goldens at 80 columns, each JSON golden rerun from
 # its config, each command's --help, refusals and spellings of a flag, and
-# two reports longer than one chunk of rows, to stdout and to a file, under two hash seeds.
+# three reports longer than one chunk of rows, one in each format, to stdout
+# and to a file, under two hash seeds.
 CASES = {
     **{name: (argv, COLUMNS, {}) for name, argv in GOLDEN.items()},
     **{f"{name} --config": (["--config", "run.json"], {}, {"run.json": json.dumps(json.loads(golden_text(name))["config"])})
@@ -39,7 +40,8 @@ CASES = {
     "--config xml.json": (["--config", "xml.json"], {}, {"xml.json": '{"command": "catalog", "format": "xml"}'}),
     **{f"{line}{output} PYTHONHASHSEED={seed}": (f"{line}{output}".split(), {"PYTHONHASHSEED": seed}, {})
        for line in ["classify --surface titeica-xyz --grid 60 60 --format json",
-                    "invariants --surface titeica-xyz --grid 60 60 --format csv"]
+                    "invariants --surface titeica-xyz --grid 60 60 --format csv",
+                    "invariants --surface titeica-xyz --grid 60 60"]
        for output in ["", " --output report"] for seed in "01"},
 }
 

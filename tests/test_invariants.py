@@ -173,6 +173,15 @@ def test_sphere_ratio_is_r_to_the_minus_six_at_every_scale(radius):
     assert abs(verdict.ratio_constant * radius**6 - 1.0) <= 1e-15
 
 
+@pytest.mark.parametrize("radius", [4.4e-52, 4.6e-52])
+def test_an_even_grid_median_near_the_largest_float_is_finite(radius):
+    # Every ratio is over half the largest float, so the sum of the two
+    # middle ones would overflow; the sum of their halves does not.
+    verdict = classify(catalog("sphere-origin", R=radius))
+    assert verdict.points_evaluated == 400 and verdict.is_titeica
+    assert abs(verdict.ratio_constant * radius**3 * radius**3 - 1.0) <= 1e-15
+
+
 @pytest.mark.parametrize("u", [5.4e-120, 1e-170])
 def test_a_flat_patch_at_a_tiny_height_is_evaluated(u):
     # V is its own only term, so the plane misses the origin, and num = 0:

@@ -241,11 +241,11 @@ ratio_lists = st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sam
 @given(ratio_lists, st.sampled_from([1.0, -1.0]))
 def test_the_spread_is_read_at_the_ends_of_the_sorted_ratios(ratios, sign):
     # classify takes max |r - median| from the two ends of the sorted ratios:
-    # the median lies between them and rounding is monotone, so the spread is
-    # the one every ratio gives, bit for bit.
+    # |r - m| is largest at an end for any m and rounding is monotone, so the
+    # spread is the one every ratio gives, bit for bit.
     ratios = sorted(sign * r for r in ratios)
     n = len(ratios)
-    median = ratios[n // 2] if n % 2 else (ratios[n // 2 - 1] + ratios[n // 2]) / 2
+    median = ratios[n // 2] if n % 2 else ratios[n // 2 - 1] / 2 + ratios[n // 2] / 2
     assume(median != 0.0)  # a zero median has spread inf, from neither form
     every = max(abs(r - median) for r in ratios) / abs(median)
     ends = max(ratios[-1] - median, median - ratios[0]) / abs(median)

@@ -11,6 +11,7 @@ longest cell where that is longer.
 
 import json
 import math
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -283,7 +284,9 @@ def row_chunks(format, n):
     sizes = [C] * (n // C) + [n % C] * (n % C > 0)
     if format == "csv":  # the header, then the rows
         return slice(1, None), sizes, len(sizes) + 1 if n else 0
-    # the config, the rows, the line that closes them and the summary
+    if format == "text":  # the config, the header, the rows and the summary
+        return slice(2, -1) if n else slice(1, 1), sizes, len(sizes) + 3 if n else 2
+    # JSON: the config, the rows, the line that closes them and the summary
     return slice(1, -2) if n else slice(1, 1), sizes, len(sizes) + 3 if n else 2
 
 
@@ -292,7 +295,8 @@ def row_chunks(format, n):
 def test_chunk_boundaries_match_the_general_encoder(make, n):
     report = make(n)
     for format, render, reference, marker in (("json", cli._render_json, reference_json, "\n    {"),
-                                              ("csv", cli._render_csv, reference_csv, "\n")):
+                                              ("csv", cli._render_csv, reference_csv, "\n"),
+                                              ("text", cli._render_text, reference_text, "\n")):
         where, sizes, count = row_chunks(format, n)
         # A stream that never ends gives more chunks than this bound, rather
         # than a hang.
@@ -300,4 +304,18 @@ def test_chunk_boundaries_match_the_general_encoder(make, n):
         assert "".join(chunks) == reference(report), format
         assert len(chunks) == count, format
         assert [c.count(marker) for c in chunks[where]] == sizes, format
-    assert list(islice(cli._render_text(report), 2)) == [reference_text(report)]
+
+
+def test_a_text_report_is_never_held_whole():
+    # A renderer whose chunks are dropped as they come holds one chunk of
+    # rows and each column's distinct texts, never the whole report: text
+    # pads each distinct text once and peaks near CSV.
+    report = report_of(RunConfig("invariants", surface="paraboloid", grid=(101, 101)))
+    peaks = {}
+    for format, render in (("csv", cli._render_csv), ("text", cli._render_text)):
+        tracemalloc.start()
+        for _ in render(report):
+            pass
+        peaks[format] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks["text"] <= 2 * peaks["csv"], peaks
